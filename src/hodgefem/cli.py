@@ -9,7 +9,10 @@ Subcommands:
                 dimension audit
 
 Exit codes: 0 success, 1 a verification or audit check failed, 2 bad
-usage, 3 numerical failure (solver breakdown or singular system).
+usage, 3 numerical failure (solver breakdown or singular system).  A
+small system whose PCG stalls is solved densely instead; ``solve``
+names that method on stderr and still exits 0, since the solution
+itself is sound.
 
 A JSON config file can preload any long option (keys use either dashes
 or underscores); explicit command line flags win.  CSV output is
@@ -153,6 +156,12 @@ def cmd_solve(args) -> int:
             )
             rows.append(row)
             out.write(_csv_row(m, row, solve=True) + "\n")
+            if result.method != "pcg":
+                print(
+                    f"solver m={m}: PCG did not converge in {result.iterations} "
+                    f"iterations; solution from {result.method}",
+                    file=sys.stderr,
+                )
             run_oracle = args.oracle == "on" or (args.oracle == "auto" and m <= 4)
             if run_oracle:
                 cons = build_constraints(tri, prod)

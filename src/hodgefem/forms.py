@@ -34,11 +34,12 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
-from typing import Callable, Iterable, Mapping
+from typing import Iterable, Mapping
 
 __all__ = [
     "Polynomial",
     "PolyForm",
+    "as_fraction",
     "multi_indices",
     "validate_multi_index",
     "complement",
@@ -56,16 +57,13 @@ MultiIndex = tuple[int, ...]
 Exponents = tuple[int, ...]
 
 
-def _as_fraction(c) -> Fraction:
-    if isinstance(c, Fraction):
-        return c
-    if isinstance(c, int):
-        return Fraction(c)
-    if isinstance(c, float):
-        return Fraction(c)
-    if isinstance(c, str):
-        return Fraction(c)
-    raise TypeError(f"cannot use {type(c).__name__} as an exact coefficient")
+def as_fraction(x) -> Fraction:
+    """Exact coercion of a Fraction, int, float or numeric string."""
+    if isinstance(x, Fraction):
+        return x
+    if isinstance(x, (int, float, str)):
+        return Fraction(x)
+    raise TypeError(f"cannot convert {type(x).__name__} to Fraction")
 
 
 def validate_multi_index(alpha: MultiIndex, n: int) -> None:
@@ -139,7 +137,7 @@ class Polynomial:
                 expo = tuple(expo)
                 if len(expo) != n or any(e < 0 or not isinstance(e, int) for e in expo):
                     raise ValueError(f"bad exponent tuple {expo} for n={n}")
-                c = _as_fraction(coeff)
+                c = as_fraction(coeff)
                 if c != 0:
                     clean[expo] = clean.get(expo, Fraction(0)) + c
                     if clean[expo] == 0:
@@ -205,7 +203,7 @@ class Polynomial:
             res = Polynomial.__new__(Polynomial)
             res.n, res.terms = self.n, out
             return res
-        c = _as_fraction(other)
+        c = as_fraction(other)
         if c == 0:
             return Polynomial(self.n)
         res = Polynomial.__new__(Polynomial)
@@ -233,7 +231,7 @@ class Polynomial:
 
     def __call__(self, point: Iterable) -> Fraction:
         """Evaluate at an exact rational point (centered coordinates)."""
-        pt = [_as_fraction(x) for x in point]
+        pt = [as_fraction(x) for x in point]
         if len(pt) != self.n:
             raise ValueError(f"point has {len(pt)} coordinates, need {self.n}")
         total = Fraction(0)
@@ -503,10 +501,3 @@ def koszul(w: PolyForm) -> PolyForm:
                 out[reduced] = acc
     return PolyForm(w.n, w.k - 1, out)
 
-
-def form_map(
-    w: PolyForm, fn: Callable[[Polynomial], Polynomial], new_k: int | None = None
-) -> PolyForm:
-    """Apply ``fn`` to every component, keeping the index set."""
-    out = {a: fn(p) for a, p in w.comps.items()}
-    return PolyForm(w.n, w.k if new_k is None else new_k, out)

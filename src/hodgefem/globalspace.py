@@ -29,12 +29,23 @@ translation) share one cached template: shape space, DOF matrix, Whitney
 matrix, dual coefficients, cell Gram, and quadrature-node value tables
 are computed once per congruence class, which collapses the structured
 meshes to a handful of exact computations.
+
+Set-up costs cells plus templates.  The template key of a cell is its
+centered vertex tuple; cells are sorted into classes by the same tuple
+in lowest integer terms, computed for all cells at once from each
+cell's exact integer coordinates, and only the first cell of a class
+gets an exact Simplex.  The kernel basis is held as per-function
+arrays (category, anchor, support cells, dual columns), and Phi is
+gathered from each template's float dual coefficients by cell, slot
+and sign.  The exact BasisFunction list (``functions``) is built only
+when read, e.g. for the ``basis`` dump.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -58,6 +69,7 @@ __all__ = [
     "DIV_PATCH",
     "ROT_PATCH",
     "ROT_CELL",
+    "CATEGORIES",
     "CellTemplate",
     "ProductSpace",
     "ConstraintSystem",
@@ -70,6 +82,8 @@ __all__ = [
     "build_global_basis",
     "global_interpolate",
 ]
+
+_SLOT = np.arange(6)
 
 DIV_PATCH = "DIV_PATCH"
 ROT_PATCH = "ROT_PATCH"
@@ -88,6 +102,7 @@ class CellTemplate:
         "minv",
         "whitney",
         "duals",
+        "duals_float",
         "gram",
         "gram_float",
         "_tables",
@@ -137,6 +152,7 @@ class CellTemplate:
         self.whitney = rows
         eye = [[Fraction(1 if r == c else 0) for c in range(6)] for r in range(6)]
         self.duals = solve_rational([list(r) for r in rows], eye)  # column j: dual coeffs
+        self.duals_float = np.array([[float(v) for v in row] for row in self.duals])
 
         self.gram = [
             [
@@ -201,28 +217,42 @@ class CellTemplate:
 
 
 class ProductSpace:
-    """Cell-major broken space: coefficients [6*cell : 6*cell + 6] per cell."""
+    """Cell-major broken space: coefficients [6*cell : 6*cell + 6] per cell.
+
+    Cells are grouped into congruence classes in one integer pass over
+    their exact scaled coordinates (``Triangulation.scaled_points``): with
+    den a cell's common denominator, its centered coordinates are the
+    integer 6-tuple 3*den*(vertex - barycenter) over 3*den, and this
+    fraction in lowest terms is equal for two cells exactly when their
+    centered coordinates are.  Only the first cell of each class gets an
+    exact Simplex and a CellTemplate, keyed by its centered coordinates.
+    Barycenters are the exact ones rounded once to float.
+    """
 
     def __init__(self, tri: Triangulation, scaled: bool = True):
         self.tri = tri
         self.scaled = scaled
+        nc = len(tri.cells)
+        num, den = tri.scaled_points(np.array(tri.cells, dtype=np.intp).reshape(nc, 3))
+        sums = num.sum(axis=1)  # 3 * den * barycenter
+        # Python int division rounds each exact quotient once, as float(Fraction)
+        self.barycenters = np.asarray(sums / (3 * den[:, None]), dtype=float).reshape(nc, 2)
+        shapes = np.column_stack([3 * den, (3 * num - sums[:, None, :]).reshape(nc, 6)])
+        reduced = shapes // np.gcd.reduce(shapes, axis=1)[:, None]
+        classes: dict[tuple, list[int]] = {}
+        for c, shape in enumerate(map(tuple, reduced.tolist())):
+            classes.setdefault(shape, []).append(c)
         self.templates: dict[tuple, CellTemplate] = {}
-        self.cell_template: list[CellTemplate] = []
-        index: dict[tuple, list[int]] = {}
-        for c in range(len(tri.cells)):
-            simplex = tri.simplex(c)
+        self.cells_by_template: dict[tuple, np.ndarray] = {}
+        self.template_index = np.empty(nc, dtype=np.intp)
+        for i, cells in enumerate(classes.values()):
+            simplex = tri.simplex(cells[0])
             key = tuple(simplex.centered)
-            t = self.templates.get(key)
-            if t is None:
-                t = CellTemplate(key, simplex, scaled)
-                self.templates[key] = t
-                index[key] = []
-            index[key].append(c)
-            self.cell_template.append(t)
-        self.cells_by_template = {k: np.array(v) for k, v in index.items()}
-        self.barycenters = np.array(
-            [[float(x) for x in tri.simplex(c).barycenter] for c in range(len(tri.cells))]
-        )
+            self.templates[key] = CellTemplate(key, simplex, scaled)
+            self.cells_by_template[key] = np.array(cells)
+            self.template_index[cells] = i
+        ordered = list(self.templates.values())
+        self.cell_template: list[CellTemplate] = [ordered[i] for i in self.template_index]
 
     @property
     def dim(self) -> int:
@@ -352,33 +382,68 @@ class BasisFunction:
         return len(self.cells)
 
 
-class GlobalBasis:
-    """Explicit basis of null(B) with category metadata and sparse Phi."""
+CATEGORIES = (DIV_PATCH, ROT_PATCH, ROT_CELL)
 
-    def __init__(self, functions: list[BasisFunction], dim: int):
-        self.functions = functions
-        self.dim = dim
-        data, rows, cols = [], [], []
-        for j, fn in enumerate(functions):
-            for idx, val in fn.entries:
-                rows.append(idx)
-                cols.append(j)
-                data.append(float(val))
-        self.Phi = sp.coo_matrix((data, (rows, cols)), shape=(dim, len(functions))).tocsr()
+
+class GlobalBasis:
+    """Explicit basis of null(B): per-function arrays and sparse Phi.
+
+    Function j has category ``CATEGORIES[category[j]]``, anchor vertex
+    ``anchor[j]`` and support ``cells[j]``; its column of Phi is the dual
+    coefficient column ``columns[j, 0]`` of cell ``cells[j, 0]`` minus
+    column ``columns[j, 1]`` of cell ``cells[j, 1]`` (-1 for the
+    single-cell ROT_CELL functions).  Dual columns 0..2 are mu^rot at
+    slots 0..2, columns 3..5 mu^div.  ``functions`` materialises the exact
+    BasisFunction list on first use.
+    """
+
+    def __init__(
+        self,
+        prod: ProductSpace,
+        category: np.ndarray,
+        anchor: np.ndarray,
+        cells: np.ndarray,
+        columns: np.ndarray,
+        Phi: sp.csr_matrix,
+    ):
+        self.prod = prod
+        self.dim = prod.dim
+        self.category = category
+        self.anchor = anchor
+        self.cells = cells
+        self.columns = columns
+        self.Phi = Phi
 
     def __len__(self) -> int:
-        return len(self.functions)
+        return len(self.anchor)
 
-    def counts(self) -> dict[str, int]:
-        out = {DIV_PATCH: 0, ROT_PATCH: 0, ROT_CELL: 0}
-        for fn in self.functions:
-            out[fn.category] += 1
+    @cached_property
+    def functions(self) -> list[BasisFunction]:
+        """Exact BasisFunctions, entries (index, Fraction) in Phi's order."""
+        tmpl = self.prod.cell_template
+
+        def entries(cell: int, col: int) -> list[tuple[int, Fraction]]:
+            duals = tmpl[cell].duals
+            return [(6 * cell + i, duals[i][col]) for i in range(6) if duals[i][col] != 0]
+
+        out = []
+        for cat, a, (c0, c1), (k0, k1) in zip(
+            self.category.tolist(), self.anchor.tolist(), self.cells.tolist(), self.columns.tolist()
+        ):
+            if c1 < 0:
+                out.append(BasisFunction(CATEGORIES[cat], a, (c0,), entries(c0, k0)))
+            else:
+                minus = [(idx, -v) for idx, v in entries(c1, k1)]
+                out.append(BasisFunction(CATEGORIES[cat], a, (c0, c1), entries(c0, k0) + minus))
         return out
 
+    def counts(self) -> dict[str, int]:
+        n = np.bincount(self.category, minlength=len(CATEGORIES))
+        return {name: int(k) for name, k in zip(CATEGORIES, n)}
+
     def count_for_vertex(self, category: str, vertex: int) -> int:
-        return sum(
-            1 for fn in self.functions if fn.category == category and fn.anchor == vertex
-        )
+        code = CATEGORIES.index(category)
+        return int(np.count_nonzero((self.category == code) & (self.anchor == vertex)))
 
 
 def build_global_basis(tri: Triangulation, prod: ProductSpace, cons: ConstraintSystem | None = None) -> GlobalBasis:
@@ -388,41 +453,59 @@ def build_global_basis(tri: Triangulation, prod: ProductSpace, cons: ConstraintS
     vertex of degree d contributes d-1 functions per applicable family;
     every (cell, boundary-vertex) incidence contributes one single-cell
     ROT_CELL function.  All vectors satisfy B v = 0 exactly by
-    biorthogonality of the dual forms.
+    biorthogonality of the dual forms.  Phi is gathered from the float
+    dual columns of the templates with index arithmetic; its columns
+    are ordered DIV_PATCH (by vertex, then along the fan), ROT_PATCH
+    (interior vertices) and ROT_CELL (by cell, then slot).
     """
-    functions: list[BasisFunction] = []
-    interior = set(tri.interior_vertices)
+    nc = len(tri.cells)
+    cells = np.array(tri.cells, dtype=np.intp).reshape(nc, 3)
 
-    def dual_entries(cell: int, kind: str, vertex: int) -> list[tuple[int, Fraction]]:
-        t = prod.template(cell)
-        slot = tri.cell_slot(cell, vertex)
-        coeffs = t.dual_coeffs(kind, slot)
-        base = 6 * cell
-        return [(base + i, c) for i, c in enumerate(coeffs) if c != 0]
+    def fan_pairs(vertices) -> tuple[list[int], list[int], list[int]]:
+        anchors, first, second = [], [], []
+        for a in vertices:
+            fan = tri.patches[a]
+            anchors += [a] * (len(fan) - 1)
+            first += fan[:-1]
+            second += fan[1:]
+        return anchors, first, second
 
-    for a in range(len(tri.vertices)):
-        fan = tri.patches[a]
-        for i in range(len(fan) - 1):
-            plus = dual_entries(fan[i], "div", a)
-            minus = [(idx, -c) for idx, c in dual_entries(fan[i + 1], "div", a)]
-            functions.append(
-                BasisFunction(DIV_PATCH, a, (fan[i], fan[i + 1]), plus + minus)
-            )
-    for a in tri.interior_vertices:
-        fan = tri.patches[a]
-        for i in range(len(fan) - 1):
-            plus = dual_entries(fan[i], "rot", a)
-            minus = [(idx, -c) for idx, c in dual_entries(fan[i + 1], "rot", a)]
-            functions.append(
-                BasisFunction(ROT_PATCH, a, (fan[i], fan[i + 1]), plus + minus)
-            )
-    for c, tri_cell in enumerate(tri.cells):
-        for slot in range(3):
-            a = tri_cell[slot]
-            if a not in interior:
-                functions.append(BasisFunction(ROT_CELL, a, (c,), dual_entries(c, "rot", a)))
+    div = fan_pairs(range(len(tri.vertices)))
+    rot = fan_pairs(tri.interior_vertices)
+    boundary = np.ones(len(tri.vertices), dtype=bool)
+    boundary[tri.interior_vertices] = False
+    cell_of, slot_of = np.nonzero(boundary[cells])
+    n_div, n_rot, n_cell = len(div[0]), len(rot[0]), len(cell_of)
 
-    return GlobalBasis(functions, prod.dim)
+    category = np.repeat(np.arange(3), [n_div, n_rot, n_cell])
+    anchor = np.concatenate(
+        [np.array(div[0] + rot[0], dtype=np.intp), cells[cell_of, slot_of]]
+    )
+    support = np.full((len(anchor), 2), -1, dtype=np.intp)
+    support[: n_div + n_rot, 0] = div[1] + rot[1]
+    support[: n_div + n_rot, 1] = div[2] + rot[2]
+    support[n_div + n_rot :, 0] = cell_of
+    present = support >= 0
+    cell = np.maximum(support, 0)
+    # dual column: the anchor's slot in the cell, shifted by 3 for mu^div
+    shift = np.where(category == 0, 3, 0)[:, None]
+    slots = np.argmax(cells[cell] == anchor[:, None, None], axis=2)
+    columns = np.where(present, shift + slots, -1)
+
+    ordered = list(prod.templates.values())
+    duals = np.stack([t.duals_float for t in ordered])  # (templates, 6, 6)
+    tix = prod.template_index[cell]
+    col = np.maximum(columns, 0)
+    # (function, first/second cell, shape index): entries in the exact order
+    gathered = duals[tix, :, col]
+    values = np.array([1.0, -1.0])[:, None] * gathered
+    keep = (gathered != 0) & present[:, :, None]
+    rows = 6 * cell[:, :, None] + _SLOT
+    fn = np.broadcast_to(np.arange(len(anchor))[:, None, None], keep.shape)
+    Phi = sp.coo_matrix(
+        (values[keep], (rows[keep], fn[keep])), shape=(prod.dim, len(anchor))
+    ).tocsr()
+    return GlobalBasis(prod, category, anchor, support, columns, Phi)
 
 
 def global_interpolate(

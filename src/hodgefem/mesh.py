@@ -33,10 +33,11 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
-from .forms import PolyForm, Polynomial
+from .forms import PolyForm, Polynomial, as_fraction
 from .simplices import Simplex
 
 __all__ = [
@@ -64,22 +65,16 @@ LAGRANGE_FULL = "lagrange_full"
 LAGRANGE_ZERO = "lagrange_zero"
 
 
-def _fr(x) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, (int, str)):
-        return Fraction(x)
-    if isinstance(x, float):
-        return Fraction(x)
-    raise TypeError(f"cannot convert {type(x).__name__} to Fraction")
-
+# The hanging-vertex check hashes vertices into at most this many
+# buckets per axis, which bounds its integer bucket ids.
+_MAX_BUCKETS = 1 << 16
 
 class Triangulation:
     """A validated conforming triangulation of a planar domain."""
 
     def __init__(self, vertices, cells):
         self.vertices: list[tuple[Fraction, Fraction]] = [
-            (_fr(v[0]), _fr(v[1])) for v in vertices
+            (as_fraction(v[0]), as_fraction(v[1])) for v in vertices
         ]
         self.warnings: list[str] = []
         nv = len(self.vertices)
@@ -88,28 +83,47 @@ class Triangulation:
             if v in seen:
                 raise ValueError(f"vertex {i} duplicates vertex {seen[v]} at {v}")
             seen[v] = i
+        # exact coordinates as Python-int numerators and denominators, the
+        # input of scaled_points
+        self._numerators = np.array(
+            [[x.numerator for x in v] for v in self.vertices], dtype=object
+        ).reshape(-1, 2)
+        self._denominators = np.array(
+            [[x.denominator for x in v] for v in self.vertices], dtype=object
+        ).reshape(-1, 2)
 
-        oriented: list[tuple[int, int, int]] = []
+        checked: list[tuple[int, int, int]] = []
+        invalid = None
         cell_keys: dict[frozenset, int] = {}
         for ci, cell in enumerate(cells):
             tri = tuple(int(x) for x in cell)
-            if len(tri) != 3 or len(set(tri)) != 3:
-                raise ValueError(f"cell {ci} must have three distinct vertices, got {tri}")
-            for v in tri:
-                if not (0 <= v < nv):
-                    raise ValueError(f"cell {ci} references missing vertex {v}")
             key = frozenset(tri)
-            if key in cell_keys:
-                raise ValueError(f"cell {ci} duplicates cell {cell_keys[key]}")
+            missing = [v for v in tri if not (0 <= v < nv)]
+            if len(tri) != 3 or len(key) != 3:
+                invalid = f"cell {ci} must have three distinct vertices, got {tri}"
+            elif missing:
+                invalid = f"cell {ci} references missing vertex {missing[0]}"
+            elif key in cell_keys:
+                invalid = f"cell {ci} duplicates cell {cell_keys[key]}"
+            if invalid is not None:
+                break
             cell_keys[key] = ci
-            a, b, c = (self.vertices[t] for t in tri)
-            area2 = (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
-            if area2 == 0:
-                raise ValueError(f"cell {ci} with vertices {tri} is degenerate")
-            if area2 < 0:
-                tri = (tri[0], tri[2], tri[1])
-            oriented.append(tri)
-        self.cells: list[tuple[int, int, int]] = oriented
+            checked.append(tri)
+        # orientation from exact signed areas; a degenerate cell is reported
+        # before an invalid cell that follows it
+        num, _ = self.scaled_points(np.array(checked, dtype=np.intp).reshape(-1, 3))
+        e1, e2 = num[:, 1] - num[:, 0], num[:, 2] - num[:, 0]
+        area2 = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]
+        degenerate = np.flatnonzero(area2 == 0)
+        if len(degenerate):
+            ci = int(degenerate[0])
+            raise ValueError(f"cell {ci} with vertices {checked[ci]} is degenerate")
+        if invalid is not None:
+            raise ValueError(invalid)
+        self.cells: list[tuple[int, int, int]] = [
+            (a, c, b) if flip else (a, b, c)
+            for (a, b, c), flip in zip(checked, (area2 < 0).tolist())
+        ]
 
         used = set()
         for tri in self.cells:
@@ -199,9 +213,28 @@ class Triangulation:
             self._simplices[cell] = s
         return s
 
-    @property
+    def scaled_points(self, groups) -> tuple[np.ndarray, np.ndarray]:
+        """Exact integer coordinates of groups of vertices.
+
+        ``groups`` is an (n, k) integer array of vertex indices.  Returns
+        (num, den), Python-int object arrays of shapes (n, k, 2) and (n,), with
+        ``vertices[groups[i][j]] == num[i, j] / den[i]`` and den[i] the
+        least common denominator of group i.  A denominator per group keeps
+        every integer as small as that group's own coordinates.
+        """
+        n, k = groups.shape
+        dens = self._denominators[groups]
+        den = np.lcm.reduce(dens.reshape(n, 2 * k), axis=1)
+        return self._numerators[groups] * (den[:, None, None] // dens), den
+
+    @cached_property
     def h(self) -> float:
-        return max(self.simplex(c).h for c in range(len(self.cells)))
+        """Largest edge length, equal to the largest ``simplex(c).h``."""
+        num, den = self.scaled_points(np.array(self.edges, dtype=np.intp).reshape(-1, 2))
+        d = num[:, 1] - num[:, 0]
+        # Python int division rounds each exact squared length once, as
+        # float(Fraction); rounding keeps the order, so the max is the same
+        return math.sqrt(max(((d * d).sum(axis=1) / (den * den)).tolist()))
 
     def vertex_degree(self, v: int) -> int:
         return len(self.patches[v])
@@ -216,36 +249,44 @@ class Triangulation:
     # -- validation helpers ----------------------------------------------
 
     def _check_no_hanging_vertices(self) -> None:
-        """No vertex may lie in the open interior of another cell's edge."""
+        """No vertex may lie in the open interior of another cell's edge.
+
+        Candidates come from a uniform bucket grid (``_edge_candidates``);
+        a float collinearity filter narrows them and the exact Fraction
+        test confirms, in edge order then vertex order.
+        """
         if not self.edges:
             return
         pts = np.array([[float(x), float(y)] for (x, y) in self.vertices])
-        for (a, b) in self.edges:
-            pa, pb = pts[a], pts[b]
-            d = pb - pa
-            rel = pts - pa
-            cross = rel[:, 0] * d[1] - rel[:, 1] * d[0]
-            dot = rel @ d
-            L2 = float(d @ d)
-            scale = math.sqrt(L2)
-            suspicious = np.nonzero(
-                (np.abs(cross) <= 1e-9 * scale * scale) & (dot > 1e-12) & (dot < L2 - 1e-12)
-            )[0]
-            for v in suspicious:
-                if v == a or v == b:
-                    continue
-                va = self.vertices[a]
-                vb = self.vertices[b]
-                vv = self.vertices[v]
-                ex = (vb[0] - va[0], vb[1] - va[1])
-                rv = (vv[0] - va[0], vv[1] - va[1])
-                cr = rv[0] * ex[1] - rv[1] * ex[0]
-                dt = rv[0] * ex[0] + rv[1] * ex[1]
-                l2 = ex[0] * ex[0] + ex[1] * ex[1]
-                if cr == 0 and 0 < dt < l2:
-                    raise ValueError(
-                        f"vertex {int(v)} lies inside edge ({a}, {b}): nonconforming mesh"
-                    )
+        ends = np.array(self.edges)
+        e, v = _edge_candidates(pts, ends)
+        a, b = ends[e, 0], ends[e, 1]
+        d = pts[b] - pts[a]
+        rel = pts[v] - pts[a]
+        cross = rel[:, 0] * d[:, 1] - rel[:, 1] * d[:, 0]
+        dot = rel[:, 0] * d[:, 0] + rel[:, 1] * d[:, 1]
+        L2 = d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1]
+        suspicious = (
+            (np.abs(cross) <= 1e-9 * L2)
+            & (dot > 1e-12)
+            & (dot < L2 - 1e-12)
+            & (v != a)
+            & (v != b)
+        )
+        e, v = e[suspicious], v[suspicious]
+        for k in np.lexsort((v, e)):
+            ia, ib = self.edges[e[k]]
+            iv = int(v[k])
+            va, vb, vv = self.vertices[ia], self.vertices[ib], self.vertices[iv]
+            ex = (vb[0] - va[0], vb[1] - va[1])
+            rv = (vv[0] - va[0], vv[1] - va[1])
+            cr = rv[0] * ex[1] - rv[1] * ex[0]
+            dt = rv[0] * ex[0] + rv[1] * ex[1]
+            l2 = ex[0] * ex[0] + ex[1] * ex[1]
+            if cr == 0 and 0 < dt < l2:
+                raise ValueError(
+                    f"vertex {iv} lies inside edge ({ia}, {ib}): nonconforming mesh"
+                )
 
     def _fan_order(self, v: int, cells: list[int]) -> list[int]:
         """Order the cells around ``v`` into a single fan (cycle or path).
@@ -301,6 +342,53 @@ class Triangulation:
         if len(order) != len(cells):
             raise ValueError(f"vertex {v} has a pinched (multi-fan) star")
         return order
+
+
+def _edge_candidates(pts: np.ndarray, ends: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(edge, vertex) index pairs with every vertex within reach of its edge.
+
+    Vertices are hashed into square buckets about one mean edge length
+    wide.  Each edge is sampled at most one bucket width apart, so every
+    point of it lies within half a width of a sample and hence inside
+    the 3x3 bucket block around that sample's bucket; the vertices of
+    those blocks are its candidates.  The cost is linear in the edges
+    and in the vertices per bucket, not O(edges * vertices).
+    """
+    d = pts[ends[:, 1]] - pts[ends[:, 0]]
+    length = np.hypot(d[:, 0], d[:, 1])
+    lo = pts.min(axis=0)
+    span = float((pts.max(axis=0) - lo).max())
+    width = max(float(length.mean()), span / _MAX_BUCKETS)
+    if not width > 0.0:
+        width = 1.0
+    inner = int(span / width) + 1  # occupied bucket coordinates are 1..inner
+    cols = inner + 2
+
+    def bucket(p: np.ndarray) -> np.ndarray:
+        return np.clip(np.floor((p - lo) / width).astype(np.int64) + 1, 1, inner)
+
+    vb = bucket(pts)
+    vid = vb[:, 0] * cols + vb[:, 1]
+    order = np.argsort(vid, kind="stable")
+    sorted_vid = vid[order]
+
+    steps = np.ceil(length / width).astype(np.int64)
+    edge_of = np.repeat(np.arange(len(ends)), steps + 1)
+    first = np.cumsum(steps + 1) - (steps + 1)
+    t = (np.arange(len(edge_of)) - first[edge_of]) / np.maximum(steps[edge_of], 1)
+    sb = bucket(pts[ends[edge_of, 0]] + t[:, None] * d[edge_of])
+    near = np.arange(-1, 2)
+    block = (sb[:, 0, None, None] + near[:, None]) * cols + (sb[:, 1, None, None] + near)
+    # unique (edge, bucket) pairs, by sorting: np.unique hashes and is slower
+    pairs = np.sort(edge_of[:, None, None] * (cols * cols) + block, axis=None)
+    pairs = pairs[np.r_[True, pairs[1:] != pairs[:-1]]]
+    pair_edge, pair_bucket = np.divmod(pairs, cols * cols)
+
+    start = np.searchsorted(sorted_vid, pair_bucket, side="left")
+    count = np.searchsorted(sorted_vid, pair_bucket, side="right") - start
+    e = np.repeat(pair_edge, count)
+    offset = np.arange(len(e)) - np.repeat(np.cumsum(count) - count, count)
+    return e, order[np.repeat(start, count) + offset]
 
 
 def generate_square_mesh(m: int, pattern: str = DIAGONAL) -> Triangulation:

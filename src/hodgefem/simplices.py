@@ -26,7 +26,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .forms import Polynomial, PolyForm
+from .forms import Polynomial, PolyForm, as_fraction
 
 __all__ = [
     "Simplex",
@@ -40,16 +40,6 @@ __all__ = [
 
 MIN_QUAD_ORDER = 2
 MAX_QUAD_ORDER = 10
-
-
-def _fr(x) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, (int, str)):
-        return Fraction(x)
-    if isinstance(x, float):
-        return Fraction(x)
-    raise TypeError(f"cannot convert {type(x).__name__} to Fraction")
 
 
 def _det_fraction(rows: list[list[Fraction]]) -> Fraction:
@@ -130,12 +120,11 @@ class Simplex:
         "h_scale",
         "shape_ratio",
         "_moments",
-        "_moments_float",
         "second_moments",
     )
 
     def __init__(self, vertices):
-        verts = [tuple(_fr(x) for x in v) for v in vertices]
+        verts = [tuple(as_fraction(x) for x in v) for v in vertices]
         n = len(verts[0])
         if len(verts) != n + 1:
             raise ValueError(f"an n-simplex needs n+1 vertices, got {len(verts)} in R^{n}")
@@ -167,7 +156,6 @@ class Simplex:
         self.h = math.sqrt(max(diffs2))
         self.h_scale = cheb
         self._moments: dict[tuple[int, ...], Fraction] = {}
-        self._moments_float: dict[tuple[int, ...], float] = {}
         self.second_moments = tuple(
             self.monomial_integral(tuple(2 if i == j else 0 for i in range(n))) / self.volume
             for j in range(n)
@@ -229,14 +217,6 @@ class Simplex:
             total += c * nfact_vol * Fraction(num, math.factorial(sum(expo) + n))
         self._moments[e] = total
         return total
-
-    def monomial_integral_float(self, exponents: tuple[int, ...]) -> float:
-        e = tuple(exponents)
-        v = self._moments_float.get(e)
-        if v is None:
-            v = float(self.monomial_integral(e))
-            self._moments_float[e] = v
-        return v
 
     def barycentric_gradients(self) -> list[tuple[Fraction, ...]]:
         """Exact constant gradients of the n+1 barycentric coordinates."""

@@ -141,10 +141,15 @@ def solve_cg(
 ) -> tuple[np.ndarray, dict]:
     """Jacobi-preconditioned conjugate gradients with residual history.
 
-    Falls back to a dense solve when CG stalls and the system is small
-    (at most DENSE_FALLBACK_LIMIT unknowns); otherwise raises with the
-    final relative residual in the message.  ``callback(x)`` is invoked
-    with the current iterate after every step.
+    CG stops on the true residual: when the recursively updated residual
+    reaches ``tol``, b - A x is recomputed and accepted only if it is
+    within ``tol`` too; otherwise CG continues from the recomputed
+    residual under the same iteration cap.  ``info["true_rel_residual"]``
+    is the final ||b - A x|| / ||b||.  Falls back to a dense solve when
+    CG stalls and the system is small (at most DENSE_FALLBACK_LIMIT
+    unknowns); otherwise raises with the final relative residual in the
+    message.  ``callback(x)`` is invoked with the current iterate after
+    every step.
     """
     n = b.shape[0]
     if maxiter is None:
@@ -155,6 +160,7 @@ def solve_cg(
     info = {"method": "pcg", "converged": True, "iterations": 0}
     if bnorm == 0.0:
         info["residuals"] = np.zeros(1)
+        info["true_rel_residual"] = 0.0
         return np.zeros(n), info
     diag = A.diagonal()
     if np.any(diag <= 0):
@@ -179,10 +185,15 @@ def solve_cg(
         if callback is not None:
             callback(x.copy())
         rnorm = float(np.linalg.norm(r))
-        residuals.append(rnorm)
         if rnorm <= tol * bnorm:
-            converged = True
-            break
+            r = b - A @ x
+            rnorm = float(np.linalg.norm(r))
+            if rnorm <= tol * bnorm:
+                residuals.append(rnorm)
+                info["true_rel_residual"] = rnorm / bnorm
+                converged = True
+                break
+        residuals.append(rnorm)
         z = r / diag
         rz_new = float(r @ z)
         p = z + (rz_new / rz) * p
@@ -195,6 +206,7 @@ def solve_cg(
             x = np.linalg.solve(A.toarray(), b)
             info["method"] = "dense-fallback"
             info["converged"] = True
+            info["true_rel_residual"] = float(np.linalg.norm(b - A @ x)) / bnorm
         else:
             raise RuntimeError(
                 f"conjugate gradients did not converge in {it} iterations "
@@ -211,6 +223,7 @@ class SolveResult:
     converged: bool
     method: str
     residuals: np.ndarray
+    true_rel_residual: float
 
 
 def solve_system(
@@ -225,6 +238,7 @@ def solve_system(
         info["converged"],
         info["method"],
         info["residuals"],
+        info["true_rel_residual"],
     )
 
 

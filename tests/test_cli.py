@@ -148,3 +148,17 @@ def test_numerical_failure_maps_to_exit_three(tmp_path, monkeypatch, capsys):
     out = tmp_path / "x.csv"
     assert main(["solve", "--refinements", "2", "--out", str(out)]) == 3
     assert "solver blew up" in capsys.readouterr().err
+
+
+def test_dense_fallback_is_named_on_stderr(tmp_path, monkeypatch, capsys):
+    real = cli.solve_system
+    monkeypatch.setattr(
+        cli, "solve_system", lambda system, tol: real(system, tol=tol, maxiter=3)
+    )
+    out = tmp_path / "x.csv"
+    assert main(["solve", "--refinements", "2", "--oracle", "off", "--out", str(out)]) == 0
+    err = capsys.readouterr().err
+    assert "solver m=2: PCG did not converge in 3 iterations; solution from dense-fallback" in err
+    lines = out.read_text().strip().splitlines()
+    assert lines[0] == CSV_HEADER_SOLVE
+    assert lines[1].split(",")[7] == "3"

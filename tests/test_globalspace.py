@@ -12,8 +12,10 @@ from hodgefem.element import (
     interpolate_coeffs,
 )
 from hodgefem.fields import as_callback, get_field
-from hodgefem.mesh import CRISSCROSS, DIAGONAL, generate_square_mesh
+import hodgefem.simplices
+from hodgefem.mesh import CRISSCROSS, DIAGONAL, Triangulation, generate_square_mesh
 from hodgefem.globalspace import (
+    CATEGORIES,
     DIV_PATCH,
     ROT_CELL,
     ROT_PATCH,
@@ -47,6 +49,59 @@ def test_product_space_layout():
     assert len(prod4.templates) == 4
     _, prodc, _ = _setup(2, CRISSCROSS)
     assert len(prodc.templates) == 4
+
+
+def test_product_space_keys_and_barycenters_are_exact(mesh):
+    prod = build_product_space(mesh)
+    for c in range(len(mesh.cells)):
+        s = mesh.simplex(c)
+        assert prod.template(c).key == tuple(s.centered)
+        assert prod.barycenters[c].tolist() == [float(x) for x in s.barycenter]
+
+
+def test_congruent_cells_with_different_denominators_share_a_template():
+    # a 3 x 1 strip with columns [0, 1], [1, 4/3], [4/3, 7/3]: the first
+    # and last columns are congruent, over denominators 1 and 3
+    xs = [Fraction(0), Fraction(1), Fraction(4, 3), Fraction(7, 3)]
+    pts = [(x, Fraction(y)) for y in (0, 1) for x in xs]
+    cells = []
+    for i in range(3):
+        cells += [(i, i + 1, i + 5), (i, i + 5, i + 4)]
+    prod = build_product_space(Triangulation(pts, cells))
+    assert len(prod.templates) == 4
+    assert [v.tolist() for v in prod.cells_by_template.values()] == [[0, 4], [1, 5], [2], [3]]
+
+
+def test_product_space_builds_one_simplex_per_template(monkeypatch):
+    tri = generate_square_mesh(16)
+    built = []
+    init = hodgefem.simplices.Simplex.__init__
+
+    def counting_init(self, vertices):
+        built.append(1)
+        init(self, vertices)
+
+    monkeypatch.setattr(hodgefem.simplices.Simplex, "__init__", counting_init)
+    prod = build_product_space(tri)
+    assert len(prod.templates) == 4
+    assert len(built) == len(prod.templates)
+
+
+def test_vectorised_phi_matches_exact_functions(mesh):
+    prod = build_product_space(mesh)
+    basis = build_global_basis(mesh, prod)
+    dense = np.zeros(basis.Phi.shape)
+    for j, fn in enumerate(basis.functions):
+        for idx, val in fn.entries:
+            dense[idx, j] = float(val)
+    assert np.array_equal(basis.Phi.toarray(), dense)
+    assert basis.Phi.nnz == sum(len(fn.entries) for fn in basis.functions)
+    for j, fn in enumerate(basis.functions):
+        assert (fn.category, fn.anchor) == (
+            CATEGORIES[basis.category[j]],
+            basis.anchor[j],
+        )
+        assert fn.cells == tuple(c for c in basis.cells[j] if c >= 0)
 
 
 def test_constraint_shape_and_rank_smallest_mesh():

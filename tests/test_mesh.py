@@ -1,7 +1,9 @@
 """Triangulation validation, square-mesh generators, mesh IO, hat functions."""
 
+import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from hodgefem.forms import PolyForm, codifferential_green, exterior_derivative
@@ -120,6 +122,44 @@ def test_validation_rejects_hanging_vertex():
     cells = [(0, 1, 2), (0, 2, 3), (0, 4, 5)]
     with pytest.raises(ValueError, match=r"vertex 4 lies inside edge \(0, 1\)"):
         Triangulation(pts, cells)
+
+
+def test_hanging_vertex_in_a_long_edge_is_found_across_buckets():
+    # a strip of 64 small cells keeps the bucket width (the mean edge
+    # length) near 2.6, so the big triangle's edge (0, 1), 64 long,
+    # spans about two dozen buckets; vertex 3 hangs in its middle
+    pts = [(0, 0), (64, 0), (32, 64), (32, 0)]
+    top = [len(pts) + k for k in range(33)]  # (k, -1)
+    bottom = [len(pts) + 33 + k for k in range(33)]  # (k, -2)
+    pts += [(k, -1) for k in range(33)] + [(k, -2) for k in range(33)]
+    cells = [(0, 1, 2), (3, top[31], top[32])]
+    for k in range(32):
+        cells += [(top[k], top[k + 1], bottom[k]), (top[k + 1], bottom[k + 1], bottom[k])]
+    with pytest.raises(ValueError, match=r"vertex 3 lies inside edge \(0, 1\)"):
+        Triangulation(pts, cells)
+
+
+def test_vertex_float_near_an_edge_but_exactly_off_it_is_accepted():
+    # vertex 2 sits 1e-15 above edge (0, 1): the float filter flags it,
+    # the exact test clears it, and the sliver mesh is valid
+    pts = [(0, 0), (2, 0), (1, Fraction(1, 10**15)), (1, 1)]
+    tri = Triangulation(pts, [(0, 1, 2), (0, 2, 3), (2, 1, 3)])
+    assert tri.interior_vertices == [2]
+    assert tri.warnings == []
+
+
+def test_scaled_points_are_exact_over_each_cells_own_denominator(mesh):
+    # a denominator per cell, not one for the whole mesh: on the coprime
+    # mesh the mesh-wide one would be the product of 18 primes
+    num, den = mesh.scaled_points(np.array(mesh.cells))
+    for c, cell in enumerate(mesh.cells):
+        coords = [x for v in cell for x in mesh.vertices[v]]
+        assert den[c] == math.lcm(*(x.denominator for x in coords))
+        assert [Fraction(n, den[c]) for n in num[c].ravel()] == coords
+
+
+def test_h_is_the_largest_simplex_diameter(mesh):
+    assert mesh.h == max(mesh.simplex(c).h for c in range(len(mesh.cells)))
 
 
 def test_validation_rejects_isolated_boundary_vertex():

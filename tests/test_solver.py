@@ -91,6 +91,33 @@ def test_cg_identity_converges_in_one_step():
     assert np.allclose(x, b, rtol=0, atol=1e-15)
 
 
+def test_cg_reports_the_true_residual_it_stopped_on():
+    _, system = _assembled(8)
+    result = solve_system(system, tol=1e-10)
+    assert result.method == "pcg" and result.converged
+    recomputed = float(np.linalg.norm(system.b - system.A @ result.u)) / float(
+        np.linalg.norm(system.b)
+    )
+    assert result.true_rel_residual == recomputed
+    assert recomputed <= 1e-10
+
+
+@pytest.mark.parametrize("cond", [1e5, 1e6])
+def test_cg_does_not_accept_a_drifted_recursive_residual(cond):
+    # on these ill-conditioned systems the recursive residual reaches
+    # 1e-12 while b - A x is still above it; CG must go on or fall back
+    rng = np.random.default_rng(0)
+    q, _ = np.linalg.qr(rng.standard_normal((30, 30)))
+    A = sp.csr_matrix((q * np.logspace(0, np.log10(cond), 30)) @ q.T)
+    A = (A + A.T) / 2
+    b = rng.standard_normal(30)
+    x, info = solve_cg(A, b, tol=1e-12)
+    true = float(np.linalg.norm(b - A @ x)) / float(np.linalg.norm(b))
+    assert info["true_rel_residual"] == true
+    if info["method"] == "pcg":
+        assert true <= 1e-12
+
+
 def test_cg_rejects_non_spd_input():
     A = sp.diags([1.0, -2.0, 3.0]).tocsr()
     with pytest.raises(ValueError, match="diagonal has non-positive"):
