@@ -2,9 +2,9 @@
 
 Layered package: exact exterior algebra on polynomial forms (``forms``),
 exact simplex integration and quadrature (``simplices``), the local
-shape space and degrees of freedom (``element``), triangulations and
-Whitney hats (``mesh``), the constrained global space and its explicit
-basis (``globalspace``), manufactured fields (``fields``),
+element with its degrees of freedom (``element``), triangulations
+(``mesh``), the constrained global space and its explicit basis
+(``globalspace``), manufactured fields (``fields``),
 assembly/solvers/error norms (``solver``), the verification suite
 (``verify``), and a command line front end (``cli``).
 """

@@ -24,8 +24,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import time
-from fractions import Fraction
 
 import numpy as np
 
@@ -36,16 +34,7 @@ from .globalspace import (
     build_product_space,
 )
 from .mesh import CRISSCROSS, DIAGONAL, Triangulation, generate_square_mesh, read_mesh
-from .solver import (
-    StudyRow,
-    assemble,
-    broken_energy_product,
-    error_norms,
-    fit_rate,
-    interpolation_study,
-    solve_oracle,
-    solve_system,
-)
+from .solver import StudyRow, fit_rate, interpolation_study, solver_study
 from .verify import full_suite
 
 __all__ = ["main"]
@@ -82,10 +71,10 @@ def _open_out(path):
     return open(path, "w"), True
 
 
-def _csv_row(m: int, row: StudyRow, solve: bool) -> str:
+def _csv_row(row: StudyRow, solve: bool) -> str:
     e = row.errors
     base = (
-        f"{m},{row.h:.12g},{row.dofs},{e['l2']:.12e},{e['rot']:.12e},"
+        f"{row.m},{row.h:.12g},{row.dofs},{e['l2']:.12e},{e['rot']:.12e},"
         f"{e['div']:.12e},{e['energy']:.12e}"
     )
     if solve:
@@ -123,8 +112,8 @@ def cmd_interpolate(args) -> int:
     out, close = _open_out(args.out)
     try:
         out.write(CSV_HEADER + "\n")
-        for m, row in zip(ms, rows):
-            out.write(_csv_row(m, row, solve=False) + "\n")
+        for row in rows:
+            out.write(_csv_row(row, solve=False) + "\n")
     finally:
         if close:
             out.close()
@@ -136,47 +125,36 @@ def cmd_interpolate(args) -> int:
 def cmd_solve(args) -> int:
     field = get_field(args.field)
     ms = _parse_refinements(args.refinements)
-    pattern = _PATTERNS[args.pattern]
+    oracle_max_m = {"on": max(ms), "auto": 4, "off": None}[args.oracle]
+    study = solver_study(
+        field,
+        ms,
+        pattern=_PATTERNS[args.pattern],
+        quad_order=args.quad_order,
+        tol=args.tol,
+        oracle_max_m=oracle_max_m,
+    )
     rows: list[StudyRow] = []
     status = 0
     out, close = _open_out(args.out)
     try:
         out.write(CSV_HEADER_SOLVE + "\n")
-        for m in ms:
-            t0 = time.perf_counter()
-            tri = generate_square_mesh(m, pattern)
-            prod = build_product_space(tri)
-            basis = build_global_basis(tri, prod)
-            system = assemble(tri, field, quad_order=args.quad_order, prod=prod, basis=basis)
-            result = solve_system(system, tol=args.tol)
-            wall_ms = (time.perf_counter() - t0) * 1000.0
-            errs = error_norms(result.u_cell, prod, field, quad_order=args.quad_order)
-            row = StudyRow(
-                m, tri.h, len(basis), errs, cg_iters=result.iterations, wall_ms=wall_ms
-            )
+        for row in study:
             rows.append(row)
-            out.write(_csv_row(m, row, solve=True) + "\n")
-            if result.method != "pcg":
+            out.write(_csv_row(row, solve=True) + "\n")
+            if row.method != "pcg":
                 print(
-                    f"solver m={m}: PCG did not converge in {result.iterations} "
-                    f"iterations; solution from {result.method}",
+                    f"solver m={row.m}: PCG did not converge in {row.cg_iters} "
+                    f"iterations; solution from {row.method}",
                     file=sys.stderr,
                 )
-            run_oracle = args.oracle == "on" or (args.oracle == "auto" and m <= 4)
-            if run_oracle:
-                cons = build_constraints(tri, prod)
-                oracle = solve_oracle(system, cons)
-                diff = oracle.x_cell - result.u_cell
-                gap = np.sqrt(
-                    max(broken_energy_product(diff, diff, prod), 0.0)
-                    / max(broken_energy_product(oracle.x_cell, oracle.x_cell, prod), 1e-300)
-                )
+            if row.oracle_gap is not None:
                 print(
-                    f"oracle m={m}: energy gap {gap:.3e}, constraint residual "
-                    f"{oracle.constraint_residual:.3e}",
+                    f"oracle m={row.m}: energy gap {row.oracle_gap:.3e}, constraint residual "
+                    f"{row.oracle_residual:.3e}",
                     file=sys.stderr,
                 )
-                if gap > 1e-8 or oracle.constraint_residual > 1e-10:
+                if row.oracle_gap > 1e-8 or row.oracle_residual > 1e-10:
                     status = 1
     finally:
         if close:

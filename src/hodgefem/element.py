@@ -23,8 +23,17 @@ functionals (delta below is the Green/adjoint sign, see forms):
     F_eta(mu) = <d mu, eta> - <mu, delta eta>,   eta in P0^{k+1} + star koszul star P0^k
     F_tau(mu) = <delta mu, tau> - <mu, d tau>,   tau in P0^{k-1} + koszul P0^k
 
-Row order in DofMatrix: eta block (constants then koszul-type), then tau
-block (constants then koszul-type); columns follow the shape basis.
+green_pairing is the one implementation of these two functionals: it
+pairs a list of forms with any family of eta and tau test forms, and
+the global vertex constraints use it with hat test forms.
+
+A DofMatrix is the local element of one simplex: shape space, DOF
+basis and the exact and float DOF matrix, built once and passed to
+dof_values, interpolate_coeffs and interpolate.  Row order: eta block
+(constants then koszul-type), then tau block (constants then
+koszul-type); columns follow the shape basis.  The four-step solve is
+block forward substitution in that matrix, written once over a block
+solve that is exact for PolyForm input and float for callbacks.
 
 Optional scaling keeps the DofMatrix condition number independent of the
 simplex diameter: koszul-type shape and test forms carry 1/h, the H2D
@@ -68,6 +77,7 @@ __all__ = [
     "build_shape_space",
     "build_dof_basis",
     "build_dof_matrix",
+    "green_pairing",
     "dof_values",
     "interpolate",
     "interpolate_coeffs",
@@ -119,9 +129,21 @@ class ShapeSpace:
     basis positions.  Within each block, forms follow the lexicographic
     order of their generating multi-indices.  ``scales`` records the
     rational factor each basis form was multiplied by (all 1 unscaled).
+    ``d_basis``/``delta_basis`` cache the exterior derivative / Green
+    codifferential of each basis form.
     """
 
-    __slots__ = ("n", "k", "simplex", "basis", "blocks", "scaled", "scales")
+    __slots__ = (
+        "n",
+        "k",
+        "simplex",
+        "basis",
+        "blocks",
+        "scaled",
+        "scales",
+        "d_basis",
+        "delta_basis",
+    )
 
     def __init__(self, n, k, simplex, basis, blocks, scaled, scales):
         self.n = n
@@ -131,6 +153,8 @@ class ShapeSpace:
         self.blocks = blocks
         self.scaled = scaled
         self.scales = scales
+        self.d_basis = [exterior_derivative(mu) for mu in basis]
+        self.delta_basis = [codifferential_green(mu) for mu in basis]
 
     @property
     def dim(self) -> int:
@@ -206,7 +230,10 @@ class DofBasis:
     koszul of constant k-forms).  The two sub-blocks of each family are
     mutually L2-orthogonal on the simplex because every koszul-type
     component has zero mean.  ``eta_green``/``tau_d`` cache the Green
-    codifferential / exterior derivative of each test form.
+    codifferential / exterior derivative of each test form.  Any other
+    family of test forms for the two Green functionals, such as the hat
+    forms of the global vertex constraints, fits the same holder with
+    empty blocks.
     """
 
     __slots__ = (
@@ -271,7 +298,11 @@ def build_dof_basis(n: int, k: int, simplex: Simplex, scaled: bool = False) -> D
 
 
 class DofMatrix:
-    """Functional-by-shape matrix: rows eta then tau, columns shape basis."""
+    """The local element on one simplex, built once and reused.
+
+    Owns the shape space, the DOF basis and the functional-by-shape
+    matrix (rows eta then tau, columns shape basis), exact and as floats.
+    """
 
     __slots__ = ("space", "dofs", "exact", "_float")
 
@@ -290,46 +321,37 @@ class DofMatrix:
     def cond(self) -> float:
         return float(np.linalg.cond(self.as_float))
 
-    def solve_exact(self, rhs: list[Fraction]) -> list[Fraction]:
-        cols = solve_rational([list(r) for r in self.exact], [[v] for v in rhs])
-        return [row[0] for row in cols]
 
-    def solve_float(self, rhs: np.ndarray) -> np.ndarray:
-        return np.linalg.solve(self.as_float, np.asarray(rhs, dtype=float))
+def green_pairing(forms, d_forms, delta_forms, tests: DofBasis) -> list[list[Fraction]]:
+    """Exact Green functionals of ``tests`` applied to ``forms``.
 
-
-def _eta_functional(mu: PolyForm, dofs: DofBasis, i: int, simplex: Simplex) -> Fraction:
-    dmu = exterior_derivative(mu)
-    return l2_inner(dmu, dofs.eta_basis[i], simplex) - l2_inner(mu, dofs.eta_green[i], simplex)
-
-
-def _tau_functional(mu: PolyForm, dofs: DofBasis, i: int, simplex: Simplex) -> Fraction:
-    gmu = codifferential_green(mu)
-    return l2_inner(gmu, dofs.tau_basis[i], simplex) - l2_inner(mu, dofs.tau_d[i], simplex)
+    Rows F_eta(mu) = <d mu, eta> - <mu, delta eta> for each eta of
+    ``tests.eta_basis``, then F_tau(mu) = <delta mu, tau> - <mu, d tau>
+    for each tau of ``tests.tau_basis``; one column per form.
+    ``d_forms``/``delta_forms`` are d and the Green delta of ``forms``.
+    """
+    simplex = tests.simplex
+    rows = [
+        [
+            l2_inner(dmu, eta, simplex) - l2_inner(mu, geta, simplex)
+            for mu, dmu in zip(forms, d_forms)
+        ]
+        for eta, geta in zip(tests.eta_basis, tests.eta_green)
+    ]
+    rows += [
+        [
+            l2_inner(gmu, tau, simplex) - l2_inner(mu, dtau, simplex)
+            for mu, gmu in zip(forms, delta_forms)
+        ]
+        for tau, dtau in zip(tests.tau_basis, tests.tau_d)
+    ]
+    return rows
 
 
 def build_dof_matrix(space: ShapeSpace, dofs: DofBasis) -> DofMatrix:
-    simplex = space.simplex
-    rows: list[list[Fraction]] = []
-    d_basis = [exterior_derivative(mu) for mu in space.basis]
-    g_basis = [codifferential_green(mu) for mu in space.basis]
-    for i in range(len(dofs.eta_basis)):
-        eta, geta = dofs.eta_basis[i], dofs.eta_green[i]
-        rows.append(
-            [
-                l2_inner(dmu, eta, simplex) - l2_inner(mu, geta, simplex)
-                for mu, dmu in zip(space.basis, d_basis)
-            ]
-        )
-    for i in range(len(dofs.tau_basis)):
-        tau, dtau = dofs.tau_basis[i], dofs.tau_d[i]
-        rows.append(
-            [
-                l2_inner(gmu, tau, simplex) - l2_inner(mu, dtau, simplex)
-                for mu, gmu in zip(space.basis, g_basis)
-            ]
-        )
-    return DofMatrix(space, dofs, rows)
+    return DofMatrix(
+        space, dofs, green_pairing(space.basis, space.d_basis, space.delta_basis, dofs)
+    )
 
 
 @dataclass
@@ -374,22 +396,22 @@ def form_values(w: PolyForm, centered: np.ndarray) -> np.ndarray:
     return out
 
 
-def dof_values(mu, space: ShapeSpace, dofs: DofBasis, quad_order: int = 6):
-    """Evaluate all DOF functionals on ``mu``.
+def dof_values(mu, matrix: DofMatrix, quad_order: int = 6):
+    """Evaluate all DOF functionals of the local element on ``mu``.
 
     PolyForm input takes the exact rational path and returns Fractions;
     a FormCallback is integrated with the simplex quadrature and returns
     a float array.  The callback must carry value, d and delta.
     """
-    simplex = space.simplex
+    dofs = matrix.dofs
     if isinstance(mu, PolyForm):
-        vals = [_eta_functional(mu, dofs, i, simplex) for i in range(len(dofs.eta_basis))]
-        vals += [_tau_functional(mu, dofs, i, simplex) for i in range(len(dofs.tau_basis))]
-        return vals
+        rows = green_pairing([mu], [exterior_derivative(mu)], [codifferential_green(mu)], dofs)
+        return [row[0] for row in rows]
     if not isinstance(mu, FormCallback):
         raise TypeError("mu must be a PolyForm or a FormCallback")
     if mu.d is None or mu.delta is None:
         raise ValueError("callback interpolation needs d and delta data alongside values")
+    simplex = dofs.simplex
     pts, weights = rule_points(simplex, quad_order)
     centered = pts - np.array([float(x) for x in simplex.barycenter])
     val = np.asarray(mu.value(pts), dtype=float)
@@ -412,100 +434,61 @@ def dof_values(mu, space: ShapeSpace, dofs: DofBasis, quad_order: int = 6):
     return out
 
 
-def _fourstep_blocks(space: ShapeSpace, dofs: DofBasis, matrix: DofMatrix):
-    """Index bookkeeping shared by the exact and float four-step solves."""
-    eta0 = list(dofs.eta_blocks[P0])
-    etak = list(dofs.eta_blocks[STARKAPPA])
-    off = len(dofs.eta_basis)
-    tau0 = [off + i for i in dofs.tau_blocks[P0]]
-    tauk = [off + i for i in dofs.tau_blocks[KAPPA]]
-    cols = {name: list(space.blocks[name]) for name in (P0, KAPPA, STARKAPPA, H2D)}
-    return eta0, etak, tau0, tauk, cols
-
-
-def interpolate_coeffs(mu, space: ShapeSpace, dofs: DofBasis, method: str = DIRECT, quad_order: int = 6):
+def interpolate_coeffs(mu, matrix: DofMatrix, method: str = DIRECT, quad_order: int = 6):
     """Coefficients (shape-basis order) of the local interpolant of ``mu``.
 
     DIRECT solves the full DofMatrix system.  FOURSTEP solves the four
     decoupled blocks in sequence (delta part, constant part, d part,
     quadratic d part); the two agree to rounding and exactly on the
-    rational path.
+    rational path.  PolyForm input solves with exact Fractions, a
+    FormCallback with floats; both run the same steps.
     """
     if method not in (DIRECT, FOURSTEP):
         raise ValueError(f"unknown interpolation method {method!r}")
-    matrix = build_dof_matrix(space, dofs)
-    vals = dof_values(mu, space, dofs, quad_order=quad_order)
-    exact = isinstance(mu, PolyForm)
+    space, dofs = matrix.space, matrix.dofs
+    vals = dof_values(mu, matrix, quad_order=quad_order)
+    if isinstance(mu, PolyForm):
+        M = matrix.exact
+        coeffs = [Fraction(0)] * space.dim
+
+        def solve(rows, cols, rhs):
+            sub = [[M[r][c] for c in cols] for r in rows]
+            return [x[0] for x in solve_rational(sub, [[v] for v in rhs])]
+
+    else:
+        M = matrix.as_float
+        coeffs = np.zeros(space.dim)
+
+        def solve(rows, cols, rhs):
+            return np.linalg.solve(M[np.ix_(rows, cols)], np.asarray(rhs, dtype=float))
 
     if method == DIRECT:
-        if exact:
-            return matrix.solve_exact(list(vals))
-        return matrix.solve_float(vals)
+        every = list(range(space.dim))
+        return solve(every, every, vals)
 
-    eta0, etak, tau0, tauk, cols = _fourstep_blocks(space, dofs, matrix)
-    dim = space.dim
-    if exact:
-        coeffs: list[Fraction] = [Fraction(0)] * dim
-        M = matrix.exact
-
-        def solve_block(rows, colids, rhs):
-            sub = [[M[r][c] for c in colids] for r in rows]
-            sol = solve_rational(sub, [[v] for v in rhs])
-            return [row[0] for row in sol]
-
-        # step 1: delta block from constant tau rows
-        rhs1 = [vals[r] for r in tau0]
-        for c, v in zip(cols[STARKAPPA], solve_block(tau0, cols[STARKAPPA], rhs1)):
+    def step(rows, block, rhs):
+        for c, v in zip(space.blocks[block], solve(rows, list(space.blocks[block]), rhs)):
             coeffs[c] = v
-        # step 2: constant block from koszul tau rows
-        rhs2 = [vals[r] for r in tauk]
-        for c, v in zip(cols[P0], solve_block(tauk, cols[P0], rhs2)):
-            coeffs[c] = v
-        # step 3: koszul block from constant eta rows
-        rhs3 = [vals[r] for r in eta0]
-        for c, v in zip(cols[KAPPA], solve_block(eta0, cols[KAPPA], rhs3)):
-            coeffs[c] = v
-        # step 4: quadratic block from koszul eta rows, correcting for the
-        # constant part seen through <mu0, delta eta>
-        mu0 = PolyForm.zero(space.n, space.k)
-        for c in cols[P0]:
-            if coeffs[c] != 0:
-                mu0 = mu0 + coeffs[c] * space.basis[c]
-        rhs4 = []
-        for r, i in zip(etak, dofs.eta_blocks[STARKAPPA]):
-            corr = l2_inner(mu0, dofs.eta_green[i], space.simplex)
-            rhs4.append(vals[r] + corr)
-        for c, v in zip(cols[H2D], solve_block(etak, cols[H2D], rhs4)):
-            coeffs[c] = v
-        return coeffs
 
-    M = matrix.as_float
-    coeffs_f = np.zeros(dim)
-    vals = np.asarray(vals, dtype=float)
-
-    def solve_block_f(rows, colids, rhs):
-        sub = M[np.ix_(rows, colids)]
-        return np.linalg.solve(sub, rhs)
-
-    coeffs_f[cols[STARKAPPA]] = solve_block_f(tau0, cols[STARKAPPA], vals[tau0])
-    coeffs_f[cols[P0]] = solve_block_f(tauk, cols[P0], vals[tauk])
-    coeffs_f[cols[KAPPA]] = solve_block_f(eta0, cols[KAPPA], vals[eta0])
-    # only the constant block contributes to the step-4 correction term
-    mu0 = PolyForm.zero(space.n, space.k)
-    for c in cols[P0]:
-        if coeffs_f[c] != 0.0:
-            mu0 = mu0 + Fraction(float(coeffs_f[c])) * space.basis[c]
-    rhs4 = []
-    for r, i in zip(etak, dofs.eta_blocks[STARKAPPA]):
-        corr = float(l2_inner(mu0, dofs.eta_green[i], space.simplex))
-        rhs4.append(vals[r] + corr)
-    coeffs_f[cols[H2D]] = solve_block_f(etak, cols[H2D], np.array(rhs4))
-    return coeffs_f
+    off = len(dofs.eta_basis)
+    tau0 = [off + i for i in dofs.tau_blocks[P0]]
+    tauk = [off + i for i in dofs.tau_blocks[KAPPA]]
+    eta0 = list(dofs.eta_blocks[P0])
+    etak = list(dofs.eta_blocks[STARKAPPA])
+    # step 1: delta block from constant tau rows
+    step(tau0, STARKAPPA, [vals[r] for r in tau0])
+    # step 2: constant block from koszul tau rows
+    step(tauk, P0, [vals[r] for r in tauk])
+    # step 3: koszul block from constant eta rows
+    step(eta0, KAPPA, [vals[r] for r in eta0])
+    # step 4: quadratic block from koszul eta rows, less the constant part:
+    # d mu0 = 0, so M[etak, P0] c[P0] = -<mu0, delta eta>
+    p0 = space.blocks[P0]
+    step(etak, H2D, [vals[r] - sum(M[r][c] * coeffs[c] for c in p0) for r in etak])
+    return coeffs
 
 
-def interpolate(mu, space: ShapeSpace, dofs: DofBasis, method: str = DIRECT, quad_order: int = 6) -> PolyForm:
+def interpolate(mu, matrix: DofMatrix, method: str = DIRECT, quad_order: int = 6) -> PolyForm:
     """The local interpolant as a PolyForm (exact for PolyForm input)."""
-    coeffs = interpolate_coeffs(mu, space, dofs, method=method, quad_order=quad_order)
-    if isinstance(coeffs, np.ndarray):
-        coeffs = [Fraction(float(c)) for c in coeffs]
-    return space.combine(coeffs)
+    coeffs = interpolate_coeffs(mu, matrix, method=method, quad_order=quad_order)
+    return matrix.space.combine(coeffs)

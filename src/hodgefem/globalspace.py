@@ -10,7 +10,10 @@ functions:
 
 with delta the Green-sign codifferential.  Both test families lie inside
 the span of the element's DOF test forms on each cell, which is what
-makes the cellwise interpolant conforming in this weak sense.
+makes the cellwise interpolant conforming in this weak sense.  On each
+cell these are the element's own Green functionals
+(``element.green_pairing``) with the cell's barycentric coordinates
+(``Simplex.barycentric_coordinates``) as test forms.
 
 The kernel has an explicit local basis, built from dual local functions:
 on each cell the six Whitney functionals above (three rot, three div,
@@ -25,10 +28,11 @@ mu^rot_{a,T} and mu^div_{a,T}.  Then
 
 All dual coefficients are exact rationals and the constraint identities
 B v = 0 hold exactly, by biorthogonality.  Congruent cells (equal up to
-translation) share one cached template: shape space, DOF matrix, Whitney
-matrix, dual coefficients, cell Gram, and quadrature-node value tables
-are computed once per congruence class, which collapses the structured
-meshes to a handful of exact computations.
+translation) share one cached template: the local element (shape
+space, DOF basis and DOF matrix), Whitney matrix, dual coefficients,
+cell Gram, and quadrature-node value tables are computed once per
+congruence class, which collapses the structured meshes to a handful of
+exact computations.
 
 Set-up costs cells plus templates.  The template key of a cell is its
 centered vertex tuple; cells are sorted into classes by the same tuple
@@ -52,17 +56,16 @@ import scipy.sparse as sp
 
 from .element import (
     DofBasis,
-    DofMatrix,
     FormCallback,
-    ShapeSpace,
     build_dof_basis,
     build_dof_matrix,
     build_shape_space,
     form_values,
+    green_pairing,
     poly_values,
 )
-from .forms import PolyForm, Polynomial, codifferential_green, exterior_derivative
-from .mesh import LAGRANGE_FULL, LAGRANGE_ZERO, Triangulation, whitney_basis
+from .forms import PolyForm
+from .mesh import Triangulation
 from .simplices import Simplex, l2_inner, quadrature_rule, solve_rational
 
 __all__ = [
@@ -73,12 +76,10 @@ __all__ = [
     "CellTemplate",
     "ProductSpace",
     "ConstraintSystem",
-    "CellDuals",
     "GlobalBasis",
     "BasisFunction",
     "build_product_space",
     "build_constraints",
-    "build_dual_local_functions",
     "build_global_basis",
     "global_interpolate",
 ]
@@ -96,8 +97,6 @@ class CellTemplate:
     __slots__ = (
         "key",
         "simplex",
-        "space",
-        "dofs",
         "matrix",
         "minv",
         "whitney",
@@ -111,47 +110,27 @@ class CellTemplate:
     def __init__(self, key, simplex: Simplex, scaled: bool):
         self.key = key
         self.simplex = simplex
-        self.space = build_shape_space(2, 1, simplex, scaled=scaled)
-        self.dofs = build_dof_basis(2, 1, simplex, scaled=scaled)
-        self.matrix = build_dof_matrix(self.space, self.dofs)
+        space = build_shape_space(2, 1, simplex, scaled=scaled)
+        self.matrix = build_dof_matrix(space, build_dof_basis(2, 1, simplex, scaled=scaled))
         self.minv = np.linalg.inv(self.matrix.as_float)
 
-        # Whitney functional matrix: rows rot slot 0..2 then div slot 0..2
-        grads = simplex.barycentric_gradients()
-        third = Fraction(1, 3)
-        hats = []
-        for g in grads:
-            terms = {(0, 0): third}
-            if g[0] != 0:
-                terms[(1, 0)] = g[0]
-            if g[1] != 0:
-                terms[(0, 1)] = g[1]
-            hats.append(Polynomial(2, terms))
-        basis = self.space.basis
-        d_basis = [exterior_derivative(mu) for mu in basis]
-        g_basis = [codifferential_green(mu) for mu in basis]
-        rows: list[list[Fraction]] = []
-        for lam in hats:
-            eta = PolyForm(2, 2, {(1, 2): lam})
-            geta = codifferential_green(eta)
-            rows.append(
-                [
-                    l2_inner(dmu, eta, simplex) - l2_inner(mu, geta, simplex)
-                    for mu, dmu in zip(basis, d_basis)
-                ]
-            )
-        for lam in hats:
-            tau = PolyForm(2, 0, {(): lam})
-            dtau = exterior_derivative(tau)
-            rows.append(
-                [
-                    l2_inner(gmu, tau, simplex) - l2_inner(mu, dtau, simplex)
-                    for mu, gmu in zip(basis, g_basis)
-                ]
-            )
-        self.whitney = rows
+        # Whitney functional matrix: rows rot slot 0..2 (eta = hat dx^12),
+        # then div slot 0..2 (tau = hat)
+        hats = simplex.barycentric_coordinates()
+        vertex_tests = DofBasis(
+            2,
+            1,
+            simplex,
+            [PolyForm(2, 2, {(1, 2): lam}) for lam in hats],
+            [PolyForm(2, 0, {(): lam}) for lam in hats],
+            {},
+            {},
+            False,
+        )
+        basis, d_basis, g_basis = space.basis, space.d_basis, space.delta_basis
+        self.whitney = green_pairing(basis, d_basis, g_basis, vertex_tests)
         eye = [[Fraction(1 if r == c else 0) for c in range(6)] for r in range(6)]
-        self.duals = solve_rational([list(r) for r in rows], eye)  # column j: dual coeffs
+        self.duals = solve_rational(self.whitney, eye)  # column j: dual coeffs
         self.duals_float = np.array([[float(v) for v in row] for row in self.duals])
 
         self.gram = [
@@ -165,11 +144,6 @@ class CellTemplate:
         ]
         self.gram_float = np.array([[float(v) for v in row] for row in self.gram])
         self._tables: dict[int, dict[str, np.ndarray]] = {}
-
-    def dual_coeffs(self, kind: str, slot: int) -> list[Fraction]:
-        """Exact shape coefficients of mu^rot (kind 'rot') or mu^div at a slot."""
-        col = slot if kind == "rot" else 3 + slot
-        return [self.duals[i][col] for i in range(6)]
 
     def tables(self, order: int) -> dict[str, np.ndarray]:
         """Quadrature-node value tables in centered coordinates.
@@ -185,22 +159,14 @@ class CellTemplate:
         verts = np.array([[float(x) for x in v] for v in self.simplex.centered])
         nodes = np.array([[float(b) for b in node] for node in bary]) @ verts
         weights = np.array([float(x) for x in w]) * 2.0 * float(self.simplex.volume)
-        basis = self.space.basis
-        val = np.stack([form_values(mu, nodes) for mu in basis])
-        dval = np.stack(
-            [form_values(exterior_derivative(mu), nodes)[:, 0] for mu in basis]
-        )
-        gval = np.stack(
-            [poly_values(codifferential_green(mu).component(()), nodes) for mu in basis]
-        )
-        eta_v = np.stack(
-            [form_values(eta, nodes)[:, 0] for eta in self.dofs.eta_basis]
-        )
-        eta_g = np.stack([form_values(g, nodes) for g in self.dofs.eta_green])
-        tau_v = np.stack(
-            [poly_values(tau.component(()), nodes) for tau in self.dofs.tau_basis]
-        )
-        tau_d = np.stack([form_values(d, nodes) for d in self.dofs.tau_d])
+        space, dofs = self.matrix.space, self.matrix.dofs
+        val = np.stack([form_values(mu, nodes) for mu in space.basis])
+        dval = np.stack([form_values(dmu, nodes)[:, 0] for dmu in space.d_basis])
+        gval = np.stack([poly_values(gmu.component(()), nodes) for gmu in space.delta_basis])
+        eta_v = np.stack([form_values(eta, nodes)[:, 0] for eta in dofs.eta_basis])
+        eta_g = np.stack([form_values(g, nodes) for g in dofs.eta_green])
+        tau_v = np.stack([poly_values(tau.component(()), nodes) for tau in dofs.tau_basis])
+        tau_d = np.stack([form_values(d, nodes) for d in dofs.tau_d])
         t = {
             "centered": nodes,
             "weights": weights,
@@ -263,7 +229,7 @@ class ProductSpace:
 
     def cell_form(self, cell: int, coeffs) -> PolyForm:
         """The PolyForm on one cell from its 6 coefficients (exact input)."""
-        return self.template(cell).space.combine(list(coeffs))
+        return self.template(cell).matrix.space.combine(list(coeffs))
 
 
 class ConstraintSystem:
@@ -301,9 +267,7 @@ def build_product_space(tri: Triangulation, scaled: bool = True) -> ProductSpace
 
 def build_constraints(tri: Triangulation, prod: ProductSpace) -> ConstraintSystem:
     nv = len(tri.vertices)
-    full = whitney_basis(tri, LAGRANGE_FULL)
-    zero = whitney_basis(tri, LAGRANGE_ZERO)
-    rot_row = {v: i for i, v in enumerate(zero.dof_vertices)}
+    rot_row = {v: i for i, v in enumerate(tri.interior_vertices)}
 
     div_data, div_r, div_c = [], [], []
     rot_data, rot_r, rot_c = [], [], []
@@ -331,41 +295,11 @@ def build_constraints(tri: Triangulation, prod: ProductSpace) -> ConstraintSyste
                         rot_data.append(float(v))
     B_div = sp.coo_matrix((div_data, (div_r, div_c)), shape=(nv, prod.dim)).tocsr()
     B_rot = sp.coo_matrix(
-        (rot_data, (rot_r, rot_c)), shape=(len(zero.dof_vertices), prod.dim)
+        (rot_data, (rot_r, rot_c)), shape=(len(rot_row), prod.dim)
     ).tocsr()
     B_div.sum_duplicates()
     B_rot.sum_duplicates()
     return ConstraintSystem(tri, B_div, B_rot)
-
-
-@dataclass
-class CellDuals:
-    """The six dual local forms of one cell, keyed by vertex id."""
-
-    cell: int
-    vertices: tuple[int, int, int]
-    rot: dict[int, PolyForm]
-    div: dict[int, PolyForm]
-    rot_coeffs: dict[int, list[Fraction]]
-    div_coeffs: dict[int, list[Fraction]]
-
-
-def build_dual_local_functions(tri: Triangulation, cell: int, prod: ProductSpace | None = None) -> CellDuals:
-    """Biorthogonal dual forms for one cell's six Whitney functionals."""
-    if prod is None:
-        prod = build_product_space(tri)
-    t = prod.template(cell)
-    verts = tri.cells[cell]
-    rot, div, rc, dc = {}, {}, {}, {}
-    for slot in range(3):
-        a = verts[slot]
-        cr = t.dual_coeffs("rot", slot)
-        cd = t.dual_coeffs("div", slot)
-        rc[a] = cr
-        dc[a] = cd
-        rot[a] = t.space.combine(cr)
-        div[a] = t.space.combine(cd)
-    return CellDuals(cell, tuple(verts), rot, div, rc, dc)
 
 
 @dataclass

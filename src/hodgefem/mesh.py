@@ -1,4 +1,4 @@
-"""Planar triangulations, structured generators, file I/O, Whitney hats.
+"""Planar triangulations, structured generators, and mesh file I/O.
 
 A Triangulation validates its input on construction: cells are oriented
 positively (reordering when needed), degenerate or duplicate cells and
@@ -37,7 +37,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .forms import PolyForm, Polynomial, as_fraction
+from .forms import as_fraction
 from .simplices import Simplex
 
 __all__ = [
@@ -45,24 +45,18 @@ __all__ = [
     "CRISSCROSS",
     "INTERIOR",
     "BOUNDARY",
-    "LAGRANGE_FULL",
-    "LAGRANGE_ZERO",
     "Triangulation",
-    "WhitneySpace",
     "generate_square_mesh",
     "read_mesh",
     "write_mesh",
     "parse_mesh",
     "format_mesh",
-    "whitney_basis",
 ]
 
 DIAGONAL = "diagonal"
 CRISSCROSS = "crisscross"
 INTERIOR = "interior"
 BOUNDARY = "boundary"
-LAGRANGE_FULL = "lagrange_full"
-LAGRANGE_ZERO = "lagrange_zero"
 
 
 # The hanging-vertex check hashes vertices into at most this many
@@ -530,73 +524,3 @@ def read_mesh(path) -> Triangulation:
 def write_mesh(tri: Triangulation, path) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(format_mesh(tri))
-
-
-class WhitneySpace:
-    """Piecewise-linear vertex (hat) functions on a triangulation.
-
-    LAGRANGE_FULL attaches one function to every vertex, LAGRANGE_ZERO
-    only to interior vertices.  Per cell and local slot the hat is an
-    exact linear Polynomial in that cell's centered coordinates; helper
-    accessors wrap it as a 0-form, as the volume form hat * dx^12, and
-    give the Green codifferential of the latter (the rotated gradient).
-    """
-
-    def __init__(self, tri: Triangulation, kind: str):
-        if kind not in (LAGRANGE_FULL, LAGRANGE_ZERO):
-            raise ValueError(f"unknown Whitney space kind {kind!r}")
-        self.tri = tri
-        self.kind = kind
-        if kind == LAGRANGE_FULL:
-            self.dof_vertices = list(range(len(tri.vertices)))
-        else:
-            self.dof_vertices = list(tri.interior_vertices)
-        self.index_of = {v: i for i, v in enumerate(self.dof_vertices)}
-        self._hats: list[list[Polynomial] | None] = [None] * len(tri.cells)
-
-    @property
-    def dim(self) -> int:
-        return len(self.dof_vertices)
-
-    def cell_hats(self, cell: int) -> list[Polynomial]:
-        """The three barycentric hats of a cell, slot order, exact."""
-        cached = self._hats[cell]
-        if cached is not None:
-            return cached
-        simplex = self.tri.simplex(cell)
-        grads = simplex.barycentric_gradients()
-        hats = []
-        third = Fraction(1, 3)
-        for i in range(3):
-            terms = {(0, 0): third}
-            g = grads[i]
-            if g[0] != 0:
-                terms[(1, 0)] = g[0]
-            if g[1] != 0:
-                terms[(0, 1)] = g[1]
-            hats.append(Polynomial(2, terms))
-        self._hats[cell] = hats
-        return hats
-
-    def hat(self, cell: int, slot: int) -> Polynomial:
-        return self.cell_hats(cell)[slot]
-
-    def hat_form(self, cell: int, slot: int) -> PolyForm:
-        return PolyForm(2, 0, {(): self.hat(cell, slot)})
-
-    def hat_volume_form(self, cell: int, slot: int) -> PolyForm:
-        return PolyForm(2, 2, {(1, 2): self.hat(cell, slot)})
-
-    def delta_hat_volume(self, cell: int, slot: int) -> PolyForm:
-        """Green codifferential of hat * dx^12: d2(hat) dx^1 - d1(hat) dx^2."""
-        lam = self.hat(cell, slot)
-        return PolyForm(2, 1, {(1,): lam.partial(2), (2,): -lam.partial(1)})
-
-    def grad_hat(self, cell: int, slot: int) -> PolyForm:
-        """Exterior derivative of the hat 0-form."""
-        lam = self.hat(cell, slot)
-        return PolyForm(2, 1, {(1,): lam.partial(1), (2,): lam.partial(2)})
-
-
-def whitney_basis(tri: Triangulation, kind: str = LAGRANGE_FULL) -> WhitneySpace:
-    return WhitneySpace(tri, kind)

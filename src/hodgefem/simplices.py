@@ -42,42 +42,19 @@ MIN_QUAD_ORDER = 2
 MAX_QUAD_ORDER = 10
 
 
-def _det_fraction(rows: list[list[Fraction]]) -> Fraction:
-    """Determinant by fraction-free-ish Gaussian elimination with pivoting."""
-    m = [row[:] for row in rows]
-    size = len(m)
-    det = Fraction(1)
-    for col in range(size):
-        pivot = None
-        for r in range(col, size):
-            if m[r][col] != 0:
-                pivot = r
-                break
-        if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            m[col], m[pivot] = m[pivot], m[col]
-            det = -det
-        det *= m[col][col]
-        inv = Fraction(1) / m[col][col]
-        for r in range(col + 1, size):
-            if m[r][col] != 0:
-                f = m[r][col] * inv
-                for c in range(col, size):
-                    m[r][c] -= f * m[col][c]
-    return det
+def _gauss_jordan(
+    matrix: list[list[Fraction]], rhs: list[list[Fraction]]
+) -> tuple[Fraction, list[list[Fraction]] | None]:
+    """Exact Gauss-Jordan elimination on [matrix | rhs] with partial pivoting.
 
-
-def solve_rational(matrix: list[list[Fraction]], rhs: list[list[Fraction]]) -> list[list[Fraction]]:
-    """Solve A X = B exactly (B given column-stacked as rows of rhs^T layout).
-
-    ``matrix`` is square (list of rows); ``rhs`` is a list of rows of the
-    right-hand side block (same row count as the matrix, any number of
-    columns).  Returns X as a list of rows.  Raises on singular input.
+    Returns (det(matrix), X) with matrix X = rhs, or (0, None) when the
+    matrix is singular.  ``rhs`` may have zero columns, which leaves only
+    the determinant.
     """
     size = len(matrix)
     ncols = len(rhs[0]) if rhs else 0
     aug = [list(matrix[r]) + list(rhs[r]) for r in range(size)]
+    det = Fraction(1)
     for col in range(size):
         pivot = None
         best = Fraction(0)
@@ -87,16 +64,31 @@ def solve_rational(matrix: list[list[Fraction]], rhs: list[list[Fraction]]) -> l
                 best = v
                 pivot = r
         if pivot is None:
-            raise ValueError("singular rational system")
+            return Fraction(0), None
         if pivot != col:
             aug[col], aug[pivot] = aug[pivot], aug[col]
+            det = -det
+        det *= aug[col][col]
         inv = Fraction(1) / aug[col][col]
         aug[col] = [v * inv for v in aug[col]]
         for r in range(size):
             if r != col and aug[r][col] != 0:
                 f = aug[r][col]
                 aug[r] = [a - f * b for a, b in zip(aug[r], aug[col])]
-    return [row[size : size + ncols] for row in aug]
+    return det, [row[size : size + ncols] for row in aug]
+
+
+def solve_rational(matrix: list[list[Fraction]], rhs: list[list[Fraction]]) -> list[list[Fraction]]:
+    """Solve A X = B exactly (B given column-stacked as rows of rhs^T layout).
+
+    ``matrix`` is square (list of rows); ``rhs`` is a list of rows of the
+    right-hand side block (same row count as the matrix, any number of
+    columns).  Returns X as a list of rows.  Raises on singular input.
+    """
+    _, sol = _gauss_jordan(matrix, rhs)
+    if sol is None:
+        raise ValueError("singular rational system")
+    return sol
 
 
 class Simplex:
@@ -131,7 +123,7 @@ class Simplex:
         if any(len(v) != n for v in verts):
             raise ValueError("vertices have inconsistent dimension")
         rows = [[verts[i + 1][j] - verts[0][j] for j in range(n)] for i in range(n)]
-        det = _det_fraction(rows)
+        det, _ = _gauss_jordan(rows, [[] for _ in rows])
         if det == 0:
             raise ValueError("degenerate simplex (zero volume)")
         if det < 0:
@@ -218,15 +210,21 @@ class Simplex:
         self._moments[e] = total
         return total
 
-    def barycentric_gradients(self) -> list[tuple[Fraction, ...]]:
-        """Exact constant gradients of the n+1 barycentric coordinates."""
+    def barycentric_coordinates(self) -> list[Polynomial]:
+        """The n+1 barycentric coordinates (hat functions), exact and linear.
+
+        lambda_i(x) = G_i . x + g0_i in centered coordinates, read off the
+        solution of [U | 1] [G^T; g0] = I with U the centered vertices.
+        """
         n = self.n
-        rows = [[self.centered[i][j] for j in range(n)] + [Fraction(1)] for i in range(n + 1)]
-        # lambda(x) = G x + g0 solves [U | 1] [G^T; g0] = I
+        rows = [[*self.centered[i], Fraction(1)] for i in range(n + 1)]
         eye = [[Fraction(1 if r == c else 0) for c in range(n + 1)] for r in range(n + 1)]
-        sol = solve_rational(rows, eye)  # (n+1) x (n+1): rows = [G^T; g0]
-        # column i of sol = coefficients (grad, const) of lambda_i; gradient part:
-        return [tuple(sol[j][i] for j in range(n)) for i in range(n + 1)]
+        sol = solve_rational(rows, eye)  # column i: gradient, then constant, of lambda_i
+        units = [tuple(int(j == l) for l in range(n)) for j in range(n)]
+        return [
+            Polynomial(n, {(0,) * n: sol[n][i], **{units[j]: sol[j][i] for j in range(n)}})
+            for i in range(n + 1)
+        ]
 
     def __repr__(self) -> str:
         pts = ", ".join("(" + ", ".join(str(x) for x in v) + ")" for v in self.vertices)

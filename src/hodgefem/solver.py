@@ -24,6 +24,8 @@ field, which is the cross-check used by the verification suite.
 from __future__ import annotations
 
 import math
+import time
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -318,6 +320,8 @@ class StudyRow:
     cg_iters: int | None = None
     oracle_gap: float | None = None
     wall_ms: float | None = None
+    method: str | None = None
+    oracle_residual: float | None = None
 
 
 def interpolation_study(
@@ -345,33 +349,42 @@ def solver_study(
     quad_order: int = 6,
     tol: float = 1e-10,
     oracle_max_m: int | None = None,
-) -> list[StudyRow]:
+) -> Iterator[StudyRow]:
     """Solve the model problem on a family of structured meshes.
 
-    When oracle_max_m is set, meshes with m at or below it also run the
-    saddle-point oracle and record the relative energy-norm gap between
-    the two solutions.
+    Yields one row per mesh as soon as it is finished.  ``wall_ms``
+    times mesh generation through the solve, and ``method`` names the
+    solver path.  When oracle_max_m is set, meshes with m at or below it
+    also run the saddle-point oracle and record the relative energy-norm
+    gap between the two solutions and the oracle's constraint residual.
     """
-    rows = []
     for m in ms:
+        t0 = time.perf_counter()
         tri = generate_square_mesh(m, pattern)
         prod = build_product_space(tri)
         basis = build_global_basis(tri, prod)
         system = assemble(tri, field, quad_order=quad_order, prod=prod, basis=basis)
         result = solve_system(system, tol=tol)
+        wall_ms = (time.perf_counter() - t0) * 1000.0
         errs = error_norms(result.u_cell, prod, field, quad_order=quad_order)
-        gap = None
-        if oracle_max_m is not None and m <= oracle_max_m:
-            cons = build_constraints(tri, prod)
-            oracle = solve_oracle(system, cons)
-            diff = oracle.x_cell - result.u_cell
-            num = math.sqrt(max(broken_energy_product(diff, diff, prod), 0.0))
-            den = math.sqrt(max(broken_energy_product(oracle.x_cell, oracle.x_cell, prod), 1e-300))
-            gap = num / den
-        rows.append(
-            StudyRow(m, tri.h, len(basis), errs, cg_iters=result.iterations, oracle_gap=gap)
+        row = StudyRow(
+            m,
+            tri.h,
+            len(basis),
+            errs,
+            cg_iters=result.iterations,
+            wall_ms=wall_ms,
+            method=result.method,
         )
-    return rows
+        if oracle_max_m is not None and m <= oracle_max_m:
+            oracle = solve_oracle(system, build_constraints(tri, prod))
+            diff = oracle.x_cell - result.u_cell
+            row.oracle_gap = math.sqrt(
+                max(broken_energy_product(diff, diff, prod), 0.0)
+                / max(broken_energy_product(oracle.x_cell, oracle.x_cell, prod), 1e-300)
+            )
+            row.oracle_residual = oracle.constraint_residual
+        yield row
 
 
 def fit_rate(rows: list[StudyRow], key: str = "energy") -> float:

@@ -31,6 +31,7 @@ from .element import (
     build_h2d_form,
     build_h2delta_form,
     build_shape_space,
+    dof_values,
     interpolate_coeffs,
 )
 from .forms import (
@@ -42,7 +43,7 @@ from .forms import (
     koszul,
     multi_indices,
 )
-from .simplices import Simplex
+from .simplices import Simplex, solve_rational
 
 __all__ = [
     "CheckResult",
@@ -241,21 +242,20 @@ def unisolvence_suite(
     for _ in range(count):
         S = _rand_triangle(rng)
         space = build_shape_space(2, 1, S, scaled=True)
-        dofs = build_dof_basis(2, 1, S, scaled=True)
-        matrix = build_dof_matrix(space, dofs)
+        matrix = build_dof_matrix(space, build_dof_basis(2, 1, S, scaled=True))
         cond = matrix.cond()
         if not np.isfinite(cond):
             return [CheckResult("dof-matrix-cond-finite", False, "singular matrix hit")]
         max_cond = max(max_cond, cond)
-        # projection: interpolating a shape basis form returns the unit vector
-        for i, mu in enumerate(space.basis):
-            coeffs = interpolate_coeffs(mu, space, dofs, method=DIRECT)
-            vec = np.array([float(c) for c in coeffs])
-            max_proj = max(max_proj, float(np.max(np.abs(vec - eye[i]))))
+        # projection: interpolating each shape basis form returns its unit
+        # vector, i.e. M X = [DOF values of each basis form] gives X = I
+        values = [dof_values(mu, matrix) for mu in space.basis]
+        X = solve_rational(matrix.exact, [list(row) for row in zip(*values)])
+        max_proj = max(max_proj, float(np.max(np.abs(np.array(X, dtype=float) - eye))))
         # the two algorithms agree on a generic member of the space
         target = space.combine([_rand_fraction(rng) for _ in range(6)])
-        a = interpolate_coeffs(target, space, dofs, method=DIRECT)
-        b = interpolate_coeffs(target, space, dofs, method=FOURSTEP)
+        a = interpolate_coeffs(target, matrix, method=DIRECT)
+        b = interpolate_coeffs(target, matrix, method=FOURSTEP)
         gap = max(abs(float(x - y)) for x, y in zip(a, b))
         max_gap = max(max_gap, gap)
     return [

@@ -5,8 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-import hodgefem.cli as cli
 import hodgefem.forms
+import hodgefem.solver
 from hodgefem.cli import CSV_HEADER, CSV_HEADER_SOLVE, main
 from hodgefem.mesh import CRISSCROSS, generate_square_mesh, write_mesh
 
@@ -144,16 +144,35 @@ def test_numerical_failure_maps_to_exit_three(tmp_path, monkeypatch, capsys):
     def boom(system, tol):
         raise RuntimeError("solver blew up")
 
-    monkeypatch.setattr(cli, "solve_system", boom)
+    monkeypatch.setattr(hodgefem.solver, "solve_system", boom)
     out = tmp_path / "x.csv"
     assert main(["solve", "--refinements", "2", "--out", str(out)]) == 3
     assert "solver blew up" in capsys.readouterr().err
 
 
+def test_solve_streams_rows_finished_before_a_failure(tmp_path, monkeypatch, capsys):
+    real = hodgefem.solver.solve_system
+    calls = []
+
+    def second_fails(system, tol):
+        calls.append(tol)
+        if len(calls) == 2:
+            raise RuntimeError("second level blew up")
+        return real(system, tol=tol)
+
+    monkeypatch.setattr(hodgefem.solver, "solve_system", second_fails)
+    out = tmp_path / "x.csv"
+    assert main(["solve", "--refinements", "2,4", "--out", str(out)]) == 3
+    assert "second level blew up" in capsys.readouterr().err
+    lines = out.read_text().strip().splitlines()
+    assert lines[0] == CSV_HEADER_SOLVE
+    assert len(lines) == 2 and lines[1].startswith("2,")
+
+
 def test_dense_fallback_is_named_on_stderr(tmp_path, monkeypatch, capsys):
-    real = cli.solve_system
+    real = hodgefem.solver.solve_system
     monkeypatch.setattr(
-        cli, "solve_system", lambda system, tol: real(system, tol=tol, maxiter=3)
+        hodgefem.solver, "solve_system", lambda system, tol: real(system, tol=tol, maxiter=3)
     )
     out = tmp_path / "x.csv"
     assert main(["solve", "--refinements", "2", "--oracle", "off", "--out", str(out)]) == 0

@@ -13,6 +13,7 @@ from hodgefem.element import (
     KAPPA,
     P0,
     STARKAPPA,
+    DofMatrix,
     FormCallback,
     build_dof_basis,
     build_dof_matrix,
@@ -32,6 +33,7 @@ from hodgefem.forms import (
     multi_indices,
 )
 from hodgefem.simplices import Simplex
+from hodgefem.verify import unisolvence_suite
 
 F = Fraction
 
@@ -92,8 +94,9 @@ def test_unisolvence_exact_projection():
     T = rand_simplex(2, rng)
     space = build_shape_space(2, 1, T, scaled=True)
     dofs = build_dof_basis(2, 1, T, scaled=True)
+    matrix = build_dof_matrix(space, dofs)
     for i, mu in enumerate(space.basis):
-        coeffs = interpolate_coeffs(mu, space, dofs, method=DIRECT)
+        coeffs = interpolate_coeffs(mu, matrix, method=DIRECT)
         want = [F(1) if j == i else F(0) for j in range(6)]
         assert list(coeffs) == want
 
@@ -105,8 +108,9 @@ def test_fourstep_equals_direct_exactly():
         space = build_shape_space(2, 1, T, scaled=True)
         dofs = build_dof_basis(2, 1, T, scaled=True)
         target = space.combine([F(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(6)])
-        a = interpolate_coeffs(target, space, dofs, method=DIRECT)
-        b = interpolate_coeffs(target, space, dofs, method=FOURSTEP)
+        matrix = build_dof_matrix(space, dofs)
+        a = interpolate_coeffs(target, matrix, method=DIRECT)
+        b = interpolate_coeffs(target, matrix, method=FOURSTEP)
         assert list(a) == list(b)
 
 
@@ -116,7 +120,7 @@ def test_interpolate_returns_equal_form():
     space = build_shape_space(2, 1, T)
     dofs = build_dof_basis(2, 1, T)
     target = space.combine([F(3), F(-1), F(2), F(1, 2), F(0), F(5)])
-    assert interpolate(target, space, dofs) == target
+    assert interpolate(target, build_dof_matrix(space, dofs)) == target
 
 
 def test_callback_path_matches_exact_path():
@@ -150,12 +154,13 @@ def test_callback_path_matches_exact_path():
         d=lambda x: ev_form(d_t, x),
         delta=lambda x: ev_form(g_t, x),
     )
-    exact = np.array([float(v) for v in dof_values(target, space, dofs)])
-    approx = np.asarray(dof_values(cb, space, dofs, quad_order=6))
+    matrix = build_dof_matrix(space, dofs)
+    exact = np.array([float(v) for v in dof_values(target, matrix)])
+    approx = np.asarray(dof_values(cb, matrix, quad_order=6))
     scale = max(1.0, np.max(np.abs(exact)))
     assert np.max(np.abs(exact - approx)) <= 1e-12 * scale
 
-    coeffs = interpolate_coeffs(cb, space, dofs, method=FOURSTEP, quad_order=6)
+    coeffs = interpolate_coeffs(cb, matrix, method=FOURSTEP, quad_order=6)
     want = np.array([1, 2, -1, 1 / 3, 2, -3], dtype=float)
     assert np.max(np.abs(np.asarray(coeffs, dtype=float) - want)) <= 1e-10
 
@@ -166,7 +171,7 @@ def test_callback_missing_derivative_data():
     dofs = build_dof_basis(2, 1, T)
     cb = FormCallback(value=lambda x: np.zeros((len(x), 2)), d=None, delta=None)
     with pytest.raises(ValueError):
-        dof_values(cb, space, dofs)
+        dof_values(cb, build_dof_matrix(space, dofs))
 
 
 def test_scaled_conditioning_is_h_uniform():
@@ -188,3 +193,18 @@ def test_scaled_conditioning_is_h_uniform():
         dofs = build_dof_basis(2, 1, T)
         unscaled.append(build_dof_matrix(space, dofs).cond())
     assert unscaled[1] > 100 * unscaled[0]
+
+
+def test_unisolvence_suite_builds_one_dof_matrix_per_triangle(monkeypatch):
+    """The local element is built once per triangle and reused by every check."""
+    built = []
+    init = DofMatrix.__init__
+
+    def counting_init(self, *args):
+        built.append(1)
+        init(self, *args)
+
+    monkeypatch.setattr(DofMatrix, "__init__", counting_init)
+    results = unisolvence_suite(count=3)
+    assert all(r.passed for r in results)
+    assert len(built) == 3

@@ -8,6 +8,7 @@ import pytest
 from hodgefem.element import (
     FormCallback,
     build_dof_basis,
+    build_dof_matrix,
     build_shape_space,
     interpolate_coeffs,
 )
@@ -20,11 +21,12 @@ from hodgefem.globalspace import (
     ROT_CELL,
     ROT_PATCH,
     build_constraints,
-    build_dual_local_functions,
     build_global_basis,
     build_product_space,
     global_interpolate,
 )
+
+from conftest import MESHES
 
 
 def _setup(m, pattern=DIAGONAL):
@@ -176,19 +178,16 @@ def test_supports_and_anchored_counts():
 
 
 def test_dual_local_functions_are_biorthogonal():
-    tri, prod, _ = _setup(2)
-    for cell in (0, 5):
-        duals = build_dual_local_functions(tri, cell, prod)
-        t = prod.template(cell)
-        for slot in range(3):
-            a = tri.cells[cell][slot]
-            for kind, coeffs in (("rot", duals.rot_coeffs[a]), ("div", duals.div_coeffs[a])):
-                for row in range(6):
-                    got = sum(
-                        t.whitney[row][i] * coeffs[i] for i in range(6)
-                    )
-                    want_row = slot if kind == "rot" else 3 + slot
-                    assert got == (Fraction(1) if row == want_row else Fraction(0))
+    """whitney . duals == I exactly, on every template of the fixture meshes."""
+    eye = [[Fraction(int(r == c)) for c in range(6)] for r in range(6)]
+    for build in MESHES.values():
+        prod = build_product_space(build())
+        for t in prod.templates.values():
+            got = [
+                [sum(t.whitney[r][i] * t.duals[i][c] for i in range(6)) for c in range(6)]
+                for r in range(6)
+            ]
+            assert got == eye
 
 
 def test_affine_interpolation_reproduces_field():
@@ -239,7 +238,7 @@ def test_global_matches_local_interpolation():
         s = tri.simplex(c)
         space = build_shape_space(2, 1, s, scaled=True)
         dofs = build_dof_basis(2, 1, s, scaled=True)
-        local = interpolate_coeffs(cb, space, dofs, quad_order=6)
+        local = interpolate_coeffs(cb, build_dof_matrix(space, dofs), quad_order=6)
         local = np.array([float(x) for x in local])
         assert np.allclose(u[6 * c : 6 * c + 6], local, rtol=1e-9, atol=1e-12)
 

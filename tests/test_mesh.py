@@ -7,17 +7,15 @@ import numpy as np
 import pytest
 
 from hodgefem.forms import PolyForm, codifferential_green, exterior_derivative
+from hodgefem.globalspace import build_constraints, build_product_space
 from hodgefem.mesh import (
     CRISSCROSS,
     DIAGONAL,
-    LAGRANGE_FULL,
-    LAGRANGE_ZERO,
     Triangulation,
     format_mesh,
     generate_square_mesh,
     parse_mesh,
     read_mesh,
-    whitney_basis,
     write_mesh,
 )
 
@@ -233,14 +231,13 @@ def test_parse_errors_name_the_bad_entity():
 
 
 def test_hats_partition_unity_and_interpolate_vertices():
+    """Each cell's barycentric coordinates are its three hats, in slot order."""
     tri = generate_square_mesh(2, DIAGONAL)
-    space = whitney_basis(tri, LAGRANGE_FULL)
-    assert space.dim == 9
     for c in range(len(tri.cells)):
-        hats = space.cell_hats(c)
+        s = tri.simplex(c)
+        hats = s.barycentric_coordinates()
         total = hats[0] + hats[1] + hats[2]
         assert total.terms == {(0, 0): Fraction(1)}
-        s = tri.simplex(c)
         for i, v in enumerate(tri.cells[c]):
             centered = tuple(
                 tri.vertices[v][j] - s.barycenter[j] for j in range(2)
@@ -251,25 +248,21 @@ def test_hats_partition_unity_and_interpolate_vertices():
 
 
 def test_zero_kind_keeps_interior_vertices_only():
+    """Rot constraint rows (hats vanishing on the boundary) sit at interior vertices only."""
     tri = generate_square_mesh(4, DIAGONAL)
-    full = whitney_basis(tri, LAGRANGE_FULL)
-    zero = whitney_basis(tri, LAGRANGE_ZERO)
-    assert full.dim == 25
-    assert zero.dim == 9
-    assert zero.dof_vertices == tri.interior_vertices
-    assert all(zero.index_of[v] == i for i, v in enumerate(zero.dof_vertices))
-    with pytest.raises(ValueError, match="unknown Whitney space kind"):
-        whitney_basis(tri, "serendipity")
+    cons = build_constraints(tri, build_product_space(tri))
+    assert cons.B_div.shape[0] == 25
+    assert cons.B_rot.shape[0] == 9
+    assert cons.div_vertices == list(range(25))
+    assert cons.rot_vertices == tri.interior_vertices
 
 
 def test_hat_form_wrappers_match_exterior_calculus():
+    """d of a hat 0-form is its gradient; the Green delta of hat dx^12 its rotated gradient."""
     tri = generate_square_mesh(2, DIAGONAL)
-    space = whitney_basis(tri, LAGRANGE_FULL)
     for c in (0, 3):
-        for slot in range(3):
-            grad = exterior_derivative(space.hat_form(c, slot))
-            assert grad == space.grad_hat(c, slot)
-            vol = space.hat_volume_form(c, slot)
-            assert isinstance(vol, PolyForm) and vol.k == 2
-            rot_grad = codifferential_green(vol)
-            assert rot_grad == space.delta_hat_volume(c, slot)
+        for lam in tri.simplex(c).barycentric_coordinates():
+            grad = exterior_derivative(PolyForm(2, 0, {(): lam}))
+            assert grad == PolyForm(2, 1, {(1,): lam.partial(1), (2,): lam.partial(2)})
+            rot_grad = codifferential_green(PolyForm(2, 2, {(1, 2): lam}))
+            assert rot_grad == PolyForm(2, 1, {(1,): lam.partial(2), (2,): -lam.partial(1)})

@@ -215,10 +215,12 @@ def test_interpolation_study_rate():
 
 def test_solver_study_tracks_oracle_and_interpolant():
     field = get_field("polyflow")
-    rows = solver_study(field, [2, 4], oracle_max_m=4)
+    rows = list(solver_study(field, [2, 4], oracle_max_m=4))
     for row in rows:
         assert row.cg_iters is not None and row.cg_iters > 0
         assert row.oracle_gap is not None and row.oracle_gap <= 1e-6
+        assert row.oracle_residual is not None and row.oracle_residual <= 1e-10
+        assert row.method == "pcg" and row.wall_ms > 0
     interp = interpolation_study(field, [2, 4])
     for solved, best in zip(rows, interp):
         # quasi-optimality with a modest constant
