@@ -45,12 +45,10 @@ CSV_HEADER = "mesh_m,h,dofs,l2_err,rot_err,div_err,energy_err"
 CSV_HEADER_SOLVE = CSV_HEADER + ",cg_iters,wall_ms"
 
 
-def _load_mesh(args) -> list[Triangulation]:
+def _load_mesh(args) -> Triangulation:
     if args.mesh_file:
-        return [read_mesh(args.mesh_file)]
-    ms = _parse_refinements(args.refinements) if hasattr(args, "refinements") else [args.mesh_m]
-    pattern = _PATTERNS[args.pattern]
-    return [generate_square_mesh(m, pattern) for m in ms]
+        return read_mesh(args.mesh_file)
+    return generate_square_mesh(args.mesh_m, _PATTERNS[args.pattern])
 
 
 def _parse_refinements(value) -> list[int]:
@@ -165,10 +163,10 @@ def cmd_solve(args) -> int:
 
 
 def cmd_basis(args) -> int:
-    tri = _load_mesh(args)[0]
+    tri = _load_mesh(args)
     prod = build_product_space(tri)
     cons = build_constraints(tri, prod)
-    basis = build_global_basis(tri, prod, cons)
+    basis = build_global_basis(tri, prod)
     out, close = _open_out(args.out)
     try:
         for fn in basis.functions:

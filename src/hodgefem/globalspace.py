@@ -38,11 +38,18 @@ Set-up costs cells plus templates.  The template key of a cell is its
 centered vertex tuple; cells are sorted into classes by the same tuple
 in lowest integer terms, computed for all cells at once from each
 cell's exact integer coordinates, and only the first cell of a class
-gets an exact Simplex.  The kernel basis is held as per-function
-arrays (category, anchor, support cells, dual columns), and Phi is
-gathered from each template's float dual coefficients by cell, slot
-and sign.  The exact BasisFunction list (``functions``) is built only
-when read, e.g. for the ``basis`` dump.
+gets an exact Simplex.  ``ProductSpace`` holds the one cell-to-template
+map: a template list, the cells of each template, and each cell's
+template index, and every per-template loop walks the first two
+together.  B and Phi read the same per-template 6x6 data: B is
+gathered from each template's float Whitney rows, and Phi from its
+float dual coefficients, by template index, cell and slot.  The kernel
+basis is held as per-function arrays (category, anchor, support cells,
+dual columns); the exact BasisFunction list (``functions``) is built
+only when read, e.g. for the ``basis`` dump.  The rank audit has one
+path, the eigenvalues of the dense Gram B B^T cut at rows * eps times
+the largest, so singular values of B below about sqrt(rows * eps)
+times the largest count as zero.
 """
 
 from __future__ import annotations
@@ -102,16 +109,17 @@ class CellTemplate:
         "whitney",
         "duals",
         "duals_float",
+        "whitney_float",
         "gram",
         "gram_float",
         "_tables",
     )
 
-    def __init__(self, key, simplex: Simplex, scaled: bool):
+    def __init__(self, key, simplex: Simplex):
         self.key = key
         self.simplex = simplex
-        space = build_shape_space(2, 1, simplex, scaled=scaled)
-        self.matrix = build_dof_matrix(space, build_dof_basis(2, 1, simplex, scaled=scaled))
+        space = build_shape_space(2, 1, simplex, scaled=True)
+        self.matrix = build_dof_matrix(space, build_dof_basis(2, 1, simplex, scaled=True))
         self.minv = np.linalg.inv(self.matrix.as_float)
 
         # Whitney functional matrix: rows rot slot 0..2 (eta = hat dx^12),
@@ -132,16 +140,17 @@ class CellTemplate:
         eye = [[Fraction(1 if r == c else 0) for c in range(6)] for r in range(6)]
         self.duals = solve_rational(self.whitney, eye)  # column j: dual coeffs
         self.duals_float = np.array([[float(v) for v in row] for row in self.duals])
+        self.whitney_float = np.array([[float(v) for v in row] for row in self.whitney])
 
-        self.gram = [
-            [
-                l2_inner(d_basis[i], d_basis[j], simplex)
-                + l2_inner(g_basis[i], g_basis[j], simplex)
-                + l2_inner(basis[i], basis[j], simplex)
-                for j in range(6)
-            ]
-            for i in range(6)
-        ]
+        # symmetric: the 21 entries on and above the diagonal, mirrored
+        self.gram = [[Fraction(0)] * 6 for _ in range(6)]
+        for i in range(6):
+            for j in range(i, 6):
+                self.gram[i][j] = self.gram[j][i] = (
+                    l2_inner(d_basis[i], d_basis[j], simplex)
+                    + l2_inner(g_basis[i], g_basis[j], simplex)
+                    + l2_inner(basis[i], basis[j], simplex)
+                )
         self.gram_float = np.array([[float(v) for v in row] for row in self.gram])
         self._tables: dict[int, dict[str, np.ndarray]] = {}
 
@@ -193,11 +202,15 @@ class ProductSpace:
     centered coordinates are.  Only the first cell of each class gets an
     exact Simplex and a CellTemplate, keyed by its centered coordinates.
     Barycenters are the exact ones rounded once to float.
+
+    The one cell-to-template map: ``templates`` lists the classes in
+    order of their first cell, ``cells_by_template[i]`` holds the cells
+    of ``templates[i]`` in increasing order, and ``template_index[c]``
+    is the class of cell c.
     """
 
-    def __init__(self, tri: Triangulation, scaled: bool = True):
+    def __init__(self, tri: Triangulation):
         self.tri = tri
-        self.scaled = scaled
         nc = len(tri.cells)
         num, den = tri.scaled_points(np.array(tri.cells, dtype=np.intp).reshape(nc, 3))
         sums = num.sum(axis=1)  # 3 * den * barycenter
@@ -208,98 +221,91 @@ class ProductSpace:
         classes: dict[tuple, list[int]] = {}
         for c, shape in enumerate(map(tuple, reduced.tolist())):
             classes.setdefault(shape, []).append(c)
-        self.templates: dict[tuple, CellTemplate] = {}
-        self.cells_by_template: dict[tuple, np.ndarray] = {}
+        self.templates: list[CellTemplate] = []
+        self.cells_by_template: list[np.ndarray] = []
         self.template_index = np.empty(nc, dtype=np.intp)
         for i, cells in enumerate(classes.values()):
             simplex = tri.simplex(cells[0])
-            key = tuple(simplex.centered)
-            self.templates[key] = CellTemplate(key, simplex, scaled)
-            self.cells_by_template[key] = np.array(cells)
+            self.templates.append(CellTemplate(tuple(simplex.centered), simplex))
+            self.cells_by_template.append(np.array(cells))
             self.template_index[cells] = i
-        ordered = list(self.templates.values())
-        self.cell_template: list[CellTemplate] = [ordered[i] for i in self.template_index]
 
     @property
     def dim(self) -> int:
         return 6 * len(self.tri.cells)
 
     def template(self, cell: int) -> CellTemplate:
-        return self.cell_template[cell]
-
-    def cell_form(self, cell: int, coeffs) -> PolyForm:
-        """The PolyForm on one cell from its 6 coefficients (exact input)."""
-        return self.template(cell).matrix.space.combine(list(coeffs))
+        return self.templates[self.template_index[cell]]
 
 
 class ConstraintSystem:
-    """Sparse constraint rows: div rows for all vertices, rot rows interior."""
+    """Sparse constraint matrix B: div rows for every vertex, then rot rows.
 
-    def __init__(self, tri: Triangulation, B_div: sp.csr_matrix, B_rot: sp.csr_matrix):
+    With nv vertices, row v < nv is the div functional of vertex v and row
+    nv + r the rot functional of ``tri.interior_vertices[r]``.  ``B_div``
+    and ``B_rot`` are these two row slices of B.
+    """
+
+    def __init__(self, tri: Triangulation, B: sp.csr_matrix):
         self.tri = tri
-        self.B_div = B_div
-        self.B_rot = B_rot
-        self.B = sp.vstack([B_div, B_rot]).tocsr() if B_rot.shape[0] else B_div.tocsr()
-        self.div_vertices = list(range(len(tri.vertices)))
-        self.rot_vertices = list(tri.interior_vertices)
+        self.B = B
+
+    @property
+    def B_div(self) -> sp.csr_matrix:
+        return self.B[: len(self.tri.vertices)]
+
+    @property
+    def B_rot(self) -> sp.csr_matrix:
+        return self.B[len(self.tri.vertices) :]
 
     @property
     def rows(self) -> int:
         return self.B.shape[0]
 
-    def rank(self, tol: float = 1e-9) -> int:
-        """Numerical rank of B (dense SVD below 800 rows, Gram eigens above)."""
-        B = self.B
-        if B.shape[0] <= 800:
-            s = np.linalg.svd(B.toarray(), compute_uv=False)
-            return int(np.sum(s > tol * s[0]))
-        G = (B @ B.T).toarray()
-        w = np.linalg.eigvalsh(G)
-        return int(np.sum(w > (tol**2) * w[-1]))
+    def rank(self) -> int:
+        """Numerical rank of B, from the eigenvalues of the dense Gram B B^T.
+
+        Eigenvalues below rows * eps * lambda_max count as zero, so
+        singular values of B below about sqrt(rows * eps) * s_max (about
+        7e-7 * s_max at 2,050 rows) do.  This cut lies above the Gram's
+        own round-off, so duplicated rows are not counted, and far below
+        the smallest singular value of the true B (s_min / s_max is about
+        0.39 on diagonal m = 12 and 16).  Time O(rows^3), memory O(rows^2).
+        """
+        return int(np.linalg.matrix_rank((self.B @ self.B.T).toarray(), hermitian=True))
 
     def nullity(self) -> int:
         return self.B.shape[1] - self.rank()
 
 
-def build_product_space(tri: Triangulation, scaled: bool = True) -> ProductSpace:
-    return ProductSpace(tri, scaled=scaled)
+def build_product_space(tri: Triangulation) -> ProductSpace:
+    return ProductSpace(tri)
 
 
 def build_constraints(tri: Triangulation, prod: ProductSpace) -> ConstraintSystem:
-    nv = len(tri.vertices)
-    rot_row = {v: i for i, v in enumerate(tri.interior_vertices)}
+    """Gather B from each template's float Whitney rows by cell and slot.
 
-    div_data, div_r, div_c = [], [], []
-    rot_data, rot_r, rot_c = [], [], []
-    for c, tri_cell in enumerate(tri.cells):
-        t = prod.template(c)
-        W = t.whitney
-        base = 6 * c
-        for slot in range(3):
-            a = tri_cell[slot]
-            row = W[3 + slot]
-            for i in range(6):
-                v = row[i]
-                if v != 0:
-                    div_r.append(a)
-                    div_c.append(base + i)
-                    div_data.append(float(v))
-            r = rot_row.get(a)
-            if r is not None:
-                row = W[slot]
-                for i in range(6):
-                    v = row[i]
-                    if v != 0:
-                        rot_r.append(r)
-                        rot_c.append(base + i)
-                        rot_data.append(float(v))
-    B_div = sp.coo_matrix((div_data, (div_r, div_c)), shape=(nv, prod.dim)).tocsr()
-    B_rot = sp.coo_matrix(
-        (rot_data, (rot_r, rot_c)), shape=(len(rot_row), prod.dim)
+    Vertex a at slot s of cell c gives div row a the Whitney row 3 + s of
+    c's template, and, when a is interior, its rot row the Whitney row s,
+    both over the columns 6c..6c+5.  Every (row, column) pair comes from
+    one cell and one slot, so no entries are summed.
+    """
+    nv, nc = len(tri.vertices), len(tri.cells)
+    cells = np.array(tri.cells, dtype=np.intp).reshape(nc, 3)
+    rot_row = np.full(nv, -1, dtype=np.intp)
+    rot_row[tri.interior_vertices] = nv + np.arange(len(tri.interior_vertices))
+    whitney = np.stack([t.whitney_float for t in prod.templates])[prod.template_index]
+    # axes (cell, rot/div, slot, shape index): Whitney rows 0..2 are rot, 3..5 div
+    values = whitney.reshape(nc, 2, 3, 6)
+    rows = np.stack([rot_row[cells], cells], axis=1)[:, :, :, None]
+    cols = 6 * np.arange(nc)[:, None, None, None] + _SLOT
+    keep = (values != 0) & (rows >= 0)
+    rows, cols = np.broadcast_arrays(rows, cols)
+    B = sp.coo_matrix(
+        (values[keep], (rows[keep], cols[keep])),
+        shape=(nv + len(tri.interior_vertices), prod.dim),
     ).tocsr()
-    B_div.sum_duplicates()
-    B_rot.sum_duplicates()
-    return ConstraintSystem(tri, B_div, B_rot)
+    return ConstraintSystem(tri, B)
 
 
 @dataclass
@@ -354,10 +360,9 @@ class GlobalBasis:
     @cached_property
     def functions(self) -> list[BasisFunction]:
         """Exact BasisFunctions, entries (index, Fraction) in Phi's order."""
-        tmpl = self.prod.cell_template
 
         def entries(cell: int, col: int) -> list[tuple[int, Fraction]]:
-            duals = tmpl[cell].duals
+            duals = self.prod.template(cell).duals
             return [(6 * cell + i, duals[i][col]) for i in range(6) if duals[i][col] != 0]
 
         out = []
@@ -380,7 +385,7 @@ class GlobalBasis:
         return int(np.count_nonzero((self.category == code) & (self.anchor == vertex)))
 
 
-def build_global_basis(tri: Triangulation, prod: ProductSpace, cons: ConstraintSystem | None = None) -> GlobalBasis:
+def build_global_basis(tri: Triangulation, prod: ProductSpace) -> GlobalBasis:
     """Assemble DIV_PATCH, ROT_PATCH and ROT_CELL functions.
 
     The fan differences use consecutive cells of each vertex patch, so a
@@ -426,8 +431,7 @@ def build_global_basis(tri: Triangulation, prod: ProductSpace, cons: ConstraintS
     slots = np.argmax(cells[cell] == anchor[:, None, None], axis=2)
     columns = np.where(present, shift + slots, -1)
 
-    ordered = list(prod.templates.values())
-    duals = np.stack([t.duals_float for t in ordered])  # (templates, 6, 6)
+    duals = np.stack([t.duals_float for t in prod.templates])  # (templates, 6, 6)
     tix = prod.template_index[cell]
     col = np.maximum(columns, 0)
     # (function, first/second cell, shape index): entries in the exact order
@@ -455,8 +459,7 @@ def global_interpolate(
         raise ValueError("global interpolation needs d and delta callback data")
     out = np.zeros(prod.dim)
     cellwise = bool(getattr(mu, "cellwise", False))
-    for key, cells in prod.cells_by_template.items():
-        t = prod.templates[key]
+    for t, cells in zip(prod.templates, prod.cells_by_template):
         tab = t.tables(quad_order)
         nodes, w = tab["centered"], tab["weights"]
         nq = nodes.shape[0]
@@ -482,7 +485,5 @@ def global_interpolate(
             "q,tqx,cqx->ct", w, tab["tau_d"], val
         )
         dofs = np.concatenate([f_eta, f_tau], axis=1)  # (C, 6)
-        coeffs = dofs @ t.minv.T
-        for i, c in enumerate(cells):
-            out[6 * c : 6 * c + 6] = coeffs[i]
+        out.reshape(-1, 6)[cells] = dofs @ t.minv.T
     return out

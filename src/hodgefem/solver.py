@@ -71,8 +71,8 @@ def cell_gram_matrix(prod: ProductSpace) -> sp.csr_matrix:
     """Block-diagonal broken Gram <d.,d.> + <delta.,delta.> + <.,.>."""
     ii, jj = np.meshgrid(_SLOT, _SLOT, indexing="ij")
     rows, cols, data = [], [], []
-    for key, cells in prod.cells_by_template.items():
-        g = prod.templates[key].gram_float
+    for t, cells in zip(prod.templates, prod.cells_by_template):
+        g = t.gram_float
         base = 6 * cells
         rows.append((base[:, None, None] + ii[None]).ravel())
         cols.append((base[:, None, None] + jj[None]).ravel())
@@ -88,8 +88,7 @@ def cell_load_vector(
 ) -> np.ndarray:
     """Per-cell load <f, mu_i>_T against the shape basis, by template batch."""
     b = np.zeros(prod.dim)
-    for key, cells in prod.cells_by_template.items():
-        t = prod.templates[key]
+    for t, cells in zip(prod.templates, prod.cells_by_template):
         tab = t.tables(quad_order)
         nodes, w = tab["centered"], tab["weights"]
         pts = prod.barycenters[cells][:, None, :] + nodes[None, :, :]
@@ -272,8 +271,7 @@ def error_norms(
     """Broken L2, rot, div, and energy errors of a product-space field."""
     l2_sq = rot_sq = div_sq = 0.0
     coeffs = np.asarray(u_cell, dtype=float).reshape(-1, 6)
-    for key, cells in prod.cells_by_template.items():
-        t = prod.templates[key]
+    for t, cells in zip(prod.templates, prod.cells_by_template):
         tab = t.tables(quad_order)
         nodes, w = tab["centered"], tab["weights"]
         pts = prod.barycenters[cells][:, None, :] + nodes[None, :, :]
@@ -305,9 +303,8 @@ def broken_energy_product(
     uk = np.asarray(u_cell, dtype=float).reshape(-1, 6)
     vk = np.asarray(v_cell, dtype=float).reshape(-1, 6)
     total = 0.0
-    for key, cells in prod.cells_by_template.items():
-        g = prod.templates[key].gram_float
-        total += float(np.einsum("ci,ij,cj->", uk[cells], g, vk[cells]))
+    for t, cells in zip(prod.templates, prod.cells_by_template):
+        total += float(np.einsum("ci,ij,cj->", uk[cells], t.gram_float, vk[cells]))
     return total
 
 

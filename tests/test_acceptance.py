@@ -111,7 +111,7 @@ def test_criterion_6_basis_dimension_and_oracle():
         tri = generate_square_mesh(m)
         prod = build_product_space(tri)
         cons = build_constraints(tri, prod)
-        basis = build_global_basis(tri, prod, cons)
+        basis = build_global_basis(tri, prod)
         count_ok = len(basis) == 6 * len(tri.cells) - cons.rank()
         system = assemble(tri, field, prod=prod, basis=basis)
         result = solve_system(system, tol=1e-12)

@@ -124,6 +124,15 @@ def test_config_preloads_defaults_and_flags_override(tmp_path):
     assert len(f2.read_text().strip().splitlines()) == 3
 
 
+def test_config_refinements_do_not_reach_basis(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"refinements": "2,4"}))
+    out = tmp_path / "basis.jsonl"
+    assert main(["--config", str(cfg), "basis", "--mesh-m", "8", "--out", str(out)]) == 0
+    audit = json.loads(out.read_text().strip().splitlines()[-1])["audit"]
+    assert audit["cells"] == 128
+
+
 def test_bad_usage_exits_with_code_two(tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])

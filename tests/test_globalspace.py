@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from hodgefem.element import (
     FormCallback,
@@ -13,6 +14,8 @@ from hodgefem.element import (
     interpolate_coeffs,
 )
 from hodgefem.fields import as_callback, get_field
+import hodgefem.element
+import hodgefem.globalspace
 import hodgefem.simplices
 from hodgefem.mesh import CRISSCROSS, DIAGONAL, Triangulation, generate_square_mesh
 from hodgefem.globalspace import (
@@ -20,6 +23,7 @@ from hodgefem.globalspace import (
     DIV_PATCH,
     ROT_CELL,
     ROT_PATCH,
+    ConstraintSystem,
     build_constraints,
     build_global_basis,
     build_product_space,
@@ -41,11 +45,12 @@ def test_product_space_layout():
     assert prod.dim == 48
     # two square orientations times two triangles each
     assert len(prod.templates) == 4
-    sizes = [len(v) for v in prod.cells_by_template.values()]
+    sizes = [len(v) for v in prod.cells_by_template]
     assert sum(sizes) == 8
-    for key, cells in prod.cells_by_template.items():
+    for i, (t, cells) in enumerate(zip(prod.templates, prod.cells_by_template)):
         for c in cells:
-            assert prod.template(int(c)) is prod.templates[key]
+            assert prod.template_index[c] == i
+            assert prod.template(int(c)) is t
 
     _, prod4, _ = _setup(4)
     assert len(prod4.templates) == 4
@@ -71,7 +76,7 @@ def test_congruent_cells_with_different_denominators_share_a_template():
         cells += [(i, i + 1, i + 5), (i, i + 5, i + 4)]
     prod = build_product_space(Triangulation(pts, cells))
     assert len(prod.templates) == 4
-    assert [v.tolist() for v in prod.cells_by_template.values()] == [[0, 4], [1, 5], [2], [3]]
+    assert [v.tolist() for v in prod.cells_by_template] == [[0, 4], [1, 5], [2], [3]]
 
 
 def test_product_space_builds_one_simplex_per_template(monkeypatch):
@@ -87,6 +92,31 @@ def test_product_space_builds_one_simplex_per_template(monkeypatch):
     prod = build_product_space(tri)
     assert len(prod.templates) == 4
     assert len(built) == len(prod.templates)
+
+
+def test_cell_gram_computes_the_upper_triangle_and_mirrors_it(monkeypatch):
+    """Each template makes 144 element and 63 Gram l2_inner calls (108 for a full Gram)."""
+    calls = []
+    for module in (hodgefem.element, hodgefem.globalspace):
+        inner = module.l2_inner
+
+        def counting(u, v, simplex, inner=inner):
+            calls.append(1)
+            return inner(u, v, simplex)
+
+        monkeypatch.setattr(module, "l2_inner", counting)
+    prod = build_product_space(MESHES["jitter4"]())
+    assert len(prod.templates) == 32
+    assert len(calls) == 32 * (144 + 63)
+    # the mirrored entries are the ones computed below the diagonal
+    for t in prod.templates[:2]:
+        space = t.matrix.space
+        for i in range(6):
+            for j in range(i):
+                assert t.gram[i][j] == sum(
+                    hodgefem.simplices.l2_inner(f[i], f[j], t.simplex)
+                    for f in (space.d_basis, space.delta_basis, space.basis)
+                )
 
 
 def test_vectorised_phi_matches_exact_functions(mesh):
@@ -115,9 +145,17 @@ def test_constraint_shape_and_rank_smallest_mesh():
     assert cons.nullity() == 38
 
 
+def test_rank_does_not_count_duplicated_rows():
+    """B with its div rows stacked twice (803 rows on diagonal m = 16) has rank 514."""
+    tri, prod, cons = _setup(16)
+    doubled = ConstraintSystem(tri, sp.vstack([cons.B, cons.B_div]).tocsr())
+    assert doubled.rows == 803
+    assert cons.rank() == doubled.rank() == 514
+
+
 def test_basis_counts_smallest_mesh():
     tri, prod, cons = _setup(2)
-    basis = build_global_basis(tri, prod, cons)
+    basis = build_global_basis(tri, prod)
     assert len(basis) == cons.nullity() == 38
     assert basis.counts() == {DIV_PATCH: 15, ROT_PATCH: 7, ROT_CELL: 16}
 
@@ -139,7 +177,7 @@ def test_basis_counts_smallest_mesh():
 )
 def test_dimension_formula_and_membership(m, pattern):
     tri, prod, cons = _setup(m, pattern)
-    basis = build_global_basis(tri, prod, cons)
+    basis = build_global_basis(tri, prod)
     nv = len(tri.vertices)
     nint = len(tri.interior_vertices)
     assert cons.rank() == nv + nint
@@ -153,13 +191,13 @@ def test_dimension_formula_and_membership(m, pattern):
 
 def test_crisscross_basis_count():
     tri, prod, cons = _setup(2, CRISSCROSS)
-    basis = build_global_basis(tri, prod, cons)
+    basis = build_global_basis(tri, prod)
     assert len(basis) == 78
 
 
 def test_supports_and_anchored_counts():
     tri, prod, cons = _setup(4)
-    basis = build_global_basis(tri, prod, cons)
+    basis = build_global_basis(tri, prod)
     interior = set(tri.interior_vertices)
     for fn in basis.functions:
         assert fn.support_size in (1, 2)
@@ -182,7 +220,7 @@ def test_dual_local_functions_are_biorthogonal():
     eye = [[Fraction(int(r == c)) for c in range(6)] for r in range(6)]
     for build in MESHES.values():
         prod = build_product_space(build())
-        for t in prod.templates.values():
+        for t in prod.templates:
             got = [
                 [sum(t.whitney[r][i] * t.duals[i][c] for i in range(6)) for c in range(6)]
                 for r in range(6)

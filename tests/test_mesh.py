@@ -253,8 +253,16 @@ def test_zero_kind_keeps_interior_vertices_only():
     cons = build_constraints(tri, build_product_space(tri))
     assert cons.B_div.shape[0] == 25
     assert cons.B_rot.shape[0] == 9
-    assert cons.div_vertices == list(range(25))
-    assert cons.rot_vertices == tri.interior_vertices
+
+    def cells_of(rows, r):
+        return set((rows[r].indices // 6).tolist())
+
+    # div row v and rot row r live on the cells around vertex v and
+    # around tri.interior_vertices[r]
+    assert [cells_of(cons.B_div, v) for v in range(25)] == [set(tri.patches[v]) for v in range(25)]
+    assert [cells_of(cons.B_rot, r) for r in range(9)] == [
+        set(tri.patches[a]) for a in tri.interior_vertices
+    ]
 
 
 def test_hat_form_wrappers_match_exterior_calculus():
