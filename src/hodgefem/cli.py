@@ -15,7 +15,8 @@ names that method on stderr and still exits 0, since the solution
 itself is sound.
 
 A JSON config file can preload any long option (keys use either dashes
-or underscores); explicit command line flags win.  CSV output is
+or underscores); explicit command line flags win.  A key that is no
+command's long option exits 2 and is named on stderr.  CSV output is
 deterministic for a fixed input except for the wall_ms column.
 """
 
@@ -269,12 +270,18 @@ def _apply_config(parser: argparse.ArgumentParser, argv: list[str]) -> None:
     if not isinstance(cfg, dict):
         raise SystemExit(2)
     defaults = {str(k).replace("-", "_"): v for k, v in cfg.items()}
-    # reach every subparser so the defaults apply regardless of command
+    parsers = [parser]
     for action in parser._actions:
         if isinstance(action, argparse._SubParsersAction):
-            for sp in action.choices.values():
-                sp.set_defaults(**defaults)
-    parser.set_defaults(**defaults)
+            parsers += action.choices.values()
+    # a key must be the long option of some command; it then reaches
+    # every subparser, so the defaults apply regardless of command
+    options = {a.dest for p in parsers for a in p._actions if a.option_strings} - {"help"}
+    unknown = [k for k in cfg if str(k).replace("-", "_") not in options]
+    if unknown:
+        raise ValueError(f"unknown key {unknown[0]!r}")
+    for p in parsers:
+        p.set_defaults(**defaults)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -282,7 +289,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         _apply_config(parser, argv)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # json.JSONDecodeError is a ValueError
         print(f"error reading config: {exc}", file=sys.stderr)
         return 2
     args = parser.parse_args(argv)

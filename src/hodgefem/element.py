@@ -25,7 +25,9 @@ functionals (delta below is the Green/adjoint sign, see forms):
 
 green_pairing is the one implementation of these two functionals: it
 pairs a list of forms with any family of eta and tau test forms, and
-the global vertex constraints use it with hat test forms.
+the global vertex constraints use it with hat test forms.  It is one
+exact ``simplices.l2_gram`` of the graph (d mu, delta mu, mu) with the
+test members (eta, 0, -delta eta) and (0, tau, -d tau).
 
 A DofMatrix is the local element of one simplex: shape space, DOF
 basis and the exact and float DOF matrix, built once and passed to
@@ -34,6 +36,9 @@ dof_values, interpolate_coeffs and interpolate.  Row order: eta block
 koszul-type); columns follow the shape basis.  The four-step solve is
 block forward substitution in that matrix, written once over a block
 solve that is exact for PolyForm input and float for callbacks.
+interpolate returns the exact interpolant of a PolyForm only; a
+callback's float coefficients come from interpolate_coeffs and are
+never turned back into Fractions.
 
 Optional scaling keeps the DofMatrix condition number independent of the
 simplex diameter: koszul-type shape and test forms carry 1/h, the H2D
@@ -59,7 +64,7 @@ from .forms import (
     koszul,
     multi_indices,
 )
-from .simplices import Simplex, l2_inner, rule_points, solve_rational
+from .simplices import Simplex, l2_gram, rule_points, solve_rational
 
 __all__ = [
     "P0",
@@ -165,13 +170,16 @@ class ShapeSpace:
         return self.basis[r.start : r.stop]
 
     def combine(self, coeffs) -> PolyForm:
-        """Linear combination of the basis with scalar coefficients."""
+        """Exact linear combination of the basis with rational coefficients.
+
+        Floats are refused: a float result is not finished in Fractions.
+        """
         if len(coeffs) != len(self.basis):
             raise ValueError(f"expected {len(self.basis)} coefficients, got {len(coeffs)}")
         out = PolyForm.zero(self.n, self.k)
         for c, mu in zip(coeffs, self.basis):
             if isinstance(c, float):
-                c = Fraction(c)
+                raise TypeError("combine takes exact (Fraction or int) coefficients, not floats")
             if c != 0:
                 out = out + c * mu
         return out
@@ -329,23 +337,15 @@ def green_pairing(forms, d_forms, delta_forms, tests: DofBasis) -> list[list[Fra
     ``tests.eta_basis``, then F_tau(mu) = <delta mu, tau> - <mu, d tau>
     for each tau of ``tests.tau_basis``; one column per form.
     ``d_forms``/``delta_forms`` are d and the Green delta of ``forms``.
+    All rows are one ``l2_gram`` on the direct sum of (k+1)-, (k-1)- and
+    k-forms: the graph (d mu, delta mu, mu) is paired with
+    (eta, 0, -delta eta) and with (0, tau, -d tau).
     """
-    simplex = tests.simplex
-    rows = [
-        [
-            l2_inner(dmu, eta, simplex) - l2_inner(mu, geta, simplex)
-            for mu, dmu in zip(forms, d_forms)
-        ]
-        for eta, geta in zip(tests.eta_basis, tests.eta_green)
-    ]
-    rows += [
-        [
-            l2_inner(gmu, tau, simplex) - l2_inner(mu, dtau, simplex)
-            for mu, gmu in zip(forms, delta_forms)
-        ]
-        for tau, dtau in zip(tests.tau_basis, tests.tau_d)
-    ]
-    return rows
+    n, k = tests.n, tests.k
+    up, down = PolyForm.zero(n, k + 1), PolyForm.zero(n, k - 1)
+    rows = [(eta, down, -g) for eta, g in zip(tests.eta_basis, tests.eta_green)]
+    rows += [(up, tau, -d) for tau, d in zip(tests.tau_basis, tests.tau_d)]
+    return l2_gram(rows, list(zip(d_forms, delta_forms, forms)), tests.simplex)
 
 
 def build_dof_matrix(space: ShapeSpace, dofs: DofBasis) -> DofMatrix:
@@ -488,7 +488,15 @@ def interpolate_coeffs(mu, matrix: DofMatrix, method: str = DIRECT, quad_order: 
     return coeffs
 
 
-def interpolate(mu, matrix: DofMatrix, method: str = DIRECT, quad_order: int = 6) -> PolyForm:
-    """The local interpolant as a PolyForm (exact for PolyForm input)."""
-    coeffs = interpolate_coeffs(mu, matrix, method=method, quad_order=quad_order)
-    return matrix.space.combine(coeffs)
+def interpolate(mu: PolyForm, matrix: DofMatrix, method: str = DIRECT) -> PolyForm:
+    """The exact local interpolant of a PolyForm, as a PolyForm.
+
+    A FormCallback has float DOF values; ``interpolate_coeffs`` returns
+    its float coefficients.
+    """
+    if not isinstance(mu, PolyForm):
+        raise TypeError(
+            "interpolate takes a PolyForm; use interpolate_coeffs for the float "
+            "coefficients of a FormCallback"
+        )
+    return matrix.space.combine(interpolate_coeffs(mu, matrix, method=method))

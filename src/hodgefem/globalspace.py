@@ -32,7 +32,12 @@ translation) share one cached template: the local element (shape
 space, DOF basis and DOF matrix), Whitney matrix, dual coefficients,
 cell Gram, and quadrature-node value tables are computed once per
 congruence class, which collapses the structured meshes to a handful of
-exact computations.
+exact computations.  On an unstructured mesh every cell is its own
+class, so this exact work is kept to integer matrix products: the DOF
+matrix, the Whitney rows and the cell Gram <d u, d v> + <delta u,
+delta v> + <u, v> are one ``simplices.l2_gram`` each, all three
+pairing with the graph (d u, delta u, u) of the shape basis, and the
+duals are one fraction-free elimination.
 
 Set-up costs cells plus templates.  The template key of a cell is its
 centered vertex tuple; cells are sorted into classes by the same tuple
@@ -73,7 +78,7 @@ from .element import (
 )
 from .forms import PolyForm
 from .mesh import Triangulation
-from .simplices import Simplex, l2_inner, quadrature_rule, solve_rational
+from .simplices import Simplex, l2_gram, quadrature_rule, solve_rational
 
 __all__ = [
     "DIV_PATCH",
@@ -142,15 +147,9 @@ class CellTemplate:
         self.duals_float = np.array([[float(v) for v in row] for row in self.duals])
         self.whitney_float = np.array([[float(v) for v in row] for row in self.whitney])
 
-        # symmetric: the 21 entries on and above the diagonal, mirrored
-        self.gram = [[Fraction(0)] * 6 for _ in range(6)]
-        for i in range(6):
-            for j in range(i, 6):
-                self.gram[i][j] = self.gram[j][i] = (
-                    l2_inner(d_basis[i], d_basis[j], simplex)
-                    + l2_inner(g_basis[i], g_basis[j], simplex)
-                    + l2_inner(basis[i], basis[j], simplex)
-                )
+        # graph-norm Gram <d u, d v> + <delta u, delta v> + <u, v>: one pairing
+        graph = list(zip(d_basis, g_basis, basis))
+        self.gram = l2_gram(graph, graph, simplex)
         self.gram_float = np.array([[float(v) for v in row] for row in self.gram])
         self._tables: dict[int, dict[str, np.ndarray]] = {}
 

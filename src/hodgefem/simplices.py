@@ -1,13 +1,26 @@
 """Simplices, exact moment integration, and simplex quadrature.
 
 The exact path integrates polynomials in barycenter-centered coordinates
-over a simplex with Fraction arithmetic, via the classical formula
+over a simplex via the classical formula
 
     integral_T  prod_i lambda_i^{a_i}  =  n! |T| * prod_i a_i! / (|a| + n)!
 
-after expanding centered monomials in barycentric coordinates.  This is
-what the element algebra (Gram matrices, DOF functionals on polynomial
-data) runs on, so unisolvence and identity checks are exact.
+after expanding centered monomials in barycentric coordinates.  The
+expansion runs in Python ints over the common denominator of the
+centered vertices (``Simplex.integer_moments``), and each moment becomes
+one Fraction only when asked for (``monomial_integral``).  This is what
+the element algebra (Gram matrices, DOF functionals on polynomial data)
+runs on, so unisolvence and identity checks are exact.
+
+``l2_gram`` is the one pairing kernel: the matrix of L2 inner products
+of two families of forms (or of tuples of forms in a direct sum) is the
+exact integer product U M V^T of the families' coefficient matrices
+over (component, monomial) with the integer moment matrix, over one
+common denominator, and each entry is made a Fraction once.
+``l2_inner`` is its 1 x 1 case.  ``_gauss_jordan`` is the one exact
+elimination: fraction-free (Bareiss) on the row-scaled integer
+augmented matrix, giving the determinant for ``Simplex`` and the
+solutions for ``solve_rational``.
 
 The float path is a Grundmann-Moller simplex rule of odd degree 2s+1,
 valid in any dimension, with rational nodes and weights generated once
@@ -23,6 +36,7 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
+from operator import add, mul
 
 import numpy as np
 
@@ -31,6 +45,7 @@ from .forms import Polynomial, PolyForm, as_fraction
 __all__ = [
     "Simplex",
     "integrate_poly",
+    "l2_gram",
     "l2_inner",
     "h1_seminorm_sq",
     "quadrature_rule",
@@ -42,40 +57,51 @@ MIN_QUAD_ORDER = 2
 MAX_QUAD_ORDER = 10
 
 
-def _gauss_jordan(
-    matrix: list[list[Fraction]], rhs: list[list[Fraction]]
-) -> tuple[Fraction, list[list[Fraction]] | None]:
-    """Exact Gauss-Jordan elimination on [matrix | rhs] with partial pivoting.
+def _gauss_jordan(matrix, rhs) -> tuple[Fraction, list[list[Fraction]] | None]:
+    """Exact fraction-free Gauss-Jordan elimination on [matrix | rhs].
 
-    Returns (det(matrix), X) with matrix X = rhs, or (0, None) when the
-    matrix is singular.  ``rhs`` may have zero columns, which leaves only
-    the determinant.
+    Each row of [matrix | rhs] is first scaled to Python ints by the
+    least common denominator of its entries, which changes neither the
+    solution nor, up to the product of the scales, the determinant.
+    Bareiss elimination then keeps every entry an integer minor: after
+    the step on column k, each row i != k is updated as
+
+        a_ij <- (a_kk a_ij - a_ik a_kj) / p,   p the previous pivot,
+
+    with an exact division.  At the end every diagonal entry is the
+    determinant D of the scaled, row-swapped matrix and the right-hand
+    block is D X, so each entry of X and the determinant are one
+    Fraction each.  Returns (det(matrix), X) with matrix X = rhs, or
+    (0, None) when the matrix is singular.  ``rhs`` may have zero
+    columns, which leaves only the determinant.  Entries may be
+    Fractions or ints.
     """
     size = len(matrix)
-    ncols = len(rhs[0]) if rhs else 0
-    aug = [list(matrix[r]) + list(rhs[r]) for r in range(size)]
-    det = Fraction(1)
+    aug = []
+    scale = 1
+    for r in range(size):
+        row = [*matrix[r], *rhs[r]]
+        den = math.lcm(*(v.denominator for v in row))
+        aug.append([v.numerator * (den // v.denominator) for v in row])
+        scale *= den
+    sign, prev = 1, 1
     for col in range(size):
-        pivot = None
-        best = Fraction(0)
-        for r in range(col, size):
-            v = abs(aug[r][col])
-            if v > best:
-                best = v
-                pivot = r
+        pivot = next((r for r in range(col, size) if aug[r][col]), None)
         if pivot is None:
             return Fraction(0), None
         if pivot != col:
             aug[col], aug[pivot] = aug[pivot], aug[col]
-            det = -det
-        det *= aug[col][col]
-        inv = Fraction(1) / aug[col][col]
-        aug[col] = [v * inv for v in aug[col]]
+            sign = -sign
+        prow = aug[col]
+        p = prow[col]
         for r in range(size):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [a - f * b for a, b in zip(aug[r], aug[col])]
-    return det, [row[size : size + ncols] for row in aug]
+            if r != col:
+                row = aug[r]
+                f = row[col]
+                aug[r] = [(p * a - f * b) // prev for a, b in zip(row, prow)]
+        prev = p
+    det = Fraction(sign * prev, scale)
+    return det, [[Fraction(v, prev) for v in row[size:]] for row in aug]
 
 
 def solve_rational(matrix: list[list[Fraction]], rhs: list[list[Fraction]]) -> list[list[Fraction]]:
@@ -112,6 +138,7 @@ class Simplex:
         "h_scale",
         "shape_ratio",
         "_moments",
+        "_centered_int",
         "second_moments",
     )
 
@@ -122,32 +149,31 @@ class Simplex:
             raise ValueError(f"an n-simplex needs n+1 vertices, got {len(verts)} in R^{n}")
         if any(len(v) != n for v in verts):
             raise ValueError("vertices have inconsistent dimension")
-        rows = [[verts[i + 1][j] - verts[0][j] for j in range(n)] for i in range(n)]
-        det, _ = _gauss_jordan(rows, [[] for _ in rows])
+        # integer coordinates over the vertices' common denominator
+        den = math.lcm(*(x.denominator for v in verts for x in v))
+        pts = [[x.numerator * (den // x.denominator) for x in v] for v in verts]
+        det, _ = _gauss_jordan([[p - q for p, q in zip(v, pts[0])] for v in pts[1:]], [[]] * n)
         if det == 0:
             raise ValueError("degenerate simplex (zero volume)")
         if det < 0:
             verts[-1], verts[-2] = verts[-2], verts[-1]
+            pts[-1], pts[-2] = pts[-2], pts[-1]
             det = -det
         self.n = n
         self.vertices = tuple(verts)
-        self.volume = det / math.factorial(n)
-        bary = tuple(sum(v[j] for v in verts) / Fraction(n + 1) for j in range(n))
-        self.barycenter = bary
-        self.centered = tuple(
-            tuple(v[j] - bary[j] for j in range(n)) for v in verts
-        )
-        diffs2 = []
-        cheb = Fraction(0)
-        for a, b in combinations(verts, 2):
-            d2 = sum((x - y) ** 2 for x, y in zip(a, b))
-            diffs2.append(float(d2))
-            c = max(abs(x - y) for x, y in zip(a, b))
-            if c > cheb:
-                cheb = c
-        self.h = math.sqrt(max(diffs2))
-        self.h_scale = cheb
-        self._moments: dict[tuple[int, ...], Fraction] = {}
+        self.volume = det / (den**n * math.factorial(n))
+        sums = [sum(col) for col in zip(*pts)]
+        self.barycenter = tuple(Fraction(t, (n + 1) * den) for t in sums)
+        units = [[(n + 1) * x - t for x, t in zip(p, sums)] for p in pts]
+        cden = (n + 1) * den
+        g = math.gcd(cden, *(x for u in units for x in u))
+        self._centered_int = (tuple(tuple(x // g for x in u) for u in units), cden // g)
+        self.centered = tuple(tuple(Fraction(x, cden) for x in u) for u in units)
+        d2 = max(sum((x - y) ** 2 for x, y in zip(a, b)) for a, b in combinations(pts, 2))
+        self.h = math.sqrt(d2 / den**2)  # int / int rounds once, as float(Fraction)
+        cheb = max(abs(x - y) for a, b in combinations(pts, 2) for x, y in zip(a, b))
+        self.h_scale = Fraction(cheb, den)
+        self._moments: dict[tuple[int, ...], int] = {}
         self.second_moments = tuple(
             self.monomial_integral(tuple(2 if i == j else 0 for i in range(n))) / self.volume
             for j in range(n)
@@ -168,47 +194,67 @@ class Simplex:
             total += math.sqrt(max(np.linalg.det(gram), 0.0)) / math.factorial(self.n - 1)
         return self.n * float(self.volume) / total
 
-    def monomial_integral(self, exponents: tuple[int, ...]) -> Fraction:
-        """Exact integral over the simplex of prod_j (x^j - barycenter^j)^{e_j}."""
-        e = tuple(exponents)
-        cached = self._moments.get(e)
-        if cached is not None:
-            return cached
+    def integer_moments(self, exponents) -> tuple[dict[tuple[int, ...], int], int]:
+        """Exact integrals of centered monomials as Python ints over one denominator.
+
+        With the centered vertices written as integers U over one common
+        denominator d, x^e is d^{-|e|} times a homogeneous polynomial in
+        the barycentric coordinates with integer coefficients c_a,
+        expanded in Python ints, and
+
+            integral_T x^e = n! |T| * sum_a c_a prod_i a_i! / (d^{|e|} (|e| + n)!).
+
+        Returns (num, den) with integral_T x^e = num[e] / den for each e
+        of ``exponents``, den = denominator(n! |T|) d^p (p + n)! and p the
+        largest degree among them.
+        """
         n = self.n
-        if len(e) != n:
-            raise ValueError(f"exponent tuple {e} has wrong length for n={n}")
-        # expand prod_j (sum_i lambda_i u_i[j])^{e_j} into barycentric monomials
-        poly: dict[tuple[int, ...], Fraction] = {tuple([0] * (n + 1)): Fraction(1)}
-        for j in range(n):
-            coeffs = [self.centered[i][j] for i in range(n + 1)]
-            for _ in range(e[j]):
-                nxt: dict[tuple[int, ...], Fraction] = {}
-                for expo, c in poly.items():
-                    for i in range(n + 1):
-                        if coeffs[i] == 0:
-                            continue
-                        ne = list(expo)
-                        ne[i] += 1
-                        key = tuple(ne)
-                        s = nxt.get(key, Fraction(0)) + c * coeffs[i]
-                        if s == 0:
-                            nxt.pop(key, None)
-                        else:
-                            nxt[key] = s
-                poly = nxt
-                if not poly:
-                    break
-            if not poly:
-                break
-        total = Fraction(0)
-        nfact_vol = math.factorial(n) * self.volume
-        for expo, c in poly.items():
-            num = 1
-            for a in expo:
-                num *= math.factorial(a)
-            total += c * nfact_vol * Fraction(num, math.factorial(sum(expo) + n))
-        self._moments[e] = total
-        return total
+        units, d = self._centered_int
+        exponents = [tuple(e) for e in exponents]
+        top = max(map(sum, exponents), default=0)
+        det = math.factorial(n) * self.volume
+        scale = [
+            det.numerator * d ** (top - m) * (math.factorial(top + n) // math.factorial(m + n))
+            for m in range(top + 1)
+        ]
+        # prod_j (sum_i lambda_i U[i][j])^{e_j} in barycentric monomials: walk
+        # down to a known expansion, then multiply back by one linear factor
+        # per step
+        expansions = {(0,) * n: {(0,) * (n + 1): 1}}
+        num = {}
+        for e in exponents:
+            total = self._moments.get(e)
+            if total is None:
+                if len(e) != n:
+                    raise ValueError(f"exponent tuple {e} has wrong length for n={n}")
+                chain = []
+                low = e
+                while low not in expansions:
+                    j = next(j for j in range(n) if low[j])
+                    chain.append((low, j))
+                    low = (*low[:j], low[j] - 1, *low[j + 1 :])
+                poly = expansions[low]
+                for high, j in reversed(chain):
+                    nxt: dict[tuple[int, ...], int] = {}
+                    for expo, c in poly.items():
+                        for i, u in enumerate(units):
+                            if u[j]:
+                                key = (*expo[:i], expo[i] + 1, *expo[i + 1 :])
+                                nxt[key] = nxt.get(key, 0) + c * u[j]
+                    expansions[high] = poly = nxt
+                total = sum(c * math.prod(map(math.factorial, a)) for a, c in poly.items())
+                self._moments[e] = total
+            num[e] = total * scale[sum(e)]
+        return num, det.denominator * d**top * math.factorial(top + n)
+
+    def monomial_integral(self, exponents: tuple[int, ...]) -> Fraction:
+        """Exact integral over the simplex of prod_j (x^j - barycenter^j)^{e_j}.
+
+        One Fraction per moment, from ``integer_moments``.
+        """
+        e = tuple(exponents)
+        num, den = self.integer_moments([e])
+        return Fraction(num[e], den)
 
     def barycentric_coordinates(self) -> list[Polynomial]:
         """The n+1 barycentric coordinates (hat functions), exact and linear.
@@ -241,32 +287,107 @@ def integrate_poly(p: Polynomial, simplex: Simplex) -> Fraction:
     return total
 
 
+def _coefficient_blocks(family) -> tuple[int, dict]:
+    """A family's coefficients as Python-int matrices over one common denominator.
+
+    ``family`` lists tuples of forms.  Returns (den, blocks) with
+    blocks[slot, alpha] = (monomials, rows): rows[i] holds den times the
+    coefficients of the dx^alpha component of member i's form ``slot``
+    at those monomials.
+    """
+    den = math.lcm(
+        *(
+            c.denominator
+            for member in family
+            for w in member
+            for p in w.comps.values()
+            for c in p.terms.values()
+        )
+    )
+    blocks = {}
+    for slot in range(len(family[0]) if family else 0):
+        forms = [member[slot] for member in family]
+        for alpha in {a for w in forms for a in w.comps}:
+            polys = [w.comps.get(alpha) for w in forms]
+            monomials = sorted({e for p in polys if p is not None for e in p.terms})
+            rows = [
+                [0] * len(monomials)
+                if p is None
+                else [
+                    c.numerator * (den // c.denominator) if (c := p.terms.get(e)) else 0
+                    for e in monomials
+                ]
+                for p in polys
+            ]
+            blocks[slot, alpha] = (monomials, rows)
+    return den, blocks
+
+
+def l2_gram(us, vs, simplex: Simplex) -> list[list[Fraction]]:
+    """Exact matrix of the L2 inner products <u_i, v_j> of two families.
+
+    The one pairing kernel.  A member of a family is a k-form, or a
+    tuple of forms standing for an element of a direct sum of form
+    spaces, where the product is the sum of the slotwise L2 products:
+    the Green functionals and the graph-norm Gram are such sums.  Each
+    family is written as integer matrices U, V over (slot, component,
+    monomial) with one common denominator, and each (slot, component)
+    contributes U M V^T, with M[e][f] the moment of the centered
+    monomial x^(e+f) as an integer over one common denominator.  The
+    integer products are exact, and each entry becomes one Fraction.
+    """
+    same = us is vs
+    us = [u if isinstance(u, tuple) else (u,) for u in us]
+    vs = us if same else [v if isinstance(v, tuple) else (v,) for v in vs]
+    members = us + vs
+    for member in members:
+        if len(member) != len(members[0]):
+            raise ValueError("families pair members of different direct sums")
+        for w, first in zip(member, members[0]):
+            if (w.n, w.k) != (first.n, first.k):
+                raise ValueError(
+                    f"inner product of a {first.k}-form in R^{first.n} "
+                    f"with a {w.k}-form in R^{w.n}"
+                )
+            if w.n != simplex.n:
+                raise ValueError("forms and simplex have different ambient dimension")
+    uden, ublocks = _coefficient_blocks(us)
+    vden, vblocks = (uden, ublocks) if same else _coefficient_blocks(vs)
+    common = [key for key in ublocks if key in vblocks]
+    moments, mden = simplex.integer_moments(
+        {tuple(map(add, e, f)) for key in common for e in ublocks[key][0] for f in vblocks[key][0]}
+    )
+    # U and (M V^T) stacked over the common blocks: G = U (M V^T)
+    u_stack = [[] for _ in us]
+    mv_stack = [[] for _ in vs]
+    for key in common:
+        (umono, urows), (vmono, vrows) = ublocks[key], vblocks[key]
+        for row, urow in zip(u_stack, urows):
+            row += urow
+        mrows = [[moments[tuple(map(add, e, f))] for f in vmono] for e in umono]
+        for col, vrow in zip(mv_stack, vrows):
+            col += [sum(map(mul, mrow, vrow)) for mrow in mrows]
+    den = uden * vden * mden
+    return [[Fraction(sum(map(mul, urow, col)), den) for col in mv_stack] for urow in u_stack]
+
+
 def l2_inner(u: PolyForm, v: PolyForm, simplex: Simplex) -> Fraction:
     """Exact L2 inner product of two k-forms (componentwise, orthonormal frame)."""
-    if u.n != v.n or u.k != v.k:
-        raise ValueError(
-            f"inner product of a {u.k}-form in R^{u.n} with a {v.k}-form in R^{v.n}"
-        )
-    if u.n != simplex.n:
-        raise ValueError("forms and simplex have different ambient dimension")
-    total = Fraction(0)
-    small, large = (u, v) if len(u.comps) <= len(v.comps) else (v, u)
-    for alpha, p in small.comps.items():
-        q = large.comps.get(alpha)
-        if q is not None:
-            total += integrate_poly(p * q, simplex)
-    return total
+    return l2_gram([u], [v], simplex)[0][0]
 
 
 def h1_seminorm_sq(w: PolyForm, simplex: Simplex) -> Fraction:
-    """Exact squared H1 seminorm: sum over components and partials."""
-    total = Fraction(0)
-    for _, p in w.comps.items():
-        for j in range(1, w.n + 1):
-            dp = p.partial(j)
-            if not dp.is_zero():
-                total += integrate_poly(dp * dp, simplex)
-    return total
+    """Exact squared H1 seminorm: sum over components and partials.
+
+    The L2 norm of the tuple of partial derivatives (d_1 w, ..., d_n w),
+    each taken componentwise, as one ``l2_gram`` on their direct sum.
+    """
+    grad = tuple(
+        PolyForm(w.n, w.k, {alpha: p.partial(j) for alpha, p in w.comps.items()})
+        for j in range(1, w.n + 1)
+    )
+    family = [grad]
+    return l2_gram(family, family, simplex)[0][0]
 
 
 def _order_to_s(order: int) -> int:

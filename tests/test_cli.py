@@ -133,6 +133,18 @@ def test_config_refinements_do_not_reach_basis(tmp_path):
     assert audit["cells"] == 128
 
 
+def test_config_rejects_a_misspelt_key(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    out = tmp_path / "a.csv"
+    args = ["--config", str(cfg), "interpolate", "--refinements", "2", "--out", str(out)]
+    # one option under both spellings, then the misspelt key
+    for keys in ({"refinments": "2"}, {"quad-order": 4, "quad_order": 4, "refinments": "2"}):
+        cfg.write_text(json.dumps(keys))
+        assert main(args) == 2
+        assert capsys.readouterr().err == "error reading config: unknown key 'refinments'\n"
+        assert not out.exists()
+
+
 def test_bad_usage_exits_with_code_two(tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])

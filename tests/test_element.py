@@ -165,6 +165,24 @@ def test_callback_path_matches_exact_path():
     assert np.max(np.abs(np.asarray(coeffs, dtype=float) - want)) <= 1e-10
 
 
+def test_float_coefficients_are_not_finished_in_fractions():
+    T = reference_triangle()
+    space = build_shape_space(2, 1, T)
+    matrix = build_dof_matrix(space, build_dof_basis(2, 1, T))
+    with pytest.raises(TypeError):
+        space.combine([1.0, 0, 0, 0, 0, 0])
+    assert space.combine([F(1), 0, 0, 0, 0, 0]) == space.basis[0]
+    cb = FormCallback(
+        value=lambda x: np.ones((len(x), 2)),
+        d=lambda x: np.zeros((len(x), 1)),
+        delta=lambda x: np.zeros((len(x), 1)),
+    )
+    with pytest.raises(TypeError, match="interpolate_coeffs"):
+        interpolate(cb, matrix)
+    # the float path stays float: the callback's coefficients come back as floats
+    assert np.asarray(interpolate_coeffs(cb, matrix)).dtype == float
+
+
 def test_callback_missing_derivative_data():
     T = reference_triangle()
     space = build_shape_space(2, 1, T)

@@ -1,0 +1,168 @@
+"""Property tests of the exact kernel against independent references.
+
+Integer moments against sympy's exact integration, the pairing kernel
+against entrywise Fraction sums, and the fraction-free elimination
+against sympy's determinant and solve.  Triangles and matrices are drawn
+with small denominators and with coprime denominators near 10**20.
+"""
+
+from fractions import Fraction
+
+import pytest
+import sympy
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
+
+from hodgefem.forms import PolyForm, Polynomial
+from hodgefem.simplices import Simplex, _gauss_jordan, integrate_poly, l2_gram, solve_rational
+
+BIG = 10**20
+
+EXACT = settings(
+    max_examples=6,
+    deadline=None,
+    derandomize=True,
+    database=None,
+    suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow],
+)
+
+
+@st.composite
+def rationals(draw, big: bool, bound: int = 3) -> Fraction:
+    den = draw(st.integers(BIG - 10**6, BIG + 10**6) if big else st.integers(1, 60))
+    return Fraction(draw(st.integers(-bound * den, bound * den)), den)
+
+
+@st.composite
+def triangles(draw, big: bool) -> Simplex:
+    verts = [(draw(rationals(big)), draw(rationals(big))) for _ in range(3)]
+    try:
+        return Simplex(verts)
+    except ValueError:
+        assume(False)
+
+
+@st.composite
+def polynomials(draw, degree: int = 2) -> Polynomial:
+    exps = [(a, b) for a in range(degree + 1) for b in range(degree + 1 - a)]
+    return Polynomial(2, {e: draw(rationals(False, 4)) for e in draw(st.sets(st.sampled_from(exps)))})
+
+
+@st.composite
+def one_forms(draw) -> PolyForm:
+    return PolyForm(2, 1, {(1,): draw(polynomials()), (2,): draw(polynomials())})
+
+
+@st.composite
+def graph_members(draw) -> tuple[PolyForm, PolyForm]:
+    """A 1-form with a 0-form: a member of a direct sum of form spaces."""
+    return draw(one_forms()), PolyForm(2, 0, {(): draw(polynomials())})
+
+
+def _sympy_moment(T: Simplex, e: tuple[int, int]) -> sympy.Rational:
+    """Integral of the centered monomial, by sympy over the reference triangle."""
+    s, t = sympy.symbols("s t")
+    v = [[sympy.Rational(x.numerator, x.denominator) for x in p] for p in T.vertices]
+    bary = [(v[0][j] + v[1][j] + v[2][j]) / 3 for j in range(2)]
+    x = [v[0][j] + s * (v[1][j] - v[0][j]) + t * (v[2][j] - v[0][j]) - bary[j] for j in range(2)]
+    jac = abs((v[1][0] - v[0][0]) * (v[2][1] - v[0][1]) - (v[2][0] - v[0][0]) * (v[1][1] - v[0][1]))
+    inner = sympy.Poly(x[0] ** e[0] * x[1] ** e[1], t, s, domain=sympy.QQ).integrate(t)
+    outer = sympy.Poly(inner.as_expr().subs(t, 1 - s), s, domain=sympy.QQ).integrate(s)
+    return jac * outer.eval(1)
+
+
+def _fraction(r) -> Fraction:
+    r = sympy.Rational(r)
+    return Fraction(int(r.p), int(r.q))
+
+
+def _pairing_reference(u, v, T: Simplex) -> Fraction:
+    """Entrywise Fraction sum of the slotwise, componentwise integrals."""
+    u = u if isinstance(u, tuple) else (u,)
+    v = v if isinstance(v, tuple) else (v,)
+    return sum(
+        (
+            integrate_poly(p * b.comps[alpha], T)
+            for a, b in zip(u, v)
+            for alpha, p in a.comps.items()
+            if alpha in b.comps
+        ),
+        Fraction(0),
+    )
+
+
+@pytest.mark.parametrize("big", [False, True])
+@settings(EXACT, max_examples=3)
+@given(data=st.data())
+def test_monomial_integrals_equal_sympy(big, data):
+    T = data.draw(triangles(big))
+    for a in range(5):
+        for b in range(5 - a):
+            assert T.monomial_integral((a, b)) == _fraction(_sympy_moment(T, (a, b))), (a, b)
+
+
+@pytest.mark.parametrize("big", [False, True])
+@EXACT
+@given(
+    data=st.data(),
+    us=st.lists(one_forms(), min_size=1, max_size=3),
+    vs=st.lists(one_forms(), min_size=1, max_size=3),
+)
+def test_l2_gram_equals_entrywise_fraction_reference(big, data, us, vs):
+    T = data.draw(triangles(big))
+    assert l2_gram(us, vs, T) == [[_pairing_reference(u, v, T) for v in vs] for u in us]
+
+
+@pytest.mark.parametrize("big", [False, True])
+@EXACT
+@given(data=st.data(), family=st.lists(graph_members(), min_size=1, max_size=3))
+def test_l2_gram_of_direct_sums_adds_the_slotwise_products(big, data, family):
+    T = data.draw(triangles(big))
+    assert l2_gram(family, family, T) == [
+        [_pairing_reference(u, v, T) for v in family] for u in family
+    ]
+
+
+@st.composite
+def swapped_systems(draw, big: bool):
+    """A square system whose first pivot is zero, so elimination must swap rows."""
+    size = draw(st.integers(2, 5))
+    entry = rationals(big, 5)
+    A = [[draw(entry) for _ in range(size)] for _ in range(size)]
+    A[0][0] = Fraction(0)
+    assume(any(A[r][0] != 0 for r in range(1, size)))
+    B = [[draw(entry) for _ in range(draw(st.integers(1, 3)))]]
+    B += [[draw(entry) for _ in B[0]] for _ in range(size - 1)]
+    return A, B
+
+
+def _sympy_matrix(rows) -> sympy.Matrix:
+    return sympy.Matrix([[sympy.Rational(v.numerator, v.denominator) for v in r] for r in rows])
+
+
+@pytest.mark.parametrize("big", [False, True])
+@EXACT
+@given(data=st.data())
+def test_gauss_jordan_matches_sympy_after_a_row_swap(big, data):
+    A, B = data.draw(swapped_systems(big))
+    det, X = _gauss_jordan(A, B)
+    want = _sympy_matrix(A).det()
+    assert det == _fraction(want)
+    if want == 0:
+        assert X is None
+        return
+    sol = _sympy_matrix(A).LUsolve(_sympy_matrix(B))
+    assert X == [[_fraction(sol[i, j]) for j in range(sol.cols)] for i in range(sol.rows)]
+    assert solve_rational(A, B) == X
+
+
+@pytest.mark.parametrize("big", [False, True])
+@EXACT
+@given(data=st.data(), weights=st.lists(rationals(False, 5), min_size=5, max_size=5))
+def test_singular_matrix_still_raises(big, data, weights):
+    A, B = data.draw(swapped_systems(big))
+    # the last row a rational combination of the others
+    A[-1] = [sum((w * row[j] for w, row in zip(weights, A[:-1])), Fraction(0)) for j in range(len(A))]
+    assert _gauss_jordan(A, B) == (Fraction(0), None)
+    with pytest.raises(ValueError):
+        solve_rational(A, B)

@@ -5,6 +5,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hodgefem.element import (
     FormCallback,
@@ -30,7 +32,7 @@ from hodgefem.globalspace import (
     global_interpolate,
 )
 
-from conftest import MESHES
+from conftest import MESHES, _jittered
 
 
 def _setup(m, pattern=DIAGONAL):
@@ -94,29 +96,46 @@ def test_product_space_builds_one_simplex_per_template(monkeypatch):
     assert len(built) == len(prod.templates)
 
 
-def test_cell_gram_computes_the_upper_triangle_and_mirrors_it(monkeypatch):
-    """Each template makes 144 element and 63 Gram l2_inner calls (108 for a full Gram)."""
+def test_cell_gram_equals_the_per_pair_l2_inner_sums(monkeypatch):
+    """Every Gram entry, both triangles, from integer products, no per-entry l2_inner."""
     calls = []
-    for module in (hodgefem.element, hodgefem.globalspace):
-        inner = module.l2_inner
+    for module in (hodgefem.simplices, hodgefem.element, hodgefem.globalspace):
+        if hasattr(module, "l2_inner"):
+            inner = module.l2_inner
 
-        def counting(u, v, simplex, inner=inner):
-            calls.append(1)
-            return inner(u, v, simplex)
+            def counting(u, v, simplex, inner=inner):
+                calls.append(1)
+                return inner(u, v, simplex)
 
-        monkeypatch.setattr(module, "l2_inner", counting)
+            monkeypatch.setattr(module, "l2_inner", counting)
     prod = build_product_space(MESHES["jitter4"]())
     assert len(prod.templates) == 32
-    assert len(calls) == 32 * (144 + 63)
-    # the mirrored entries are the ones computed below the diagonal
-    for t in prod.templates[:2]:
+    assert calls == []
+    monkeypatch.undo()
+    for t in prod.templates:
         space = t.matrix.space
         for i in range(6):
-            for j in range(i):
+            for j in range(6):
                 assert t.gram[i][j] == sum(
                     hodgefem.simplices.l2_inner(f[i], f[j], t.simplex)
                     for f in (space.d_basis, space.delta_basis, space.basis)
                 )
+
+
+@settings(max_examples=15, deadline=None, derandomize=True, database=None)
+@given(m=st.integers(2, 4), seed=st.integers(0, 2**32 - 1))
+def test_jittered_meshes_have_exact_duals_and_the_full_basis(m, seed):
+    tri = _jittered(m, seed)
+    prod = build_product_space(tri)
+    eye = [[Fraction(int(r == c)) for c in range(6)] for r in range(6)]
+    for t in prod.templates:
+        product = [
+            [sum((w * d for w, d in zip(row, col)), Fraction(0)) for col in zip(*t.duals)]
+            for row in t.whitney
+        ]
+        assert product == eye
+    cons = build_constraints(tri, prod)
+    assert len(build_global_basis(tri, prod)) == 6 * len(tri.cells) - cons.rows
 
 
 def test_vectorised_phi_matches_exact_functions(mesh):
