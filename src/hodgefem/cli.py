@@ -168,6 +168,12 @@ def cmd_basis(args) -> int:
     prod = build_product_space(tri)
     cons = build_constraints(tri, prod)
     basis = build_global_basis(tri, prod)
+    try:
+        rank, nullity = cons.rank(), cons.nullity()
+    except ValueError as exc:
+        reason = str(exc).removeprefix("rank audit: ")
+        print(f"basis: rank audit failed: {reason}", file=sys.stderr)
+        return 1
     out, close = _open_out(args.out)
     try:
         for fn in basis.functions:
@@ -182,8 +188,6 @@ def cmd_basis(args) -> int:
                 )
                 + "\n"
             )
-        rank = cons.rank()
-        nullity = prod.dim - rank
         audit = {
             "cells": len(tri.cells),
             "vertices": len(tri.vertices),

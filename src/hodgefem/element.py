@@ -40,6 +40,12 @@ interpolate returns the exact interpolant of a PolyForm only; a
 callback's float coefficients come from interpolate_coeffs and are
 never turned back into Fractions.
 
+node_tables evaluates the planar 1-form element's shape basis and DOF
+test forms at quadrature nodes, and quadrature_dofs applies the Green
+functionals in floats to fields given by their node values: the cellwise
+global interpolation and the unisolvence suite's projection check both
+use this pair.
+
 Optional scaling keeps the DofMatrix condition number independent of the
 simplex diameter: koszul-type shape and test forms carry 1/h, the H2D
 block 1/h^2, with h a rational Chebyshev-diameter surrogate so the exact
@@ -64,7 +70,7 @@ from .forms import (
     koszul,
     multi_indices,
 )
-from .simplices import Simplex, l2_gram, rule_points, solve_rational
+from .simplices import Simplex, l2_gram, quadrature_rule, rule_points, solve_rational
 
 __all__ = [
     "P0",
@@ -84,6 +90,8 @@ __all__ = [
     "build_dof_matrix",
     "green_pairing",
     "dof_values",
+    "node_tables",
+    "quadrature_dofs",
     "interpolate",
     "interpolate_coeffs",
 ]
@@ -394,6 +402,53 @@ def form_values(w: PolyForm, centered: np.ndarray) -> np.ndarray:
         if p is not None:
             out[:, pos] = poly_values(p, centered)
     return out
+
+
+def node_tables(matrix: DofMatrix, order: int) -> dict[str, np.ndarray]:
+    """Quadrature-node value tables of a planar 1-form element, centered coordinates.
+
+    Keys: centered (nq,2), weights (nq,), val (6,nq,2), dval (6,nq),
+    gval (6,nq) of the shape basis, its d and its Green delta; eta_v
+    (3,nq), eta_g (3,nq,2), tau_v (3,nq), tau_d (3,nq,2) of the DOF test
+    forms, the delta of eta and the d of tau.  The nodes are the
+    ``quadrature_rule`` of the given order on the simplex.
+    """
+    simplex = matrix.dofs.simplex
+    bary, w = quadrature_rule(2, order)
+    verts = np.array([[float(x) for x in v] for v in simplex.centered])
+    nodes = np.array([[float(b) for b in node] for node in bary]) @ verts
+    weights = np.array([float(x) for x in w]) * 2.0 * float(simplex.volume)
+    space, dofs = matrix.space, matrix.dofs
+    return {
+        "centered": nodes,
+        "weights": weights,
+        "val": np.stack([form_values(mu, nodes) for mu in space.basis]),
+        "dval": np.stack([form_values(dmu, nodes)[:, 0] for dmu in space.d_basis]),
+        "gval": np.stack([poly_values(g.component(()), nodes) for g in space.delta_basis]),
+        "eta_v": np.stack([form_values(eta, nodes)[:, 0] for eta in dofs.eta_basis]),
+        "eta_g": np.stack([form_values(g, nodes) for g in dofs.eta_green]),
+        "tau_v": np.stack([poly_values(tau.component(()), nodes) for tau in dofs.tau_basis]),
+        "tau_d": np.stack([form_values(d, nodes) for d in dofs.tau_d]),
+    }
+
+
+def quadrature_dofs(
+    tab: dict[str, np.ndarray], val: np.ndarray, dval: np.ndarray, gval: np.ndarray
+) -> np.ndarray:
+    """Float Green functionals (C, 6) of C fields, by quadrature on ``node_tables``.
+
+    ``val`` (C,nq,2), ``dval`` (C,nq) and ``gval`` (C,nq) are each
+    field's value, d and Green delta at the nodes of ``tab``.  Columns
+    follow the DOF rows: F_eta for each eta, then F_tau for each tau.
+    """
+    w = tab["weights"]
+    f_eta = np.einsum("q,eq,cq->ce", w, tab["eta_v"], dval) - np.einsum(
+        "q,eqx,cqx->ce", w, tab["eta_g"], val
+    )
+    f_tau = np.einsum("q,tq,cq->ct", w, tab["tau_v"], gval) - np.einsum(
+        "q,tqx,cqx->ct", w, tab["tau_d"], val
+    )
+    return np.concatenate([f_eta, f_tau], axis=1)
 
 
 def dof_values(mu, matrix: DofMatrix, quad_order: int = 6):

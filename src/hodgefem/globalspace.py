@@ -51,10 +51,11 @@ gathered from each template's float Whitney rows, and Phi from its
 float dual coefficients, by template index, cell and slot.  The kernel
 basis is held as per-function arrays (category, anchor, support cells,
 dual columns); the exact BasisFunction list (``functions``) is built
-only when read, e.g. for the ``basis`` dump.  The rank audit has one
-path, the eigenvalues of the dense Gram B B^T cut at rows * eps times
-the largest, so singular values of B below about sqrt(rows * eps)
-times the largest count as zero.
+only when read, e.g. for the ``basis`` dump.  The rank audit is one
+O(nnz) certificate from the same duals: with D = blockdiag(duals) over
+the cells, B D is a 0/1 selection matrix once exactly repeated rows of
+B are dropped, and its disjoint rows fix the rank of B.  Input without
+that structure raises; there is no dense fallback.
 """
 
 from __future__ import annotations
@@ -72,13 +73,13 @@ from .element import (
     build_dof_basis,
     build_dof_matrix,
     build_shape_space,
-    form_values,
     green_pairing,
-    poly_values,
+    node_tables,
+    quadrature_dofs,
 )
 from .forms import PolyForm
 from .mesh import Triangulation
-from .simplices import Simplex, l2_gram, quadrature_rule, solve_rational
+from .simplices import Simplex, l2_gram, solve_rational
 
 __all__ = [
     "DIV_PATCH",
@@ -154,39 +155,13 @@ class CellTemplate:
         self._tables: dict[int, dict[str, np.ndarray]] = {}
 
     def tables(self, order: int) -> dict[str, np.ndarray]:
-        """Quadrature-node value tables in centered coordinates.
+        """``element.node_tables`` of this template, cached per order.
 
-        Keys: centered (nq,2), weights (nq,), val (6,nq,2), dval (6,nq),
-        gval (6,nq), eta_v (3,nq), eta_g (3,nq,2), tau_v (3,nq),
-        tau_d (3,nq,2).  Shared by every congruent cell.
+        Centered coordinates, so shared by every congruent cell.
         """
         t = self._tables.get(order)
-        if t is not None:
-            return t
-        bary, w = quadrature_rule(2, order)
-        verts = np.array([[float(x) for x in v] for v in self.simplex.centered])
-        nodes = np.array([[float(b) for b in node] for node in bary]) @ verts
-        weights = np.array([float(x) for x in w]) * 2.0 * float(self.simplex.volume)
-        space, dofs = self.matrix.space, self.matrix.dofs
-        val = np.stack([form_values(mu, nodes) for mu in space.basis])
-        dval = np.stack([form_values(dmu, nodes)[:, 0] for dmu in space.d_basis])
-        gval = np.stack([poly_values(gmu.component(()), nodes) for gmu in space.delta_basis])
-        eta_v = np.stack([form_values(eta, nodes)[:, 0] for eta in dofs.eta_basis])
-        eta_g = np.stack([form_values(g, nodes) for g in dofs.eta_green])
-        tau_v = np.stack([poly_values(tau.component(()), nodes) for tau in dofs.tau_basis])
-        tau_d = np.stack([form_values(d, nodes) for d in dofs.tau_d])
-        t = {
-            "centered": nodes,
-            "weights": weights,
-            "val": val,
-            "dval": dval,
-            "gval": gval,
-            "eta_v": eta_v,
-            "eta_g": eta_g,
-            "tau_v": tau_v,
-            "tau_d": tau_d,
-        }
-        self._tables[order] = t
+        if t is None:
+            t = self._tables[order] = node_tables(self.matrix, order)
         return t
 
 
@@ -242,11 +217,13 @@ class ConstraintSystem:
 
     With nv vertices, row v < nv is the div functional of vertex v and row
     nv + r the rot functional of ``tri.interior_vertices[r]``.  ``B_div``
-    and ``B_rot`` are these two row slices of B.
+    and ``B_rot`` are these two row slices of B.  ``prod`` is the product
+    space whose template duals certify the rank.
     """
 
-    def __init__(self, tri: Triangulation, B: sp.csr_matrix):
-        self.tri = tri
+    def __init__(self, prod: ProductSpace, B: sp.csr_matrix):
+        self.prod = prod
+        self.tri = prod.tri
         self.B = B
 
     @property
@@ -262,19 +239,66 @@ class ConstraintSystem:
         return self.B.shape[0]
 
     def rank(self) -> int:
-        """Numerical rank of B, from the eigenvalues of the dense Gram B B^T.
+        """Rank of B, certified from the template duals in O(nnz).
 
-        Eigenvalues below rows * eps * lambda_max count as zero, so
-        singular values of B below about sqrt(rows * eps) * s_max (about
-        7e-7 * s_max at 2,050 rows) do.  This cut lies above the Gram's
-        own round-off, so duplicated rows are not counted, and far below
-        the smallest singular value of the true B (s_min / s_max is about
-        0.39 on diagonal m = 12 and 16).  Time O(rows^3), memory O(rows^2).
+        Let B_u be B without rows that repeat an earlier row exactly, and
+        D = blockdiag(duals_float) over the cells.  Since whitney . duals
+        = I on every template, S = B_u D selects shape coefficients: each
+        entry is within 1e-9 of an integer, no row is zero and no column
+        has two nonzeros.  Rounded, S then has disjoint nonzero integer
+        rows, so its smallest singular value is at least 1, and the
+        rounding moves it by at most 1e-9 * sqrt(nnz).  Hence rank(B) >=
+        rank(S) = rows of B_u >= rank(B).  Input that fails a condition
+        raises ValueError naming it and the first row or column at fault.
         """
-        return int(np.linalg.matrix_rank((self.B @ self.B.T).toarray(), hermitian=True))
+        B = self.B.tocsr(copy=True)
+        B.sum_duplicates()
+        B.eliminate_zeros()
+        kept = _first_of_equal_rows(B)
+        prod = self.prod
+        duals = np.stack([t.duals_float for t in prod.templates])[prod.template_index]
+        blocks = np.arange(len(duals))  # block row c holds block column c: D is diagonal
+        D = sp.bsr_matrix((duals, blocks, np.append(blocks, len(duals))), shape=(prod.dim,) * 2)
+        S = B[kept] @ D
+        S.sum_duplicates()
+        near = np.rint(S.data)
+        off = np.abs(S.data - near) > 1e-9
+        if off.any():
+            k = int(np.argmax(off))
+            r = np.searchsorted(S.indptr, k, side="right") - 1
+            raise ValueError(
+                f"rank audit: entry ({kept[r]}, {S.indices[k]}) of B D is {float(S.data[k])!r}, "
+                "not within 1e-9 of an integer"
+            )
+        S.data = near
+        S.eliminate_zeros()
+        empty = np.diff(S.indptr) == 0
+        if empty.any():
+            raise ValueError(f"rank audit: row {kept[np.argmax(empty)]} of B D is zero")
+        per_column = np.bincount(S.indices, minlength=S.shape[1])
+        if (per_column > 1).any():
+            c = int(np.argmax(per_column > 1))
+            raise ValueError(
+                f"rank audit: column {c} of B D has {per_column[c]} nonzeros, "
+                "so its rows are not disjoint"
+            )
+        return len(kept)
 
     def nullity(self) -> int:
         return self.B.shape[1] - self.rank()
+
+
+def _first_of_equal_rows(B: sp.csr_matrix) -> np.ndarray:
+    """Increasing indices of the rows of canonical B that repeat no earlier row.
+
+    Rows are compared exactly, by the bytes of their column indices and
+    values.
+    """
+    first: dict[tuple[bytes, bytes], int] = {}
+    bounds = B.indptr.tolist()
+    for r, (a, b) in enumerate(zip(bounds, bounds[1:])):
+        first.setdefault((B.indices[a:b].tobytes(), B.data[a:b].tobytes()), r)
+    return np.fromiter(first.values(), dtype=np.intp, count=len(first))
 
 
 def build_product_space(tri: Triangulation) -> ProductSpace:
@@ -304,7 +328,7 @@ def build_constraints(tri: Triangulation, prod: ProductSpace) -> ConstraintSyste
         (values[keep], (rows[keep], cols[keep])),
         shape=(nv + len(tri.interior_vertices), prod.dim),
     ).tocsr()
-    return ConstraintSystem(tri, B)
+    return ConstraintSystem(prod, B)
 
 
 @dataclass
@@ -460,7 +484,7 @@ def global_interpolate(
     cellwise = bool(getattr(mu, "cellwise", False))
     for t, cells in zip(prod.templates, prod.cells_by_template):
         tab = t.tables(quad_order)
-        nodes, w = tab["centered"], tab["weights"]
+        nodes = tab["centered"]
         nq = nodes.shape[0]
         pts = prod.barycenters[cells][:, None, :] + nodes[None, :, :]  # (C, nq, 2)
         C = len(cells)
@@ -477,12 +501,6 @@ def global_interpolate(
             val = np.asarray(mu.value(flat), dtype=float).reshape(C, nq, 2)
             dv = np.asarray(mu.d(flat), dtype=float).reshape(C, nq)
             gv = np.asarray(mu.delta(flat), dtype=float).reshape(C, nq)
-        f_eta = np.einsum("q,eq,cq->ce", w, tab["eta_v"], dv) - np.einsum(
-            "q,eqx,cqx->ce", w, tab["eta_g"], val
-        )
-        f_tau = np.einsum("q,tq,cq->ct", w, tab["tau_v"], gv) - np.einsum(
-            "q,tqx,cqx->ct", w, tab["tau_d"], val
-        )
-        dofs = np.concatenate([f_eta, f_tau], axis=1)  # (C, 6)
+        dofs = quadrature_dofs(tab, val, dv, gv)  # (C, 6)
         out.reshape(-1, 6)[cells] = dofs @ t.minv.T
     return out

@@ -8,8 +8,10 @@ Three groups of checks:
   norm_suite         the norm equality |d(koszul eta)| = sqrt(k+1) |koszul eta|_H1
                      for constant eta, checked exactly on random simplices
   unisolvence_suite  DOF matrix conditioning, the projection property of
-                     the interpolation, and agreement of the two
-                     interpolation algorithms on random triangles
+                     the interpolation (the float DOF matrix against
+                     quadrature of the Green functionals), and agreement
+                     of the two interpolation algorithms on random
+                     triangles
 
 Every check returns a CheckResult; nothing raises on failure, so a
 caller can report the full picture.
@@ -31,8 +33,9 @@ from .element import (
     build_h2d_form,
     build_h2delta_form,
     build_shape_space,
-    dof_values,
     interpolate_coeffs,
+    node_tables,
+    quadrature_dofs,
 )
 from .forms import (
     PolyForm,
@@ -43,7 +46,7 @@ from .forms import (
     koszul,
     multi_indices,
 )
-from .simplices import Simplex, solve_rational
+from .simplices import Simplex
 
 __all__ = [
     "CheckResult",
@@ -248,10 +251,13 @@ def unisolvence_suite(
             return [CheckResult("dof-matrix-cond-finite", False, "singular matrix hit")]
         max_cond = max(max_cond, cond)
         # projection: interpolating each shape basis form returns its unit
-        # vector, i.e. M X = [DOF values of each basis form] gives X = I
-        values = [dof_values(mu, matrix) for mu in space.basis]
-        X = solve_rational(matrix.exact, [list(row) for row in zip(*values)])
-        max_proj = max(max_proj, float(np.max(np.abs(np.array(X, dtype=float) - eye))))
+        # vector.  Its DOF values V come from float quadrature of the Green
+        # functionals, independent of the exact pairing that built M, so
+        # M^-1 V = I tests the DOF matrix against the functionals.
+        tab = node_tables(matrix, 6)
+        values = quadrature_dofs(tab, tab["val"], tab["dval"], tab["gval"])
+        X = np.linalg.solve(matrix.as_float, values.T)
+        max_proj = max(max_proj, float(np.max(np.abs(X - eye))))
         # the two algorithms agree on a generic member of the space
         target = space.combine([_rand_fraction(rng) for _ in range(6)])
         a = interpolate_coeffs(target, matrix, method=DIRECT)

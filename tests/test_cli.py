@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+import hodgefem.cli
 import hodgefem.forms
 import hodgefem.solver
 from hodgefem.cli import CSV_HEADER, CSV_HEADER_SOLVE, main
@@ -106,6 +107,23 @@ def test_basis_reads_mesh_from_file(tmp_path):
     audit = json.loads(out.read_text().strip().splitlines()[-1])["audit"]
     assert audit["cells"] == 16
     assert audit["basis_count"] == 78
+
+
+def test_basis_audit_failure_exits_one_and_names_the_cause(tmp_path, monkeypatch, capsys):
+    build = hodgefem.cli.build_constraints
+
+    def perturbed(tri, prod):
+        cons = build(tri, prod)
+        cons.B.data[7] *= 1 + 1e-6
+        return cons
+
+    monkeypatch.setattr(hodgefem.cli, "build_constraints", perturbed)
+    out = tmp_path / "basis.jsonl"
+    assert main(["basis", "--mesh-m", "2", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("basis: rank audit failed: entry (")
+    assert "not within 1e-9 of an integer" in err
+    assert not out.exists()
 
 
 def test_config_preloads_defaults_and_flags_override(tmp_path):

@@ -32,6 +32,7 @@ from hodgefem.forms import (
     koszul,
     multi_indices,
 )
+import hodgefem.element
 from hodgefem.simplices import Simplex
 from hodgefem.verify import unisolvence_suite
 
@@ -226,3 +227,16 @@ def test_unisolvence_suite_builds_one_dof_matrix_per_triangle(monkeypatch):
     results = unisolvence_suite(count=3)
     assert all(r.passed for r in results)
     assert len(built) == 3
+
+
+def test_projection_check_fails_when_the_pairing_flips_the_delta_sign(monkeypatch):
+    """The projection check compares the DOF matrix with quadrature of the functionals."""
+    pairing = hodgefem.element.green_pairing
+
+    def flipped(forms, d_forms, delta_forms, tests):
+        return pairing(forms, d_forms, [-g for g in delta_forms], tests)
+
+    monkeypatch.setattr(hodgefem.element, "green_pairing", flipped)
+    results = {r.name: r for r in unisolvence_suite(count=3)}
+    assert results["dof-matrix-cond-finite"].passed
+    assert not results["interpolation-projection"].passed

@@ -135,6 +135,7 @@ def test_jittered_meshes_have_exact_duals_and_the_full_basis(m, seed):
         ]
         assert product == eye
     cons = build_constraints(tri, prod)
+    assert cons.rank() == cons.rows
     assert len(build_global_basis(tri, prod)) == 6 * len(tri.cells) - cons.rows
 
 
@@ -167,9 +168,53 @@ def test_constraint_shape_and_rank_smallest_mesh():
 def test_rank_does_not_count_duplicated_rows():
     """B with its div rows stacked twice (803 rows on diagonal m = 16) has rank 514."""
     tri, prod, cons = _setup(16)
-    doubled = ConstraintSystem(tri, sp.vstack([cons.B, cons.B_div]).tocsr())
+    doubled = ConstraintSystem(prod, sp.vstack([cons.B, cons.B_div]).tocsr())
     assert doubled.rows == 803
     assert cons.rank() == doubled.rank() == 514
+
+
+def _dense_rank(B) -> int:
+    """Reference rank: eigenvalues of the dense Gram B B^T, cut at rows * eps * max."""
+    return int(np.linalg.matrix_rank((B @ B.T).toarray(), hermitian=True))
+
+
+_RANK_MESHES = {
+    **MESHES,
+    "diagonal2": lambda: generate_square_mesh(2, DIAGONAL),
+    "diagonal3": lambda: generate_square_mesh(3, DIAGONAL),
+    "crisscross3": lambda: generate_square_mesh(3, CRISSCROSS),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_RANK_MESHES))
+def test_rank_certificate_equals_the_dense_gram_rank(name):
+    tri = _RANK_MESHES[name]()
+    cons = build_constraints(tri, build_product_space(tri))
+    assert cons.rank() == _dense_rank(cons.B)
+
+
+def test_rank_certificate_equals_the_dense_gram_rank_on_repeated_rows():
+    tri, prod, cons = _setup(16)
+    doubled = ConstraintSystem(prod, sp.vstack([cons.B, cons.B_div]).tocsr())
+    assert doubled.rank() == _dense_rank(doubled.B) == 514
+
+
+def test_rank_audit_raises_on_a_dependent_row_that_is_no_duplicate():
+    tri, prod, cons = _setup(4)
+    B = cons.B.tolil()
+    B[5] = cons.B[3] + cons.B[4]
+    dependent = ConstraintSystem(prod, B.tocsr())
+    assert _dense_rank(dependent.B) == cons.rows - 1
+    with pytest.raises(ValueError, match=r"^rank audit: column \d+ of B D has 2 nonzeros"):
+        dependent.rank()
+
+
+def test_rank_audit_raises_on_an_entry_off_by_one_part_in_a_million():
+    tri, prod, cons = _setup(4)
+    B = cons.B.copy()
+    B.data[7] *= 1 + 1e-6
+    with pytest.raises(ValueError, match=r"^rank audit: entry \(1, \d+\) of B D .* integer"):
+        ConstraintSystem(prod, B).rank()
 
 
 def test_basis_counts_smallest_mesh():

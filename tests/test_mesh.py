@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hodgefem.forms import PolyForm, codifferential_green, exterior_derivative
 from hodgefem.globalspace import build_constraints, build_product_space
@@ -18,6 +20,8 @@ from hodgefem.mesh import (
     read_mesh,
     write_mesh,
 )
+
+from conftest import _coprime, _jittered
 
 
 def test_generator_counts():
@@ -195,6 +199,22 @@ def test_format_round_trip_is_exact():
     tri2 = generate_square_mesh(2, DIAGONAL)
     text2 = format_mesh(tri2)
     assert "0.5" in text2 and "/" not in text2
+
+
+def _assert_round_trip(tri):
+    back = parse_mesh(format_mesh(tri))
+    assert back.vertices == tri.vertices
+    assert back.cells == tri.cells
+
+
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@given(m=st.integers(2, 4), seed=st.integers(0, 2**32 - 1))
+def test_format_round_trip_is_exact_on_jittered_meshes(m, seed):
+    _assert_round_trip(_jittered(m, seed))
+
+
+def test_format_round_trip_is_exact_on_coprime_denominators():
+    _assert_round_trip(_coprime(4))
 
 
 def test_file_round_trip(tmp_path):

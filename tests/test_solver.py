@@ -5,6 +5,8 @@ import math
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import hodgefem.solver as solver
 from hodgefem.fields import SmoothField, as_callback, get_field
@@ -26,6 +28,8 @@ from hodgefem.solver import (
     solve_system,
     solver_study,
 )
+
+from conftest import _jittered
 
 
 def _zeros_field():
@@ -226,3 +230,18 @@ def test_solver_study_tracks_oracle_and_interpolant():
         # quasi-optimality with a modest constant
         assert solved.errors["energy"] <= 10 * best.errors["energy"]
         assert solved.errors["energy"] >= 0.99 * best.errors["energy"]
+
+
+@settings(max_examples=10, deadline=None, derandomize=True, database=None)
+@given(m=st.integers(2, 4), seed=st.integers(0, 2**32 - 1))
+def test_reduced_solve_agrees_with_the_oracle_on_jittered_meshes(m, seed):
+    tri = _jittered(m, seed)
+    prod = build_product_space(tri)
+    system = assemble(tri, get_field("polyflow"), prod=prod)
+    oracle = solve_oracle(system, build_constraints(tri, prod))
+    result = solve_system(system, tol=1e-12)
+    assert result.method == "pcg"
+    diff = oracle.x_cell - result.u_cell
+    num = math.sqrt(max(broken_energy_product(diff, diff, prod), 0.0))
+    den = math.sqrt(broken_energy_product(oracle.x_cell, oracle.x_cell, prod))
+    assert num / den <= 1e-8
