@@ -50,8 +50,8 @@ together.  B and Phi read the same per-template 6x6 data: B is
 gathered from each template's float Whitney rows, and Phi from its
 float dual coefficients, by template index, cell and slot.  The kernel
 basis is held as per-function arrays (category, anchor, support cells,
-dual columns); the exact BasisFunction list (``functions``) is built
-only when read, e.g. for the ``basis`` dump.  The rank audit is one
+dual columns); the exact BasisFunctions (``functions``) are generated
+one at a time when read, e.g. for the ``basis`` dump.  The rank audit is one
 O(nnz) certificate from the same duals: with D = blockdiag(duals) over
 the cells, B D is a 0/1 selection matrix once exactly repeated rows of
 B are dropped, and its disjoint rows fix the rank of B.  Input without
@@ -60,9 +60,9 @@ that structure raises; there is no dense fallback.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -356,8 +356,8 @@ class GlobalBasis:
     coefficient column ``columns[j, 0]`` of cell ``cells[j, 0]`` minus
     column ``columns[j, 1]`` of cell ``cells[j, 1]`` (-1 for the
     single-cell ROT_CELL functions).  Dual columns 0..2 are mu^rot at
-    slots 0..2, columns 3..5 mu^div.  ``functions`` materialises the exact
-    BasisFunction list on first use.
+    slots 0..2, columns 3..5 mu^div.  ``functions`` streams the exact
+    BasisFunctions, one at a time.
     """
 
     def __init__(
@@ -380,24 +380,26 @@ class GlobalBasis:
     def __len__(self) -> int:
         return len(self.anchor)
 
-    @cached_property
-    def functions(self) -> list[BasisFunction]:
-        """Exact BasisFunctions, entries (index, Fraction) in Phi's order."""
+    @property
+    def functions(self) -> Iterator[BasisFunction]:
+        """Exact BasisFunctions in column order, entries (index, Fraction) in Phi's order.
+
+        A fresh generator on every read: one function exists at a time
+        unless the caller keeps them.
+        """
 
         def entries(cell: int, col: int) -> list[tuple[int, Fraction]]:
             duals = self.prod.template(cell).duals
             return [(6 * cell + i, duals[i][col]) for i in range(6) if duals[i][col] != 0]
 
-        out = []
         for cat, a, (c0, c1), (k0, k1) in zip(
             self.category.tolist(), self.anchor.tolist(), self.cells.tolist(), self.columns.tolist()
         ):
             if c1 < 0:
-                out.append(BasisFunction(CATEGORIES[cat], a, (c0,), entries(c0, k0)))
+                yield BasisFunction(CATEGORIES[cat], a, (c0,), entries(c0, k0))
             else:
                 minus = [(idx, -v) for idx, v in entries(c1, k1)]
-                out.append(BasisFunction(CATEGORIES[cat], a, (c0, c1), entries(c0, k0) + minus))
-        return out
+                yield BasisFunction(CATEGORIES[cat], a, (c0, c1), entries(c0, k0) + minus)
 
     def counts(self) -> dict[str, int]:
         n = np.bincount(self.category, minlength=len(CATEGORIES))

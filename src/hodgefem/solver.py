@@ -10,8 +10,27 @@ element tables); only the load vector and the error integrals use
 quadrature.
 
 Two independent solution paths are provided.  The primary path reduces
-to the kernel basis (A = Phi^T A_cell Phi) and runs Jacobi-preconditioned
-conjugate gradients.  The oracle path never forms a basis: it solves the
+to the kernel basis (A = Phi^T A_cell Phi) and runs conjugate gradients
+with one additive two-level preconditioner,
+
+    M r = S r + P A_c^-1 P^T r,    A_c = P^T A P,
+
+built in ``solve_system`` from A and the basis in O(nnz):
+
+    S   vertex-patch block Jacobi: one block per anchor vertex (the basis
+        functions sharing ``GlobalBasis.anchor``), inverted as one batched
+        stack and applied as one sparse matrix;
+    P   kernel coordinates of the conforming P1 vector fields with zero
+        normal trace on the same mesh (both components at an interior
+        vertex, the tangent at a straight boundary vertex, none at a
+        corner).  The shape space holds every P1 field, so the cellwise
+        interpolant Pi of each hat times a component is exact and lies in
+        null(B).  With w its Whitney values, Phi P = Pi holds when each
+        fan-difference function takes the sum of w over its fan up to its
+        first cell: a cumulative sum along each fan, with no solve.
+
+A_c is factored once by ``splu``.  The iteration count then stays flat
+under refinement.  The oracle path never forms a basis: it solves the
 saddle-point system
 
     [ A_cell  B^T ] [x]   [b_cell]
@@ -25,7 +44,7 @@ from __future__ import annotations
 
 import math
 import time
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,6 +53,8 @@ import scipy.sparse.linalg as spla
 
 from .fields import SmoothField, as_callback
 from .globalspace import (
+    CATEGORIES,
+    ROT_CELL,
     ConstraintSystem,
     GlobalBasis,
     ProductSpace,
@@ -43,6 +64,7 @@ from .globalspace import (
     global_interpolate,
 )
 from .mesh import DIAGONAL, Triangulation, generate_square_mesh
+from .simplices import quadrature_rule
 
 __all__ = [
     "AssembledSystem",
@@ -53,6 +75,9 @@ __all__ = [
     "cell_load_vector",
     "assemble",
     "solve_cg",
+    "p1_interpolant",
+    "coarse_prolongation",
+    "two_level_preconditioner",
     "solve_system",
     "solve_oracle",
     "error_norms",
@@ -62,9 +87,10 @@ __all__ = [
     "fit_rate",
 ]
 
-DENSE_FALLBACK_LIMIT = 2000
-
 _SLOT = np.arange(6)
+# quadrature order of the P1 interpolant: exact, as every integrand is at
+# most quadratic, and the default of ``assemble``, so its tables are cached
+_P1_ORDER = 6
 
 
 def cell_gram_matrix(prod: ProductSpace) -> sp.csr_matrix:
@@ -139,23 +165,25 @@ def solve_cg(
     tol: float = 1e-10,
     maxiter: int | None = None,
     callback=None,
+    precondition: Callable[[np.ndarray], np.ndarray] | None = None,
 ) -> tuple[np.ndarray, dict]:
-    """Jacobi-preconditioned conjugate gradients with residual history.
+    """Preconditioned conjugate gradients with residual history.
 
-    CG stops on the true residual: when the recursively updated residual
-    reaches ``tol``, b - A x is recomputed and accepted only if it is
-    within ``tol`` too; otherwise CG continues from the recomputed
-    residual under the same iteration cap.  ``info["true_rel_residual"]``
-    is the final ||b - A x|| / ||b||.  Falls back to a dense solve when
-    CG stalls and the system is small (at most DENSE_FALLBACK_LIMIT
-    unknowns); otherwise raises with the final relative residual in the
-    message.  ``callback(x)`` is invoked with the current iterate after
-    every step.
+    ``precondition(r)`` returns the preconditioned residual; without it
+    CG scales by the diagonal of A (Jacobi).  CG stops on the true
+    residual: when the recursively updated residual reaches ``tol``,
+    b - A x is recomputed and accepted only if it is within ``tol`` too;
+    otherwise CG continues from the recomputed residual under the same
+    iteration cap.  ``info["true_rel_residual"]`` is the final
+    ||b - A x|| / ||b||.  A CG that does not converge within the cap
+    raises RuntimeError with the final relative residual in the message.
+    ``callback(x)`` is invoked with the current iterate after every step.
     """
     n = b.shape[0]
     if maxiter is None:
-        # observed iteration counts for the kernel basis run near 64*sqrt(n)
-        # at tol 1e-10, growing like h^-1; 100*sqrt(n) leaves headroom
+        # the two-level preconditioner needs about 300 iterations on the
+        # square meshes at tol 1e-10, flat in h; Jacobi alone grows like
+        # h^-1 (about 64*sqrt(n)).  100*sqrt(n) leaves headroom for both
         maxiter = max(n, int(100.0 * np.sqrt(n)))
     bnorm = float(np.linalg.norm(b))
     info = {"method": "pcg", "converged": True, "iterations": 0}
@@ -166,9 +194,14 @@ def solve_cg(
     diag = A.diagonal()
     if np.any(diag <= 0):
         raise ValueError("system diagonal has non-positive entries; matrix is not SPD")
+    if precondition is None:
+
+        def precondition(r):
+            return r / diag
+
     x = np.zeros(n)
     r = b.copy()
-    z = r / diag
+    z = precondition(r)
     p = z.copy()
     rz = float(r @ z)
     residuals = [bnorm]
@@ -195,25 +228,202 @@ def solve_cg(
                 converged = True
                 break
         residuals.append(rnorm)
-        z = r / diag
+        z = precondition(r)
         rz_new = float(r @ z)
         p = z + (rz_new / rz) * p
         rz = rz_new
+    if not converged:
+        raise RuntimeError(
+            f"conjugate gradients did not converge in {it} iterations "
+            f"(relative residual {residuals[-1] / bnorm:.3e}, n={n})"
+        )
     info["iterations"] = it
     info["residuals"] = np.array(residuals)
-    info["converged"] = converged
-    if not converged:
-        if n <= DENSE_FALLBACK_LIMIT:
-            x = np.linalg.solve(A.toarray(), b)
-            info["method"] = "dense-fallback"
-            info["converged"] = True
-            info["true_rel_residual"] = float(np.linalg.norm(b - A @ x)) / bnorm
-        else:
-            raise RuntimeError(
-                f"conjugate gradients did not converge in {it} iterations "
-                f"(relative residual {residuals[-1] / bnorm:.3e}, n={n})"
-            )
     return x, info
+
+
+def _coarse_components(tri: Triangulation) -> tuple[np.ndarray, np.ndarray]:
+    """The free components of the P1 coarse space at each vertex.
+
+    Returns (directions, columns), of shapes (nv, 2, 2) and (nv, 2): the
+    k-th free component of vertex a is the unit vector directions[a, k],
+    with coarse column columns[a, k], and -1 marks a component that is
+    not free.  An interior vertex keeps x and y.  A boundary vertex whose
+    two boundary edges are collinear, decided on exact coordinates, keeps
+    the unit tangent; a corner keeps none, so every coarse field has zero
+    normal trace.  Columns are numbered by vertex, then component.
+    """
+    nv = len(tri.vertices)
+    directions = np.zeros((nv, 2, 2))
+    directions[:, 0, 0] = directions[:, 1, 1] = 1.0
+    free = np.zeros((nv, 2), dtype=bool)
+    free[tri.interior_vertices] = True
+    edges = np.array(list(tri.boundary_edges), dtype=np.intp).reshape(-1, 2)
+    ends = np.concatenate([edges[:, 0], edges[:, 1]])
+    order = np.argsort(ends, kind="stable")
+    # a boundary vertex's star is a half-disk: it ends exactly two boundary edges
+    vertex = ends[order][::2]
+    neighbors = np.concatenate([edges[:, 1], edges[:, 0]])[order].reshape(-1, 2)
+    num, den = tri.scaled_points(np.column_stack([vertex, neighbors]))
+    u, v = num[:, 1] - num[:, 0], num[:, 2] - num[:, 0]
+    straight = u[:, 0] * v[:, 1] - u[:, 1] * v[:, 0] == 0
+    tangent = (num[straight, 2] - num[straight, 1]).astype(float)
+    directions[vertex[straight], 0] = tangent / np.linalg.norm(tangent, axis=1)[:, None]
+    free[vertex[straight], 0] = True
+    columns = np.full((nv, 2), -1, dtype=np.intp)
+    columns[free] = np.arange(np.count_nonzero(free))
+    return directions, columns
+
+
+def _p1_blocks(prod: ProductSpace) -> np.ndarray:
+    """The P1 interpolant of every template at once, shape (templates, 6, 6).
+
+    Column 2s + x of block t holds the shape coefficients of hat_s e_x on
+    template t, hat_s the barycentric coordinate of slot s: ``minv``
+    times its Green functionals, by quadrature on the cached node tables
+    as in ``element.quadrature_dofs``.  At the nodes hat_s takes the
+    rule's barycentric coordinates, and its d and delta are constant, so
+    each functional is two weighted moments of a test-form table.  The
+    tables are stacked over the templates one key at a time, which keeps
+    the set-up's memory small.  The vertices are recovered from the
+    centered nodes by least squares, and each hat gradient is the
+    opposite edge turned inwards over twice the area.
+    """
+    tabs = [t.tables(_P1_ORDER) for t in prod.templates]
+
+    def stacked(key: str) -> np.ndarray:
+        return np.stack([tab[key] for tab in tabs])
+
+    bary = np.array(quadrature_rule(2, _P1_ORDER)[0], dtype=float)  # (node, slot)
+    corners = np.linalg.solve(bary.T @ bary, bary.T) @ stacked("centered")  # (t, slot, x)
+    opposite = corners[:, [2, 0, 1]] - corners[:, [1, 2, 0]]
+    area2 = opposite[:, 1, 0] * opposite[:, 2, 1] - opposite[:, 1, 1] * opposite[:, 2, 0]
+    # (template, slot, x): grad hat_s, the opposite edge turned inwards
+    grad = np.stack([-opposite[:, :, 1], opposite[:, :, 0]], axis=2) / area2[:, None, None]
+    w = stacked("weights")
+
+    def functionals(scalar_test: str, vector_test: str, derivative: np.ndarray) -> np.ndarray:
+        # <test, derivative of hat_s e_x> - <vector test, hat_s e_x>, axes (t, s, x, test)
+        moment = np.einsum("tq,teq->te", w, stacked(scalar_test))
+        return np.einsum("te,tsx->tsxe", moment, derivative) - np.einsum(
+            "tq,qs,teqx->tsxe", w, bary, stacked(vector_test)
+        )
+
+    # hat_s e_x: d = (-d_y hat_s, d_x hat_s)[x], Green delta = -d_x hat_s
+    rot = np.stack([-grad[:, :, 1], grad[:, :, 0]], axis=2)
+    dofs = np.concatenate(
+        [functionals("eta_v", "eta_g", rot), functionals("tau_v", "tau_d", -grad)], axis=3
+    )
+    minv = np.stack([t.minv for t in prod.templates])
+    return minv @ dofs.reshape(-1, 6, 6).transpose(0, 2, 1)
+
+
+def _cellwise(prod: ProductSpace, blocks: np.ndarray) -> sp.csr_matrix:
+    """Per-template blocks with P1 columns 2s + x as a (dim, coarse) matrix.
+
+    Cell c takes the block of its template; the coarse column of the
+    k-th free component of the vertex at slot s gets the block's columns
+    2s, 2s + 1 combined along that component's direction.
+    """
+    directions, columns = _coarse_components(prod.tri)
+    nc = len(prod.tri.cells)
+    cells = np.array(prod.tri.cells, dtype=np.intp).reshape(nc, 3)
+    local = blocks.reshape(-1, 6, 3, 2)[prod.template_index]  # (cell, row, slot, x)
+    values = np.einsum("cisx,cskx->cisk", local, directions[cells])
+    rows = 6 * np.arange(nc)[:, None, None, None] + _SLOT[:, None, None]
+    rows, cols = np.broadcast_arrays(rows, columns[cells][:, None])
+    keep = (cols >= 0) & (values != 0)
+    return sp.csr_matrix(
+        (values[keep], (rows[keep], cols[keep])),
+        shape=(prod.dim, int(columns.max()) + 1),
+    )
+
+
+def p1_interpolant(prod: ProductSpace) -> sp.csr_matrix:
+    """Pi: broken coefficients of each coarse P1 field, one column per field."""
+    return _cellwise(prod, _p1_blocks(prod))
+
+
+def coarse_prolongation(basis: GlobalBasis) -> sp.csr_matrix:
+    """P, the kernel coordinates of the coarse P1 fields: Phi P = Pi.
+
+    A field of null(B) with Whitney values w has, on a fan-difference
+    function, the sum of w over its fan up to the function's first cell,
+    and on a ROT_CELL function its own w.  So P is a segmented cumulative
+    sum of the gathered Whitney values over each run of functions with
+    equal category and anchor (a ROT_CELL function is a run of its own),
+    taken as one sparse product.  Once a fan has passed every cell that a
+    field touches, the field's sum is zero exactly; rounding leaves about
+    1e-15 of P's largest entry there, which would fill the coarse matrix
+    and its factors, so entries below 1e-12 of the largest are dropped.
+    """
+    prod = basis.prod
+    w = _cellwise(prod, np.stack([t.whitney_float for t in prod.templates]) @ _p1_blocks(prod))
+    n = len(basis)
+    cat, anchor = basis.category, basis.anchor
+    first = cat == CATEGORIES.index(ROT_CELL)
+    first[0] = True
+    first[1:] |= (cat[1:] != cat[:-1]) | (anchor[1:] != anchor[:-1])
+    start = np.flatnonzero(first)[np.cumsum(first) - 1]
+    # row j of the prefix picks the first (cell, dual column) of functions start[j]..j
+    length = np.arange(n) - start + 1
+    offset = np.cumsum(length) - length
+    members = np.arange(offset[-1] + length[-1]) - np.repeat(offset - start, length)
+    picks = 6 * basis.cells[members, 0] + basis.columns[members, 0]
+    indptr = np.append(offset, len(members))
+    P = sp.csr_matrix((np.ones(len(members)), picks, indptr), shape=(n, prod.dim)) @ w
+    P.data[np.abs(P.data) <= 1e-12 * np.abs(P.data).max(initial=0.0)] = 0.0
+    P.eliminate_zeros()
+    return P
+
+
+def _block_jacobi(A: sp.csr_matrix, anchor: np.ndarray) -> sp.csr_matrix:
+    """Inverse of the block diagonal of A, one block per anchor vertex.
+
+    The blocks are gathered from A's CSR arrays into one padded stack
+    (identity on the padding) and inverted by one batched call; row j of
+    the result is row j of its block's inverse, over the block's members.
+    """
+    n = A.shape[0]
+    order = np.argsort(anchor, kind="stable")
+    _, begin, size = np.unique(anchor[order], return_index=True, return_counts=True)
+    block = np.empty(n, dtype=np.int32)
+    pos = np.empty(n, dtype=np.int32)
+    block[order] = np.repeat(np.arange(len(size), dtype=np.int32), size)
+    pos[order] = np.arange(n) - np.repeat(begin, size)
+    rows = np.repeat(np.arange(n, dtype=np.int32), np.diff(A.indptr))
+    inside = block[rows] == block[A.indices]
+    rows, cols = rows[inside], A.indices[inside]
+    s = int(size.max())
+    stack = np.zeros((len(size), s, s))
+    stack[block[rows], pos[rows], pos[cols]] = A.data[inside]
+    del rows, cols, inside
+    pad = np.arange(s) >= size[:, None]
+    stack[:, np.arange(s), np.arange(s)] += pad
+    members = np.zeros((len(size), s), dtype=np.int32)
+    members[block, pos] = np.arange(n)
+    real = ~pad[block]  # (function, member)
+    data = np.linalg.inv(stack)[block, pos][real]
+    indptr = np.concatenate([[0], np.cumsum(size[block])])
+    return sp.csr_matrix((data, members[block][real], indptr), shape=(n, n))
+
+
+def two_level_preconditioner(
+    A: sp.csr_matrix, basis: GlobalBasis
+) -> Callable[[np.ndarray], np.ndarray]:
+    """r -> S r + P A_c^-1 P^T r: block Jacobi plus the P1 coarse correction."""
+    smoother = _block_jacobi(A, basis.anchor)
+    P = coarse_prolongation(basis)
+    lu = spla.splu(
+        (P.T @ A @ P).tocsc(),
+        permc_spec="MMD_AT_PLUS_A",
+        options={"SymmetricMode": True},
+    )
+
+    def precondition(r: np.ndarray) -> np.ndarray:
+        return smoother @ r + P @ lu.solve(P.T @ r)
+
+    return precondition
 
 
 @dataclass
@@ -230,7 +440,12 @@ class SolveResult:
 def solve_system(
     system: AssembledSystem, tol: float = 1e-10, maxiter: int | None = None
 ) -> SolveResult:
-    u, info = solve_cg(system.A, system.b, tol=tol, maxiter=maxiter)
+    """CG on the reduced system with the two-level preconditioner.
+
+    The preconditioner is built here, so its cost is part of the solve.
+    """
+    precondition = two_level_preconditioner(system.A, system.basis)
+    u, info = solve_cg(system.A, system.b, tol=tol, maxiter=maxiter, precondition=precondition)
     u_cell = system.basis.Phi @ u
     return SolveResult(
         u,

@@ -208,15 +208,13 @@ def test_solve_streams_rows_finished_before_a_failure(tmp_path, monkeypatch, cap
     assert len(lines) == 2 and lines[1].startswith("2,")
 
 
-def test_dense_fallback_is_named_on_stderr(tmp_path, monkeypatch, capsys):
+def test_stalled_pcg_exits_three_and_writes_only_the_header(tmp_path, monkeypatch, capsys):
     real = hodgefem.solver.solve_system
     monkeypatch.setattr(
         hodgefem.solver, "solve_system", lambda system, tol: real(system, tol=tol, maxiter=3)
     )
     out = tmp_path / "x.csv"
-    assert main(["solve", "--refinements", "2", "--oracle", "off", "--out", str(out)]) == 0
+    assert main(["solve", "--refinements", "2", "--oracle", "off", "--out", str(out)]) == 3
     err = capsys.readouterr().err
-    assert "solver m=2: PCG did not converge in 3 iterations; solution from dense-fallback" in err
-    lines = out.read_text().strip().splitlines()
-    assert lines[0] == CSV_HEADER_SOLVE
-    assert lines[1].split(",")[7] == "3"
+    assert "error: conjugate gradients did not converge in 3 iterations (relative residual" in err
+    assert out.read_text().splitlines() == [CSV_HEADER_SOLVE]

@@ -8,7 +8,6 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import hodgefem.solver as solver
 from hodgefem.fields import SmoothField, as_callback, get_field
 from hodgefem.globalspace import (
     build_constraints,
@@ -16,20 +15,23 @@ from hodgefem.globalspace import (
     build_product_space,
     global_interpolate,
 )
-from hodgefem.mesh import generate_square_mesh
+from hodgefem.mesh import CRISSCROSS, DIAGONAL, generate_square_mesh
 from hodgefem.solver import (
+    _block_jacobi,
     assemble,
     broken_energy_product,
+    coarse_prolongation,
     error_norms,
     fit_rate,
     interpolation_study,
+    p1_interpolant,
     solve_cg,
     solve_oracle,
     solve_system,
     solver_study,
 )
 
-from conftest import _jittered
+from conftest import MESHES, _jittered
 
 
 def _zeros_field():
@@ -109,17 +111,18 @@ def test_cg_reports_the_true_residual_it_stopped_on():
 @pytest.mark.parametrize("cond", [1e5, 1e6])
 def test_cg_does_not_accept_a_drifted_recursive_residual(cond):
     # on these ill-conditioned systems the recursive residual reaches
-    # 1e-12 while b - A x is still above it; CG must go on or fall back
+    # 1e-12 while b - A x never gets below it; CG must go on to its cap
+    # of max(n, 100 sqrt(n)) = 547 iterations and raise
     rng = np.random.default_rng(0)
     q, _ = np.linalg.qr(rng.standard_normal((30, 30)))
     A = sp.csr_matrix((q * np.logspace(0, np.log10(cond), 30)) @ q.T)
     A = (A + A.T) / 2
     b = rng.standard_normal(30)
-    x, info = solve_cg(A, b, tol=1e-12)
-    true = float(np.linalg.norm(b - A @ x)) / float(np.linalg.norm(b))
-    assert info["true_rel_residual"] == true
-    if info["method"] == "pcg":
-        assert true <= 1e-12
+    iterates = []
+    with pytest.raises(RuntimeError, match="did not converge in 547 iterations"):
+        solve_cg(A, b, tol=1e-12, callback=iterates.append)
+    true = [float(np.linalg.norm(b - A @ x)) / float(np.linalg.norm(b)) for x in iterates]
+    assert len(true) == 547 and min(true) > 1e-12
 
 
 def test_cg_rejects_non_spd_input():
@@ -132,19 +135,19 @@ def test_cg_rejects_non_spd_input():
         solve_cg(B, np.array([1.0, 0.0]))
 
 
-def test_cg_dense_fallback_matches_direct_solve():
+def test_cg_matches_direct_solve():
     _, system = _assembled(2)
-    x, info = solve_cg(system.A, system.b, maxiter=3)
-    assert info["method"] == "dense-fallback"
-    assert info["converged"]
+    x, info = solve_cg(system.A, system.b, tol=1e-12)
+    assert info["method"] == "pcg" and info["converged"]
     direct = np.linalg.solve(system.A.toarray(), system.b)
-    assert np.allclose(x, direct, rtol=1e-10, atol=1e-14)
+    assert np.abs(x - direct).max() <= 1e-10 * np.abs(direct).max()
 
 
-def test_cg_raises_when_fallback_is_disabled(monkeypatch):
+def test_cg_raises_when_fallback_is_disabled():
+    # there is no dense fallback: a stalled CG raises, whatever the size
+    # of the system
     _, system = _assembled(2)
-    monkeypatch.setattr(solver, "DENSE_FALLBACK_LIMIT", 0)
-    with pytest.raises(RuntimeError, match="relative residual"):
+    with pytest.raises(RuntimeError, match=r"did not converge in 3 iterations \(relative residual"):
         solve_cg(system.A, system.b, maxiter=3)
 
 
@@ -245,3 +248,49 @@ def test_reduced_solve_agrees_with_the_oracle_on_jittered_meshes(m, seed):
     num = math.sqrt(max(broken_energy_product(diff, diff, prod), 0.0))
     den = math.sqrt(broken_energy_product(oracle.x_cell, oracle.x_cell, prod))
     assert num / den <= 1e-8
+
+
+COARSE_MESHES = {**MESHES, "crisscross3": lambda: generate_square_mesh(3, CRISSCROSS)}
+
+
+@pytest.mark.parametrize("name", sorted(COARSE_MESHES))
+def test_coarse_prolongation_gives_the_p1_interpolant_in_the_kernel(name):
+    tri = COARSE_MESHES[name]()
+    prod = build_product_space(tri)
+    basis = build_global_basis(tri, prod)
+    Pi = p1_interpolant(prod)
+    # unit-square meshes: x and y at interior vertices, the tangent at
+    # boundary vertices other than the four corners
+    boundary = len(tri.vertices) - len(tri.interior_vertices)
+    assert Pi.shape == (prod.dim, 2 * len(tri.interior_vertices) + boundary - 4)
+    assert abs(build_constraints(tri, prod).B @ Pi).max() <= 1e-12
+    assert abs(basis.Phi @ coarse_prolongation(basis) - Pi).max() <= 1e-12
+
+
+def test_block_jacobi_inverts_the_anchor_blocks():
+    _, system = _assembled(3)
+    anchor = system.basis.anchor
+    A = system.A.toarray()
+    S = _block_jacobi(system.A, anchor).toarray()
+    same = anchor[:, None] == anchor[None, :]
+    assert not S[~same].any()
+    assert np.allclose(S @ np.where(same, A, 0.0), np.eye(len(anchor)), rtol=0, atol=1e-12)
+
+
+def test_jittered_m16_converges_within_the_cap():
+    # diagonal scaling alone needs 6,422 iterations here, over the cap of 5,057
+    tri = _jittered(16, 1)
+    system = assemble(tri, get_field("polyflow"))
+    result = solve_system(system, tol=1e-10)
+    assert result.method == "pcg" and result.true_rel_residual <= 1e-10
+    assert result.iterations <= 100 * math.sqrt(system.dofs)
+
+
+@pytest.mark.parametrize(
+    "pattern, ms", [(DIAGONAL, (4, 8, 16, 32)), (CRISSCROSS, (2, 4, 8, 16))]
+)
+def test_two_level_iterations_stay_flat_under_refinement(pattern, ms):
+    for m in ms:
+        system = assemble(generate_square_mesh(m, pattern), get_field("polyflow"))
+        result = solve_system(system, tol=1e-10)
+        assert result.iterations <= 400, f"{pattern} m={m}: {result.iterations} iterations"
