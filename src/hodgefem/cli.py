@@ -53,13 +53,16 @@ def _load_mesh(args) -> Triangulation:
 
 
 def _parse_refinements(value) -> list[int]:
-    if isinstance(value, (list, tuple)):
-        return [int(v) for v in value]
+    """Mesh levels from a comma separated string or a config list; usage errors exit 2."""
+    tokens = value if isinstance(value, (list, tuple)) else str(value).split(",")
     try:
-        ms = [int(tok) for tok in str(value).split(",") if tok.strip()]
+        # through str, so a float such as 2.5 in a config list is refused, not truncated
+        ms = [int(str(tok)) for tok in tokens if str(tok).strip()]
     except ValueError:
-        raise SystemExit(2)
+        ms = None
     if not ms:
+        msg = f"error: --refinements takes comma separated integers, got {value!r}"
+        print(msg, file=sys.stderr)
         raise SystemExit(2)
     return ms
 
@@ -266,7 +269,7 @@ def _apply_config(parser: argparse.ArgumentParser, argv: list[str]) -> None:
     with open(path) as f:
         cfg = json.load(f)
     if not isinstance(cfg, dict):
-        raise SystemExit(2)
+        raise ValueError(f"{path} holds a JSON {type(cfg).__name__}, not an object")
     defaults = {str(k).replace("-", "_"): v for k, v in cfg.items()}
     parsers = [parser]
     for action in parser._actions:

@@ -42,13 +42,14 @@ never turned back into Fractions.
 
 node_tables evaluates the planar 1-form element's shape basis and DOF
 test forms at quadrature nodes, and quadrature_dofs applies the Green
-functionals in floats to fields given by their node values: the cellwise
-global interpolation and the unisolvence suite's projection check both
-use this pair.
+functionals in floats to fields given by their node values.  This pair
+is the one float quadrature of the functionals: dof_values of a
+callback, the cellwise global interpolation and the unisolvence suite's
+projection check all use it.
 
-Optional scaling keeps the DofMatrix condition number independent of the
-simplex diameter: koszul-type shape and test forms carry 1/h, the H2D
-block 1/h^2, with h a rational Chebyshev-diameter surrogate so the exact
+Scaling keeps the DofMatrix condition number independent of the simplex
+diameter: koszul-type shape and test forms carry 1/h, the H2D block
+1/h^2, with h a rational Chebyshev-diameter surrogate so the exact
 rational path is preserved.
 """
 
@@ -70,7 +71,7 @@ from .forms import (
     koszul,
     multi_indices,
 )
-from .simplices import Simplex, l2_gram, quadrature_rule, rule_points, solve_rational
+from .simplices import Simplex, l2_gram, quadrature_rule, solve_rational
 
 __all__ = [
     "P0",
@@ -140,10 +141,9 @@ class ShapeSpace:
 
     ``basis`` lists PolyForms; ``blocks`` maps block name to a range of
     basis positions.  Within each block, forms follow the lexicographic
-    order of their generating multi-indices.  ``scales`` records the
-    rational factor each basis form was multiplied by (all 1 unscaled).
-    ``d_basis``/``delta_basis`` cache the exterior derivative / Green
-    codifferential of each basis form.
+    order of their generating multi-indices.  ``d_basis``/``delta_basis``
+    cache the exterior derivative / Green codifferential of each basis
+    form.
     """
 
     __slots__ = (
@@ -152,20 +152,16 @@ class ShapeSpace:
         "simplex",
         "basis",
         "blocks",
-        "scaled",
-        "scales",
         "d_basis",
         "delta_basis",
     )
 
-    def __init__(self, n, k, simplex, basis, blocks, scaled, scales):
+    def __init__(self, n, k, simplex, basis, blocks):
         self.n = n
         self.k = k
         self.simplex = simplex
         self.basis = basis
         self.blocks = blocks
-        self.scaled = scaled
-        self.scales = scales
         self.d_basis = [exterior_derivative(mu) for mu in basis]
         self.delta_basis = [codifferential_green(mu) for mu in basis]
 
@@ -193,7 +189,7 @@ class ShapeSpace:
         return out
 
 
-def build_shape_space(n: int, k: int, simplex: Simplex, scaled: bool = False) -> ShapeSpace:
+def build_shape_space(n: int, k: int, simplex: Simplex) -> ShapeSpace:
     """Assemble the four-block shape basis on a simplex.
 
     Requires 1 <= k <= n-1 (both neighbor degrees must exist) and a
@@ -205,37 +201,29 @@ def build_shape_space(n: int, k: int, simplex: Simplex, scaled: bool = False) ->
         raise ValueError(f"form degree k={k} outside 1..{n - 1}")
     inv_h = Fraction(1) / simplex.h_scale
     basis: list[PolyForm] = []
-    scales: list[Fraction] = []
     blocks: dict[str, range] = {}
 
     start = len(basis)
     for alpha in multi_indices(k, n):
         basis.append(PolyForm.basis(n, alpha))
-        scales.append(Fraction(1))
     blocks[P0] = range(start, len(basis))
 
     start = len(basis)
     for beta in multi_indices(k + 1, n):
-        s = inv_h if scaled else Fraction(1)
-        basis.append(s * koszul(PolyForm.basis(n, beta)))
-        scales.append(s)
+        basis.append(inv_h * koszul(PolyForm.basis(n, beta)))
     blocks[KAPPA] = range(start, len(basis))
 
     start = len(basis)
     for gamma in multi_indices(k - 1, n):
-        s = inv_h if scaled else Fraction(1)
-        basis.append(s * _star_koszul_star(PolyForm.basis(n, gamma)))
-        scales.append(s)
+        basis.append(inv_h * _star_koszul_star(PolyForm.basis(n, gamma)))
     blocks[STARKAPPA] = range(start, len(basis))
 
     start = len(basis)
     for alpha in multi_indices(k, n):
-        s = inv_h * inv_h if scaled else Fraction(1)
-        basis.append(s * build_h2d_form(alpha, simplex))
-        scales.append(s)
+        basis.append(inv_h * inv_h * build_h2d_form(alpha, simplex))
     blocks[H2D] = range(start, len(basis))
 
-    return ShapeSpace(n, k, simplex, basis, blocks, scaled, scales)
+    return ShapeSpace(n, k, simplex, basis, blocks)
 
 
 class DofBasis:
@@ -262,10 +250,9 @@ class DofBasis:
         "tau_blocks",
         "eta_green",
         "tau_d",
-        "scaled",
     )
 
-    def __init__(self, n, k, simplex, eta_basis, tau_basis, eta_blocks, tau_blocks, scaled):
+    def __init__(self, n, k, simplex, eta_basis, tau_basis, eta_blocks, tau_blocks):
         self.n = n
         self.k = k
         self.simplex = simplex
@@ -275,14 +262,13 @@ class DofBasis:
         self.tau_blocks = tau_blocks
         self.eta_green = [codifferential_green(eta) for eta in eta_basis]
         self.tau_d = [exterior_derivative(tau) for tau in tau_basis]
-        self.scaled = scaled
 
     @property
     def count(self) -> int:
         return len(self.eta_basis) + len(self.tau_basis)
 
 
-def build_dof_basis(n: int, k: int, simplex: Simplex, scaled: bool = False) -> DofBasis:
+def build_dof_basis(n: int, k: int, simplex: Simplex) -> DofBasis:
     if simplex.n != n:
         raise ValueError(f"simplex dimension {simplex.n} does not match n={n}")
     if not (1 <= k <= n - 1):
@@ -295,8 +281,7 @@ def build_dof_basis(n: int, k: int, simplex: Simplex, scaled: bool = False) -> D
     eta_blocks[P0] = range(0, len(eta))
     start = len(eta)
     for alpha in multi_indices(k, n):
-        s = inv_h if scaled else Fraction(1)
-        eta.append(s * _star_koszul_star(PolyForm.basis(n, alpha)))
+        eta.append(inv_h * _star_koszul_star(PolyForm.basis(n, alpha)))
     eta_blocks[STARKAPPA] = range(start, len(eta))
 
     tau: list[PolyForm] = []
@@ -306,11 +291,10 @@ def build_dof_basis(n: int, k: int, simplex: Simplex, scaled: bool = False) -> D
     tau_blocks[P0] = range(0, len(tau))
     start = len(tau)
     for alpha in multi_indices(k, n):
-        s = inv_h if scaled else Fraction(1)
-        tau.append(s * koszul(PolyForm.basis(n, alpha)))
+        tau.append(inv_h * koszul(PolyForm.basis(n, alpha)))
     tau_blocks[KAPPA] = range(start, len(tau))
 
-    return DofBasis(n, k, simplex, eta, tau, eta_blocks, tau_blocks, scaled)
+    return DofBasis(n, k, simplex, eta, tau, eta_blocks, tau_blocks)
 
 
 class DofMatrix:
@@ -376,7 +360,6 @@ class FormCallback:
     value: Callable[[np.ndarray], np.ndarray]
     d: Callable[[np.ndarray], np.ndarray] | None = None
     delta: Callable[[np.ndarray], np.ndarray] | None = None
-    cellwise: bool = False
 
 
 def poly_values(p: Polynomial, centered: np.ndarray) -> np.ndarray:
@@ -454,9 +437,11 @@ def quadrature_dofs(
 def dof_values(mu, matrix: DofMatrix, quad_order: int = 6):
     """Evaluate all DOF functionals of the local element on ``mu``.
 
-    PolyForm input takes the exact rational path and returns Fractions;
-    a FormCallback is integrated with the simplex quadrature and returns
-    a float array.  The callback must carry value, d and delta.
+    PolyForm input takes the exact rational path and returns Fractions.
+    A FormCallback, which must carry value, d and delta, is evaluated at
+    the nodes of ``node_tables`` and integrated by ``quadrature_dofs``,
+    returning a float array; this path serves the planar 1-form element
+    only.
     """
     dofs = matrix.dofs
     if isinstance(mu, PolyForm):
@@ -466,27 +451,17 @@ def dof_values(mu, matrix: DofMatrix, quad_order: int = 6):
         raise TypeError("mu must be a PolyForm or a FormCallback")
     if mu.d is None or mu.delta is None:
         raise ValueError("callback interpolation needs d and delta data alongside values")
-    simplex = dofs.simplex
-    pts, weights = rule_points(simplex, quad_order)
-    centered = pts - np.array([float(x) for x in simplex.barycenter])
-    val = np.asarray(mu.value(pts), dtype=float)
-    dval = np.asarray(mu.d(pts), dtype=float)
-    gval = np.asarray(mu.delta(pts), dtype=float)
-    out = np.zeros(dofs.count)
-    for i, (eta, geta) in enumerate(zip(dofs.eta_basis, dofs.eta_green)):
-        ev = form_values(eta, centered)
-        gv = form_values(geta, centered)
-        out[i] = np.einsum("q,qc,qc->", weights, dval, ev) - np.einsum(
-            "q,qc,qc->", weights, val, gv
+    if (dofs.n, dofs.k) != (2, 1):
+        raise ValueError(
+            f"callback DOFs need the planar 1-form element, got n={dofs.n}, k={dofs.k}"
         )
-    off = len(dofs.eta_basis)
-    for i, (tau, dtau) in enumerate(zip(dofs.tau_basis, dofs.tau_d)):
-        tv = form_values(tau, centered)
-        dv = form_values(dtau, centered)
-        out[off + i] = np.einsum("q,qc,qc->", weights, gval, tv) - np.einsum(
-            "q,qc,qc->", weights, val, dv
-        )
-    return out
+    tab = node_tables(matrix, quad_order)
+    pts = np.array([float(x) for x in dofs.simplex.barycenter]) + tab["centered"]
+    nq = len(pts)
+    val = np.asarray(mu.value(pts), dtype=float).reshape(1, nq, 2)
+    dval = np.asarray(mu.d(pts), dtype=float).reshape(1, nq)
+    gval = np.asarray(mu.delta(pts), dtype=float).reshape(1, nq)
+    return quadrature_dofs(tab, val, dval, gval)[0]
 
 
 def interpolate_coeffs(mu, matrix: DofMatrix, method: str = DIRECT, quad_order: int = 6):

@@ -124,8 +124,8 @@ class CellTemplate:
     def __init__(self, key, simplex: Simplex):
         self.key = key
         self.simplex = simplex
-        space = build_shape_space(2, 1, simplex, scaled=True)
-        self.matrix = build_dof_matrix(space, build_dof_basis(2, 1, simplex, scaled=True))
+        space = build_shape_space(2, 1, simplex)
+        self.matrix = build_dof_matrix(space, build_dof_basis(2, 1, simplex))
         self.minv = np.linalg.inv(self.matrix.as_float)
 
         # Whitney functional matrix: rows rot slot 0..2 (eta = hat dx^12),
@@ -139,7 +139,6 @@ class CellTemplate:
             [PolyForm(2, 0, {(): lam}) for lam in hats],
             {},
             {},
-            False,
         )
         basis, d_basis, g_basis = space.basis, space.d_basis, space.delta_basis
         self.whitney = green_pairing(basis, d_basis, g_basis, vertex_tests)
@@ -476,33 +475,21 @@ def global_interpolate(
 ) -> np.ndarray:
     """Cellwise interpolation onto the broken space, vectorized by template.
 
-    The callback must provide value, d and delta (Green sign).  Set the
-    attribute ``cellwise = True`` on a callback whose functions take
-    (points, cell) to interpolate fields defined piecewise on the mesh.
+    The callback must provide value, d and delta (Green sign).
     """
     if mu.d is None or mu.delta is None:
         raise ValueError("global interpolation needs d and delta callback data")
     out = np.zeros(prod.dim)
-    cellwise = bool(getattr(mu, "cellwise", False))
     for t, cells in zip(prod.templates, prod.cells_by_template):
         tab = t.tables(quad_order)
         nodes = tab["centered"]
         nq = nodes.shape[0]
         pts = prod.barycenters[cells][:, None, :] + nodes[None, :, :]  # (C, nq, 2)
         C = len(cells)
-        if cellwise:
-            val = np.empty((C, nq, 2))
-            dv = np.empty((C, nq))
-            gv = np.empty((C, nq))
-            for i, c in enumerate(cells):
-                val[i] = np.asarray(mu.value(pts[i], int(c)), dtype=float)
-                dv[i] = np.asarray(mu.d(pts[i], int(c)), dtype=float).reshape(nq)
-                gv[i] = np.asarray(mu.delta(pts[i], int(c)), dtype=float).reshape(nq)
-        else:
-            flat = pts.reshape(-1, 2)
-            val = np.asarray(mu.value(flat), dtype=float).reshape(C, nq, 2)
-            dv = np.asarray(mu.d(flat), dtype=float).reshape(C, nq)
-            gv = np.asarray(mu.delta(flat), dtype=float).reshape(C, nq)
+        flat = pts.reshape(-1, 2)
+        val = np.asarray(mu.value(flat), dtype=float).reshape(C, nq, 2)
+        dv = np.asarray(mu.d(flat), dtype=float).reshape(C, nq)
+        gv = np.asarray(mu.delta(flat), dtype=float).reshape(C, nq)
         dofs = quadrature_dofs(tab, val, dv, gv)  # (C, 6)
         out.reshape(-1, 6)[cells] = dofs @ t.minv.T
     return out

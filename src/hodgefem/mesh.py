@@ -1,12 +1,13 @@
 """Planar triangulations, structured generators, and mesh file I/O.
 
 A Triangulation validates its input on construction: cells are oriented
-positively (reordering when needed), degenerate or duplicate cells and
-isolated or duplicate vertices are rejected with messages naming the
-offending entity, edges may be shared by at most two cells, every vertex
-star must be a single fan (disk or half-disk), and, when the mesh has
-interior vertices at all, every boundary vertex must share an edge with
-at least one interior vertex (the constraint pipeline relies on this).
+positively (reordering when needed), a mesh without cells, degenerate
+or duplicate cells and isolated or duplicate vertices are rejected with
+messages naming the offending entity, edges may be shared by at most
+two cells, every vertex star must be a single fan (disk or half-disk),
+and, when the mesh has interior vertices at all, every boundary vertex
+must share an edge with at least one interior vertex (the constraint
+pipeline relies on this).
 A mesh without interior vertices (a single triangle, a strip) is
 accepted and flagged in ``warnings``.
 
@@ -114,6 +115,8 @@ class Triangulation:
             raise ValueError(f"cell {ci} with vertices {checked[ci]} is degenerate")
         if invalid is not None:
             raise ValueError(invalid)
+        if not checked:
+            raise ValueError("mesh has no cells")
         self.cells: list[tuple[int, int, int]] = [
             (a, c, b) if flip else (a, b, c)
             for (a, b, c), flip in zip(checked, (area2 < 0).tolist())
@@ -473,16 +476,22 @@ def parse_mesh(text: str) -> Triangulation:
         pos += 1
         return ln
 
+    def count(form: str, what: str) -> int:
+        head = take(f"'{form}' header").split()
+        if len(head) != 2 or head[0] != form.split()[0]:
+            raise ValueError(f"expected '{form}', got {' '.join(head)!r}")
+        try:
+            n = int(head[1])
+        except ValueError:
+            raise ValueError(f"{what} count {head[1]!r} is not an integer") from None
+        if n < 0:
+            raise ValueError(f"{what} count {n} is negative")
+        return n
+
     header = take("'ndim' header").split()
     if header != ["ndim", "2"]:
         raise ValueError(f"first line must be 'ndim 2', got {' '.join(header)!r}")
-    vh = take("'vertices N' header").split()
-    if len(vh) != 2 or vh[0] != "vertices":
-        raise ValueError(f"expected 'vertices N', got {' '.join(vh)!r}")
-    try:
-        nv = int(vh[1])
-    except ValueError:
-        raise ValueError(f"vertex count {vh[1]!r} is not an integer") from None
+    nv = count("vertices N", "vertex")
     vertices = []
     for i in range(nv):
         toks = take(f"vertex {i}").split()
@@ -495,13 +504,7 @@ def parse_mesh(text: str) -> Triangulation:
             except (ValueError, ZeroDivisionError):
                 raise ValueError(f"vertex {i}: bad coordinate token {t!r}") from None
         vertices.append(tuple(coords))
-    ch = take("'cells M' header").split()
-    if len(ch) != 2 or ch[0] != "cells":
-        raise ValueError(f"expected 'cells M', got {' '.join(ch)!r}")
-    try:
-        nc = int(ch[1])
-    except ValueError:
-        raise ValueError(f"cell count {ch[1]!r} is not an integer") from None
+    nc = count("cells M", "cell")
     cells = []
     for i in range(nc):
         toks = take(f"cell {i}").split()

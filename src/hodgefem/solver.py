@@ -20,14 +20,19 @@ built in ``solve_system`` from A and the basis in O(nnz):
     S   vertex-patch block Jacobi: one block per anchor vertex (the basis
         functions sharing ``GlobalBasis.anchor``), inverted as one batched
         stack and applied as one sparse matrix;
-    P   kernel coordinates of the conforming P1 vector fields with zero
-        normal trace on the same mesh (both components at an interior
-        vertex, the tangent at a straight boundary vertex, none at a
-        corner).  The shape space holds every P1 field, so the cellwise
-        interpolant Pi of each hat times a component is exact and lies in
-        null(B).  With w its Whitney values, Phi P = Pi holds when each
-        fan-difference function takes the sum of w over its fan up to its
-        first cell: a cumulative sum along each fan, with no solve.
+    P   kernel coordinates of the cellwise interpolants Pi of the
+        conforming P1 vector fields with zero normal trace on the same
+        mesh (both components at an interior vertex, the tangent at a
+        straight boundary vertex, none at a corner).  The shape space
+        does not hold these fields, but the Whitney test forms lie in the
+        span of the DOF test forms, so Pi keeps the Whitney functionals.
+        Their patch sums vanish for a conforming field, so Pi lies in
+        null(B).  For hat_s e_x on a cell with area |T|, g = grad hat
+        and J(a, b) = (-b, a), Whitney row r is -|T|/3 (g_r + g_s)_x
+        (div) and |T|/3 J(g_r + g_s)_x (rot).  With w these values, Phi
+        P = Pi holds when each fan-difference function takes the sum of
+        w over its fan up to its first cell: a cumulative sum along each
+        fan, with no solve.
 
 A_c is factored once by ``splu``.  The iteration count then stays flat
 under refinement.  The oracle path never forms a basis: it solves the
@@ -64,7 +69,6 @@ from .globalspace import (
     global_interpolate,
 )
 from .mesh import DIAGONAL, Triangulation, generate_square_mesh
-from .simplices import quadrature_rule
 
 __all__ = [
     "AssembledSystem",
@@ -75,7 +79,6 @@ __all__ = [
     "cell_load_vector",
     "assemble",
     "solve_cg",
-    "p1_interpolant",
     "coarse_prolongation",
     "two_level_preconditioner",
     "solve_system",
@@ -88,9 +91,6 @@ __all__ = [
 ]
 
 _SLOT = np.arange(6)
-# quadrature order of the P1 interpolant: exact, as every integrand is at
-# most quadratic, and the default of ``assemble``, so its tables are cached
-_P1_ORDER = 6
 
 
 def cell_gram_matrix(prod: ProductSpace) -> sp.csr_matrix:
@@ -275,47 +275,29 @@ def _coarse_components(tri: Triangulation) -> tuple[np.ndarray, np.ndarray]:
     return directions, columns
 
 
-def _p1_blocks(prod: ProductSpace) -> np.ndarray:
-    """The P1 interpolant of every template at once, shape (templates, 6, 6).
+def _p1_whitney(prod: ProductSpace) -> np.ndarray:
+    """Whitney values of the P1 fields on every template, shape (templates, 6, 6).
 
-    Column 2s + x of block t holds the shape coefficients of hat_s e_x on
-    template t, hat_s the barycentric coordinate of slot s: ``minv``
-    times its Green functionals, by quadrature on the cached node tables
-    as in ``element.quadrature_dofs``.  At the nodes hat_s takes the
-    rule's barycentric coordinates, and its d and delta are constant, so
-    each functional is two weighted moments of a test-form table.  The
-    tables are stacked over the templates one key at a time, which keeps
-    the set-up's memory small.  The vertices are recovered from the
-    centered nodes by least squares, and each hat gradient is the
-    opposite edge turned inwards over twice the area.
+    Row r of block t is Whitney row r of template t (rot slots 0..2, then
+    div slots 0..2), column 2s + x the field mu = hat_s e_x, hat_s the
+    barycentric coordinate of slot s.  With g = grad hat, mu has constant
+    d mu = -(g_s)_y and Green delta mu = -(g_s)_x, and each hat integrates
+    to |T|/3, so with J(a, b) = (-b, a)
+
+        rot row r   <d mu, hat_r> - <mu, delta(hat_r dx^12)> =  |T|/3 J(g_r + g_s)_x
+        div row r   <delta mu, hat_r> - <mu, d hat_r>         = -|T|/3 (g_r + g_s)_x
+
+    computed from the float vertices alone.
     """
-    tabs = [t.tables(_P1_ORDER) for t in prod.templates]
-
-    def stacked(key: str) -> np.ndarray:
-        return np.stack([tab[key] for tab in tabs])
-
-    bary = np.array(quadrature_rule(2, _P1_ORDER)[0], dtype=float)  # (node, slot)
-    corners = np.linalg.solve(bary.T @ bary, bary.T) @ stacked("centered")  # (t, slot, x)
-    opposite = corners[:, [2, 0, 1]] - corners[:, [1, 2, 0]]
+    v = np.array([[[float(x) for x in p] for p in t.simplex.centered] for t in prod.templates])
+    opposite = v[:, [2, 0, 1]] - v[:, [1, 2, 0]]
     area2 = opposite[:, 1, 0] * opposite[:, 2, 1] - opposite[:, 1, 1] * opposite[:, 2, 0]
-    # (template, slot, x): grad hat_s, the opposite edge turned inwards
+    # (template, slot, x): grad hat_s, J of the opposite edge over the signed 2|T|
     grad = np.stack([-opposite[:, :, 1], opposite[:, :, 0]], axis=2) / area2[:, None, None]
-    w = stacked("weights")
-
-    def functionals(scalar_test: str, vector_test: str, derivative: np.ndarray) -> np.ndarray:
-        # <test, derivative of hat_s e_x> - <vector test, hat_s e_x>, axes (t, s, x, test)
-        moment = np.einsum("tq,teq->te", w, stacked(scalar_test))
-        return np.einsum("te,tsx->tsxe", moment, derivative) - np.einsum(
-            "tq,qs,teqx->tsxe", w, bary, stacked(vector_test)
-        )
-
-    # hat_s e_x: d = (-d_y hat_s, d_x hat_s)[x], Green delta = -d_x hat_s
-    rot = np.stack([-grad[:, :, 1], grad[:, :, 0]], axis=2)
-    dofs = np.concatenate(
-        [functionals("eta_v", "eta_g", rot), functionals("tau_v", "tau_d", -grad)], axis=3
-    )
-    minv = np.stack([t.minv for t in prod.templates])
-    return minv @ dofs.reshape(-1, 6, 6).transpose(0, 2, 1)
+    # (template, r, s, x): |T|/3 (g_r + g_s)
+    pair = (np.abs(area2) / 6.0)[:, None, None, None] * (grad[:, :, None] + grad[:, None])
+    rot = np.stack([-pair[..., 1], pair[..., 0]], axis=3)
+    return np.concatenate([rot, -pair], axis=1).reshape(-1, 6, 6)
 
 
 def _cellwise(prod: ProductSpace, blocks: np.ndarray) -> sp.csr_matrix:
@@ -339,11 +321,6 @@ def _cellwise(prod: ProductSpace, blocks: np.ndarray) -> sp.csr_matrix:
     )
 
 
-def p1_interpolant(prod: ProductSpace) -> sp.csr_matrix:
-    """Pi: broken coefficients of each coarse P1 field, one column per field."""
-    return _cellwise(prod, _p1_blocks(prod))
-
-
 def coarse_prolongation(basis: GlobalBasis) -> sp.csr_matrix:
     """P, the kernel coordinates of the coarse P1 fields: Phi P = Pi.
 
@@ -358,7 +335,7 @@ def coarse_prolongation(basis: GlobalBasis) -> sp.csr_matrix:
     and its factors, so entries below 1e-12 of the largest are dropped.
     """
     prod = basis.prod
-    w = _cellwise(prod, np.stack([t.whitney_float for t in prod.templates]) @ _p1_blocks(prod))
+    w = _cellwise(prod, _p1_whitney(prod))
     n = len(basis)
     cat, anchor = basis.category, basis.anchor
     first = cat == CATEGORIES.index(ROT_CELL)

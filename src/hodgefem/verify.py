@@ -244,8 +244,8 @@ def unisolvence_suite(
     eye = np.eye(6)
     for _ in range(count):
         S = _rand_triangle(rng)
-        space = build_shape_space(2, 1, S, scaled=True)
-        matrix = build_dof_matrix(space, build_dof_basis(2, 1, S, scaled=True))
+        space = build_shape_space(2, 1, S)
+        matrix = build_dof_matrix(space, build_dof_basis(2, 1, S))
         cond = matrix.cond()
         if not np.isfinite(cond):
             return [CheckResult("dof-matrix-cond-finite", False, "singular matrix hit")]

@@ -174,6 +174,43 @@ def test_bad_usage_exits_with_code_two(tmp_path):
     assert main(["--config", str(missing), "verify"]) == 2
 
 
+@pytest.mark.parametrize("refinements", ["a,b", ",", ""])
+def test_bad_refinements_exit_two_and_name_the_cause(refinements, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", "--refinements", refinements])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err == (
+        f"error: --refinements takes comma separated integers, got {refinements!r}\n"
+    )
+
+
+@pytest.mark.parametrize("refinements", [[2.5, 4], [], "2,x"])
+def test_config_refinements_must_be_integers(refinements, tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"refinements": refinements}))
+    with pytest.raises(SystemExit) as exc:
+        main(["--config", str(cfg), "interpolate"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err == (
+        f"error: --refinements takes comma separated integers, got {refinements!r}\n"
+    )
+
+
+def test_config_holding_a_list_exits_two_and_names_the_cause(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(["refinements", "2"]))
+    assert main(["--config", str(cfg), "solve"]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error reading config: {cfg} holds a JSON list, not an object\n"
+
+
+def test_basis_rejects_an_empty_mesh_file(tmp_path, capsys):
+    mesh = tmp_path / "empty.mesh"
+    mesh.write_text("ndim 2\nvertices 0\ncells 0\n")
+    assert main(["basis", "--mesh-file", str(mesh)]) == 2
+    assert capsys.readouterr().err == "error: mesh has no cells\n"
+
+
 def test_value_errors_map_to_usage_exit(tmp_path):
     out = tmp_path / "x.csv"
     assert main(["interpolate", "--refinements", "1", "--out", str(out)]) == 2

@@ -313,22 +313,6 @@ def test_affine_interpolation_reproduces_field():
     assert div_rows.max() > 1e-3
 
 
-def test_cellwise_callback_matches_plain_path():
-    tri, prod, _ = _setup(2)
-    field = get_field("trigflow")
-    plain = as_callback(field)
-
-    cb = FormCallback(
-        value=lambda pts, cell: field.value(pts),
-        d=lambda pts, cell: field.rot(pts)[:, None],
-        delta=lambda pts, cell: -field.div(pts)[:, None],
-        cellwise=True,
-    )
-    u_plain = global_interpolate(plain, tri, prod)
-    u_cell = global_interpolate(cb, tri, prod)
-    assert np.allclose(u_plain, u_cell, rtol=0, atol=1e-14)
-
-
 def test_global_matches_local_interpolation():
     # templates are shared between congruent cells, so the local element
     # must be rebuilt on the actual cell simplex for this comparison
@@ -338,8 +322,8 @@ def test_global_matches_local_interpolation():
     u = global_interpolate(cb, tri, prod, quad_order=6)
     for c in (0, 7):
         s = tri.simplex(c)
-        space = build_shape_space(2, 1, s, scaled=True)
-        dofs = build_dof_basis(2, 1, s, scaled=True)
+        space = build_shape_space(2, 1, s)
+        dofs = build_dof_basis(2, 1, s)
         local = interpolate_coeffs(cb, build_dof_matrix(space, dofs), quad_order=6)
         local = np.array([float(x) for x in local])
         assert np.allclose(u[6 * c : 6 * c + 6], local, rtol=1e-9, atol=1e-12)

@@ -250,6 +250,23 @@ def test_parse_errors_name_the_bad_entity():
         parse_mesh("ndim 2\nvertices 3\n0 0\n1 0\n0 1\ncells 1\n0 1 2\n9 9 9\n")
 
 
+def test_parse_rejects_negative_counts():
+    with pytest.raises(ValueError, match="vertex count -1 is negative"):
+        parse_mesh("ndim 2\nvertices -1\ncells 0\n")
+    with pytest.raises(ValueError, match="cell count -2 is negative"):
+        parse_mesh("ndim 2\nvertices 3\n0 0\n1 0\n0 1\ncells -2\n")
+
+
+def test_a_mesh_without_cells_is_rejected():
+    with pytest.raises(ValueError, match="mesh has no cells"):
+        Triangulation([], [])
+    with pytest.raises(ValueError, match="mesh has no cells"):
+        parse_mesh("ndim 2\nvertices 0\ncells 0\n")
+    # named before the unreferenced vertices that follow from it
+    with pytest.raises(ValueError, match="mesh has no cells"):
+        parse_mesh("ndim 2\nvertices 1\n0 0\ncells 0\n")
+
+
 def test_hats_partition_unity_and_interpolate_vertices():
     """Each cell's barycentric coordinates are its three hats, in slot order."""
     tri = generate_square_mesh(2, DIAGONAL)

@@ -8,7 +8,9 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hodgefem.element import interpolate_coeffs
 from hodgefem.fields import SmoothField, as_callback, get_field
+from hodgefem.forms import PolyForm
 from hodgefem.globalspace import (
     build_constraints,
     build_global_basis,
@@ -18,13 +20,13 @@ from hodgefem.globalspace import (
 from hodgefem.mesh import CRISSCROSS, DIAGONAL, generate_square_mesh
 from hodgefem.solver import (
     _block_jacobi,
+    _cellwise,
     assemble,
     broken_energy_product,
     coarse_prolongation,
     error_norms,
     fit_rate,
     interpolation_study,
-    p1_interpolant,
     solve_cg,
     solve_oracle,
     solve_system,
@@ -258,7 +260,14 @@ def test_coarse_prolongation_gives_the_p1_interpolant_in_the_kernel(name):
     tri = COARSE_MESHES[name]()
     prod = build_product_space(tri)
     basis = build_global_basis(tri, prod)
-    Pi = p1_interpolant(prod)
+    # Pi from the exact local element: the interpolant of hat_s dx^x on each
+    # template, column 2s + x, by the Fraction path
+    blocks = []
+    for t in prod.templates:
+        hats = t.simplex.barycentric_coordinates()
+        fields = [PolyForm(2, 1, {(x,): lam}) for lam in hats for x in (1, 2)]
+        blocks.append([[float(c) for c in interpolate_coeffs(f, t.matrix)] for f in fields])
+    Pi = _cellwise(prod, np.transpose(blocks, (0, 2, 1)))
     # unit-square meshes: x and y at interior vertices, the tangent at
     # boundary vertices other than the four corners
     boundary = len(tri.vertices) - len(tri.interior_vertices)
