@@ -34,8 +34,16 @@ from .globalspace import (
     build_global_basis,
     build_product_space,
 )
-from .mesh import CRISSCROSS, DIAGONAL, Triangulation, generate_square_mesh, read_mesh
-from .solver import StudyRow, fit_rate, interpolation_study, solver_study
+from .mesh import (
+    CRISSCROSS,
+    DIAGONAL,
+    Triangulation,
+    check_mesh_parameter,
+    generate_square_mesh,
+    read_mesh,
+)
+from .simplices import quadrature_rule
+from .solver import StudyRow, check_tol, fit_rate, interpolation_study, solver_study
 from .verify import full_suite
 
 __all__ = ["main"]
@@ -65,6 +73,16 @@ def _parse_refinements(value) -> list[int]:
         print(msg, file=sys.stderr)
         raise SystemExit(2)
     return ms
+
+
+def _check_study_args(ms: list[int], quad_order: int) -> None:
+    """Raise the owners' ValueErrors for a bad mesh level or quadrature order.
+
+    Run before any output, so a usage error writes no CSV.
+    """
+    for m in ms:
+        check_mesh_parameter(m)
+    quadrature_rule(2, quad_order)
 
 
 def _open_out(path):
@@ -109,6 +127,7 @@ def cmd_verify(args) -> int:
 def cmd_interpolate(args) -> int:
     field = get_field(args.field)
     ms = _parse_refinements(args.refinements)
+    _check_study_args(ms, args.quad_order)
     pattern = _PATTERNS[args.pattern]
     rows = interpolation_study(field, ms, pattern=pattern, quad_order=args.quad_order)
     out, close = _open_out(args.out)
@@ -127,6 +146,8 @@ def cmd_interpolate(args) -> int:
 def cmd_solve(args) -> int:
     field = get_field(args.field)
     ms = _parse_refinements(args.refinements)
+    _check_study_args(ms, args.quad_order)
+    check_tol(args.tol, "--tol")
     oracle_max_m = {"on": max(ms), "auto": 4, "off": None}[args.oracle]
     study = solver_study(
         field,
@@ -243,7 +264,11 @@ def build_parser() -> argparse.ArgumentParser:
         "--oracle",
         choices=["auto", "on", "off"],
         default="auto",
-        help="run the saddle-point cross-check (auto: meshes with m <= 4)",
+        help=(
+            "run the saddle-point cross-check, which eliminates the cells and "
+            "factors the multiplier system over the certified rows of B "
+            "(auto: meshes with m <= 4)"
+        ),
     )
     p.add_argument("--out", help="output path (default stdout)")
     p.set_defaults(func=cmd_solve)

@@ -54,8 +54,10 @@ dual columns); the exact BasisFunctions (``functions``) are generated
 one at a time when read, e.g. for the ``basis`` dump.  The rank audit is one
 O(nnz) certificate from the same duals: with D = blockdiag(duals) over
 the cells, B D is a 0/1 selection matrix once exactly repeated rows of
-B are dropped, and its disjoint rows fix the rank of B.  Input without
-that structure raises; there is no dense fallback.
+B are dropped, and its disjoint rows fix the rank of B.  The kept rows
+(``ConstraintSystem.kept_rows``) are the certified row basis that the
+saddle-point oracle solves over.  Input without that structure raises;
+there is no dense fallback.
 """
 
 from __future__ import annotations
@@ -210,6 +212,14 @@ class ProductSpace:
     def template(self, cell: int) -> CellTemplate:
         return self.templates[self.template_index[cell]]
 
+    def block_diagonal(self, per_template: np.ndarray) -> sp.bsr_matrix:
+        """The (dim, dim) matrix whose 6x6 block of cell c is per_template[template_index[c]]."""
+        blocks = np.arange(len(self.template_index))  # block row c holds block column c
+        return sp.bsr_matrix(
+            (per_template[self.template_index], blocks, np.append(blocks, len(blocks))),
+            shape=(self.dim,) * 2,
+        )
+
 
 class ConstraintSystem:
     """Sparse constraint matrix B: div rows for every vertex, then rot rows.
@@ -237,27 +247,27 @@ class ConstraintSystem:
     def rows(self) -> int:
         return self.B.shape[0]
 
-    def rank(self) -> int:
-        """Rank of B, certified from the template duals in O(nnz).
+    def kept_rows(self) -> np.ndarray:
+        """Increasing indices of a certified row basis of B.
 
-        Let B_u be B without rows that repeat an earlier row exactly, and
-        D = blockdiag(duals_float) over the cells.  Since whitney . duals
-        = I on every template, S = B_u D selects shape coefficients: each
-        entry is within 1e-9 of an integer, no row is zero and no column
-        has two nonzeros.  Rounded, S then has disjoint nonzero integer
-        rows, so its smallest singular value is at least 1, and the
-        rounding moves it by at most 1e-9 * sqrt(nnz).  Hence rank(B) >=
-        rank(S) = rows of B_u >= rank(B).  Input that fails a condition
-        raises ValueError naming it and the first row or column at fault.
+        These are the rows that repeat no earlier row exactly; the
+        certificate below proves they are linearly independent, so B
+        restricted to them has full row rank and spans the rows of B.
+        Let B_u be B on these rows and D = blockdiag(duals_float) over
+        the cells.  Since whitney . duals = I on every template, S = B_u
+        D selects shape coefficients: each entry is within 1e-9 of an
+        integer, no row is zero and no column has two nonzeros.  Rounded,
+        S then has disjoint nonzero integer rows, so its smallest
+        singular value is at least 1, and the rounding moves it by at
+        most 1e-9 * sqrt(nnz).  Hence rank(B) >= rank(S) = rows of B_u >=
+        rank(B).  Input that fails a condition raises ValueError naming
+        it and the first row or column at fault.  Costs O(nnz).
         """
         B = self.B.tocsr(copy=True)
         B.sum_duplicates()
         B.eliminate_zeros()
         kept = _first_of_equal_rows(B)
-        prod = self.prod
-        duals = np.stack([t.duals_float for t in prod.templates])[prod.template_index]
-        blocks = np.arange(len(duals))  # block row c holds block column c: D is diagonal
-        D = sp.bsr_matrix((duals, blocks, np.append(blocks, len(duals))), shape=(prod.dim,) * 2)
+        D = self.prod.block_diagonal(np.stack([t.duals_float for t in self.prod.templates]))
         S = B[kept] @ D
         S.sum_duplicates()
         near = np.rint(S.data)
@@ -281,7 +291,11 @@ class ConstraintSystem:
                 f"rank audit: column {c} of B D has {per_column[c]} nonzeros, "
                 "so its rows are not disjoint"
             )
-        return len(kept)
+        return kept
+
+    def rank(self) -> int:
+        """Rank of B: the number of ``kept_rows``, certified in O(nnz)."""
+        return len(self.kept_rows())
 
     def nullity(self) -> int:
         return self.B.shape[1] - self.rank()

@@ -47,6 +47,7 @@ __all__ = [
     "INTERIOR",
     "BOUNDARY",
     "Triangulation",
+    "check_mesh_parameter",
     "generate_square_mesh",
     "read_mesh",
     "write_mesh",
@@ -388,10 +389,15 @@ def _edge_candidates(pts: np.ndarray, ends: np.ndarray) -> tuple[np.ndarray, np.
     return e, order[np.repeat(start, count) + offset]
 
 
-def generate_square_mesh(m: int, pattern: str = DIAGONAL) -> Triangulation:
-    """Uniform triangulation of the unit square with m x m subsquares."""
+def check_mesh_parameter(m: int) -> None:
+    """Raise ValueError unless m is a valid ``generate_square_mesh`` parameter."""
     if not isinstance(m, int) or m < 2:
         raise ValueError(f"mesh parameter m must be an integer >= 2, got {m}")
+
+
+def generate_square_mesh(m: int, pattern: str = DIAGONAL) -> Triangulation:
+    """Uniform triangulation of the unit square with m x m subsquares."""
+    check_mesh_parameter(m)
     if pattern not in (DIAGONAL, CRISSCROSS):
         raise ValueError(f"unknown mesh pattern {pattern!r}")
 

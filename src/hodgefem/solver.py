@@ -41,8 +41,22 @@ saddle-point system
     [ A_cell  B^T ] [x]   [b_cell]
     [   B      0  ] [y] = [  0   ]
 
-with a sparse direct factorization.  Both must produce the same broken
-field, which is the cross-check used by the verification suite.
+by eliminating the cells.  A_cell is block diagonal with one SPD 6x6
+Gram per cell, so with A_cell^-1 = W W^T (W = blockdiag(L^-T), L the
+Cholesky factor of each template Gram, one batched call) and C = B W,
+the multipliers solve the SPD system
+
+    S y = C W^T b_cell,    S = B A_cell^-1 B^T = C C^T,
+
+and then x = W (W^T b_cell - C^T y).  S has the pattern of the vertex
+graph and is factored once by ``splu`` with minimum degree on its
+symmetric pattern.  S is SPD only when B has full row rank, so only the
+rows kept by the rank certificate (``ConstraintSystem.kept_rows``: the
+first of each set of exactly equal rows) enter it; the multipliers of
+the dropped rows are zero, and a B that the certificate rejects raises
+its ValueError before any factorization.  Both paths must produce the
+same broken field, which is the cross-check used by the verification
+suite.
 """
 
 from __future__ import annotations
@@ -78,6 +92,7 @@ __all__ = [
     "cell_gram_matrix",
     "cell_load_vector",
     "assemble",
+    "check_tol",
     "solve_cg",
     "coarse_prolongation",
     "two_level_preconditioner",
@@ -159,6 +174,16 @@ def assemble(
     return AssembledSystem(prod, basis, A, b, A_cell, b_cell, quad_order)
 
 
+def check_tol(tol: float, name: str = "tol") -> None:
+    """Raise ValueError naming ``name`` unless tol is positive and finite.
+
+    A tolerance at or below zero can never be met, so CG would run until
+    rounding breaks it down.
+    """
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"{name} must be positive and finite, got {tol!r}")
+
+
 def solve_cg(
     A: sp.csr_matrix,
     b: np.ndarray,
@@ -178,7 +203,9 @@ def solve_cg(
     ||b - A x|| / ||b||.  A CG that does not converge within the cap
     raises RuntimeError with the final relative residual in the message.
     ``callback(x)`` is invoked with the current iterate after every step.
+    A ``tol`` that is not positive and finite raises ValueError.
     """
+    check_tol(tol)
     n = b.shape[0]
     if maxiter is None:
         # the two-level preconditioner needs about 300 iterations on the
@@ -385,17 +412,19 @@ def _block_jacobi(A: sp.csr_matrix, anchor: np.ndarray) -> sp.csr_matrix:
     return sp.csr_matrix((data, members[block][real], indptr), shape=(n, n))
 
 
+def _factor_spd(M: sp.spmatrix) -> spla.SuperLU:
+    """``splu`` of a sparse SPD matrix: minimum degree on its symmetric
+    pattern, diagonal pivots preferred."""
+    return spla.splu(M.tocsc(), permc_spec="MMD_AT_PLUS_A", options={"SymmetricMode": True})
+
+
 def two_level_preconditioner(
     A: sp.csr_matrix, basis: GlobalBasis
 ) -> Callable[[np.ndarray], np.ndarray]:
     """r -> S r + P A_c^-1 P^T r: block Jacobi plus the P1 coarse correction."""
     smoother = _block_jacobi(A, basis.anchor)
     P = coarse_prolongation(basis)
-    lu = spla.splu(
-        (P.T @ A @ P).tocsc(),
-        permc_spec="MMD_AT_PLUS_A",
-        options={"SymmetricMode": True},
-    )
+    lu = _factor_spd(P.T @ A @ P)
 
     def precondition(r: np.ndarray) -> np.ndarray:
         return smoother @ r + P @ lu.solve(P.T @ r)
@@ -443,15 +472,25 @@ class OracleResult:
 
 
 def solve_oracle(system: AssembledSystem, cons: ConstraintSystem) -> OracleResult:
-    """Direct saddle-point solve on the product space; no basis involved."""
-    B = cons.B
-    K = sp.bmat([[system.A_cell, B.T], [B, None]], format="csc")
-    rhs = np.concatenate([system.b_cell, np.zeros(B.shape[0])])
-    sol = spla.spsolve(K, rhs)
-    x = sol[: system.prod.dim]
-    lam = sol[system.prod.dim :]
-    resid = float(np.linalg.norm(B @ x)) / max(1.0, float(np.linalg.norm(x)))
-    return OracleResult(x, lam, resid)
+    """Saddle-point solve on the product space by cell elimination; no basis involved.
+
+    Factors only S = B A_cell^-1 B^T over ``cons.kept_rows()`` (see the
+    module docstring); ``multipliers`` is zero on the other rows.  Raises
+    the rank certificate's ValueError when B cannot be certified.
+    """
+    prod = system.prod
+    kept = cons.kept_rows()
+    B = cons.B.tocsr()[kept]
+    chol = np.linalg.cholesky(np.stack([t.gram_float for t in prod.templates]))
+    W = prod.block_diagonal(np.linalg.inv(chol).transpose(0, 2, 1))
+    C = (B @ W).tocsr()
+    wb = W.T @ system.b_cell
+    y = _factor_spd(C @ C.T).solve(C @ wb)
+    x = W @ (wb - C.T @ y)
+    multipliers = np.zeros(cons.rows)
+    multipliers[kept] = y
+    resid = float(np.linalg.norm(cons.B @ x)) / max(1.0, float(np.linalg.norm(x)))
+    return OracleResult(x, multipliers, resid)
 
 
 def error_norms(

@@ -184,6 +184,32 @@ def test_bad_refinements_exit_two_and_name_the_cause(refinements, capsys):
     )
 
 
+@pytest.mark.parametrize("tol", ["0", "-1", "nan"])
+def test_bad_tol_exits_two_before_any_output(tol, capsys):
+    assert main(["solve", "--refinements", "2", f"--tol={tol}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: --tol must be positive and finite, got {float(tol)!r}\n"
+
+
+@pytest.mark.parametrize("command", ["solve", "interpolate"])
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--refinements", "2,0"], "mesh parameter m must be an integer >= 2, got 0"),
+        (["--refinements", "2", "--quad-order", "0"], "quadrature order 0 outside supported range 2..10"),
+    ],
+)
+def test_bad_levels_exit_two_before_any_output(command, flags, message, tmp_path, capsys):
+    assert main([command, *flags]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+    out = tmp_path / "x.csv"
+    assert main([command, *flags, "--out", str(out)]) == 2
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("refinements", [[2.5, 4], [], "2,x"])
 def test_config_refinements_must_be_integers(refinements, tmp_path, capsys):
     cfg = tmp_path / "cfg.json"

@@ -5,6 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -215,6 +216,33 @@ def test_rank_audit_raises_on_an_entry_off_by_one_part_in_a_million():
     B.data[7] *= 1 + 1e-6
     with pytest.raises(ValueError, match=r"^rank audit: entry \(1, \d+\) of B D .* integer"):
         ConstraintSystem(prod, B).rank()
+
+
+@pytest.mark.parametrize(
+    "name, dim_z", [("coprime4", 31), ("crisscross2", 15), ("diagonal4", 31), ("jitter4", 31)]
+)
+def test_cellwise_constants_in_the_kernel_have_dimension_cells_minus_one(name, dim_z):
+    """Z = null(B) restricted to shape slots 0 and 1, the cellwise constants.
+
+    B's columns for those slots come from each template's exact Whitney
+    rows (div row of vertex a: row 3 + s, rot row of interior a: row s,
+    for a at slot s), and their rank is taken by sympy over the rationals.
+    """
+    tri = MESHES[name]()
+    prod = build_product_space(tri)
+    nv, nc = len(tri.vertices), len(tri.cells)
+    rot_row = {a: nv + r for r, a in enumerate(tri.interior_vertices)}
+    Bz = sympy.zeros(nv + len(rot_row), 2 * nc)
+    for c, cell in enumerate(tri.cells):
+        whitney = prod.template(c).whitney
+        for s, a in enumerate(cell):
+            for j in (0, 1):
+                Bz[a, 2 * c + j] = sympy.Rational(whitney[3 + s][j])
+                if a in rot_row:
+                    Bz[rot_row[a], 2 * c + j] = sympy.Rational(whitney[s][j])
+    rank = Bz.rank()
+    assert rank == nc + 1
+    assert 2 * nc - rank == dim_z == nc - 1
 
 
 def test_basis_counts_smallest_mesh():

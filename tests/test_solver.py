@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -12,6 +13,7 @@ from hodgefem.element import interpolate_coeffs
 from hodgefem.fields import SmoothField, as_callback, get_field
 from hodgefem.forms import PolyForm
 from hodgefem.globalspace import (
+    ConstraintSystem,
     build_constraints,
     build_global_basis,
     build_product_space,
@@ -137,6 +139,12 @@ def test_cg_rejects_non_spd_input():
         solve_cg(B, np.array([1.0, 0.0]))
 
 
+@pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
+def test_cg_rejects_a_tolerance_that_is_not_positive_and_finite(tol):
+    with pytest.raises(ValueError, match=r"^tol must be positive and finite, got "):
+        solve_cg(sp.identity(3, format="csr"), np.ones(3), tol=tol)
+
+
 def test_cg_matches_direct_solve():
     _, system = _assembled(2)
     x, info = solve_cg(system.A, system.b, tol=1e-12)
@@ -183,6 +191,53 @@ def test_oracle_agrees_with_reduced_solve():
     lhs = broken_energy_product(oracle.x_cell, oracle.x_cell, prod)
     rhs = float(system.b_cell @ oracle.x_cell)
     assert lhs == pytest.approx(rhs, rel=1e-10)
+
+
+def _saddle_point_reference(system, B) -> tuple[np.ndarray, np.ndarray]:
+    """(x, multipliers) from one sparse LU of the whole indefinite system."""
+    K = sp.bmat([[system.A_cell, B.T], [B, None]], format="csc")
+    sol = spla.spsolve(K, np.concatenate([system.b_cell, np.zeros(B.shape[0])]))
+    return sol[: system.prod.dim], sol[system.prod.dim :]
+
+
+@pytest.mark.parametrize("name", sorted(MESHES))
+def test_cell_eliminated_oracle_matches_the_saddle_point_solve(name):
+    tri = MESHES[name]()
+    prod = build_product_space(tri)
+    cons = build_constraints(tri, prod)
+    system = assemble(tri, get_field("polyflow"), prod=prod)
+    oracle = solve_oracle(system, cons)
+    x, y = _saddle_point_reference(system, cons.B)
+    diff = oracle.x_cell - x
+    gap = math.sqrt(broken_energy_product(diff, diff, prod) / broken_energy_product(x, x, prod))
+    assert gap <= 1e-12
+    assert np.abs(oracle.multipliers - y).max() <= 1e-10 * np.abs(y).max()
+    assert oracle.constraint_residual <= 1e-13
+
+
+def test_oracle_solves_over_the_kept_rows_and_zeroes_the_repeats():
+    tri = generate_square_mesh(4)
+    prod = build_product_space(tri)
+    cons = build_constraints(tri, prod)
+    system = assemble(tri, get_field("polyflow"), prod=prod)
+    nv = len(tri.vertices)
+    # div rows first, then all of B: the second copy of each div row repeats the first
+    stacked = ConstraintSystem(prod, sp.vstack([cons.B_div, cons.B]).tocsr())
+    assert list(stacked.kept_rows()) == list(range(nv)) + list(range(2 * nv, stacked.rows))
+    plain, doubled = solve_oracle(system, cons), solve_oracle(system, stacked)
+    assert np.array_equal(doubled.x_cell, plain.x_cell)
+    assert not doubled.multipliers[nv : 2 * nv].any()
+    assert np.array_equal(doubled.multipliers[stacked.kept_rows()], plain.multipliers)
+
+
+def test_oracle_raises_the_rank_certificate_error_on_a_dependent_row():
+    tri = generate_square_mesh(4)
+    prod = build_product_space(tri)
+    cons = build_constraints(tri, prod)
+    system = assemble(tri, get_field("polyflow"), prod=prod)
+    dependent = ConstraintSystem(prod, sp.vstack([cons.B, cons.B[3] + cons.B[4]]).tocsr())
+    with pytest.raises(ValueError, match=r"^rank audit: column \d+ of B D has 2 nonzeros"):
+        solve_oracle(system, dependent)
 
 
 def test_error_norms_of_zero_candidate_recover_field_energy():
