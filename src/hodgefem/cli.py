@@ -282,6 +282,25 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_config_value(key, value, action: argparse.Action) -> None:
+    """Raise ValueError naming ``key`` when a JSON value does not fit its option.
+
+    A string passes: argparse converts a string default with the option's
+    ``type=`` and reports a bad one itself.  Other values are kept as
+    they are, so an ``int`` option takes a JSON integer, a ``float``
+    option a JSON number, and an option with choices one of them.
+    """
+    if isinstance(value, str):
+        return
+    kinds = {int: (int, "an integer"), float: ((int, float), "a number")}
+    if action.type in kinds:
+        allowed, what = kinds[action.type]
+        if isinstance(value, bool) or not isinstance(value, allowed):
+            raise ValueError(f"key {key!r} takes {what}, got {value!r}")
+    if action.choices is not None and value not in action.choices:
+        raise ValueError(f"key {key!r} takes one of {', '.join(action.choices)}, got {value!r}")
+
+
 def _apply_config(parser: argparse.ArgumentParser, argv: list[str]) -> None:
     path = None
     for i, tok in enumerate(argv):
@@ -302,10 +321,13 @@ def _apply_config(parser: argparse.ArgumentParser, argv: list[str]) -> None:
             parsers += action.choices.values()
     # a key must be the long option of some command; it then reaches
     # every subparser, so the defaults apply regardless of command
-    options = {a.dest for p in parsers for a in p._actions if a.option_strings} - {"help"}
+    options = {a.dest: a for p in parsers for a in p._actions if a.option_strings}
+    options.pop("help")
     unknown = [k for k in cfg if str(k).replace("-", "_") not in options]
     if unknown:
         raise ValueError(f"unknown key {unknown[0]!r}")
+    for k, v in cfg.items():
+        _check_config_value(k, v, options[str(k).replace("-", "_")])
     for p in parsers:
         p.set_defaults(**defaults)
 

@@ -95,6 +95,7 @@ __all__ = [
     "BasisFunction",
     "build_product_space",
     "build_constraints",
+    "constraint_layout",
     "build_global_basis",
     "global_interpolate",
 ]
@@ -301,39 +302,83 @@ class ConstraintSystem:
         return self.B.shape[1] - self.rank()
 
 
+# odd 64-bit multipliers of the row hash in ``_first_of_equal_rows``
+_ROW_HASH = np.array([0x9E3779B97F4A7C15, 0xBF58476D1CE4E5B9, 0x94D049BB133111EB], dtype=np.uint64)
+
+
 def _first_of_equal_rows(B: sp.csr_matrix) -> np.ndarray:
     """Increasing indices of the rows of canonical B that repeat no earlier row.
 
-    Rows are compared exactly, by the bytes of their column indices and
-    values.
+    Rows are compared exactly, by their column indices and the bits of
+    their values.  Every row gets a 64-bit hash at once: each entry mixes
+    its column, value bits and position, and a row sums its entries and
+    length modulo 2^64.  Equal rows have equal hashes, so a stable sort by
+    hash puts each row in a bucket after its bucket's first row, and each
+    row is compared entry by entry with that first row.  A bucket holding
+    a row that differs from its first row is a hash collision; the rows
+    of such buckets are sorted out one by one, by their bytes.
     """
+    n, indptr = B.shape[0], B.indptr
+    counts = np.diff(indptr)
+    bits = B.data.view(np.uint64)
+    k1, k2, k3 = _ROW_HASH
+    pos = (np.arange(B.nnz) - np.repeat(indptr[:-1], counts)).astype(np.uint64)
+    entry = ((B.indices.astype(np.uint64) * k1) ^ bits) * k2 + pos * k3
+    total = np.concatenate([np.zeros(1, np.uint64), np.cumsum(entry, dtype=np.uint64)])
+    row_hash = total[indptr[1:]] - total[indptr[:-1]] + counts.astype(np.uint64)
+    order = np.argsort(row_hash, kind="stable")
+    new = np.ones(n, dtype=bool)
+    new[1:] = row_hash[order[1:]] != row_hash[order[:-1]]
+    bucket = np.cumsum(new) - 1
+    heads = order[new]
+    # each later row of a bucket against the bucket's first row
+    a, b = order[~new], heads[bucket[~new]]
+    equal = counts[a] == counts[b]
+    length = np.where(equal, counts[a], 0)
+    k = np.arange(length.sum()) - np.repeat(np.cumsum(length) - length, length)
+    ea, eb = np.repeat(indptr[a], length) + k, np.repeat(indptr[b], length) + k
+    differ = (B.indices[ea] != B.indices[eb]) | (bits[ea] != bits[eb])
+    equal[np.repeat(np.arange(len(a)), length)[differ]] = False
+    mixed = np.zeros(len(heads), dtype=bool)
+    mixed[bucket[~new][~equal]] = True
     first: dict[tuple[bytes, bytes], int] = {}
-    bounds = B.indptr.tolist()
-    for r, (a, b) in enumerate(zip(bounds, bounds[1:])):
-        first.setdefault((B.indices[a:b].tobytes(), B.data[a:b].tobytes()), r)
-    return np.fromiter(first.values(), dtype=np.intp, count=len(first))
+    for r in np.sort(order[mixed[bucket]]).tolist():
+        row = slice(indptr[r], indptr[r + 1])
+        first.setdefault((B.indices[row].tobytes(), B.data[row].tobytes()), r)
+    return np.sort(np.concatenate([heads[~mixed], np.fromiter(first.values(), dtype=np.intp)]))
 
 
 def build_product_space(tri: Triangulation) -> ProductSpace:
     return ProductSpace(tri)
 
 
-def build_constraints(tri: Triangulation, prod: ProductSpace) -> ConstraintSystem:
-    """Gather B from each template's float Whitney rows by cell and slot.
+def constraint_layout(tri: Triangulation) -> np.ndarray:
+    """The row of B that each Whitney row of each cell enters, shape (cells, 2, 3).
 
-    Vertex a at slot s of cell c gives div row a the Whitney row 3 + s of
-    c's template, and, when a is interior, its rot row the Whitney row s,
-    both over the columns 6c..6c+5.  Every (row, column) pair comes from
-    one cell and one slot, so no entries are summed.
+    Axis 1 is rot, then div, and axis 2 the slot, as in the Whitney rows
+    0..2 and 3..5: the vertex a at slot s of a cell gives div row a its
+    Whitney row 3 + s and, when a is the r-th interior vertex, rot row
+    nv + r its Whitney row s.  The rot entry of a boundary vertex is -1.
     """
     nv, nc = len(tri.vertices), len(tri.cells)
     cells = np.array(tri.cells, dtype=np.intp).reshape(nc, 3)
     rot_row = np.full(nv, -1, dtype=np.intp)
     rot_row[tri.interior_vertices] = nv + np.arange(len(tri.interior_vertices))
+    return np.stack([rot_row[cells], cells], axis=1)
+
+
+def build_constraints(tri: Triangulation, prod: ProductSpace) -> ConstraintSystem:
+    """Gather B from each template's float Whitney rows by cell and slot.
+
+    Each cell's Whitney rows enter the rows of ``constraint_layout`` over
+    the columns 6c..6c+5.  Every (row, column) pair comes from one cell
+    and one slot, so no entries are summed.
+    """
+    nv, nc = len(tri.vertices), len(tri.cells)
     whitney = np.stack([t.whitney_float for t in prod.templates])[prod.template_index]
     # axes (cell, rot/div, slot, shape index): Whitney rows 0..2 are rot, 3..5 div
     values = whitney.reshape(nc, 2, 3, 6)
-    rows = np.stack([rot_row[cells], cells], axis=1)[:, :, :, None]
+    rows = constraint_layout(tri)[:, :, :, None]
     cols = 6 * np.arange(nc)[:, None, None, None] + _SLOT
     keep = (values != 0) & (rows >= 0)
     rows, cols = np.broadcast_arrays(rows, cols)

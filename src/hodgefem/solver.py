@@ -11,9 +11,9 @@ quadrature.
 
 Two independent solution paths are provided.  The primary path reduces
 to the kernel basis (A = Phi^T A_cell Phi) and runs conjugate gradients
-with one additive two-level preconditioner,
+with one additive preconditioner of three terms,
 
-    M r = S r + P A_c^-1 P^T r,    A_c = P^T A P,
+    M r = S r + P A_c^-1 P^T r + C E K E^T C^T r,    A_c = P^T A P,
 
 built in ``solve_system`` from A and the basis in O(nnz):
 
@@ -32,11 +32,21 @@ built in ``solve_system`` from A and the basis in O(nnz):
         (div) and |T|/3 J(g_r + g_s)_x (rot).  With w these values, Phi
         P = Pi holds when each fan-difference function takes the sum of
         w over its fan up to its first cell: a cumulative sum along each
-        fan, with no solve.
+        fan, with no solve.  A_c couples only the vertices of a common
+        cell; its other entries cancel exactly and are dropped.
+    C E the exact correction on Z, the fields of null(B) that are
+        constant on each cell (shape slots 0 and 1, put there by E), of
+        dimension cells - 1.  d and delta vanish on Z, so A there is the
+        bare L2 mass D = diag(|T|), which S and P cannot capture: without
+        this term the condition number grows like h^-2.  With B_c the
+        constraints on the constants (without div row 0, which depends
+        on the others) and L = B_c D^-1 B_c^T,
+        K = D^-1 - D^-1 B_c^T L^-1 B_c D^-1, and C E is the same fan sum
+        of the constants' Whitney values, so Phi C E y = E y on null(B_c).
 
-A_c is factored once by ``splu``.  The iteration count then stays flat
-under refinement.  The oracle path never forms a basis: it solves the
-saddle-point system
+A_c and L are factored once by ``splu``; a singular L raises ValueError.
+
+The oracle path never forms a basis: it solves the saddle-point system
 
     [ A_cell  B^T ] [x]   [b_cell]
     [   B      0  ] [y] = [  0   ]
@@ -80,6 +90,7 @@ from .globalspace import (
     build_constraints,
     build_global_basis,
     build_product_space,
+    constraint_layout,
     global_interpolate,
 )
 from .mesh import DIAGONAL, Triangulation, generate_square_mesh
@@ -208,9 +219,10 @@ def solve_cg(
     check_tol(tol)
     n = b.shape[0]
     if maxiter is None:
-        # the two-level preconditioner needs about 300 iterations on the
-        # square meshes at tol 1e-10, flat in h; Jacobi alone grows like
-        # h^-1 (about 64*sqrt(n)).  100*sqrt(n) leaves headroom for both
+        # the three-term preconditioner needs about 50 iterations on the
+        # square meshes at tol 1e-10 and 60 on jittered ones; Jacobi
+        # alone grows like h^-1 (about 64*sqrt(n)).  100*sqrt(n) leaves
+        # headroom for both
         maxiter = max(n, int(100.0 * np.sqrt(n)))
     bnorm = float(np.linalg.norm(b))
     info = {"method": "pcg", "converged": True, "iterations": 0}
@@ -348,21 +360,17 @@ def _cellwise(prod: ProductSpace, blocks: np.ndarray) -> sp.csr_matrix:
     )
 
 
-def coarse_prolongation(basis: GlobalBasis) -> sp.csr_matrix:
-    """P, the kernel coordinates of the coarse P1 fields: Phi P = Pi.
+def _kernel_coordinates(basis: GlobalBasis, w: sp.spmatrix) -> sp.csr_matrix:
+    """Kernel coordinates of fields of null(B) from their Whitney values.
 
-    A field of null(B) with Whitney values w has, on a fan-difference
+    Column k of w holds the Whitney values of one field, row 6c + r for
+    Whitney row r of cell c.  Such a field has, on a fan-difference
     function, the sum of w over its fan up to the function's first cell,
-    and on a ROT_CELL function its own w.  So P is a segmented cumulative
-    sum of the gathered Whitney values over each run of functions with
-    equal category and anchor (a ROT_CELL function is a run of its own),
-    taken as one sparse product.  Once a fan has passed every cell that a
-    field touches, the field's sum is zero exactly; rounding leaves about
-    1e-15 of P's largest entry there, which would fill the coarse matrix
-    and its factors, so entries below 1e-12 of the largest are dropped.
+    and on a ROT_CELL function its own w.  So the coordinates are a
+    segmented cumulative sum of the gathered Whitney values over each run
+    of functions with equal category and anchor (a ROT_CELL function is a
+    run of its own), taken as one sparse product.
     """
-    prod = basis.prod
-    w = _cellwise(prod, _p1_whitney(prod))
     n = len(basis)
     cat, anchor = basis.category, basis.anchor
     first = cat == CATEGORIES.index(ROT_CELL)
@@ -375,10 +383,94 @@ def coarse_prolongation(basis: GlobalBasis) -> sp.csr_matrix:
     members = np.arange(offset[-1] + length[-1]) - np.repeat(offset - start, length)
     picks = 6 * basis.cells[members, 0] + basis.columns[members, 0]
     indptr = np.append(offset, len(members))
-    P = sp.csr_matrix((np.ones(len(members)), picks, indptr), shape=(n, prod.dim)) @ w
-    P.data[np.abs(P.data) <= 1e-12 * np.abs(P.data).max(initial=0.0)] = 0.0
-    P.eliminate_zeros()
-    return P
+    prefix = sp.csr_matrix((np.ones(len(members)), picks, indptr), shape=(n, basis.dim))
+    return prefix @ w
+
+
+def _drop_residue(M: sp.csr_matrix) -> sp.csr_matrix:
+    """M without its entries at or below 1e-12 of its largest, in place.
+
+    Used where sums cancel exactly: rounding leaves about 1e-15 of the
+    largest entry there, which would fill a matrix and its factors.
+    """
+    M.data[np.abs(M.data) <= 1e-12 * np.abs(M.data).max(initial=0.0)] = 0.0
+    M.eliminate_zeros()
+    return M
+
+
+def coarse_prolongation(basis: GlobalBasis) -> sp.csr_matrix:
+    """P, the kernel coordinates of the coarse P1 fields: Phi P = Pi.
+
+    Once a fan has passed every cell that a field touches, the field's
+    sum in ``_kernel_coordinates`` is zero exactly, so its rounding
+    residue is dropped.
+    """
+    prod = basis.prod
+    return _drop_residue(_kernel_coordinates(basis, _cellwise(prod, _p1_whitney(prod))))
+
+
+def _cellwise_constants(basis: GlobalBasis) -> tuple[sp.csr_matrix, sp.csr_matrix, np.ndarray]:
+    """(C E, B_c, d) for the cellwise constant fields, column 2c + x for e_x on cell c.
+
+    E puts them into shape slots 0 and 1 (the unscaled dx and dy).  Their
+    Whitney values are the sums over s of ``_p1_whitney``'s columns
+    2s + x, since the hats sum to one.  C E is their
+    ``_kernel_coordinates``, so Phi C E y = E y for every y in null(B_c).
+    Each column touches one cell, so every entry of C E is one Whitney
+    value, with no cancellation.  B_c holds the same values in the rows of
+    ``constraint_layout`` without div row 0: on each cell the div rows
+    sum to zero on constants, so on a connected mesh div row 0 depends on
+    the others.  d and delta vanish on a constant, so A_cell on these
+    columns is diag(d), d = |T| from ``gram_float[0, 0]``.
+    """
+    prod = basis.prod
+    tri = prod.tri
+    nc = len(tri.cells)
+    tix = prod.template_index
+    # (cell, Whitney row, x)
+    values = _p1_whitney(prod).reshape(-1, 6, 3, 2).sum(axis=2)[tix]
+    column = 2 * np.arange(nc)[:, None] + np.arange(2)
+    rows = 6 * np.arange(nc)[:, None, None] + _SLOT[:, None]
+    rows, cols = np.broadcast_arrays(rows, column[:, None])
+    w = sp.csr_matrix((values.ravel(), (rows.ravel(), cols.ravel())), shape=(prod.dim, 2 * nc))
+    CE = _kernel_coordinates(basis, w)
+    rows, cols = np.broadcast_arrays(constraint_layout(tri)[..., None], column[:, None, None])
+    keep = rows > 0
+    Bc = sp.csr_matrix(
+        (values.reshape(nc, 2, 3, 2)[keep], (rows[keep] - 1, cols[keep])),
+        shape=(len(tri.vertices) + len(tri.interior_vertices) - 1, 2 * nc),
+    )
+    d = np.repeat(np.array([t.gram_float[0, 0] for t in prod.templates])[tix], 2)
+    return CE, Bc, d
+
+
+def _constant_correction(basis: GlobalBasis) -> Callable[[np.ndarray], np.ndarray]:
+    """r -> C E K (C E)^T r, the exact correction on the cellwise constants of null(B).
+
+    K = D^-1 - D^-1 B_c^T L^-1 B_c D^-1 with D = diag(d) and L = B_c D^-1
+    B_c^T (``_cellwise_constants``) is Y (Y^T D Y)^-1 Y^T for any basis Y
+    of null(B_c), and (C E Y)^T A (C E Y) = Y^T D Y.  L is factored once;
+    it is singular when B_c has more than one dependent row, which raises
+    ValueError.
+    """
+    CE, Bc, d = _cellwise_constants(basis)
+    try:
+        lu = _factor_spd(Bc @ sp.diags(1.0 / d) @ Bc.T)
+        pivots = lu.U.diagonal()
+        singular = pivots.min() <= 1e-10 * pivots.max()
+    except RuntimeError:  # an exactly zero pivot
+        singular = True
+    if singular:
+        raise ValueError(
+            "the cellwise-constant constraints B_c D^-1 B_c^T are singular: B on the "
+            "cellwise constants has more than one dependent row"
+        )
+
+    def correct(r: np.ndarray) -> np.ndarray:
+        y = (CE.T @ r) / d
+        return CE @ (y - (Bc.T @ lu.solve(Bc @ y)) / d)
+
+    return correct
 
 
 def _block_jacobi(A: sp.csr_matrix, anchor: np.ndarray) -> sp.csr_matrix:
@@ -421,13 +513,17 @@ def _factor_spd(M: sp.spmatrix) -> spla.SuperLU:
 def two_level_preconditioner(
     A: sp.csr_matrix, basis: GlobalBasis
 ) -> Callable[[np.ndarray], np.ndarray]:
-    """r -> S r + P A_c^-1 P^T r: block Jacobi plus the P1 coarse correction."""
+    """r -> S r + P A_c^-1 P^T r + C E K (C E)^T r: block Jacobi, the P1 coarse
+    correction and the exact correction on the cellwise constants."""
     smoother = _block_jacobi(A, basis.anchor)
     P = coarse_prolongation(basis)
-    lu = _factor_spd(P.T @ A @ P)
+    # A_c = Pi^T A_cell Pi couples only vertices of a common cell; the
+    # other entries of P^T A P cancel exactly
+    lu = _factor_spd(_drop_residue(P.T @ A @ P))
+    constants = _constant_correction(basis)
 
     def precondition(r: np.ndarray) -> np.ndarray:
-        return smoother @ r + P @ lu.solve(P.T @ r)
+        return smoother @ r + P @ lu.solve(P.T @ r) + constants(r)
 
     return precondition
 
@@ -446,7 +542,7 @@ class SolveResult:
 def solve_system(
     system: AssembledSystem, tol: float = 1e-10, maxiter: int | None = None
 ) -> SolveResult:
-    """CG on the reduced system with the two-level preconditioner.
+    """CG on the reduced system with the three-term preconditioner.
 
     The preconditioner is built here, so its cost is part of the solve.
     """

@@ -230,6 +230,35 @@ def test_config_holding_a_list_exits_two_and_names_the_cause(tmp_path, capsys):
     assert err == f"error reading config: {cfg} holds a JSON list, not an object\n"
 
 
+@pytest.mark.parametrize(
+    "cfg, message",
+    [
+        ({"tol": [1]}, "key 'tol' takes a number, got [1]"),
+        ({"quad-order": 2.5}, "key 'quad-order' takes an integer, got 2.5"),
+        ({"quad_order": True}, "key 'quad_order' takes an integer, got True"),
+        ({"field": [1]}, "key 'field' takes one of affine, polyflow, sinshear, trigflow, got [1]"),
+    ],
+    ids=["tol-list", "quad-order-float", "quad-order-bool", "field-list"],
+)
+def test_config_value_of_the_wrong_type_exits_two_and_names_the_key(
+    cfg, message, tmp_path, capsys
+):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "a.csv"
+    assert main(["--config", str(path), "solve", "--refinements", "2", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error reading config: {message}\n"
+    assert not out.exists()
+
+
+def test_config_takes_numbers_and_a_refinements_list(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"refinements": [2, 4], "tol": 1, "quad-order": 4}))
+    out = tmp_path / "a.csv"
+    assert main(["--config", str(cfg), "interpolate", "--out", str(out)]) == 0
+    assert [line.split(",")[0] for line in out.read_text().splitlines()[1:]] == ["2", "4"]
+
+
 def test_basis_rejects_an_empty_mesh_file(tmp_path, capsys):
     mesh = tmp_path / "empty.mesh"
     mesh.write_text("ndim 2\nvertices 0\ncells 0\n")

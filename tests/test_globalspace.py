@@ -27,6 +27,7 @@ from hodgefem.globalspace import (
     ROT_CELL,
     ROT_PATCH,
     ConstraintSystem,
+    _first_of_equal_rows,
     build_constraints,
     build_global_basis,
     build_product_space,
@@ -216,6 +217,43 @@ def test_rank_audit_raises_on_an_entry_off_by_one_part_in_a_million():
     B.data[7] *= 1 + 1e-6
     with pytest.raises(ValueError, match=r"^rank audit: entry \(1, \d+\) of B D .* integer"):
         ConstraintSystem(prod, B).rank()
+
+
+def _first_of_equal_rows_by_loop(B: sp.csr_matrix) -> list[int]:
+    """Reference: the first row of each set of rows with equal index and value bytes."""
+    first: dict[tuple[bytes, bytes], int] = {}
+    for r in range(B.shape[0]):
+        a, b = B.indptr[r], B.indptr[r + 1]
+        first.setdefault((B.indices[a:b].tobytes(), B.data[a:b].tobytes()), r)
+    return list(first.values())
+
+
+@pytest.mark.parametrize("stacked", [False, True])
+@pytest.mark.parametrize("name", sorted(MESHES))
+def test_first_of_equal_rows_matches_the_row_loop(name, stacked):
+    tri = MESHES[name]()
+    cons = build_constraints(tri, build_product_space(tri))
+    # with stacked, the div rows come twice: once in front of B, once inside it
+    B = sp.vstack([cons.B_div, cons.B]).tocsr() if stacked else cons.B
+    B.sum_duplicates()
+    kept = _first_of_equal_rows(B)
+    assert list(kept) == _first_of_equal_rows_by_loop(B)
+    assert len(kept) == cons.rows
+
+
+def test_first_of_equal_rows_sorts_out_hash_collisions(monkeypatch):
+    # with zero multipliers a row's hash is its length, so rows of equal
+    # length share a bucket whether or not they are equal
+    monkeypatch.setattr(hodgefem.globalspace, "_ROW_HASH", np.zeros(3, dtype=np.uint64))
+    tri, prod, cons = _setup(4)
+    B = sp.vstack([cons.B_div, cons.B]).tocsr()
+    assert list(_first_of_equal_rows(B)) == _first_of_equal_rows_by_loop(B)
+
+
+def test_first_of_equal_rows_keeps_one_empty_row():
+    B = sp.csr_matrix((3, 4))
+    assert list(_first_of_equal_rows(B)) == _first_of_equal_rows_by_loop(B) == [0]
+    assert list(_first_of_equal_rows(sp.csr_matrix((0, 4)))) == []
 
 
 @pytest.mark.parametrize(

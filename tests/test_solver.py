@@ -20,9 +20,12 @@ from hodgefem.globalspace import (
     global_interpolate,
 )
 from hodgefem.mesh import CRISSCROSS, DIAGONAL, generate_square_mesh
+import hodgefem.solver
 from hodgefem.solver import (
     _block_jacobi,
     _cellwise,
+    _cellwise_constants,
+    _constant_correction,
     assemble,
     broken_energy_product,
     coarse_prolongation,
@@ -33,6 +36,7 @@ from hodgefem.solver import (
     solve_oracle,
     solve_system,
     solver_study,
+    two_level_preconditioner,
 )
 
 from conftest import MESHES, _jittered
@@ -351,10 +355,72 @@ def test_jittered_m16_converges_within_the_cap():
 
 
 @pytest.mark.parametrize(
-    "pattern, ms", [(DIAGONAL, (4, 8, 16, 32)), (CRISSCROSS, (2, 4, 8, 16))]
+    "pattern, ms",
+    [(DIAGONAL, (4, 8, 16, 32)), (CRISSCROSS, (2, 4, 8, 16)), ("jittered", (16, 32))],
 )
 def test_two_level_iterations_stay_flat_under_refinement(pattern, ms):
     for m in ms:
-        system = assemble(generate_square_mesh(m, pattern), get_field("polyflow"))
+        tri = _jittered(m, 1) if pattern == "jittered" else generate_square_mesh(m, pattern)
+        system = assemble(tri, get_field("polyflow"))
         result = solve_system(system, tol=1e-10)
-        assert result.iterations <= 400, f"{pattern} m={m}: {result.iterations} iterations"
+        assert result.iterations <= 80, f"{pattern} m={m}: {result.iterations} iterations"
+
+
+def _dense(apply, n: int) -> np.ndarray:
+    return np.column_stack([apply(e) for e in np.eye(n)])
+
+
+@pytest.mark.parametrize("pattern, m", [(DIAGONAL, 4), (DIAGONAL, 8), (CRISSCROSS, 8)])
+def test_preconditioned_condition_number_is_bounded(pattern, m):
+    # without the correction on the cellwise constants this is 1,943 to 15,867
+    system = assemble(generate_square_mesh(m, pattern), get_field("polyflow"))
+    A = system.A.toarray()
+    M = _dense(two_level_preconditioner(system.A, system.basis), len(A))
+    chol = np.linalg.cholesky((M + M.T) / 2)
+    w = np.linalg.eigvalsh(chol.T @ A @ chol)
+    assert w[0] > 0 and w[-1] / w[0] <= 40
+
+
+@pytest.mark.parametrize("name", sorted(COARSE_MESHES))
+def test_cellwise_constants_prolong_exactly_and_correct_symmetrically(name):
+    tri = COARSE_MESHES[name]()
+    prod = build_product_space(tri)
+    basis = build_global_basis(tri, prod)
+    CE, Bc, d = _cellwise_constants(basis)
+    nc = len(tri.cells)
+    # E: shape slots 0 and 1 of every cell
+    slots = np.arange(prod.dim).reshape(nc, 6)[:, :2].ravel()
+    E = sp.csr_matrix((np.ones(2 * nc), (slots, np.arange(2 * nc))), shape=(prod.dim, 2 * nc))
+    B = build_constraints(tri, prod).B
+    assert abs(Bc - (B @ E)[1:]).max() <= 1e-15 * abs(Bc).max()
+    assert np.array_equal(d, np.repeat([prod.template(c).gram_float[0, 0] for c in range(nc)], 2))
+
+    # y = Pi_Z x, the D-orthogonal projection onto null(B_c), by a dense solve
+    x = np.random.default_rng(5).standard_normal(2 * nc)
+    Bd = Bc.toarray()
+    y = x - (Bd.T @ np.linalg.solve(Bd @ (Bd.T / d[:, None]), Bd @ x)) / d
+    assert abs(Bd @ y).max() <= 1e-12 * abs(Bd).max() * abs(y).max()
+    Ey = E @ y
+    assert np.linalg.norm(basis.Phi @ (CE @ y) - Ey) <= 1e-10 * np.linalg.norm(Ey)
+
+    T = _dense(_constant_correction(basis), len(basis))
+    assert abs(T - T.T).max() <= 1e-12 * abs(T).max()
+    w = np.linalg.eigvalsh((T + T.T) / 2)
+    assert w[0] >= -1e-12 * w[-1]
+    # its range is Z, of dimension cells - 1
+    assert np.count_nonzero(w > 1e-8 * w[-1]) == nc - 1
+
+
+@pytest.mark.parametrize("extra", ["repeat", "sum"])
+def test_a_singular_constant_constraint_matrix_raises(extra, monkeypatch):
+    # B_c with one more dependent row than div row 0: a repeated row
+    # (an exactly zero pivot) or the sum of two rows (a rounded one)
+    def dependent(basis):
+        CE, Bc, d = _cellwise_constants(basis)
+        row = Bc[3] if extra == "repeat" else Bc[3] + Bc[4]
+        return CE, sp.vstack([Bc, row]).tocsr(), d
+
+    monkeypatch.setattr(hodgefem.solver, "_cellwise_constants", dependent)
+    system = assemble(generate_square_mesh(4), get_field("polyflow"))
+    with pytest.raises(ValueError, match=r"^the cellwise-constant constraints .* are singular: "):
+        solve_system(system)
