@@ -25,6 +25,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -85,10 +86,14 @@ def _check_study_args(ms: list[int], quad_order: int) -> None:
     quadrature_rule(2, quad_order)
 
 
-def _open_out(path):
+@contextmanager
+def _output(path: str | None):
+    """stdout for no path or "-", else the file at path, closed on exit."""
     if path is None or path == "-":
-        return sys.stdout, False
-    return open(path, "w"), True
+        yield sys.stdout
+    else:
+        with open(path, "w") as f:
+            yield f
 
 
 def _csv_row(row: StudyRow, solve: bool) -> str:
@@ -112,13 +117,9 @@ def cmd_verify(args) -> int:
         "passed": len(checks) - len(failed),
         "failed": len(failed),
     }
-    out, close = _open_out(args.out)
-    try:
+    with _output(args.out) as out:
         json.dump(report, out, indent=2)
         out.write("\n")
-    finally:
-        if close:
-            out.close()
     for c in failed:
         print(c.line(), file=sys.stderr)
     return 1 if failed else 0
@@ -130,14 +131,10 @@ def cmd_interpolate(args) -> int:
     _check_study_args(ms, args.quad_order)
     pattern = _PATTERNS[args.pattern]
     rows = interpolation_study(field, ms, pattern=pattern, quad_order=args.quad_order)
-    out, close = _open_out(args.out)
-    try:
+    with _output(args.out) as out:
         out.write(CSV_HEADER + "\n")
         for row in rows:
             out.write(_csv_row(row, solve=False) + "\n")
-    finally:
-        if close:
-            out.close()
     if len(rows) >= 2:
         print(f"fitted energy rate: {fit_rate(rows):.4f}", file=sys.stderr)
     return 0
@@ -159,8 +156,7 @@ def cmd_solve(args) -> int:
     )
     rows: list[StudyRow] = []
     status = 0
-    out, close = _open_out(args.out)
-    try:
+    with _output(args.out) as out:
         out.write(CSV_HEADER_SOLVE + "\n")
         for row in study:
             rows.append(row)
@@ -173,9 +169,6 @@ def cmd_solve(args) -> int:
                 )
                 if row.oracle_gap > 1e-8 or row.oracle_residual > 1e-10:
                     status = 1
-    finally:
-        if close:
-            out.close()
     if len(rows) >= 2:
         print(f"fitted energy rate: {fit_rate(rows):.4f}", file=sys.stderr)
     return status
@@ -192,8 +185,7 @@ def cmd_basis(args) -> int:
         reason = str(exc).removeprefix("rank audit: ")
         print(f"basis: rank audit failed: {reason}", file=sys.stderr)
         return 1
-    out, close = _open_out(args.out)
-    try:
+    with _output(args.out) as out:
         for fn in basis.functions:
             out.write(
                 json.dumps(
@@ -219,9 +211,6 @@ def cmd_basis(args) -> int:
             "count_matches_nullity": len(basis) == nullity,
         }
         out.write(json.dumps({"audit": audit}) + "\n")
-    finally:
-        if close:
-            out.close()
     return 0 if len(basis) == nullity else 1
 
 
@@ -247,13 +236,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--simplices", type=int, default=100, help="simplices per norm check")
     p.add_argument("--triangles", type=int, default=1000, help="triangles for unisolvence")
-    p.add_argument("--out", help="output path (default stdout)")
+    p.add_argument("--out", type=str, help="output path (default stdout)")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("interpolate", help="interpolation convergence study (CSV)")
     p.add_argument("--field", choices=sorted(FIELDS), default=DEFAULT_FIELD)
     _add_mesh_flags(p, "2,4,8,16")
-    p.add_argument("--out", help="output path (default stdout)")
+    p.add_argument("--out", type=str, help="output path (default stdout)")
     p.set_defaults(func=cmd_interpolate)
 
     p = sub.add_parser("solve", help="solve the model problem (CSV)")
@@ -270,14 +259,14 @@ def build_parser() -> argparse.ArgumentParser:
             "(auto: meshes with m <= 4)"
         ),
     )
-    p.add_argument("--out", help="output path (default stdout)")
+    p.add_argument("--out", type=str, help="output path (default stdout)")
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("basis", help="dump the global basis (JSON lines + audit)")
     p.add_argument("--mesh-m", type=int, default=4)
-    p.add_argument("--mesh-file", help="read the mesh from a file instead")
+    p.add_argument("--mesh-file", type=str, help="read the mesh from a file instead")
     p.add_argument("--pattern", choices=sorted(_PATTERNS), default="diagonal")
-    p.add_argument("--out", help="output path (default stdout)")
+    p.add_argument("--out", type=str, help="output path (default stdout)")
     p.set_defaults(func=cmd_basis)
     return parser
 
@@ -288,11 +277,12 @@ def _check_config_value(key, value, action: argparse.Action) -> None:
     A string passes: argparse converts a string default with the option's
     ``type=`` and reports a bad one itself.  Other values are kept as
     they are, so an ``int`` option takes a JSON integer, a ``float``
-    option a JSON number, and an option with choices one of them.
+    option a JSON number, a ``str`` option (a path) nothing else, and an
+    option with choices one of them.
     """
     if isinstance(value, str):
         return
-    kinds = {int: (int, "an integer"), float: ((int, float), "a number")}
+    kinds = {int: (int, "an integer"), float: ((int, float), "a number"), str: (str, "a string")}
     if action.type in kinds:
         allowed, what = kinds[action.type]
         if isinstance(value, bool) or not isinstance(value, allowed):

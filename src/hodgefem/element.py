@@ -44,8 +44,10 @@ node_tables evaluates the planar 1-form element's shape basis and DOF
 test forms at quadrature nodes, and quadrature_dofs applies the Green
 functionals in floats to fields given by their node values.  This pair
 is the one float quadrature of the functionals: dof_values of a
-callback, the cellwise global interpolation and the unisolvence suite's
-projection check all use it.
+callback, the unisolvence suite's projection check and the cellwise
+global interpolation all use it.  quadrature_rows writes it as a matrix
+against node values, for all templates at once, by applying
+quadrature_dofs at each node to unit fields.
 
 Scaling keeps the DofMatrix condition number independent of the simplex
 diameter: koszul-type shape and test forms carry 1/h, the H2D block
@@ -92,7 +94,9 @@ __all__ = [
     "green_pairing",
     "dof_values",
     "node_tables",
+    "node_values",
     "quadrature_dofs",
+    "quadrature_rows",
     "interpolate",
     "interpolate_coeffs",
 ]
@@ -304,19 +308,16 @@ class DofMatrix:
     matrix (rows eta then tau, columns shape basis), exact and as floats.
     """
 
-    __slots__ = ("space", "dofs", "exact", "_float")
+    __slots__ = ("space", "dofs", "exact")
 
     def __init__(self, space: ShapeSpace, dofs: DofBasis, exact):
         self.space = space
         self.dofs = dofs
         self.exact = exact
-        self._float = None
 
     @property
     def as_float(self) -> np.ndarray:
-        if self._float is None:
-            self._float = np.array([[float(v) for v in row] for row in self.exact])
-        return self._float
+        return np.array(self.exact, dtype=float)
 
     def cond(self) -> float:
         return float(np.linalg.cond(self.as_float))
@@ -415,23 +416,48 @@ def node_tables(matrix: DofMatrix, order: int) -> dict[str, np.ndarray]:
     }
 
 
+def node_values(mu: FormCallback, points: np.ndarray) -> np.ndarray:
+    """Value (x, y), d and Green delta of a planar 1-form callback at points (..., 2): (..., 4)."""
+    flat = points.reshape(-1, 2)
+    parts = [np.asarray(f(flat), dtype=float) for f in (mu.value, mu.d, mu.delta)]
+    return np.column_stack(parts).reshape(*points.shape[:-1], 4)
+
+
 def quadrature_dofs(
     tab: dict[str, np.ndarray], val: np.ndarray, dval: np.ndarray, gval: np.ndarray
 ) -> np.ndarray:
-    """Float Green functionals (C, 6) of C fields, by quadrature on ``node_tables``.
+    """Float Green functionals (..., C, 6) of C fields, by quadrature on ``node_tables``.
 
     ``val`` (C,nq,2), ``dval`` (C,nq) and ``gval`` (C,nq) are each
     field's value, d and Green delta at the nodes of ``tab``.  Columns
     follow the DOF rows: F_eta for each eta, then F_tau for each tau.
+    Leading axes of ``tab`` (stacked elements) lead the result too.
     """
     w = tab["weights"]
-    f_eta = np.einsum("q,eq,cq->ce", w, tab["eta_v"], dval) - np.einsum(
-        "q,eqx,cqx->ce", w, tab["eta_g"], val
+    f_eta = np.einsum("...q,...eq,...cq->...ce", w, tab["eta_v"], dval) - np.einsum(
+        "...q,...eqx,...cqx->...ce", w, tab["eta_g"], val
     )
-    f_tau = np.einsum("q,tq,cq->ct", w, tab["tau_v"], gval) - np.einsum(
-        "q,tqx,cqx->ct", w, tab["tau_d"], val
+    f_tau = np.einsum("...q,...tq,...cq->...ct", w, tab["tau_v"], gval) - np.einsum(
+        "...q,...tqx,...cqx->...ct", w, tab["tau_d"], val
     )
-    return np.concatenate([f_eta, f_tau], axis=1)
+    return np.concatenate([f_eta, f_tau], axis=-1)
+
+
+def quadrature_rows(tab: dict[str, np.ndarray]) -> np.ndarray:
+    """``quadrature_dofs`` as rows (..., nq, 4, 6) against ``node_values`` N (nq, 4).
+
+    The DOFs of a field are the sum over (q, k) of N[q, k] rows[q, k]: each
+    node is a one-point rule, applied to the four unit fields there.
+    """
+    one_point = {
+        "weights": tab["weights"][..., None],
+        "eta_v": np.moveaxis(tab["eta_v"], -1, -2)[..., None],
+        "eta_g": np.moveaxis(tab["eta_g"], -2, -3)[..., None, :],
+        "tau_v": np.moveaxis(tab["tau_v"], -1, -2)[..., None],
+        "tau_d": np.moveaxis(tab["tau_d"], -2, -3)[..., None, :],
+    }
+    unit = np.eye(4)[:, None]  # (field, node, component)
+    return quadrature_dofs(one_point, unit[..., :2], unit[..., 2], unit[..., 3])
 
 
 def dof_values(mu, matrix: DofMatrix, quad_order: int = 6):
@@ -457,11 +483,8 @@ def dof_values(mu, matrix: DofMatrix, quad_order: int = 6):
         )
     tab = node_tables(matrix, quad_order)
     pts = np.array([float(x) for x in dofs.simplex.barycenter]) + tab["centered"]
-    nq = len(pts)
-    val = np.asarray(mu.value(pts), dtype=float).reshape(1, nq, 2)
-    dval = np.asarray(mu.d(pts), dtype=float).reshape(1, nq)
-    gval = np.asarray(mu.delta(pts), dtype=float).reshape(1, nq)
-    return quadrature_dofs(tab, val, dval, gval)[0]
+    values = node_values(mu, pts[None])  # one field
+    return quadrature_dofs(tab, values[..., :2], values[..., 2], values[..., 3])[0]
 
 
 def interpolate_coeffs(mu, matrix: DofMatrix, method: str = DIRECT, quad_order: int = 6):

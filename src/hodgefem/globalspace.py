@@ -44,10 +44,10 @@ centered vertex tuple; cells are sorted into classes by the same tuple
 in lowest integer terms, computed for all cells at once from each
 cell's exact integer coordinates, and only the first cell of a class
 gets an exact Simplex.  ``ProductSpace`` holds the one cell-to-template
-map: a template list, the cells of each template, and each cell's
-template index, and every per-template loop walks the first two
-together.  B and Phi read the same per-template 6x6 data: B is
-gathered from each template's float Whitney rows, and Phi from its
+map (a template list and each cell's template index) and the one float
+view of the templates: ``CellTemplate`` keeps only exact data, and each
+float array is stacked once over the templates.  B and Phi read the
+same stacked 6x6 data: B gathers the float Whitney rows, and Phi the
 float dual coefficients, by template index, cell and slot.  The kernel
 basis is held as per-function arrays (category, anchor, support cells,
 dual columns); the exact BasisFunctions (``functions``) are generated
@@ -77,7 +77,8 @@ from .element import (
     build_shape_space,
     green_pairing,
     node_tables,
-    quadrature_dofs,
+    node_values,
+    quadrature_rows,
 )
 from .forms import PolyForm
 from .mesh import Triangulation
@@ -108,28 +109,15 @@ ROT_CELL = "ROT_CELL"
 
 
 class CellTemplate:
-    """Per-congruence-class exact element data (translation invariant)."""
+    """Per-congruence-class exact element data (translation invariant); no floats."""
 
-    __slots__ = (
-        "key",
-        "simplex",
-        "matrix",
-        "minv",
-        "whitney",
-        "duals",
-        "duals_float",
-        "whitney_float",
-        "gram",
-        "gram_float",
-        "_tables",
-    )
+    __slots__ = ("key", "simplex", "matrix", "whitney", "duals", "gram")
 
     def __init__(self, key, simplex: Simplex):
         self.key = key
         self.simplex = simplex
         space = build_shape_space(2, 1, simplex)
         self.matrix = build_dof_matrix(space, build_dof_basis(2, 1, simplex))
-        self.minv = np.linalg.inv(self.matrix.as_float)
 
         # Whitney functional matrix: rows rot slot 0..2 (eta = hat dx^12),
         # then div slot 0..2 (tau = hat)
@@ -147,24 +135,10 @@ class CellTemplate:
         self.whitney = green_pairing(basis, d_basis, g_basis, vertex_tests)
         eye = [[Fraction(1 if r == c else 0) for c in range(6)] for r in range(6)]
         self.duals = solve_rational(self.whitney, eye)  # column j: dual coeffs
-        self.duals_float = np.array([[float(v) for v in row] for row in self.duals])
-        self.whitney_float = np.array([[float(v) for v in row] for row in self.whitney])
 
         # graph-norm Gram <d u, d v> + <delta u, delta v> + <u, v>: one pairing
         graph = list(zip(d_basis, g_basis, basis))
         self.gram = l2_gram(graph, graph, simplex)
-        self.gram_float = np.array([[float(v) for v in row] for row in self.gram])
-        self._tables: dict[int, dict[str, np.ndarray]] = {}
-
-    def tables(self, order: int) -> dict[str, np.ndarray]:
-        """``element.node_tables`` of this template, cached per order.
-
-        Centered coordinates, so shared by every congruent cell.
-        """
-        t = self._tables.get(order)
-        if t is None:
-            t = self._tables[order] = node_tables(self.matrix, order)
-        return t
 
 
 class ProductSpace:
@@ -180,9 +154,10 @@ class ProductSpace:
     Barycenters are the exact ones rounded once to float.
 
     The one cell-to-template map: ``templates`` lists the classes in
-    order of their first cell, ``cells_by_template[i]`` holds the cells
-    of ``templates[i]`` in increasing order, and ``template_index[c]``
-    is the class of cell c.
+    order of their first cell, and ``template_index[c]`` is the class of
+    cell c.  The space holds the one float view of the exact templates,
+    stacked over them: ``gram``, ``whitney``, ``duals``, the inverse DOF
+    matrix ``minv``, the centered ``vertices`` and ``tables(order)``.
     """
 
     def __init__(self, tri: Triangulation):
@@ -198,13 +173,20 @@ class ProductSpace:
         for c, shape in enumerate(map(tuple, reduced.tolist())):
             classes.setdefault(shape, []).append(c)
         self.templates: list[CellTemplate] = []
-        self.cells_by_template: list[np.ndarray] = []
         self.template_index = np.empty(nc, dtype=np.intp)
         for i, cells in enumerate(classes.values()):
             simplex = tri.simplex(cells[0])
             self.templates.append(CellTemplate(tuple(simplex.centered), simplex))
-            self.cells_by_template.append(np.array(cells))
             self.template_index[cells] = i
+        # the float view: each exact entry rounded once, float(Fraction)
+        exact = [
+            (t.gram, t.whitney, t.duals, t.matrix.exact, t.simplex.centered) for t in self.templates
+        ]
+        self.gram, self.whitney, self.duals, matrix, self.vertices = (
+            np.array(stack, dtype=float) for stack in zip(*exact)
+        )
+        self.minv = np.linalg.inv(matrix)
+        self._tables: dict[int, dict[str, np.ndarray]] = {}
 
     @property
     def dim(self) -> int:
@@ -213,12 +195,40 @@ class ProductSpace:
     def template(self, cell: int) -> CellTemplate:
         return self.templates[self.template_index[cell]]
 
+    def tables(self, order: int) -> dict[str, np.ndarray]:
+        """``element.node_tables`` of every template (centered, so shared by
+        congruent cells), stacked on axis 0 and cached per order."""
+        tab = self._tables.get(order)
+        if tab is None:
+            tab = self._tables[order] = {}
+            for i, t in enumerate(self.templates):  # filled in place: no per-template copy kept
+                for k, v in node_tables(t.matrix, order).items():
+                    tab.setdefault(k, np.empty((len(self.templates),) + v.shape))[i] = v
+        return tab
+
+    def nodes(self, order: int) -> np.ndarray:
+        """The quadrature nodes of every cell, shape (cells, nq, 2), in global coordinates."""
+        return self.barycenters[:, None, :] + self.tables(order)["centered"][self.template_index]
+
     def block_diagonal(self, per_template: np.ndarray) -> sp.bsr_matrix:
         """The (dim, dim) matrix whose 6x6 block of cell c is per_template[template_index[c]]."""
         blocks = np.arange(len(self.template_index))  # block row c holds block column c
         return sp.bsr_matrix(
             (per_template[self.template_index], blocks, np.append(blocks, len(blocks))),
             shape=(self.dim,) * 2,
+        )
+
+    def by_template(self, rows: np.ndarray) -> sp.csr_matrix:
+        """Per-cell rows (cells, n) at columns n t .. n t + n - 1, t the cell's template.
+
+        ``by_template(x) @ table.reshape(templates * n, k)`` so applies each
+        cell's template table in one sparse product, with no per-cell copy.
+        """
+        nc, n = rows.shape
+        columns = n * self.template_index[:, None] + np.arange(n)
+        return sp.csr_matrix(
+            (rows.ravel(), columns.ravel(), n * np.arange(nc + 1)),
+            shape=(nc, n * len(self.templates)),
         )
 
 
@@ -254,8 +264,8 @@ class ConstraintSystem:
         These are the rows that repeat no earlier row exactly; the
         certificate below proves they are linearly independent, so B
         restricted to them has full row rank and spans the rows of B.
-        Let B_u be B on these rows and D = blockdiag(duals_float) over
-        the cells.  Since whitney . duals = I on every template, S = B_u
+        Let B_u be B on these rows and D = blockdiag(prod.duals) over the
+        cells.  Since whitney . duals = I on every template, S = B_u
         D selects shape coefficients: each entry is within 1e-9 of an
         integer, no row is zero and no column has two nonzeros.  Rounded,
         S then has disjoint nonzero integer rows, so its smallest
@@ -268,7 +278,7 @@ class ConstraintSystem:
         B.sum_duplicates()
         B.eliminate_zeros()
         kept = _first_of_equal_rows(B)
-        D = self.prod.block_diagonal(np.stack([t.duals_float for t in self.prod.templates]))
+        D = self.prod.block_diagonal(self.prod.duals)
         S = B[kept] @ D
         S.sum_duplicates()
         near = np.rint(S.data)
@@ -368,14 +378,14 @@ def constraint_layout(tri: Triangulation) -> np.ndarray:
 
 
 def build_constraints(tri: Triangulation, prod: ProductSpace) -> ConstraintSystem:
-    """Gather B from each template's float Whitney rows by cell and slot.
+    """Gather B from the float Whitney rows of ``prod`` by cell and slot.
 
     Each cell's Whitney rows enter the rows of ``constraint_layout`` over
     the columns 6c..6c+5.  Every (row, column) pair comes from one cell
     and one slot, so no entries are summed.
     """
     nv, nc = len(tri.vertices), len(tri.cells)
-    whitney = np.stack([t.whitney_float for t in prod.templates])[prod.template_index]
+    whitney = prod.whitney[prod.template_index]
     # axes (cell, rot/div, slot, shape index): Whitney rows 0..2 are rot, 3..5 div
     values = whitney.reshape(nc, 2, 3, 6)
     rows = constraint_layout(tri)[:, :, :, None]
@@ -476,7 +486,7 @@ def build_global_basis(tri: Triangulation, prod: ProductSpace) -> GlobalBasis:
     every (cell, boundary-vertex) incidence contributes one single-cell
     ROT_CELL function.  All vectors satisfy B v = 0 exactly by
     biorthogonality of the dual forms.  Phi is gathered from the float
-    dual columns of the templates with index arithmetic; its columns
+    dual columns ``prod.duals`` with index arithmetic; its columns
     are ordered DIV_PATCH (by vertex, then along the fan), ROT_PATCH
     (interior vertices) and ROT_CELL (by cell, then slot).
     """
@@ -514,11 +524,10 @@ def build_global_basis(tri: Triangulation, prod: ProductSpace) -> GlobalBasis:
     slots = np.argmax(cells[cell] == anchor[:, None, None], axis=2)
     columns = np.where(present, shift + slots, -1)
 
-    duals = np.stack([t.duals_float for t in prod.templates])  # (templates, 6, 6)
     tix = prod.template_index[cell]
     col = np.maximum(columns, 0)
     # (function, first/second cell, shape index): entries in the exact order
-    gathered = duals[tix, :, col]
+    gathered = prod.duals[tix, :, col]
     values = np.array([1.0, -1.0])[:, None] * gathered
     keep = (gathered != 0) & present[:, :, None]
     rows = 6 * cell[:, :, None] + _SLOT
@@ -532,23 +541,16 @@ def build_global_basis(tri: Triangulation, prod: ProductSpace) -> GlobalBasis:
 def global_interpolate(
     mu: FormCallback, tri: Triangulation, prod: ProductSpace, quad_order: int = 6
 ) -> np.ndarray:
-    """Cellwise interpolation onto the broken space, vectorized by template.
+    """Cellwise interpolation onto the broken space, as one sparse product.
 
-    The callback must provide value, d and delta (Green sign).
+    The callback must provide value, d and delta (Green sign).  A
+    template's table is its ``quadrature_rows`` times the transposed
+    inverse DOF matrix, so a cell's coefficients are its ``node_values``
+    applied to its template's table.
     """
     if mu.d is None or mu.delta is None:
         raise ValueError("global interpolation needs d and delta callback data")
-    out = np.zeros(prod.dim)
-    for t, cells in zip(prod.templates, prod.cells_by_template):
-        tab = t.tables(quad_order)
-        nodes = tab["centered"]
-        nq = nodes.shape[0]
-        pts = prod.barycenters[cells][:, None, :] + nodes[None, :, :]  # (C, nq, 2)
-        C = len(cells)
-        flat = pts.reshape(-1, 2)
-        val = np.asarray(mu.value(flat), dtype=float).reshape(C, nq, 2)
-        dv = np.asarray(mu.d(flat), dtype=float).reshape(C, nq)
-        gv = np.asarray(mu.delta(flat), dtype=float).reshape(C, nq)
-        dofs = quadrature_dofs(tab, val, dv, gv)  # (C, 6)
-        out.reshape(-1, 6)[cells] = dofs @ t.minv.T
-    return out
+    rows = quadrature_rows(prod.tables(quad_order)).reshape(len(prod.templates), -1, 6)
+    table = rows @ prod.minv.transpose(0, 2, 1)  # (template, node * component, coefficient)
+    values = node_values(mu, prod.nodes(quad_order)).reshape(len(tri.cells), -1)
+    return (prod.by_template(values) @ table.reshape(-1, 6)).ravel()

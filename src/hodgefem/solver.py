@@ -121,33 +121,19 @@ _SLOT = np.arange(6)
 
 def cell_gram_matrix(prod: ProductSpace) -> sp.csr_matrix:
     """Block-diagonal broken Gram <d.,d.> + <delta.,delta.> + <.,.>."""
-    ii, jj = np.meshgrid(_SLOT, _SLOT, indexing="ij")
-    rows, cols, data = [], [], []
-    for t, cells in zip(prod.templates, prod.cells_by_template):
-        g = t.gram_float
-        base = 6 * cells
-        rows.append((base[:, None, None] + ii[None]).ravel())
-        cols.append((base[:, None, None] + jj[None]).ravel())
-        data.append(np.broadcast_to(g, (len(cells), 6, 6)).ravel())
-    return sp.coo_matrix(
-        (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(prod.dim, prod.dim),
-    ).tocsr()
+    return prod.block_diagonal(prod.gram).tocsr()
 
 
 def cell_load_vector(
     prod: ProductSpace, field: SmoothField, quad_order: int = 6
 ) -> np.ndarray:
-    """Per-cell load <f, mu_i>_T against the shape basis, by template batch."""
-    b = np.zeros(prod.dim)
-    for t, cells in zip(prod.templates, prod.cells_by_template):
-        tab = t.tables(quad_order)
-        nodes, w = tab["centered"], tab["weights"]
-        pts = prod.barycenters[cells][:, None, :] + nodes[None, :, :]
-        fv = np.asarray(field.f(pts.reshape(-1, 2))).reshape(len(cells), -1, 2)
-        blocks = np.einsum("q,iqx,cqx->ci", w, tab["val"], fv)
-        b[(6 * cells[:, None] + _SLOT[None]).ravel()] = blocks.ravel()
-    return b
+    """Per-cell load <f, mu_i>_T against the shape basis, as one sparse product."""
+    tab = prod.tables(quad_order)
+    nodes = prod.nodes(quad_order)
+    fv = np.asarray(field.f(nodes.reshape(-1, 2))).reshape(len(nodes), -1)  # (cell, node * x)
+    # (template, node, x, shape index): the weighted shape values
+    table = (tab["weights"][:, None, :, None] * tab["val"]).transpose(0, 2, 3, 1)
+    return (prod.by_template(fv) @ table.reshape(-1, 6)).ravel()
 
 
 @dataclass
@@ -326,9 +312,9 @@ def _p1_whitney(prod: ProductSpace) -> np.ndarray:
         rot row r   <d mu, hat_r> - <mu, delta(hat_r dx^12)> =  |T|/3 J(g_r + g_s)_x
         div row r   <delta mu, hat_r> - <mu, d hat_r>         = -|T|/3 (g_r + g_s)_x
 
-    computed from the float vertices alone.
+    computed from the float vertices ``prod.vertices`` alone.
     """
-    v = np.array([[[float(x) for x in p] for p in t.simplex.centered] for t in prod.templates])
+    v = prod.vertices
     opposite = v[:, [2, 0, 1]] - v[:, [1, 2, 0]]
     area2 = opposite[:, 1, 0] * opposite[:, 2, 1] - opposite[:, 1, 1] * opposite[:, 2, 0]
     # (template, slot, x): grad hat_s, J of the opposite edge over the signed 2|T|
@@ -350,7 +336,10 @@ def _cellwise(prod: ProductSpace, blocks: np.ndarray) -> sp.csr_matrix:
     nc = len(prod.tri.cells)
     cells = np.array(prod.tri.cells, dtype=np.intp).reshape(nc, 3)
     local = blocks.reshape(-1, 6, 3, 2)[prod.template_index]  # (cell, row, slot, x)
-    values = np.einsum("cisx,cskx->cisk", local, directions[cells])
+    dirs = directions[cells]  # (cell, slot, k, x)
+    # (cell, row, slot, k): the sum over x written out, about 3x faster than einsum
+    values = local[..., 0, None] * dirs[:, None, :, :, 0]
+    values += local[..., 1, None] * dirs[:, None, :, :, 1]
     rows = 6 * np.arange(nc)[:, None, None, None] + _SLOT[:, None, None]
     rows, cols = np.broadcast_arrays(rows, columns[cells][:, None])
     keep = (cols >= 0) & (values != 0)
@@ -421,7 +410,7 @@ def _cellwise_constants(basis: GlobalBasis) -> tuple[sp.csr_matrix, sp.csr_matri
     ``constraint_layout`` without div row 0: on each cell the div rows
     sum to zero on constants, so on a connected mesh div row 0 depends on
     the others.  d and delta vanish on a constant, so A_cell on these
-    columns is diag(d), d = |T| from ``gram_float[0, 0]``.
+    columns is diag(d), d = |T| from ``prod.gram[:, 0, 0]``.
     """
     prod = basis.prod
     tri = prod.tri
@@ -440,7 +429,7 @@ def _cellwise_constants(basis: GlobalBasis) -> tuple[sp.csr_matrix, sp.csr_matri
         (values.reshape(nc, 2, 3, 2)[keep], (rows[keep] - 1, cols[keep])),
         shape=(len(tri.vertices) + len(tri.interior_vertices) - 1, 2 * nc),
     )
-    d = np.repeat(np.array([t.gram_float[0, 0] for t in prod.templates])[tix], 2)
+    d = np.repeat(prod.gram[tix, 0, 0], 2)
     return CE, Bc, d
 
 
@@ -577,7 +566,7 @@ def solve_oracle(system: AssembledSystem, cons: ConstraintSystem) -> OracleResul
     prod = system.prod
     kept = cons.kept_rows()
     B = cons.B.tocsr()[kept]
-    chol = np.linalg.cholesky(np.stack([t.gram_float for t in prod.templates]))
+    chol = np.linalg.cholesky(prod.gram)
     W = prod.block_diagonal(np.linalg.inv(chol).transpose(0, 2, 1))
     C = (B @ W).tocsr()
     wb = W.T @ system.b_cell
@@ -596,25 +585,18 @@ def error_norms(
     quad_order: int = 6,
 ) -> dict[str, float]:
     """Broken L2, rot, div, and energy errors of a product-space field."""
-    l2_sq = rot_sq = div_sq = 0.0
+    tab = prod.tables(quad_order)
+    flat = prod.nodes(quad_order).reshape(-1, 2)
+    # (template, shape index, node, component): value x, value y, d and Green delta
+    shape = np.concatenate([tab["val"], tab["dval"][..., None], tab["gval"][..., None]], axis=3)
     coeffs = np.asarray(u_cell, dtype=float).reshape(-1, 6)
-    for t, cells in zip(prod.templates, prod.cells_by_template):
-        tab = t.tables(quad_order)
-        nodes, w = tab["centered"], tab["weights"]
-        pts = prod.barycenters[cells][:, None, :] + nodes[None, :, :]
-        flat = pts.reshape(-1, 2)
-        uk = coeffs[cells]
-        uh_v = np.einsum("ci,iqx->cqx", uk, tab["val"])
-        uh_d = np.einsum("ci,iq->cq", uk, tab["dval"])
-        uh_g = np.einsum("ci,iq->cq", uk, tab["gval"])
-        nq = nodes.shape[0]
-        wv = np.asarray(field.value(flat)).reshape(len(cells), nq, 2)
-        wr = np.asarray(field.rot(flat)).reshape(len(cells), nq)
-        wd = np.asarray(field.div(flat)).reshape(len(cells), nq)
-        l2_sq += float(np.einsum("q,cqx->", w, (uh_v - wv) ** 2))
-        rot_sq += float(np.einsum("q,cq->", w, (uh_d - wr) ** 2))
-        # gval carries the Green-sign codifferential, i.e. minus the div
-        div_sq += float(np.einsum("q,cq->", w, (uh_g + wd) ** 2))
+    # the discrete field at every node, less the field, in place
+    diff = (prod.by_template(coeffs) @ shape.reshape(len(shape) * 6, -1)).reshape(-1, 4)
+    diff[:, :2] -= field.value(flat)
+    diff[:, 2] -= field.rot(flat)
+    diff[:, 3] += field.div(flat)  # the Green delta is minus the div
+    sums = tab["weights"][prod.template_index].ravel() @ np.square(diff, out=diff)
+    l2_sq, rot_sq, div_sq = float(sums[0] + sums[1]), float(sums[2]), float(sums[3])
     return {
         "l2": math.sqrt(l2_sq),
         "rot": math.sqrt(rot_sq),
@@ -626,13 +608,10 @@ def error_norms(
 def broken_energy_product(
     u_cell: np.ndarray, v_cell: np.ndarray, prod: ProductSpace
 ) -> float:
-    """u^T A_cell v evaluated template-by-template from the exact Grams."""
+    """u^T A_cell v from the float template Grams, as one sparse product."""
     uk = np.asarray(u_cell, dtype=float).reshape(-1, 6)
     vk = np.asarray(v_cell, dtype=float).reshape(-1, 6)
-    total = 0.0
-    for t, cells in zip(prod.templates, prod.cells_by_template):
-        total += float(np.einsum("ci,ij,cj->", uk[cells], t.gram_float, vk[cells]))
-    return total
+    return float(np.sum((prod.by_template(uk) @ prod.gram.reshape(-1, 6)) * vk))
 
 
 @dataclass

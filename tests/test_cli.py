@@ -251,6 +251,30 @@ def test_config_value_of_the_wrong_type_exits_two_and_names_the_key(
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "cfg, argv, message",
+    [
+        ({"out": 2}, ["interpolate", "--refinements", "2"], "key 'out' takes a string, got 2"),
+        (
+            {"out": True},
+            ["interpolate", "--refinements", "2"],
+            "key 'out' takes a string, got True",
+        ),
+        ({"mesh-file": 5}, ["basis"], "key 'mesh-file' takes a string, got 5"),
+        ({"mesh_file": ["a.mesh"]}, ["basis"], "key 'mesh_file' takes a string, got ['a.mesh']"),
+    ],
+    ids=["out-int", "out-bool", "mesh-file-int", "mesh-file-list"],
+)
+def test_config_paths_take_only_a_string(cfg, argv, message, tmp_path, capsys):
+    # a non-string path would reach open() as a file descriptor
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["--config", str(path), *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error reading config: {message}\n"
+
+
 def test_config_takes_numbers_and_a_refinements_list(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"refinements": [2, 4], "tol": 1, "quad-order": 4}))

@@ -49,9 +49,10 @@ def test_product_space_layout():
     assert prod.dim == 48
     # two square orientations times two triangles each
     assert len(prod.templates) == 4
-    sizes = [len(v) for v in prod.cells_by_template]
-    assert sum(sizes) == 8
-    for i, (t, cells) in enumerate(zip(prod.templates, prod.cells_by_template)):
+    cells_by_template = [np.flatnonzero(prod.template_index == i) for i in range(4)]
+    sizes = [len(v) for v in cells_by_template]
+    assert sum(sizes) == 8 and min(sizes) >= 1
+    for i, (t, cells) in enumerate(zip(prod.templates, cells_by_template)):
         for c in cells:
             assert prod.template_index[c] == i
             assert prod.template(int(c)) is t
@@ -80,7 +81,8 @@ def test_congruent_cells_with_different_denominators_share_a_template():
         cells += [(i, i + 1, i + 5), (i, i + 5, i + 4)]
     prod = build_product_space(Triangulation(pts, cells))
     assert len(prod.templates) == 4
-    assert [v.tolist() for v in prod.cells_by_template] == [[0, 4], [1, 5], [2], [3]]
+    cells_by_template = [np.flatnonzero(prod.template_index == i).tolist() for i in range(4)]
+    assert cells_by_template == [[0, 4], [1, 5], [2], [3]]
 
 
 def test_product_space_builds_one_simplex_per_template(monkeypatch):
@@ -96,6 +98,26 @@ def test_product_space_builds_one_simplex_per_template(monkeypatch):
     prod = build_product_space(tri)
     assert len(prod.templates) == 4
     assert len(built) == len(prod.templates)
+
+
+def test_float_stacks_round_each_exact_template_entry_once(mesh):
+    prod = build_product_space(mesh)
+    n = len(prod.templates)
+    for name in ("gram", "whitney", "duals", "minv"):
+        assert getattr(prod, name).shape == (n, 6, 6)
+    assert prod.vertices.shape == (n, 3, 2)
+    for i, t in enumerate(prod.templates):
+        for name in ("gram", "whitney", "duals"):
+            exact = getattr(t, name)
+            assert getattr(prod, name)[i].tolist() == [[float(v) for v in row] for row in exact]
+        assert prod.vertices[i].tolist() == [[float(x) for x in p] for p in t.simplex.centered]
+        matrix = np.array([[float(v) for v in row] for row in t.matrix.exact])
+        assert np.abs(prod.minv[i] @ matrix - np.eye(6)).max() <= 1e-12
+    # a table of per-cell rows applies each cell's template block
+    rows = np.random.default_rng(3).standard_normal((len(mesh.cells), 6))
+    got = prod.by_template(rows) @ prod.gram.reshape(-1, 6)
+    want = np.einsum("ci,cij->cj", rows, prod.gram[prod.template_index])
+    assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
 
 
 def test_cell_gram_equals_the_per_pair_l2_inner_sums(monkeypatch):
@@ -362,11 +384,11 @@ def test_affine_interpolation_reproduces_field():
     tri, prod, cons = _setup(2)
     field = get_field("affine")
     u = global_interpolate(as_callback(field), tri, prod)
+    tab = prod.tables(6)
     for c in range(len(tri.cells)):
-        t = prod.template(c)
-        tab = t.tables(6)
-        pts = tab["centered"] + prod.barycenters[c]
-        uh = np.einsum("i,iqx->qx", u[6 * c : 6 * c + 6], tab["val"])
+        i = prod.template_index[c]
+        pts = tab["centered"][i] + prod.barycenters[c]
+        uh = np.einsum("i,iqx->qx", u[6 * c : 6 * c + 6], tab["val"][i])
         assert np.abs(uh - field.value(pts)).max() <= 1e-12
 
     # smooth field: jump functionals vanish at interior vertices, while
@@ -381,18 +403,20 @@ def test_affine_interpolation_reproduces_field():
 
 def test_global_matches_local_interpolation():
     # templates are shared between congruent cells, so the local element
-    # must be rebuilt on the actual cell simplex for this comparison
-    tri, prod, _ = _setup(2)
+    # must be rebuilt on the actual cell simplex for this comparison; every
+    # cell of the m = 2 mesh and of the fixture meshes (jitter4: 32 templates)
     field = get_field("polyflow")
     cb = as_callback(field)
-    u = global_interpolate(cb, tri, prod, quad_order=6)
-    for c in (0, 7):
-        s = tri.simplex(c)
-        space = build_shape_space(2, 1, s)
-        dofs = build_dof_basis(2, 1, s)
-        local = interpolate_coeffs(cb, build_dof_matrix(space, dofs), quad_order=6)
-        local = np.array([float(x) for x in local])
-        assert np.allclose(u[6 * c : 6 * c + 6], local, rtol=1e-9, atol=1e-12)
+    for tri in [generate_square_mesh(2)] + [build() for build in MESHES.values()]:
+        prod = build_product_space(tri)
+        u = global_interpolate(cb, tri, prod, quad_order=6)
+        for c in range(len(tri.cells)):
+            s = tri.simplex(c)
+            space = build_shape_space(2, 1, s)
+            dofs = build_dof_basis(2, 1, s)
+            local = interpolate_coeffs(cb, build_dof_matrix(space, dofs), quad_order=6)
+            local = np.array([float(x) for x in local])
+            assert np.allclose(u[6 * c : 6 * c + 6], local, rtol=1e-9, atol=1e-12)
 
 
 def test_interpolation_requires_derivative_data():

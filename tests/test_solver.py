@@ -9,7 +9,7 @@ import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hodgefem.element import interpolate_coeffs
+from hodgefem.element import interpolate_coeffs, node_tables
 from hodgefem.fields import SmoothField, as_callback, get_field
 from hodgefem.forms import PolyForm
 from hodgefem.globalspace import (
@@ -20,14 +20,18 @@ from hodgefem.globalspace import (
     global_interpolate,
 )
 from hodgefem.mesh import CRISSCROSS, DIAGONAL, generate_square_mesh
+import hodgefem.globalspace
 import hodgefem.solver
 from hodgefem.solver import (
     _block_jacobi,
     _cellwise,
     _cellwise_constants,
+    _coarse_components,
     _constant_correction,
+    _p1_whitney,
     assemble,
     broken_energy_product,
+    cell_load_vector,
     coarse_prolongation,
     error_norms,
     fit_rate,
@@ -261,6 +265,54 @@ def test_error_norms_of_zero_candidate_recover_field_energy():
     )
 
 
+def test_load_vector_and_error_norms_match_per_cell_tables(mesh):
+    prod = build_product_space(mesh)
+    field = get_field("polyflow")
+    b = cell_load_vector(prod, field).reshape(-1, 6)
+    u = np.random.default_rng(7).standard_normal(prod.dim)
+    squares = np.zeros(3)
+    for c in range(len(mesh.cells)):
+        tab = node_tables(prod.template(c).matrix, 6)
+        w = tab["weights"]
+        pts = prod.barycenters[c] + tab["centered"]
+        want = np.einsum("q,iqx,qx->i", w, tab["val"], field.f(pts))
+        assert np.abs(b[c] - want).max() <= 1e-12 * np.abs(want).max()
+        uc = u[6 * c : 6 * c + 6]
+        uh_v = np.einsum("i,iqx->qx", uc, tab["val"])
+        uh_d, uh_g = uc @ tab["dval"], uc @ tab["gval"]
+        squares += [
+            w @ ((uh_v - field.value(pts)) ** 2).sum(axis=1),
+            w @ (uh_d - field.rot(pts)) ** 2,
+            w @ (uh_g + field.div(pts)) ** 2,
+        ]
+    errs = error_norms(u, prod, field)
+    want = dict(zip(("l2", "rot", "div"), np.sqrt(squares)), energy=np.sqrt(squares.sum()))
+    for key, value in want.items():
+        assert errs[key] == pytest.approx(value, rel=1e-12)
+
+
+def test_node_tables_run_once_per_template_and_order(monkeypatch):
+    tri = MESHES["jitter4"]()
+    prod = build_product_space(tri)
+    calls = []
+    tables = hodgefem.globalspace.node_tables
+
+    def counting(matrix, order):
+        calls.append((id(matrix), order))
+        return tables(matrix, order)
+
+    monkeypatch.setattr(hodgefem.globalspace, "node_tables", counting)
+    field = get_field("polyflow")
+    for order in (6, 4):
+        for _ in range(2):
+            assemble(tri, field, quad_order=order, prod=prod)
+            u = global_interpolate(as_callback(field), tri, prod, quad_order=order)
+            error_norms(u, prod, field, quad_order=order)
+    assert len(prod.templates) == 32
+    expected = [(id(t.matrix), order) for order in (6, 4) for t in prod.templates]
+    assert sorted(calls) == sorted(expected)
+
+
 def test_interpolating_affine_field_is_exact():
     tri = generate_square_mesh(2)
     prod = build_product_space(tri)
@@ -326,7 +378,19 @@ def test_coarse_prolongation_gives_the_p1_interpolant_in_the_kernel(name):
         hats = t.simplex.barycentric_coordinates()
         fields = [PolyForm(2, 1, {(x,): lam}) for lam in hats for x in (1, 2)]
         blocks.append([[float(c) for c in interpolate_coeffs(f, t.matrix)] for f in fields])
-    Pi = _cellwise(prod, np.transpose(blocks, (0, 2, 1)))
+    blocks = np.transpose(blocks, (0, 2, 1))
+    Pi = _cellwise(prod, blocks)
+    # the entries equal, bit for bit, the einsum that the written-out sum
+    # over x in _cellwise replaces
+    directions, columns = _coarse_components(tri)
+    cells = np.array(tri.cells).reshape(-1, 3)
+    for table, P in ((blocks, Pi), (_p1_whitney(prod), _cellwise(prod, _p1_whitney(prod)))):
+        local = table.reshape(-1, 6, 3, 2)[prod.template_index]
+        want = np.einsum("cisx,cskx->cisk", local, directions[cells])
+        rows = 6 * np.arange(len(cells))[:, None, None, None] + np.arange(6)[:, None, None]
+        rows, cols = np.broadcast_arrays(rows, columns[cells][:, None])
+        free = cols >= 0
+        assert np.array_equal(P.toarray()[rows[free], cols[free]], want[free])
     # unit-square meshes: x and y at interior vertices, the tangent at
     # boundary vertices other than the four corners
     boundary = len(tri.vertices) - len(tri.interior_vertices)
@@ -393,7 +457,7 @@ def test_cellwise_constants_prolong_exactly_and_correct_symmetrically(name):
     E = sp.csr_matrix((np.ones(2 * nc), (slots, np.arange(2 * nc))), shape=(prod.dim, 2 * nc))
     B = build_constraints(tri, prod).B
     assert abs(Bc - (B @ E)[1:]).max() <= 1e-15 * abs(Bc).max()
-    assert np.array_equal(d, np.repeat([prod.template(c).gram_float[0, 0] for c in range(nc)], 2))
+    assert np.array_equal(d, np.repeat([float(prod.template(c).gram[0][0]) for c in range(nc)], 2))
 
     # y = Pi_Z x, the D-orthogonal projection onto null(B_c), by a dense solve
     x = np.random.default_rng(5).standard_normal(2 * nc)
