@@ -13,9 +13,12 @@ block member attached to dx^alpha is
     sum_j [ (x^{b_j})^2 - c^{b_j} ] dx^alpha,   b = complement(alpha),
 
 where c^{(j)} is the simplex's second moment, so every component has
-zero mean.  The companion family build_h2delta_form (quadratics in the
-alpha-variables, delta = 0, d constant) is provided for identity tests
-but is not part of the shape space.
+zero mean.  build_h2d_form builds one such member on a simplex directly,
+for the identity suite and the tests; the shape space scales the
+reference forms instead (below).  The companion family
+build_h2delta_form (quadratics in the alpha-variables, delta = 0, d
+constant) is provided for identity tests but is not part of the shape
+space.
 
 Degrees of freedom pair the form with test forms through the two Green
 functionals (delta below is the Green/adjoint sign, see forms):
@@ -23,31 +26,47 @@ functionals (delta below is the Green/adjoint sign, see forms):
     F_eta(mu) = <d mu, eta> - <mu, delta eta>,   eta in P0^{k+1} + star koszul star P0^k
     F_tau(mu) = <delta mu, tau> - <mu, d tau>,   tau in P0^{k-1} + koszul P0^k
 
-green_pairing is the one implementation of these two functionals: it
-pairs a list of forms with any family of eta and tau test forms, and
-the global vertex constraints use it with hat test forms.  It is one
-exact ``simplices.l2_gram`` of the graph (d mu, delta mu, mu) with the
-test members (eta, 0, -delta eta) and (0, tau, -d tau).
+``_green_rows`` writes a family of eta and tau test forms as members
+(eta, 0, -delta eta) and (0, tau, -d tau) of the direct sum of (k+1)-,
+(k-1)- and k-forms, so that pairing them with the graph (d mu, delta mu,
+mu) in one exact ``simplices.l2_gram`` gives the functionals:
+green_pairing is that pairing for any list of forms.
 
-A DofMatrix is the local element of one simplex: shape space, DOF
-basis and the exact and float DOF matrix, built once and passed to
-dof_values, interpolate_coeffs and interpolate.  Row order: eta block
-(constants then koszul-type), then tau block (constants then
-koszul-type); columns follow the shape basis.  The four-step solve is
-block forward substitution in that matrix, written once over a block
-solve that is exact for PolyForm input and float for callbacks.
-interpolate returns the exact interpolant of a PolyForm only; a
-callback's float coefficients come from interpolate_coeffs and are
-never turned back into Fractions.
+The shape basis is built once per (n, k), by ``reference_element``.  On
+every simplex the basis is S R: R the fixed forms of the four blocks in
+centered coordinates, without scalings, and S the simplex's ``Scaling``
+(1/h, 1/h^2 and the second moments, exact rationals).  The DOF test
+forms are E T the same way, and the hat test forms of the global vertex
+constraints H times {1, x1, x2}.  Since d and delta are linear, every
+exact pairing on a simplex is L P S^T with P a pairing of the fixed
+families: ``ReferenceElement.pair`` computes it from the cached blocks
+of the fixed families with one ``integer_moments`` call and one integer
+contraction, and applies the scalings in Python ints.  build_shape_space
+and build_dof_basis scale the reference forms; build_dof_matrix is one
+``pair``.  No other code builds the shape basis.
 
-node_tables evaluates the planar 1-form element's shape basis and DOF
-test forms at quadrature nodes, and quadrature_dofs applies the Green
-functionals in floats to fields given by their node values.  This pair
-is the one float quadrature of the functionals: dof_values of a
-callback, the unisolvence suite's projection check and the cellwise
-global interpolation all use it.  quadrature_rows writes it as a matrix
-against node values, for all templates at once, by applying
-quadrature_dofs at each node to unit fields.
+A DofMatrix is the local element of one simplex: its scaling and the
+exact and float DOF matrix, built once and passed to dof_values,
+interpolate_coeffs and interpolate; its shape space and DOF basis as
+PolyForms are made only when read.  Row order: eta block (constants then
+koszul-type), then tau block (constants then koszul-type); columns
+follow the shape basis.  The four-step solve is block forward
+substitution in that matrix, written once over a block solve that is
+exact for PolyForm input and float for callbacks.  interpolate returns
+the exact interpolant of a PolyForm only; a callback's float
+coefficients come from interpolate_coeffs and are never turned back into
+Fractions.
+
+``ReferenceElement.tables`` evaluates the fixed forms of the planar
+1-form element at the quadrature nodes of a whole stack of elements at
+once and scales them by the stacked float S and E; node_tables is its
+one-element case.  quadrature_dofs applies the Green functionals in
+floats to fields given by their node values.  This pair is the one float
+quadrature of the functionals: dof_values of a callback, the unisolvence
+suite's projection check and the cellwise global interpolation all use
+it.  quadrature_rows writes it as a matrix against node values, for all
+templates at once, by applying quadrature_dofs at each node to unit
+fields.
 
 Scaling keeps the DofMatrix condition number independent of the simplex
 diameter: koszul-type shape and test forms carry 1/h, the H2D block
@@ -57,8 +76,11 @@ rational path is preserved.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
+from operator import mul
 from typing import Callable
 
 import numpy as np
@@ -73,7 +95,7 @@ from .forms import (
     koszul,
     multi_indices,
 )
-from .simplices import Simplex, l2_gram, quadrature_rule, solve_rational
+from .simplices import Pairing, Simplex, as_fractions, l2_gram, quadrature_rule, solve_rational
 
 __all__ = [
     "P0",
@@ -85,6 +107,9 @@ __all__ = [
     "ShapeSpace",
     "DofBasis",
     "DofMatrix",
+    "ReferenceElement",
+    "Scaling",
+    "reference_element",
     "FormCallback",
     "build_h2d_form",
     "build_h2delta_form",
@@ -146,8 +171,8 @@ class ShapeSpace:
     ``basis`` lists PolyForms; ``blocks`` maps block name to a range of
     basis positions.  Within each block, forms follow the lexicographic
     order of their generating multi-indices.  ``d_basis``/``delta_basis``
-    cache the exterior derivative / Green codifferential of each basis
-    form.
+    hold the exterior derivative / Green codifferential of each basis
+    form.  The reference element's space has no simplex.
     """
 
     __slots__ = (
@@ -160,14 +185,14 @@ class ShapeSpace:
         "delta_basis",
     )
 
-    def __init__(self, n, k, simplex, basis, blocks):
+    def __init__(self, n, k, simplex, basis, blocks, d_basis, delta_basis):
         self.n = n
         self.k = k
         self.simplex = simplex
         self.basis = basis
         self.blocks = blocks
-        self.d_basis = [exterior_derivative(mu) for mu in basis]
-        self.delta_basis = [codifferential_green(mu) for mu in basis]
+        self.d_basis = d_basis
+        self.delta_basis = delta_basis
 
     @property
     def dim(self) -> int:
@@ -193,43 +218,6 @@ class ShapeSpace:
         return out
 
 
-def build_shape_space(n: int, k: int, simplex: Simplex) -> ShapeSpace:
-    """Assemble the four-block shape basis on a simplex.
-
-    Requires 1 <= k <= n-1 (both neighbor degrees must exist) and a
-    nondegenerate simplex (Simplex construction already enforces that).
-    """
-    if simplex.n != n:
-        raise ValueError(f"simplex dimension {simplex.n} does not match n={n}")
-    if not (1 <= k <= n - 1):
-        raise ValueError(f"form degree k={k} outside 1..{n - 1}")
-    inv_h = Fraction(1) / simplex.h_scale
-    basis: list[PolyForm] = []
-    blocks: dict[str, range] = {}
-
-    start = len(basis)
-    for alpha in multi_indices(k, n):
-        basis.append(PolyForm.basis(n, alpha))
-    blocks[P0] = range(start, len(basis))
-
-    start = len(basis)
-    for beta in multi_indices(k + 1, n):
-        basis.append(inv_h * koszul(PolyForm.basis(n, beta)))
-    blocks[KAPPA] = range(start, len(basis))
-
-    start = len(basis)
-    for gamma in multi_indices(k - 1, n):
-        basis.append(inv_h * _star_koszul_star(PolyForm.basis(n, gamma)))
-    blocks[STARKAPPA] = range(start, len(basis))
-
-    start = len(basis)
-    for alpha in multi_indices(k, n):
-        basis.append(inv_h * inv_h * build_h2d_form(alpha, simplex))
-    blocks[H2D] = range(start, len(basis))
-
-    return ShapeSpace(n, k, simplex, basis, blocks)
-
-
 class DofBasis:
     """Test forms for the DOF functionals, with named sub-blocks.
 
@@ -237,11 +225,11 @@ class DofBasis:
     constant k-forms); ``tau_basis`` holds (k-1)-forms (constants, then
     koszul of constant k-forms).  The two sub-blocks of each family are
     mutually L2-orthogonal on the simplex because every koszul-type
-    component has zero mean.  ``eta_green``/``tau_d`` cache the Green
+    component has zero mean.  ``eta_green``/``tau_d`` hold the Green
     codifferential / exterior derivative of each test form.  Any other
     family of test forms for the two Green functionals, such as the hat
     forms of the global vertex constraints, fits the same holder with
-    empty blocks.
+    empty blocks.  The reference element's families have no simplex.
     """
 
     __slots__ = (
@@ -256,7 +244,9 @@ class DofBasis:
         "tau_d",
     )
 
-    def __init__(self, n, k, simplex, eta_basis, tau_basis, eta_blocks, tau_blocks):
+    def __init__(
+        self, n, k, simplex, eta_basis, tau_basis, eta_blocks, tau_blocks, eta_green, tau_d
+    ):
         self.n = n
         self.k = k
         self.simplex = simplex
@@ -264,63 +254,42 @@ class DofBasis:
         self.tau_basis = tau_basis
         self.eta_blocks = eta_blocks
         self.tau_blocks = tau_blocks
-        self.eta_green = [codifferential_green(eta) for eta in eta_basis]
-        self.tau_d = [exterior_derivative(tau) for tau in tau_basis]
+        self.eta_green = eta_green
+        self.tau_d = tau_d
 
     @property
     def count(self) -> int:
         return len(self.eta_basis) + len(self.tau_basis)
 
 
-def build_dof_basis(n: int, k: int, simplex: Simplex) -> DofBasis:
-    if simplex.n != n:
-        raise ValueError(f"simplex dimension {simplex.n} does not match n={n}")
-    if not (1 <= k <= n - 1):
-        raise ValueError(f"form degree k={k} outside 1..{n - 1}")
-    inv_h = Fraction(1) / simplex.h_scale
-    eta: list[PolyForm] = []
-    eta_blocks: dict[str, range] = {}
-    for beta in multi_indices(k + 1, n):
-        eta.append(PolyForm.basis(n, beta))
-    eta_blocks[P0] = range(0, len(eta))
-    start = len(eta)
-    for alpha in multi_indices(k, n):
-        eta.append(inv_h * _star_koszul_star(PolyForm.basis(n, alpha)))
-    eta_blocks[STARKAPPA] = range(start, len(eta))
-
-    tau: list[PolyForm] = []
-    tau_blocks: dict[str, range] = {}
-    for gamma in multi_indices(k - 1, n):
-        tau.append(PolyForm.basis(n, gamma))
-    tau_blocks[P0] = range(0, len(tau))
-    start = len(tau)
-    for alpha in multi_indices(k, n):
-        tau.append(inv_h * koszul(PolyForm.basis(n, alpha)))
-    tau_blocks[KAPPA] = range(start, len(tau))
-
-    return DofBasis(n, k, simplex, eta, tau, eta_blocks, tau_blocks)
+def _test_family(n, k, eta, tau, eta_blocks=None, tau_blocks=None) -> DofBasis:
+    """An unscaled test family with its Green delta and d, for the reference element."""
+    return DofBasis(
+        n,
+        k,
+        None,
+        eta,
+        tau,
+        eta_blocks or {},
+        tau_blocks or {},
+        [codifferential_green(e) for e in eta],
+        [exterior_derivative(t) for t in tau],
+    )
 
 
-class DofMatrix:
-    """The local element on one simplex, built once and reused.
+def _green_rows(tests: DofBasis) -> list[tuple[PolyForm, PolyForm, PolyForm]]:
+    """The Green functionals of ``tests`` as members of the direct sum of
+    (k+1)-, (k-1)- and k-forms: (eta, 0, -delta eta), then (0, tau, -d tau).
 
-    Owns the shape space, the DOF basis and the functional-by-shape
-    matrix (rows eta then tau, columns shape basis), exact and as floats.
+    Paired with the graph (d mu, delta mu, mu) they give
+    F_eta(mu) = <d mu, eta> - <mu, delta eta> and
+    F_tau(mu) = <delta mu, tau> - <mu, d tau>.
     """
-
-    __slots__ = ("space", "dofs", "exact")
-
-    def __init__(self, space: ShapeSpace, dofs: DofBasis, exact):
-        self.space = space
-        self.dofs = dofs
-        self.exact = exact
-
-    @property
-    def as_float(self) -> np.ndarray:
-        return np.array(self.exact, dtype=float)
-
-    def cond(self) -> float:
-        return float(np.linalg.cond(self.as_float))
+    n, k = tests.n, tests.k
+    up, down = PolyForm.zero(n, k + 1), PolyForm.zero(n, k - 1)
+    rows = [(eta, down, -g) for eta, g in zip(tests.eta_basis, tests.eta_green)]
+    rows += [(up, tau, -d) for tau, d in zip(tests.tau_basis, tests.tau_d)]
+    return rows
 
 
 def green_pairing(forms, d_forms, delta_forms, tests: DofBasis) -> list[list[Fraction]]:
@@ -330,21 +299,357 @@ def green_pairing(forms, d_forms, delta_forms, tests: DofBasis) -> list[list[Fra
     ``tests.eta_basis``, then F_tau(mu) = <delta mu, tau> - <mu, d tau>
     for each tau of ``tests.tau_basis``; one column per form.
     ``d_forms``/``delta_forms`` are d and the Green delta of ``forms``.
-    All rows are one ``l2_gram`` on the direct sum of (k+1)-, (k-1)- and
-    k-forms: the graph (d mu, delta mu, mu) is paired with
-    (eta, 0, -delta eta) and with (0, tau, -d tau).
+    All rows are one ``l2_gram`` of the ``_green_rows`` of ``tests`` with
+    the graph (d mu, delta mu, mu).
     """
-    n, k = tests.n, tests.k
-    up, down = PolyForm.zero(n, k + 1), PolyForm.zero(n, k - 1)
-    rows = [(eta, down, -g) for eta, g in zip(tests.eta_basis, tests.eta_green)]
-    rows += [(up, tau, -d) for tau, d in zip(tests.tau_basis, tests.tau_d)]
-    return l2_gram(rows, list(zip(d_forms, delta_forms, forms)), tests.simplex)
+    return l2_gram(_green_rows(tests), list(zip(d_forms, delta_forms, forms)), tests.simplex)
+
+
+def _sandwich(left, block, right) -> list[list[int]]:
+    """L P R^T in Python ints, all three as lists of rows."""
+    pr = [[sum(map(mul, row, rrow)) for rrow in right] for row in block]
+    return [[sum(map(mul, lrow, col)) for col in zip(*pr)] for lrow in left]
+
+
+def _scaled_forms(rows, den: int, forms: list[PolyForm]) -> list[PolyForm]:
+    """The forms sum_a (rows[i][a] / den) forms[a], one per row."""
+    out = []
+    for row in rows:
+        terms = [Fraction(v, den) * w for v, w in zip(row, forms) if v]
+        total = terms[0]
+        for term in terms[1:]:
+            total = total + term
+        out.append(total)
+    return out
+
+
+class Scaling:
+    """The exact scalings of the reference families on one simplex, in Python ints.
+
+    The shape basis is S R and the DOF test forms E T, with R and T the
+    reference element's families.  ``shape`` holds the rows of S over
+    ``shape_den``: 1 on P0, 1/h on KAPPA and STARKAPPA, 1/h^2 on H2D,
+    and -c^alpha/h^2 from each H2D member into the P0 member of the same
+    alpha.  ``tests`` holds the rows of the diagonal E over ``tests_den``:
+    1 on the constant tests and 1/h on the koszul-type ones.
+    """
+
+    __slots__ = ("shape", "shape_den", "tests", "tests_den")
+
+    def __init__(self, shape, shape_den, tests, tests_den):
+        self.shape = shape
+        self.shape_den = shape_den
+        self.tests = tests
+        self.tests_den = tests_den
+
+    def floats(self) -> tuple[np.ndarray, np.ndarray]:
+        """S and the diagonal of E as floats, each entry rounded once
+        (int / int rounds the exact quotient, as float(Fraction))."""
+        S = np.array([[v / self.shape_den for v in row] for row in self.shape])
+        return S, np.array([row[i] / self.tests_den for i, row in enumerate(self.tests)])
+
+
+GRAM = "gram"
+DOFS = "dofs"
+HATS = "hats"
+
+
+class ReferenceElement:
+    """The element's fixed families for one (n, k), built once (``reference_element``).
+
+    On every simplex the shape basis is S R with R the unscaled forms
+
+        dx^alpha;  koszul(dx^beta);  star koszul star(dx^gamma);  sum_b (x^b)^2 dx^alpha
+
+    (b over complement(alpha)) in centered coordinates, and S the
+    simplex's ``Scaling``.  The DOF test forms are E times the unscaled
+    ``tests``, and for the planar 1-form element the hat test forms of
+    the global vertex constraints are H times ``hats``, the monomials
+    {1, x1, x2} as 0-forms and times dx^12, with H the 3x3 matrix of
+    ``Simplex.hat_coefficients``.  d and delta are linear, so the graph
+    of S R is S times the graph of R, and every exact pairing on a
+    simplex is L P S^T with P the pairing of two fixed families: ``pair``
+    computes P with one ``integer_moments`` call and one
+    ``Pairing.contract`` (blocks built here once) and applies L and S in
+    Python ints.  ``space``, ``tests`` and ``hats`` are the unscaled
+    families, with ``space.d_basis``/``space.delta_basis`` its graph.
+    """
+
+    __slots__ = ("n", "k", "space", "tests", "hats", "rows", "_squares", "_pairings")
+
+    def __init__(self, n: int, k: int):
+        if not (1 <= k <= n - 1):
+            raise ValueError(f"form degree k={k} outside 1..{n - 1}")
+        self.n, self.k = n, k
+        basis: list[PolyForm] = []
+        blocks: dict[str, range] = {}
+
+        def block(name, forms):
+            blocks[name] = range(len(basis), len(basis) + len(forms))
+            basis.extend(forms)
+
+        x = [Polynomial.variable(n, j) for j in range(1, n + 1)]
+        square = {
+            alpha: sum((x[b - 1] * x[b - 1] for b in complement(alpha, n)), Polynomial(n))
+            for alpha in multi_indices(k, n)
+        }
+        block(P0, [PolyForm.basis(n, alpha) for alpha in multi_indices(k, n)])
+        block(KAPPA, [koszul(PolyForm.basis(n, beta)) for beta in multi_indices(k + 1, n)])
+        block(STARKAPPA, [_star_koszul_star(PolyForm.basis(n, g)) for g in multi_indices(k - 1, n)])
+        block(H2D, [PolyForm(n, k, {alpha: p}) for alpha, p in square.items()])
+        self.space = ShapeSpace(
+            n,
+            k,
+            None,
+            basis,
+            blocks,
+            [exterior_derivative(mu) for mu in basis],
+            [codifferential_green(mu) for mu in basis],
+        )
+        eta = [PolyForm.basis(n, beta) for beta in multi_indices(k + 1, n)]
+        eta += [_star_koszul_star(PolyForm.basis(n, alpha)) for alpha in multi_indices(k, n)]
+        tau = [PolyForm.basis(n, gamma) for gamma in multi_indices(k - 1, n)]
+        tau += [koszul(PolyForm.basis(n, alpha)) for alpha in multi_indices(k, n)]
+        n_eta0, n_tau0 = len(multi_indices(k + 1, n)), len(multi_indices(k - 1, n))
+        self.tests = _test_family(
+            n,
+            k,
+            eta,
+            tau,
+            {P0: range(n_eta0), STARKAPPA: range(n_eta0, len(eta))},
+            {P0: range(n_tau0), KAPPA: range(n_tau0, len(tau))},
+        )
+        self.hats = None
+        if (n, k) == (2, 1):
+            monomials = [Polynomial.constant(2, 1), *x]
+            self.hats = _test_family(
+                2,
+                1,
+                [PolyForm(2, 2, {(1, 2): p}) for p in monomials],
+                [PolyForm(2, 0, {(): p}) for p in monomials],
+            )
+        graph = list(zip(self.space.d_basis, self.space.delta_basis, basis))
+        self.rows = {GRAM: graph, DOFS: _green_rows(self.tests)}
+        if self.hats is not None:
+            self.rows[HATS] = _green_rows(self.hats)
+        self._squares = [tuple(2 * (i == j) for i in range(n)) for j in range(n)]
+        self._pairings = {
+            groups: Pairing([row for g in groups for row in self.rows[g]], graph)
+            for groups in ((DOFS,), tuple(self.rows))
+        }
+
+    def scaling(self, simplex: Simplex, second_moments=None) -> Scaling:
+        """S and E on ``simplex``, from its ``h_scale`` and second moments."""
+        c = simplex.second_moments if second_moments is None else second_moments
+        h = simplex.h_scale
+        hn, hd = h.numerator, h.denominator
+        blocks = self.space.blocks
+        # c^alpha = sum of c^b over complement(alpha), over one denominator
+        calpha = [
+            sum((c[b - 1] for b in complement(a, self.n)), Fraction(0))
+            for a in multi_indices(self.k, self.n)
+        ]
+        cd = math.lcm(*(x.denominator for x in calpha))
+        diag = {P0: hn * hn * cd, KAPPA: hn * hd * cd, STARKAPPA: hn * hd * cd, H2D: hd * hd * cd}
+        dim = self.space.dim
+        shape = [[0] * dim for _ in range(dim)]
+        for name, r in blocks.items():
+            for i in r:
+                shape[i][i] = diag[name]
+        for p0, h2d, x in zip(blocks[P0], blocks[H2D], calpha):
+            shape[h2d][p0] = -x.numerator * (cd // x.denominator) * hd * hd
+        tests = [
+            hn if name == P0 else hd
+            for family in (self.tests.eta_blocks, self.tests.tau_blocks)
+            for name, r in family.items()
+            for _ in r
+        ]
+        eye = [[v * (i == j) for j in range(len(tests))] for i, v in enumerate(tests)]
+        return Scaling(shape, hn * hn * cd, eye, hn)
+
+    def pair(self, simplex: Simplex, groups=(DOFS,)) -> tuple[Scaling, dict]:
+        """Exact pairings of the scaled families with the graph of S R on ``simplex``.
+
+        ``groups`` names the left families, (DOFS,) or all of ``rows``:
+        GRAM the graph of S R itself (the graph-norm Gram S G S^T), DOFS
+        the Green functionals of the DOF tests (the DOF matrix E D S^T)
+        and HATS those of the hat tests (the Whitney rows H W S^T, rot
+        rows then div rows, one per vertex).  Returns the simplex's
+        ``Scaling`` and, per group, (integer rows, denominator).  One
+        ``integer_moments`` call serves the pairing and the second
+        moments of S.
+        """
+        pairing = self._pairings[groups]
+        moments, mden = simplex.integer_moments(pairing.exponents + self._squares)
+        second = [Fraction(moments[e], mden) / simplex.volume for e in self._squares]
+        scaling = self.scaling(simplex, second)
+        rows, den = pairing.contract(moments, mden)
+        out = {}
+        for g in groups:
+            block, rows = rows[: len(self.rows[g])], rows[len(self.rows[g]) :]
+            if g == GRAM:
+                left, lden = scaling.shape, scaling.shape_den
+            elif g == DOFS:
+                left, lden = scaling.tests, scaling.tests_den
+            else:  # H = blockdiag(hat coefficients, hat coefficients): rot rows, then div
+                hats, lden = simplex.hat_coefficients()
+                left = [[*row, 0, 0, 0] for row in hats] + [[0, 0, 0, *row] for row in hats]
+            out[g] = (_sandwich(left, block, scaling.shape), den * lden * scaling.shape_den)
+        return scaling, out
+
+    def shape_space(self, simplex: Simplex, scaling: Scaling) -> ShapeSpace:
+        """The shape basis S R on ``simplex``, with its graph S dR, S delta R."""
+        rows, den, ref = scaling.shape, scaling.shape_den, self.space
+        return ShapeSpace(
+            self.n,
+            self.k,
+            simplex,
+            _scaled_forms(rows, den, ref.basis),
+            ref.blocks,
+            _scaled_forms(rows, den, ref.d_basis),
+            _scaled_forms(rows, den, ref.delta_basis),
+        )
+
+    def dof_basis(self, simplex: Simplex, scaling: Scaling) -> DofBasis:
+        """The DOF test forms E T on ``simplex``, with their Green delta and d."""
+        rows, den, ref = scaling.tests, scaling.tests_den, self.tests
+        n_eta = len(ref.eta_basis)
+        eta_rows, tau_rows = [r[:n_eta] for r in rows[:n_eta]], [r[n_eta:] for r in rows[n_eta:]]
+        return DofBasis(
+            self.n,
+            self.k,
+            simplex,
+            _scaled_forms(eta_rows, den, ref.eta_basis),
+            _scaled_forms(tau_rows, den, ref.tau_basis),
+            ref.eta_blocks,
+            ref.tau_blocks,
+            _scaled_forms(eta_rows, den, ref.eta_green),
+            _scaled_forms(tau_rows, den, ref.tau_d),
+        )
+
+    def tables(self, vertices, volumes, shape_scale, test_scale, order: int) -> dict:
+        """Quadrature-node value tables of a stack of planar 1-form elements.
+
+        ``vertices`` (T, 3, 2) are the centered vertices, ``volumes`` (T,)
+        the areas, and ``shape_scale`` (T, 6, 6) and ``test_scale`` (T, 6)
+        the float S and diagonal E of each element (``Scaling.floats``).
+        The reference families are evaluated at every element's nodes at
+        once and then scaled, S summed term by term with no fused
+        multiply-add, so each value rounds as the scaled form's own
+        coefficients would.  Keys as ``node_tables``, each with the
+        leading axis T.
+        """
+        if self.hats is None:
+            raise ValueError(
+                f"node tables need the planar 1-form element, got n={self.n}, k={self.k}"
+            )
+        bary, w = quadrature_rule(2, order)
+        nodes = np.array([[float(b) for b in node] for node in bary]) @ vertices
+        weights = np.array([float(x) for x in w]) * 2.0 * volumes[:, None]
+        space, tests = self.space, self.tests
+
+        def stack(forms, evaluate):
+            return np.stack([evaluate(f) for f in forms], axis=1)
+
+        def shape(table):  # sum_a S[:, i, a] table[:, a]
+            scale = shape_scale.reshape(shape_scale.shape + (1,) * (table.ndim - 2))
+            return sum(scale[:, :, a] * table[:, None, a] for a in range(table.shape[1]))
+
+        def components(w):
+            return form_values(w, nodes)
+
+        def scalar(w):  # the one component of a 0- or 2-form
+            return poly_values(w.component(w.indices()[0]), nodes)
+
+        eta_e, tau_e = test_scale[:, : len(tests.eta_basis)], test_scale[:, len(tests.eta_basis) :]
+        return {
+            "centered": nodes,
+            "weights": weights,
+            "val": shape(stack(space.basis, components)),
+            "dval": shape(stack(space.d_basis, scalar)),
+            "gval": shape(stack(space.delta_basis, scalar)),
+            "eta_v": eta_e[:, :, None] * stack(tests.eta_basis, scalar),
+            "eta_g": eta_e[:, :, None, None] * stack(tests.eta_green, components),
+            "tau_v": tau_e[:, :, None] * stack(tests.tau_basis, scalar),
+            "tau_d": tau_e[:, :, None, None] * stack(tests.tau_d, components),
+        }
+
+
+@lru_cache(maxsize=None)
+def reference_element(n: int, k: int) -> ReferenceElement:
+    """The ``ReferenceElement`` of (n, k), built once per process."""
+    return ReferenceElement(n, k)
+
+
+def _reference_on(n: int, k: int, simplex: Simplex) -> ReferenceElement:
+    """The reference element of (n, k), checked against the simplex's dimension."""
+    if simplex.n != n:
+        raise ValueError(f"simplex dimension {simplex.n} does not match n={n}")
+    return reference_element(n, k)
+
+
+def build_shape_space(n: int, k: int, simplex: Simplex) -> ShapeSpace:
+    """The four-block shape basis on a simplex: the reference forms, scaled.
+
+    Requires 1 <= k <= n-1 (both neighbor degrees must exist) and a
+    nondegenerate simplex (Simplex construction already enforces that).
+    """
+    ref = _reference_on(n, k, simplex)
+    return ref.shape_space(simplex, ref.scaling(simplex))
+
+
+def build_dof_basis(n: int, k: int, simplex: Simplex) -> DofBasis:
+    """The DOF test forms on a simplex: the reference tests, scaled."""
+    ref = _reference_on(n, k, simplex)
+    return ref.dof_basis(simplex, ref.scaling(simplex))
+
+
+class DofMatrix:
+    """The local element on one simplex, built once and reused.
+
+    Owns the simplex, its ``Scaling`` and the functional-by-shape matrix
+    (rows eta then tau, columns shape basis), exact and as floats.  The
+    shape space and DOF basis as PolyForms are built from the reference
+    element when first read, so a DofMatrix itself builds no PolyForm.
+    """
+
+    __slots__ = ("reference", "simplex", "scaling", "exact", "_space", "_dofs")
+
+    def __init__(self, reference, simplex, scaling, exact, space=None, dofs=None):
+        self.reference = reference
+        self.simplex = simplex
+        self.scaling = scaling
+        self.exact = exact
+        self._space = space
+        self._dofs = dofs
+
+    @property
+    def space(self) -> ShapeSpace:
+        if self._space is None:
+            self._space = self.reference.shape_space(self.simplex, self.scaling)
+        return self._space
+
+    @property
+    def dofs(self) -> DofBasis:
+        if self._dofs is None:
+            self._dofs = self.reference.dof_basis(self.simplex, self.scaling)
+        return self._dofs
+
+    @property
+    def as_float(self) -> np.ndarray:
+        return np.array(self.exact, dtype=float)
+
+    def cond(self) -> float:
+        return float(np.linalg.cond(self.as_float))
 
 
 def build_dof_matrix(space: ShapeSpace, dofs: DofBasis) -> DofMatrix:
-    return DofMatrix(
-        space, dofs, green_pairing(space.basis, space.d_basis, space.delta_basis, dofs)
-    )
+    """The DOF matrix E D S^T of one ``ReferenceElement.pair`` on the space's simplex."""
+    if dofs.simplex is not space.simplex:
+        raise ValueError("shape space and DOF basis live on different simplices")
+    ref = reference_element(space.n, space.k)
+    scaling, out = ref.pair(space.simplex)
+    return DofMatrix(ref, space.simplex, scaling, as_fractions(*out[DOFS]), space, dofs)
 
 
 @dataclass
@@ -364,27 +669,27 @@ class FormCallback:
 
 
 def poly_values(p: Polynomial, centered: np.ndarray) -> np.ndarray:
-    """Evaluate a centered-coordinate polynomial at (nq, n) float points."""
-    out = np.zeros(centered.shape[0])
+    """Evaluate a centered-coordinate polynomial at float points (..., n)."""
+    out = np.zeros(centered.shape[:-1])
     for e, c in p.terms.items():
-        mono = np.full(centered.shape[0], float(c))
+        mono = np.full(centered.shape[:-1], float(c))
         for j, power in enumerate(e):
             if power == 1:
-                mono = mono * centered[:, j]
+                mono = mono * centered[..., j]
             elif power > 1:
-                mono = mono * centered[:, j] ** power
+                mono = mono * centered[..., j] ** power
         out += mono
     return out
 
 
 def form_values(w: PolyForm, centered: np.ndarray) -> np.ndarray:
-    """Component values (nq, #indices) in lexicographic index order."""
+    """Component values (..., #indices) in lexicographic index order."""
     idx = multi_indices(w.k, w.n)
-    out = np.zeros((centered.shape[0], len(idx)))
+    out = np.zeros(centered.shape[:-1] + (len(idx),))
     for pos, alpha in enumerate(idx):
         p = w.comps.get(alpha)
         if p is not None:
-            out[:, pos] = poly_values(p, centered)
+            out[..., pos] = poly_values(p, centered)
     return out
 
 
@@ -395,25 +700,14 @@ def node_tables(matrix: DofMatrix, order: int) -> dict[str, np.ndarray]:
     gval (6,nq) of the shape basis, its d and its Green delta; eta_v
     (3,nq), eta_g (3,nq,2), tau_v (3,nq), tau_d (3,nq,2) of the DOF test
     forms, the delta of eta and the d of tau.  The nodes are the
-    ``quadrature_rule`` of the given order on the simplex.
+    ``quadrature_rule`` of the given order on the simplex.  This is
+    ``ReferenceElement.tables`` on a stack of one element.
     """
-    simplex = matrix.dofs.simplex
-    bary, w = quadrature_rule(2, order)
-    verts = np.array([[float(x) for x in v] for v in simplex.centered])
-    nodes = np.array([[float(b) for b in node] for node in bary]) @ verts
-    weights = np.array([float(x) for x in w]) * 2.0 * float(simplex.volume)
-    space, dofs = matrix.space, matrix.dofs
-    return {
-        "centered": nodes,
-        "weights": weights,
-        "val": np.stack([form_values(mu, nodes) for mu in space.basis]),
-        "dval": np.stack([form_values(dmu, nodes)[:, 0] for dmu in space.d_basis]),
-        "gval": np.stack([poly_values(g.component(()), nodes) for g in space.delta_basis]),
-        "eta_v": np.stack([form_values(eta, nodes)[:, 0] for eta in dofs.eta_basis]),
-        "eta_g": np.stack([form_values(g, nodes) for g in dofs.eta_green]),
-        "tau_v": np.stack([poly_values(tau.component(()), nodes) for tau in dofs.tau_basis]),
-        "tau_d": np.stack([form_values(d, nodes) for d in dofs.tau_d]),
-    }
+    simplex = matrix.simplex
+    verts = np.array([[[float(x) for x in v] for v in simplex.centered]])
+    S, E = matrix.scaling.floats()
+    tab = matrix.reference.tables(verts, np.array([float(simplex.volume)]), S[None], E[None], order)
+    return {key: value[0] for key, value in tab.items()}
 
 
 def node_values(mu: FormCallback, points: np.ndarray) -> np.ndarray:
@@ -469,20 +763,21 @@ def dof_values(mu, matrix: DofMatrix, quad_order: int = 6):
     returning a float array; this path serves the planar 1-form element
     only.
     """
-    dofs = matrix.dofs
     if isinstance(mu, PolyForm):
-        rows = green_pairing([mu], [exterior_derivative(mu)], [codifferential_green(mu)], dofs)
+        graph = [exterior_derivative(mu)], [codifferential_green(mu)]
+        rows = green_pairing([mu], *graph, matrix.dofs)
         return [row[0] for row in rows]
     if not isinstance(mu, FormCallback):
         raise TypeError("mu must be a PolyForm or a FormCallback")
     if mu.d is None or mu.delta is None:
         raise ValueError("callback interpolation needs d and delta data alongside values")
-    if (dofs.n, dofs.k) != (2, 1):
+    ref = matrix.reference
+    if (ref.n, ref.k) != (2, 1):
         raise ValueError(
-            f"callback DOFs need the planar 1-form element, got n={dofs.n}, k={dofs.k}"
+            f"callback DOFs need the planar 1-form element, got n={ref.n}, k={ref.k}"
         )
     tab = node_tables(matrix, quad_order)
-    pts = np.array([float(x) for x in dofs.simplex.barycenter]) + tab["centered"]
+    pts = np.array([float(x) for x in matrix.simplex.barycenter]) + tab["centered"]
     values = node_values(mu, pts[None])  # one field
     return quadrature_dofs(tab, values[..., :2], values[..., 2], values[..., 3])[0]
 
@@ -498,7 +793,8 @@ def interpolate_coeffs(mu, matrix: DofMatrix, method: str = DIRECT, quad_order: 
     """
     if method not in (DIRECT, FOURSTEP):
         raise ValueError(f"unknown interpolation method {method!r}")
-    space, dofs = matrix.space, matrix.dofs
+    # block layout from the reference element: a callback builds no PolyForm
+    space, dofs = matrix.reference.space, matrix.reference.tests
     vals = dof_values(mu, matrix, quad_order=quad_order)
     if isinstance(mu, PolyForm):
         M = matrix.exact

@@ -11,9 +11,8 @@ functions:
 with delta the Green-sign codifferential.  Both test families lie inside
 the span of the element's DOF test forms on each cell, which is what
 makes the cellwise interpolant conforming in this weak sense.  On each
-cell these are the element's own Green functionals
-(``element.green_pairing``) with the cell's barycentric coordinates
-(``Simplex.barycentric_coordinates``) as test forms.
+cell these are the element's own Green functionals with the cell's
+barycentric coordinates (``Simplex.hat_coefficients``) as test forms.
 
 The kernel has an explicit local basis, built from dual local functions:
 on each cell the six Whitney functionals above (three rot, three div,
@@ -28,16 +27,18 @@ mu^rot_{a,T} and mu^div_{a,T}.  Then
 
 All dual coefficients are exact rationals and the constraint identities
 B v = 0 hold exactly, by biorthogonality.  Congruent cells (equal up to
-translation) share one cached template: the local element (shape
-space, DOF basis and DOF matrix), Whitney matrix, dual coefficients,
-cell Gram, and quadrature-node value tables are computed once per
-congruence class, which collapses the structured meshes to a handful of
-exact computations.  On an unstructured mesh every cell is its own
-class, so this exact work is kept to integer matrix products: the DOF
-matrix, the Whitney rows and the cell Gram <d u, d v> + <delta u,
-delta v> + <u, v> are one ``simplices.l2_gram`` each, all three
-pairing with the graph (d u, delta u, u) of the shape basis, and the
-duals are one fraction-free elimination.
+translation) share one cached template: the DOF matrix, Whitney matrix,
+dual coefficients and cell Gram are computed once per congruence class,
+which collapses the structured meshes to a handful of exact
+computations.  On an unstructured mesh every cell is its own class, so
+this exact work builds no form at all: the cached reference element of
+the planar 1-form element (``element.reference_element``) holds the
+shape, DOF test and hat test forms without their per-cell scalings,
+and one ``ReferenceElement.pair`` per template gives the DOF matrix,
+the Whitney rows and the cell Gram <d u, d v> + <delta u, delta v> +
+<u, v> from one ``integer_moments`` call, one integer contraction and
+the exact scalings in Python ints.  The duals are one fraction-free
+elimination of the integer Whitney rows.
 
 Set-up costs cells plus templates.  The template key of a cell is its
 centered vertex tuple; cells are sorted into classes by the same tuple
@@ -46,7 +47,11 @@ cell's exact integer coordinates, and only the first cell of a class
 gets an exact Simplex.  ``ProductSpace`` holds the one cell-to-template
 map (a template list and each cell's template index) and the one float
 view of the templates: ``CellTemplate`` keeps only exact data, and each
-float array is stacked once over the templates.  B and Phi read the
+float array is stacked once over the templates.  The node tables of all
+templates are one ``ReferenceElement.tables`` of the stacked vertices
+and float scalings per quadrature order, and the float tables that the
+load vector, the error norms and the interpolation derive from them are
+cached per order too (``ProductSpace.derived``).  B and Phi read the
 same stacked 6x6 data: B gathers the float Whitney rows, and Phi the
 float dual coefficients, by template index, cell and slot.  The kernel
 basis is held as per-function arrays (category, anchor, support cells,
@@ -70,19 +75,17 @@ import numpy as np
 import scipy.sparse as sp
 
 from .element import (
-    DofBasis,
+    DOFS,
+    GRAM,
+    HATS,
+    DofMatrix,
     FormCallback,
-    build_dof_basis,
-    build_dof_matrix,
-    build_shape_space,
-    green_pairing,
-    node_tables,
     node_values,
     quadrature_rows,
+    reference_element,
 )
-from .forms import PolyForm
 from .mesh import Triangulation
-from .simplices import Simplex, l2_gram, solve_rational
+from .simplices import Simplex, as_fractions, solve_rational
 
 __all__ = [
     "DIV_PATCH",
@@ -109,36 +112,28 @@ ROT_CELL = "ROT_CELL"
 
 
 class CellTemplate:
-    """Per-congruence-class exact element data (translation invariant); no floats."""
+    """Per-congruence-class exact element data (translation invariant); no floats.
+
+    One ``ReferenceElement.pair`` of the planar element gives the DOF
+    matrix, the Whitney functional rows (rot slot 0..2, eta = hat dx^12,
+    then div slot 0..2, tau = hat) and the graph-norm Gram <d u, d v> +
+    <delta u, delta v> + <u, v>; no PolyForm is built.  The duals solve
+    whitney . duals = I on the integer Whitney rows.
+    """
 
     __slots__ = ("key", "simplex", "matrix", "whitney", "duals", "gram")
 
     def __init__(self, key, simplex: Simplex):
         self.key = key
         self.simplex = simplex
-        space = build_shape_space(2, 1, simplex)
-        self.matrix = build_dof_matrix(space, build_dof_basis(2, 1, simplex))
-
-        # Whitney functional matrix: rows rot slot 0..2 (eta = hat dx^12),
-        # then div slot 0..2 (tau = hat)
-        hats = simplex.barycentric_coordinates()
-        vertex_tests = DofBasis(
-            2,
-            1,
-            simplex,
-            [PolyForm(2, 2, {(1, 2): lam}) for lam in hats],
-            [PolyForm(2, 0, {(): lam}) for lam in hats],
-            {},
-            {},
-        )
-        basis, d_basis, g_basis = space.basis, space.d_basis, space.delta_basis
-        self.whitney = green_pairing(basis, d_basis, g_basis, vertex_tests)
-        eye = [[Fraction(1 if r == c else 0) for c in range(6)] for r in range(6)]
-        self.duals = solve_rational(self.whitney, eye)  # column j: dual coeffs
-
-        # graph-norm Gram <d u, d v> + <delta u, delta v> + <u, v>: one pairing
-        graph = list(zip(d_basis, g_basis, basis))
-        self.gram = l2_gram(graph, graph, simplex)
+        ref = reference_element(2, 1)
+        scaling, out = ref.pair(simplex, (GRAM, DOFS, HATS))
+        self.matrix = DofMatrix(ref, simplex, scaling, as_fractions(*out[DOFS]))
+        self.gram = as_fractions(*out[GRAM])
+        rows, den = out[HATS]
+        self.whitney = as_fractions(rows, den)
+        # (rows / den) X = I, so rows X = den I: column j holds the dual coeffs
+        self.duals = solve_rational(rows, [[den * (r == c) for c in range(6)] for r in range(6)])
 
 
 class ProductSpace:
@@ -157,7 +152,9 @@ class ProductSpace:
     order of their first cell, and ``template_index[c]`` is the class of
     cell c.  The space holds the one float view of the exact templates,
     stacked over them: ``gram``, ``whitney``, ``duals``, the inverse DOF
-    matrix ``minv``, the centered ``vertices`` and ``tables(order)``.
+    matrix ``minv``, the centered ``vertices``, the ``volumes``, the
+    scalings ``shape_scale`` (S) and ``test_scale`` (the diagonal of E)
+    and ``tables(order)``.
     """
 
     def __init__(self, tri: Triangulation):
@@ -186,7 +183,12 @@ class ProductSpace:
             np.array(stack, dtype=float) for stack in zip(*exact)
         )
         self.minv = np.linalg.inv(matrix)
+        self.volumes = np.array([float(t.simplex.volume) for t in self.templates])
+        self.shape_scale, self.test_scale = (
+            np.array(stack) for stack in zip(*(t.matrix.scaling.floats() for t in self.templates))
+        )
         self._tables: dict[int, dict[str, np.ndarray]] = {}
+        self._derived: dict[tuple, np.ndarray] = {}
 
     @property
     def dim(self) -> int:
@@ -196,15 +198,23 @@ class ProductSpace:
         return self.templates[self.template_index[cell]]
 
     def tables(self, order: int) -> dict[str, np.ndarray]:
-        """``element.node_tables`` of every template (centered, so shared by
-        congruent cells), stacked on axis 0 and cached per order."""
+        """The node tables of every template (centered, so shared by congruent
+        cells), stacked on axis 0: one ``ReferenceElement.tables`` of the
+        stacked vertices and float scalings, cached per order."""
         tab = self._tables.get(order)
         if tab is None:
-            tab = self._tables[order] = {}
-            for i, t in enumerate(self.templates):  # filled in place: no per-template copy kept
-                for k, v in node_tables(t.matrix, order).items():
-                    tab.setdefault(k, np.empty((len(self.templates),) + v.shape))[i] = v
+            tab = self._tables[order] = reference_element(2, 1).tables(
+                self.vertices, self.volumes, self.shape_scale, self.test_scale, order
+            )
         return tab
+
+    def derived(self, build, order: int) -> np.ndarray:
+        """``build(self, order)``, a float table derived from ``tables(order)``,
+        cached per (build, order)."""
+        table = self._derived.get((build, order))
+        if table is None:
+            table = self._derived[build, order] = build(self, order)
+        return table
 
     def nodes(self, order: int) -> np.ndarray:
         """The quadrature nodes of every cell, shape (cells, nq, 2), in global coordinates."""
@@ -550,7 +560,13 @@ def global_interpolate(
     """
     if mu.d is None or mu.delta is None:
         raise ValueError("global interpolation needs d and delta callback data")
-    rows = quadrature_rows(prod.tables(quad_order)).reshape(len(prod.templates), -1, 6)
-    table = rows @ prod.minv.transpose(0, 2, 1)  # (template, node * component, coefficient)
+    table = prod.derived(_interpolation_table, quad_order)
     values = node_values(mu, prod.nodes(quad_order)).reshape(len(tri.cells), -1)
-    return (prod.by_template(values) @ table.reshape(-1, 6)).ravel()
+    return (prod.by_template(values) @ table).ravel()
+
+
+def _interpolation_table(prod: ProductSpace, order: int) -> np.ndarray:
+    """Each template's ``quadrature_rows`` times its transposed inverse DOF
+    matrix, (templates * nodes * 4, 6)."""
+    rows = quadrature_rows(prod.tables(order)).reshape(len(prod.templates), -1, 6)
+    return (rows @ prod.minv.transpose(0, 2, 1)).reshape(-1, 6)

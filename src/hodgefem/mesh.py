@@ -27,12 +27,14 @@ The structured unit-square generators produce the DIAGONAL pattern
 (bottom-left to top-right diagonals, with the two corner squares that a
 parallel-diagonal mesh would leave cut off from the interior flipped the
 other way) and the CRISSCROSS pattern (four triangles per square around
-a center vertex).
+a center vertex).  ``generate_jittered_mesh`` perturbs the DIAGONAL mesh
+by seeded exact rationals, so that almost every cell has its own shape.
 """
 
 from __future__ import annotations
 
 import math
+import random
 from fractions import Fraction
 from functools import cached_property
 
@@ -49,6 +51,7 @@ __all__ = [
     "Triangulation",
     "check_mesh_parameter",
     "generate_square_mesh",
+    "generate_jittered_mesh",
     "read_mesh",
     "write_mesh",
     "parse_mesh",
@@ -435,6 +438,26 @@ def generate_square_mesh(m: int, pattern: str = DIAGONAL) -> Triangulation:
                 cells.extend([(bl, br, c), (br, tr, c), (tr, tl, c), (tl, bl, c)])
 
     return Triangulation(vertices, cells)
+
+
+def generate_jittered_mesh(m: int, seed: int) -> Triangulation:
+    """The DIAGONAL m x m mesh with each interior vertex moved by seeded exact rationals.
+
+    Each coordinate of an interior vertex moves by i / (16 m) with i a
+    uniform integer in -3..3 from ``random.Random(seed)``, in vertex
+    order, x before y: at most about a fifth of the mesh size, so the
+    mesh stays valid while almost every cell gets its own shape.
+    """
+    base = generate_square_mesh(m, DIAGONAL)
+    rng = random.Random(seed)
+    interior = set(base.interior_vertices)
+    vertices = []
+    for i, (x, y) in enumerate(base.vertices):
+        if i in interior:
+            x += Fraction(rng.randint(-3, 3), 16 * m)
+            y += Fraction(rng.randint(-3, 3), 16 * m)
+        vertices.append((x, y))
+    return Triangulation(vertices, base.cells)
 
 
 def _format_fraction(x: Fraction) -> str:

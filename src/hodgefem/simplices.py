@@ -7,8 +7,10 @@ over a simplex via the classical formula
 
 after expanding centered monomials in barycentric coordinates.  The
 expansion runs in Python ints over the common denominator of the
-centered vertices (``Simplex.integer_moments``), and each moment becomes
-one Fraction only when asked for (``monomial_integral``).  This is what
+centered vertices (``Simplex.integer_moments``), as coefficient lists
+over the barycentric monomials of each degree (indexed once per
+dimension and degree), and each moment becomes one Fraction only when
+asked for (``monomial_integral``).  This is what
 the element algebra (Gram matrices, DOF functionals on polynomial data)
 runs on, so unisolvence and identity checks are exact.
 
@@ -16,11 +18,17 @@ runs on, so unisolvence and identity checks are exact.
 of two families of forms (or of tuples of forms in a direct sum) is the
 exact integer product U M V^T of the families' coefficient matrices
 over (component, monomial) with the integer moment matrix, over one
-common denominator, and each entry is made a Fraction once.
-``l2_inner`` is its 1 x 1 case.  ``_gauss_jordan`` is the one exact
-elimination: fraction-free (Bareiss) on the row-scaled integer
-augmented matrix, giving the determinant for ``Simplex`` and the
-solutions for ``solve_rational``.
+common denominator, and each entry is made a Fraction once.  It comes
+in two halves: ``Pairing`` holds the simplex-free coefficient blocks of
+two families, built once, and ``Pairing.contract`` is the per-simplex
+integer product, so fixed families (the element's reference families)
+are paired on many simplices without rebuilding their blocks.
+``l2_inner`` is the 1 x 1 case.  ``_bareiss`` is the one exact
+elimination, fraction-free on integer rows: ``_gauss_jordan`` reduces
+rows of Fractions or ints to coprime integer rows for it, giving the
+determinant for ``Simplex`` and the solutions for ``solve_rational``,
+and ``Simplex.hat_coefficients`` runs it on the integer centered
+vertices.
 
 The float path is a Grundmann-Moller simplex rule of odd degree 2s+1,
 valid in any dimension, with rational nodes and weights generated once
@@ -44,6 +52,8 @@ from .forms import Polynomial, PolyForm, as_fraction
 
 __all__ = [
     "Simplex",
+    "Pairing",
+    "as_fractions",
     "integrate_poly",
     "l2_gram",
     "l2_inner",
@@ -57,38 +67,24 @@ MIN_QUAD_ORDER = 2
 MAX_QUAD_ORDER = 10
 
 
-def _gauss_jordan(matrix, rhs) -> tuple[Fraction, list[list[Fraction]] | None]:
-    """Exact fraction-free Gauss-Jordan elimination on [matrix | rhs].
+def _bareiss(aug: list[list[int]], size: int) -> tuple[int, int] | None:
+    """Fraction-free Gauss-Jordan elimination on integer rows [A | B], in place.
 
-    Each row of [matrix | rhs] is first scaled to Python ints by the
-    least common denominator of its entries, which changes neither the
-    solution nor, up to the product of the scales, the determinant.
-    Bareiss elimination then keeps every entry an integer minor: after
-    the step on column k, each row i != k is updated as
+    Bareiss elimination keeps every entry an integer minor: after the
+    step on column k, each row i != k is updated as
 
         a_ij <- (a_kk a_ij - a_ik a_kj) / p,   p the previous pivot,
 
     with an exact division.  At the end every diagonal entry is the
-    determinant D of the scaled, row-swapped matrix and the right-hand
-    block is D X, so each entry of X and the determinant are one
-    Fraction each.  Returns (det(matrix), X) with matrix X = rhs, or
-    (0, None) when the matrix is singular.  ``rhs`` may have zero
-    columns, which leaves only the determinant.  Entries may be
-    Fractions or ints.
+    determinant D of the row-swapped A and the right-hand block is D X,
+    with A X = B.  Returns (sign of the row swaps, D), or None when A is
+    singular.
     """
-    size = len(matrix)
-    aug = []
-    scale = 1
-    for r in range(size):
-        row = [*matrix[r], *rhs[r]]
-        den = math.lcm(*(v.denominator for v in row))
-        aug.append([v.numerator * (den // v.denominator) for v in row])
-        scale *= den
     sign, prev = 1, 1
     for col in range(size):
         pivot = next((r for r in range(col, size) if aug[r][col]), None)
         if pivot is None:
-            return Fraction(0), None
+            return None
         if pivot != col:
             aug[col], aug[pivot] = aug[pivot], aug[col]
             sign = -sign
@@ -100,8 +96,38 @@ def _gauss_jordan(matrix, rhs) -> tuple[Fraction, list[list[Fraction]] | None]:
                 f = row[col]
                 aug[r] = [(p * a - f * b) // prev for a, b in zip(row, prow)]
         prev = p
-    det = Fraction(sign * prev, scale)
-    return det, [[Fraction(v, prev) for v in row[size:]] for row in aug]
+    return sign, prev
+
+
+def _gauss_jordan(matrix, rhs) -> tuple[Fraction, list[list[Fraction]] | None]:
+    """Exact fraction-free Gauss-Jordan elimination on [matrix | rhs].
+
+    Each row of [matrix | rhs] is first scaled to Python ints by the
+    least common denominator of its entries and divided by the greatest
+    common divisor of the result, which changes neither the solution
+    nor, up to the product of the scales, the determinant.  ``_bareiss``
+    then eliminates, and each entry of X and the determinant are one
+    Fraction each.  Returns (det(matrix), X) with matrix X = rhs, or
+    (0, None) when the matrix is singular.  ``rhs`` may have zero
+    columns, which leaves only the determinant.  Entries may be
+    Fractions or ints.
+    """
+    size = len(matrix)
+    aug = []
+    num = den = 1  # det(matrix) = det(aug) num / den
+    for r in range(size):
+        row = [*matrix[r], *rhs[r]]
+        lcd = math.lcm(*(v.denominator for v in row))
+        ints = [v.numerator * (lcd // v.denominator) for v in row]
+        g = math.gcd(*ints) or 1
+        aug.append([v // g for v in ints])
+        num *= g
+        den *= lcd
+    done = _bareiss(aug, size)
+    if done is None:
+        return Fraction(0), None
+    sign, prev = done
+    return Fraction(sign * prev * num, den), as_fractions([row[size:] for row in aug], prev)
 
 
 def solve_rational(matrix: list[list[Fraction]], rhs: list[list[Fraction]]) -> list[list[Fraction]]:
@@ -117,15 +143,41 @@ def solve_rational(matrix: list[list[Fraction]], rhs: list[list[Fraction]]) -> l
     return sol
 
 
+def _raise(a: tuple[int, ...], v: int) -> tuple[int, ...]:
+    """The exponent tuple a with entry v raised by one."""
+    return (*a[:v], a[v] + 1, *a[v + 1 :])
+
+
+@lru_cache(maxsize=None)
+def _barycentric_monomials(n: int, top: int) -> tuple[list, list]:
+    """The barycentric monomials a of n+1 variables of each degree m <= top.
+
+    Returns (up, weights): up[m][i][v] is the index among degree m + 1
+    of the monomial a + e_v, a the i-th of degree m, and weights[m][i] is
+    prod_v a_v!, the factor of a's integral in ``integer_moments``.
+    """
+    levels = [[(0,) * (n + 1)]]
+    for _ in range(top):
+        levels.append(sorted({_raise(a, v) for a in levels[-1] for v in range(n + 1)}))
+    index = [{a: i for i, a in enumerate(level)} for level in levels]
+    up = [
+        [[index[m + 1][_raise(a, v)] for v in range(n + 1)] for a in level]
+        for m, level in enumerate(levels[:-1])
+    ]
+    weights = [[math.prod(map(math.factorial, a)) for a in level] for level in levels]
+    return up, weights
+
+
 class Simplex:
     """An n-simplex with exact rational vertices.
 
     Vertices are normalized to positive orientation (the last two are
     swapped when the input is negatively oriented); degenerate input
     raises ValueError.  Exposes exact volume, barycenter and second
-    moments, plus float diameter ``h`` and shape ratio h / inradius.
-    ``h_scale`` is a rational Chebyshev-metric diameter, an h-equivalent
-    surrogate used where exact rational scaling is needed.
+    moments (computed when first read), plus float diameter ``h`` and
+    shape ratio h / inradius.  ``h_scale`` is a rational Chebyshev-metric
+    diameter, an h-equivalent surrogate used where exact rational scaling
+    is needed.
     """
 
     __slots__ = (
@@ -139,7 +191,7 @@ class Simplex:
         "shape_ratio",
         "_moments",
         "_centered_int",
-        "second_moments",
+        "_second_moments",
     )
 
     def __init__(self, vertices):
@@ -174,11 +226,20 @@ class Simplex:
         cheb = max(abs(x - y) for a, b in combinations(pts, 2) for x, y in zip(a, b))
         self.h_scale = Fraction(cheb, den)
         self._moments: dict[tuple[int, ...], int] = {}
-        self.second_moments = tuple(
-            self.monomial_integral(tuple(2 if i == j else 0 for i in range(n))) / self.volume
-            for j in range(n)
-        )
+        self._second_moments: tuple[Fraction, ...] | None = None
         self.shape_ratio = self.h / self._inradius()
+
+    @property
+    def second_moments(self) -> tuple[Fraction, ...]:
+        """Mean of (x^j)^2 over the simplex for each j, centered coordinates.
+
+        One ``integer_moments`` call, when first read.
+        """
+        if self._second_moments is None:
+            squares = [tuple(2 * (i == j) for i in range(self.n)) for j in range(self.n)]
+            num, den = self.integer_moments(squares)
+            self._second_moments = tuple(Fraction(num[e], den) / self.volume for e in squares)
+        return self._second_moments
 
     def _inradius(self) -> float:
         """n * volume / total facet measure, all in floats."""
@@ -217,10 +278,11 @@ class Simplex:
             det.numerator * d ** (top - m) * (math.factorial(top + n) // math.factorial(m + n))
             for m in range(top + 1)
         ]
-        # prod_j (sum_i lambda_i U[i][j])^{e_j} in barycentric monomials: walk
-        # down to a known expansion, then multiply back by one linear factor
-        # per step
-        expansions = {(0,) * n: {(0,) * (n + 1): 1}}
+        # prod_j (sum_i lambda_i U[i][j])^{e_j} as coefficients over the
+        # barycentric monomials of its degree: walk down to a known
+        # expansion, then multiply back by one linear factor per step
+        up, weights = _barycentric_monomials(n, top)
+        expansions = {(0,) * n: [1]}
         num = {}
         for e in exponents:
             total = self._moments.get(e)
@@ -235,14 +297,14 @@ class Simplex:
                     low = (*low[:j], low[j] - 1, *low[j + 1 :])
                 poly = expansions[low]
                 for high, j in reversed(chain):
-                    nxt: dict[tuple[int, ...], int] = {}
-                    for expo, c in poly.items():
-                        for i, u in enumerate(units):
-                            if u[j]:
-                                key = (*expo[:i], expo[i] + 1, *expo[i + 1 :])
-                                nxt[key] = nxt.get(key, 0) + c * u[j]
+                    factor = [u[j] for u in units]
+                    nxt = [0] * len(weights[sum(high)])
+                    for c, targets in zip(poly, up[sum(high) - 1]):
+                        if c:
+                            for t, f in zip(targets, factor):
+                                nxt[t] += c * f
                     expansions[high] = poly = nxt
-                total = sum(c * math.prod(map(math.factorial, a)) for a, c in poly.items())
+                total = sum(map(mul, poly, weights[sum(e)]))
                 self._moments[e] = total
             num[e] = total * scale[sum(e)]
         return num, det.denominator * d**top * math.factorial(top + n)
@@ -256,21 +318,29 @@ class Simplex:
         num, den = self.integer_moments([e])
         return Fraction(num[e], den)
 
-    def barycentric_coordinates(self) -> list[Polynomial]:
-        """The n+1 barycentric coordinates (hat functions), exact and linear.
+    def hat_coefficients(self) -> tuple[list[list[int]], int]:
+        """The n+1 barycentric coordinates (hat functions) as integer coefficient rows.
 
-        lambda_i(x) = G_i . x + g0_i in centered coordinates, read off the
-        solution of [U | 1] [G^T; g0] = I with U the centered vertices.
+        Returns (rows, den) with lambda_i(x) = (rows[i][0] + rows[i][1:] . x)
+        / den in centered coordinates.  With the centered vertices written
+        as integers U over d, [U | d] [G^T; g0] = d I: one ``_bareiss``
+        on integer rows, with den its positive determinant.
         """
         n = self.n
-        rows = [[*self.centered[i], Fraction(1)] for i in range(n + 1)]
-        eye = [[Fraction(1 if r == c else 0) for c in range(n + 1)] for r in range(n + 1)]
-        sol = solve_rational(rows, eye)  # column i: gradient, then constant, of lambda_i
-        units = [tuple(int(j == l) for l in range(n)) for j in range(n)]
-        return [
-            Polynomial(n, {(0,) * n: sol[n][i], **{units[j]: sol[j][i] for j in range(n)}})
-            for i in range(n + 1)
-        ]
+        units, d = self._centered_int
+        aug = [[*u, d, *(d * (r == c) for c in range(n + 1))] for r, u in enumerate(units)]
+        _, den = _bareiss(aug, n + 1)  # a nondegenerate simplex: never singular
+        sol = [row[n + 1 :] if den > 0 else [-v for v in row[n + 1 :]] for row in aug]
+        # column i of sol: den G_i, then den g0_i
+        return [[sol[n][i], *(sol[j][i] for j in range(n))] for i in range(n + 1)], abs(den)
+
+    def barycentric_coordinates(self) -> list[Polynomial]:
+        """The n+1 barycentric coordinates (hat functions), exact and linear,
+        from ``hat_coefficients``."""
+        n = self.n
+        rows, den = self.hat_coefficients()
+        units = [(0,) * n] + [tuple(int(j == l) for l in range(n)) for j in range(n)]
+        return [Polynomial(n, {u: Fraction(c, den) for u, c in zip(units, row)}) for row in rows]
 
     def __repr__(self) -> str:
         pts = ", ".join("(" + ", ".join(str(x) for x in v) + ")" for v in self.vertices)
@@ -323,6 +393,74 @@ def _coefficient_blocks(family) -> tuple[int, dict]:
     return den, blocks
 
 
+class Pairing:
+    """The simplex-free half of ``l2_gram`` for two families, built once.
+
+    Members are forms or tuples of forms in a direct sum, as for
+    ``l2_gram``.  Holds U, the first family's integer coefficient rows
+    stacked over the (slot, component) blocks that both families use;
+    for each such block the second family's rows V_b and the exponents
+    e + f of the moment matrix M_b[e][f] = integral x^(e+f); ``den``, the
+    product of the two families' denominators; and ``exponents``, every
+    moment that ``contract`` reads.
+    """
+
+    __slots__ = ("n", "den", "exponents", "u", "blocks", "columns")
+
+    def __init__(self, us, vs):
+        same = us is vs
+        us = [u if isinstance(u, tuple) else (u,) for u in us]
+        vs = us if same else [v if isinstance(v, tuple) else (v,) for v in vs]
+        members = us + vs
+        for member in members:
+            if len(member) != len(members[0]):
+                raise ValueError("families pair members of different direct sums")
+            for w, first in zip(member, members[0]):
+                if (w.n, w.k) != (first.n, first.k):
+                    raise ValueError(
+                        f"inner product of a {first.k}-form in R^{first.n} "
+                        f"with a {w.k}-form in R^{w.n}"
+                    )
+        self.n = members[0][0].n if members else None
+        uden, ublocks = _coefficient_blocks(us)
+        vden, vblocks = (uden, ublocks) if same else _coefficient_blocks(vs)
+        self.den = uden * vden
+        self.columns = len(vs)
+        self.u = [[] for _ in us]
+        self.blocks = []
+        exponents = set()
+        for key in ublocks:
+            if key not in vblocks:
+                continue
+            (umono, urows), (vmono, vrows) = ublocks[key], vblocks[key]
+            for row, urow in zip(self.u, urows):
+                row += urow
+            sums = [[tuple(map(add, e, f)) for f in vmono] for e in umono]
+            exponents.update(x for row in sums for x in row)
+            self.blocks.append((vrows, sums))
+        self.exponents = sorted(exponents)
+
+    def contract(self, moments: dict, mden: int) -> tuple[list[list[int]], int]:
+        """U M V^T in Python ints, stacked over the blocks, and its denominator.
+
+        ``moments``, ``mden`` are ``Simplex.integer_moments`` of (at least)
+        ``exponents``: entry (i, j) of the pairing on that simplex is
+        rows[i][j] / den.
+        """
+        mv = [[] for _ in range(self.columns)]  # (M V^T)^T, stacked over the blocks
+        for vrows, sums in self.blocks:
+            mrows = [[moments[x] for x in row] for row in sums]
+            for col, vrow in zip(mv, vrows):
+                col += [sum(map(mul, mrow, vrow)) for mrow in mrows]
+        rows = [[sum(map(mul, urow, col)) for col in mv] for urow in self.u]
+        return rows, self.den * mden
+
+
+def as_fractions(rows, den: int) -> list[list[Fraction]]:
+    """Integer rows over one denominator, one Fraction per entry."""
+    return [[Fraction(v, den) for v in row] for row in rows]
+
+
 def l2_gram(us, vs, simplex: Simplex) -> list[list[Fraction]]:
     """Exact matrix of the L2 inner products <u_i, v_j> of two families.
 
@@ -331,44 +469,16 @@ def l2_gram(us, vs, simplex: Simplex) -> list[list[Fraction]]:
     spaces, where the product is the sum of the slotwise L2 products:
     the Green functionals and the graph-norm Gram are such sums.  Each
     family is written as integer matrices U, V over (slot, component,
-    monomial) with one common denominator, and each (slot, component)
-    contributes U M V^T, with M[e][f] the moment of the centered
-    monomial x^(e+f) as an integer over one common denominator.  The
-    integer products are exact, and each entry becomes one Fraction.
+    monomial) with one common denominator (``Pairing``), and each (slot,
+    component) contributes U M V^T, with M[e][f] the moment of the
+    centered monomial x^(e+f) as an integer over one common denominator
+    (``Pairing.contract``).  The integer products are exact, and each
+    entry becomes one Fraction.
     """
-    same = us is vs
-    us = [u if isinstance(u, tuple) else (u,) for u in us]
-    vs = us if same else [v if isinstance(v, tuple) else (v,) for v in vs]
-    members = us + vs
-    for member in members:
-        if len(member) != len(members[0]):
-            raise ValueError("families pair members of different direct sums")
-        for w, first in zip(member, members[0]):
-            if (w.n, w.k) != (first.n, first.k):
-                raise ValueError(
-                    f"inner product of a {first.k}-form in R^{first.n} "
-                    f"with a {w.k}-form in R^{w.n}"
-                )
-            if w.n != simplex.n:
-                raise ValueError("forms and simplex have different ambient dimension")
-    uden, ublocks = _coefficient_blocks(us)
-    vden, vblocks = (uden, ublocks) if same else _coefficient_blocks(vs)
-    common = [key for key in ublocks if key in vblocks]
-    moments, mden = simplex.integer_moments(
-        {tuple(map(add, e, f)) for key in common for e in ublocks[key][0] for f in vblocks[key][0]}
-    )
-    # U and (M V^T) stacked over the common blocks: G = U (M V^T)
-    u_stack = [[] for _ in us]
-    mv_stack = [[] for _ in vs]
-    for key in common:
-        (umono, urows), (vmono, vrows) = ublocks[key], vblocks[key]
-        for row, urow in zip(u_stack, urows):
-            row += urow
-        mrows = [[moments[tuple(map(add, e, f))] for f in vmono] for e in umono]
-        for col, vrow in zip(mv_stack, vrows):
-            col += [sum(map(mul, mrow, vrow)) for mrow in mrows]
-    den = uden * vden * mden
-    return [[Fraction(sum(map(mul, urow, col)), den) for col in mv_stack] for urow in u_stack]
+    pairing = Pairing(us, vs)
+    if pairing.n not in (None, simplex.n):
+        raise ValueError("forms and simplex have different ambient dimension")
+    return as_fractions(*pairing.contract(*simplex.integer_moments(pairing.exponents)))
 
 
 def l2_inner(u: PolyForm, v: PolyForm, simplex: Simplex) -> Fraction:

@@ -128,12 +128,16 @@ def cell_load_vector(
     prod: ProductSpace, field: SmoothField, quad_order: int = 6
 ) -> np.ndarray:
     """Per-cell load <f, mu_i>_T against the shape basis, as one sparse product."""
-    tab = prod.tables(quad_order)
     nodes = prod.nodes(quad_order)
     fv = np.asarray(field.f(nodes.reshape(-1, 2))).reshape(len(nodes), -1)  # (cell, node * x)
-    # (template, node, x, shape index): the weighted shape values
+    return (prod.by_template(fv) @ prod.derived(_load_table, quad_order)).ravel()
+
+
+def _load_table(prod: ProductSpace, order: int) -> np.ndarray:
+    """The weighted shape values, rows (template, node, x), columns the shape index."""
+    tab = prod.tables(order)
     table = (tab["weights"][:, None, :, None] * tab["val"]).transpose(0, 2, 3, 1)
-    return (prod.by_template(fv) @ table.reshape(-1, 6)).ravel()
+    return table.reshape(-1, 6)
 
 
 @dataclass
@@ -587,11 +591,9 @@ def error_norms(
     """Broken L2, rot, div, and energy errors of a product-space field."""
     tab = prod.tables(quad_order)
     flat = prod.nodes(quad_order).reshape(-1, 2)
-    # (template, shape index, node, component): value x, value y, d and Green delta
-    shape = np.concatenate([tab["val"], tab["dval"][..., None], tab["gval"][..., None]], axis=3)
     coeffs = np.asarray(u_cell, dtype=float).reshape(-1, 6)
     # the discrete field at every node, less the field, in place
-    diff = (prod.by_template(coeffs) @ shape.reshape(len(shape) * 6, -1)).reshape(-1, 4)
+    diff = (prod.by_template(coeffs) @ prod.derived(_shape_table, quad_order)).reshape(-1, 4)
     diff[:, :2] -= field.value(flat)
     diff[:, 2] -= field.rot(flat)
     diff[:, 3] += field.div(flat)  # the Green delta is minus the div
@@ -603,6 +605,14 @@ def error_norms(
         "div": math.sqrt(div_sq),
         "energy": math.sqrt(l2_sq + rot_sq + div_sq),
     }
+
+
+def _shape_table(prod: ProductSpace, order: int) -> np.ndarray:
+    """Rows (template, shape index), columns (node, component): the value x,
+    value y, d and Green delta of each shape function."""
+    tab = prod.tables(order)
+    shape = np.concatenate([tab["val"], tab["dval"][..., None], tab["gval"][..., None]], axis=3)
+    return shape.reshape(len(shape) * 6, -1)
 
 
 def broken_energy_product(

@@ -1,25 +1,16 @@
 """Shared test meshes."""
 
-import random
 from fractions import Fraction
 
 import pytest
 
-from hodgefem.mesh import CRISSCROSS, DIAGONAL, Triangulation, generate_square_mesh
-
-
-def _jittered(m: int, seed: int) -> Triangulation:
-    """Diagonal m x m mesh, interior vertices moved by seeded multiples of 1/(16m)."""
-    base = generate_square_mesh(m, DIAGONAL)
-    rng = random.Random(seed)
-    interior = set(base.interior_vertices)
-    vertices = []
-    for i, (x, y) in enumerate(base.vertices):
-        if i in interior:
-            x += Fraction(rng.randint(-3, 3), 16 * m)
-            y += Fraction(rng.randint(-3, 3), 16 * m)
-        vertices.append((x, y))
-    return Triangulation(vertices, base.cells)
+from hodgefem.mesh import (
+    CRISSCROSS,
+    DIAGONAL,
+    Triangulation,
+    generate_jittered_mesh,
+    generate_square_mesh,
+)
 
 
 def _coprime(m: int) -> Triangulation:
@@ -39,7 +30,7 @@ def _coprime(m: int) -> Triangulation:
 MESHES = {
     "diagonal4": lambda: generate_square_mesh(4, DIAGONAL),
     "crisscross2": lambda: generate_square_mesh(2, CRISSCROSS),
-    "jitter4": lambda: _jittered(4, 1),
+    "jitter4": lambda: generate_jittered_mesh(4, 1),
     "coprime4": lambda: _coprime(4),
 }
 

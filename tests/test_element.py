@@ -23,6 +23,7 @@ from hodgefem.element import (
     dof_values,
     interpolate,
     interpolate_coeffs,
+    reference_element,
 )
 from hodgefem.forms import (
     PolyForm,
@@ -236,13 +237,23 @@ def test_unisolvence_suite_builds_one_dof_matrix_per_triangle(monkeypatch):
 
 
 def test_projection_check_fails_when_the_pairing_flips_the_delta_sign(monkeypatch):
-    """The projection check compares the DOF matrix with quadrature of the functionals."""
-    pairing = hodgefem.element.green_pairing
+    """The projection check compares the DOF matrix with quadrature of the functionals.
 
-    def flipped(forms, d_forms, delta_forms, tests):
-        return pairing(forms, d_forms, [-g for g in delta_forms], tests)
+    The exact DOF matrix pairs the reference element's Green rows with the
+    graph of its shape forms; flipping the sign of the delta slot there
+    pairs delta mu with -tau, while the node tables keep the true forms.
+    """
+    rows = hodgefem.element._green_rows
 
-    monkeypatch.setattr(hodgefem.element, "green_pairing", flipped)
-    results = {r.name: r for r in unisolvence_suite(count=3)}
+    def flipped(tests):
+        return [(up, -down, value) for up, down, value in rows(tests)]
+
+    monkeypatch.setattr(hodgefem.element, "_green_rows", flipped)
+    reference_element.cache_clear()
+    try:
+        results = {r.name: r for r in unisolvence_suite(count=3)}
+    finally:
+        monkeypatch.undo()
+        reference_element.cache_clear()
     assert results["dof-matrix-cond-finite"].passed
     assert not results["interpolation-projection"].passed

@@ -1,19 +1,31 @@
 """Property tests of the exact kernel against independent references.
 
 Integer moments against sympy's exact integration, the pairing kernel
-against entrywise Fraction sums, and the fraction-free elimination
-against sympy's determinant and solve.  Triangles and matrices are drawn
-with small denominators and with coprime denominators near 10**20.
+against entrywise Fraction sums, the fraction-free elimination against
+sympy's determinant and solve, and the scaled reference element against
+the planar element built form by form with the forms calculus.
+Triangles and matrices are drawn with small denominators and with
+coprime denominators near 10**20.
 """
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
 import sympy
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from hodgefem.forms import PolyForm, Polynomial
+from hodgefem.element import build_h2d_form, form_values, poly_values, reference_element
+from hodgefem.forms import (
+    PolyForm,
+    Polynomial,
+    codifferential_green,
+    exterior_derivative,
+    hodge_star,
+    koszul,
+)
+from hodgefem.globalspace import CellTemplate
 from hodgefem.simplices import Simplex, _gauss_jordan, integrate_poly, l2_gram, solve_rational
 
 BIG = 10**20
@@ -166,3 +178,108 @@ def test_singular_matrix_still_raises(big, data, weights):
     assert _gauss_jordan(A, B) == (Fraction(0), None)
     with pytest.raises(ValueError):
         solve_rational(A, B)
+
+
+PRIMES = (101, 103, 107, 109, 113, 127, 131, 137, 139, 149, 151, 157)
+
+
+@st.composite
+def element_triangles(draw, kind: str, orientation: int) -> Simplex:
+    """A triangle with small, near-10**20 or coprime prime denominators (as in
+    ``conftest._coprime``), its vertices given in the requested orientation."""
+    if kind == "coprime":
+        primes = iter(draw(st.permutations(PRIMES)))
+        verts = [
+            tuple(draw(st.integers(-3, 3)) + Fraction(1, 16 * next(primes)) for _ in range(2))
+            for _ in range(3)
+        ]
+    else:
+        verts = [(draw(rationals(kind == "big")), draw(rationals(kind == "big"))) for _ in range(3)]
+    (x0, y0), (x1, y1), (x2, y2) = verts
+    cross = (x1 - x0) * (y2 - y0) - (x2 - x0) * (y1 - y0)
+    assume(cross != 0)
+    if (cross > 0) != (orientation > 0):
+        verts[1], verts[2] = verts[2], verts[1]
+    return Simplex(verts)
+
+
+def _green_rows(etas, taus):
+    up, down = PolyForm.zero(2, 2), PolyForm.zero(2, 0)
+    rows = [(eta, down, -codifferential_green(eta)) for eta in etas]
+    return rows + [(up, tau, -exterior_derivative(tau)) for tau in taus]
+
+
+def _planar_element(T: Simplex):
+    """The planar element on T form by form: shape forms, graph, DOF and hat tests."""
+    inv_h = 1 / T.h_scale
+    dx = [PolyForm.basis(2, (1,)), PolyForm.basis(2, (2,))]
+
+    def star_koszul_star(w):
+        return hodge_star(koszul(hodge_star(w)))
+
+    shape = dx + [
+        inv_h * koszul(PolyForm.basis(2, (1, 2))),
+        inv_h * star_koszul_star(PolyForm.basis(2, ())),
+    ]
+    shape += [inv_h * inv_h * build_h2d_form(alpha, T) for alpha in ((1,), (2,))]
+    graph = [(exterior_derivative(mu), codifferential_green(mu), mu) for mu in shape]
+    etas = [PolyForm.basis(2, (1, 2))] + [inv_h * star_koszul_star(w) for w in dx]
+    taus = [PolyForm.basis(2, ())] + [inv_h * koszul(w) for w in dx]
+    # lambda_i(x) = cross(p_j - x, p_k - x) / cross(p_j - p_i, p_k - p_i), (i, j, k) cyclic
+    p = T.centered
+    hats = []
+    for i in range(3):
+        a, b = p[(i + 1) % 3], p[(i + 2) % 3]
+        area = (a[0] - p[i][0]) * (b[1] - p[i][1]) - (a[1] - p[i][1]) * (b[0] - p[i][0])
+        coeffs = {(0, 0): a[0] * b[1] - a[1] * b[0], (1, 0): a[1] - b[1], (0, 1): b[0] - a[0]}
+        hats.append(Polynomial(2, {e: c / area for e, c in coeffs.items()}))
+    hat_rows = _green_rows(
+        [PolyForm(2, 2, {(1, 2): lam}) for lam in hats], [PolyForm(2, 0, {(): lam}) for lam in hats]
+    )
+    return shape, graph, etas, taus, hat_rows
+
+
+@pytest.mark.parametrize("orientation", [1, -1])
+@pytest.mark.parametrize("kind", ["small", "big", "coprime"])
+@settings(EXACT, max_examples=4)
+@given(data=st.data())
+def test_reference_element_equals_the_element_built_form_by_form(kind, orientation, data):
+    """gram, DOF matrix, Whitney rows, duals and node tables of the scaled
+    reference element against the forms calculus and ``l2_gram``, exactly."""
+    triangles = data.draw(st.lists(element_triangles(kind, orientation), min_size=1, max_size=3))
+    templates = [CellTemplate(tuple(T.centered), T) for T in triangles]
+    eye = [[Fraction(int(r == c)) for c in range(6)] for r in range(6)]
+    elements = [_planar_element(T) for T in triangles]
+    for T, t, (shape, graph, etas, taus, hat_rows) in zip(triangles, templates, elements):
+        assert t.gram == l2_gram(graph, graph, T)
+        assert t.matrix.exact == l2_gram(_green_rows(etas, taus), graph, T)
+        whitney = l2_gram(hat_rows, graph, T)
+        assert t.whitney == whitney
+        assert t.duals == solve_rational(whitney, eye)
+    # the batched node tables against each element's forms at the same nodes
+    scales = [t.matrix.scaling.floats() for t in templates]
+    tab = reference_element(2, 1).tables(
+        np.array([[[float(x) for x in v] for v in T.centered] for T in triangles]),
+        np.array([float(T.volume) for T in triangles]),
+        np.array([S for S, _ in scales]),
+        np.array([E for _, E in scales]),
+        6,
+    )
+    for i, (shape, graph, etas, taus, _) in enumerate(elements):
+        nodes = tab["centered"][i]
+
+        def scalar(w):
+            return poly_values(w.component(w.indices()[0]), nodes)
+
+        want = {
+            "val": [form_values(mu, nodes) for mu in shape],
+            "dval": [scalar(d) for d, _, _ in graph],
+            "gval": [scalar(g) for _, g, _ in graph],
+            "eta_v": [scalar(eta) for eta in etas],
+            "eta_g": [form_values(codifferential_green(eta), nodes) for eta in etas],
+            "tau_v": [scalar(tau) for tau in taus],
+            "tau_d": [form_values(exterior_derivative(tau), nodes) for tau in taus],
+        }
+        for key, values in want.items():
+            values = np.array(values)
+            assert np.abs(tab[key][i] - values).max() <= 1e-13 * np.abs(values).max(), key

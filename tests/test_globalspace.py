@@ -17,10 +17,17 @@ from hodgefem.element import (
     interpolate_coeffs,
 )
 from hodgefem.fields import as_callback, get_field
+from hodgefem.forms import PolyForm
 import hodgefem.element
 import hodgefem.globalspace
 import hodgefem.simplices
-from hodgefem.mesh import CRISSCROSS, DIAGONAL, Triangulation, generate_square_mesh
+from hodgefem.mesh import (
+    CRISSCROSS,
+    DIAGONAL,
+    Triangulation,
+    generate_jittered_mesh,
+    generate_square_mesh,
+)
 from hodgefem.globalspace import (
     CATEGORIES,
     DIV_PATCH,
@@ -34,7 +41,7 @@ from hodgefem.globalspace import (
     global_interpolate,
 )
 
-from conftest import MESHES, _jittered
+from conftest import MESHES
 
 
 def _setup(m, pattern=DIAGONAL):
@@ -146,10 +153,42 @@ def test_cell_gram_equals_the_per_pair_l2_inner_sums(monkeypatch):
                 )
 
 
+def test_product_space_builds_no_polyform_and_one_moment_call_per_template(monkeypatch):
+    """Per-template set-up scales the cached reference element: no PolyForm,
+    and one ``integer_moments`` call per template for all its exact data."""
+    build_product_space(MESHES["jitter4"]())  # the reference element is now built
+    tri = MESHES["jitter4"]()
+    forms, moments = [], []
+
+    def counting(name, method):
+        def wrapped(*args):
+            forms.append(name)
+            return method(*args)
+
+        return wrapped
+
+    integer_moments = hodgefem.simplices.Simplex.integer_moments
+
+    def counting_moments(self, exponents):
+        moments.append(self)
+        return integer_moments(self, exponents)
+
+    # every PolyForm is made by __init__ or, bypassing it, by these operators
+    for name in ("__init__", "__add__", "__neg__", "__mul__", "__rmul__"):
+        monkeypatch.setattr(PolyForm, name, counting(name, getattr(PolyForm, name)))
+    monkeypatch.setattr(hodgefem.simplices.Simplex, "integer_moments", counting_moments)
+    prod = build_product_space(tri)
+    monkeypatch.undo()
+    assert len(prod.templates) == 32
+    assert forms == []
+    assert len(moments) == len(prod.templates)
+    assert {id(s) for s in moments} == {id(t.simplex) for t in prod.templates}
+
+
 @settings(max_examples=15, deadline=None, derandomize=True, database=None)
 @given(m=st.integers(2, 4), seed=st.integers(0, 2**32 - 1))
 def test_jittered_meshes_have_exact_duals_and_the_full_basis(m, seed):
-    tri = _jittered(m, seed)
+    tri = generate_jittered_mesh(m, seed)
     prod = build_product_space(tri)
     eye = [[Fraction(int(r == c)) for c in range(6)] for r in range(6)]
     for t in prod.templates:

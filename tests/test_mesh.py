@@ -15,13 +15,14 @@ from hodgefem.mesh import (
     DIAGONAL,
     Triangulation,
     format_mesh,
+    generate_jittered_mesh,
     generate_square_mesh,
     parse_mesh,
     read_mesh,
     write_mesh,
 )
 
-from conftest import _coprime, _jittered
+from conftest import _coprime
 
 
 def test_generator_counts():
@@ -207,10 +208,25 @@ def _assert_round_trip(tri):
     assert back.cells == tri.cells
 
 
+def test_jittered_mesh_moves_interior_vertices_by_seeded_sixteenths():
+    base = generate_square_mesh(4, DIAGONAL)
+    tri = generate_jittered_mesh(4, 7)
+    assert tri.cells == base.cells
+    assert generate_jittered_mesh(4, 7).vertices == tri.vertices
+    assert generate_jittered_mesh(4, 8).vertices != tri.vertices
+    interior = set(base.interior_vertices)
+    for i, (p, q) in enumerate(zip(base.vertices, tri.vertices)):
+        steps = [(b - a) * 64 for a, b in zip(p, q)]
+        assert all(s.denominator == 1 and abs(s) <= 3 for s in steps)
+        if i not in interior:
+            assert steps == [0, 0]
+    assert len(build_product_space(tri).templates) > len(tri.cells) // 2
+
+
 @settings(max_examples=20, deadline=None, derandomize=True, database=None)
 @given(m=st.integers(2, 4), seed=st.integers(0, 2**32 - 1))
 def test_format_round_trip_is_exact_on_jittered_meshes(m, seed):
-    _assert_round_trip(_jittered(m, seed))
+    _assert_round_trip(generate_jittered_mesh(m, seed))
 
 
 def test_format_round_trip_is_exact_on_coprime_denominators():

@@ -19,7 +19,8 @@ from hodgefem.globalspace import (
     build_product_space,
     global_interpolate,
 )
-from hodgefem.mesh import CRISSCROSS, DIAGONAL, generate_square_mesh
+from hodgefem.mesh import CRISSCROSS, DIAGONAL, generate_jittered_mesh, generate_square_mesh
+import hodgefem.element
 import hodgefem.globalspace
 import hodgefem.solver
 from hodgefem.solver import (
@@ -43,7 +44,7 @@ from hodgefem.solver import (
     two_level_preconditioner,
 )
 
-from conftest import MESHES, _jittered
+from conftest import MESHES
 
 
 def _zeros_field():
@@ -291,17 +292,28 @@ def test_load_vector_and_error_norms_match_per_cell_tables(mesh):
         assert errs[key] == pytest.approx(value, rel=1e-12)
 
 
-def test_node_tables_run_once_per_template_and_order(monkeypatch):
+def test_stacked_node_tables_run_once_per_order(monkeypatch):
+    """One stacked table build per order for all templates, and each derived
+    float table (load, error norms, interpolation) once per order too."""
     tri = MESHES["jitter4"]()
     prod = build_product_space(tri)
     calls = []
-    tables = hodgefem.globalspace.node_tables
 
-    def counting(matrix, order):
-        calls.append((id(matrix), order))
-        return tables(matrix, order)
+    def counting(name, build):
+        def wrapped(*args):
+            calls.append((name, args[-1]))
+            return build(*args)
 
-    monkeypatch.setattr(hodgefem.globalspace, "node_tables", counting)
+        return wrapped
+
+    tables = hodgefem.element.ReferenceElement.tables
+    monkeypatch.setattr(hodgefem.element.ReferenceElement, "tables", counting("tables", tables))
+    for module, name in (
+        (hodgefem.solver, "_load_table"),
+        (hodgefem.solver, "_shape_table"),
+        (hodgefem.globalspace, "_interpolation_table"),
+    ):
+        monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
     field = get_field("polyflow")
     for order in (6, 4):
         for _ in range(2):
@@ -309,8 +321,8 @@ def test_node_tables_run_once_per_template_and_order(monkeypatch):
             u = global_interpolate(as_callback(field), tri, prod, quad_order=order)
             error_norms(u, prod, field, quad_order=order)
     assert len(prod.templates) == 32
-    expected = [(id(t.matrix), order) for order in (6, 4) for t in prod.templates]
-    assert sorted(calls) == sorted(expected)
+    names = ("tables", "_load_table", "_interpolation_table", "_shape_table")
+    assert sorted(calls) == sorted((name, order) for name in names for order in (6, 4))
 
 
 def test_interpolating_affine_field_is_exact():
@@ -351,7 +363,7 @@ def test_solver_study_tracks_oracle_and_interpolant():
 @settings(max_examples=10, deadline=None, derandomize=True, database=None)
 @given(m=st.integers(2, 4), seed=st.integers(0, 2**32 - 1))
 def test_reduced_solve_agrees_with_the_oracle_on_jittered_meshes(m, seed):
-    tri = _jittered(m, seed)
+    tri = generate_jittered_mesh(m, seed)
     prod = build_product_space(tri)
     system = assemble(tri, get_field("polyflow"), prod=prod)
     oracle = solve_oracle(system, build_constraints(tri, prod))
@@ -411,7 +423,7 @@ def test_block_jacobi_inverts_the_anchor_blocks():
 
 def test_jittered_m16_converges_within_the_cap():
     # diagonal scaling alone needs 6,422 iterations here, over the cap of 5,057
-    tri = _jittered(16, 1)
+    tri = generate_jittered_mesh(16, 1)
     system = assemble(tri, get_field("polyflow"))
     result = solve_system(system, tol=1e-10)
     assert result.method == "pcg" and result.true_rel_residual <= 1e-10
@@ -424,7 +436,7 @@ def test_jittered_m16_converges_within_the_cap():
 )
 def test_two_level_iterations_stay_flat_under_refinement(pattern, ms):
     for m in ms:
-        tri = _jittered(m, 1) if pattern == "jittered" else generate_square_mesh(m, pattern)
+        tri = generate_jittered_mesh(m, 1) if pattern == "jittered" else generate_square_mesh(m, pattern)
         system = assemble(tri, get_field("polyflow"))
         result = solve_system(system, tol=1e-10)
         assert result.iterations <= 80, f"{pattern} m={m}: {result.iterations} iterations"
