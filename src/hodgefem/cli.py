@@ -108,6 +108,9 @@ def _csv_row(row: StudyRow, solve: bool) -> str:
 
 
 def cmd_verify(args) -> int:
+    for option in ("simplices", "triangles"):
+        if getattr(args, option) < 0:
+            raise ValueError(f"--{option} must be a count >= 0, got {getattr(args, option)}")
     checks = full_suite(
         seed=args.seed, norm_count=args.simplices, triangle_count=args.triangles
     )

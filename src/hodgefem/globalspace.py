@@ -491,41 +491,33 @@ class GlobalBasis:
 def build_global_basis(tri: Triangulation, prod: ProductSpace) -> GlobalBasis:
     """Assemble DIV_PATCH, ROT_PATCH and ROT_CELL functions.
 
-    The fan differences use consecutive cells of each vertex patch, so a
+    The fan differences use consecutive cells of each vertex fan, so a
     vertex of degree d contributes d-1 functions per applicable family;
-    every (cell, boundary-vertex) incidence contributes one single-cell
-    ROT_CELL function.  All vectors satisfy B v = 0 exactly by
-    biorthogonality of the dual forms.  Phi is gathered from the float
-    dual columns ``prod.duals`` with index arithmetic; its columns
-    are ordered DIV_PATCH (by vertex, then along the fan), ROT_PATCH
-    (interior vertices) and ROT_CELL (by cell, then slot).
+    they are the adjacent pairs of ``tri.fan_cells`` that lie in one fan,
+    taken by slicing.  Every (cell, boundary-vertex) incidence
+    contributes one single-cell ROT_CELL function.  All vectors satisfy
+    B v = 0 exactly by biorthogonality of the dual forms.  Phi is
+    gathered from the float dual columns ``prod.duals`` with index
+    arithmetic; its columns are ordered DIV_PATCH (by vertex, then along
+    the fan), ROT_PATCH (interior vertices) and ROT_CELL (by cell, then
+    slot).
     """
-    nc = len(tri.cells)
+    nv, nc = len(tri.vertices), len(tri.cells)
     cells = np.array(tri.cells, dtype=np.intp).reshape(nc, 3)
-
-    def fan_pairs(vertices) -> tuple[list[int], list[int], list[int]]:
-        anchors, first, second = [], [], []
-        for a in vertices:
-            fan = tri.patches[a]
-            anchors += [a] * (len(fan) - 1)
-            first += fan[:-1]
-            second += fan[1:]
-        return anchors, first, second
-
-    div = fan_pairs(range(len(tri.vertices)))
-    rot = fan_pairs(tri.interior_vertices)
-    boundary = np.ones(len(tri.vertices), dtype=bool)
+    owner = np.repeat(np.arange(nv), np.diff(tri.fan_start))
+    # fan positions j with j + 1 in the same fan, DIV_PATCH then ROT_PATCH
+    div = np.flatnonzero(owner[1:] == owner[:-1])
+    boundary = np.ones(nv, dtype=bool)
     boundary[tri.interior_vertices] = False
+    pair = np.concatenate([div, div[~boundary[owner[div]]]])
     cell_of, slot_of = np.nonzero(boundary[cells])
-    n_div, n_rot, n_cell = len(div[0]), len(rot[0]), len(cell_of)
+    n_div, n_rot, n_cell = len(div), len(pair) - len(div), len(cell_of)
 
     category = np.repeat(np.arange(3), [n_div, n_rot, n_cell])
-    anchor = np.concatenate(
-        [np.array(div[0] + rot[0], dtype=np.intp), cells[cell_of, slot_of]]
-    )
+    anchor = np.concatenate([owner[pair], cells[cell_of, slot_of]])
     support = np.full((len(anchor), 2), -1, dtype=np.intp)
-    support[: n_div + n_rot, 0] = div[1] + rot[1]
-    support[: n_div + n_rot, 1] = div[2] + rot[2]
+    support[: n_div + n_rot, 0] = tri.fan_cells[pair]
+    support[: n_div + n_rot, 1] = tri.fan_cells[pair + 1]
     support[n_div + n_rot :, 0] = cell_of
     present = support >= 0
     cell = np.maximum(support, 0)

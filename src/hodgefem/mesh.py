@@ -2,14 +2,21 @@
 
 A Triangulation validates its input on construction: cells are oriented
 positively (reordering when needed), a mesh without cells, degenerate
-or duplicate cells and isolated or duplicate vertices are rejected with
-messages naming the offending entity, edges may be shared by at most
-two cells, every vertex star must be a single fan (disk or half-disk),
-and, when the mesh has interior vertices at all, every boundary vertex
-must share an edge with at least one interior vertex (the constraint
-pipeline relies on this).
+or duplicate cells, non-integer vertex ids and isolated or duplicate
+vertices are rejected with messages naming the offending entity, edges
+may be shared by at most two cells, every vertex star must be a single
+fan (disk or half-disk), and, when the mesh has interior vertices at
+all, every boundary vertex must share an edge with at least one
+interior vertex (the constraint pipeline relies on this).
 A mesh without interior vertices (a single triangle, a strip) is
 accepted and flagged in ``warnings``.
+
+The topology is one table of the 3 * cells half-edges, half-edge 3c + i
+running from ``cells[c][i]`` to ``cells[c][(i + 1) % 3]``, sorted once by
+undirected edge: that gives the sorted ``edges``, each half-edge's twin
+(-1 on the boundary), ``interior_vertices`` and the cell connectivity.
+The cells around vertex v, in fan order, are stored once as a CSR:
+``fan_cells[fan_start[v]:fan_start[v + 1]]`` (see ``_fans``).
 
 The mesh file format is line based and exact:
 
@@ -34,6 +41,7 @@ by seeded exact rationals, so that almost every cell has its own shape.
 from __future__ import annotations
 
 import math
+import operator
 import random
 from fractions import Fraction
 from functools import cached_property
@@ -46,8 +54,6 @@ from .simplices import Simplex
 __all__ = [
     "DIAGONAL",
     "CRISSCROSS",
-    "INTERIOR",
-    "BOUNDARY",
     "Triangulation",
     "check_mesh_parameter",
     "generate_square_mesh",
@@ -60,8 +66,6 @@ __all__ = [
 
 DIAGONAL = "diagonal"
 CRISSCROSS = "crisscross"
-INTERIOR = "interior"
-BOUNDARY = "boundary"
 
 
 # The hanging-vertex check hashes vertices into at most this many
@@ -77,25 +81,28 @@ class Triangulation:
         ]
         self.warnings: list[str] = []
         nv = len(self.vertices)
-        seen: dict[tuple[Fraction, Fraction], int] = {}
-        for i, v in enumerate(self.vertices):
-            if v in seen:
-                raise ValueError(f"vertex {i} duplicates vertex {seen[v]} at {v}")
-            seen[v] = i
-        # exact coordinates as Python-int numerators and denominators, the
-        # input of scaled_points
-        self._numerators = np.array(
-            [[x.numerator for x in v] for v in self.vertices], dtype=object
-        ).reshape(-1, 2)
-        self._denominators = np.array(
-            [[x.denominator for x in v] for v in self.vertices], dtype=object
-        ).reshape(-1, 2)
+        # exact coordinates as Python ints: keys of the duplicate check
+        # (hashing a Fraction is slow), and the numerators and denominators
+        # that scaled_points reads
+        exact = [(x.numerator, y.numerator, x.denominator, y.denominator) for x, y in self.vertices]
+        seen: dict[tuple[int, int, int, int], int] = {}
+        for i, key in enumerate(exact):
+            j = seen.setdefault(key, i)
+            if j != i:
+                raise ValueError(f"vertex {i} duplicates vertex {j} at {self.vertices[i]}")
+        exact_array = np.array(exact, dtype=object).reshape(-1, 4)
+        self._numerators, self._denominators = exact_array[:, :2], exact_array[:, 2:]
 
         checked: list[tuple[int, int, int]] = []
         invalid = None
         cell_keys: dict[frozenset, int] = {}
         for ci, cell in enumerate(cells):
-            tri = tuple(int(x) for x in cell)
+            try:
+                tri = tuple(map(operator.index, cell))
+            except TypeError:
+                bad = next(x for x in cell if not hasattr(type(x), "__index__"))
+                invalid = f"cell {ci} has a non-integer vertex id {bad!r}"
+                break
             key = frozenset(tri)
             missing = [v for v in tri if not (0 <= v < nv)]
             if len(tri) != 3 or len(key) != 3:
@@ -126,84 +133,65 @@ class Triangulation:
             for (a, b, c), flip in zip(checked, (area2 < 0).tolist())
         ]
 
-        used = set()
-        for tri in self.cells:
-            used.update(tri)
-        for i in range(nv):
-            if i not in used:
-                raise ValueError(f"vertex {i} is not referenced by any cell")
+        corners = np.array(self.cells, dtype=np.intp)
+        nc = len(corners)
+        degree = np.bincount(corners.ravel(), minlength=nv)
+        if (degree == 0).any():
+            raise ValueError(f"vertex {int(np.argmax(degree == 0))} is not referenced by any cell")
 
-        # edge incidence
-        edge_cells: dict[tuple[int, int], list[int]] = {}
-        for ci, tri in enumerate(self.cells):
-            for e in ((tri[0], tri[1]), (tri[1], tri[2]), (tri[2], tri[0])):
-                key = (min(e), max(e))
-                lst = edge_cells.setdefault(key, [])
-                lst.append(ci)
-                if len(lst) > 2:
-                    raise ValueError(f"edge {key} is shared by more than two cells")
-        self.edge_cells = edge_cells
-        self.edges: list[tuple[int, int]] = sorted(edge_cells)
-        self.boundary_edges = {e for e, cs in edge_cells.items() if len(cs) == 1}
+        # the half-edge table, sorted once by undirected edge; stable, so
+        # the half-edges of an edge keep cell order
+        origin, target = corners.ravel(), corners[:, [1, 2, 0]].ravel()
+        lo, hi = np.minimum(origin, target), np.maximum(origin, target)
+        key = lo * nv + hi
+        order = np.argsort(key, kind="stable")
+        head = np.flatnonzero(np.r_[True, np.diff(key[order]) != 0])
+        shared = np.diff(np.r_[head, 3 * nc])
+        third = order[head[shared > 2] + 2]
+        if len(third):
+            h = int(third.min())  # the first edge, in cell order, to get a third cell
+            raise ValueError(f"edge ({lo[h]}, {hi[h]}) is shared by more than two cells")
+        self.edges: np.ndarray = np.column_stack([lo[order[head]], hi[order[head]]])
+        twin = np.full(3 * nc, -1, dtype=np.intp)
+        pair = head[shared == 2]
+        twin[order[pair]], twin[order[pair + 1]] = order[pair + 1], order[pair]
 
         self._check_no_hanging_vertices()
+        # edge-connected: hook the root of each tree of cells under the lower
+        # root across a shared edge and jump every cell to its root, until no
+        # shared edge joins two trees; a root is the lowest cell of its tree
+        across = np.column_stack([order[pair], order[pair + 1]]) // 3
+        root = np.arange(nc)
+        while (root[across[:, 0]] != root[across[:, 1]]).any():
+            lower, higher = np.sort(root[across], axis=1).T
+            np.minimum.at(root, higher, lower)
+            while (root[root] != root).any():
+                root = root[root]
+        if root.any():
+            raise ValueError("mesh is not edge-connected")
 
-        # connectivity across shared edges
-        if self.cells:
-            adj: dict[int, list[int]] = {i: [] for i in range(len(self.cells))}
-            for cs in edge_cells.values():
-                if len(cs) == 2:
-                    adj[cs[0]].append(cs[1])
-                    adj[cs[1]].append(cs[0])
-            stack, visited = [0], {0}
-            while stack:
-                c = stack.pop()
-                for nb in adj[c]:
-                    if nb not in visited:
-                        visited.add(nb)
-                        stack.append(nb)
-            if len(visited) != len(self.cells):
-                raise ValueError("mesh is not edge-connected")
-
-        boundary_vertices = set()
-        for (a, b) in self.boundary_edges:
-            boundary_vertices.add(a)
-            boundary_vertices.add(b)
-        self.vertex_class = [
-            BOUNDARY if i in boundary_vertices else INTERIOR for i in range(nv)
-        ]
-        self.interior_vertices = [i for i in range(nv) if self.vertex_class[i] == INTERIOR]
-
-        self.patches: dict[int, list[int]] = {}
-        incident: dict[int, list[int]] = {i: [] for i in range(nv)}
-        for ci, tri in enumerate(self.cells):
-            for v in tri:
-                incident[v].append(ci)
-        for v in range(nv):
-            self.patches[v] = self._fan_order(v, incident[v])
+        boundary = np.zeros(nv, dtype=bool)
+        boundary[origin[twin < 0]] = boundary[target[twin < 0]] = True
+        self.interior_vertices: list[int] = np.flatnonzero(~boundary).tolist()
+        self.fan_start, self.fan_cells = _fans(origin, twin, degree)
 
         if self.interior_vertices:
-            neighbor: dict[int, set[int]] = {i: set() for i in range(nv)}
-            for (a, b) in self.edges:
-                neighbor[a].add(b)
-                neighbor[b].add(a)
-            for v in range(nv):
-                if self.vertex_class[v] == BOUNDARY and not any(
-                    self.vertex_class[u] == INTERIOR for u in neighbor[v]
-                ):
-                    raise ValueError(
-                        f"boundary vertex {v} has no edge to an interior vertex"
-                    )
+            a, b = self.edges.T
+            reach = np.zeros(nv, dtype=bool)
+            reach[a[~boundary[b]]] = reach[b[~boundary[a]]] = True
+            lonely = np.flatnonzero(boundary & ~reach)
+            if len(lonely):
+                raise ValueError(f"boundary vertex {lonely[0]} has no edge to an interior vertex")
         else:
             self.warnings.append("mesh has no interior vertices")
 
-        self.euler_characteristic = nv - len(self.edges) + len(self.cells)
+        self.euler_characteristic = nv - len(self.edges) + nc
         if self.euler_characteristic != 1:
             self.warnings.append(
                 f"Euler characteristic {self.euler_characteristic} != 1 (not a disk)"
             )
 
-        self._simplices: list[Simplex | None] = [None] * len(self.cells)
+        self._simplices: list[Simplex | None] = [None] * nc
 
     # -- derived geometry ------------------------------------------------
 
@@ -231,21 +219,11 @@ class Triangulation:
     @cached_property
     def h(self) -> float:
         """Largest edge length, equal to the largest ``simplex(c).h``."""
-        num, den = self.scaled_points(np.array(self.edges, dtype=np.intp).reshape(-1, 2))
+        num, den = self.scaled_points(self.edges)
         d = num[:, 1] - num[:, 0]
         # Python int division rounds each exact squared length once, as
         # float(Fraction); rounding keeps the order, so the max is the same
         return math.sqrt(max(((d * d).sum(axis=1) / (den * den)).tolist()))
-
-    def vertex_degree(self, v: int) -> int:
-        return len(self.patches[v])
-
-    def cell_slot(self, cell: int, vertex: int) -> int:
-        tri = self.cells[cell]
-        for i in range(3):
-            if tri[i] == vertex:
-                return i
-        raise ValueError(f"vertex {vertex} not in cell {cell}")
 
     # -- validation helpers ----------------------------------------------
 
@@ -253,15 +231,13 @@ class Triangulation:
         """No vertex may lie in the open interior of another cell's edge.
 
         Candidates come from a uniform bucket grid (``_edge_candidates``);
-        a float collinearity filter narrows them and the exact Fraction
-        test confirms, in edge order then vertex order.
+        a float collinearity filter narrows them and the exact integer
+        test (``scaled_points``) confirms, in edge order then vertex order.
         """
-        if not self.edges:
-            return
-        pts = np.array([[float(x), float(y)] for (x, y) in self.vertices])
-        ends = np.array(self.edges)
-        e, v = _edge_candidates(pts, ends)
-        a, b = ends[e, 0], ends[e, 1]
+        # Python int division rounds once, as float(Fraction)
+        pts = (self._numerators / self._denominators).astype(float)
+        e, v = _edge_candidates(pts, self.edges)
+        a, b = self.edges[e].T
         d = pts[b] - pts[a]
         rel = pts[v] - pts[a]
         cross = rel[:, 0] * d[:, 1] - rel[:, 1] * d[:, 0]
@@ -274,75 +250,66 @@ class Triangulation:
             & (v != a)
             & (v != b)
         )
-        e, v = e[suspicious], v[suspicious]
-        for k in np.lexsort((v, e)):
-            ia, ib = self.edges[e[k]]
-            iv = int(v[k])
-            va, vb, vv = self.vertices[ia], self.vertices[ib], self.vertices[iv]
-            ex = (vb[0] - va[0], vb[1] - va[1])
-            rv = (vv[0] - va[0], vv[1] - va[1])
-            cr = rv[0] * ex[1] - rv[1] * ex[0]
-            dt = rv[0] * ex[0] + rv[1] * ex[1]
-            l2 = ex[0] * ex[0] + ex[1] * ex[1]
-            if cr == 0 and 0 < dt < l2:
-                raise ValueError(
-                    f"vertex {iv} lies inside edge ({ia}, {ib}): nonconforming mesh"
-                )
+        order = np.lexsort((v[suspicious], e[suspicious]))
+        e, v = e[suspicious][order], v[suspicious][order]
+        num, _ = self.scaled_points(np.column_stack([self.edges[e], v]))
+        ex, rv = num[:, 1] - num[:, 0], num[:, 2] - num[:, 0]
+        dt, l2 = (rv * ex).sum(axis=1), (ex * ex).sum(axis=1)
+        inside = (rv[:, 0] * ex[:, 1] == rv[:, 1] * ex[:, 0]) & (dt > 0) & (dt < l2)
+        if inside.any():
+            k = np.argmax(inside)
+            ia, ib = self.edges[e[k]].tolist()
+            raise ValueError(f"vertex {v[k]} lies inside edge ({ia}, {ib}): nonconforming mesh")
 
-    def _fan_order(self, v: int, cells: list[int]) -> list[int]:
-        """Order the cells around ``v`` into a single fan (cycle or path).
 
-        In a positively oriented cell (v, p, q) the walk proceeds across
-        the (v, q) edge to the neighbor sharing it.  Interior vertices
-        give a closed cycle (started at the lowest cell id for
-        determinism); boundary vertices give a path starting at the cell
-        whose entry edge (v, p) is on the boundary.  Anything else is a
-        pinched star and is rejected.
-        """
-        if not cells:
-            raise ValueError(f"vertex {v} is not referenced by any cell")
+def _fans(origin: np.ndarray, twin: np.ndarray, degree: np.ndarray) -> tuple[np.ndarray, ...]:
+    """(fan_start, fan_cells): the cells around each vertex in fan order, as a CSR.
 
-        def pq(cell: int) -> tuple[int, int]:
-            tri = self.cells[cell]
-            i = tri.index(v)
-            return tri[(i + 1) % 3], tri[(i + 2) % 3]
+    Half-edge h is also the corner of its origin v in cell (v, p, q).  The
+    next corner around v is across the exit edge (q, v): the twin of the
+    cell's previous half-edge, or the twin's successor where two cells
+    overlap.  A fan starts at the corner whose entry edge (v, p) has no
+    twin, or else in v's lowest cell, and all walks advance together, one
+    fan position per step.  A star that is not one fan raises for its
+    lowest vertex: "inconsistent" for a walk back to its boundary start,
+    else "pinched".
+    """
+    nv, nh = len(degree), len(origin)
+    half = np.arange(nh).reshape(-1, 3)
+    following, previous = half[:, [1, 2, 0]].ravel(), half[:, [2, 0, 1]].ravel()
+    across = twin[previous]
+    succ = np.where(
+        across < 0, -1, np.where(origin[across] == origin, across, following[across])
+    )
+    fan_start = np.r_[0, np.cumsum(degree)]
+    start = np.argsort(origin, kind="stable")[fan_start[:-1]]  # each vertex's lowest cell
+    opening = np.flatnonzero(twin < 0)
+    start[origin[opening]] = opening
+    starts = np.bincount(origin[opening], minlength=nv)
 
-        def neighbor_across(cell: int, q: int) -> int | None:
-            key = (min(v, q), max(v, q))
-            cs = self.edge_cells[key]
-            others = [c for c in cs if c != cell]
-            return others[0] if others else None
-
-        starts = []
-        for c in cells:
-            p, _ = pq(c)
-            key = (min(v, p), max(v, p))
-            if key in self.boundary_edges:
-                starts.append(c)
-        if len(starts) > 1:
-            raise ValueError(f"vertex {v} has a pinched (multi-fan) star")
-        start = starts[0] if starts else min(cells)
-
-        order = [start]
-        seen = {start}
-        current = start
-        while True:
-            _, q = pq(current)
-            nxt = neighbor_across(current, q)
-            if nxt is None:
-                break
-            if nxt == start:
-                if not starts:
-                    break  # closed the interior cycle
-                raise ValueError(f"vertex {v} has an inconsistent star")
-            if nxt in seen:
-                raise ValueError(f"vertex {v} has a pinched (multi-fan) star")
-            order.append(nxt)
-            seen.add(nxt)
-            current = nxt
-        if len(order) != len(cells):
-            raise ValueError(f"vertex {v} has a pinched (multi-fan) star")
-        return order
+    rank = np.full(nh, -1, dtype=np.intp)
+    rank[start] = 0
+    walker, current = np.arange(nv), start
+    inconsistent = np.zeros(nv, dtype=bool)
+    pinched = starts > 1
+    for k in range(1, int(degree.max()) + 1):
+        step = succ[current]
+        fresh = (step >= 0) & (rank[step] < 0)
+        closed = step == start[walker]
+        inconsistent[walker[closed & (starts[walker] == 1)]] = True
+        pinched[walker[(step >= 0) & ~fresh & ~closed]] = True
+        walker, current = walker[fresh], step[fresh]
+        rank[current] = k
+        if not len(walker):
+            break
+    pinched |= np.bincount(origin[rank >= 0], minlength=nv) != degree
+    bad = np.flatnonzero(pinched | inconsistent)
+    if len(bad):
+        kind = "an inconsistent" if inconsistent[bad[0]] else "a pinched (multi-fan)"
+        raise ValueError(f"vertex {bad[0]} has {kind} star")
+    fan_cells = np.empty(nh, dtype=np.intp)
+    fan_cells[fan_start[origin] + rank] = half.ravel() // 3
+    return fan_start, fan_cells
 
 
 def _edge_candidates(pts: np.ndarray, ends: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -407,35 +374,24 @@ def generate_square_mesh(m: int, pattern: str = DIAGONAL) -> Triangulation:
     def gid(i: int, j: int) -> int:
         return j * (m + 1) + i
 
-    vertices: list[tuple[Fraction, Fraction]] = [
-        (Fraction(i, m), Fraction(j, m)) for j in range(m + 1) for i in range(m + 1)
-    ]
+    grid = [Fraction(i, m) for i in range(m + 1)]
+    vertices: list[tuple[Fraction, Fraction]] = [(x, y) for y in grid for x in grid]
+    if pattern == CRISSCROSS:  # square (i, j) gets center vertex (m + 1)^2 + j m + i
+        mid = [Fraction(2 * i + 1, 2 * m) for i in range(m)]
+        vertices += [(x, y) for y in mid for x in mid]
+    flipped = {(m - 1, 0), (0, m - 1)}
     cells: list[tuple[int, int, int]] = []
-
-    if pattern == DIAGONAL:
-        flipped = {(m - 1, 0), (0, m - 1)}
-        for j in range(m):
-            for i in range(m):
-                bl, br = gid(i, j), gid(i + 1, j)
-                tr, tl = gid(i + 1, j + 1), gid(i, j + 1)
-                if (i, j) in flipped:
-                    cells.append((bl, br, tl))
-                    cells.append((br, tr, tl))
-                else:
-                    cells.append((bl, br, tr))
-                    cells.append((bl, tr, tl))
-    else:
-        centers: dict[tuple[int, int], int] = {}
-        for j in range(m):
-            for i in range(m):
-                centers[(i, j)] = len(vertices)
-                vertices.append((Fraction(2 * i + 1, 2 * m), Fraction(2 * j + 1, 2 * m)))
-        for j in range(m):
-            for i in range(m):
-                bl, br = gid(i, j), gid(i + 1, j)
-                tr, tl = gid(i + 1, j + 1), gid(i, j + 1)
-                c = centers[(i, j)]
-                cells.extend([(bl, br, c), (br, tr, c), (tr, tl, c), (tl, bl, c)])
+    for j in range(m):
+        for i in range(m):
+            bl, br = gid(i, j), gid(i + 1, j)
+            tr, tl = gid(i + 1, j + 1), gid(i, j + 1)
+            if pattern == CRISSCROSS:
+                c = (m + 1) ** 2 + j * m + i
+                cells += [(bl, br, c), (br, tr, c), (tr, tl, c), (tl, bl, c)]
+            elif (i, j) in flipped:
+                cells += [(bl, br, tl), (br, tr, tl)]
+            else:
+                cells += [(bl, br, tr), (bl, tr, tl)]
 
     return Triangulation(vertices, cells)
 

@@ -174,10 +174,10 @@ class Simplex:
     Vertices are normalized to positive orientation (the last two are
     swapped when the input is negatively oriented); degenerate input
     raises ValueError.  Exposes exact volume, barycenter and second
-    moments (computed when first read), plus float diameter ``h`` and
-    shape ratio h / inradius.  ``h_scale`` is a rational Chebyshev-metric
-    diameter, an h-equivalent surrogate used where exact rational scaling
-    is needed.
+    moments, plus float diameter ``h`` and shape ratio h / inradius; the
+    second moments and the shape ratio are computed when first read.
+    ``h_scale`` is a rational Chebyshev-metric diameter, an h-equivalent
+    surrogate used where exact rational scaling is needed.
     """
 
     __slots__ = (
@@ -188,7 +188,7 @@ class Simplex:
         "centered",
         "h",
         "h_scale",
-        "shape_ratio",
+        "_shape_ratio",
         "_moments",
         "_centered_int",
         "_second_moments",
@@ -227,7 +227,7 @@ class Simplex:
         self.h_scale = Fraction(cheb, den)
         self._moments: dict[tuple[int, ...], int] = {}
         self._second_moments: tuple[Fraction, ...] | None = None
-        self.shape_ratio = self.h / self._inradius()
+        self._shape_ratio: float | None = None
 
     @property
     def second_moments(self) -> tuple[Fraction, ...]:
@@ -240,6 +240,13 @@ class Simplex:
             num, den = self.integer_moments(squares)
             self._second_moments = tuple(Fraction(num[e], den) / self.volume for e in squares)
         return self._second_moments
+
+    @property
+    def shape_ratio(self) -> float:
+        """h / inradius, when first read."""
+        if self._shape_ratio is None:
+            self._shape_ratio = self.h / self._inradius()
+        return self._shape_ratio
 
     def _inradius(self) -> float:
         """n * volume / total facet measure, all in floats."""

@@ -277,23 +277,30 @@ def _coarse_components(tri: Triangulation) -> tuple[np.ndarray, np.ndarray]:
     Returns (directions, columns), of shapes (nv, 2, 2) and (nv, 2): the
     k-th free component of vertex a is the unit vector directions[a, k],
     with coarse column columns[a, k], and -1 marks a component that is
-    not free.  An interior vertex keeps x and y.  A boundary vertex whose
-    two boundary edges are collinear, decided on exact coordinates, keeps
-    the unit tangent; a corner keeps none, so every coarse field has zero
-    normal trace.  Columns are numbered by vertex, then component.
+    not free.  An interior vertex keeps x and y.  A boundary vertex's
+    fan runs from the cell whose entry edge (a, p) is on the boundary to
+    the cell whose exit edge (q, a) is, so p and q are its two boundary
+    neighbours.  When they are collinear with a, decided on exact
+    coordinates, a keeps the unit tangent along p - q (counterclockwise
+    around the domain); a corner keeps none, so every coarse field has
+    zero normal trace.  Columns are numbered by vertex, then component.
     """
     nv = len(tri.vertices)
+    cells = np.array(tri.cells, dtype=np.intp).reshape(-1, 3)
     directions = np.zeros((nv, 2, 2))
     directions[:, 0, 0] = directions[:, 1, 1] = 1.0
     free = np.zeros((nv, 2), dtype=bool)
     free[tri.interior_vertices] = True
-    edges = np.array(list(tri.boundary_edges), dtype=np.intp).reshape(-1, 2)
-    ends = np.concatenate([edges[:, 0], edges[:, 1]])
-    order = np.argsort(ends, kind="stable")
-    # a boundary vertex's star is a half-disk: it ends exactly two boundary edges
-    vertex = ends[order][::2]
-    neighbors = np.concatenate([edges[:, 1], edges[:, 0]])[order].reshape(-1, 2)
-    num, den = tri.scaled_points(np.column_stack([vertex, neighbors]))
+    vertex = np.flatnonzero(~free[:, 0])
+
+    def turn(fan_position: np.ndarray, k: int) -> np.ndarray:
+        """The vertex k slots after ``vertex`` in the cells at these fan positions."""
+        around = cells[tri.fan_cells[fan_position]]
+        slot = np.argmax(around == vertex[:, None], axis=1)
+        return around[np.arange(len(vertex)), (slot + k) % 3]
+
+    p, q = turn(tri.fan_start[vertex], 1), turn(tri.fan_start[vertex + 1] - 1, 2)
+    num, den = tri.scaled_points(np.column_stack([vertex, q, p]))
     u, v = num[:, 1] - num[:, 0], num[:, 2] - num[:, 0]
     straight = u[:, 0] * v[:, 1] - u[:, 1] * v[:, 0] == 0
     tangent = (num[straight, 2] - num[straight, 1]).astype(float)

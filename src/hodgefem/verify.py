@@ -34,8 +34,8 @@ from .element import (
     build_h2delta_form,
     build_shape_space,
     interpolate_coeffs,
-    node_tables,
     quadrature_dofs,
+    reference_element,
 )
 from .forms import (
     PolyForm,
@@ -239,10 +239,11 @@ def unisolvence_suite(
     """DOF matrix conditioning and interpolation checks on random triangles."""
     rng = random.Random(seed + 2)
     max_cond = 0.0
-    max_proj = 0.0
     max_gap = 0.0
-    eye = np.eye(6)
-    for _ in range(count):
+    # per triangle: centered vertices, area, float S and E, float DOF matrix
+    vertices, volumes, test_scale = np.empty((count, 3, 2)), np.empty(count), np.empty((count, 6))
+    shape_scale, M = np.empty((count, 6, 6)), np.empty((count, 6, 6))
+    for i in range(count):
         S = _rand_triangle(rng)
         space = build_shape_space(2, 1, S)
         matrix = build_dof_matrix(space, build_dof_basis(2, 1, S))
@@ -250,20 +251,24 @@ def unisolvence_suite(
         if not np.isfinite(cond):
             return [CheckResult("dof-matrix-cond-finite", False, "singular matrix hit")]
         max_cond = max(max_cond, cond)
-        # projection: interpolating each shape basis form returns its unit
-        # vector.  Its DOF values V come from float quadrature of the Green
-        # functionals, independent of the exact pairing that built M, so
-        # M^-1 V = I tests the DOF matrix against the functionals.
-        tab = node_tables(matrix, 6)
-        values = quadrature_dofs(tab, tab["val"], tab["dval"], tab["gval"])
-        X = np.linalg.solve(matrix.as_float, values.T)
-        max_proj = max(max_proj, float(np.max(np.abs(X - eye))))
+        vertices[i], volumes[i], M[i] = S.centered, S.volume, matrix.as_float
+        shape_scale[i], test_scale[i] = matrix.scaling.floats()
         # the two algorithms agree on a generic member of the space
         target = space.combine([_rand_fraction(rng) for _ in range(6)])
         a = interpolate_coeffs(target, matrix, method=DIRECT)
         b = interpolate_coeffs(target, matrix, method=FOURSTEP)
         gap = max(abs(float(x - y)) for x, y in zip(a, b))
         max_gap = max(max_gap, gap)
+    # projection: interpolating each shape basis form returns its unit
+    # vector.  Its DOF values V come from float quadrature of the Green
+    # functionals, independent of the exact pairing that built M, so
+    # M^-1 V = I tests the DOF matrix against the functionals.  The node
+    # tables of all triangles are one stacked ``tables`` call, as
+    # ``node_tables`` would build them one at a time.
+    tab = reference_element(2, 1).tables(vertices, volumes, shape_scale, test_scale, 6)
+    values = quadrature_dofs(tab, tab["val"], tab["dval"], tab["gval"])
+    X = np.linalg.solve(M, values.transpose(0, 2, 1))
+    max_proj = float(np.max(np.abs(X - np.eye(6)), initial=0.0))
     return [
         CheckResult(
             "dof-matrix-cond-finite", True, f"max cond {max_cond:.3e} over {count} triangles"

@@ -192,6 +192,15 @@ def test_bad_tol_exits_two_before_any_output(tol, capsys):
     assert captured.err == f"error: --tol must be positive and finite, got {float(tol)!r}\n"
 
 
+@pytest.mark.parametrize("option", ["--simplices", "--triangles"])
+def test_negative_verify_counts_exit_two_before_any_output(option, capsys):
+    # a negative count once gave a vacuous pass "over -3 triangles"
+    assert main(["verify", option, "-3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {option} must be a count >= 0, got -3\n"
+
+
 @pytest.mark.parametrize("command", ["solve", "interpolate"])
 @pytest.mark.parametrize(
     "flags, message",

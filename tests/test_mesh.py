@@ -1,6 +1,7 @@
 """Triangulation validation, square-mesh generators, mesh IO, hat functions."""
 
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -23,6 +24,12 @@ from hodgefem.mesh import (
 )
 
 from conftest import _coprime
+
+
+def fans(tri):
+    """Each vertex's fan of cells, in fan order."""
+    start, cells = tri.fan_start.tolist(), tri.fan_cells.tolist()
+    return [cells[a:b] for a, b in zip(start, start[1:])]
 
 
 def test_generator_counts():
@@ -62,29 +69,20 @@ def test_vertex_degrees_on_diagonal_mesh():
     # the generator flips two corner squares, which pushes the center
     # vertex of the 2x2 mesh up to degree 8
     tri = generate_square_mesh(2, DIAGONAL)
-    assert tri.vertex_degree(4) == 8
+    assert len(fans(tri)[4]) == 8
     # away from the flipped corners the interior degree is the usual 6
     tri4 = generate_square_mesh(4, DIAGONAL)
-    assert tri4.vertex_degree(12) == 6
+    assert len(fans(tri4)[12]) == 6
     assert 12 in tri4.interior_vertices
 
 
 def test_patch_fan_is_edge_connected():
     tri = generate_square_mesh(4, DIAGONAL)
-    for v, fan in tri.patches.items():
+    for v, fan in enumerate(fans(tri)):
         assert sorted(fan) == sorted(set(fan))
         for a, b in zip(fan, fan[1:]):
             shared = set(tri.cells[a]) & set(tri.cells[b])
             assert v in shared and len(shared) == 2
-
-
-def test_cell_slot_lookup():
-    tri = generate_square_mesh(2)
-    c = tri.patches[4][0]
-    slot = tri.cell_slot(c, 4)
-    assert tri.cells[c][slot] == 4
-    with pytest.raises(ValueError, match="not in cell"):
-        tri.cell_slot(c, 8 if 8 not in tri.cells[c] else 0)
 
 
 def test_orientation_is_normalized():
@@ -186,6 +184,14 @@ def test_validation_rejects_disconnected_mesh():
     pts = [(0, 0), (1, 0), (0, 1), (5, 5), (6, 5), (5, 6)]
     with pytest.raises(ValueError, match="not edge-connected"):
         Triangulation(pts, [(0, 1, 2), (3, 4, 5)])
+    # two 3x3 meshes side by side, their cells interleaved
+    base = generate_square_mesh(3, DIAGONAL)
+    nv = len(base.vertices)
+    pts = base.vertices + [(x + 2, y) for x, y in base.vertices]
+    shifted = [tuple(v + nv for v in cell) for cell in base.cells]
+    cells = [cell for pair in zip(base.cells, shifted) for cell in pair]
+    with pytest.raises(ValueError, match="not edge-connected"):
+        Triangulation(pts, cells)
 
 
 def test_format_round_trip_is_exact():
@@ -283,6 +289,138 @@ def test_a_mesh_without_cells_is_rejected():
         parse_mesh("ndim 2\nvertices 1\n0 0\ncells 0\n")
 
 
+def reference_fans(cells, nv):
+    """The cell-by-cell fan walk of an earlier ``Triangulation``, kept as a reference.
+
+    In a positively oriented cell (v, p, q) the walk crosses the (v, q)
+    edge to the other cell sharing it.  It starts at the cell whose
+    entry edge (v, p) is on the boundary, or else at the lowest cell.
+    """
+    edge_cells = {}
+    for ci, tri in enumerate(cells):
+        for e in ((tri[0], tri[1]), (tri[1], tri[2]), (tri[2], tri[0])):
+            edge_cells.setdefault((min(e), max(e)), []).append(ci)
+    boundary = {e for e, cs in edge_cells.items() if len(cs) == 1}
+    incident = {v: [] for v in range(nv)}
+    for ci, tri in enumerate(cells):
+        for v in tri:
+            incident[v].append(ci)
+
+    def pq(cell, v):
+        tri = cells[cell]
+        i = tri.index(v)
+        return tri[(i + 1) % 3], tri[(i + 2) % 3]
+
+    def fan_order(v):
+        around = incident[v]
+        starts = [c for c in around if (min(v, pq(c, v)[0]), max(v, pq(c, v)[0])) in boundary]
+        if len(starts) > 1:
+            raise ValueError(f"vertex {v} has a pinched (multi-fan) star")
+        start = starts[0] if starts else min(around)
+        order, current = [start], start
+        while True:
+            q = pq(current, v)[1]
+            others = [c for c in edge_cells[(min(v, q), max(v, q))] if c != current]
+            if not others:
+                break
+            nxt = others[0]
+            if nxt == start:
+                if not starts:
+                    break
+                raise ValueError(f"vertex {v} has an inconsistent star")
+            if nxt in order:
+                raise ValueError(f"vertex {v} has a pinched (multi-fan) star")
+            order.append(nxt)
+            current = nxt
+        if len(order) != len(around):
+            raise ValueError(f"vertex {v} has a pinched (multi-fan) star")
+        return order
+
+    return [fan_order(v) for v in range(nv)]
+
+
+def test_fans_match_the_reference_walk(mesh):
+    assert fans(mesh) == reference_fans(mesh.cells, len(mesh.vertices))
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(
+    kind=st.sampled_from(["diagonal", "crisscross", "jitter"]),
+    m=st.integers(2, 4),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_fans_match_the_reference_walk_under_relabelling(kind, m, seed):
+    """Relabelled vertices, shuffled cells, rotated or reversed vertex order."""
+    if kind == "jitter":
+        base = generate_jittered_mesh(m, seed)
+    else:
+        base = generate_square_mesh(m, CRISSCROSS if kind == "crisscross" else DIAGONAL)
+    rng = random.Random(seed)
+    nv = len(base.vertices)
+    label = list(range(nv))
+    rng.shuffle(label)
+    vertices = [None] * nv
+    for old, new in enumerate(label):
+        vertices[new] = base.vertices[old]
+    cells = []
+    for cell in base.cells:
+        turn = rng.randrange(3)
+        cell = tuple(label[v] for v in cell[turn:] + cell[:turn])
+        cells.append(cell[::-1] if rng.random() < 0.5 else cell)
+    rng.shuffle(cells)
+    tri = Triangulation(vertices, cells)
+    got = fans(tri)
+    assert got == reference_fans(tri.cells, nv)
+    incident = [set() for _ in range(nv)]
+    for c, cell in enumerate(tri.cells):
+        for v in cell:
+            incident[v].add(c)
+    assert [set(f) for f in got] == incident
+
+
+def test_validation_rejects_non_integer_vertex_ids():
+    # an id such as 1.7 was once truncated to vertex 1
+    with pytest.raises(ValueError, match=r"cell 0 has a non-integer vertex id 1\.7"):
+        Triangulation([(0, 0), (1, 0), (0, 1)], [(0, 1.7, 2)])
+    with pytest.raises(ValueError, match=r"cell 1 has a non-integer vertex id '2'"):
+        Triangulation([(0, 0), (1, 0), (0, 1), (1, 1)], [(0, 1, 2), (1, 3, "2")])
+    # integer types other than int are ids
+    tri = Triangulation([(0, 0), (1, 0), (0, 1)], [tuple(np.arange(3))])
+    assert tri.cells == [(0, 1, 2)] and all(type(v) is int for v in tri.cells[0])
+
+
+def test_validation_rejects_pinched_star_on_edge_connected_mesh():
+    # two opposite cells around the mid vertex 12 of the 4x4 mesh are cut
+    # out: its star splits into two fans, joined only through the rest
+    base = generate_square_mesh(4, DIAGONAL)
+    around = [c for c, cell in enumerate(base.cells) if 12 in cell]
+    cut = {around[0], around[3]}
+    cells = [cell for c, cell in enumerate(base.cells) if c not in cut]
+    with pytest.raises(ValueError, match=r"^vertex 12 has a pinched \(multi-fan\) star$"):
+        Triangulation(base.vertices, cells)
+
+
+def test_validation_rejects_cells_overlapping_on_one_side_of_an_edge():
+    # cells 0 and 1 both lie above edge (0, 1)
+    pts = [(0, 0), (1, 0), (0, 1), (1, 1)]
+    with pytest.raises(ValueError, match=r"^vertex 0 has a pinched \(multi-fan\) star$"):
+        Triangulation(pts, [(0, 1, 2), (0, 1, 3)])
+    # cells 0 and 1 overlap along (0, 2), cells 1 and 2 along (0, 3): the
+    # walk around vertex 0 from cell 0 comes back to cell 0
+    pts = [(0, 0), (4, 1), (0, 4), (4, 3), (1, 4)]
+    with pytest.raises(ValueError, match=r"^vertex 0 has an inconsistent star$"):
+        Triangulation(pts, [(0, 1, 2), (0, 3, 2), (0, 3, 4)])
+
+
+def test_overshared_edge_is_named_in_cell_order():
+    # edge (2, 3) sorts after edge (0, 1) but gets its third cell first
+    pts = [(0, 0), (1, 0), (10, 0), (11, 0), (10, 1), (11, 1), (10, -1)]
+    pts += [(0, 1), (1, 1), (0, -1)]
+    cells = [(2, 3, 4), (0, 1, 7), (2, 3, 5), (0, 1, 8), (2, 3, 6), (0, 1, 9)]
+    with pytest.raises(ValueError, match=r"^edge \(2, 3\) is shared by more than two cells$"):
+        Triangulation(pts, cells)
+
+
 def test_hats_partition_unity_and_interpolate_vertices():
     """Each cell's barycentric coordinates are its three hats, in slot order."""
     tri = generate_square_mesh(2, DIAGONAL)
@@ -312,9 +450,9 @@ def test_zero_kind_keeps_interior_vertices_only():
 
     # div row v and rot row r live on the cells around vertex v and
     # around tri.interior_vertices[r]
-    assert [cells_of(cons.B_div, v) for v in range(25)] == [set(tri.patches[v]) for v in range(25)]
+    assert [cells_of(cons.B_div, v) for v in range(25)] == [set(fan) for fan in fans(tri)]
     assert [cells_of(cons.B_rot, r) for r in range(9)] == [
-        set(tri.patches[a]) for a in tri.interior_vertices
+        set(fans(tri)[a]) for a in tri.interior_vertices
     ]
 
 
