@@ -9,9 +9,8 @@ import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hodgefem.element import interpolate_coeffs, node_tables
+from hodgefem.element import node_tables
 from hodgefem.fields import SmoothField, as_callback, get_field
-from hodgefem.forms import PolyForm
 from hodgefem.globalspace import (
     ConstraintSystem,
     build_constraints,
@@ -24,16 +23,11 @@ import hodgefem.element
 import hodgefem.globalspace
 import hodgefem.solver
 from hodgefem.solver import (
-    _block_jacobi,
-    _cellwise,
-    _cellwise_constants,
-    _coarse_components,
-    _constant_correction,
-    _p1_whitney,
+    HybridSystem,
+    _kernel_coordinates,
     assemble,
     broken_energy_product,
     cell_load_vector,
-    coarse_prolongation,
     error_norms,
     fit_rate,
     interpolation_study,
@@ -41,7 +35,6 @@ from hodgefem.solver import (
     solve_oracle,
     solve_system,
     solver_study,
-    two_level_preconditioner,
 )
 
 from conftest import MESHES
@@ -376,49 +369,18 @@ def test_reduced_solve_agrees_with_the_oracle_on_jittered_meshes(m, seed):
 
 
 COARSE_MESHES = {**MESHES, "crisscross3": lambda: generate_square_mesh(3, CRISSCROSS)}
+LEFT_INVERSE_MESHES = {**COARSE_MESHES, "jitter32": lambda: generate_jittered_mesh(32, 1)}
 
 
-@pytest.mark.parametrize("name", sorted(COARSE_MESHES))
-def test_coarse_prolongation_gives_the_p1_interpolant_in_the_kernel(name):
-    tri = COARSE_MESHES[name]()
+@pytest.mark.parametrize("name", sorted(LEFT_INVERSE_MESHES))
+def test_kernel_coordinates_left_invert_phi(name):
+    # K Phi = I: the fan sums of the Whitney values give back the kernel
+    # coordinates of every basis function
+    tri = LEFT_INVERSE_MESHES[name]()
     prod = build_product_space(tri)
     basis = build_global_basis(tri, prod)
-    # Pi from the exact local element: the interpolant of hat_s dx^x on each
-    # template, column 2s + x, by the Fraction path
-    blocks = []
-    for t in prod.templates:
-        hats = t.simplex.barycentric_coordinates()
-        fields = [PolyForm(2, 1, {(x,): lam}) for lam in hats for x in (1, 2)]
-        blocks.append([[float(c) for c in interpolate_coeffs(f, t.matrix)] for f in fields])
-    blocks = np.transpose(blocks, (0, 2, 1))
-    Pi = _cellwise(prod, blocks)
-    # the entries equal, bit for bit, the einsum that the written-out sum
-    # over x in _cellwise replaces
-    directions, columns = _coarse_components(tri)
-    cells = np.array(tri.cells).reshape(-1, 3)
-    for table, P in ((blocks, Pi), (_p1_whitney(prod), _cellwise(prod, _p1_whitney(prod)))):
-        local = table.reshape(-1, 6, 3, 2)[prod.template_index]
-        want = np.einsum("cisx,cskx->cisk", local, directions[cells])
-        rows = 6 * np.arange(len(cells))[:, None, None, None] + np.arange(6)[:, None, None]
-        rows, cols = np.broadcast_arrays(rows, columns[cells][:, None])
-        free = cols >= 0
-        assert np.array_equal(P.toarray()[rows[free], cols[free]], want[free])
-    # unit-square meshes: x and y at interior vertices, the tangent at
-    # boundary vertices other than the four corners
-    boundary = len(tri.vertices) - len(tri.interior_vertices)
-    assert Pi.shape == (prod.dim, 2 * len(tri.interior_vertices) + boundary - 4)
-    assert abs(build_constraints(tri, prod).B @ Pi).max() <= 1e-12
-    assert abs(basis.Phi @ coarse_prolongation(basis) - Pi).max() <= 1e-12
-
-
-def test_block_jacobi_inverts_the_anchor_blocks():
-    _, system = _assembled(3)
-    anchor = system.basis.anchor
-    A = system.A.toarray()
-    S = _block_jacobi(system.A, anchor).toarray()
-    same = anchor[:, None] == anchor[None, :]
-    assert not S[~same].any()
-    assert np.allclose(S @ np.where(same, A, 0.0), np.eye(len(anchor)), rtol=0, atol=1e-12)
+    K = _kernel_coordinates(basis, prod.block_diagonal(prod.whitney))
+    assert abs(K @ basis.Phi - sp.identity(len(basis))).max() <= 1e-14
 
 
 def test_jittered_m16_converges_within_the_cap():
@@ -434,69 +396,86 @@ def test_jittered_m16_converges_within_the_cap():
     "pattern, ms",
     [(DIAGONAL, (4, 8, 16, 32)), (CRISSCROSS, (2, 4, 8, 16)), ("jittered", (16, 32))],
 )
-def test_two_level_iterations_stay_flat_under_refinement(pattern, ms):
+def test_pcg_iterations_stay_flat_under_refinement(pattern, ms):
     for m in ms:
         tri = generate_jittered_mesh(m, 1) if pattern == "jittered" else generate_square_mesh(m, pattern)
         system = assemble(tri, get_field("polyflow"))
         result = solve_system(system, tol=1e-10)
-        assert result.iterations <= 80, f"{pattern} m={m}: {result.iterations} iterations"
+        assert result.iterations <= 3, f"{pattern} m={m}: {result.iterations} iterations"
 
 
 def _dense(apply, n: int) -> np.ndarray:
     return np.column_stack([apply(e) for e in np.eye(n)])
 
 
-@pytest.mark.parametrize("pattern, m", [(DIAGONAL, 4), (DIAGONAL, 8), (CRISSCROSS, 8)])
-def test_preconditioned_condition_number_is_bounded(pattern, m):
-    # without the correction on the cellwise constants this is 1,943 to 15,867
-    system = assemble(generate_square_mesh(m, pattern), get_field("polyflow"))
+def _preconditioner(system, monkeypatch):
+    """The preconditioner that ``solve_system`` hands to ``solve_cg``."""
+    seen = []
+    real = hodgefem.solver.solve_cg
+
+    def recording(A, b, precondition, **kwargs):
+        seen.append(precondition)
+        return real(A, b, precondition=precondition, **kwargs)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(hodgefem.solver, "solve_cg", recording)
+        solve_system(system)
+    return seen[0]
+
+
+@pytest.mark.parametrize(
+    "pattern, m", [(DIAGONAL, 4), (DIAGONAL, 8), (CRISSCROSS, 8), ("jittered", 8)]
+)
+def test_preconditioned_condition_number_is_bounded(pattern, m, monkeypatch):
+    # M = K H K^T is A^-1 up to rounding
+    tri = generate_jittered_mesh(m, 1) if pattern == "jittered" else generate_square_mesh(m, pattern)
+    system = assemble(tri, get_field("polyflow"))
     A = system.A.toarray()
-    M = _dense(two_level_preconditioner(system.A, system.basis), len(A))
+    M = _dense(_preconditioner(system, monkeypatch), len(A))
     chol = np.linalg.cholesky((M + M.T) / 2)
     w = np.linalg.eigvalsh(chol.T @ A @ chol)
-    assert w[0] > 0 and w[-1] / w[0] <= 40
+    assert w[0] > 0 and w[-1] / w[0] <= 1 + 1e-8
 
 
-@pytest.mark.parametrize("name", sorted(COARSE_MESHES))
-def test_cellwise_constants_prolong_exactly_and_correct_symmetrically(name):
-    tri = COARSE_MESHES[name]()
-    prod = build_product_space(tri)
-    basis = build_global_basis(tri, prod)
-    CE, Bc, d = _cellwise_constants(basis)
-    nc = len(tri.cells)
-    # E: shape slots 0 and 1 of every cell
-    slots = np.arange(prod.dim).reshape(nc, 6)[:, :2].ravel()
-    E = sp.csr_matrix((np.ones(2 * nc), (slots, np.arange(2 * nc))), shape=(prod.dim, 2 * nc))
-    B = build_constraints(tri, prod).B
-    assert abs(Bc - (B @ E)[1:]).max() <= 1e-15 * abs(Bc).max()
-    assert np.array_equal(d, np.repeat([float(prod.template(c).gram[0][0]) for c in range(nc)], 2))
-
-    # y = Pi_Z x, the D-orthogonal projection onto null(B_c), by a dense solve
-    x = np.random.default_rng(5).standard_normal(2 * nc)
-    Bd = Bc.toarray()
-    y = x - (Bd.T @ np.linalg.solve(Bd @ (Bd.T / d[:, None]), Bd @ x)) / d
-    assert abs(Bd @ y).max() <= 1e-12 * abs(Bd).max() * abs(y).max()
-    Ey = E @ y
-    assert np.linalg.norm(basis.Phi @ (CE @ y) - Ey) <= 1e-10 * np.linalg.norm(Ey)
-
-    T = _dense(_constant_correction(basis), len(basis))
-    assert abs(T - T.T).max() <= 1e-12 * abs(T).max()
-    w = np.linalg.eigvalsh((T + T.T) / 2)
-    assert w[0] >= -1e-12 * w[-1]
-    # its range is Z, of dimension cells - 1
-    assert np.count_nonzero(w > 1e-8 * w[-1]) == nc - 1
-
-
-@pytest.mark.parametrize("extra", ["repeat", "sum"])
-def test_a_singular_constant_constraint_matrix_raises(extra, monkeypatch):
-    # B_c with one more dependent row than div row 0: a repeated row
-    # (an exactly zero pivot) or the sum of two rows (a rounded one)
-    def dependent(basis):
-        CE, Bc, d = _cellwise_constants(basis)
-        row = Bc[3] if extra == "repeat" else Bc[3] + Bc[4]
-        return CE, sp.vstack([Bc, row]).tocsr(), d
-
-    monkeypatch.setattr(hodgefem.solver, "_cellwise_constants", dependent)
+def test_solve_system_raises_the_rank_certificate_error_on_a_dependent_row(monkeypatch):
     system = assemble(generate_square_mesh(4), get_field("polyflow"))
-    with pytest.raises(ValueError, match=r"^the cellwise-constant constraints .* are singular: "):
+    plain = solve_system(system)
+    build = hodgefem.solver.build_constraints
+
+    def extended(row):
+        def build_with_row(tri, prod):
+            cons = build(tri, prod)
+            return ConstraintSystem(prod, sp.vstack([cons.B, row(cons.B)]).tocsr())
+
+        return build_with_row
+
+    # a repeated row is dropped by the certificate, so the solve is unchanged
+    monkeypatch.setattr(hodgefem.solver, "build_constraints", extended(lambda B: B[3]))
+    assert np.array_equal(solve_system(system).u, plain.u)
+    # the sum of two rows is dependent but repeats none, so it is rejected
+    monkeypatch.setattr(hodgefem.solver, "build_constraints", extended(lambda B: B[3] + B[4]))
+    with pytest.raises(ValueError, match=r"^rank audit: column \d+ of B D has 2 nonzeros"):
         solve_system(system)
+
+
+def test_a_wrong_preconditioner_makes_pcg_slow_not_wrong(monkeypatch):
+    # halving the multiplier correction gives H' = W (I - C^T S^-1 C / 2) W^T,
+    # still SPD but no longer Phi A^-1 Phi^T: PCG must still reach the
+    # oracle's answer, only in more iterations
+    tri = generate_jittered_mesh(4, 1)
+    prod = build_product_space(tri)
+    system = assemble(tri, get_field("polyflow"), prod=prod)
+    oracle = solve_oracle(system, build_constraints(tri, prod))
+    exact = solve_system(system, tol=1e-12)
+    solve = HybridSystem.solve
+
+    def half(self, b_cell):
+        x, y = solve(self, b_cell)
+        return x + 0.5 * (self.W @ (self.C.T @ y)), y
+
+    monkeypatch.setattr(HybridSystem, "solve", half)
+    wrong = solve_system(system, tol=1e-12)
+    assert wrong.iterations > exact.iterations
+    diff = oracle.x_cell - wrong.u_cell
+    energy = broken_energy_product(oracle.x_cell, oracle.x_cell, prod)
+    assert math.sqrt(broken_energy_product(diff, diff, prod) / energy) <= 1e-8
