@@ -4,13 +4,15 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hodgefem.element import node_tables
+from hodgefem.element import interpolate_coeffs, node_tables
 from hodgefem.fields import SmoothField, as_callback, get_field
+from hodgefem.forms import PolyForm
 from hodgefem.globalspace import (
     ConstraintSystem,
     build_constraints,
@@ -372,6 +374,81 @@ COARSE_MESHES = {**MESHES, "crisscross3": lambda: generate_square_mesh(3, CRISSC
 LEFT_INVERSE_MESHES = {**COARSE_MESHES, "jitter32": lambda: generate_jittered_mesh(32, 1)}
 
 
+def _p1_interpolant(tri, prod) -> np.ndarray:
+    """The interpolant of hat_v t for every free direction t of every vertex v.
+
+    An interior vertex has x and y; a boundary vertex other than a corner
+    has the tangent of its side of the unit square; a corner has none, so
+    every field has zero normal trace.  Each cell's block is the exact
+    interpolant of hat_s dx^x on its template, by the Fraction path.
+    """
+    blocks = []
+    for t in prod.templates:
+        hats = t.simplex.barycentric_coordinates()
+        fields = [PolyForm(2, 1, {(x,): lam}) for lam in hats for x in (1, 2)]
+        blocks.append([[float(c) for c in interpolate_coeffs(f, t.matrix)] for f in fields])
+    local = np.transpose(blocks, (0, 2, 1)).reshape(-1, 6, 3, 2)[prod.template_index]
+    columns = []
+    for v, (x, y) in enumerate(tri.vertices):
+        on_side = (x in (0, 1), y in (0, 1))
+        directions = {(False, False): [(1.0, 0.0), (0.0, 1.0)], (True, False): [(0.0, 1.0)]}
+        directions[False, True] = [(1.0, 0.0)]
+        for direction in directions.get(on_side, []):
+            column = np.zeros(prod.dim)
+            for c, cell in enumerate(tri.cells):
+                if v in cell:
+                    s = list(cell).index(v)
+                    column[6 * c : 6 * c + 6] = local[c, :, s] @ np.array(direction)
+            columns.append(column)
+    return np.column_stack(columns)
+
+
+@pytest.mark.parametrize("name", sorted(COARSE_MESHES))
+def test_coarse_prolongation_gives_the_p1_interpolant_in_the_kernel(name):
+    # the P1 coarse space is gone, but its fields still lie in the kernel,
+    # and the kernel coordinates K now carry them: Phi (K Pi) = Pi
+    tri = COARSE_MESHES[name]()
+    prod = build_product_space(tri)
+    basis = build_global_basis(tri, prod)
+    Pi = _p1_interpolant(tri, prod)
+    boundary = len(tri.vertices) - len(tri.interior_vertices)
+    assert Pi.shape == (prod.dim, 2 * len(tri.interior_vertices) + boundary - 4)
+    assert abs(build_constraints(tri, prod).B @ Pi).max() <= 1e-12
+    K = _kernel_coordinates(basis, prod.block_diagonal(prod.whitney))
+    assert abs(basis.Phi @ (K @ Pi) - Pi).max() <= 1e-12
+
+
+@pytest.mark.parametrize("name", sorted(COARSE_MESHES))
+def test_cellwise_constants_prolong_exactly_and_correct_symmetrically(name):
+    tri = COARSE_MESHES[name]()
+    prod = build_product_space(tri)
+    basis = build_global_basis(tri, prod)
+    cons = build_constraints(tri, prod)
+    nc = len(tri.cells)
+    # E: shape slots 0 and 1 of every cell, the cellwise constants
+    slots = np.arange(prod.dim).reshape(nc, 6)[:, :2].ravel()
+    E = sp.csr_matrix((np.ones(2 * nc), (slots, np.arange(2 * nc))), shape=(prod.dim, 2 * nc))
+    # the cellwise constants in the kernel: a space of dimension cells - 1
+    Z = scipy.linalg.null_space((cons.B @ E).toarray())
+    assert Z.shape[1] == nc - 1
+    Ey = E @ (Z @ np.random.default_rng(5).standard_normal(nc - 1))
+    assert abs(cons.B @ Ey).max() <= 1e-12 * abs(Ey).max()
+    K = _kernel_coordinates(basis, prod.block_diagonal(prod.whitney))
+    assert np.linalg.norm(basis.Phi @ (K @ Ey) - Ey) <= 1e-10 * np.linalg.norm(Ey)
+
+    # H = W (I - C^T S^-1 C) W^T, the cell-eliminated solve, is symmetric
+    # positive semidefinite with the kernel as its range, and H A_cell is
+    # the identity on it, so every kernel constant is corrected exactly
+    hybrid = HybridSystem(prod, cons)
+    H = _dense(lambda b: hybrid.solve(b)[0], prod.dim)
+    assert abs(H - H.T).max() <= 1e-12 * abs(H).max()
+    w = np.linalg.eigvalsh((H + H.T) / 2)
+    assert w[0] >= -1e-12 * w[-1]
+    assert np.count_nonzero(w > 1e-8 * w[-1]) == len(basis)
+    A_cell = prod.block_diagonal(prod.gram)
+    assert np.linalg.norm(H @ (A_cell @ Ey) - Ey) <= 1e-10 * np.linalg.norm(Ey)
+
+
 @pytest.mark.parametrize("name", sorted(LEFT_INVERSE_MESHES))
 def test_kernel_coordinates_left_invert_phi(name):
     # K Phi = I: the fan sums of the Whitney values give back the kernel
@@ -437,9 +514,16 @@ def test_preconditioned_condition_number_is_bounded(pattern, m, monkeypatch):
     assert w[0] > 0 and w[-1] / w[0] <= 1 + 1e-8
 
 
-def test_solve_system_raises_the_rank_certificate_error_on_a_dependent_row(monkeypatch):
+@pytest.mark.parametrize("extra", ["repeat", "sum"])
+def test_a_singular_constant_constraint_matrix_raises(extra, monkeypatch):
+    # the cellwise-constant constraints are no longer factored on their
+    # own; their place is taken by S = C C^T over the certified rows of B.
+    # B gets one more dependent row: a repeated row, which the certificate
+    # drops so that the solve is unchanged, then scaled by 2 so that it is
+    # no exact repeat; or the sum of two rows.  Either would make S
+    # singular, and solve_system raises the rank certificate's error
+    # before S is factored
     system = assemble(generate_square_mesh(4), get_field("polyflow"))
-    plain = solve_system(system)
     build = hodgefem.solver.build_constraints
 
     def extended(row):
@@ -449,11 +533,14 @@ def test_solve_system_raises_the_rank_certificate_error_on_a_dependent_row(monke
 
         return build_with_row
 
-    # a repeated row is dropped by the certificate, so the solve is unchanged
-    monkeypatch.setattr(hodgefem.solver, "build_constraints", extended(lambda B: B[3]))
-    assert np.array_equal(solve_system(system).u, plain.u)
-    # the sum of two rows is dependent but repeats none, so it is rejected
-    monkeypatch.setattr(hodgefem.solver, "build_constraints", extended(lambda B: B[3] + B[4]))
+    if extra == "repeat":
+        plain = solve_system(system)
+        monkeypatch.setattr(hodgefem.solver, "build_constraints", extended(lambda B: B[3]))
+        assert np.array_equal(solve_system(system).u, plain.u)
+        dependent = extended(lambda B: 2 * B[3])
+    else:
+        dependent = extended(lambda B: B[3] + B[4])
+    monkeypatch.setattr(hodgefem.solver, "build_constraints", dependent)
     with pytest.raises(ValueError, match=r"^rank audit: column \d+ of B D has 2 nonzeros"):
         solve_system(system)
 
