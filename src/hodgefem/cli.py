@@ -258,7 +258,7 @@ def build_parser() -> argparse.ArgumentParser:
         default="auto",
         help=(
             "run the saddle-point cross-check, which eliminates the cells and "
-            "factors the multiplier system over the certified rows of B "
+            "factors the multiplier system of B "
             "(auto: meshes with m <= 4)"
         ),
     )

@@ -58,11 +58,10 @@ basis is held as per-function arrays (category, anchor, support cells,
 dual columns); the exact BasisFunctions (``functions``) are generated
 one at a time when read, e.g. for the ``basis`` dump.  The rank audit is one
 O(nnz) certificate from the same duals: with D = blockdiag(duals) over
-the cells, B D is a 0/1 selection matrix once exactly repeated rows of
-B are dropped, and its disjoint rows fix the rank of B.  The kept rows
-(``ConstraintSystem.kept_rows``) are the certified row basis that the
-saddle-point oracle solves over.  Input without that structure raises;
-there is no dense fallback.
+the cells, B D is a 0/1 selection matrix whose disjoint rows prove that
+B has full row rank, which the saddle-point oracle needs.  It runs once
+per ``ConstraintSystem``.  Input without that structure, a repeated or
+dependent row included, raises; there is no dense fallback.
 """
 
 from __future__ import annotations
@@ -99,7 +98,6 @@ __all__ = [
     "BasisFunction",
     "build_product_space",
     "build_constraints",
-    "constraint_layout",
     "build_global_basis",
     "global_interpolate",
 ]
@@ -248,13 +246,15 @@ class ConstraintSystem:
     With nv vertices, row v < nv is the div functional of vertex v and row
     nv + r the rot functional of ``tri.interior_vertices[r]``.  ``B_div``
     and ``B_rot`` are these two row slices of B.  ``prod`` is the product
-    space whose template duals certify the rank.
+    space whose template duals certify the rank; the certificate runs on
+    first need and keeps only its outcome, so B must not change after that.
     """
 
     def __init__(self, prod: ProductSpace, B: sp.csr_matrix):
         self.prod = prod
         self.tri = prod.tri
         self.B = B
+        self._certified = False
 
     @property
     def B_div(self) -> sp.csr_matrix:
@@ -268,137 +268,73 @@ class ConstraintSystem:
     def rows(self) -> int:
         return self.B.shape[0]
 
-    def kept_rows(self) -> np.ndarray:
-        """Increasing indices of a certified row basis of B.
-
-        These are the rows that repeat no earlier row exactly; the
-        certificate below proves they are linearly independent, so B
-        restricted to them has full row rank and spans the rows of B.
-        Let B_u be B on these rows and D = blockdiag(prod.duals) over the
-        cells.  Since whitney . duals = I on every template, S = B_u
-        D selects shape coefficients: each entry is within 1e-9 of an
-        integer, no row is zero and no column has two nonzeros.  Rounded,
-        S then has disjoint nonzero integer rows, so its smallest
-        singular value is at least 1, and the rounding moves it by at
-        most 1e-9 * sqrt(nnz).  Hence rank(B) >= rank(S) = rows of B_u >=
-        rank(B).  Input that fails a condition raises ValueError naming
-        it and the first row or column at fault.  Costs O(nnz).
-        """
-        B = self.B.tocsr(copy=True)
-        B.sum_duplicates()
-        B.eliminate_zeros()
-        kept = _first_of_equal_rows(B)
-        D = self.prod.block_diagonal(self.prod.duals)
-        S = B[kept] @ D
-        S.sum_duplicates()
-        near = np.rint(S.data)
-        off = np.abs(S.data - near) > 1e-9
-        if off.any():
-            k = int(np.argmax(off))
-            r = np.searchsorted(S.indptr, k, side="right") - 1
-            raise ValueError(
-                f"rank audit: entry ({kept[r]}, {S.indices[k]}) of B D is {float(S.data[k])!r}, "
-                "not within 1e-9 of an integer"
-            )
-        S.data = near
-        S.eliminate_zeros()
-        empty = np.diff(S.indptr) == 0
-        if empty.any():
-            raise ValueError(f"rank audit: row {kept[np.argmax(empty)]} of B D is zero")
-        per_column = np.bincount(S.indices, minlength=S.shape[1])
-        if (per_column > 1).any():
-            c = int(np.argmax(per_column > 1))
-            raise ValueError(
-                f"rank audit: column {c} of B D has {per_column[c]} nonzeros, "
-                "so its rows are not disjoint"
-            )
-        return kept
-
     def rank(self) -> int:
-        """Rank of B: the number of ``kept_rows``, certified in O(nnz)."""
-        return len(self.kept_rows())
+        """Rank of B, which is ``rows``: certified in O(nnz) on the first call."""
+        if not self._certified:
+            _rank_certificate(self.B, self.prod)
+            self._certified = True
+        return self.rows
 
     def nullity(self) -> int:
         return self.B.shape[1] - self.rank()
 
 
-# odd 64-bit multipliers of the row hash in ``_first_of_equal_rows``
-_ROW_HASH = np.array([0x9E3779B97F4A7C15, 0xBF58476D1CE4E5B9, 0x94D049BB133111EB], dtype=np.uint64)
+def _rank_certificate(B: sp.spmatrix, prod: ProductSpace) -> None:
+    """Prove that B has full row rank, or raise ValueError naming the fault.
 
-
-def _first_of_equal_rows(B: sp.csr_matrix) -> np.ndarray:
-    """Increasing indices of the rows of canonical B that repeat no earlier row.
-
-    Rows are compared exactly, by their column indices and the bits of
-    their values.  Every row gets a 64-bit hash at once: each entry mixes
-    its column, value bits and position, and a row sums its entries and
-    length modulo 2^64.  Equal rows have equal hashes, so a stable sort by
-    hash puts each row in a bucket after its bucket's first row, and each
-    row is compared entry by entry with that first row.  A bucket holding
-    a row that differs from its first row is a hash collision; the rows
-    of such buckets are sorted out one by one, by their bytes.
+    Let D = blockdiag(prod.duals) over the cells.  Since whitney . duals
+    = I on every template, S = B D selects shape coefficients: each entry
+    is within 1e-9 of an integer, no row is zero and no column has two
+    nonzeros.  Rounded, S then has disjoint nonzero integer rows, so its
+    smallest singular value is at least 1, and the rounding moves it by
+    at most 1e-9 * sqrt(nnz).  Hence rank(B) >= rank(S) = rows of B.  A
+    repeated row, exact or scaled, fails like any dependent row.  Costs O(nnz).
     """
-    n, indptr = B.shape[0], B.indptr
-    counts = np.diff(indptr)
-    bits = B.data.view(np.uint64)
-    k1, k2, k3 = _ROW_HASH
-    pos = (np.arange(B.nnz) - np.repeat(indptr[:-1], counts)).astype(np.uint64)
-    entry = ((B.indices.astype(np.uint64) * k1) ^ bits) * k2 + pos * k3
-    total = np.concatenate([np.zeros(1, np.uint64), np.cumsum(entry, dtype=np.uint64)])
-    row_hash = total[indptr[1:]] - total[indptr[:-1]] + counts.astype(np.uint64)
-    order = np.argsort(row_hash, kind="stable")
-    new = np.ones(n, dtype=bool)
-    new[1:] = row_hash[order[1:]] != row_hash[order[:-1]]
-    bucket = np.cumsum(new) - 1
-    heads = order[new]
-    # each later row of a bucket against the bucket's first row
-    a, b = order[~new], heads[bucket[~new]]
-    equal = counts[a] == counts[b]
-    length = np.where(equal, counts[a], 0)
-    k = np.arange(length.sum()) - np.repeat(np.cumsum(length) - length, length)
-    ea, eb = np.repeat(indptr[a], length) + k, np.repeat(indptr[b], length) + k
-    differ = (B.indices[ea] != B.indices[eb]) | (bits[ea] != bits[eb])
-    equal[np.repeat(np.arange(len(a)), length)[differ]] = False
-    mixed = np.zeros(len(heads), dtype=bool)
-    mixed[bucket[~new][~equal]] = True
-    first: dict[tuple[bytes, bytes], int] = {}
-    for r in np.sort(order[mixed[bucket]]).tolist():
-        row = slice(indptr[r], indptr[r + 1])
-        first.setdefault((B.indices[row].tobytes(), B.data[row].tobytes()), r)
-    return np.sort(np.concatenate([heads[~mixed], np.fromiter(first.values(), dtype=np.intp)]))
+    S = B.tocsr() @ prod.block_diagonal(prod.duals)
+    S.sum_duplicates()
+    near = np.rint(S.data)
+    off = np.abs(S.data - near) > 1e-9
+    if off.any():
+        k = int(np.argmax(off))
+        r = np.searchsorted(S.indptr, k, side="right") - 1
+        raise ValueError(
+            f"rank audit: entry ({r}, {S.indices[k]}) of B D is {float(S.data[k])!r}, "
+            "not within 1e-9 of an integer"
+        )
+    S.data = near
+    S.eliminate_zeros()
+    empty = np.diff(S.indptr) == 0
+    if empty.any():
+        raise ValueError(f"rank audit: row {np.argmax(empty)} of B D is zero")
+    per_column = np.bincount(S.indices, minlength=S.shape[1])
+    if (per_column > 1).any():
+        c = int(np.argmax(per_column > 1))
+        raise ValueError(
+            f"rank audit: column {c} of B D has {per_column[c]} nonzeros, "
+            "so its rows are not disjoint"
+        )
 
 
 def build_product_space(tri: Triangulation) -> ProductSpace:
     return ProductSpace(tri)
 
 
-def constraint_layout(tri: Triangulation) -> np.ndarray:
-    """The row of B that each Whitney row of each cell enters, shape (cells, 2, 3).
+def build_constraints(tri: Triangulation, prod: ProductSpace) -> ConstraintSystem:
+    """Gather B from the float Whitney rows of ``prod`` by cell and slot.
 
-    Axis 1 is rot, then div, and axis 2 the slot, as in the Whitney rows
-    0..2 and 3..5: the vertex a at slot s of a cell gives div row a its
-    Whitney row 3 + s and, when a is the r-th interior vertex, rot row
-    nv + r its Whitney row s.  The rot entry of a boundary vertex is -1.
+    The vertex a at slot s of cell c gives div row a its Whitney row
+    3 + s and, when a is the r-th interior vertex, rot row nv + r its
+    Whitney row s, over the columns 6c..6c+5.  Every (row, column) pair
+    comes from one cell and one slot, so no entries are summed.
     """
+    _check_same_mesh(tri, prod)
     nv, nc = len(tri.vertices), len(tri.cells)
     cells = np.array(tri.cells, dtype=np.intp).reshape(nc, 3)
     rot_row = np.full(nv, -1, dtype=np.intp)
     rot_row[tri.interior_vertices] = nv + np.arange(len(tri.interior_vertices))
-    return np.stack([rot_row[cells], cells], axis=1)
-
-
-def build_constraints(tri: Triangulation, prod: ProductSpace) -> ConstraintSystem:
-    """Gather B from the float Whitney rows of ``prod`` by cell and slot.
-
-    Each cell's Whitney rows enter the rows of ``constraint_layout`` over
-    the columns 6c..6c+5.  Every (row, column) pair comes from one cell
-    and one slot, so no entries are summed.
-    """
-    nv, nc = len(tri.vertices), len(tri.cells)
-    whitney = prod.whitney[prod.template_index]
     # axes (cell, rot/div, slot, shape index): Whitney rows 0..2 are rot, 3..5 div
-    values = whitney.reshape(nc, 2, 3, 6)
-    rows = constraint_layout(tri)[:, :, :, None]
+    values = prod.whitney[prod.template_index].reshape(nc, 2, 3, 6)
+    rows = np.stack([rot_row[cells], cells], axis=1)[:, :, :, None]
     cols = 6 * np.arange(nc)[:, None, None, None] + _SLOT
     keep = (values != 0) & (rows >= 0)
     rows, cols = np.broadcast_arrays(rows, cols)
@@ -407,6 +343,12 @@ def build_constraints(tri: Triangulation, prod: ProductSpace) -> ConstraintSyste
         shape=(nv + len(tri.interior_vertices), prod.dim),
     ).tocsr()
     return ConstraintSystem(prod, B)
+
+
+def _check_same_mesh(tri: Triangulation, prod: ProductSpace) -> None:
+    """Raise ValueError unless ``prod`` was built on ``tri`` itself."""
+    if tri is not prod.tri:
+        raise ValueError("the product space was built on another triangulation")
 
 
 @dataclass
@@ -502,6 +444,7 @@ def build_global_basis(tri: Triangulation, prod: ProductSpace) -> GlobalBasis:
     the fan), ROT_PATCH (interior vertices) and ROT_CELL (by cell, then
     slot).
     """
+    _check_same_mesh(tri, prod)
     nv, nc = len(tri.vertices), len(tri.cells)
     cells = np.array(tri.cells, dtype=np.intp).reshape(nc, 3)
     owner = np.repeat(np.arange(nv), np.diff(tri.fan_start))
@@ -552,6 +495,7 @@ def global_interpolate(
     """
     if mu.d is None or mu.delta is None:
         raise ValueError("global interpolation needs d and delta callback data")
+    _check_same_mesh(tri, prod)
     table = prod.derived(_interpolation_table, quad_order)
     values = node_values(mu, prod.nodes(quad_order)).reshape(len(tri.cells), -1)
     return (prod.by_template(values) @ table).ravel()

@@ -24,11 +24,9 @@ batched call) and C = B W, the multipliers solve the SPD system
 
 and then x = W (W^T b_cell - C^T y).  S has the pattern of the vertex
 graph and is factored once by ``splu`` with minimum degree on its
-symmetric pattern.  S is SPD only when B has full row rank, so only the
-rows kept by the rank certificate (``ConstraintSystem.kept_rows``: the
-first of each set of exactly equal rows) enter it; the multipliers of
-the dropped rows are zero, and a B that the certificate rejects raises
-its ValueError before any factorization.
+symmetric pattern.  S is SPD only when B has full row rank, which every
+B of ``build_constraints`` has; the rank certificate proves it before S
+is factored, and a B that it rejects raises its ValueError.
 
 The primary path reduces to the kernel basis (A = Phi^T A_cell Phi) and
 runs preconditioned conjugate gradients.  The map b_cell -> x above is
@@ -60,6 +58,7 @@ from .globalspace import (
     ConstraintSystem,
     GlobalBasis,
     ProductSpace,
+    _check_same_mesh,
     build_constraints,
     build_global_basis,
     build_product_space,
@@ -133,6 +132,7 @@ def assemble(
 ) -> AssembledSystem:
     if prod is None:
         prod = build_product_space(tri)
+    _check_same_mesh(tri, prod)
     if basis is None:
         basis = build_global_basis(tri, prod)
     A_cell = cell_gram_matrix(prod)
@@ -276,22 +276,21 @@ def _factor_spd(M: sp.spmatrix) -> spla.SuperLU:
 class HybridSystem:
     """The cell-eliminated saddle-point system of ``cons``, factored once.
 
-    ``kept`` are ``cons.kept_rows()``; ``W`` is blockdiag(L^-T) over the
-    cells, L the Cholesky factor of each template Gram (one batched
-    call), so A_cell^-1 = W W^T; ``C`` = B W over the kept rows; and
-    S = C C^T is factored once.  Raises the rank certificate's
+    ``W`` is blockdiag(L^-T) over the cells, L the Cholesky factor of each
+    template Gram (one batched call), so A_cell^-1 = W W^T; ``C`` = B W;
+    and S = C C^T is factored once.  Raises the rank certificate's
     ValueError when B cannot be certified.
     """
 
     def __init__(self, prod: ProductSpace, cons: ConstraintSystem):
-        self.kept = cons.kept_rows()
+        cons.rank()  # the rank certificate, run once per ConstraintSystem
         chol = np.linalg.cholesky(prod.gram)
         self.W = prod.block_diagonal(np.linalg.inv(chol).transpose(0, 2, 1))
-        self.C = (cons.B.tocsr()[self.kept] @ self.W).tocsr()
+        self.C = (cons.B.tocsr() @ self.W).tocsr()
         self.lu = _factor_spd(self.C @ self.C.T)
 
     def solve(self, b_cell: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(x, y) with A_cell x + B^T y = b_cell and B x = 0, y over ``kept``."""
+        """(x, y) with A_cell x + B^T y = b_cell and B x = 0."""
         wb = self.W.T @ b_cell
         y = self.lu.solve(self.C @ wb)
         return self.W @ (wb - self.C.T @ y), y
@@ -320,9 +319,16 @@ def solve_system(
     their cost is part of the solve.  Raises the rank certificate's
     ValueError when B cannot be certified.
     """
-    prod, basis = system.prod, system.basis
-    hybrid = HybridSystem(prod, build_constraints(prod.tri, prod))
-    K = _kernel_coordinates(basis, prod.block_diagonal(prod.whitney))
+    prod = system.prod
+    return _pcg(system, HybridSystem(prod, build_constraints(prod.tri, prod)), tol, maxiter)
+
+
+def _pcg(
+    system: AssembledSystem, hybrid: HybridSystem, tol: float, maxiter: int | None
+) -> SolveResult:
+    """``solve_system`` with the factored ``hybrid`` of its constraints."""
+    basis = system.basis
+    K = _kernel_coordinates(basis, system.prod.block_diagonal(system.prod.whitney))
 
     def precondition(r: np.ndarray) -> np.ndarray:
         return K @ hybrid.solve(K.T @ r)[0]
@@ -350,16 +356,20 @@ class OracleResult:
 def solve_oracle(system: AssembledSystem, cons: ConstraintSystem) -> OracleResult:
     """Saddle-point solve on the product space by cell elimination; no basis involved.
 
-    One ``HybridSystem`` solve for ``system.b_cell``; ``multipliers`` is
-    zero on the rows that ``cons.kept_rows()`` drops.  Raises the rank
-    certificate's ValueError when B cannot be certified.
+    One ``HybridSystem`` solve for ``system.b_cell``, with one multiplier
+    per row of B.  Raises the rank certificate's ValueError when B cannot
+    be certified.
     """
-    hybrid = HybridSystem(system.prod, cons)
+    return _oracle(system, cons, HybridSystem(system.prod, cons))
+
+
+def _oracle(
+    system: AssembledSystem, cons: ConstraintSystem, hybrid: HybridSystem
+) -> OracleResult:
+    """``solve_oracle`` with ``hybrid``, the factored system of ``cons``."""
     x, y = hybrid.solve(system.b_cell)
-    multipliers = np.zeros(cons.rows)
-    multipliers[hybrid.kept] = y
     resid = float(np.linalg.norm(cons.B @ x)) / max(1.0, float(np.linalg.norm(x)))
-    return OracleResult(x, multipliers, resid)
+    return OracleResult(x, y, resid)
 
 
 def error_norms(
@@ -450,6 +460,8 @@ def solver_study(
     solver path.  When oracle_max_m is set, meshes with m at or below it
     also run the saddle-point oracle and record the relative energy-norm
     gap between the two solutions and the oracle's constraint residual.
+    Both solves share one ``ConstraintSystem`` and one ``HybridSystem``,
+    which are dropped before the row is yielded.
     """
     for m in ms:
         t0 = time.perf_counter()
@@ -457,7 +469,9 @@ def solver_study(
         prod = build_product_space(tri)
         basis = build_global_basis(tri, prod)
         system = assemble(tri, field, quad_order=quad_order, prod=prod, basis=basis)
-        result = solve_system(system, tol=tol)
+        cons = build_constraints(tri, prod)
+        hybrid = HybridSystem(prod, cons)
+        result = _pcg(system, hybrid, tol, None)
         wall_ms = (time.perf_counter() - t0) * 1000.0
         errs = error_norms(result.u_cell, prod, field, quad_order=quad_order)
         row = StudyRow(
@@ -470,13 +484,14 @@ def solver_study(
             method=result.method,
         )
         if oracle_max_m is not None and m <= oracle_max_m:
-            oracle = solve_oracle(system, build_constraints(tri, prod))
+            oracle = _oracle(system, cons, hybrid)
             diff = oracle.x_cell - result.u_cell
             row.oracle_gap = math.sqrt(
                 max(broken_energy_product(diff, diff, prod), 0.0)
                 / max(broken_energy_product(oracle.x_cell, oracle.x_cell, prod), 1e-300)
             )
             row.oracle_residual = oracle.constraint_residual
+        del cons, hybrid
         yield row
 
 

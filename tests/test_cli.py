@@ -305,26 +305,26 @@ def test_value_errors_map_to_usage_exit(tmp_path):
 
 
 def test_numerical_failure_maps_to_exit_three(tmp_path, monkeypatch, capsys):
-    def boom(system, tol):
+    def boom(A, b, **options):
         raise RuntimeError("solver blew up")
 
-    monkeypatch.setattr(hodgefem.solver, "solve_system", boom)
+    monkeypatch.setattr(hodgefem.solver, "solve_cg", boom)
     out = tmp_path / "x.csv"
     assert main(["solve", "--refinements", "2", "--out", str(out)]) == 3
     assert "solver blew up" in capsys.readouterr().err
 
 
 def test_solve_streams_rows_finished_before_a_failure(tmp_path, monkeypatch, capsys):
-    real = hodgefem.solver.solve_system
+    real = hodgefem.solver.solve_cg
     calls = []
 
-    def second_fails(system, tol):
-        calls.append(tol)
+    def second_fails(A, b, **options):
+        calls.append(options["tol"])
         if len(calls) == 2:
             raise RuntimeError("second level blew up")
-        return real(system, tol=tol)
+        return real(A, b, **options)
 
-    monkeypatch.setattr(hodgefem.solver, "solve_system", second_fails)
+    monkeypatch.setattr(hodgefem.solver, "solve_cg", second_fails)
     out = tmp_path / "x.csv"
     assert main(["solve", "--refinements", "2,4", "--out", str(out)]) == 3
     assert "second level blew up" in capsys.readouterr().err

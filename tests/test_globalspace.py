@@ -34,12 +34,12 @@ from hodgefem.globalspace import (
     ROT_CELL,
     ROT_PATCH,
     ConstraintSystem,
-    _first_of_equal_rows,
     build_constraints,
     build_global_basis,
     build_product_space,
     global_interpolate,
 )
+from hodgefem.solver import assemble
 
 from conftest import MESHES
 
@@ -229,11 +229,33 @@ def test_constraint_shape_and_rank_smallest_mesh():
 
 
 def test_rank_does_not_count_duplicated_rows():
-    """B with its div rows stacked twice (803 rows on diagonal m = 16) has rank 514."""
+    """B with its div rows stacked twice (803 rows on diagonal m = 16) is refused."""
     tri, prod, cons = _setup(16)
     doubled = ConstraintSystem(prod, sp.vstack([cons.B, cons.B_div]).tocsr())
     assert doubled.rows == 803
-    assert cons.rank() == doubled.rank() == 514
+    assert cons.rank() == 514
+    with pytest.raises(ValueError, match=r"^rank audit: column \d+ of B D has 2 nonzeros"):
+        doubled.rank()
+
+
+@pytest.mark.parametrize(
+    "build", ["build_constraints", "build_global_basis", "global_interpolate", "assemble"]
+)
+def test_a_product_space_of_another_triangulation_is_rejected(build):
+    # the same jittered mesh with its cells in reverse order: B would pass
+    # the rank certificate and the basis would have the right size, both wrong
+    tri = MESHES["jitter4"]()
+    prod = build_product_space(tri)
+    field = get_field("polyflow")
+    calls = {
+        "build_constraints": lambda t: build_constraints(t, prod),
+        "build_global_basis": lambda t: build_global_basis(t, prod),
+        "global_interpolate": lambda t: global_interpolate(as_callback(field), t, prod),
+        "assemble": lambda t: assemble(t, field, prod=prod),
+    }
+    calls[build](tri)
+    with pytest.raises(ValueError, match="^the product space was built on another triangulation"):
+        calls[build](Triangulation(tri.vertices, tri.cells[::-1]))
 
 
 def _dense_rank(B) -> int:
@@ -256,12 +278,6 @@ def test_rank_certificate_equals_the_dense_gram_rank(name):
     assert cons.rank() == _dense_rank(cons.B)
 
 
-def test_rank_certificate_equals_the_dense_gram_rank_on_repeated_rows():
-    tri, prod, cons = _setup(16)
-    doubled = ConstraintSystem(prod, sp.vstack([cons.B, cons.B_div]).tocsr())
-    assert doubled.rank() == _dense_rank(doubled.B) == 514
-
-
 def test_rank_audit_raises_on_a_dependent_row_that_is_no_duplicate():
     tri, prod, cons = _setup(4)
     B = cons.B.tolil()
@@ -278,43 +294,6 @@ def test_rank_audit_raises_on_an_entry_off_by_one_part_in_a_million():
     B.data[7] *= 1 + 1e-6
     with pytest.raises(ValueError, match=r"^rank audit: entry \(1, \d+\) of B D .* integer"):
         ConstraintSystem(prod, B).rank()
-
-
-def _first_of_equal_rows_by_loop(B: sp.csr_matrix) -> list[int]:
-    """Reference: the first row of each set of rows with equal index and value bytes."""
-    first: dict[tuple[bytes, bytes], int] = {}
-    for r in range(B.shape[0]):
-        a, b = B.indptr[r], B.indptr[r + 1]
-        first.setdefault((B.indices[a:b].tobytes(), B.data[a:b].tobytes()), r)
-    return list(first.values())
-
-
-@pytest.mark.parametrize("stacked", [False, True])
-@pytest.mark.parametrize("name", sorted(MESHES))
-def test_first_of_equal_rows_matches_the_row_loop(name, stacked):
-    tri = MESHES[name]()
-    cons = build_constraints(tri, build_product_space(tri))
-    # with stacked, the div rows come twice: once in front of B, once inside it
-    B = sp.vstack([cons.B_div, cons.B]).tocsr() if stacked else cons.B
-    B.sum_duplicates()
-    kept = _first_of_equal_rows(B)
-    assert list(kept) == _first_of_equal_rows_by_loop(B)
-    assert len(kept) == cons.rows
-
-
-def test_first_of_equal_rows_sorts_out_hash_collisions(monkeypatch):
-    # with zero multipliers a row's hash is its length, so rows of equal
-    # length share a bucket whether or not they are equal
-    monkeypatch.setattr(hodgefem.globalspace, "_ROW_HASH", np.zeros(3, dtype=np.uint64))
-    tri, prod, cons = _setup(4)
-    B = sp.vstack([cons.B_div, cons.B]).tocsr()
-    assert list(_first_of_equal_rows(B)) == _first_of_equal_rows_by_loop(B)
-
-
-def test_first_of_equal_rows_keeps_one_empty_row():
-    B = sp.csr_matrix((3, 4))
-    assert list(_first_of_equal_rows(B)) == _first_of_equal_rows_by_loop(B) == [0]
-    assert list(_first_of_equal_rows(sp.csr_matrix((0, 4)))) == []
 
 
 @pytest.mark.parametrize(

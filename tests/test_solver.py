@@ -1,6 +1,7 @@
 """Assembly, preconditioned CG, the saddle-point oracle and the studies."""
 
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -219,19 +220,59 @@ def test_cell_eliminated_oracle_matches_the_saddle_point_solve(name):
     assert oracle.constraint_residual <= 1e-13
 
 
-def test_oracle_solves_over_the_kept_rows_and_zeroes_the_repeats():
+def test_oracle_raises_the_rank_certificate_error_on_repeated_rows():
     tri = generate_square_mesh(4)
     prod = build_product_space(tri)
     cons = build_constraints(tri, prod)
     system = assemble(tri, get_field("polyflow"), prod=prod)
-    nv = len(tri.vertices)
-    # div rows first, then all of B: the second copy of each div row repeats the first
-    stacked = ConstraintSystem(prod, sp.vstack([cons.B_div, cons.B]).tocsr())
-    assert list(stacked.kept_rows()) == list(range(nv)) + list(range(2 * nv, stacked.rows))
-    plain, doubled = solve_oracle(system, cons), solve_oracle(system, stacked)
-    assert np.array_equal(doubled.x_cell, plain.x_cell)
-    assert not doubled.multipliers[nv : 2 * nv].any()
-    assert np.array_equal(doubled.multipliers[stacked.kept_rows()], plain.multipliers)
+    assert len(solve_oracle(system, cons).multipliers) == cons.rows
+    # div rows first, then all of B: each div row comes again, exact or scaled
+    for repeat in (cons.B_div, 2 * cons.B_div):
+        stacked = ConstraintSystem(prod, sp.vstack([repeat, cons.B]).tocsr())
+        for call in (stacked.rank, lambda: solve_oracle(system, stacked)):
+            with pytest.raises(ValueError, match=r"^rank audit: column \d+ of B D has 2 nonzeros"):
+                call()
+
+
+def test_the_certificate_runs_once_and_the_study_factors_once_per_mesh(monkeypatch):
+    runs = {"certificate": 0, "factor": 0}
+    hybrids = []
+
+    def counted(name, original):
+        def call(*args):
+            runs[name] += 1
+            return original(*args)
+
+        return call
+
+    certificate = counted("certificate", hodgefem.globalspace._rank_certificate)
+    monkeypatch.setattr(hodgefem.globalspace, "_rank_certificate", certificate)
+    factor = counted("factor", hodgefem.solver._factor_spd)
+    monkeypatch.setattr(hodgefem.solver, "_factor_spd", factor)
+    init = HybridSystem.__init__
+
+    def tracked(self, prod, cons):
+        init(self, prod, cons)
+        hybrids.append(weakref.ref(self))
+
+    monkeypatch.setattr(HybridSystem, "__init__", tracked)
+    rows = solver_study(get_field("polyflow"), [2, 4], oracle_max_m=4)
+    for row in rows:
+        assert row.oracle_gap is not None
+        # no factorization outlives the row that used it
+        assert all(ref() is None for ref in hybrids)
+    assert runs == {"certificate": 2, "factor": 2}
+    assert len(hybrids) == 2
+
+    tri = generate_square_mesh(4)
+    prod = build_product_space(tri)
+    cons = build_constraints(tri, prod)
+    system = assemble(tri, get_field("polyflow"), prod=prod)
+    runs.update(certificate=0, factor=0)
+    assert cons.rank() == cons.rows
+    solve_oracle(system, cons)
+    assert cons.nullity() == prod.dim - cons.rows
+    assert runs == {"certificate": 1, "factor": 1}
 
 
 def test_oracle_raises_the_rank_certificate_error_on_a_dependent_row():
@@ -517,12 +558,11 @@ def test_preconditioned_condition_number_is_bounded(pattern, m, monkeypatch):
 @pytest.mark.parametrize("extra", ["repeat", "sum"])
 def test_a_singular_constant_constraint_matrix_raises(extra, monkeypatch):
     # the cellwise-constant constraints are no longer factored on their
-    # own; their place is taken by S = C C^T over the certified rows of B.
-    # B gets one more dependent row: a repeated row, which the certificate
-    # drops so that the solve is unchanged, then scaled by 2 so that it is
-    # no exact repeat; or the sum of two rows.  Either would make S
-    # singular, and solve_system raises the rank certificate's error
-    # before S is factored
+    # own; their place is taken by S = C C^T, which needs B to have full
+    # row rank.  B gets one more dependent row: a repeated row, exact or
+    # scaled by 2; or the sum of two rows.  Each would make S singular,
+    # and solve_system raises the rank certificate's error before S is
+    # factored
     system = assemble(generate_square_mesh(4), get_field("polyflow"))
     build = hodgefem.solver.build_constraints
 
@@ -534,15 +574,13 @@ def test_a_singular_constant_constraint_matrix_raises(extra, monkeypatch):
         return build_with_row
 
     if extra == "repeat":
-        plain = solve_system(system)
-        monkeypatch.setattr(hodgefem.solver, "build_constraints", extended(lambda B: B[3]))
-        assert np.array_equal(solve_system(system).u, plain.u)
-        dependent = extended(lambda B: 2 * B[3])
+        rows = [lambda B: B[3], lambda B: 2 * B[3]]
     else:
-        dependent = extended(lambda B: B[3] + B[4])
-    monkeypatch.setattr(hodgefem.solver, "build_constraints", dependent)
-    with pytest.raises(ValueError, match=r"^rank audit: column \d+ of B D has 2 nonzeros"):
-        solve_system(system)
+        rows = [lambda B: B[3] + B[4]]
+    for row in rows:
+        monkeypatch.setattr(hodgefem.solver, "build_constraints", extended(row))
+        with pytest.raises(ValueError, match=r"^rank audit: column \d+ of B D has 2 nonzeros"):
+            solve_system(system)
 
 
 def test_a_wrong_preconditioner_makes_pcg_slow_not_wrong(monkeypatch):
