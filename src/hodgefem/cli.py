@@ -9,10 +9,11 @@ Subcommands:
                 dimension audit
 
 Exit codes: 0 success, 1 a verification or audit check failed, 2 bad
-usage, 3 numerical failure (solver breakdown or singular system).  A
-PCG that does not reach ``--tol`` within its iteration cap is such a
-failure: ``solve`` names it on stderr and exits 3, keeping the CSV
-rows of the meshes already solved.
+usage (a missing or unwritable path included), 3 numerical failure
+(solver breakdown or singular system).  A PCG that does not reach
+``--tol`` within its iteration cap is such a failure: ``solve`` names it
+on stderr and exits 3, keeping the CSV rows of the meshes already
+solved.
 
 A JSON config file can preload any long option (keys use either dashes
 or underscores); explicit command line flags win.  A key that is no
@@ -77,12 +78,15 @@ def _parse_refinements(value) -> list[int]:
 
 
 def _check_study_args(ms: list[int], quad_order: int) -> None:
-    """Raise the owners' ValueErrors for a bad mesh level or quadrature order.
+    """Raise the owners' ValueErrors for a bad mesh level or quadrature order,
+    and a ValueError for a repeated level, which leaves no rate to fit.
 
     Run before any output, so a usage error writes no CSV.
     """
-    for m in ms:
+    for i, m in enumerate(ms):
         check_mesh_parameter(m)
+        if m in ms[:i]:
+            raise ValueError(f"mesh level {m} is repeated in --refinements")
     quadrature_rule(2, quad_order)
 
 
@@ -339,7 +343,7 @@ def main(argv: list[str] | None = None) -> int:
     except (RuntimeError, np.linalg.LinAlgError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:  # a missing or unwritable path is bad usage
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -29,33 +29,34 @@ functionals (delta below is the Green/adjoint sign, see forms):
 ``_green_rows`` writes a family of eta and tau test forms as members
 (eta, 0, -delta eta) and (0, tau, -d tau) of the direct sum of (k+1)-,
 (k-1)- and k-forms, so that pairing them with the graph (d mu, delta mu,
-mu) in one exact ``simplices.l2_gram`` gives the functionals:
-green_pairing is that pairing for any list of forms.
+mu) in one exact ``simplices.l2_gram`` gives the functionals.
 
-The shape basis is built once per (n, k), by ``reference_element``.  On
-every simplex the basis is S R: R the fixed forms of the four blocks in
-centered coordinates, without scalings, and S the simplex's ``Scaling``
-(1/h, 1/h^2 and the second moments, exact rationals).  The DOF test
-forms are E T the same way, and the hat test forms of the global vertex
-constraints H times {1, x1, x2}.  Since d and delta are linear, every
-exact pairing on a simplex is L P S^T with P a pairing of the fixed
-families: ``ReferenceElement.pair`` computes it from the cached blocks
-of the fixed families with one ``integer_moments`` call and one integer
-contraction, and applies the scalings in Python ints.  build_shape_space
-and build_dof_basis scale the reference forms; build_dof_matrix is one
-``pair``.  No other code builds the shape basis.
+The element is built once per (n, k), by ``reference_element``.  On
+every simplex the shape basis is S R: R the fixed forms of the four
+blocks in centered coordinates, without scalings, and S the simplex's
+``Scaling`` (1/h, 1/h^2 and the second moments, exact rationals).  The
+DOF test forms are E T the same way, with E diagonal, and the hat test
+forms of the global vertex constraints H times {1, x1, x2}.  Since d
+and delta are linear, every exact pairing on a simplex is L P S^T with
+P a pairing of the fixed families: ``ReferenceElement.pair`` computes it
+from the cached blocks of the fixed families with one
+``integer_moments`` call and one integer contraction, and applies the
+scalings in Python ints.  No scaled test form is ever built: the exact
+DOF values of a PolyForm mu are one ``l2_gram`` of the reference Green
+rows T with the graph of mu, row i times E_ii.
 
-A DofMatrix is the local element of one simplex: its scaling and the
-exact and float DOF matrix, built once and passed to dof_values,
-interpolate_coeffs and interpolate; its shape space and DOF basis as
-PolyForms are made only when read.  Row order: eta block (constants then
-koszul-type), then tau block (constants then koszul-type); columns
-follow the shape basis.  The four-step solve is block forward
-substitution in that matrix, written once over a block solve that is
-exact for PolyForm input and float for callbacks.  interpolate returns
-the exact interpolant of a PolyForm only; a callback's float
-coefficients come from interpolate_coeffs and are never turned back into
-Fractions.
+A DofMatrix is the local element of one simplex, and ``local_element``
+its one constructor, one ``pair`` (``CellTemplate`` builds its own from
+a three-group ``pair``): its scaling and the exact and float DOF matrix,
+built once and passed to dof_values, interpolate_coeffs and interpolate;
+its shape space as PolyForms S R is made only when read.  Row order: eta
+block (constants then koszul-type), then tau block (constants then
+koszul-type); columns follow the shape basis.  The four-step solve is
+block forward substitution in that matrix, written once over a block
+solve that is exact for PolyForm input and float for callbacks.
+interpolate returns the exact interpolant of a PolyForm only; a
+callback's float coefficients come from interpolate_coeffs and are never
+turned back into Fractions.
 
 ``ReferenceElement.tables`` evaluates the fixed forms of the planar
 1-form element at the quadrature nodes of a whole stack of elements at
@@ -113,10 +114,7 @@ __all__ = [
     "FormCallback",
     "build_h2d_form",
     "build_h2delta_form",
-    "build_shape_space",
-    "build_dof_basis",
-    "build_dof_matrix",
-    "green_pairing",
+    "local_element",
     "dof_values",
     "node_tables",
     "node_values",
@@ -172,23 +170,14 @@ class ShapeSpace:
     basis positions.  Within each block, forms follow the lexicographic
     order of their generating multi-indices.  ``d_basis``/``delta_basis``
     hold the exterior derivative / Green codifferential of each basis
-    form.  The reference element's space has no simplex.
+    form.
     """
 
-    __slots__ = (
-        "n",
-        "k",
-        "simplex",
-        "basis",
-        "blocks",
-        "d_basis",
-        "delta_basis",
-    )
+    __slots__ = ("n", "k", "basis", "blocks", "d_basis", "delta_basis")
 
-    def __init__(self, n, k, simplex, basis, blocks, d_basis, delta_basis):
+    def __init__(self, n, k, basis, blocks, d_basis, delta_basis):
         self.n = n
         self.k = k
-        self.simplex = simplex
         self.basis = basis
         self.blocks = blocks
         self.d_basis = d_basis
@@ -229,27 +218,16 @@ class DofBasis:
     codifferential / exterior derivative of each test form.  Any other
     family of test forms for the two Green functionals, such as the hat
     forms of the global vertex constraints, fits the same holder with
-    empty blocks.  The reference element's families have no simplex.
+    empty blocks.
     """
 
     __slots__ = (
-        "n",
-        "k",
-        "simplex",
-        "eta_basis",
-        "tau_basis",
-        "eta_blocks",
-        "tau_blocks",
-        "eta_green",
-        "tau_d",
+        "n", "k", "eta_basis", "tau_basis", "eta_blocks", "tau_blocks", "eta_green", "tau_d"
     )
 
-    def __init__(
-        self, n, k, simplex, eta_basis, tau_basis, eta_blocks, tau_blocks, eta_green, tau_d
-    ):
+    def __init__(self, n, k, eta_basis, tau_basis, eta_blocks, tau_blocks, eta_green, tau_d):
         self.n = n
         self.k = k
-        self.simplex = simplex
         self.eta_basis = eta_basis
         self.tau_basis = tau_basis
         self.eta_blocks = eta_blocks
@@ -257,17 +235,12 @@ class DofBasis:
         self.eta_green = eta_green
         self.tau_d = tau_d
 
-    @property
-    def count(self) -> int:
-        return len(self.eta_basis) + len(self.tau_basis)
-
 
 def _test_family(n, k, eta, tau, eta_blocks=None, tau_blocks=None) -> DofBasis:
     """An unscaled test family with its Green delta and d, for the reference element."""
     return DofBasis(
         n,
         k,
-        None,
         eta,
         tau,
         eta_blocks or {},
@@ -290,19 +263,6 @@ def _green_rows(tests: DofBasis) -> list[tuple[PolyForm, PolyForm, PolyForm]]:
     rows = [(eta, down, -g) for eta, g in zip(tests.eta_basis, tests.eta_green)]
     rows += [(up, tau, -d) for tau, d in zip(tests.tau_basis, tests.tau_d)]
     return rows
-
-
-def green_pairing(forms, d_forms, delta_forms, tests: DofBasis) -> list[list[Fraction]]:
-    """Exact Green functionals of ``tests`` applied to ``forms``.
-
-    Rows F_eta(mu) = <d mu, eta> - <mu, delta eta> for each eta of
-    ``tests.eta_basis``, then F_tau(mu) = <delta mu, tau> - <mu, d tau>
-    for each tau of ``tests.tau_basis``; one column per form.
-    ``d_forms``/``delta_forms`` are d and the Green delta of ``forms``.
-    All rows are one ``l2_gram`` of the ``_green_rows`` of ``tests`` with
-    the graph (d mu, delta mu, mu).
-    """
-    return l2_gram(_green_rows(tests), list(zip(d_forms, delta_forms, forms)), tests.simplex)
 
 
 def _sandwich(left, block, right) -> list[list[int]]:
@@ -400,7 +360,6 @@ class ReferenceElement:
         self.space = ShapeSpace(
             n,
             k,
-            None,
             basis,
             blocks,
             [exterior_derivative(mu) for mu in basis],
@@ -438,10 +397,9 @@ class ReferenceElement:
             for groups in ((DOFS,), tuple(self.rows))
         }
 
-    def scaling(self, simplex: Simplex, second_moments=None) -> Scaling:
-        """S and E on ``simplex``, from its ``h_scale`` and second moments."""
-        c = simplex.second_moments if second_moments is None else second_moments
-        h = simplex.h_scale
+    def scaling(self, simplex: Simplex, second_moments) -> Scaling:
+        """S and E on ``simplex``, from its ``h_scale`` and its ``second_moments``."""
+        c, h = second_moments, simplex.h_scale
         hn, hd = h.numerator, h.denominator
         blocks = self.space.blocks
         # c^alpha = sum of c^b over complement(alpha), over one denominator
@@ -497,34 +455,16 @@ class ReferenceElement:
             out[g] = (_sandwich(left, block, scaling.shape), den * lden * scaling.shape_den)
         return scaling, out
 
-    def shape_space(self, simplex: Simplex, scaling: Scaling) -> ShapeSpace:
-        """The shape basis S R on ``simplex``, with its graph S dR, S delta R."""
+    def shape_space(self, scaling: Scaling) -> ShapeSpace:
+        """The shape basis S R of one simplex's ``scaling``, with its graph S dR, S delta R."""
         rows, den, ref = scaling.shape, scaling.shape_den, self.space
         return ShapeSpace(
             self.n,
             self.k,
-            simplex,
             _scaled_forms(rows, den, ref.basis),
             ref.blocks,
             _scaled_forms(rows, den, ref.d_basis),
             _scaled_forms(rows, den, ref.delta_basis),
-        )
-
-    def dof_basis(self, simplex: Simplex, scaling: Scaling) -> DofBasis:
-        """The DOF test forms E T on ``simplex``, with their Green delta and d."""
-        rows, den, ref = scaling.tests, scaling.tests_den, self.tests
-        n_eta = len(ref.eta_basis)
-        eta_rows, tau_rows = [r[:n_eta] for r in rows[:n_eta]], [r[n_eta:] for r in rows[n_eta:]]
-        return DofBasis(
-            self.n,
-            self.k,
-            simplex,
-            _scaled_forms(eta_rows, den, ref.eta_basis),
-            _scaled_forms(tau_rows, den, ref.tau_basis),
-            ref.eta_blocks,
-            ref.tau_blocks,
-            _scaled_forms(eta_rows, den, ref.eta_green),
-            _scaled_forms(tau_rows, den, ref.tau_d),
         )
 
     def tables(self, vertices, volumes, shape_scale, test_scale, order: int) -> dict:
@@ -581,59 +521,29 @@ def reference_element(n: int, k: int) -> ReferenceElement:
     return ReferenceElement(n, k)
 
 
-def _reference_on(n: int, k: int, simplex: Simplex) -> ReferenceElement:
-    """The reference element of (n, k), checked against the simplex's dimension."""
-    if simplex.n != n:
-        raise ValueError(f"simplex dimension {simplex.n} does not match n={n}")
-    return reference_element(n, k)
-
-
-def build_shape_space(n: int, k: int, simplex: Simplex) -> ShapeSpace:
-    """The four-block shape basis on a simplex: the reference forms, scaled.
-
-    Requires 1 <= k <= n-1 (both neighbor degrees must exist) and a
-    nondegenerate simplex (Simplex construction already enforces that).
-    """
-    ref = _reference_on(n, k, simplex)
-    return ref.shape_space(simplex, ref.scaling(simplex))
-
-
-def build_dof_basis(n: int, k: int, simplex: Simplex) -> DofBasis:
-    """The DOF test forms on a simplex: the reference tests, scaled."""
-    ref = _reference_on(n, k, simplex)
-    return ref.dof_basis(simplex, ref.scaling(simplex))
-
-
 class DofMatrix:
     """The local element on one simplex, built once and reused.
 
     Owns the simplex, its ``Scaling`` and the functional-by-shape matrix
     (rows eta then tau, columns shape basis), exact and as floats.  The
-    shape space and DOF basis as PolyForms are built from the reference
-    element when first read, so a DofMatrix itself builds no PolyForm.
+    shape space as PolyForms is built from the reference element when
+    first read, so a DofMatrix itself builds no PolyForm.
     """
 
-    __slots__ = ("reference", "simplex", "scaling", "exact", "_space", "_dofs")
+    __slots__ = ("reference", "simplex", "scaling", "exact", "_space")
 
-    def __init__(self, reference, simplex, scaling, exact, space=None, dofs=None):
+    def __init__(self, reference, simplex, scaling, exact):
         self.reference = reference
         self.simplex = simplex
         self.scaling = scaling
         self.exact = exact
-        self._space = space
-        self._dofs = dofs
+        self._space = None
 
     @property
     def space(self) -> ShapeSpace:
         if self._space is None:
-            self._space = self.reference.shape_space(self.simplex, self.scaling)
+            self._space = self.reference.shape_space(self.scaling)
         return self._space
-
-    @property
-    def dofs(self) -> DofBasis:
-        if self._dofs is None:
-            self._dofs = self.reference.dof_basis(self.simplex, self.scaling)
-        return self._dofs
 
     @property
     def as_float(self) -> np.ndarray:
@@ -643,13 +553,15 @@ class DofMatrix:
         return float(np.linalg.cond(self.as_float))
 
 
-def build_dof_matrix(space: ShapeSpace, dofs: DofBasis) -> DofMatrix:
-    """The DOF matrix E D S^T of one ``ReferenceElement.pair`` on the space's simplex."""
-    if dofs.simplex is not space.simplex:
-        raise ValueError("shape space and DOF basis live on different simplices")
-    ref = reference_element(space.n, space.k)
-    scaling, out = ref.pair(space.simplex)
-    return DofMatrix(ref, space.simplex, scaling, as_fractions(*out[DOFS]), space, dofs)
+def local_element(simplex: Simplex, k: int) -> DofMatrix:
+    """The local element of k-forms on ``simplex``, 1 <= k <= n-1.
+
+    Its DOF matrix E D S^T is one ``ReferenceElement.pair`` of the
+    reference element of (simplex.n, k).
+    """
+    ref = reference_element(simplex.n, k)
+    scaling, out = ref.pair(simplex)
+    return DofMatrix(ref, simplex, scaling, as_fractions(*out[DOFS]))
 
 
 @dataclass
@@ -764,9 +676,11 @@ def dof_values(mu, matrix: DofMatrix, quad_order: int = 6):
     only.
     """
     if isinstance(mu, PolyForm):
-        graph = [exterior_derivative(mu)], [codifferential_green(mu)]
-        rows = green_pairing([mu], *graph, matrix.dofs)
-        return [row[0] for row in rows]
+        # the reference DOF rows T paired with the graph of mu, row i times E_ii
+        graph = [(exterior_derivative(mu), codifferential_green(mu), mu)]
+        rows = l2_gram(matrix.reference.rows[DOFS], graph, matrix.simplex)
+        E, den = matrix.scaling.tests, matrix.scaling.tests_den
+        return [Fraction(E[i][i], den) * row[0] for i, row in enumerate(rows)]
     if not isinstance(mu, FormCallback):
         raise TypeError("mu must be a PolyForm or a FormCallback")
     if mu.d is None or mu.delta is None:

@@ -30,12 +30,14 @@ determinant for ``Simplex`` and the solutions for ``solve_rational``,
 and ``Simplex.hat_coefficients`` runs it on the integer centered
 vertices.
 
-The float path is a Grundmann-Moller simplex rule of odd degree 2s+1,
-valid in any dimension, with rational nodes and weights generated once
-per (dimension, degree) and cached.  Rules are fully symmetric with
-interior nodes; weights of both signs occur for s >= 1, which is normal
-for this family.  Requested orders 2..10 map to the smallest odd degree
-that is at least the order.
+The float path rests on ``quadrature_rule``, a Grundmann-Moller simplex
+rule of odd degree 2s+1, valid in any dimension, with rational
+barycentric nodes and weights generated once per (dimension, degree)
+and cached; its callers (the element's node tables) map the nodes to a
+simplex themselves.  Rules are fully symmetric with interior nodes;
+weights of both signs occur for s >= 1, which is normal for this
+family.  Requested orders 2..10 map to the smallest odd degree that is
+at least the order.
 """
 
 from __future__ import annotations
@@ -59,7 +61,6 @@ __all__ = [
     "l2_inner",
     "h1_seminorm_sq",
     "quadrature_rule",
-    "quadrature",
     "solve_rational",
 ]
 
@@ -545,29 +546,3 @@ def quadrature_rule(n: int, order: int) -> tuple[tuple[tuple[Fraction, ...], ...
             nodes.append(tuple(Fraction(2 * b + 1, denom) for b in beta))
             weights.append(coeff)
     return tuple(nodes), tuple(weights)
-
-
-def rule_points(simplex: Simplex, order: int) -> tuple[np.ndarray, np.ndarray]:
-    """Float quadrature points (nq, n) and weights (nq,) for a simplex."""
-    bary, w = quadrature_rule(simplex.n, order)
-    verts = np.array([[float(x) for x in v] for v in simplex.vertices])
-    pts = np.array([[float(b) for b in node] for node in bary]) @ verts
-    scale = float(simplex.volume) * math.factorial(simplex.n)
-    weights = np.array([float(x) for x in w]) * scale
-    return pts, weights
-
-
-def quadrature(f, simplex: Simplex, order: int = 6):
-    """Approximate the integral over the simplex of a pointwise callback.
-
-    ``f`` maps a coordinate array of shape (n,) to a float or an ndarray
-    (e.g. the component vector of a k-form); the result has the same
-    shape as a single evaluation.
-    """
-    pts, weights = rule_points(simplex, order)
-    total = None
-    for x, w in zip(pts, weights):
-        val = np.asarray(f(x), dtype=float) * w
-        total = val if total is None else total + val
-    out = np.asarray(total)
-    return float(out) if out.ndim == 0 else out

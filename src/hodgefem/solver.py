@@ -497,8 +497,8 @@ def solver_study(
 
 def fit_rate(rows: list[StudyRow], key: str = "energy") -> float:
     """Least-squares slope of log(error) against log(h) over a study."""
-    if len(rows) < 2:
-        raise ValueError("need at least two mesh levels to fit a rate")
+    if len({r.h for r in rows}) < 2:
+        raise ValueError("need at least two mesh levels of distinct h to fit a rate")
     hs = np.log([r.h for r in rows])
     es = np.log([max(r.errors[key], 1e-300) for r in rows])
     slope = np.polyfit(hs, es, 1)[0]

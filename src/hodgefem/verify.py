@@ -28,12 +28,10 @@ import numpy as np
 from .element import (
     DIRECT,
     FOURSTEP,
-    build_dof_basis,
-    build_dof_matrix,
     build_h2d_form,
     build_h2delta_form,
-    build_shape_space,
     interpolate_coeffs,
+    local_element,
     quadrature_dofs,
     reference_element,
 )
@@ -245,8 +243,7 @@ def unisolvence_suite(
     shape_scale, M = np.empty((count, 6, 6)), np.empty((count, 6, 6))
     for i in range(count):
         S = _rand_triangle(rng)
-        space = build_shape_space(2, 1, S)
-        matrix = build_dof_matrix(space, build_dof_basis(2, 1, S))
+        matrix = local_element(S, 1)
         cond = matrix.cond()
         if not np.isfinite(cond):
             return [CheckResult("dof-matrix-cond-finite", False, "singular matrix hit")]
@@ -254,7 +251,7 @@ def unisolvence_suite(
         vertices[i], volumes[i], M[i] = S.centered, S.volume, matrix.as_float
         shape_scale[i], test_scale[i] = matrix.scaling.floats()
         # the two algorithms agree on a generic member of the space
-        target = space.combine([_rand_fraction(rng) for _ in range(6)])
+        target = matrix.space.combine([_rand_fraction(rng) for _ in range(6)])
         a = interpolate_coeffs(target, matrix, method=DIRECT)
         b = interpolate_coeffs(target, matrix, method=FOURSTEP)
         gap = max(abs(float(x - y)) for x, y in zip(a, b))

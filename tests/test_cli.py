@@ -207,6 +207,7 @@ def test_negative_verify_counts_exit_two_before_any_output(option, capsys):
     [
         (["--refinements", "2,0"], "mesh parameter m must be an integer >= 2, got 0"),
         (["--refinements", "2", "--quad-order", "0"], "quadrature order 0 outside supported range 2..10"),
+        (["--refinements", "2,4,2"], "mesh level 2 is repeated in --refinements"),
     ],
 )
 def test_bad_levels_exit_two_before_any_output(command, flags, message, tmp_path, capsys):
@@ -297,6 +298,21 @@ def test_basis_rejects_an_empty_mesh_file(tmp_path, capsys):
     mesh.write_text("ndim 2\nvertices 0\ncells 0\n")
     assert main(["basis", "--mesh-file", str(mesh)]) == 2
     assert capsys.readouterr().err == "error: mesh has no cells\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["basis", "--mesh-file", "{missing}/x.mesh"],
+        ["solve", "--refinements", "2", "--out", "{missing}/x.csv"],
+    ],
+)
+def test_missing_or_unwritable_paths_exit_two(argv, tmp_path, capsys):
+    missing = tmp_path / "missing"
+    assert main([arg.format(missing=missing) for arg in argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(missing) in err
+    assert "Traceback" not in err
 
 
 def test_value_errors_map_to_usage_exit(tmp_path):

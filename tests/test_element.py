@@ -15,26 +15,27 @@ from hodgefem.element import (
     STARKAPPA,
     DofMatrix,
     FormCallback,
-    build_dof_basis,
-    build_dof_matrix,
+    ReferenceElement,
     build_h2d_form,
     build_h2delta_form,
-    build_shape_space,
     dof_values,
     interpolate,
     interpolate_coeffs,
+    local_element,
     reference_element,
 )
 from hodgefem.forms import (
     PolyForm,
+    Polynomial,
     codifferential,
     codifferential_green,
     exterior_derivative,
+    hodge_star,
     koszul,
     multi_indices,
 )
 import hodgefem.element
-from hodgefem.simplices import Simplex
+from hodgefem.simplices import Simplex, l2_gram
 from hodgefem.verify import unisolvence_suite
 
 F = Fraction
@@ -60,7 +61,7 @@ def test_block_dimensions():
     rng = random.Random(21)
     expect = {(2, 1): (2, 1, 1, 2), (3, 1): (3, 3, 1, 3), (3, 2): (3, 1, 3, 3)}
     for (n, k), sizes in expect.items():
-        space = build_shape_space(n, k, rand_simplex(n, rng))
+        space = local_element(rand_simplex(n, rng), k).space
         got = tuple(len(space.block_basis(b)) for b in (P0, KAPPA, STARKAPPA, H2D))
         assert got == sizes
         assert space.dim == sum(sizes)
@@ -70,7 +71,7 @@ def test_k_out_of_range():
     T = reference_triangle()
     for k in (0, 2):
         with pytest.raises(ValueError):
-            build_shape_space(2, k, T)
+            local_element(T, k)
 
 
 def test_quadratic_enrichment_identities():
@@ -94,9 +95,8 @@ def test_unisolvence_exact_projection():
     """Interpolating a shape basis form returns exactly the unit vector."""
     rng = random.Random(23)
     T = rand_simplex(2, rng)
-    space = build_shape_space(2, 1, T)
-    dofs = build_dof_basis(2, 1, T)
-    matrix = build_dof_matrix(space, dofs)
+    matrix = local_element(T, 1)
+    space = matrix.space
     for i, mu in enumerate(space.basis):
         coeffs = interpolate_coeffs(mu, matrix, method=DIRECT)
         want = [F(1) if j == i else F(0) for j in range(6)]
@@ -107,10 +107,8 @@ def test_fourstep_equals_direct_exactly():
     rng = random.Random(24)
     for _ in range(10):
         T = rand_simplex(2, rng)
-        space = build_shape_space(2, 1, T)
-        dofs = build_dof_basis(2, 1, T)
-        target = space.combine([F(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(6)])
-        matrix = build_dof_matrix(space, dofs)
+        matrix = local_element(T, 1)
+        target = matrix.space.combine([F(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(6)])
         a = interpolate_coeffs(target, matrix, method=DIRECT)
         b = interpolate_coeffs(target, matrix, method=FOURSTEP)
         assert list(a) == list(b)
@@ -119,19 +117,17 @@ def test_fourstep_equals_direct_exactly():
 def test_interpolate_returns_equal_form():
     rng = random.Random(25)
     T = rand_simplex(2, rng)
-    space = build_shape_space(2, 1, T)
-    dofs = build_dof_basis(2, 1, T)
-    target = space.combine([F(3), F(-1), F(2), F(1, 2), F(0), F(5)])
-    assert interpolate(target, build_dof_matrix(space, dofs)) == target
+    matrix = local_element(T, 1)
+    target = matrix.space.combine([F(3), F(-1), F(2), F(1, 2), F(0), F(5)])
+    assert interpolate(target, matrix) == target
 
 
 def test_callback_path_matches_exact_path():
     """Quadrature DOFs of a polynomial callback agree with the rational DOFs."""
     rng = random.Random(26)
     T = rand_simplex(2, rng)
-    space = build_shape_space(2, 1, T)
-    dofs = build_dof_basis(2, 1, T)
-    target = space.combine([F(1), F(2), F(-1), F(1, 3), F(2), F(-3)])
+    matrix = local_element(T, 1)
+    target = matrix.space.combine([F(1), F(2), F(-1), F(1, 3), F(2), F(-3)])
     d_t = exterior_derivative(target)
     g_t = codifferential_green(target)
     bx = np.array([float(c) for c in T.barycenter])
@@ -156,7 +152,6 @@ def test_callback_path_matches_exact_path():
         d=lambda x: ev_form(d_t, x),
         delta=lambda x: ev_form(g_t, x),
     )
-    matrix = build_dof_matrix(space, dofs)
     exact = np.array([float(v) for v in dof_values(target, matrix)])
     approx = np.asarray(dof_values(cb, matrix, quad_order=6))
     scale = max(1.0, np.max(np.abs(exact)))
@@ -169,8 +164,8 @@ def test_callback_path_matches_exact_path():
 
 def test_float_coefficients_are_not_finished_in_fractions():
     T = reference_triangle()
-    space = build_shape_space(2, 1, T)
-    matrix = build_dof_matrix(space, build_dof_basis(2, 1, T))
+    matrix = local_element(T, 1)
+    space = matrix.space
     with pytest.raises(TypeError):
         space.combine([1.0, 0, 0, 0, 0, 0])
     assert space.combine([F(1), 0, 0, 0, 0, 0]) == space.basis[0]
@@ -187,16 +182,14 @@ def test_float_coefficients_are_not_finished_in_fractions():
 
 def test_callback_missing_derivative_data():
     T = reference_triangle()
-    space = build_shape_space(2, 1, T)
-    dofs = build_dof_basis(2, 1, T)
     cb = FormCallback(value=lambda x: np.zeros((len(x), 2)), d=None, delta=None)
     with pytest.raises(ValueError):
-        dof_values(cb, build_dof_matrix(space, dofs))
+        dof_values(cb, local_element(T, 1))
 
 
 def test_callback_dofs_need_the_planar_one_form_element():
     T = Simplex([(F(0), F(0), F(0)), (F(1), F(0), F(0)), (F(0), F(1), F(0)), (F(0), F(0), F(1))])
-    matrix = build_dof_matrix(build_shape_space(3, 1, T), build_dof_basis(3, 1, T))
+    matrix = local_element(T, 1)
     cb = FormCallback(
         value=lambda x: np.zeros((len(x), 3)),
         d=lambda x: np.zeros((len(x), 3)),
@@ -206,7 +199,7 @@ def test_callback_dofs_need_the_planar_one_form_element():
         dof_values(cb, matrix)
     # the exact path stays general
     vals = dof_values(PolyForm.basis(3, (1,)), matrix)
-    assert len(vals) == matrix.dofs.count and all(isinstance(v, F) for v in vals)
+    assert len(vals) == len(matrix.exact) and all(isinstance(v, F) for v in vals)
 
 
 def test_scaled_conditioning_is_h_uniform():
@@ -215,25 +208,69 @@ def test_scaled_conditioning_is_h_uniform():
     for p in range(0, 7, 2):
         s = F(1, 2**p)
         T = Simplex([(F(0), F(0)), (s, F(0)), (F(0), s)])
-        space = build_shape_space(2, 1, T)
-        dofs = build_dof_basis(2, 1, T)
-        conds.append(build_dof_matrix(space, dofs).cond())
+        conds.append(local_element(T, 1).cond())
     assert max(conds) / min(conds) <= 1.0 + 1e-9
+
+
+def _rand_cubic_form(n, k, rng):
+    """A k-form with random cubic components: outside the shape space."""
+    exps = [e for e in np.ndindex(*(4,) * n) if sum(e) <= 3]
+    return PolyForm(
+        n,
+        k,
+        {
+            alpha: Polynomial(n, {e: F(rng.randint(-9, 9), rng.randint(1, 5)) for e in exps})
+            for alpha in multi_indices(k, n)
+        },
+    )
+
+
+@pytest.mark.parametrize("n, k", [(2, 1), (3, 1), (3, 2), (4, 1), (4, 2), (4, 3)])
+def test_exact_dof_values_equal_the_green_pairing_of_the_scaled_tests(n, k):
+    """dof_values of a form outside the space against l2_gram of the Green rows
+    of the scaled DOF test forms, built form by form: eta the constant
+    (k+1)-forms and 1/h star koszul star of the constant k-forms, tau the
+    constant (k-1)-forms and 1/h koszul of the constant k-forms."""
+    rng = random.Random(100 * n + k)
+    for _ in range(2):
+        T = rand_simplex(n, rng)
+        inv_h = 1 / T.h_scale
+        assert inv_h != 1  # so dropping the 1/h of the koszul-type rows shows
+        dx = [PolyForm.basis(n, alpha) for alpha in multi_indices(k, n)]
+        etas = [PolyForm.basis(n, beta) for beta in multi_indices(k + 1, n)]
+        etas += [inv_h * hodge_star(koszul(hodge_star(w))) for w in dx]
+        taus = [PolyForm.basis(n, gamma) for gamma in multi_indices(k - 1, n)]
+        taus += [inv_h * koszul(w) for w in dx]
+        up, down = PolyForm.zero(n, k + 1), PolyForm.zero(n, k - 1)
+        rows = [(eta, down, -codifferential_green(eta)) for eta in etas]
+        rows += [(up, tau, -exterior_derivative(tau)) for tau in taus]
+        mu = _rand_cubic_form(n, k, rng)
+        graph = [(exterior_derivative(mu), codifferential_green(mu), mu)]
+        want = [row[0] for row in l2_gram(rows, graph, T)]
+        assert dof_values(mu, local_element(T, k)) == want
 
 
 def test_unisolvence_suite_builds_one_dof_matrix_per_triangle(monkeypatch):
     """The local element is built once per triangle and reused by every check."""
     built = []
+    scalings = []
     init = DofMatrix.__init__
+    scaling = ReferenceElement.scaling
 
     def counting_init(self, *args):
         built.append(1)
         init(self, *args)
 
+    def counting_scaling(self, *args):
+        scalings.append(1)
+        return scaling(self, *args)
+
     monkeypatch.setattr(DofMatrix, "__init__", counting_init)
+    monkeypatch.setattr(ReferenceElement, "scaling", counting_scaling)
     results = unisolvence_suite(count=3)
     assert all(r.passed for r in results)
     assert len(built) == 3
+    assert len(scalings) == 3
 
 
 def test_projection_check_fails_when_the_pairing_flips_the_delta_sign(monkeypatch):

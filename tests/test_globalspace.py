@@ -11,10 +11,8 @@ from hypothesis import strategies as st
 
 from hodgefem.element import (
     FormCallback,
-    build_dof_basis,
-    build_dof_matrix,
-    build_shape_space,
     interpolate_coeffs,
+    local_element,
 )
 from hodgefem.fields import as_callback, get_field
 from hodgefem.forms import PolyForm
@@ -429,10 +427,7 @@ def test_global_matches_local_interpolation():
         prod = build_product_space(tri)
         u = global_interpolate(cb, tri, prod, quad_order=6)
         for c in range(len(tri.cells)):
-            s = tri.simplex(c)
-            space = build_shape_space(2, 1, s)
-            dofs = build_dof_basis(2, 1, s)
-            local = interpolate_coeffs(cb, build_dof_matrix(space, dofs), quad_order=6)
+            local = interpolate_coeffs(cb, local_element(tri.simplex(c), 1), quad_order=6)
             local = np.array([float(x) for x in local])
             assert np.allclose(u[6 * c : 6 * c + 6], local, rtol=1e-9, atol=1e-12)
 

@@ -27,6 +27,7 @@ import hodgefem.globalspace
 import hodgefem.solver
 from hodgefem.solver import (
     HybridSystem,
+    StudyRow,
     _kernel_coordinates,
     assemble,
     broken_energy_product,
@@ -379,6 +380,14 @@ def test_interpolation_study_rate():
     assert 0.9 <= rate <= 1.2
     with pytest.raises(ValueError, match="two mesh levels"):
         fit_rate(rows[:1])
+
+
+def test_fit_rate_needs_two_distinct_mesh_sizes():
+    # a repeated level once gave a rate from a degenerate least-squares fit
+    rows = [StudyRow(m, 1 / m, 6, {"energy": 1 / m}) for m in (2, 4)]
+    assert fit_rate(rows) == pytest.approx(1.0)
+    with pytest.raises(ValueError, match="two mesh levels of distinct h"):
+        fit_rate([rows[0], rows[0]])
 
 
 def test_solver_study_tracks_oracle_and_interpolant():
