@@ -49,14 +49,15 @@ A DofMatrix is the local element of one simplex, and ``local_element``
 its one constructor, one ``pair`` (``CellTemplate`` builds its own from
 a three-group ``pair``): its scaling and the exact and float DOF matrix,
 built once and passed to dof_values, interpolate_coeffs and interpolate;
-its shape space as PolyForms S R is made only when read.  Row order: eta
-block (constants then koszul-type), then tau block (constants then
-koszul-type); columns follow the shape basis.  The four-step solve is
-block forward substitution in that matrix, written once over a block
-solve that is exact for PolyForm input and float for callbacks.
-interpolate returns the exact interpolant of a PolyForm only; a
-callback's float coefficients come from interpolate_coeffs and are never
-turned back into Fractions.
+its shape space as PolyForms S R is made only when read, and
+``DofMatrix.combine`` makes one member of it as R combined with S^T c.
+Row order: eta block (constants then koszul-type), then tau block
+(constants then koszul-type); columns follow the shape basis.  The
+four-step solve is block forward substitution in that matrix, written
+once over a block solve that is exact for PolyForm input and float for
+callbacks.  interpolate returns the exact interpolant of a PolyForm
+only; a callback's float coefficients come from interpolate_coeffs and
+are never turned back into Fractions.
 
 ``ReferenceElement.tables`` evaluates the fixed forms of the planar
 1-form element at the quadrature nodes of a whole stack of elements at
@@ -67,7 +68,9 @@ quadrature of the functionals: dof_values of a callback, the unisolvence
 suite's projection check and the cellwise global interpolation all use
 it.  quadrature_rows writes it as a matrix against node values, for all
 templates at once, by applying quadrature_dofs at each node to unit
-fields.
+fields.  The float view of the global product space uses no quadrature:
+its DOF matrices, Whitney rows, duals and cell Grams are the exact values
+rounded once, from closed forms (``globalspace._closed_forms``).
 
 Scaling keeps the DofMatrix condition number independent of the simplex
 diameter: koszul-type shape and test forms carry 1/h, the H2D block
@@ -525,12 +528,14 @@ class DofMatrix:
     """The local element on one simplex, built once and reused.
 
     Owns the simplex, its ``Scaling`` and the functional-by-shape matrix
-    (rows eta then tau, columns shape basis), exact and as floats.  The
-    shape space as PolyForms is built from the reference element when
-    first read, so a DofMatrix itself builds no PolyForm.
+    (rows eta then tau, columns shape basis), exact and as floats (each
+    entry rounded once, on first read, and read-only).  The shape space
+    as PolyForms is built from the reference element when first read, so
+    a DofMatrix itself builds no PolyForm; ``combine`` makes one member of
+    it without building the space.
     """
 
-    __slots__ = ("reference", "simplex", "scaling", "exact", "_space")
+    __slots__ = ("reference", "simplex", "scaling", "exact", "_space", "_float")
 
     def __init__(self, reference, simplex, scaling, exact):
         self.reference = reference
@@ -538,6 +543,7 @@ class DofMatrix:
         self.scaling = scaling
         self.exact = exact
         self._space = None
+        self._float = None
 
     @property
     def space(self) -> ShapeSpace:
@@ -547,7 +553,29 @@ class DofMatrix:
 
     @property
     def as_float(self) -> np.ndarray:
-        return np.array(self.exact, dtype=float)
+        if self._float is None:
+            self._float = np.array(self.exact, dtype=float)
+            self._float.flags.writeable = False
+        return self._float
+
+    def combine(self, coeffs) -> PolyForm:
+        """``space.combine(coeffs)``, the member sum_i coeffs[i] (S R)_i, as
+        the reference forms R combined with S^T coeffs: no scaled form is built.
+
+        Floats are refused, as by ``ShapeSpace.combine``.
+        """
+        shape, den, dim = self.scaling.shape, self.scaling.shape_den, self.reference.space.dim
+        if len(coeffs) != dim:
+            raise ValueError(f"expected {dim} coefficients, got {len(coeffs)}")
+        if any(isinstance(c, float) for c in coeffs):
+            raise TypeError("combine takes exact (Fraction or int) coefficients, not floats")
+        exact = [Fraction(c) for c in coeffs]
+        lcd = math.lcm(*(c.denominator for c in exact))
+        ints = [c.numerator * (lcd // c.denominator) for c in exact]
+        # (S^T c)_a over one denominator: one Fraction per reference form
+        return self.reference.space.combine(
+            [Fraction(sum(map(mul, ints, column)), lcd * den) for column in zip(*shape)]
+        )
 
     def cond(self) -> float:
         return float(np.linalg.cond(self.as_float))
@@ -762,4 +790,4 @@ def interpolate(mu: PolyForm, matrix: DofMatrix, method: str = DIRECT) -> PolyFo
             "interpolate takes a PolyForm; use interpolate_coeffs for the float "
             "coefficients of a FormCallback"
         )
-    return matrix.space.combine(interpolate_coeffs(mu, matrix, method=method))
+    return matrix.combine(interpolate_coeffs(mu, matrix, method=method))

@@ -27,40 +27,45 @@ mu^rot_{a,T} and mu^div_{a,T}.  Then
 
 All dual coefficients are exact rationals and the constraint identities
 B v = 0 hold exactly, by biorthogonality.  Congruent cells (equal up to
-translation) share one cached template: the DOF matrix, Whitney matrix,
-dual coefficients and cell Gram are computed once per congruence class,
-which collapses the structured meshes to a handful of exact
-computations.  On an unstructured mesh every cell is its own class, so
-this exact work builds no form at all: the cached reference element of
-the planar 1-form element (``element.reference_element``) holds the
-shape, DOF test and hat test forms without their per-cell scalings,
-and one ``ReferenceElement.pair`` per template gives the DOF matrix,
-the Whitney rows and the cell Gram <d u, d v> + <delta u, delta v> +
-<u, v> from one ``integer_moments`` call, one integer contraction and
-the exact scalings in Python ints.  The duals are one fraction-free
-elimination of the integer Whitney rows.
+translation) share one template.  A template's exact data (``CellTemplate``:
+the DOF matrix, Whitney matrix, dual coefficients and cell Gram) is
+built from its Simplex alone, and only when read, e.g. by the ``basis``
+dump: one ``ReferenceElement.pair`` of the cached planar 1-form element
+(``element.reference_element``) gives the DOF matrix, the Whitney rows
+and the cell Gram <d u, d v> + <delta u, delta v> + <u, v> from one
+``integer_moments`` call, one integer contraction and the exact scalings
+in Python ints, and the duals are one fraction-free elimination of the
+integer Whitney rows.  No form is built.
 
-Set-up costs cells plus templates.  The template key of a cell is its
-centered vertex tuple; cells are sorted into classes by the same tuple
-in lowest integer terms, computed for all cells at once from each
-cell's exact integer coordinates, and only the first cell of a class
-gets an exact Simplex.  ``ProductSpace`` holds the one cell-to-template
-map (a template list and each cell's template index) and the one float
-view of the templates: ``CellTemplate`` keeps only exact data, and each
-float array is stacked once over the templates.  The node tables of all
-templates are one ``ReferenceElement.tables`` of the stacked vertices
-and float scalings per quadrature order, and the float tables that the
-load vector, the error norms and the interpolation derive from them are
-cached per order too (``ProductSpace.derived``).  B and Phi read the
-same stacked 6x6 data: B gathers the float Whitney rows, and Phi the
-float dual coefficients, by template index, cell and slot.  The kernel
-basis is held as per-function arrays (category, anchor, support cells,
-dual columns); the exact BasisFunctions (``functions``) are generated
-one at a time when read, e.g. for the ``basis`` dump.  The rank audit is one
-O(nnz) certificate from the same duals: with D = blockdiag(duals) over
-the cells, B D is a 0/1 selection matrix whose disjoint rows prove that
-B has full row rank, which the saddle-point oracle needs.  It runs once
-per ``ConstraintSystem``.  Input without that structure, a repeated or
+Set-up costs cells plus templates, and no exact template data.  The
+template key of a cell is its centered vertex tuple; cells are sorted
+into classes by the same tuple in lowest integer terms, computed for all
+cells at once from each cell's exact integer coordinates, and only the
+first cell of a class gets an exact Simplex.  ``ProductSpace`` holds the
+one cell-to-template map (a template list and each cell's template
+index) and the one float view of the templates, each float array
+stacked once over them.  The float view is the exact data rounded once,
+bit for bit as float(Fraction) of the exact entries (``minv`` is the
+float inverse of the rounded DOF matrix), but it is not made from them:
+the DOF matrix, the Whitney rows, the duals and the cell Gram of the
+planar element have closed forms in the centered vertex coordinates, the
+area and h (``_closed_forms``, which proves them), evaluated for all
+templates at once as fractions of Python ints and divided once.  So
+every exact zero stays 0.0, and B, Phi and A keep their exact sparsity.
+The node tables of all templates are one ``ReferenceElement.tables`` of
+the stacked vertices and float scalings per quadrature order, and the
+float tables that the load vector, the error norms and the interpolation
+derive from them are cached per order too (``ProductSpace.derived``).
+B and Phi read the same stacked 6x6 data: B gathers the float Whitney
+rows, and Phi the float dual coefficients, by template index, cell and
+slot.  The kernel basis is held as per-function arrays (category,
+anchor, support cells, dual columns); the exact BasisFunctions
+(``functions``) are generated one at a time when read, from the exact
+template duals.  The rank audit is one O(nnz) certificate from the same
+float duals: with D = blockdiag(duals) over the cells, B D is a 0/1
+selection matrix whose disjoint rows prove that B has full row rank,
+which the saddle-point oracle needs.  It runs once per
+``ConstraintSystem``.  Input without that structure, a repeated or
 dependent row included, raises; there is no dense fallback.
 """
 
@@ -69,6 +74,7 @@ from __future__ import annotations
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -112,26 +118,38 @@ ROT_CELL = "ROT_CELL"
 class CellTemplate:
     """Per-congruence-class exact element data (translation invariant); no floats.
 
-    One ``ReferenceElement.pair`` of the planar element gives the DOF
-    matrix, the Whitney functional rows (rot slot 0..2, eta = hat dx^12,
-    then div slot 0..2, tau = hat) and the graph-norm Gram <d u, d v> +
-    <delta u, delta v> + <u, v>; no PolyForm is built.  The duals solve
-    whitney . duals = I on the integer Whitney rows.
+    Built from the class's exact ``simplex`` alone, when one of its four
+    fields is first read: one ``ReferenceElement.pair`` of the planar
+    element gives the DOF matrix ``matrix``, the Whitney functional rows
+    ``whitney`` (rot slot 0..2, eta = hat dx^12, then div slot 0..2, tau
+    = hat) and the graph-norm Gram ``gram`` <d u, d v> + <delta u, delta
+    v> + <u, v>, and ``duals`` solve whitney . duals = I on the integer
+    Whitney rows.  No PolyForm is built, and the float view of
+    ``ProductSpace`` reads none of it.
     """
-
-    __slots__ = ("key", "simplex", "matrix", "whitney", "duals", "gram")
 
     def __init__(self, key, simplex: Simplex):
         self.key = key
         self.simplex = simplex
+
+    @cached_property
+    def _exact(self) -> tuple:
         ref = reference_element(2, 1)
-        scaling, out = ref.pair(simplex, (GRAM, DOFS, HATS))
-        self.matrix = DofMatrix(ref, simplex, scaling, as_fractions(*out[DOFS]))
-        self.gram = as_fractions(*out[GRAM])
+        scaling, out = ref.pair(self.simplex, (GRAM, DOFS, HATS))
         rows, den = out[HATS]
-        self.whitney = as_fractions(rows, den)
         # (rows / den) X = I, so rows X = den I: column j holds the dual coeffs
-        self.duals = solve_rational(rows, [[den * (r == c) for c in range(6)] for r in range(6)])
+        eye = [[den * (r == c) for c in range(6)] for r in range(6)]
+        return (
+            DofMatrix(ref, self.simplex, scaling, as_fractions(*out[DOFS])),
+            as_fractions(*out[GRAM]),
+            as_fractions(rows, den),
+            solve_rational(rows, eye),
+        )
+
+    matrix = property(lambda self: self._exact[0])
+    gram = property(lambda self: self._exact[1])
+    whitney = property(lambda self: self._exact[2])
+    duals = property(lambda self: self._exact[3])
 
 
 class ProductSpace:
@@ -148,11 +166,15 @@ class ProductSpace:
 
     The one cell-to-template map: ``templates`` lists the classes in
     order of their first cell, and ``template_index[c]`` is the class of
-    cell c.  The space holds the one float view of the exact templates,
-    stacked over them: ``gram``, ``whitney``, ``duals``, the inverse DOF
-    matrix ``minv``, the centered ``vertices``, the ``volumes``, the
-    scalings ``shape_scale`` (S) and ``test_scale`` (the diagonal of E)
-    and ``tables(order)``.
+    cell c.  The space holds the one float view of the templates, stacked
+    over them: ``gram``, ``whitney``, ``duals``, the inverse DOF matrix
+    ``minv``, the centered ``vertices``, the ``volumes``, the scalings
+    ``shape_scale`` (S) and ``test_scale`` (the diagonal of E) and
+    ``tables(order)``.  Each entry is its exact value rounded once, as
+    float(Fraction) would round the templates' exact data, but none of
+    that data is built: the scalings come from each template's Simplex,
+    and the rest from closed forms in the integer coordinates of all
+    templates at once (``_closed_forms``).
     """
 
     def __init__(self, tri: Triangulation):
@@ -173,18 +195,21 @@ class ProductSpace:
             simplex = tri.simplex(cells[0])
             self.templates.append(CellTemplate(tuple(simplex.centered), simplex))
             self.template_index[cells] = i
-        # the float view: each exact entry rounded once, float(Fraction)
-        exact = [
-            (t.gram, t.whitney, t.duals, t.matrix.exact, t.simplex.centered) for t in self.templates
-        ]
-        self.gram, self.whitney, self.duals, matrix, self.vertices = (
-            np.array(stack, dtype=float) for stack in zip(*exact)
+        ref = reference_element(2, 1)
+        self.shape_scale, self.test_scale = (
+            np.array(stack)
+            for stack in zip(
+                *(ref.scaling(t.simplex, t.simplex.second_moments).floats() for t in self.templates)
+            )
+        )
+        # a cell's vertices are positively oriented, so in its simplex's order
+        first = reduced[[cells[0] for cells in classes.values()]]
+        d, xy = first[:, :1], first[:, 1:].reshape(-1, 3, 2)
+        self.vertices = np.asarray(xy / d[:, :, None], dtype=float)
+        self.volumes, self.gram, self.whitney, self.duals, matrix = _closed_forms(
+            first, [t.simplex.h_scale for t in self.templates]
         )
         self.minv = np.linalg.inv(matrix)
-        self.volumes = np.array([float(t.simplex.volume) for t in self.templates])
-        self.shape_scale, self.test_scale = (
-            np.array(stack) for stack in zip(*(t.matrix.scaling.floats() for t in self.templates))
-        )
         self._tables: dict[int, dict[str, np.ndarray]] = {}
         self._derived: dict[tuple, np.ndarray] = {}
 
@@ -238,6 +263,133 @@ class ProductSpace:
             (rows.ravel(), columns.ravel(), n * np.arange(nc + 1)),
             shape=(nc, n * len(self.templates)),
         )
+
+
+def _closed_forms(shapes: np.ndarray, h_scale: list[Fraction]) -> tuple[np.ndarray, ...]:
+    """Every template's area, gram, whitney, duals and DOF matrix: exact values rounded once.
+
+    ``shapes`` (T, 7) holds each template's integer centered coordinates
+    over their denominator d, as (d, x0, y0, x1, y1, x2, y2) in the
+    simplex's (counterclockwise) vertex order, and ``h_scale`` its h.
+    Returns the areas (T,) and the four (T, 6, 6) float stacks.  Each
+    entry of the closed forms below is formed as a fraction of Python
+    ints, so one division rounds its exact value once, as float(Fraction)
+    does: an entry is 0.0 exactly where it is 0, whatever makes it vanish
+    (the block structure, an axis-parallel edge or a symmetric cell).
+
+    Proof.  Let v_a = (x_a, y_a) be the centered vertices, |T| the area,
+    c1, c2 the second moments, lambda_a = 1/3 + g_a . x the hats and e_a =
+    |T| g_a = (y_{a+1} - y_{a+2}, x_{a+2} - x_{a+1})/2.  Moments: int_T
+    (u . x)^k = 2|T| k!/(k+2)! h_k(u . v_0, u . v_1, u . v_2), h_k the
+    complete homogeneous symmetric polynomial, which for a zero sum is
+    p2/2, p3/3 and (p2^2 + 2 p4)/8 in the power sums p_j.  So int x1 x2
+    = |T| S_xy/12, int x1 x2^2 = |T| S_xyy/30 and int x2^4 = |T| (S_yy^2
+    + 2 S_yyyy)/120, with S_f = sum_a f(v_a), and int lambda_a x = |T|
+    v_a/12.
+
+    The shape basis dx1, dx2, kappa = (-x2, x1)/h, sigma = -(x1, x2)/h,
+    eta1 = (x2^2 - c2) dx1/h^2, eta2 = (x1^2 - c1) dx2/h^2 has d = 0, 0,
+    2/h, 0, -2 x2/h^2, 2 x1/h^2 and Green delta = 0, 0, 0, 2/h, 0, 0, and
+    every member but dx1 and dx2 has zero mean.  As delta(f dx12) = (d2 f,
+    -d1 f), the Whitney rows rot_a(mu) = <d mu, lambda_a dx12> - <mu,
+    delta(lambda_a dx12)> and div_a(mu) = <delta mu, lambda_a> - <mu, d
+    lambda_a> are
+
+        rot_a   -e_a2   e_a1   2|T|/(3h)   0           -|T| y_a/(6h^2)   |T| x_a/(6h^2)
+        div_a   -e_a1  -e_a2   0           2|T|/(3h)    0                 0
+
+    and the DOF rows, for the tests dx12, x2 dx12/h, -x1 dx12/h, 1, x1/h
+    and x2/h and with m_f = 2 int f/h^3, are
+
+        eta0    0        0        2|T|/h   0        0          0
+        eta1   -|T|/h    0        0        0       -m_(x2^2)   m_(x1 x2)
+        eta2    0       -|T|/h    0        0        m_(x1 x2) -m_(x1^2)
+        tau0    0        0        0        2|T|/h   0          0
+        tau1   -|T|/h    0        0        0        0          0
+        tau2    0       -|T|/h    0        0        0          0
+
+    The graph-norm Gram <d u, d v> + <delta u, delta v> + <u, v> has the
+    diagonal |T|, |T|, |T| (4 + c1 + c2)/h^2 twice, (4|T| c2 + int x2^4 -
+    |T| c2^2)/h^4 and the same with x1 and c1.  Off it only kappa . eta =
+    (-int x2^3, int x1^3)/h^3, sigma . eta = -(int x1 x2^2, int x1^2
+    x2)/h^3 and d eta1 . d eta2 = -4 int x1 x2/h^4 are left: the other
+    products vanish pointwise or pair a constant with a zero mean.
+
+    The duals solve whitney . duals = I one column at a time, by sum_a
+    e_a = 0, sum_a v_a = 0 and g_a . v_b = delta_ab - 1/3; hence g_a = M^-1
+    v_a for M = sum_a v_a v_a^T, and det M = 4|T|^2/3.  Column rot_c is 0
+    on dx1, dx2 and sigma, h/(2|T|) on kappa and 6 h^2 (-g_c2, g_c1)/|T|
+    on (eta1, eta2).  Column div_c is -v_c/|T| on (dx1, dx2), 0 on kappa,
+    h/(2|T|) on sigma and 9 h^2 M v_c/(2|T|^3) on (eta1, eta2).
+    """
+    d = shapes[:, 0]
+    x, y = shapes[:, 1::2], shapes[:, 2::2]
+    # all in Python ints: v = (x, y)/d, |T| = det/(2 d^2), h = p/q, e_a = (ex, ey)[:, a]/(2 d)
+    det = (x[:, 1] - x[:, 0]) * (y[:, 2] - y[:, 0]) - (y[:, 1] - y[:, 0]) * (x[:, 2] - x[:, 0])
+    p = np.array([h.numerator for h in h_scale], dtype=object)
+    q = np.array([h.denominator for h in h_scale], dtype=object)
+    nxt, prv = [1, 2, 0], [2, 0, 1]
+    ex, ey = y[:, nxt] - y[:, prv], x[:, prv] - x[:, nxt]
+    powers = ([x, x], [x, y], [y, y], [x, x, x], [x, x, y], [x, y, y], [y, y, y], [x] * 4, [y] * 4)
+    xx, xy, yy, x3, xxy, xyy, y3, x4, y4 = (np.prod(f, axis=0).sum(axis=1) for f in powers)
+    d2, p2, q2 = d * d, p * p, q * q
+    o = (0, 1)
+    mass = (det, 2 * d2)
+    kappa = (det * q2 * (48 * d2 + xx + yy), 24 * d2 * d2 * p2)
+    cubic, quartic = 60 * d2 * d2 * d * p2 * p, 1440 * d2**3 * p2 * p2
+    g24, g25 = (-det * y3 * q2 * q, cubic), (det * x3 * q2 * q, cubic)
+    g34, g35 = (-det * xyy * q2 * q, cubic), (-det * xxy * q2 * q, cubic)
+    g44 = (det * q2 * q2 * (240 * d2 * yy + yy * yy + 12 * y4), quartic)
+    g55 = (det * q2 * q2 * (240 * d2 * xx + xx * xx + 12 * x4), quartic)
+    g45 = (-det * xy * q2 * q2, 6 * d2 * d2 * p2 * p2)
+    gram = [
+        [mass, o, o, o, o, o],
+        [o, mass, o, o, o, o],
+        [o, o, kappa, o, g24, g25],
+        [o, o, o, kappa, g34, g35],
+        [o, o, g24, g34, g44, g45],
+        [o, o, g25, g35, g45, g55],
+    ]
+    minus, twice = (-det * q, 2 * d2 * p), (det * q, d2 * p)  # -|T|/h, 2|T|/h
+    moment = 12 * d2 * d2 * p2 * p
+    m_xx, m_xy, m_yy = (det * s * q2 * q for s in (xx, xy, yy))
+    matrix = [
+        [o, o, twice, o, o, o],
+        [minus, o, o, o, (-m_yy, moment), (m_xy, moment)],
+        [o, minus, o, o, (m_xy, moment), (-m_xx, moment)],
+        [o, o, o, twice, o, o],
+        [minus, o, o, o, o, o],
+        [o, minus, o, o, o, o],
+    ]
+    # k = 2|T|/(3h), and |T| v_a/(6 h^2) = det q^2 (d v_a)/eta: d v_a are the integers x, y
+    k, eta = (det * q, 3 * d2 * p), 12 * d2 * d * p2
+    rot_rows = [
+        [(-ey[:, a], 2 * d), (ex[:, a], 2 * d), k, o]
+        + [(-det * q2 * y[:, a], eta), (det * q2 * x[:, a], eta)]
+        for a in range(3)
+    ]
+    whitney = rot_rows + [[(-ex[:, a], 2 * d), (-ey[:, a], 2 * d), o, k, o, o] for a in range(3)]
+    # half = h/(2|T|); rot and div: the denominators of the eta rows of the two column blocks
+    half, rot, div = (p * d2, q * det), q2 * det * det, q2 * det**3
+    duals = [
+        [o] * 3 + [(-2 * d * x[:, c], det) for c in range(3)],
+        [o] * 3 + [(-2 * d * y[:, c], det) for c in range(3)],
+        [half] * 3 + [o] * 3,
+        [o] * 3 + [half] * 3,
+        [(-eta * ey[:, c], rot) for c in range(3)]
+        + [(3 * eta * (xx * x[:, c] + xy * y[:, c]), div) for c in range(3)],
+        [(eta * ex[:, c], rot) for c in range(3)]
+        + [(3 * eta * (xy * x[:, c] + yy * y[:, c]), div) for c in range(3)],
+    ]
+
+    def rounded(rows) -> np.ndarray:  # (numerator, denominator) entries -> (T, 6, 6) floats
+        return np.stack(
+            [np.stack([np.broadcast_to(np.asarray(n / m, dtype=float), d.shape) for n, m in row], 1)
+             for row in rows],
+            axis=1,
+        )
+
+    return (np.asarray(det / (2 * d2), dtype=float), *map(rounded, (gram, whitney, duals, matrix)))
 
 
 class ConstraintSystem:

@@ -5,9 +5,9 @@ Discretizes
     <d u, d v> + <delta u, delta v> + <u, v> = <f, v>   for all v
 
 over the explicit kernel basis of the constrained broken space.  The
-bilinear form is evaluated exactly (cell Grams come from the rational
-element tables); only the load vector and the error integrals use
-quadrature.
+bilinear form is evaluated exactly (each cell Gram is its exact value
+rounded once, ``ProductSpace.gram``); only the load vector and the error
+integrals use quadrature.
 
 Two solution paths are provided.  The oracle path never forms a basis:
 it solves the saddle-point system

@@ -251,7 +251,7 @@ def unisolvence_suite(
         vertices[i], volumes[i], M[i] = S.centered, S.volume, matrix.as_float
         shape_scale[i], test_scale[i] = matrix.scaling.floats()
         # the two algorithms agree on a generic member of the space
-        target = matrix.space.combine([_rand_fraction(rng) for _ in range(6)])
+        target = matrix.combine([_rand_fraction(rng) for _ in range(6)])
         a = interpolate_coeffs(target, matrix, method=DIRECT)
         b = interpolate_coeffs(target, matrix, method=FOURSTEP)
         gap = max(abs(float(x - y)) for x, y in zip(a, b))

@@ -1,5 +1,6 @@
 """End-to-end command line checks, including exit codes and determinism."""
 
+import hashlib
 import json
 from fractions import Fraction
 
@@ -9,7 +10,7 @@ import hodgefem.cli
 import hodgefem.forms
 import hodgefem.solver
 from hodgefem.cli import CSV_HEADER, CSV_HEADER_SOLVE, main
-from hodgefem.mesh import CRISSCROSS, generate_square_mesh, write_mesh
+from hodgefem.mesh import CRISSCROSS, generate_jittered_mesh, generate_square_mesh, write_mesh
 
 
 def _verify_args(out, simplices=5, triangles=5):
@@ -107,6 +108,27 @@ def test_basis_reads_mesh_from_file(tmp_path):
     audit = json.loads(out.read_text().strip().splitlines()[-1])["audit"]
     assert audit["cells"] == 16
     assert audit["basis_count"] == 78
+
+
+@pytest.mark.parametrize(
+    "args, digest",
+    [
+        (["--mesh-m", "4"], "0d4490d87fbbfc03069cf5fc779d743fffce248ddcdf49ce7ec1d8fab65e56de"),
+        (
+            ["--mesh-m", "3", "--pattern", "crisscross"],
+            "86a385e0c4d67db11e68d40c942a4f8499ff69240166077fe740848e455ad6ed",
+        ),
+        (["--mesh-file", "{jitter}"], "9157df78248415a063c6170fc90a0cbcea39808598f808570a85bc713ee35788"),
+    ],
+)
+def test_basis_dumps_keep_their_bytes(tmp_path, args, digest):
+    """The exact basis of diagonal m = 4, crisscross m = 3 and a jittered m = 4
+    mesh file (seed 3), pinned by the SHA-256 of the whole dump."""
+    mesh = tmp_path / "jitter.mesh"
+    write_mesh(generate_jittered_mesh(4, 3), mesh)
+    out = tmp_path / "basis.jsonl"
+    assert main(["basis", *(a.format(jitter=mesh) for a in args), "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
 def test_basis_audit_failure_exits_one_and_names_the_cause(tmp_path, monkeypatch, capsys):

@@ -294,3 +294,44 @@ def test_projection_check_fails_when_the_pairing_flips_the_delta_sign(monkeypatc
         reference_element.cache_clear()
     assert results["dof-matrix-cond-finite"].passed
     assert not results["interpolation-projection"].passed
+
+
+def test_combine_is_the_scaled_space_combination_without_the_space():
+    """R combined with S^T c is the member sum_i c_i (S R)_i, as an equal PolyForm."""
+    rng = random.Random(11)
+    for n, k in ((2, 1), (3, 1), (3, 2)):
+        for _ in range(4):
+            matrix = local_element(rand_simplex(n, rng), k)
+            dim = matrix.reference.space.dim
+            coeffs = [F(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(dim)]
+            member = matrix.combine(coeffs)
+            assert matrix._space is None  # no scaled basis form was built
+            assert member == matrix.space.combine(coeffs)
+    with pytest.raises(TypeError, match="not floats"):
+        matrix.combine([1.0] + [0] * (dim - 1))
+    with pytest.raises(ValueError, match=f"expected {dim} coefficients"):
+        matrix.combine([F(1)])
+
+
+def test_float_dof_matrix_is_rounded_once_and_read_only():
+    matrix = local_element(rand_simplex(2, random.Random(5)), 1)
+    first = matrix.as_float
+    assert matrix.as_float is first
+    assert first.tolist() == [[float(v) for v in row] for row in matrix.exact]
+    with pytest.raises(ValueError, match="read-only"):
+        first[0, 0] = 1.0
+
+
+def test_unisolvence_suite_draws_its_member_without_the_scaled_space(monkeypatch):
+    """The random member is R (S^T c): no triangle builds its scaled shape space."""
+    spaces = []
+    shape_space = ReferenceElement.shape_space
+
+    def counting(self, scaling):
+        spaces.append(1)
+        return shape_space(self, scaling)
+
+    monkeypatch.setattr(ReferenceElement, "shape_space", counting)
+    results = unisolvence_suite(count=3)
+    assert all(r.passed for r in results)
+    assert spaces == []

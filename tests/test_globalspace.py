@@ -200,6 +200,97 @@ def test_jittered_meshes_have_exact_duals_and_the_full_basis(m, seed):
     assert len(build_global_basis(tri, prod)) == 6 * len(tri.cells) - cons.rows
 
 
+def test_the_build_reads_no_exact_template_data_and_a_template_builds_it_once(monkeypatch):
+    """No ``ReferenceElement.pair`` while building; a template's exact data on first read."""
+    pairs = []
+    pair = hodgefem.element.ReferenceElement.pair
+
+    def counting(self, simplex, groups=(hodgefem.element.DOFS,)):
+        pairs.append(simplex)
+        return pair(self, simplex, groups)
+
+    monkeypatch.setattr(hodgefem.element.ReferenceElement, "pair", counting)
+    tri = MESHES["jitter4"]()
+    prod = build_product_space(tri)
+    build_global_basis(tri, prod)
+    build_constraints(tri, prod).rank()
+    assert pairs == []
+    t = prod.template(5)
+    duals = t.duals
+    assert pairs == [t.simplex]
+    assert t.duals is duals and t.gram and t.whitney and t.matrix.exact
+    assert pairs == [t.simplex]
+    prod.template(6).whitney
+    assert pairs == [t.simplex, prod.template(6).simplex]
+
+
+def _exact_nonzeros_of_B(tri, prod) -> int:
+    """nnz of B from the exact Whitney rows: div row 3 + s of every cell slot,
+    rot row s of the slots of interior vertices."""
+    interior = set(tri.interior_vertices)
+    count = 0
+    for c, cell in enumerate(tri.cells):
+        whitney = prod.template(c).whitney
+        for s, a in enumerate(cell):
+            rows = [3 + s, s] if a in interior else [3 + s]
+            count += sum(v != 0 for r in rows for v in whitney[r])
+    return count
+
+
+@settings(max_examples=12, deadline=None, derandomize=True, database=None)
+@given(
+    case=st.one_of(
+        st.sampled_from(sorted(MESHES)),
+        st.tuples(st.integers(2, 6), st.integers(0, 2**32 - 1)),
+    )
+)
+def test_float_view_is_the_exact_template_data_rounded_once(case):
+    """Whitney and dual zero patterns, every float stack and the nnz of B and Phi
+    are those of the exact data, on the fixture meshes and on jittered meshes."""
+    tri = MESHES[case]() if isinstance(case, str) else generate_jittered_mesh(*case)
+    prod = build_product_space(tri)
+    for i, t in enumerate(prod.templates):
+        for name in ("whitney", "duals"):
+            exact = getattr(t, name)
+            floats = getattr(prod, name)[i]
+            assert (floats == 0).tolist() == [[v == 0 for v in row] for row in exact]
+        for name in ("gram", "whitney", "duals"):
+            exact = getattr(t, name)
+            assert getattr(prod, name)[i].tolist() == [[float(v) for v in row] for row in exact]
+        assert prod.volumes[i] == float(t.simplex.volume)
+    matrices = np.array([t.matrix.as_float for t in prod.templates])
+    assert np.array_equal(prod.minv, np.linalg.inv(matrices))
+    basis = build_global_basis(tri, prod)
+    assert basis.Phi.nnz == sum(len(fn.entries) for fn in basis.functions)
+    assert build_constraints(tri, prod).B.nnz == _exact_nonzeros_of_B(tri, prod)
+
+
+_IDENTITY_MESHES = {
+    **MESHES,
+    "diagonal8": lambda: generate_square_mesh(8, DIAGONAL),
+    "jitter8": lambda: generate_jittered_mesh(8, 11),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_IDENTITY_MESHES))
+def test_whitney_and_duals_of_the_constants_are_rotated_hat_gradients(name):
+    """With |T| the area, h the ``h_scale`` and g = grad lambda_c, exactly:
+    whitney(rot_c, dx1) = -|T| g_y, whitney(rot_c, dx2) = |T| g_x,
+    whitney(div_c, dx1) = -|T| g_x, whitney(div_c, dx2) = -|T| g_y,
+    duals(eta1, rot_c) = -6 h^2 g_y/|T| and duals(eta2, rot_c) = 6 h^2 g_x/|T|.
+    |T| g is half the opposite edge rotated, so an axis-parallel edge makes
+    these entries exactly 0."""
+    prod = build_product_space(_IDENTITY_MESHES[name]())
+    for t in prod.templates:
+        area, h = t.simplex.volume, t.simplex.h_scale
+        rows, den = t.simplex.hat_coefficients()
+        for c, (_, gx, gy) in enumerate(rows):
+            gx, gy = Fraction(gx, den), Fraction(gy, den)
+            assert t.whitney[c][:2] == [-area * gy, area * gx]
+            assert t.whitney[3 + c][:2] == [-area * gx, -area * gy]
+            assert [t.duals[4][c], t.duals[5][c]] == [-6 * h * h * gy / area, 6 * h * h * gx / area]
+
+
 def test_vectorised_phi_matches_exact_functions(mesh):
     prod = build_product_space(mesh)
     basis = build_global_basis(mesh, prod)
