@@ -30,26 +30,28 @@ B v = 0 hold exactly, by biorthogonality.  Congruent cells (equal up to
 translation) share one template.  A template's exact data (``CellTemplate``:
 the DOF matrix, Whitney matrix, dual coefficients and cell Gram) is
 built from its Simplex alone, and only when read, e.g. by the ``basis``
-dump: one ``ReferenceElement.pair`` of the cached planar 1-form element
-(``element.reference_element``) gives the DOF matrix, the Whitney rows
-and the cell Gram <d u, d v> + <delta u, delta v> + <u, v> from one
-``integer_moments`` call, one integer contraction and the exact scalings
-in Python ints, and the duals are one fraction-free elimination of the
-integer Whitney rows.  No form is built.
+dump, and so is the Simplex.  One ``ReferenceElement.pair`` of the
+cached planar 1-form element (``element.reference_element``) gives the
+DOF matrix, the Whitney rows and the cell Gram <d u, d v> + <delta u,
+delta v> + <u, v> from one ``integer_moments`` call, one integer
+contraction and the exact scalings in Python ints, and the duals are
+one fraction-free elimination of the integer Whitney rows.  No form is
+built.
 
-Set-up costs cells plus templates, and no exact template data.  The
-template key of a cell is its centered vertex tuple; cells are sorted
-into classes by the same tuple in lowest integer terms, computed for all
-cells at once from each cell's exact integer coordinates, and only the
-first cell of a class gets an exact Simplex.  ``ProductSpace`` holds the
-one cell-to-template map (a template list and each cell's template
+Set-up costs cells plus templates, and no exact object per template.
+The template key of a cell is its centered vertex tuple; cells are
+sorted into classes by the same tuple in lowest integer terms, computed
+for all cells at once from each cell's exact integer coordinates, and a
+class is a ``CellTemplate`` of its first cell.  ``ProductSpace`` holds
+the one cell-to-template map (a template list and each cell's template
 index) and the one float view of the templates, each float array
 stacked once over them.  The float view is the exact data rounded once,
 bit for bit as float(Fraction) of the exact entries (``minv`` is the
 float inverse of the rounded DOF matrix), but it is not made from them:
-the DOF matrix, the Whitney rows, the duals and the cell Gram of the
-planar element have closed forms in the centered vertex coordinates, the
-area and h (``_closed_forms``, which proves them), evaluated for all
+the scalings S and E, the DOF matrix, the Whitney rows, the duals and
+the cell Gram of the planar element have closed forms in the centered
+vertex coordinates, the area and h (``_closed_forms``, which proves
+them), and so has h (``_chebyshev_diameter``), evaluated for all
 templates at once as fractions of Python ints and divided once.  So
 every exact zero stays 0.0, and B, Phi and A keep their exact sparsity.
 The node tables of all templates are one ``ReferenceElement.tables`` of
@@ -118,19 +120,28 @@ ROT_CELL = "ROT_CELL"
 class CellTemplate:
     """Per-congruence-class exact element data (translation invariant); no floats.
 
-    Built from the class's exact ``simplex`` alone, when one of its four
-    fields is first read: one ``ReferenceElement.pair`` of the planar
-    element gives the DOF matrix ``matrix``, the Whitney functional rows
-    ``whitney`` (rot slot 0..2, eta = hat dx^12, then div slot 0..2, tau
-    = hat) and the graph-norm Gram ``gram`` <d u, d v> + <delta u, delta
-    v> + <u, v>, and ``duals`` solve whitney . duals = I on the integer
-    Whitney rows.  No PolyForm is built, and the float view of
-    ``ProductSpace`` reads none of it.
+    The class of cell ``cell`` of ``tri``.  Its exact ``simplex``
+    (``tri.simplex(cell)``), its ``key`` (the simplex's centered
+    coordinates) and its exact data are each built when first read.  One
+    ``ReferenceElement.pair`` of the planar element gives the DOF matrix
+    ``matrix``, the Whitney functional rows ``whitney`` (rot slot 0..2,
+    eta = hat dx^12, then div slot 0..2, tau = hat) and the graph-norm
+    Gram ``gram`` <d u, d v> + <delta u, delta v> + <u, v>, and ``duals``
+    solve whitney . duals = I on the integer Whitney rows.  No PolyForm is
+    built, and the float view of ``ProductSpace`` reads none of it.
     """
 
-    def __init__(self, key, simplex: Simplex):
-        self.key = key
-        self.simplex = simplex
+    def __init__(self, tri: Triangulation, cell: int):
+        self.tri = tri
+        self.cell = cell
+
+    @cached_property
+    def simplex(self) -> Simplex:
+        return self.tri.simplex(self.cell)
+
+    @cached_property
+    def key(self) -> tuple:
+        return tuple(self.simplex.centered)
 
     @cached_property
     def _exact(self) -> tuple:
@@ -160,9 +171,9 @@ class ProductSpace:
     den a cell's common denominator, its centered coordinates are the
     integer 6-tuple 3*den*(vertex - barycenter) over 3*den, and this
     fraction in lowest terms is equal for two cells exactly when their
-    centered coordinates are.  Only the first cell of each class gets an
-    exact Simplex and a CellTemplate, keyed by its centered coordinates.
-    Barycenters are the exact ones rounded once to float.
+    centered coordinates are.  Each class is a CellTemplate of its first
+    cell, which builds no exact object until read.  Barycenters are the
+    exact ones rounded once to float.
 
     The one cell-to-template map: ``templates`` lists the classes in
     order of their first cell, and ``template_index[c]`` is the class of
@@ -172,9 +183,9 @@ class ProductSpace:
     ``shape_scale`` (S) and ``test_scale`` (the diagonal of E) and
     ``tables(order)``.  Each entry is its exact value rounded once, as
     float(Fraction) would round the templates' exact data, but none of
-    that data is built: the scalings come from each template's Simplex,
-    and the rest from closed forms in the integer coordinates of all
-    templates at once (``_closed_forms``).
+    that data, and no Simplex, is built: all of it comes from closed
+    forms in the integer coordinates of all templates at once
+    (``_chebyshev_diameter`` and ``_closed_forms``).
     """
 
     def __init__(self, tri: Triangulation):
@@ -189,26 +200,23 @@ class ProductSpace:
         classes: dict[tuple, list[int]] = {}
         for c, shape in enumerate(map(tuple, reduced.tolist())):
             classes.setdefault(shape, []).append(c)
-        self.templates: list[CellTemplate] = []
+        self.templates = [CellTemplate(tri, cells[0]) for cells in classes.values()]
         self.template_index = np.empty(nc, dtype=np.intp)
         for i, cells in enumerate(classes.values()):
-            simplex = tri.simplex(cells[0])
-            self.templates.append(CellTemplate(tuple(simplex.centered), simplex))
             self.template_index[cells] = i
-        ref = reference_element(2, 1)
-        self.shape_scale, self.test_scale = (
-            np.array(stack)
-            for stack in zip(
-                *(ref.scaling(t.simplex, t.simplex.second_moments).floats() for t in self.templates)
-            )
-        )
         # a cell's vertices are positively oriented, so in its simplex's order
-        first = reduced[[cells[0] for cells in classes.values()]]
+        first = reduced[[t.cell for t in self.templates]]
         d, xy = first[:, :1], first[:, 1:].reshape(-1, 3, 2)
         self.vertices = np.asarray(xy / d[:, :, None], dtype=float)
-        self.volumes, self.gram, self.whitney, self.duals, matrix = _closed_forms(
-            first, [t.simplex.h_scale for t in self.templates]
-        )
+        (
+            self.volumes,
+            self.shape_scale,
+            self.test_scale,
+            self.gram,
+            self.whitney,
+            self.duals,
+            matrix,
+        ) = _closed_forms(first, *_chebyshev_diameter(first))
         self.minv = np.linalg.inv(matrix)
         self._tables: dict[int, dict[str, np.ndarray]] = {}
         self._derived: dict[tuple, np.ndarray] = {}
@@ -265,13 +273,27 @@ class ProductSpace:
         )
 
 
-def _closed_forms(shapes: np.ndarray, h_scale: list[Fraction]) -> tuple[np.ndarray, ...]:
-    """Every template's area, gram, whitney, duals and DOF matrix: exact values rounded once.
+def _chebyshev_diameter(shapes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Every template's h = p/q in lowest terms, as Python-int object arrays.
+
+    h is ``Simplex.h_scale``, the Chebyshev diameter: the largest |dx| or
+    |dy| over the three edges.  With ``shapes`` as in ``_closed_forms``,
+    it is that largest integer difference over d, reduced by their gcd.
+    """
+    d, xy = shapes[:, 0], shapes[:, 1:].reshape(-1, 3, 2)
+    cheb = np.abs(xy - xy[:, [1, 2, 0]]).reshape(len(d), 6).max(axis=1)
+    g = np.gcd(cheb, d)
+    return cheb // g, d // g
+
+
+def _closed_forms(shapes: np.ndarray, p: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Every template's area, scalings, gram, whitney, duals and DOF matrix, rounded once.
 
     ``shapes`` (T, 7) holds each template's integer centered coordinates
     over their denominator d, as (d, x0, y0, x1, y1, x2, y2) in the
-    simplex's (counterclockwise) vertex order, and ``h_scale`` its h.
-    Returns the areas (T,) and the four (T, 6, 6) float stacks.  Each
+    simplex's (counterclockwise) vertex order, and h = p/q its h
+    (``_chebyshev_diameter``).  Returns the areas (T,), S (T, 6, 6), the
+    diagonals of E (T, 6) and the four (T, 6, 6) float stacks.  Each
     entry of the closed forms below is formed as a fraction of Python
     ints, so one division rounds its exact value once, as float(Fraction)
     does: an entry is 0.0 exactly where it is 0, whatever makes it vanish
@@ -287,8 +309,15 @@ def _closed_forms(shapes: np.ndarray, h_scale: list[Fraction]) -> tuple[np.ndarr
     + 2 S_yyyy)/120, with S_f = sum_a f(v_a), and int lambda_a x = |T|
     v_a/12.
 
-    The shape basis dx1, dx2, kappa = (-x2, x1)/h, sigma = -(x1, x2)/h,
-    eta1 = (x2^2 - c2) dx1/h^2, eta2 = (x1^2 - c1) dx2/h^2 has d = 0, 0,
+    h = p/q is ``Simplex.h_scale``, the largest |x_a - x_b| or |y_a - y_b|:
+    differences of centered vertices are those of the vertices, so h is
+    the largest such integer difference over d (``_chebyshev_diameter``).
+    The shape basis S R is dx1, dx2, kappa = (-x2, x1)/h, sigma = -(x1,
+    x2)/h, eta1 = (x2^2 - c2) dx1/h^2, eta2 = (x1^2 - c1) dx2/h^2, with c1
+    = int x1^2/|T| = S_xx/12 and c2 = S_yy/12 by the moments above.  So
+    ``Scaling`` S has the diagonal 1, 1, 1/h, 1/h, 1/h^2, 1/h^2 and off it
+    only S[4, 0] = -c2/h^2 and S[5, 1] = -c1/h^2, and the DOF tests have
+    E = diag(1, 1/h, 1/h, 1, 1/h, 1/h).  The basis has d = 0, 0,
     2/h, 0, -2 x2/h^2, 2 x1/h^2 and Green delta = 0, 0, 0, 2/h, 0, 0, and
     every member but dx1 and dx2 has zero mean.  As delta(f dx12) = (d2 f,
     -d1 f), the Whitney rows rot_a(mu) = <d mu, lambda_a dx12> - <mu,
@@ -326,14 +355,22 @@ def _closed_forms(shapes: np.ndarray, h_scale: list[Fraction]) -> tuple[np.ndarr
     x, y = shapes[:, 1::2], shapes[:, 2::2]
     # all in Python ints: v = (x, y)/d, |T| = det/(2 d^2), h = p/q, e_a = (ex, ey)[:, a]/(2 d)
     det = (x[:, 1] - x[:, 0]) * (y[:, 2] - y[:, 0]) - (y[:, 1] - y[:, 0]) * (x[:, 2] - x[:, 0])
-    p = np.array([h.numerator for h in h_scale], dtype=object)
-    q = np.array([h.denominator for h in h_scale], dtype=object)
     nxt, prv = [1, 2, 0], [2, 0, 1]
     ex, ey = y[:, nxt] - y[:, prv], x[:, prv] - x[:, nxt]
     powers = ([x, x], [x, y], [y, y], [x, x, x], [x, x, y], [x, y, y], [y, y, y], [x] * 4, [y] * 4)
     xx, xy, yy, x3, xxy, xyy, y3, x4, y4 = (np.prod(f, axis=0).sum(axis=1) for f in powers)
     d2, p2, q2 = d * d, p * p, q * q
-    o = (0, 1)
+    # S and diag E; c2/h^2 = yy q^2/(12 d^2 p^2) and c1/h^2 the same with xx
+    o, one, inv_h, inv_h2 = (0, 1), (1, 1), (q, p), (q2, p2)
+    shape = [
+        [one, o, o, o, o, o],
+        [o, one, o, o, o, o],
+        [o, o, inv_h, o, o, o],
+        [o, o, o, inv_h, o, o],
+        [(-yy * q2, 12 * d2 * p2), o, o, o, inv_h2, o],
+        [o, (-xx * q2, 12 * d2 * p2), o, o, o, inv_h2],
+    ]
+    tests = [one, inv_h, inv_h, one, inv_h, inv_h]
     mass = (det, 2 * d2)
     kappa = (det * q2 * (48 * d2 + xx + yy), 24 * d2 * d2 * p2)
     cubic, quartic = 60 * d2 * d2 * d * p2 * p, 1440 * d2**3 * p2 * p2
@@ -382,14 +419,16 @@ def _closed_forms(shapes: np.ndarray, h_scale: list[Fraction]) -> tuple[np.ndarr
         + [(3 * eta * (xy * x[:, c] + yy * y[:, c]), div) for c in range(3)],
     ]
 
-    def rounded(rows) -> np.ndarray:  # (numerator, denominator) entries -> (T, 6, 6) floats
-        return np.stack(
-            [np.stack([np.broadcast_to(np.asarray(n / m, dtype=float), d.shape) for n, m in row], 1)
-             for row in rows],
-            axis=1,
-        )
+    def rounded(entries) -> np.ndarray:  # nested (numerator, denominator) entries -> floats
+        if isinstance(entries, tuple):
+            n, m = entries
+            return np.broadcast_to(np.asarray(n / m, dtype=float), d.shape)
+        return np.stack([rounded(e) for e in entries], axis=1)
 
-    return (np.asarray(det / (2 * d2), dtype=float), *map(rounded, (gram, whitney, duals, matrix)))
+    return (
+        np.asarray(det / (2 * d2), dtype=float),
+        *map(rounded, (shape, tests, gram, whitney, duals, matrix)),
+    )
 
 
 class ConstraintSystem:

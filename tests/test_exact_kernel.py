@@ -26,6 +26,7 @@ from hodgefem.forms import (
     koszul,
 )
 from hodgefem.globalspace import CellTemplate
+from hodgefem.mesh import Triangulation
 from hodgefem.simplices import Simplex, _gauss_jordan, integrate_poly, l2_gram, solve_rational
 
 BIG = 10**20
@@ -247,7 +248,7 @@ def test_reference_element_equals_the_element_built_form_by_form(kind, orientati
     """gram, DOF matrix, Whitney rows, duals and node tables of the scaled
     reference element against the forms calculus and ``l2_gram``, exactly."""
     triangles = data.draw(st.lists(element_triangles(kind, orientation), min_size=1, max_size=3))
-    templates = [CellTemplate(tuple(T.centered), T) for T in triangles]
+    templates = [CellTemplate(Triangulation(T.vertices, [(0, 1, 2)]), 0) for T in triangles]
     eye = [[Fraction(int(r == c)) for c in range(6)] for r in range(6)]
     elements = [_planar_element(T) for T in triangles]
     for T, t, (shape, graph, etas, taus, hat_rows) in zip(triangles, templates, elements):

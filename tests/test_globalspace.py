@@ -1,6 +1,7 @@
 """Product space, vertex constraints and the explicit kernel basis."""
 
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -90,7 +91,7 @@ def test_congruent_cells_with_different_denominators_share_a_template():
     assert cells_by_template == [[0, 4], [1, 5], [2], [3]]
 
 
-def test_product_space_builds_one_simplex_per_template(monkeypatch):
+def test_product_space_builds_no_simplex_and_a_read_template_builds_one(monkeypatch):
     tri = generate_square_mesh(16)
     built = []
     init = hodgefem.simplices.Simplex.__init__
@@ -102,6 +103,10 @@ def test_product_space_builds_one_simplex_per_template(monkeypatch):
     monkeypatch.setattr(hodgefem.simplices.Simplex, "__init__", counting_init)
     prod = build_product_space(tri)
     assert len(prod.templates) == 4
+    assert built == []
+    for t in prod.templates:
+        assert t.duals and t.key == tuple(t.simplex.centered)
+        assert t.simplex is tri.simplex(t.cell)
     assert len(built) == len(prod.templates)
 
 
@@ -151,17 +156,17 @@ def test_cell_gram_equals_the_per_pair_l2_inner_sums(monkeypatch):
                 )
 
 
-def test_product_space_builds_no_polyform_and_one_moment_call_per_template(monkeypatch):
-    """Per-template set-up scales the cached reference element: no PolyForm,
-    and one ``integer_moments`` call per template for all its exact data."""
+def test_product_space_builds_no_exact_object_and_a_read_template_one_moment_call(monkeypatch):
+    """The build makes no PolyForm, Fraction or Scaling and no ``integer_moments``
+    call; reading a template's exact data makes one ``integer_moments`` call."""
     build_product_space(MESHES["jitter4"]())  # the reference element is now built
     tri = MESHES["jitter4"]()
-    forms, moments = [], []
+    made, moments = [], []
 
     def counting(name, method):
-        def wrapped(*args):
-            forms.append(name)
-            return method(*args)
+        def wrapped(*args, **kwargs):
+            made.append(name)
+            return method(*args, **kwargs)
 
         return wrapped
 
@@ -174,13 +179,58 @@ def test_product_space_builds_no_polyform_and_one_moment_call_per_template(monke
     # every PolyForm is made by __init__ or, bypassing it, by these operators
     for name in ("__init__", "__add__", "__neg__", "__mul__", "__rmul__"):
         monkeypatch.setattr(PolyForm, name, counting(name, getattr(PolyForm, name)))
+    monkeypatch.setattr(Fraction, "__new__", counting("Fraction", Fraction.__new__))
+    monkeypatch.setattr(
+        hodgefem.element.Scaling, "__init__", counting("Scaling", hodgefem.element.Scaling.__init__)
+    )
     monkeypatch.setattr(hodgefem.simplices.Simplex, "integer_moments", counting_moments)
     prod = build_product_space(tri)
-    monkeypatch.undo()
     assert len(prod.templates) == 32
-    assert forms == []
+    assert made == []
+    assert moments == []
+    for t in prod.templates:
+        assert t.gram and t.whitney and t.duals and t.matrix.exact
+    monkeypatch.undo()
     assert len(moments) == len(prod.templates)
-    assert {id(s) for s in moments} == {id(t.simplex) for t in prod.templates}
+    assert [id(s) for s in moments] == [id(t.simplex) for t in prod.templates]
+
+
+def _built_with_h(tri):
+    """The product space of ``tri`` and the h = p/q that ``_closed_forms`` read."""
+    closed_forms = hodgefem.globalspace._closed_forms
+    with mock.patch.object(hodgefem.globalspace, "_closed_forms", wraps=closed_forms) as closed:
+        prod = build_product_space(tri)
+    _, p, q = closed.call_args.args
+    return prod, p, q
+
+
+def _assert_scalings_are_the_exact_ones_rounded(tri):
+    """S, the diagonal of E and h of every template against ``Scaling.floats``
+    and ``Simplex.h_scale``: byte-equal floats and the same lowest terms."""
+    prod, p, q = _built_with_h(tri)
+    ref = hodgefem.element.reference_element(2, 1)
+    for i, t in enumerate(prod.templates):
+        S, E = ref.scaling(t.simplex, t.simplex.second_moments).floats()
+        assert (prod.shape_scale[i].dtype, prod.shape_scale[i].shape) == (S.dtype, S.shape)
+        assert prod.shape_scale[i].tobytes() == S.tobytes()
+        assert (prod.test_scale[i].dtype, prod.test_scale[i].shape) == (E.dtype, E.shape)
+        assert prod.test_scale[i].tobytes() == E.tobytes()
+        h = t.simplex.h_scale
+        assert (p[i], q[i]) == (h.numerator, h.denominator)
+
+
+_SCALING_MESHES = {**MESHES, "crisscross3": lambda: generate_square_mesh(3, CRISSCROSS)}
+
+
+@pytest.mark.parametrize("name", sorted(_SCALING_MESHES))
+def test_scalings_and_h_are_the_exact_ones_rounded_once(name):
+    _assert_scalings_are_the_exact_ones_rounded(_SCALING_MESHES[name]())
+
+
+@settings(max_examples=10, deadline=None, derandomize=True, database=None)
+@given(m=st.integers(2, 6), seed=st.integers(0, 2**32 - 1))
+def test_scalings_and_h_of_jittered_meshes_are_the_exact_ones_rounded_once(m, seed):
+    _assert_scalings_are_the_exact_ones_rounded(generate_jittered_mesh(m, seed))
 
 
 @settings(max_examples=15, deadline=None, derandomize=True, database=None)
