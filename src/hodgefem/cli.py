@@ -19,6 +19,13 @@ A JSON config file can preload any long option (keys use either dashes
 or underscores); explicit command line flags win.  A key that is no
 command's long option exits 2 and is named on stderr.  CSV output is
 deterministic for a fixed input except for the wall_ms column.
+
+Each subcommand loads only the layers it uses.  Importing this module
+loads numpy and the exact layers (forms, simplices, element, mesh,
+fields, verify), which is all that ``verify`` needs: it loads no scipy.
+The scipy-backed layers are imported inside the commands that use
+them: ``basis`` imports globalspace (scipy.sparse), and ``solve`` and
+``interpolate`` import solver (scipy.sparse and scipy.sparse.linalg).
 """
 
 from __future__ import annotations
@@ -27,15 +34,11 @@ import argparse
 import json
 import sys
 from contextlib import contextmanager
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .fields import DEFAULT_FIELD, FIELDS, get_field
-from .globalspace import (
-    build_constraints,
-    build_global_basis,
-    build_product_space,
-)
 from .mesh import (
     CRISSCROSS,
     DIAGONAL,
@@ -45,8 +48,10 @@ from .mesh import (
     read_mesh,
 )
 from .simplices import quadrature_rule
-from .solver import StudyRow, check_tol, fit_rate, interpolation_study, solver_study
 from .verify import full_suite
+
+if TYPE_CHECKING:
+    from .solver import StudyRow
 
 __all__ = ["main"]
 
@@ -133,6 +138,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_interpolate(args) -> int:
+    from .solver import fit_rate, interpolation_study
+
     field = get_field(args.field)
     ms = _parse_refinements(args.refinements)
     _check_study_args(ms, args.quad_order)
@@ -148,6 +155,8 @@ def cmd_interpolate(args) -> int:
 
 
 def cmd_solve(args) -> int:
+    from .solver import check_tol, fit_rate, solver_study
+
     field = get_field(args.field)
     ms = _parse_refinements(args.refinements)
     _check_study_args(ms, args.quad_order)
@@ -182,6 +191,8 @@ def cmd_solve(args) -> int:
 
 
 def cmd_basis(args) -> int:
+    from .globalspace import build_constraints, build_global_basis, build_product_space
+
     tri = _load_mesh(args)
     prod = build_product_space(tri)
     cons = build_constraints(tri, prod)

@@ -42,22 +42,25 @@ P a pairing of the fixed families: ``ReferenceElement.pair`` computes it
 from the cached blocks of the fixed families with one
 ``integer_moments`` call and one integer contraction, and applies the
 scalings in Python ints.  No scaled test form is ever built: the exact
-DOF values of a PolyForm mu are one ``l2_gram`` of the reference Green
-rows T with the graph of mu, row i times E_ii.
+DOF values of a PolyForm mu pair the reference Green rows T with the
+graph of mu, row i times E_ii, by ``Pairing.against`` on the reference
+element's DOF pairing, so the coefficient blocks of T are built once.
 
 A DofMatrix is the local element of one simplex, and ``local_element``
 its one constructor, one ``pair`` (``CellTemplate`` builds its own from
 a three-group ``pair``): its scaling and the exact and float DOF matrix,
-built once and passed to dof_values, interpolate_coeffs and interpolate;
-its shape space as PolyForms S R is made only when read, and
-``DofMatrix.combine`` makes one member of it as R combined with S^T c.
-Row order: eta block (constants then koszul-type), then tau block
-(constants then koszul-type); columns follow the shape basis.  The
-four-step solve is block forward substitution in that matrix, written
-once over a block solve that is exact for PolyForm input and float for
-callbacks.  interpolate returns the exact interpolant of a PolyForm
-only; a callback's float coefficients come from interpolate_coeffs and
-are never turned back into Fractions.
+built once and passed to dof_values, solve_dofs, interpolate_coeffs and
+interpolate; its shape space as PolyForms S R is made only when read,
+and ``DofMatrix.combine`` makes one member of it as R combined with
+S^T c.  Row order: eta block (constants then koszul-type), then tau
+block (constants then koszul-type); columns follow the shape basis.
+The four-step solve is block forward substitution in that matrix,
+written once in ``solve_dofs`` over a block solve that is exact for
+PolyForm input and float for callbacks.  solve_dofs starts from given
+DOF values, so one evaluation serves both methods; interpolate_coeffs
+is solve_dofs of dof_values.  interpolate returns the exact interpolant
+of a PolyForm only; a callback's float coefficients come from
+interpolate_coeffs and are never turned back into Fractions.
 
 ``ReferenceElement.tables`` evaluates the fixed forms of the planar
 1-form element at the quadrature nodes of a whole stack of elements at
@@ -99,7 +102,7 @@ from .forms import (
     koszul,
     multi_indices,
 )
-from .simplices import Pairing, Simplex, as_fractions, l2_gram, quadrature_rule, solve_rational
+from .simplices import Pairing, Simplex, as_fractions, quadrature_rule, solve_rational
 
 __all__ = [
     "P0",
@@ -125,6 +128,7 @@ __all__ = [
     "quadrature_rows",
     "interpolate",
     "interpolate_coeffs",
+    "solve_dofs",
 ]
 
 P0 = "P0"
@@ -704,11 +708,13 @@ def dof_values(mu, matrix: DofMatrix, quad_order: int = 6):
     only.
     """
     if isinstance(mu, PolyForm):
-        # the reference DOF rows T paired with the graph of mu, row i times E_ii
+        # the reference DOF rows T paired with the graph of mu, row i times
+        # E_ii; the coefficient blocks of T are the reference element's own
         graph = [(exterior_derivative(mu), codifferential_green(mu), mu)]
-        rows = l2_gram(matrix.reference.rows[DOFS], graph, matrix.simplex)
+        pairing = matrix.reference._pairings[DOFS,].against(graph)
+        rows, rden = pairing.contract(*matrix.simplex.integer_moments(pairing.exponents))
         E, den = matrix.scaling.tests, matrix.scaling.tests_den
-        return [Fraction(E[i][i], den) * row[0] for i, row in enumerate(rows)]
+        return [Fraction(E[i][i] * row[0], den * rden) for i, row in enumerate(rows)]
     if not isinstance(mu, FormCallback):
         raise TypeError("mu must be a PolyForm or a FormCallback")
     if mu.d is None or mu.delta is None:
@@ -725,20 +731,30 @@ def dof_values(mu, matrix: DofMatrix, quad_order: int = 6):
 
 
 def interpolate_coeffs(mu, matrix: DofMatrix, method: str = DIRECT, quad_order: int = 6):
-    """Coefficients (shape-basis order) of the local interpolant of ``mu``.
+    """Coefficients (shape-basis order) of the local interpolant of ``mu``:
+    ``solve_dofs`` of its ``dof_values``.
+
+    PolyForm input solves with exact Fractions, a FormCallback with floats.
+    """
+    return solve_dofs(dof_values(mu, matrix, quad_order=quad_order), matrix, method=method)
+
+
+def solve_dofs(values, matrix: DofMatrix, method: str = DIRECT):
+    """Shape-basis coefficients whose DOF values on ``matrix`` are ``values``.
 
     DIRECT solves the full DofMatrix system.  FOURSTEP solves the four
     decoupled blocks in sequence (delta part, constant part, d part,
     quadratic d part); the two agree to rounding and exactly on the
-    rational path.  PolyForm input solves with exact Fractions, a
-    FormCallback with floats; both run the same steps.
+    rational path.  A float array (the DOF values of a FormCallback)
+    solves with floats against ``as_float``; any other sequence is exact
+    (Fractions or ints, as ``dof_values`` of a PolyForm returns) and
+    solves with Fractions against ``exact``.  Both run the same steps.
     """
     if method not in (DIRECT, FOURSTEP):
         raise ValueError(f"unknown interpolation method {method!r}")
     # block layout from the reference element: a callback builds no PolyForm
     space, dofs = matrix.reference.space, matrix.reference.tests
-    vals = dof_values(mu, matrix, quad_order=quad_order)
-    if isinstance(mu, PolyForm):
+    if not isinstance(values, np.ndarray):
         M = matrix.exact
         coeffs = [Fraction(0)] * space.dim
 
@@ -755,7 +771,7 @@ def interpolate_coeffs(mu, matrix: DofMatrix, method: str = DIRECT, quad_order: 
 
     if method == DIRECT:
         every = list(range(space.dim))
-        return solve(every, every, vals)
+        return solve(every, every, values)
 
     def step(rows, block, rhs):
         for c, v in zip(space.blocks[block], solve(rows, list(space.blocks[block]), rhs)):
@@ -767,15 +783,15 @@ def interpolate_coeffs(mu, matrix: DofMatrix, method: str = DIRECT, quad_order: 
     eta0 = list(dofs.eta_blocks[P0])
     etak = list(dofs.eta_blocks[STARKAPPA])
     # step 1: delta block from constant tau rows
-    step(tau0, STARKAPPA, [vals[r] for r in tau0])
+    step(tau0, STARKAPPA, [values[r] for r in tau0])
     # step 2: constant block from koszul tau rows
-    step(tauk, P0, [vals[r] for r in tauk])
+    step(tauk, P0, [values[r] for r in tauk])
     # step 3: koszul block from constant eta rows
-    step(eta0, KAPPA, [vals[r] for r in eta0])
+    step(eta0, KAPPA, [values[r] for r in eta0])
     # step 4: quadratic block from koszul eta rows, less the constant part:
     # d mu0 = 0, so M[etak, P0] c[P0] = -<mu0, delta eta>
     p0 = space.blocks[P0]
-    step(etak, H2D, [vals[r] - sum(M[r][c] * coeffs[c] for c in p0) for r in etak])
+    step(etak, H2D, [values[r] - sum(M[r][c] * coeffs[c] for c in p0) for r in etak])
     return coeffs
 
 

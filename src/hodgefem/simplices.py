@@ -22,13 +22,15 @@ common denominator, and each entry is made a Fraction once.  It comes
 in two halves: ``Pairing`` holds the simplex-free coefficient blocks of
 two families, built once, and ``Pairing.contract`` is the per-simplex
 integer product, so fixed families (the element's reference families)
-are paired on many simplices without rebuilding their blocks.
-``l2_inner`` is the 1 x 1 case.  ``_bareiss`` is the one exact
-elimination, fraction-free on integer rows: ``_gauss_jordan`` reduces
-rows of Fractions or ints to coprime integer rows for it, giving the
-determinant for ``Simplex`` and the solutions for ``solve_rational``,
-and ``Simplex.hat_coefficients`` runs it on the integer centered
-vertices.
+are paired on many simplices without rebuilding their blocks, and
+``Pairing.against`` pairs a fixed first family with a new second family
+(the element's DOF rows with one form's graph) without rebuilding the
+first family's blocks.  ``l2_inner`` is the 1 x 1 case.  ``_bareiss``
+is the one exact elimination, fraction-free on integer rows:
+``_gauss_jordan`` reduces rows of Fractions or ints to coprime integer
+rows for it, giving the determinant for ``Simplex`` and the solutions
+for ``solve_rational``, and ``Simplex.hat_coefficients`` runs it on the
+integer centered vertices.
 
 The float path rests on ``quadrature_rule``, a Grundmann-Moller simplex
 rule of odd degree 2s+1, valid in any dimension, with rational
@@ -401,6 +403,24 @@ def _coefficient_blocks(family) -> tuple[int, dict]:
     return den, blocks
 
 
+def _members(family) -> list[tuple]:
+    """A family's members as tuples of forms (a lone form is a 1-tuple)."""
+    return [m if isinstance(m, tuple) else (m,) for m in family]
+
+
+def _check_direct_sums(members) -> None:
+    """Raise ValueError unless every member lies in the direct sum of the first."""
+    for member in members:
+        if len(member) != len(members[0]):
+            raise ValueError("families pair members of different direct sums")
+        for w, first in zip(member, members[0]):
+            if (w.n, w.k) != (first.n, first.k):
+                raise ValueError(
+                    f"inner product of a {first.k}-form in R^{first.n} "
+                    f"with a {w.k}-form in R^{w.n}"
+                )
+
+
 class Pairing:
     """The simplex-free half of ``l2_gram`` for two families, built once.
 
@@ -410,31 +430,39 @@ class Pairing:
     for each such block the second family's rows V_b and the exponents
     e + f of the moment matrix M_b[e][f] = integral x^(e+f); ``den``, the
     product of the two families' denominators; and ``exponents``, every
-    moment that ``contract`` reads.
+    moment that ``contract`` reads.  ``against`` pairs the same first
+    family with another second family, reusing its coefficient blocks.
     """
 
-    __slots__ = ("n", "den", "exponents", "u", "blocks", "columns")
+    __slots__ = ("n", "den", "exponents", "u", "blocks", "columns", "_us", "_ublocks")
 
     def __init__(self, us, vs):
         same = us is vs
-        us = [u if isinstance(u, tuple) else (u,) for u in us]
-        vs = us if same else [v if isinstance(v, tuple) else (v,) for v in vs]
-        members = us + vs
-        for member in members:
-            if len(member) != len(members[0]):
-                raise ValueError("families pair members of different direct sums")
-            for w, first in zip(member, members[0]):
-                if (w.n, w.k) != (first.n, first.k):
-                    raise ValueError(
-                        f"inner product of a {first.k}-form in R^{first.n} "
-                        f"with a {w.k}-form in R^{w.n}"
-                    )
+        us = _members(us)
+        vs = us if same else _members(vs)
+        _check_direct_sums(us + vs)
+        self._us, self._ublocks = us, _coefficient_blocks(us)
+        self._join(vs, self._ublocks if same else _coefficient_blocks(vs))
+
+    def against(self, vs) -> Pairing:
+        """The pairing of this first family with ``vs``, the first family's
+        coefficient blocks reused rather than rebuilt."""
+        vs = _members(vs)
+        _check_direct_sums(self._us[:1] + vs)
+        other = object.__new__(Pairing)
+        other._us, other._ublocks = self._us, self._ublocks
+        other._join(vs, _coefficient_blocks(vs))
+        return other
+
+    def _join(self, vs, vcoefficients) -> None:
+        """U, the shared blocks and their exponents, for the second family ``vs``."""
+        members = self._us + vs
         self.n = members[0][0].n if members else None
-        uden, ublocks = _coefficient_blocks(us)
-        vden, vblocks = (uden, ublocks) if same else _coefficient_blocks(vs)
+        uden, ublocks = self._ublocks
+        vden, vblocks = vcoefficients
         self.den = uden * vden
         self.columns = len(vs)
-        self.u = [[] for _ in us]
+        self.u = [[] for _ in self._us]
         self.blocks = []
         exponents = set()
         for key in ublocks:

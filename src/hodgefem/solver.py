@@ -172,6 +172,9 @@ def solve_cg(
     iteration cap.  ``info["true_rel_residual"]`` is the final
     ||b - A x|| / ||b||.  A CG that does not converge within the cap
     raises RuntimeError with the final relative residual in the message.
+    A non-finite ``rz``, ``pAp`` or residual norm raises RuntimeError at
+    once, naming the quantity and the iteration, since no later step
+    can recover from it.
     ``callback(x)`` is invoked with the current iterate after every step.
     A ``tol`` that is not positive and finite raises ValueError.
     """
@@ -205,9 +208,19 @@ def solve_cg(
     residuals = [bnorm]
     converged = False
     it = 0
+
+    def finite(name: str, value: float, iteration: int) -> None:
+        if not math.isfinite(value):
+            raise RuntimeError(
+                f"conjugate gradients hit a non-finite {name} ({value}) "
+                f"at iteration {iteration} (n={n})"
+            )
+
     while it < maxiter:
+        finite("rz", rz, it + 1)
         Ap = A @ p
         pAp = float(p @ Ap)
+        finite("pAp", pAp, it + 1)
         if pAp <= 0:
             raise ValueError("conjugate gradients hit a non-positive curvature direction")
         alpha = rz / pAp
@@ -217,9 +230,11 @@ def solve_cg(
         if callback is not None:
             callback(x.copy())
         rnorm = float(np.linalg.norm(r))
+        finite("residual", rnorm, it)
         if rnorm <= tol * bnorm:
             r = b - A @ x
             rnorm = float(np.linalg.norm(r))
+            finite("residual", rnorm, it)
             if rnorm <= tol * bnorm:
                 residuals.append(rnorm)
                 info["true_rel_residual"] = rnorm / bnorm

@@ -9,9 +9,9 @@ Three groups of checks:
                      for constant eta, checked exactly on random simplices
   unisolvence_suite  DOF matrix conditioning, the projection property of
                      the interpolation (the float DOF matrix against
-                     quadrature of the Green functionals), and agreement
-                     of the two interpolation algorithms on random
-                     triangles
+                     quadrature of the Green functionals), and exact
+                     recovery of drawn coefficients by both
+                     interpolation algorithms on random triangles
 
 Every check returns a CheckResult; nothing raises on failure, so a
 caller can report the full picture.
@@ -30,10 +30,11 @@ from .element import (
     FOURSTEP,
     build_h2d_form,
     build_h2delta_form,
-    interpolate_coeffs,
+    dof_values,
     local_element,
     quadrature_dofs,
     reference_element,
+    solve_dofs,
 )
 from .forms import (
     PolyForm,
@@ -237,7 +238,7 @@ def unisolvence_suite(
     """DOF matrix conditioning and interpolation checks on random triangles."""
     rng = random.Random(seed + 2)
     max_cond = 0.0
-    max_gap = 0.0
+    mismatched = 0
     # per triangle: centered vertices, area, float S and E, float DOF matrix
     vertices, volumes, test_scale = np.empty((count, 3, 2)), np.empty(count), np.empty((count, 6))
     shape_scale, M = np.empty((count, 6, 6)), np.empty((count, 6, 6))
@@ -250,12 +251,12 @@ def unisolvence_suite(
         max_cond = max(max_cond, cond)
         vertices[i], volumes[i], M[i] = S.centered, S.volume, matrix.as_float
         shape_scale[i], test_scale[i] = matrix.scaling.floats()
-        # the two algorithms agree on a generic member of the space
-        target = matrix.combine([_rand_fraction(rng) for _ in range(6)])
-        a = interpolate_coeffs(target, matrix, method=DIRECT)
-        b = interpolate_coeffs(target, matrix, method=FOURSTEP)
-        gap = max(abs(float(x - y)) for x, y in zip(a, b))
-        max_gap = max(max_gap, gap)
+        # both algorithms return the coefficients of a generic member of
+        # the space exactly, solving from one exact DOF evaluation
+        drawn = [_rand_fraction(rng) for _ in range(6)]
+        dofs = dof_values(matrix.combine(drawn), matrix)
+        if any(solve_dofs(dofs, matrix, method=m) != drawn for m in (DIRECT, FOURSTEP)):
+            mismatched += 1
     # projection: interpolating each shape basis form returns its unit
     # vector.  Its DOF values V come from float quadrature of the Green
     # functionals, independent of the exact pairing that built M, so
@@ -274,7 +275,11 @@ def unisolvence_suite(
             "interpolation-projection", max_proj <= tol, f"max coefficient error {max_proj:.3e}"
         ),
         CheckResult(
-            "fourstep-equals-direct", max_gap <= tol, f"max coefficient gap {max_gap:.3e}"
+            "fourstep-equals-direct",
+            mismatched == 0,
+            f"drawn coefficients missed on {mismatched} of {count} triangles"
+            if mismatched
+            else f"drawn coefficients recovered exactly on all {count} triangles",
         ),
     ]
 

@@ -2,12 +2,16 @@
 
 import hashlib
 import json
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 import hodgefem.cli
 import hodgefem.forms
+import hodgefem.globalspace
 import hodgefem.solver
 from hodgefem.cli import CSV_HEADER, CSV_HEADER_SOLVE, main
 from hodgefem.mesh import CRISSCROSS, generate_jittered_mesh, generate_square_mesh, write_mesh
@@ -49,6 +53,35 @@ def test_verify_catches_seeded_defect(tmp_path, monkeypatch, capsys):
     report = json.loads(out.read_text())
     assert report["failed"] > 0
     assert "FAIL" in capsys.readouterr().err
+
+
+_COLD_VERIFY = """
+import json, sys
+sys.path.insert(0, {src!r})
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
+from hodgefem.cli import main
+after_import = scipy_modules()
+status = main(["verify", "--simplices", "1", "--triangles", "1", "--out", {out!r}])
+print(json.dumps({{"import": after_import, "verify": scipy_modules(), "status": status}}))
+"""
+
+
+def test_verify_loads_no_scipy_in_a_fresh_interpreter(tmp_path):
+    """``import hodgefem.cli`` and ``hodgefem verify`` load no scipy module:
+    the scipy-backed layers are imported by the commands that use them."""
+    src = str(Path(hodgefem.cli.__file__).resolve().parents[1])
+    out = tmp_path / "report.json"
+    script = _COLD_VERIFY.format(src=src, out=str(out))
+    run = subprocess.run(
+        [sys.executable, "-I", "-c", script], capture_output=True, text=True, timeout=300
+    )
+    assert run.returncode == 0, run.stderr
+    loaded = json.loads(run.stdout.splitlines()[-1])
+    assert loaded == {"import": [], "verify": [], "status": 0}
+    assert json.loads(out.read_text())["failed"] == 0
 
 
 def test_interpolate_csv_is_deterministic(tmp_path, capsys):
@@ -132,14 +165,14 @@ def test_basis_dumps_keep_their_bytes(tmp_path, args, digest):
 
 
 def test_basis_audit_failure_exits_one_and_names_the_cause(tmp_path, monkeypatch, capsys):
-    build = hodgefem.cli.build_constraints
+    build = hodgefem.globalspace.build_constraints
 
     def perturbed(tri, prod):
         cons = build(tri, prod)
         cons.B.data[7] *= 1 + 1e-6
         return cons
 
-    monkeypatch.setattr(hodgefem.cli, "build_constraints", perturbed)
+    monkeypatch.setattr(hodgefem.globalspace, "build_constraints", perturbed)
     out = tmp_path / "basis.jsonl"
     assert main(["basis", "--mesh-m", "2", "--out", str(out)]) == 1
     err = capsys.readouterr().err

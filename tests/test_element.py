@@ -35,6 +35,8 @@ from hodgefem.forms import (
     multi_indices,
 )
 import hodgefem.element
+import hodgefem.simplices
+import hodgefem.verify
 from hodgefem.simplices import Simplex, l2_gram
 from hodgefem.verify import unisolvence_suite
 
@@ -271,6 +273,46 @@ def test_unisolvence_suite_builds_one_dof_matrix_per_triangle(monkeypatch):
     assert all(r.passed for r in results)
     assert len(built) == 3
     assert len(scalings) == 3
+
+
+def test_unisolvence_suite_evaluates_the_dofs_once_per_triangle(monkeypatch):
+    """Both interpolation methods solve from one exact DOF evaluation per
+    triangle, and that evaluation builds coefficient blocks only for the
+    graph of its form: those of the reference DOF rows are built once."""
+    calls, blocks = [], []
+    evaluate = hodgefem.verify.dof_values
+    coefficient_blocks = hodgefem.simplices._coefficient_blocks
+
+    def counting_dof_values(*args, **kwargs):
+        calls.append(1)
+        return evaluate(*args, **kwargs)
+
+    def counting_blocks(family):
+        blocks.append(len(family))
+        return coefficient_blocks(family)
+
+    reference_element(2, 1)  # built before counting, as a warm process has it
+    monkeypatch.setattr(hodgefem.verify, "dof_values", counting_dof_values)
+    monkeypatch.setattr(hodgefem.simplices, "_coefficient_blocks", counting_blocks)
+    results = unisolvence_suite(count=3)
+    assert all(r.passed for r in results)
+    assert len(calls) == 3
+    assert blocks == [1, 1, 1]
+
+
+def test_fourstep_check_fails_when_a_method_misses_the_drawn_coefficients(monkeypatch):
+    solve = hodgefem.verify.solve_dofs
+
+    def off_by_one(values, matrix, method=DIRECT):
+        coeffs = solve(values, matrix, method=method)
+        if method == FOURSTEP:
+            coeffs[5] += 1
+        return coeffs
+
+    monkeypatch.setattr(hodgefem.verify, "solve_dofs", off_by_one)
+    results = {r.name: r for r in unisolvence_suite(count=2)}
+    assert not results["fourstep-equals-direct"].passed
+    assert results["fourstep-equals-direct"].detail.endswith("missed on 2 of 2 triangles")
 
 
 def test_projection_check_fails_when_the_pairing_flips_the_delta_sign(monkeypatch):

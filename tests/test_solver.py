@@ -1,7 +1,9 @@
 """Assembly, preconditioned CG, the saddle-point oracle and the studies."""
 
 import math
+import re
 import weakref
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -21,7 +23,13 @@ from hodgefem.globalspace import (
     build_product_space,
     global_interpolate,
 )
-from hodgefem.mesh import CRISSCROSS, DIAGONAL, generate_jittered_mesh, generate_square_mesh
+from hodgefem.mesh import (
+    CRISSCROSS,
+    DIAGONAL,
+    Triangulation,
+    generate_jittered_mesh,
+    generate_square_mesh,
+)
 import hodgefem.element
 import hodgefem.globalspace
 import hodgefem.solver
@@ -149,6 +157,39 @@ def test_cg_rejects_non_spd_input():
 def test_cg_rejects_a_tolerance_that_is_not_positive_and_finite(tol):
     with pytest.raises(ValueError, match=r"^tol must be positive and finite, got "):
         solve_cg(sp.identity(3, format="csr"), np.ones(3), tol=tol)
+
+
+def test_cg_stops_at_a_non_finite_preconditioned_residual():
+    def infinite(r):
+        return np.full_like(r, np.inf)
+
+    with pytest.raises(RuntimeError, match=r"non-finite rz \(inf\) at iteration 1 \(n=4\)"):
+        solve_cg(sp.identity(4, format="csr"), np.ones(4), precondition=infinite)
+
+
+def _sliver(t: Fraction) -> Triangulation:
+    """Diagonal m = 8 with vertex 40 = (1/2, 1/2) moved a fraction t toward
+    the midpoint of the opposite edge (39, 49) of its cell (39, 40, 49)."""
+    base = generate_square_mesh(8, DIAGONAL)
+    assert base.vertices[40] == (Fraction(1, 2), Fraction(1, 2))
+    assert (39, 40, 49) in [tuple(c) for c in base.cells]
+    (ax, ay), (bx, by), (vx, vy) = (base.vertices[i] for i in (39, 49, 40))
+    vertices = list(base.vertices)
+    vertices[40] = (vx + t * ((ax + bx) / 2 - vx), vy + t * ((ay + by) / 2 - vy))
+    return Triangulation(vertices, base.cells)
+
+
+def test_pcg_stops_at_the_first_non_finite_value_on_a_sliver():
+    # shape ratio 133: the PCG recurrences overflow long before the
+    # iteration cap of 2,525, and a NaN residual never meets the stopping
+    # test, so only the non-finite check stops PCG before the cap
+    system = assemble(_sliver(Fraction(97, 100)), get_field("polyflow"))
+    assert max(system.dofs, int(100 * math.sqrt(system.dofs))) == 2525
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(RuntimeError, match=r"non-finite (rz|pAp|residual) ") as exc:
+            solve_system(system, tol=1e-10)
+    iteration = int(re.search(r"at iteration (\d+) ", str(exc.value)).group(1))
+    assert iteration < 2525
 
 
 def test_cg_matches_direct_solve():
