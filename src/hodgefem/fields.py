@@ -85,14 +85,12 @@ def _X3(t):
 
 
 def _polyflow_value(p):
-    x, y = p[:, 0], p[:, 1]
-    w1 = _P1(x) * _P(y) + _X(x) * _X1(y)
-    w2 = _P(x) * _P1(y) - _X1(x) * _X(y)
-    return np.stack([w1, w2], axis=1)
+    x, y = np.ascontiguousarray(p.T)
+    return np.stack([_P1(x) * _P(y) + _X(x) * _X1(y), _P(x) * _P1(y) - _X1(x) * _X(y)], axis=1)
 
 
 def _polyflow_rot(p):
-    x, y = p[:, 0], p[:, 1]
+    x, y = np.ascontiguousarray(p.T)
     return -(_X2(x) * _X(y) + _X(x) * _X2(y))
 
 
@@ -102,17 +100,17 @@ def _polyflow_div(p):
 
 
 def _polyflow_f(p):
-    x, y = p[:, 0], p[:, 1]
-    w = _polyflow_value(p)
-    # curl(rot w) = (d_y rot, -d_x rot) with rot = -(X''(x)X(y) + X(x)X''(y))
-    rot_y = -(_X2(x) * _X1(y) + _X(x) * _X3(y))
-    rot_x = -(_X3(x) * _X(y) + _X1(x) * _X2(y))
-    # grad(div w) with div = P''(x)P(y) + P(x)P''(y); P''' = -12
-    div_x = -12.0 * _P(y) + _P1(x) * _P2(y)
-    div_y = _P2(x) * _P1(y) - 12.0 * _P(x)
-    f1 = w[:, 0] + rot_y - div_x
-    f2 = w[:, 1] - rot_x - div_y
-    return np.stack([f1, f2], axis=1)
+    # w + curl(rot w) - grad(div w), curl g = (d_y g, -d_x g), with
+    # rot = -(X''(x)X(y) + X(x)X''(y)), div = P''(x)P(y) + P(x)P''(y), P''' = -12;
+    # a component at a time, each potential once
+    x, y = np.ascontiguousarray(p.T)
+    f = np.empty((len(x), 2))
+    P1x, Py, Xx, X1y = _P1(x), _P(y), _X(x), _X1(y)
+    f[:, 0] = P1x * Py + Xx * X1y - (_X2(x) * X1y + Xx * _X3(y)) - (-12.0 * Py + P1x * _P2(y))
+    del P1x, Py, Xx, X1y
+    Px, P1y, X1x, Xy = _P(x), _P1(y), _X1(x), _X(y)
+    f[:, 1] = Px * P1y - X1x * Xy + (_X3(x) * Xy + X1x * _X2(y)) - (_P2(x) * P1y - 12.0 * Px)
+    return f
 
 
 # -- sinshear: sine shear profile (zero normal trace only) ----------------

@@ -1,15 +1,27 @@
 """Planar triangulations, structured generators, and mesh file I/O.
 
-A Triangulation validates its input on construction: cells are oriented
-positively (reordering when needed), a mesh without cells, degenerate
-or duplicate cells, non-integer vertex ids and isolated or duplicate
-vertices are rejected with messages naming the offending entity, edges
-may be shared by at most two cells, every vertex star must be a single
-fan (disk or half-disk), and, when the mesh has interior vertices at
-all, every boundary vertex must share an edge with at least one
-interior vertex (the constraint pipeline relies on this).
-A mesh without interior vertices (a single triangle, a strip) is
-accepted and flagged in ``warnings``.
+A Triangulation validates its input on construction and names the first
+offending entity.  It rejects, in this order: duplicate vertices; cells
+with non-integer ids, without three distinct vertices, with missing
+vertices or with the vertex set of an earlier cell; degenerate cells (the
+others are oriented positively); a mesh without cells; unreferenced
+vertices; edges of more than two cells; a boundary vertex inside a
+boundary edge; cells that are not edge-connected; a vertex star that is
+not one fan (disk or half-disk); crossing boundary edges; two
+counterclockwise boundary loops; and, when there are interior vertices,
+a boundary vertex with no edge to one (the constraint pipeline relies on
+this).  A mesh without interior vertices (a single triangle, a strip) or
+that is not a disk is accepted and flagged in ``warnings``.
+
+These checks certify that no two cells overlap, with no scan over all
+vertices and edges.  With positive cells, the number of cells over a point
+off the edges is the winding number of the boundary loops around it.
+Boundary edges that meet only at shared ends, around single-fan stars,
+form disjoint simple loops.  One loop (a disk) winds 0 or 1 times around
+every point (Floater, Math. Comp. 72, 2003; Lipman, SIAM J. Imaging Sci.
+7, 2014).  Of several, only one may run counterclockwise: the others are
+holes, winding 0 or -1 times, so the count stays 0 or 1.  (Two
+counterclockwise loops can bound a branched cover that folds the mesh.)
 
 The topology is one table of the 3 * cells half-edges, half-edge 3c + i
 running from ``cells[c][i]`` to ``cells[c][(i + 1) % 3]``, sorted once by
@@ -45,6 +57,7 @@ import operator
 import random
 from fractions import Fraction
 from functools import cached_property
+from itertools import chain
 
 import numpy as np
 
@@ -68,10 +81,6 @@ DIAGONAL = "diagonal"
 CRISSCROSS = "crisscross"
 
 
-# The hanging-vertex check hashes vertices into at most this many
-# buckets per axis, which bounds its integer bucket ids.
-_MAX_BUCKETS = 1 << 16
-
 class Triangulation:
     """A validated conforming triangulation of a planar domain."""
 
@@ -81,59 +90,35 @@ class Triangulation:
         ]
         self.warnings: list[str] = []
         nv = len(self.vertices)
-        # exact coordinates as Python ints: keys of the duplicate check
-        # (hashing a Fraction is slow), and the numerators and denominators
-        # that scaled_points reads
-        exact = [(x.numerator, y.numerator, x.denominator, y.denominator) for x, y in self.vertices]
-        seen: dict[tuple[int, int, int, int], int] = {}
-        for i, key in enumerate(exact):
-            j = seen.setdefault(key, i)
-            if j != i:
-                raise ValueError(f"vertex {i} duplicates vertex {j} at {self.vertices[i]}")
-        exact_array = np.array(exact, dtype=object).reshape(-1, 4)
-        self._numerators, self._denominators = exact_array[:, :2], exact_array[:, 2:]
+        # exact coordinates as Python ints: keys of the duplicate check (hashing
+        # a Fraction is slow), and the numerators and denominators of scaled_points
+        exact = [x.as_integer_ratio() + y.as_integer_ratio() for x, y in self.vertices]
+        lowest = dict(zip(exact[::-1], range(nv - 1, -1, -1)))  # each point's lowest vertex
+        if len(lowest) < nv:
+            i, j = next((i, j) for i, j in enumerate(map(lowest.get, exact)) if j != i)
+            raise ValueError(f"vertex {i} duplicates vertex {j} at {self.vertices[i]}")
+        exact_array = np.fromiter(chain.from_iterable(exact), object, 4 * nv).reshape(nv, 4)
+        self._numerators, self._denominators = exact_array[:, ::2], exact_array[:, 1::2]
 
-        checked: list[tuple[int, int, int]] = []
-        invalid = None
-        cell_keys: dict[frozenset, int] = {}
-        for ci, cell in enumerate(cells):
-            try:
-                tri = tuple(map(operator.index, cell))
-            except TypeError:
-                bad = next(x for x in cell if not hasattr(type(x), "__index__"))
-                invalid = f"cell {ci} has a non-integer vertex id {bad!r}"
-                break
-            key = frozenset(tri)
-            missing = [v for v in tri if not (0 <= v < nv)]
-            if len(tri) != 3 or len(key) != 3:
-                invalid = f"cell {ci} must have three distinct vertices, got {tri}"
-            elif missing:
-                invalid = f"cell {ci} references missing vertex {missing[0]}"
-            elif key in cell_keys:
-                invalid = f"cell {ci} duplicates cell {cell_keys[key]}"
-            if invalid is not None:
-                break
-            cell_keys[key] = ci
-            checked.append(tri)
-        # orientation from exact signed areas; a degenerate cell is reported
-        # before an invalid cell that follows it
-        num, _ = self.scaled_points(np.array(checked, dtype=np.intp).reshape(-1, 3))
-        e1, e2 = num[:, 1] - num[:, 0], num[:, 2] - num[:, 0]
-        area2 = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]
+        checked, invalid = _cell_ids(cells, nv)
+        # orientation from float signed areas, exact where one is within its
+        # rounding bound (48 ulp of the largest coordinate squared) of 0; a
+        # degenerate cell is reported before an invalid cell that follows it
+        self._points = (self._numerators / self._denominators).astype(float)  # rounded once
+        area2 = _signed_area2(self._points[checked])
+        unsure = np.abs(area2) <= 1e-13 * np.abs(self._points[checked]).max(axis=(1, 2)) ** 2
+        area2[unsure] = np.sign(_signed_area2(self.scaled_points(checked[unsure])[0])).astype(float)
         degenerate = np.flatnonzero(area2 == 0)
         if len(degenerate):
             ci = int(degenerate[0])
-            raise ValueError(f"cell {ci} with vertices {checked[ci]} is degenerate")
+            raise ValueError(f"cell {ci} with vertices {tuple(checked[ci].tolist())} is degenerate")
         if invalid is not None:
             raise ValueError(invalid)
-        if not checked:
+        if not len(checked):
             raise ValueError("mesh has no cells")
-        self.cells: list[tuple[int, int, int]] = [
-            (a, c, b) if flip else (a, b, c)
-            for (a, b, c), flip in zip(checked, (area2 < 0).tolist())
-        ]
+        corners = np.where((area2 < 0)[:, None], checked[:, [0, 2, 1]], checked)
+        self.cells: list[tuple[int, int, int]] = list(zip(*corners.T.tolist()))
 
-        corners = np.array(self.cells, dtype=np.intp)
         nc = len(corners)
         degree = np.bincount(corners.ravel(), minlength=nv)
         if (degree == 0).any():
@@ -156,7 +141,10 @@ class Triangulation:
         pair = head[shared == 2]
         twin[order[pair]], twin[order[pair + 1]] = order[pair + 1], order[pair]
 
-        self._check_no_hanging_vertices()
+        rim = origin[twin < 0], target[twin < 0]  # the boundary half-edges
+        inside, crossing = self._boundary_meetings(*rim)
+        if inside is not None:
+            raise ValueError(inside)
         # edge-connected: hook the root of each tree of cells under the lower
         # root across a shared edge and jump every cell to its root, until no
         # shared edge joins two trees; a root is the lowest cell of its tree
@@ -171,9 +159,12 @@ class Triangulation:
             raise ValueError("mesh is not edge-connected")
 
         boundary = np.zeros(nv, dtype=bool)
-        boundary[origin[twin < 0]] = boundary[target[twin < 0]] = True
+        boundary[rim[0]] = boundary[rim[1]] = True
         self.interior_vertices: list[int] = np.flatnonzero(~boundary).tolist()
         self.fan_start, self.fan_cells = _fans(origin, twin, degree)
+        if crossing is not None:
+            raise ValueError(crossing)
+        self._check_boundary_loops(*rim)
 
         if self.interior_vertices:
             a, b = self.edges.T
@@ -227,39 +218,141 @@ class Triangulation:
 
     # -- validation helpers ----------------------------------------------
 
-    def _check_no_hanging_vertices(self) -> None:
-        """No vertex may lie in the open interior of another cell's edge.
+    def _boundary_meetings(self, a: np.ndarray, b: np.ndarray) -> tuple[str | None, str | None]:
+        """Messages for the first boundary vertex inside a boundary edge and the
+        first two boundary edges that cross, in edge order, or None.
 
-        Candidates come from a uniform bucket grid (``_edge_candidates``);
-        a float collinearity filter narrows them and the exact integer
-        test (``scaled_points``) confirms, in edge order then vertex order.
+        The boundary edges run from a to b; exact integer orientations
+        (``scaled_points``) decide each candidate pair from ``_near_pairs``.
         """
-        # Python int division rounds once, as float(Fraction)
-        pts = (self._numerators / self._denominators).astype(float)
-        e, v = _edge_candidates(pts, self.edges)
-        a, b = self.edges[e].T
-        d = pts[b] - pts[a]
-        rel = pts[v] - pts[a]
-        cross = rel[:, 0] * d[:, 1] - rel[:, 1] * d[:, 0]
-        dot = rel[:, 0] * d[:, 0] + rel[:, 1] * d[:, 1]
-        L2 = d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1]
-        suspicious = (
-            (np.abs(cross) <= 1e-9 * L2)
-            & (dot > 1e-12)
-            & (dot < L2 - 1e-12)
-            & (v != a)
-            & (v != b)
-        )
-        order = np.lexsort((v[suspicious], e[suspicious]))
-        e, v = e[suspicious][order], v[suspicious][order]
-        num, _ = self.scaled_points(np.column_stack([self.edges[e], v]))
-        ex, rv = num[:, 1] - num[:, 0], num[:, 2] - num[:, 0]
-        dt, l2 = (rv * ex).sum(axis=1), (ex * ex).sum(axis=1)
-        inside = (rv[:, 0] * ex[:, 1] == rv[:, 1] * ex[:, 0]) & (dt > 0) & (dt < l2)
-        if inside.any():
-            k = np.argmax(inside)
-            ia, ib = self.edges[e[k]].tolist()
-            raise ValueError(f"vertex {v[k]} lies inside edge ({ia}, {ib}): nonconforming mesh")
+        if not len(a):  # a closed surface, which the fan check rejects
+            return None, None
+        i, j = _near_pairs(self._points[a], self._points[b])
+        num, _ = self.scaled_points(np.column_stack([a[i], b[i], a[j], b[j]]))
+        # per pair: edge i with each end of edge j, then edge j with each end of edge i
+        p, u, v = num[:, [0, 0, 2, 2]], num[:, [1, 1, 3, 3]], num[:, [2, 3, 0, 1]]
+        turn = _signed_area2(np.stack([p, u, v], axis=2))
+        along, length2 = ((u - p) * (v - p)).sum(axis=2), ((u - p) ** 2).sum(axis=2)
+        hit = (turn == 0) & (along > 0) & (along < length2)
+        cross = (turn[:, 0] * turn[:, 1] < 0) & (turn[:, 2] * turn[:, 3] < 0)
+        nv = len(self.vertices)
+        key = np.minimum(a, b) * nv + np.maximum(a, b)  # sorts as self.edges
+        inside = crossing = None
+        if hit.any():
+            edge = key[np.column_stack([i, i, j, j])[hit]]
+            vertex = np.column_stack([a[j], b[j], a[i], b[i]])[hit]
+            k = np.lexsort((vertex, edge))[0]
+            (e0, e1), v = divmod(edge[k], nv), vertex[k]
+            inside = f"vertex {v} lies inside edge ({e0}, {e1}): nonconforming mesh"
+        if cross.any():
+            first, second = np.sort(np.column_stack([key[i], key[j]])[cross], axis=1).T
+            k = np.lexsort((second, first))[0]
+            (e0, e1), (f0, f1) = divmod(first[k], nv), divmod(second[k], nv)
+            crossing = f"boundary edges ({e0}, {e1}) and ({f0}, {f1}) cross: folded mesh"
+        return inside, crossing
+
+    def _check_boundary_loops(self, a: np.ndarray, b: np.ndarray) -> None:
+        """At most one boundary loop runs counterclockwise.
+
+        Runs once every star is one fan, so the boundary edges from a to b form loops.
+        """
+        n = len(a)
+        loop, step = np.arange(n), np.argsort(a)[np.searchsorted(np.sort(a), b)]
+        for _ in range(n.bit_length()):  # each loop is named by its lowest edge
+            loop, step = np.minimum(loop, loop[step]), step[step]
+        heads = np.flatnonzero(loop == np.arange(n))
+        if len(heads) > 1:  # the cells' positive area makes one loop counterclockwise
+            num, den = self.scaled_points(np.column_stack([a, b]))
+            twice = num[:, 0, 0] * num[:, 1, 1] - num[:, 0, 1] * num[:, 1, 0]
+            area = [sum(map(Fraction, twice[loop == h], den[loop == h] ** 2)) for h in heads]
+            outer = [h for h, s in zip(heads, area) if s > 0]
+            if len(outer) > 1:
+                raise ValueError(
+                    f"boundary loops through vertices {a[outer[0]]} and {a[outer[1]]} "
+                    "both run counterclockwise: folded mesh"
+                )
+
+
+def _signed_area2(points: np.ndarray) -> np.ndarray:
+    """Twice the signed areas of triangles (..., 3, 2): positive when counterclockwise."""
+    e1, e2 = points[..., 1, :] - points[..., 0, :], points[..., 2, :] - points[..., 0, :]
+    return e1[..., 0] * e2[..., 1] - e1[..., 1] * e2[..., 0]
+
+
+def _cell_ids(cells, nv: int) -> tuple[np.ndarray, str | None]:
+    """The cells before the first invalid one as an (n, 3) id array, and its message
+    (None if all are valid).  Checked in order: integer ids, three distinct
+    vertices, existing vertices, a vertex set no earlier cell has.
+    """
+    cells = cells if isinstance(cells, np.ndarray) else list(cells)
+    try:
+        ids = np.asarray(cells)
+    except ValueError:  # cells of different lengths
+        ids = np.empty(0)
+    stop = len(cells)
+    if not (ids.ndim == 2 and ids.shape[1] == 3 and ids.dtype.kind in "iu"):
+        # not an integer (n, 3) array: cut it before the first cell that is not three integers
+        ok = [len(c) == 3 and all(hasattr(type(x), "__index__") for x in c) for c in cells]
+        stop = ok.index(False) if False in ok else stop
+        ids = np.array([list(map(operator.index, c)) for c in cells[:stop]]).reshape(stop, 3)
+    distinct = (ids[:, 0] != ids[:, 1]) & (ids[:, 1] != ids[:, 2]) & (ids[:, 2] != ids[:, 0])
+    present = ((ids >= 0) & (ids < nv)).all(axis=1)
+    good = np.flatnonzero(distinct & present)
+    # cells with the same vertices sort together, lower cells first: the first
+    # repeated cell follows the lowest of its group
+    key = np.sort(ids[good].astype(np.intp), axis=1)
+    order = np.lexsort((key[:, 2], key[:, 0] * nv + key[:, 1]))
+    same = (key[order[1:]] == key[order[:-1]]).all(axis=1)
+    earlier = np.full(stop, -1)
+    earlier[good[order[1:][same]]] = good[order[:-1][same]]
+    bad = np.flatnonzero(~distinct | ~present | (earlier >= 0))
+    stop = int(bad[0]) if len(bad) else stop
+    if stop == len(cells):
+        return ids.astype(np.intp), None
+    # name the failure of the first invalid cell
+    odd = [x for x in cells[stop] if not hasattr(type(x), "__index__")]
+    tri = () if odd else tuple(map(operator.index, cells[stop]))
+    missing = [v for v in tri if not 0 <= v < nv]
+    if odd:
+        invalid = f"cell {stop} has a non-integer vertex id {odd[0]!r}"
+    elif len(tri) != 3 or len(set(tri)) != 3:
+        invalid = f"cell {stop} must have three distinct vertices, got {tri}"
+    elif missing:
+        invalid = f"cell {stop} references missing vertex {missing[0]}"
+    else:
+        invalid = f"cell {stop} duplicates cell {earlier[stop]}"
+    return ids[:stop].astype(np.intp), invalid
+
+
+def _near_pairs(p: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Index pairs i < j of segments from p to q whose float bounding boxes meet.
+
+    Each segment is sampled at most half a bucket width apart, in buckets
+    one mean segment wide: two segments that meet have samples in the same
+    or adjacent buckets.  Rounding keeps the order of exact coordinates, so
+    their float boxes overlap too.
+    """
+    n = len(p)
+    d, low, high = q - p, np.minimum(p, q), np.maximum(p, q)
+    length = np.hypot(d[:, 0], d[:, 1])
+    corner = low.min(axis=0)
+    width = max(float(length.mean()), float((high.max(axis=0) - corner).max()) / n) or 1.0
+    steps = np.maximum(np.ceil(2 * length / width).astype(np.intp), 1)
+    seg = np.repeat(np.arange(n), steps + 1)
+    t = (np.arange(len(seg)) - np.repeat(np.cumsum(steps + 1) - steps - 1, steps + 1)) / steps[seg]
+    # columns from 0 with one spare: a bucket's neighbours stay in its row or in none
+    cell = np.floor((p[seg] + t[:, None] * d[seg] - corner) / width).astype(np.int64) + 1
+    cols = int(cell[:, 1].max()) + 2
+    bucket, owner = np.divmod(np.unique((cell[:, 0] * cols + cell[:, 1]) * n + seg), n)
+    near = (np.arange(-1, 2)[:, None] * cols + np.arange(-1, 2)).ravel()
+    probe = (bucket[:, None] + near).ravel()
+    start = np.searchsorted(bucket, probe, side="left")
+    count = np.searchsorted(bucket, probe, side="right") - start
+    offset = np.arange(count.sum()) - np.repeat(np.cumsum(count) - count, count)
+    i, j = np.repeat(np.repeat(owner, len(near)), count), owner[np.repeat(start, count) + offset]
+    i, j = np.divmod(np.unique(i[i < j] * n + j[i < j]), n)
+    meet = ((low[i] <= high[j]) & (low[j] <= high[i])).all(axis=1)
+    return i[meet], j[meet]
 
 
 def _fans(origin: np.ndarray, twin: np.ndarray, degree: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -312,53 +405,6 @@ def _fans(origin: np.ndarray, twin: np.ndarray, degree: np.ndarray) -> tuple[np.
     return fan_start, fan_cells
 
 
-def _edge_candidates(pts: np.ndarray, ends: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(edge, vertex) index pairs with every vertex within reach of its edge.
-
-    Vertices are hashed into square buckets about one mean edge length
-    wide.  Each edge is sampled at most one bucket width apart, so every
-    point of it lies within half a width of a sample and hence inside
-    the 3x3 bucket block around that sample's bucket; the vertices of
-    those blocks are its candidates.  The cost is linear in the edges
-    and in the vertices per bucket, not O(edges * vertices).
-    """
-    d = pts[ends[:, 1]] - pts[ends[:, 0]]
-    length = np.hypot(d[:, 0], d[:, 1])
-    lo = pts.min(axis=0)
-    span = float((pts.max(axis=0) - lo).max())
-    width = max(float(length.mean()), span / _MAX_BUCKETS)
-    if not width > 0.0:
-        width = 1.0
-    inner = int(span / width) + 1  # occupied bucket coordinates are 1..inner
-    cols = inner + 2
-
-    def bucket(p: np.ndarray) -> np.ndarray:
-        return np.clip(np.floor((p - lo) / width).astype(np.int64) + 1, 1, inner)
-
-    vb = bucket(pts)
-    vid = vb[:, 0] * cols + vb[:, 1]
-    order = np.argsort(vid, kind="stable")
-    sorted_vid = vid[order]
-
-    steps = np.ceil(length / width).astype(np.int64)
-    edge_of = np.repeat(np.arange(len(ends)), steps + 1)
-    first = np.cumsum(steps + 1) - (steps + 1)
-    t = (np.arange(len(edge_of)) - first[edge_of]) / np.maximum(steps[edge_of], 1)
-    sb = bucket(pts[ends[edge_of, 0]] + t[:, None] * d[edge_of])
-    near = np.arange(-1, 2)
-    block = (sb[:, 0, None, None] + near[:, None]) * cols + (sb[:, 1, None, None] + near)
-    # unique (edge, bucket) pairs, by sorting: np.unique hashes and is slower
-    pairs = np.sort(edge_of[:, None, None] * (cols * cols) + block, axis=None)
-    pairs = pairs[np.r_[True, pairs[1:] != pairs[:-1]]]
-    pair_edge, pair_bucket = np.divmod(pairs, cols * cols)
-
-    start = np.searchsorted(sorted_vid, pair_bucket, side="left")
-    count = np.searchsorted(sorted_vid, pair_bucket, side="right") - start
-    e = np.repeat(pair_edge, count)
-    offset = np.arange(len(e)) - np.repeat(np.cumsum(count) - count, count)
-    return e, order[np.repeat(start, count) + offset]
-
-
 def check_mesh_parameter(m: int) -> None:
     """Raise ValueError unless m is a valid ``generate_square_mesh`` parameter."""
     if not isinstance(m, int) or m < 2:
@@ -371,29 +417,22 @@ def generate_square_mesh(m: int, pattern: str = DIAGONAL) -> Triangulation:
     if pattern not in (DIAGONAL, CRISSCROSS):
         raise ValueError(f"unknown mesh pattern {pattern!r}")
 
-    def gid(i: int, j: int) -> int:
-        return j * (m + 1) + i
-
+    # vertices as an iterator: Triangulation keeps its own tuples
     grid = [Fraction(i, m) for i in range(m + 1)]
-    vertices: list[tuple[Fraction, Fraction]] = [(x, y) for y in grid for x in grid]
+    vertices = ((x, y) for y in grid for x in grid)
+    # the corners of square (i, j), numbered j m + i; vertex (i, j) is j (m + 1) + i
+    bl = (np.arange(m)[:, None] * (m + 1) + np.arange(m)).ravel()
+    br, tl, tr = bl + 1, bl + m + 1, bl + m + 2
     if pattern == CRISSCROSS:  # square (i, j) gets center vertex (m + 1)^2 + j m + i
         mid = [Fraction(2 * i + 1, 2 * m) for i in range(m)]
-        vertices += [(x, y) for y in mid for x in mid]
-    flipped = {(m - 1, 0), (0, m - 1)}
-    cells: list[tuple[int, int, int]] = []
-    for j in range(m):
-        for i in range(m):
-            bl, br = gid(i, j), gid(i + 1, j)
-            tr, tl = gid(i + 1, j + 1), gid(i, j + 1)
-            if pattern == CRISSCROSS:
-                c = (m + 1) ** 2 + j * m + i
-                cells += [(bl, br, c), (br, tr, c), (tr, tl, c), (tl, bl, c)]
-            elif (i, j) in flipped:
-                cells += [(bl, br, tl), (br, tr, tl)]
-            else:
-                cells += [(bl, br, tr), (bl, tr, tl)]
-
-    return Triangulation(vertices, cells)
+        vertices = chain(vertices, ((x, y) for y in mid for x in mid))
+        c = (m + 1) ** 2 + np.arange(m * m)
+        cells = np.column_stack([bl, br, c, br, tr, c, tr, tl, c, tl, bl, c])
+    else:
+        cells = np.column_stack([bl, br, tr, bl, tr, tl])
+        flipped = [m - 1, (m - 1) * m]  # squares (m - 1, 0) and (0, m - 1)
+        cells[flipped] = np.column_stack([bl, br, tl, br, tr, tl])[flipped]
+    return Triangulation(vertices, cells.reshape(-1, 3))
 
 
 def generate_jittered_mesh(m: int, seed: int) -> Triangulation:
@@ -406,13 +445,11 @@ def generate_jittered_mesh(m: int, seed: int) -> Triangulation:
     """
     base = generate_square_mesh(m, DIAGONAL)
     rng = random.Random(seed)
-    interior = set(base.interior_vertices)
-    vertices = []
-    for i, (x, y) in enumerate(base.vertices):
-        if i in interior:
-            x += Fraction(rng.randint(-3, 3), 16 * m)
-            y += Fraction(rng.randint(-3, 3), 16 * m)
-        vertices.append((x, y))
+    vertices = list(base.vertices)
+    for i in base.interior_vertices:  # ascending
+        x, y = vertices[i]
+        dx, dy = (Fraction(rng.randint(-3, 3), 16 * m) for _ in range(2))
+        vertices[i] = (x + dx, y + dy)
     return Triangulation(vertices, base.cells)
 
 

@@ -101,3 +101,29 @@ def test_as_callback_shapes_and_sign():
     assert np.array_equal(d[:, 0], field.rot(pts))
     # the adjoint-sign codifferential of a 1-form is minus the divergence
     assert np.array_equal(delta[:, 0], -field.div(pts))
+
+
+def test_polyflow_matches_sympy_derivatives_of_its_potentials():
+    # w = grad(P(x)P(y)) + curl(X(x)X(y)), curl g = (d_y g, -d_x g)
+    sympy = pytest.importorskip("sympy")
+    x, y = sympy.symbols("x y")
+    phi = (3 * x**2 - 2 * x**3) * (3 * y**2 - 2 * y**3)
+    psi = (x - 2 * x**3 + x**4) * (y - 2 * y**3 + y**4)
+    w1, w2 = phi.diff(x) + psi.diff(y), phi.diff(y) - psi.diff(x)
+    rot, div = w2.diff(x) - w1.diff(y), w1.diff(x) + w2.diff(y)
+    f1 = w1 + rot.diff(y) - div.diff(x)
+    f2 = w2 - rot.diff(x) - div.diff(y)
+    pts = np.random.default_rng(3).uniform(-0.5, 1.5, (200, 2))
+    field = get_field("polyflow")
+
+    def exact(expr):
+        return sympy.lambdify((x, y), expr, "numpy")(pts[:, 0], pts[:, 1]) * np.ones(len(pts))
+
+    for got, want in [
+        (field.value(pts), np.stack([exact(w1), exact(w2)], axis=1)),
+        (field.rot(pts), exact(rot)),
+        (field.div(pts), exact(div)),
+        (field.f(pts), np.stack([exact(f1), exact(f2)], axis=1)),
+    ]:
+        assert got.shape == want.shape
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()

@@ -3,6 +3,7 @@
 import math
 import random
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hodgefem.forms import PolyForm, codifferential_green, exterior_derivative
-from hodgefem.globalspace import build_constraints, build_product_space
+from hodgefem.globalspace import build_constraints, build_global_basis, build_product_space
 from hodgefem.mesh import (
     CRISSCROSS,
     DIAGONAL,
@@ -141,12 +142,15 @@ def test_hanging_vertex_in_a_long_edge_is_found_across_buckets():
 
 
 def test_vertex_float_near_an_edge_but_exactly_off_it_is_accepted():
-    # vertex 2 sits 1e-15 above edge (0, 1): the float filter flags it,
-    # the exact test clears it, and the sliver mesh is valid
+    # vertex 2 sits 1e-15 above edge (0, 1): the float areas cannot tell
+    # the sliver cells from degenerate ones, the exact test clears them
     pts = [(0, 0), (2, 0), (1, Fraction(1, 10**15)), (1, 1)]
     tri = Triangulation(pts, [(0, 1, 2), (0, 2, 3), (2, 1, 3)])
     assert tri.interior_vertices == [2]
     assert tri.warnings == []
+    # on the boundary, vertex 2 is a candidate for edge (0, 1) and is cleared
+    tri = Triangulation(pts[:3], [(0, 1, 2)])
+    assert tri.cells == [(0, 1, 2)]
 
 
 def test_scaled_points_are_exact_over_each_cells_own_denominator(mesh):
@@ -410,6 +414,10 @@ def test_validation_rejects_cells_overlapping_on_one_side_of_an_edge():
     pts = [(0, 0), (4, 1), (0, 4), (4, 3), (1, 4)]
     with pytest.raises(ValueError, match=r"^vertex 0 has an inconsistent star$"):
         Triangulation(pts, [(0, 1, 2), (0, 3, 2), (0, 3, 4)])
+    # a tetrahedron's surface drawn flat has no boundary edge at all
+    with pytest.raises(ValueError, match=r"^vertex 0 has a pinched \(multi-fan\) star$"):
+        pts = [(0, 0), (4, 0), (0, 4), (1, 1)]
+        Triangulation(pts, [(0, 1, 3), (1, 2, 3), (2, 0, 3), (0, 1, 2)])
 
 
 def test_overshared_edge_is_named_in_cell_order():
@@ -465,3 +473,222 @@ def test_hat_form_wrappers_match_exterior_calculus():
             assert grad == PolyForm(2, 1, {(1,): lam.partial(1), (2,): lam.partial(2)})
             rot_grad = codifferential_green(PolyForm(2, 2, {(1, 2): lam}))
             assert rot_grad == PolyForm(2, 1, {(1,): lam.partial(2), (2,): -lam.partial(1)})
+
+
+def _pentagram():
+    """Five cells (0, p_i, p_i+2) around a centre: they cover the star twice."""
+    pts = [(0, 0), (0, 1000), (-951, 309), (-588, -809), (588, -809), (951, 309)]
+    return pts, [(0, i, (i + 1) % 5 + 1) for i in range(1, 6)]
+
+
+def _spiral():
+    """A strip of 36 cells, 200 wide, wound 450 degrees out by 144 per turn."""
+    pts, cells = [], []
+    for k in range(19):
+        a, r = math.radians(25 * k), 400 + 12 * k
+        pts += [(round(s * math.cos(a)), round(s * math.sin(a))) for s in (r, r + 200)]
+    for k in range(0, 36, 2):
+        cells += [(k, k + 1, k + 3), (k, k + 3, k + 2)]
+    return pts, cells
+
+
+def _branched_annulus():
+    """A square ring around a square that a double cover branched at (-1, 0)
+    and (1, 0) covers twice: the second sheet drawn at 3/4 scale and moved by
+    (1/7, 1/10), the ring glued to the first sheet's boundary.
+
+    The cells wind twice around each branch point and no boundary edges
+    meet, but the second sheet's boundary runs counterclockwise, as does
+    the ring's outer boundary.
+    """
+    square = {"l": (-2, 0), "nw": (-2, 2), "n": (0, 2), "ne": (2, 2), "e": (2, 0)}
+    square.update({"se": (2, -2), "s": (0, -2), "sw": (-2, -2), "o": (0, 0)})
+    upper = [("l", "b1", "nw"), ("b1", "n", "nw"), ("b1", "o", "n"), ("o", "b2", "n")]
+    upper += [("b2", "ne", "n"), ("b2", "e", "ne")]
+    lower = [("l", "sw", "b1"), ("b1", "sw", "s"), ("b1", "s", "o"), ("o", "s", "b2")]
+    lower += [("b2", "s", "se"), ("b2", "se", "e")]
+    pts, index = [(-1, 0), (1, 0)], {"b1": 0, "b2": 1}
+    shift = Fraction(1, 7), Fraction(1, 10)
+    for sheet, scale, (dx, dy) in ((0, 1, (0, 0)), (1, Fraction(3, 4), shift)):
+        for name, (x, y) in square.items():
+            index[name, sheet] = len(pts)
+            pts.append((scale * x + dx, scale * y + dy))
+    cells = []
+    for sheet in (0, 1):
+        for cell in upper + lower:
+            # below the slit from b1 to b2 the centre o comes from the other sheet
+            swap = {"o": 1 - sheet} if cell in lower else {}
+            cells.append(tuple(index.get(v, index.get((v, swap.get(v, sheet)))) for v in cell))
+    ring = ["sw", "s", "se", "e", "ne", "n", "nw", "l"]
+    outer = [len(pts) + k for k in range(8)]
+    pts += [(Fraction(3, 2) * square[v][0], Fraction(3, 2) * square[v][1]) for v in ring]
+    for k in range(8):
+        a, b = index[ring[k], 0], index[ring[(k + 1) % 8], 0]
+        cells += [(a, outer[k], outer[(k + 1) % 8]), (a, outer[(k + 1) % 8], b)]
+    return pts, cells
+
+
+def test_validation_rejects_folded_meshes():
+    # no vertex lies on an edge and every cell is positive, yet the cells
+    # overlap: the boundary edges cross
+    cases = [(_pentagram(), r"\(1, 3\) and \(2, 4\)"), (_spiral(), r"\(0, 1\) and \(28, 30\)")]
+    for mesh, edges in cases:
+        with pytest.raises(ValueError, match=rf"^boundary edges {edges} cross: folded mesh$"):
+            Triangulation(*mesh)
+    # no boundary edges meet, but two boundary loops run counterclockwise
+    loops = r"^boundary loops through vertices 12 and 20 both run counterclockwise: folded mesh$"
+    with pytest.raises(ValueError, match=loops):
+        Triangulation(*_branched_annulus())
+
+
+def test_an_annulus_is_accepted():
+    # the diagonal 6 x 6 mesh without its central 2 x 2 squares and their
+    # centre vertex: two boundary loops, the inner one clockwise
+    base = generate_square_mesh(6, DIAGONAL)
+    hole = {2 * (6 * j + i) + t for i in (2, 3) for j in (2, 3) for t in (0, 1)}
+    cells = [cell for c, cell in enumerate(base.cells) if c not in hole]
+    keep = sorted({v for cell in cells for v in cell})
+    new = {v: k for k, v in enumerate(keep)}
+    cells = [tuple(new[v] for v in cell) for cell in cells]
+    tri = Triangulation([base.vertices[v] for v in keep], cells)
+    assert len(tri.cells) == 64
+    assert tri.warnings == ["Euler characteristic 0 != 1 (not a disk)"]
+    prod = build_product_space(tri)
+    cons = build_constraints(tri, prod)
+    assert cons.rank() == cons.rows
+    assert len(build_global_basis(tri, prod)) == 6 * len(tri.cells) - cons.rows == 320
+
+
+def _reference_candidates(pts, ends):
+    """(edge, vertex) pairs of the bucketed scan of an earlier ``Triangulation``.
+
+    Vertices are hashed into square buckets one mean edge long; each edge
+    is sampled at most one bucket width apart, and the vertices in the 3x3
+    bucket blocks around its samples are its candidates.
+    """
+    d = pts[ends[:, 1]] - pts[ends[:, 0]]
+    length = np.hypot(d[:, 0], d[:, 1])
+    lo = pts.min(axis=0)
+    span = float((pts.max(axis=0) - lo).max())
+    width = max(float(length.mean()), span / (1 << 16)) or 1.0
+    inner = int(span / width) + 1  # occupied bucket coordinates are 1..inner
+    cols = inner + 2
+
+    def bucket(p):
+        return np.clip(np.floor((p - lo) / width).astype(np.int64) + 1, 1, inner)
+
+    vb = bucket(pts)
+    vid = vb[:, 0] * cols + vb[:, 1]
+    order = np.argsort(vid, kind="stable")
+    steps = np.ceil(length / width).astype(np.int64)
+    edge_of = np.repeat(np.arange(len(ends)), steps + 1)
+    first = np.cumsum(steps + 1) - (steps + 1)
+    t = (np.arange(len(edge_of)) - first[edge_of]) / np.maximum(steps[edge_of], 1)
+    sb = bucket(pts[ends[edge_of, 0]] + t[:, None] * d[edge_of])
+    near = np.arange(-1, 2)
+    block = (sb[:, 0, None, None] + near[:, None]) * cols + (sb[:, 1, None, None] + near)
+    pairs = np.unique(edge_of[:, None, None] * (cols * cols) + block)
+    pair_edge, pair_bucket = np.divmod(pairs, cols * cols)
+    start = np.searchsorted(vid[order], pair_bucket, side="left")
+    count = np.searchsorted(vid[order], pair_bucket, side="right") - start
+    e = np.repeat(pair_edge, count)
+    offset = np.arange(len(e)) - np.repeat(np.cumsum(count) - count, count)
+    return e, order[np.repeat(start, count) + offset]
+
+
+def reference_hanging_vertex(tri):
+    """The message of the hanging-vertex scan of an earlier ``Triangulation``, or None.
+
+    Every vertex is tested against every edge near it: a float
+    collinearity filter, then the exact integer test, in edge then vertex
+    order.
+    """
+    pts = np.array([[float(x), float(y)] for x, y in tri.vertices])
+    e, v = _reference_candidates(pts, tri.edges)
+    a, b = tri.edges[e].T
+    d, rel = pts[b] - pts[a], pts[v] - pts[a]
+    cross = rel[:, 0] * d[:, 1] - rel[:, 1] * d[:, 0]
+    dot, L2 = (rel * d).sum(axis=1), (d * d).sum(axis=1)
+    near = (np.abs(cross) <= 1e-9 * L2) & (dot > 1e-12) & (dot < L2 - 1e-12) & (v != a) & (v != b)
+    order = np.lexsort((v[near], e[near]))
+    e, v = e[near][order], v[near][order]
+    num, _ = tri.scaled_points(np.column_stack([tri.edges[e], v]))
+    ex, rv = num[:, 1] - num[:, 0], num[:, 2] - num[:, 0]
+    dt, l2 = (rv * ex).sum(axis=1), (ex * ex).sum(axis=1)
+    inside = (rv[:, 0] * ex[:, 1] == rv[:, 1] * ex[:, 0]) & (dt > 0) & (dt < l2)
+    if not inside.any():
+        return None
+    k = np.argmax(inside)
+    a, b = tri.edges[e[k]]
+    return f"vertex {v[k]} lies inside edge ({a}, {b}): nonconforming mesh"
+
+
+def reference_rejects(vertices, cells) -> bool:
+    """The verdict of an earlier ``Triangulation``: its other checks and the bucketed scan."""
+    with mock.patch.object(Triangulation, "_boundary_meetings", return_value=(None, None)):
+        with mock.patch.object(Triangulation, "_check_boundary_loops", return_value=None):
+            try:
+                tri = Triangulation(vertices, cells)
+            except ValueError:
+                return True
+    return reference_hanging_vertex(tri) is not None
+
+
+def test_reference_scan_finds_the_pinned_hanging_vertices():
+    pts = [(0, 0), (2, 0), (2, 2), (0, 2), (1, 0), (1, -1)]
+    cells = [(0, 1, 2), (0, 2, 3), (0, 4, 5)]
+    with mock.patch.object(Triangulation, "_boundary_meetings", return_value=(None, None)):
+        with pytest.raises(ValueError, match="not edge-connected"):
+            Triangulation(pts, cells)
+    assert reference_rejects(pts, cells)
+    # the pentagram passes the scan and every other check of the reference
+    assert not reference_rejects(*_pentagram())
+
+
+def _broken(kind, m, seed, op):
+    """A structured or jittered mesh with a vertex moved onto an edge, up to
+    three interior edges flipped, or up to three cells cut out."""
+    rng = random.Random(seed)
+    if kind == "jitter":
+        base = generate_jittered_mesh(m, seed)
+    else:
+        base = generate_square_mesh(m, CRISSCROSS if kind == "crisscross" else DIAGONAL)
+    vertices, cells = list(base.vertices), list(base.cells)
+    if op == "move":
+        v = rng.randrange(len(vertices))
+        (ax, ay), (bx, by) = (vertices[u] for u in base.edges[rng.randrange(len(base.edges))])
+        t = Fraction(rng.randint(1, 3), 4)
+        vertices[v] = (ax + t * (bx - ax), ay + t * (by - ay))
+    elif op == "flip":
+        twins = {}
+        for c, cell in enumerate(cells):
+            for i in range(3):
+                twins.setdefault(frozenset((cell[i], cell[i - 1])), []).append(c)
+        inner = sorted((sorted(e), cs) for e, cs in twins.items() if len(cs) == 2)
+        for _ in range(rng.randint(1, 3)):
+            (a, b), (c1, c2) = inner[rng.randrange(len(inner))]
+            # an earlier flip may have replaced either cell
+            if {a, b} <= set(cells[c1]) & set(cells[c2]) and len({*cells[c1], *cells[c2]}) == 4:
+                p, q = (next(v for v in cells[c] if v not in (a, b)) for c in (c1, c2))
+                cells[c1], cells[c2] = (p, q, a), (q, p, b)
+    else:
+        for c in sorted(rng.sample(range(len(cells)), rng.randint(1, 3)), reverse=True):
+            del cells[c]
+    return vertices, cells
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    kind=st.sampled_from(["diagonal", "crisscross", "jitter"]),
+    m=st.integers(2, 5),
+    seed=st.integers(0, 2**32 - 1),
+    op=st.sampled_from(["move", "flip", "cut"]),
+)
+def test_validation_agrees_with_the_reference_scan_on_broken_meshes(kind, m, seed, op):
+    vertices, cells = _broken(kind, m, seed, op)
+    try:
+        Triangulation(vertices, cells)
+        rejected = False
+    except ValueError:
+        rejected = True
+    assert rejected == reference_rejects(vertices, cells)

@@ -179,6 +179,21 @@ def _sliver(t: Fraction) -> Triangulation:
     return Triangulation(vertices, base.cells)
 
 
+def test_pcg_converges_on_a_shape_ratio_40_sliver():
+    # t = 0.9: kappa(A) is about 2.9e7, and PCG still meets tol 1e-10 and
+    # agrees with the oracle
+    tri = _sliver(Fraction(9, 10))
+    prod = build_product_space(tri)
+    system = assemble(tri, get_field("polyflow"), prod=prod)
+    result = solve_system(system, tol=1e-10)
+    assert result.method == "pcg" and result.converged
+    assert result.true_rel_residual <= 1e-10
+    oracle = solve_oracle(system, build_constraints(tri, prod))
+    diff = oracle.x_cell - result.u_cell
+    energy = broken_energy_product(oracle.x_cell, oracle.x_cell, prod)
+    assert math.sqrt(max(broken_energy_product(diff, diff, prod), 0.0) / energy) <= 1e-8
+
+
 def test_pcg_stops_at_the_first_non_finite_value_on_a_sliver():
     # shape ratio 133: the PCG recurrences overflow long before the
     # iteration cap of 2,525, and a NaN residual never meets the stopping
