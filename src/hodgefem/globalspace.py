@@ -66,8 +66,10 @@ anchor, support cells, dual columns); the exact BasisFunctions
 template duals.  The rank audit is one O(nnz) certificate from the same
 float duals: with D = blockdiag(duals) over the cells, B D is a 0/1
 selection matrix whose disjoint rows prove that B has full row rank,
-which the saddle-point oracle needs.  It runs once per
-``ConstraintSystem``.  Input without that structure, a repeated or
+which the saddle-point oracle needs.  The product space owns its B:
+``build_constraints`` gathers it on the first call, read-only, and every
+``ConstraintSystem`` it returns shares it, so the certificate runs once
+per product space.  Input without that structure, a repeated or
 dependent row included, raises; there is no dense fallback.
 """
 
@@ -185,13 +187,14 @@ class ProductSpace:
     float(Fraction) would round the templates' exact data, but none of
     that data, and no Simplex, is built: all of it comes from closed
     forms in the integer coordinates of all templates at once
-    (``_chebyshev_diameter`` and ``_closed_forms``).
+    (``_chebyshev_diameter`` and ``_closed_forms``).  It also holds its B
+    (``build_constraints``) and whether B passed the rank certificate.
     """
 
     def __init__(self, tri: Triangulation):
         self.tri = tri
         nc = len(tri.cells)
-        num, den = tri.scaled_points(np.array(tri.cells, dtype=np.intp).reshape(nc, 3))
+        num, den = tri.scaled_points(tri.corners)
         sums = num.sum(axis=1)  # 3 * den * barycenter
         # Python int division rounds each exact quotient once, as float(Fraction)
         self.barycenters = np.asarray(sums / (3 * den[:, None]), dtype=float).reshape(nc, 2)
@@ -220,6 +223,8 @@ class ProductSpace:
         self.minv = np.linalg.inv(matrix)
         self._tables: dict[int, dict[str, np.ndarray]] = {}
         self._derived: dict[tuple, np.ndarray] = {}
+        self._B: sp.csr_matrix | None = None
+        self._certified = False
 
     @property
     def dim(self) -> int:
@@ -438,7 +443,8 @@ class ConstraintSystem:
     nv + r the rot functional of ``tri.interior_vertices[r]``.  ``B_div``
     and ``B_rot`` are these two row slices of B.  ``prod`` is the product
     space whose template duals certify the rank; the certificate runs on
-    first need and keeps only its outcome, so B must not change after that.
+    first need and keeps only its outcome (on ``prod`` for its own B), so
+    B must not change after that.
     """
 
     def __init__(self, prod: ProductSpace, B: sp.csr_matrix):
@@ -461,9 +467,11 @@ class ConstraintSystem:
 
     def rank(self) -> int:
         """Rank of B, which is ``rows``: certified in O(nnz) on the first call."""
-        if not self._certified:
+        own = self.B is self.prod._B
+        if not (self._certified or own and self.prod._certified):
             _rank_certificate(self.B, self.prod)
             self._certified = True
+            self.prod._certified |= own
         return self.rows
 
     def nullity(self) -> int:
@@ -511,7 +519,8 @@ def build_product_space(tri: Triangulation) -> ProductSpace:
 
 
 def build_constraints(tri: Triangulation, prod: ProductSpace) -> ConstraintSystem:
-    """Gather B from the float Whitney rows of ``prod`` by cell and slot.
+    """The constraints over ``prod``'s B, gathered from its float Whitney rows by
+    cell and slot on the first call, read-only, and shared by every later call.
 
     The vertex a at slot s of cell c gives div row a its Whitney row
     3 + s and, when a is the r-th interior vertex, rot row nv + r its
@@ -519,8 +528,9 @@ def build_constraints(tri: Triangulation, prod: ProductSpace) -> ConstraintSyste
     comes from one cell and one slot, so no entries are summed.
     """
     _check_same_mesh(tri, prod)
-    nv, nc = len(tri.vertices), len(tri.cells)
-    cells = np.array(tri.cells, dtype=np.intp).reshape(nc, 3)
+    if prod._B is not None:
+        return ConstraintSystem(prod, prod._B)
+    nv, nc, cells = len(tri.vertices), len(tri.cells), tri.corners
     rot_row = np.full(nv, -1, dtype=np.intp)
     rot_row[tri.interior_vertices] = nv + np.arange(len(tri.interior_vertices))
     # axes (cell, rot/div, slot, shape index): Whitney rows 0..2 are rot, 3..5 div
@@ -533,13 +543,16 @@ def build_constraints(tri: Triangulation, prod: ProductSpace) -> ConstraintSyste
         (values[keep], (rows[keep], cols[keep])),
         shape=(nv + len(tri.interior_vertices), prod.dim),
     ).tocsr()
+    for part in (B.data, B.indices, B.indptr):
+        part.flags.writeable = False
+    prod._B = B
     return ConstraintSystem(prod, B)
 
 
-def _check_same_mesh(tri: Triangulation, prod: ProductSpace) -> None:
-    """Raise ValueError unless ``prod`` was built on ``tri`` itself."""
-    if tri is not prod.tri:
-        raise ValueError("the product space was built on another triangulation")
+def _check_same_mesh(tri: Triangulation, built, what: str = "the product space") -> None:
+    """Raise ValueError unless ``built`` (its ``tri``) was built on ``tri`` itself."""
+    if tri is not built.tri:
+        raise ValueError(f"{what} was built on another triangulation")
 
 
 @dataclass
@@ -636,8 +649,7 @@ def build_global_basis(tri: Triangulation, prod: ProductSpace) -> GlobalBasis:
     slot).
     """
     _check_same_mesh(tri, prod)
-    nv, nc = len(tri.vertices), len(tri.cells)
-    cells = np.array(tri.cells, dtype=np.intp).reshape(nc, 3)
+    nv, cells = len(tri.vertices), tri.corners
     owner = np.repeat(np.arange(nv), np.diff(tri.fan_start))
     # fan positions j with j + 1 in the same fan, DIV_PATCH then ROT_PATCH
     div = np.flatnonzero(owner[1:] == owner[:-1])

@@ -117,6 +117,8 @@ class Triangulation:
         if not len(checked):
             raise ValueError("mesh has no cells")
         corners = np.where((area2 < 0)[:, None], checked[:, [0, 2, 1]], checked)
+        corners.flags.writeable = False
+        self.corners: np.ndarray = corners  # ``cells`` as one read-only (cells, 3) intp array
         self.cells: list[tuple[int, int, int]] = list(zip(*corners.T.tolist()))
 
         nc = len(corners)

@@ -23,10 +23,17 @@ batched call) and C = B W, the multipliers solve the SPD system
     S y = C W^T b_cell,    S = B A_cell^-1 B^T = C C^T,
 
 and then x = W (W^T b_cell - C^T y).  S has the pattern of the vertex
-graph and is factored once by ``splu`` with minimum degree on its
-symmetric pattern.  S is SPD only when B has full row rank, which every
-B of ``build_constraints`` has; the rank certificate proves it before S
-is factored, and a B that it rejects raises its ValueError.
+graph and is factored by ``splu`` with minimum degree on its symmetric
+pattern.  S is SPD only when B has full row rank, which every B of
+``build_constraints`` has; the rank certificate proves it before S is
+factored, and a B that it rejects raises its ValueError.  The factor
+lives only in the call that builds it: ``solve_system`` also solves the
+saddle point with it, records (B, x, y) on the system and drops it, and
+``solve_oracle`` returns that record for the product space's own B (the
+same object) and factors afresh for any other B.  Factors kept across
+calls were measured and rejected: on the ``ladder`` benchmark, peak RSS
+rose 4.6% with one kept on the audit's constraints, and about 60 MB
+through a product space <-> constraints reference cycle.
 
 The primary path reduces to the kernel basis (A = Phi^T A_cell Phi) and
 runs preconditioned conjugate gradients.  The map b_cell -> x above is
@@ -117,6 +124,8 @@ class AssembledSystem:
     A_cell: sp.csr_matrix
     b_cell: np.ndarray
     quad_order: int
+    # (B, x_cell, multipliers): the saddle point that solve_system solved for b_cell
+    saddle_point: tuple | None = None
 
     @property
     def dofs(self) -> int:
@@ -135,6 +144,7 @@ def assemble(
     _check_same_mesh(tri, prod)
     if basis is None:
         basis = build_global_basis(tri, prod)
+    _check_same_mesh(tri, basis.prod, "the basis")
     A_cell = cell_gram_matrix(prod)
     b_cell = cell_load_vector(prod, field, quad_order)
     Phi = basis.Phi
@@ -294,11 +304,13 @@ class HybridSystem:
     ``W`` is blockdiag(L^-T) over the cells, L the Cholesky factor of each
     template Gram (one batched call), so A_cell^-1 = W W^T; ``C`` = B W;
     and S = C C^T is factored once.  Raises the rank certificate's
-    ValueError when B cannot be certified.
+    ValueError when B cannot be certified, and ValueError when ``cons``
+    was built on another triangulation.
     """
 
     def __init__(self, prod: ProductSpace, cons: ConstraintSystem):
-        cons.rank()  # the rank certificate, run once per ConstraintSystem
+        _check_same_mesh(prod.tri, cons, "the constraints")
+        cons.rank()  # the rank certificate, run once per product space for its own B
         chol = np.linalg.cholesky(prod.gram)
         self.W = prod.block_diagonal(np.linalg.inv(chol).transpose(0, 2, 1))
         self.C = (cons.B.tocsr() @ self.W).tocsr()
@@ -331,34 +343,24 @@ def solve_system(
     of the Whitney values), M r = K x, where x solves the saddle point for
     the broken right-hand side K^T r (``HybridSystem``); M = A^-1 up to
     rounding.  The constraints, K and the factorization are built here, so
-    their cost is part of the solve.  Raises the rank certificate's
+    their cost is part of the solve.  The factorization also solves the
+    saddle point for ``system.b_cell`` into ``system.saddle_point`` (for
+    ``solve_oracle``): one multiplier solve, 4-5% of an m = 128 solve
+    even when no oracle is asked for.  Raises the rank certificate's
     ValueError when B cannot be certified.
     """
-    prod = system.prod
-    return _pcg(system, HybridSystem(prod, build_constraints(prod.tri, prod)), tol, maxiter)
-
-
-def _pcg(
-    system: AssembledSystem, hybrid: HybridSystem, tol: float, maxiter: int | None
-) -> SolveResult:
-    """``solve_system`` with the factored ``hybrid`` of its constraints."""
-    basis = system.basis
-    K = _kernel_coordinates(basis, system.prod.block_diagonal(system.prod.whitney))
+    prod, basis = system.prod, system.basis
+    cons = build_constraints(prod.tri, prod)
+    hybrid = HybridSystem(prod, cons)
+    system.saddle_point = (cons.B, *hybrid.solve(system.b_cell))
+    K = _kernel_coordinates(basis, prod.block_diagonal(prod.whitney))
 
     def precondition(r: np.ndarray) -> np.ndarray:
         return K @ hybrid.solve(K.T @ r)[0]
 
     u, info = solve_cg(system.A, system.b, tol=tol, maxiter=maxiter, precondition=precondition)
-    u_cell = basis.Phi @ u
-    return SolveResult(
-        u,
-        u_cell,
-        info["iterations"],
-        info["converged"],
-        info["method"],
-        info["residuals"],
-        info["true_rel_residual"],
-    )
+    keys = ("iterations", "converged", "method", "residuals", "true_rel_residual")
+    return SolveResult(u, basis.Phi @ u, *map(info.get, keys))
 
 
 @dataclass
@@ -372,17 +374,17 @@ def solve_oracle(system: AssembledSystem, cons: ConstraintSystem) -> OracleResul
     """Saddle-point solve on the product space by cell elimination; no basis involved.
 
     One ``HybridSystem`` solve for ``system.b_cell``, with one multiplier
-    per row of B.  Raises the rank certificate's ValueError when B cannot
-    be certified.
+    per row of B: the one ``solve_system`` recorded when ``cons.B is`` its
+    B (bit for bit a fresh solve), else one here.  Raises the rank
+    certificate's ValueError when B cannot be certified, and ValueError
+    when ``cons`` was built on another triangulation.
     """
-    return _oracle(system, cons, HybridSystem(system.prod, cons))
-
-
-def _oracle(
-    system: AssembledSystem, cons: ConstraintSystem, hybrid: HybridSystem
-) -> OracleResult:
-    """``solve_oracle`` with ``hybrid``, the factored system of ``cons``."""
-    x, y = hybrid.solve(system.b_cell)
+    _check_same_mesh(system.prod.tri, cons, "the constraints")
+    record = system.saddle_point
+    if record is not None and record[0] is cons.B:
+        x, y = record[1:]
+    else:
+        x, y = HybridSystem(system.prod, cons).solve(system.b_cell)
     resid = float(np.linalg.norm(cons.B @ x)) / max(1.0, float(np.linalg.norm(x)))
     return OracleResult(x, y, resid)
 
@@ -475,8 +477,9 @@ def solver_study(
     solver path.  When oracle_max_m is set, meshes with m at or below it
     also run the saddle-point oracle and record the relative energy-norm
     gap between the two solutions and the oracle's constraint residual.
-    Both solves share one ``ConstraintSystem`` and one ``HybridSystem``,
-    which are dropped before the row is yielded.
+    The oracle is the saddle point that ``solve_system`` recorded, so B
+    is built, certified and factored once per mesh, and no factorization
+    outlives ``solve_system``.
     """
     for m in ms:
         t0 = time.perf_counter()
@@ -484,9 +487,7 @@ def solver_study(
         prod = build_product_space(tri)
         basis = build_global_basis(tri, prod)
         system = assemble(tri, field, quad_order=quad_order, prod=prod, basis=basis)
-        cons = build_constraints(tri, prod)
-        hybrid = HybridSystem(prod, cons)
-        result = _pcg(system, hybrid, tol, None)
+        result = solve_system(system, tol)
         wall_ms = (time.perf_counter() - t0) * 1000.0
         errs = error_norms(result.u_cell, prod, field, quad_order=quad_order)
         row = StudyRow(
@@ -499,14 +500,13 @@ def solver_study(
             method=result.method,
         )
         if oracle_max_m is not None and m <= oracle_max_m:
-            oracle = _oracle(system, cons, hybrid)
+            oracle = solve_oracle(system, build_constraints(tri, prod))
             diff = oracle.x_cell - result.u_cell
             row.oracle_gap = math.sqrt(
                 max(broken_energy_product(diff, diff, prod), 0.0)
                 / max(broken_energy_product(oracle.x_cell, oracle.x_cell, prod), 1e-300)
             )
             row.oracle_residual = oracle.constraint_residual
-        del cons, hybrid
         yield row
 
 

@@ -168,9 +168,10 @@ def test_basis_audit_failure_exits_one_and_names_the_cause(tmp_path, monkeypatch
     build = hodgefem.globalspace.build_constraints
 
     def perturbed(tri, prod):
-        cons = build(tri, prod)
-        cons.B.data[7] *= 1 + 1e-6
-        return cons
+        # the product space's B is read-only, so the perturbation goes on a copy
+        B = build(tri, prod).B.copy()
+        B.data[7] *= 1 + 1e-6
+        return hodgefem.globalspace.ConstraintSystem(prod, B)
 
     monkeypatch.setattr(hodgefem.globalspace, "build_constraints", perturbed)
     out = tmp_path / "basis.jsonl"

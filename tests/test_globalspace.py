@@ -427,6 +427,32 @@ def test_rank_audit_raises_on_a_dependent_row_that_is_no_duplicate():
         dependent.rank()
 
 
+def test_the_product_space_owns_one_read_only_b_certified_once(monkeypatch):
+    tri = MESHES["jitter4"]()
+    prod = build_product_space(tri)
+    first, second = build_constraints(tri, prod), build_constraints(tri, prod)
+    assert first is not second and first.B is second.B
+    seen = []
+    certificate = hodgefem.globalspace._rank_certificate
+    monkeypatch.setattr(
+        hodgefem.globalspace, "_rank_certificate", lambda B, p: seen.append(B) or certificate(B, p)
+    )
+    assert first.rank() == second.rank() == first.rows
+    assert second.nullity() == prod.dim - first.rows
+    assert len(seen) == 1
+    # the certificate's outcome is keyed on B's identity, so B takes no in-place edit
+    for part in (first.B.data, first.B.indices, first.B.indptr):
+        with pytest.raises(ValueError, match="read-only"):
+            part[0] = part[1]
+    with pytest.raises(ValueError, match="read-only"):
+        first.B.data *= 2
+    # an equal copy is another B: writeable, and certified on its own
+    copy = ConstraintSystem(prod, first.B.copy())
+    assert copy.rank() == copy.rank() == first.rows
+    assert len(seen) == 2 and seen[1] is copy.B
+    copy.B.data[0] *= 1
+
+
 def test_rank_audit_raises_on_an_entry_off_by_one_part_in_a_million():
     tri, prod, cons = _setup(4)
     B = cons.B.copy()

@@ -53,6 +53,19 @@ def test_generator_counts():
     assert cc.euler_characteristic == 1
 
 
+def test_corners_are_the_cells_as_one_read_only_intp_array():
+    base = generate_jittered_mesh(4, 1)
+    # cells given clockwise and as an array: corners hold them reoriented, in a copy
+    ids = np.array([c[::-1] for c in base.cells])
+    for tri in (base, Triangulation(base.vertices, ids)):
+        assert tri.corners.dtype == np.intp and tri.corners.shape == (len(tri.cells), 3)
+        assert tri.corners.tolist() == [list(c) for c in tri.cells]
+        assert not np.shares_memory(tri.corners, ids)
+        with pytest.raises(ValueError, match="read-only"):
+            tri.corners[0, 0] = tri.corners[0, 1]
+    assert all(c in (b, b[1:] + b[:1], b[2:] + b[:2]) for c, b in zip(tri.cells, base.cells))
+
+
 def test_generator_rejects_bad_arguments():
     with pytest.raises(ValueError, match="must be an integer >= 2"):
         generate_square_mesh(1)

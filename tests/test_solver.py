@@ -291,7 +291,8 @@ def test_oracle_raises_the_rank_certificate_error_on_repeated_rows():
                 call()
 
 
-def test_the_certificate_runs_once_and_the_study_factors_once_per_mesh(monkeypatch):
+def _count_certificates_and_factors(monkeypatch) -> tuple[dict, list]:
+    """Count rank certificates and factorizations, and track every HybridSystem."""
     runs = {"certificate": 0, "factor": 0}
     hybrids = []
 
@@ -313,6 +314,11 @@ def test_the_certificate_runs_once_and_the_study_factors_once_per_mesh(monkeypat
         hybrids.append(weakref.ref(self))
 
     monkeypatch.setattr(HybridSystem, "__init__", tracked)
+    return runs, hybrids
+
+
+def test_the_certificate_runs_once_and_the_study_factors_once_per_mesh(monkeypatch):
+    runs, hybrids = _count_certificates_and_factors(monkeypatch)
     rows = solver_study(get_field("polyflow"), [2, 4], oracle_max_m=4)
     for row in rows:
         assert row.oracle_gap is not None
@@ -330,6 +336,70 @@ def test_the_certificate_runs_once_and_the_study_factors_once_per_mesh(monkeypat
     solve_oracle(system, cons)
     assert cons.nullity() == prod.dim - cons.rows
     assert runs == {"certificate": 1, "factor": 1}
+
+
+def test_the_solve_the_audit_and_the_oracle_certify_and_factor_once(monkeypatch):
+    runs, hybrids = _count_certificates_and_factors(monkeypatch)
+    tri = generate_jittered_mesh(4, 1)
+    prod = build_product_space(tri)
+    system = assemble(tri, get_field("polyflow"), prod=prod)
+    solve_system(system)
+    cons = build_constraints(tri, prod)
+    assert cons.rank() == cons.rows
+    oracle = solve_oracle(system, cons)
+    assert runs == {"certificate": 1, "factor": 1}
+    assert len(hybrids) == 1 and hybrids[0]() is None
+    assert oracle.constraint_residual <= 1e-13
+
+
+@pytest.mark.parametrize(
+    "make",
+    [lambda: generate_square_mesh(16), lambda: generate_jittered_mesh(16, 1), MESHES["coprime4"]],
+    ids=["diagonal16", "jitter16", "coprime4"],
+)
+def test_the_recorded_oracle_is_bitwise_a_fresh_factorization(make, monkeypatch):
+    tri = make()
+    prod = build_product_space(tri)
+    system = assemble(tri, get_field("polyflow"), prod=prod)
+    solve_system(system)
+    cons = build_constraints(tri, prod)
+    runs, hybrids = _count_certificates_and_factors(monkeypatch)
+    recorded = solve_oracle(system, cons)
+    assert runs == {"certificate": 0, "factor": 0}
+    # a fresh factorization of the same B gives the same bits
+    x, y = HybridSystem(prod, cons).solve(system.b_cell)
+    assert runs == {"certificate": 0, "factor": 1}
+    resid = float(np.linalg.norm(cons.B @ x)) / max(1.0, float(np.linalg.norm(x)))
+    # an equal copy of B is another object: certified and factored once more, same bits
+    copied = solve_oracle(system, ConstraintSystem(prod, cons.B.copy()))
+    assert runs == {"certificate": 1, "factor": 2}
+    assert len(hybrids) == 2 and all(ref() is None for ref in hybrids)
+    for oracle in (recorded, copied):
+        assert np.array_equal(oracle.x_cell, x) and np.array_equal(oracle.multipliers, y)
+        assert oracle.constraint_residual == resid
+
+
+@pytest.mark.parametrize("entry", ["HybridSystem", "solve_oracle", "assemble"])
+def test_inputs_from_another_mesh_of_the_same_size_are_rejected(entry):
+    # jittered m = 4 meshes of two seeds: equal sizes, so only the mesh check
+    # stops B of one from being applied to a field of the other
+    field = get_field("polyflow")
+    tri, other = generate_jittered_mesh(4, 1), generate_jittered_mesh(4, 2)
+    prod, other_prod = build_product_space(tri), build_product_space(other)
+    system = assemble(tri, field, prod=prod)
+    cons = build_constraints(other, other_prod)
+    assert cons.B.shape[1] == prod.dim
+    calls = {
+        "HybridSystem": (lambda: HybridSystem(prod, cons), "the constraints"),
+        "solve_oracle": (lambda: solve_oracle(system, cons), "the constraints"),
+        "assemble": (
+            lambda: assemble(tri, field, prod=prod, basis=build_global_basis(other, other_prod)),
+            "the basis",
+        ),
+    }
+    call, what = calls[entry]
+    with pytest.raises(ValueError, match=f"^{what} was built on another triangulation$"):
+        call()
 
 
 def test_oracle_raises_the_rank_certificate_error_on_a_dependent_row():
