@@ -28,9 +28,10 @@ are paired on many simplices without rebuilding their blocks, and
 first family's blocks.  ``l2_inner`` is the 1 x 1 case.  ``_bareiss``
 is the one exact elimination, fraction-free on integer rows:
 ``_gauss_jordan`` reduces rows of Fractions or ints to coprime integer
-rows for it, giving the determinant for ``Simplex`` and the solutions
-for ``solve_rational``, and ``Simplex.hat_coefficients`` runs it on the
-integer centered vertices.
+rows for it, giving the solutions for ``solve_rational``; ``Simplex``
+runs it directly on its integer edge rows for the orientation and the
+volume, and ``Simplex.hat_coefficients`` on the integer centered
+vertices.
 
 The float path rests on ``quadrature_rule``, a Grundmann-Moller simplex
 rule of odd degree 2s+1, valid in any dimension, with rational
@@ -58,6 +59,7 @@ __all__ = [
     "Simplex",
     "Pairing",
     "as_fractions",
+    "gradient",
     "integrate_poly",
     "l2_gram",
     "l2_inner",
@@ -176,11 +178,14 @@ class Simplex:
 
     Vertices are normalized to positive orientation (the last two are
     swapped when the input is negatively oriented); degenerate input
-    raises ValueError.  Exposes exact volume, barycenter and second
-    moments, plus float diameter ``h`` and shape ratio h / inradius; the
-    second moments and the shape ratio are computed when first read.
-    ``h_scale`` is a rational Chebyshev-metric diameter, an h-equivalent
-    surrogate used where exact rational scaling is needed.
+    raises ValueError.  The vertices are held as integer coordinates over
+    their common denominator, and the orientation and exact ``volume``
+    come from one ``_bareiss`` on the integer edge rows.  ``volume`` and
+    ``barycenter`` are set at construction.  The centered vertices
+    ``centered``, the float diameter ``h``, ``h_scale`` (a rational
+    Chebyshev-metric diameter, an h-equivalent surrogate used where exact
+    rational scaling is needed), the second moments and the shape ratio
+    h / inradius are computed when first read.
     """
 
     __slots__ = (
@@ -188,9 +193,11 @@ class Simplex:
         "vertices",
         "volume",
         "barycenter",
-        "centered",
-        "h",
-        "h_scale",
+        "_points",
+        "_den",
+        "_centered",
+        "_h",
+        "_h_scale",
         "_shape_ratio",
         "_moments",
         "_centered_int",
@@ -207,30 +214,59 @@ class Simplex:
         # integer coordinates over the vertices' common denominator
         den = math.lcm(*(x.denominator for v in verts for x in v))
         pts = [[x.numerator * (den // x.denominator) for x in v] for v in verts]
-        det, _ = _gauss_jordan([[p - q for p, q in zip(v, pts[0])] for v in pts[1:]], [[]] * n)
-        if det == 0:
+        done = _bareiss([[p - q for p, q in zip(v, pts[0])] for v in pts[1:]], n)
+        if done is None:
             raise ValueError("degenerate simplex (zero volume)")
-        if det < 0:
+        sign, det = done
+        if sign * det < 0:
             verts[-1], verts[-2] = verts[-2], verts[-1]
             pts[-1], pts[-2] = pts[-2], pts[-1]
-            det = -det
         self.n = n
         self.vertices = tuple(verts)
-        self.volume = det / (den**n * math.factorial(n))
-        sums = [sum(col) for col in zip(*pts)]
-        self.barycenter = tuple(Fraction(t, (n + 1) * den) for t in sums)
-        units = [[(n + 1) * x - t for x, t in zip(p, sums)] for p in pts]
-        cden = (n + 1) * den
-        g = math.gcd(cden, *(x for u in units for x in u))
-        self._centered_int = (tuple(tuple(x // g for x in u) for u in units), cden // g)
-        self.centered = tuple(tuple(Fraction(x, cden) for x in u) for u in units)
-        d2 = max(sum((x - y) ** 2 for x, y in zip(a, b)) for a, b in combinations(pts, 2))
-        self.h = math.sqrt(d2 / den**2)  # int / int rounds once, as float(Fraction)
-        cheb = max(abs(x - y) for a, b in combinations(pts, 2) for x, y in zip(a, b))
-        self.h_scale = Fraction(cheb, den)
+        self.volume = Fraction(abs(det), den**n * math.factorial(n))
+        self.barycenter = tuple(Fraction(sum(col), (n + 1) * den) for col in zip(*pts))
+        self._points, self._den = pts, den
+        self._centered = self._h = self._h_scale = self._centered_int = None
         self._moments: dict[tuple[int, ...], int] = {}
         self._second_moments: tuple[Fraction, ...] | None = None
         self._shape_ratio: float | None = None
+
+    def _units(self) -> tuple[tuple[tuple[int, ...], ...], int]:
+        """The centered vertices as coprime integers U over one denominator d."""
+        if self._centered_int is None:
+            n, pts = self.n, self._points
+            sums = [sum(col) for col in zip(*pts)]
+            units = [[(n + 1) * x - t for x, t in zip(p, sums)] for p in pts]
+            cden = (n + 1) * self._den
+            g = math.gcd(cden, *(x for u in units for x in u))
+            self._centered_int = (tuple(tuple(x // g for x in u) for u in units), cden // g)
+        return self._centered_int
+
+    @property
+    def centered(self) -> tuple[tuple[Fraction, ...], ...]:
+        """The vertices minus the barycenter, exact, when first read."""
+        if self._centered is None:
+            units, d = self._units()
+            self._centered = tuple(tuple(Fraction(x, d) for x in u) for u in units)
+        return self._centered
+
+    @property
+    def h(self) -> float:
+        """The float diameter (largest edge length), when first read."""
+        if self._h is None:
+            pts = self._points
+            d2 = max(sum((x - y) ** 2 for x, y in zip(a, b)) for a, b in combinations(pts, 2))
+            self._h = math.sqrt(d2 / self._den**2)  # int / int rounds once, as float(Fraction)
+        return self._h
+
+    @property
+    def h_scale(self) -> Fraction:
+        """The Chebyshev diameter, the largest |x_a^j - x_b^j|, when first read."""
+        if self._h_scale is None:
+            pts = self._points
+            cheb = max(abs(x - y) for a, b in combinations(pts, 2) for x, y in zip(a, b))
+            self._h_scale = Fraction(cheb, self._den)
+        return self._h_scale
 
     @property
     def second_moments(self) -> tuple[Fraction, ...]:
@@ -280,7 +316,7 @@ class Simplex:
         largest degree among them.
         """
         n = self.n
-        units, d = self._centered_int
+        units, d = self._units()
         exponents = [tuple(e) for e in exponents]
         top = max(map(sum, exponents), default=0)
         det = math.factorial(n) * self.volume
@@ -337,7 +373,7 @@ class Simplex:
         on integer rows, with den its positive determinant.
         """
         n = self.n
-        units, d = self._centered_int
+        units, d = self._units()
         aug = [[*u, d, *(d * (r == c) for c in range(n + 1))] for r, u in enumerate(units)]
         _, den = _bareiss(aug, n + 1)  # a nondegenerate simplex: never singular
         sol = [row[n + 1 :] if den > 0 else [-v for v in row[n + 1 :]] for row in aug]
@@ -525,15 +561,19 @@ def l2_inner(u: PolyForm, v: PolyForm, simplex: Simplex) -> Fraction:
 def h1_seminorm_sq(w: PolyForm, simplex: Simplex) -> Fraction:
     """Exact squared H1 seminorm: sum over components and partials.
 
-    The L2 norm of the tuple of partial derivatives (d_1 w, ..., d_n w),
-    each taken componentwise, as one ``l2_gram`` on their direct sum.
+    The L2 norm of ``gradient(w)`` as one ``l2_gram`` on the direct sum
+    of its partials.
     """
-    grad = tuple(
+    family = [gradient(w)]
+    return l2_gram(family, family, simplex)[0][0]
+
+
+def gradient(w: PolyForm) -> tuple[PolyForm, ...]:
+    """The partial derivatives (d_1 w, ..., d_n w), each taken componentwise."""
+    return tuple(
         PolyForm(w.n, w.k, {alpha: p.partial(j) for alpha, p in w.comps.items()})
         for j in range(1, w.n + 1)
     )
-    family = [grad]
-    return l2_gram(family, family, simplex)[0][0]
 
 
 def _order_to_s(order: int) -> int:

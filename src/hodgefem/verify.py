@@ -6,7 +6,9 @@ Three groups of checks:
                      (composition laws, star involution, Koszul scalings,
                      and the two quadratic-enrichment identities)
   norm_suite         the norm equality |d(koszul eta)| = sqrt(k+1) |koszul eta|_H1
-                     for constant eta, checked exactly on random simplices
+                     for constant eta, checked exactly on random simplices;
+                     the Koszul families are paired once per (n, k) in
+                     each call, so each simplex costs one moment set
   unisolvence_suite  DOF matrix conditioning, the projection property of
                      the interpolation (the float DOF matrix against
                      quadrature of the Green functionals), and exact
@@ -19,9 +21,11 @@ caller can report the full picture.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 import numpy as np
 
@@ -45,7 +49,7 @@ from .forms import (
     koszul,
     multi_indices,
 )
-from .simplices import Simplex
+from .simplices import Pairing, Simplex, gradient
 
 __all__ = [
     "CheckResult",
@@ -54,6 +58,9 @@ __all__ = [
     "unisolvence_suite",
     "full_suite",
 ]
+
+NORM_CASES = ((2, 1), (3, 1), (3, 2))  # the (n, k) of the norm suite, in its order
+PROJECTION_BLOCK = 64  # triangles per stacked node-table block of the projection check
 
 
 @dataclass
@@ -96,15 +103,19 @@ def _rand_form(n: int, k: int, rng: random.Random, degree: int = 2) -> PolyForm:
     return PolyForm(n, k, {a: _rand_poly(n, rng, degree) for a in multi_indices(k, n)})
 
 
-def _rand_constant_form(n: int, k: int, rng: random.Random) -> PolyForm:
-    comps = {}
+def _rand_constant_coefficients(n: int, k: int, rng: random.Random) -> dict:
+    """The nonzero coefficients of a random constant k-form, by multi-index."""
+    coeffs = {}
     for a in multi_indices(k, n):
         c = _rand_fraction(rng)
         if c:
-            comps[a] = Polynomial.constant(n, c)
-    if not comps:
-        comps[tuple(range(1, k + 1))] = Polynomial.constant(n, Fraction(1))
-    return PolyForm(n, k, comps)
+            coeffs[a] = c
+    return coeffs or {tuple(range(1, k + 1)): Fraction(1)}
+
+
+def _rand_constant_form(n: int, k: int, rng: random.Random) -> PolyForm:
+    coeffs = _rand_constant_coefficients(n, k, rng)
+    return PolyForm(n, k, {a: Polynomial.constant(n, c) for a, c in coeffs.items()})
 
 
 def _rand_simplex(n: int, rng: random.Random) -> Simplex:
@@ -186,31 +197,77 @@ def identity_suite(seed: int = 0) -> list[CheckResult]:
     return out
 
 
-def norm_suite(count: int = 100, seed: int = 0) -> list[CheckResult]:
-    """|d(koszul eta)|^2 = (k+1) |koszul eta|_H1^2, exact per random simplex."""
-    from .simplices import h1_seminorm_sq, l2_inner
+class _KoszulNorms:
+    """Both sides of the norm equality on (n, k), paired once.
 
+    For the basis e_a of constant (k+1)-forms, the forms koszul(e_a),
+    their d and their gradients live in centered coordinates, so they do
+    not depend on the simplex.  One ``Pairing`` of each family holds
+    their coefficient blocks; on a simplex, one ``integer_moments`` and
+    two ``Pairing.contract`` calls give the integer Gram matrices G_d and
+    G_grad, and for eta = sum_a c_a e_a both sides are the exact integer
+    quadratic forms c^T G_d c and (k+1) c^T G_grad c.
+    """
+
+    def __init__(self, n: int, k: int):
+        self.k = k
+        self.alphas = multi_indices(k + 1, n)
+        mus = [koszul(PolyForm.basis(n, a)) for a in self.alphas]
+        ds = [exterior_derivative(mu) for mu in mus]
+        grads = [gradient(mu) for mu in mus]
+        self.d, self.grad = Pairing(ds, ds), Pairing(grads, grads)
+        self.exponents = sorted({*self.d.exponents, *self.grad.exponents})
+
+    def sides(self, simplex: Simplex, eta: dict) -> tuple[Fraction, Fraction]:
+        """|d koszul eta|^2 and (k+1) |koszul eta|_H1^2 on the simplex, for the
+        constant form eta given by its coefficients."""
+        coeffs = [Fraction(eta.get(a, 0)) for a in self.alphas]
+        q = math.lcm(*(x.denominator for x in coeffs))
+        c = [x.numerator * (q // x.denominator) for x in coeffs]
+        moments, mden = simplex.integer_moments(self.exponents)
+
+        def quadratic(pairing):
+            rows, den = pairing.contract(moments, mden)
+            return Fraction(sum(a * sum(map(mul, row, c)) for a, row in zip(c, rows)), den * q * q)
+
+        return quadratic(self.d), (self.k + 1) * quadratic(self.grad)
+
+
+def _norm_draws(count: int, seed: int):
+    """The norm suite's draws in its order, both sides evaluated.
+
+    Yields (n, k, simplex, eta, lhs, rhs) for ``count`` simplices per case
+    of ``NORM_CASES``, with eta the coefficients of the drawn constant
+    (k+1)-form and lhs, rhs as ``_KoszulNorms.sides``.
+    """
     rng = random.Random(seed + 1)
-    out = []
-    for n in (2, 3):
-        for k in range(1, n):
-            worst = Fraction(0)
-            ok = True
-            for _ in range(count):
-                S = _rand_simplex(n, rng)
-                eta = _rand_constant_form(n, k + 1, rng)
-                mu = koszul(eta)
-                dmu = exterior_derivative(mu)
-                lhs = l2_inner(dmu, dmu, S)
-                rhs = (k + 1) * h1_seminorm_sq(mu, S)
-                if lhs != rhs:
-                    ok = False
-                    worst = max(worst, abs(lhs - rhs))
-            detail = "exact on all simplices" if ok else f"gap {float(worst):.3e}"
-            out.append(
-                CheckResult(f"d-norm-equals-sqrt(k+1)-h1[n={n},k={k}]", ok, detail)
-            )
-    return out
+    for n, k in NORM_CASES:
+        norms = _KoszulNorms(n, k)
+        for _ in range(count):
+            S = _rand_simplex(n, rng)
+            eta = _rand_constant_coefficients(n, k + 1, rng)
+            yield (n, k, S, eta, *norms.sides(S, eta))
+
+
+def norm_suite(count: int = 100, seed: int = 0) -> list[CheckResult]:
+    """|d(koszul eta)|^2 = (k+1) |koszul eta|_H1^2, exact per random simplex.
+
+    The Koszul families are paired once per (n, k) in each call
+    (``_KoszulNorms``), never across calls, so a change to the form
+    calculus is seen by the next call.
+    """
+    worst = dict.fromkeys(NORM_CASES, Fraction(0))
+    for n, k, _, _, lhs, rhs in _norm_draws(count, seed):
+        if lhs != rhs:
+            worst[n, k] = max(worst[n, k], abs(lhs - rhs))
+    return [
+        CheckResult(
+            f"d-norm-equals-sqrt(k+1)-h1[n={n},k={k}]",
+            not gap,
+            f"gap {float(gap):.3e}" if gap else "exact on all simplices",
+        )
+        for (n, k), gap in worst.items()
+    ]
 
 
 def _rand_triangle(rng: random.Random, max_ratio: float = 10.0) -> Simplex:
@@ -230,6 +287,28 @@ def _rand_triangle(rng: random.Random, max_ratio: float = 10.0) -> Simplex:
             continue
         if s.shape_ratio <= max_ratio:
             return s
+
+
+def _projection_error(vertices, volumes, shape_scale, test_scale, M) -> float:
+    """max |M^-1 V - I| over the stacked triangles, V the quadrature DOFs.
+
+    Interpolating each shape basis form returns its unit vector.  Its DOF
+    values V come from float quadrature of the Green functionals,
+    independent of the exact pairing that built M, so M^-1 V = I tests
+    the DOF matrix against the functionals.  The node tables are stacked
+    ``tables`` calls of ``PROJECTION_BLOCK`` triangles each, as
+    ``node_tables`` would build them one at a time; each triangle's
+    values do not depend on the block, so the max is that of one stack.
+    """
+    ref = reference_element(2, 1)
+    errors = []
+    for lo in range(0, len(M), PROJECTION_BLOCK):
+        block = slice(lo, lo + PROJECTION_BLOCK)
+        tab = ref.tables(vertices[block], volumes[block], shape_scale[block], test_scale[block], 6)
+        values = quadrature_dofs(tab, tab["val"], tab["dval"], tab["gval"])
+        X = np.linalg.solve(M[block], values.transpose(0, 2, 1))
+        errors.append(np.max(np.abs(X - np.eye(6))))
+    return float(np.max(errors, initial=0.0))  # a NaN propagates, as in one stack
 
 
 def unisolvence_suite(
@@ -257,16 +336,7 @@ def unisolvence_suite(
         dofs = dof_values(matrix.combine(drawn), matrix)
         if any(solve_dofs(dofs, matrix, method=m) != drawn for m in (DIRECT, FOURSTEP)):
             mismatched += 1
-    # projection: interpolating each shape basis form returns its unit
-    # vector.  Its DOF values V come from float quadrature of the Green
-    # functionals, independent of the exact pairing that built M, so
-    # M^-1 V = I tests the DOF matrix against the functionals.  The node
-    # tables of all triangles are one stacked ``tables`` call, as
-    # ``node_tables`` would build them one at a time.
-    tab = reference_element(2, 1).tables(vertices, volumes, shape_scale, test_scale, 6)
-    values = quadrature_dofs(tab, tab["val"], tab["dval"], tab["gval"])
-    X = np.linalg.solve(M, values.transpose(0, 2, 1))
-    max_proj = float(np.max(np.abs(X - np.eye(6)), initial=0.0))
+    max_proj = _projection_error(vertices, volumes, shape_scale, test_scale, M)
     return [
         CheckResult(
             "dof-matrix-cond-finite", True, f"max cond {max_cond:.3e} over {count} triangles"

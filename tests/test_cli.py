@@ -55,6 +55,24 @@ def test_verify_catches_seeded_defect(tmp_path, monkeypatch, capsys):
     assert "FAIL" in capsys.readouterr().err
 
 
+_FLOAT_DETAILS = {"dof-matrix-cond-finite", "interpolation-projection"}
+
+
+def test_verify_report_keeps_its_checks_and_exact_details(tmp_path):
+    """The check names, pass flags and exact details of ``verify --seed 0
+    --simplices 20 --triangles 20``, pinned by SHA-256; the two float
+    details (max cond, max coefficient error) are left out."""
+    out = tmp_path / "report.json"
+    args = ["verify", "--seed", "0", "--simplices", "20", "--triangles", "20", "--out", str(out)]
+    assert main(args) == 0
+    view = [
+        [c["name"], c["passed"], None if c["name"] in _FLOAT_DETAILS else c["detail"]]
+        for c in json.loads(out.read_text())["checks"]
+    ]
+    digest = "125236bc7f89115635eb8d4c67fb30f521f11cf5bb428edd07b93b0f7eeadc1c"
+    assert hashlib.sha256(json.dumps(view).encode()).hexdigest() == digest
+
+
 _COLD_VERIFY = """
 import json, sys
 sys.path.insert(0, {src!r})

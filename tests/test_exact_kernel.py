@@ -8,6 +8,7 @@ Triangles and matrices are drawn with small denominators and with
 coprime denominators near 10**20.
 """
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -179,6 +180,54 @@ def test_singular_matrix_still_raises(big, data, weights):
     assert _gauss_jordan(A, B) == (Fraction(0), None)
     with pytest.raises(ValueError):
         solve_rational(A, B)
+
+
+def _reference_simplex(verts):
+    """Orientation-normalized vertices, volume, barycenter, centered vertices,
+    h, h_scale and second moments by eager Fraction formulas, with the
+    determinant from ``_gauss_jordan``."""
+    n = len(verts[0])
+    det, _ = _gauss_jordan([[p - q for p, q in zip(v, verts[0])] for v in verts[1:]], [[]] * n)
+    verts = list(verts)
+    if det < 0:
+        verts[-1], verts[-2] = verts[-2], verts[-1]
+    bary = tuple(sum(col, Fraction(0)) / (n + 1) for col in zip(*verts))
+    centered = tuple(tuple(x - b for x, b in zip(v, bary)) for v in verts)
+    pairs = [(a, b) for i, a in enumerate(verts) for b in verts[i + 1 :]]
+    h = math.sqrt(float(max(sum((x - y) ** 2 for x, y in zip(a, b)) for a, b in pairs)))
+    h_scale = max(abs(x - y) for a, b in pairs for x, y in zip(a, b))
+    # mean of (x^j)^2 = sum_i c_ij^2 / ((n+1)(n+2)) for centered vertices c
+    second = tuple(sum(c[j] ** 2 for c in centered) / ((n + 1) * (n + 2)) for j in range(n))
+    return tuple(verts), abs(det) / math.factorial(n), bary, centered, h, h_scale, second
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("big", [False, True])
+@settings(EXACT, max_examples=8)
+@given(data=st.data())
+def test_simplex_equals_the_eager_fraction_reference(n, big, data):
+    """Integer determinant and lazy attributes against the eager Fraction
+    formulas, in both orientations; a degenerate simplex raises as before."""
+    verts = [tuple(data.draw(rationals(big)) for _ in range(n)) for _ in range(n + 1)]
+    det, _ = _gauss_jordan([[p - q for p, q in zip(v, verts[0])] for v in verts[1:]], [[]] * n)
+    if det == 0:
+        with pytest.raises(ValueError, match=r"^degenerate simplex \(zero volume\)$"):
+            Simplex(verts)
+        return
+    for given_verts in (verts, [*verts[:-2], verts[-1], verts[-2]]):
+        T = Simplex(given_verts)
+        want = _reference_simplex(given_verts)
+        got = (T.vertices, T.volume, T.barycenter, T.centered, T.h, T.h_scale, T.second_moments)
+        assert got == want
+        assert type(T.h) is float and all(type(x) is Fraction for x in (T.volume, T.h_scale))
+    # an affine combination of the others as the last vertex: zero volume
+    weights = [data.draw(rationals(False)) for _ in range(n)]
+    last = tuple(
+        verts[0][j] + sum(w * (v[j] - verts[0][j]) for w, v in zip(weights, verts[1:n]))
+        for j in range(n)
+    )
+    with pytest.raises(ValueError, match=r"^degenerate simplex \(zero volume\)$"):
+        Simplex([*verts[:n], last])
 
 
 PRIMES = (101, 103, 107, 109, 113, 127, 131, 137, 139, 149, 151, 157)

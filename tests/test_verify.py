@@ -1,0 +1,77 @@
+"""The verification suites' own machinery: the paired norm route and the
+blocked projection check."""
+
+import numpy as np
+
+import hodgefem.verify
+from hodgefem.forms import Polynomial, PolyForm, exterior_derivative, koszul
+from hodgefem.simplices import h1_seminorm_sq, l2_inner
+from hodgefem.verify import NORM_CASES, _norm_draws, norm_suite, unisolvence_suite
+
+
+def test_paired_norm_sides_equal_the_direct_route():
+    """Both sides of the norm equality, paired once per (n, k), equal
+    ``l2_inner`` and ``(k+1) h1_seminorm_sq`` on each of the suite's draws."""
+    seen = dict.fromkeys(NORM_CASES, 0)
+    for n, k, S, eta, lhs, rhs in _norm_draws(12, seed=3):
+        form = PolyForm(n, k + 1, {a: Polynomial.constant(n, c) for a, c in eta.items()})
+        mu = koszul(form)
+        dmu = exterior_derivative(mu)
+        assert lhs == l2_inner(dmu, dmu, S)
+        assert rhs == (k + 1) * h1_seminorm_sq(mu, S)
+        seen[n, k] += 1
+    assert seen == dict.fromkeys(NORM_CASES, 12)
+
+
+def test_norm_suite_sees_a_defect_patched_in_between_calls(monkeypatch):
+    """No pairing outlives a call: a wrong d patched in after a first call
+    makes the next call fail with a nonzero gap."""
+    assert all(r.passed for r in norm_suite(count=3))
+    d = hodgefem.verify.exterior_derivative
+    monkeypatch.setattr(hodgefem.verify, "exterior_derivative", lambda w: 2 * d(w))
+    results = norm_suite(count=3)
+    assert [r.passed for r in results] == [False] * len(NORM_CASES)
+    for r in results:
+        assert r.detail.startswith("gap ") and float(r.detail.split()[1]) > 0
+        assert r.line().startswith("FAIL d-norm-equals-sqrt(k+1)-h1")
+
+
+def test_blocked_projection_check_equals_one_stack(monkeypatch):
+    """The projection error over blocks of triangles is bit for bit the
+    error of one stacked ``tables`` call, across block boundaries."""
+    errors = []
+    projection_error = hodgefem.verify._projection_error
+
+    def both(*args):
+        blocked = projection_error(*args)
+        with monkeypatch.context() as m:
+            m.setattr(hodgefem.verify, "PROJECTION_BLOCK", len(args[-1]) + 1)
+            errors.append((blocked, projection_error(*args)))
+        return blocked
+
+    monkeypatch.setattr(hodgefem.verify, "_projection_error", both)
+    block = hodgefem.verify.PROJECTION_BLOCK
+    for count in (0, 1, block, 2 * block + 5):
+        unisolvence_suite(count=count, seed=1)
+    assert len(errors) == 4
+    assert errors[0] == (0.0, 0.0)
+    for blocked, stacked in errors:
+        assert np.float64(blocked).tobytes() == np.float64(stacked).tobytes()
+
+
+def test_a_nan_in_a_later_projection_block_fails_the_check(monkeypatch):
+    """A NaN in any block reaches the reported error, as in one stack."""
+    quadrature_dofs = hodgefem.verify.quadrature_dofs
+    calls = []
+
+    def nan_after_the_first_block(tab, *fields):
+        calls.append(len(tab["weights"]))
+        values = quadrature_dofs(tab, *fields)
+        return values if len(calls) == 1 else np.full_like(values, np.nan)
+
+    monkeypatch.setattr(hodgefem.verify, "quadrature_dofs", nan_after_the_first_block)
+    monkeypatch.setattr(hodgefem.verify, "PROJECTION_BLOCK", 2)
+    results = {r.name: r for r in unisolvence_suite(count=3, seed=0)}
+    assert calls == [2, 1]
+    check = results["interpolation-projection"]
+    assert not check.passed and check.detail == "max coefficient error nan"
