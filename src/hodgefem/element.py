@@ -47,13 +47,13 @@ graph of mu, row i times E_ii, by ``Pairing.against`` on the reference
 element's DOF pairing, so the coefficient blocks of T are built once.
 
 A DofMatrix is the local element of one simplex, and ``local_element``
-its one constructor, one ``pair`` (``CellTemplate`` builds its own from
-a three-group ``pair``): its scaling and the exact and float DOF matrix,
-built once and passed to dof_values, solve_dofs, interpolate_coeffs and
-interpolate; its shape space as PolyForms S R is made only when read,
-and ``DofMatrix.combine`` makes one member of it as R combined with
-S^T c.  Row order: eta block (constants then koszul-type), then tau
-block (constants then koszul-type); columns follow the shape basis.
+its one constructor, one ``pair``: its scaling and the exact and float
+DOF matrix, built once and passed to dof_values, solve_dofs,
+interpolate_coeffs and interpolate; its shape space as PolyForms S R is
+made only when read, and ``DofMatrix.combine`` makes one member of it as
+R combined with S^T c.  Row order: eta block (constants then
+koszul-type), then tau block (constants then koszul-type); columns
+follow the shape basis.
 The four-step solve is block forward substitution in that matrix,
 written once in ``solve_dofs`` over a block solve that is exact for
 PolyForm input and float for callbacks.  solve_dofs starts from given
@@ -73,7 +73,9 @@ it.  quadrature_rows writes it as a matrix against node values, for all
 templates at once, by applying quadrature_dofs at each node to unit
 fields.  The float view of the global product space uses no quadrature:
 its DOF matrices, Whitney rows, duals and cell Grams are the exact values
-rounded once, from closed forms (``globalspace._closed_forms``).
+rounded once, from closed forms (``globalspace._closed_forms``), which
+also give the exact duals of the ``basis`` dump.  The GRAM and HATS
+groups of ``pair`` are the tests' independent reference for them.
 
 Scaling keeps the DofMatrix condition number independent of the simplex
 diameter: koszul-type shape and test forms carry 1/h, the H2D block

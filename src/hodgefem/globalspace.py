@@ -27,33 +27,26 @@ mu^rot_{a,T} and mu^div_{a,T}.  Then
 
 All dual coefficients are exact rationals and the constraint identities
 B v = 0 hold exactly, by biorthogonality.  Congruent cells (equal up to
-translation) share one template.  A template's exact data (``CellTemplate``:
-the DOF matrix, Whitney matrix, dual coefficients and cell Gram) is
-built from its Simplex alone, and only when read, e.g. by the ``basis``
-dump, and so is the Simplex.  One ``ReferenceElement.pair`` of the
-cached planar 1-form element (``element.reference_element``) gives the
-DOF matrix, the Whitney rows and the cell Gram <d u, d v> + <delta u,
-delta v> + <u, v> from one ``integer_moments`` call, one integer
-contraction and the exact scalings in Python ints, and the duals are
-one fraction-free elimination of the integer Whitney rows.  No form is
-built.
+translation) share one template.
 
 Set-up costs cells plus templates, and no exact object per template.
 The template key of a cell is its centered vertex tuple; cells are
 sorted into classes by the same tuple in lowest integer terms, computed
 for all cells at once from each cell's exact integer coordinates, and a
-class is a ``CellTemplate`` of its first cell.  ``ProductSpace`` holds
-the one cell-to-template map (a template list and each cell's template
-index) and the one float view of the templates, each float array
-stacked once over them.  The float view is the exact data rounded once,
-bit for bit as float(Fraction) of the exact entries (``minv`` is the
-float inverse of the rounded DOF matrix), but it is not made from them:
-the scalings S and E, the DOF matrix, the Whitney rows, the duals and
-the cell Gram of the planar element have closed forms in the centered
-vertex coordinates, the area and h (``_closed_forms``, which proves
-them), and so has h (``_chebyshev_diameter``), evaluated for all
-templates at once as fractions of Python ints and divided once.  So
-every exact zero stays 0.0, and B, Phi and A keep their exact sparsity.
+class is represented by its first cell and that integer tuple
+(``ProductSpace.templates`` and ``shapes``).  ``ProductSpace`` holds the
+one cell-to-template map (each cell's template index) and the one float
+view of the templates, each float array stacked once over them.  The
+one owner of a template's exact data is ``_closed_forms``: the scalings
+S and E, the DOF matrix, the Whitney rows, the duals and the cell Gram
+<d u, d v> + <delta u, delta v> + <u, v> of the planar element have
+closed forms in the centered vertex coordinates, the area and h (which
+it proves), and so has h (``_chebyshev_diameter``), evaluated for all
+templates at once as fractions of Python ints.  The float view divides
+each of them once, bit for bit as float(Fraction) of the exact entry
+(``minv`` is the float inverse of the rounded DOF matrix), so every
+exact zero stays 0.0, and B, Phi and A keep their exact sparsity.  No
+Simplex, form or pairing is built for a template.
 The node tables of all templates are one ``ReferenceElement.tables`` of
 the stacked vertices and float scalings per quadrature order, and the
 float tables that the load vector, the error norms and the interpolation
@@ -62,9 +55,9 @@ B and Phi read the same stacked 6x6 data: B gathers the float Whitney
 rows, and Phi the float dual coefficients, by template index, cell and
 slot.  The kernel basis is held as per-function arrays (category,
 anchor, support cells, dual columns); the exact BasisFunctions
-(``functions``) are generated one at a time when read, from the exact
-template duals.  The rank audit is one O(nnz) certificate from the same
-float duals: with D = blockdiag(duals) over the cells, B D is a 0/1
+(``functions``) are generated one at a time when read, from the closed
+forms' duals as Fractions.  The rank audit is one O(nnz) certificate
+from the float duals: with D = blockdiag(duals) over the cells, B D is a 0/1
 selection matrix whose disjoint rows prove that B has full row rank,
 which the saddle-point oracle needs.  The product space owns its B:
 ``build_constraints`` gathers it on the first call, read-only, and every
@@ -75,33 +68,22 @@ dependent row included, raises; there is no dense fallback.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
 
-from .element import (
-    DOFS,
-    GRAM,
-    HATS,
-    DofMatrix,
-    FormCallback,
-    node_values,
-    quadrature_rows,
-    reference_element,
-)
+from .element import FormCallback, node_values, quadrature_rows, reference_element
 from .mesh import Triangulation
-from .simplices import Simplex, as_fractions, solve_rational
 
 __all__ = [
     "DIV_PATCH",
     "ROT_PATCH",
     "ROT_CELL",
     "CATEGORIES",
-    "CellTemplate",
     "ProductSpace",
     "ConstraintSystem",
     "GlobalBasis",
@@ -119,52 +101,6 @@ ROT_PATCH = "ROT_PATCH"
 ROT_CELL = "ROT_CELL"
 
 
-class CellTemplate:
-    """Per-congruence-class exact element data (translation invariant); no floats.
-
-    The class of cell ``cell`` of ``tri``.  Its exact ``simplex``
-    (``tri.simplex(cell)``), its ``key`` (the simplex's centered
-    coordinates) and its exact data are each built when first read.  One
-    ``ReferenceElement.pair`` of the planar element gives the DOF matrix
-    ``matrix``, the Whitney functional rows ``whitney`` (rot slot 0..2,
-    eta = hat dx^12, then div slot 0..2, tau = hat) and the graph-norm
-    Gram ``gram`` <d u, d v> + <delta u, delta v> + <u, v>, and ``duals``
-    solve whitney . duals = I on the integer Whitney rows.  No PolyForm is
-    built, and the float view of ``ProductSpace`` reads none of it.
-    """
-
-    def __init__(self, tri: Triangulation, cell: int):
-        self.tri = tri
-        self.cell = cell
-
-    @cached_property
-    def simplex(self) -> Simplex:
-        return self.tri.simplex(self.cell)
-
-    @cached_property
-    def key(self) -> tuple:
-        return tuple(self.simplex.centered)
-
-    @cached_property
-    def _exact(self) -> tuple:
-        ref = reference_element(2, 1)
-        scaling, out = ref.pair(self.simplex, (GRAM, DOFS, HATS))
-        rows, den = out[HATS]
-        # (rows / den) X = I, so rows X = den I: column j holds the dual coeffs
-        eye = [[den * (r == c) for c in range(6)] for r in range(6)]
-        return (
-            DofMatrix(ref, self.simplex, scaling, as_fractions(*out[DOFS])),
-            as_fractions(*out[GRAM]),
-            as_fractions(rows, den),
-            solve_rational(rows, eye),
-        )
-
-    matrix = property(lambda self: self._exact[0])
-    gram = property(lambda self: self._exact[1])
-    whitney = property(lambda self: self._exact[2])
-    duals = property(lambda self: self._exact[3])
-
-
 class ProductSpace:
     """Cell-major broken space: coefficients [6*cell : 6*cell + 6] per cell.
 
@@ -173,21 +109,20 @@ class ProductSpace:
     den a cell's common denominator, its centered coordinates are the
     integer 6-tuple 3*den*(vertex - barycenter) over 3*den, and this
     fraction in lowest terms is equal for two cells exactly when their
-    centered coordinates are.  Each class is a CellTemplate of its first
-    cell, which builds no exact object until read.  Barycenters are the
-    exact ones rounded once to float.
+    centered coordinates are.  Barycenters are the exact ones rounded
+    once to float.
 
-    The one cell-to-template map: ``templates`` lists the classes in
-    order of their first cell, and ``template_index[c]`` is the class of
-    cell c.  The space holds the one float view of the templates, stacked
-    over them: ``gram``, ``whitney``, ``duals``, the inverse DOF matrix
-    ``minv``, the centered ``vertices``, the ``volumes``, the scalings
-    ``shape_scale`` (S) and ``test_scale`` (the diagonal of E) and
-    ``tables(order)``.  Each entry is its exact value rounded once, as
-    float(Fraction) would round the templates' exact data, but none of
-    that data, and no Simplex, is built: all of it comes from closed
-    forms in the integer coordinates of all templates at once
-    (``_chebyshev_diameter`` and ``_closed_forms``).  It also holds its B
+    The one cell-to-template map: ``templates`` holds the first cell of
+    each class, in order of that cell, ``shapes`` its lowest-terms
+    integer row (d, x0, y0, x1, y1, x2, y2) of centered coordinates over
+    d, and ``template_index[c]`` is the class of cell c.  The space holds
+    the one float view of the templates, stacked over them: ``gram``,
+    ``whitney``, ``duals``, the inverse DOF matrix ``minv``, the centered
+    ``vertices``, the ``volumes``, the scalings ``shape_scale`` (S) and
+    ``test_scale`` (the diagonal of E) and ``tables(order)``.  Each entry
+    is the exact entry of the closed forms (``_chebyshev_diameter`` and
+    ``_closed_forms``, over ``shapes``) rounded once, as float(Fraction)
+    rounds it; no Simplex is built.  It also holds its B
     (``build_constraints``) and whether B passed the rank certificate.
     """
 
@@ -203,13 +138,13 @@ class ProductSpace:
         classes: dict[tuple, list[int]] = {}
         for c, shape in enumerate(map(tuple, reduced.tolist())):
             classes.setdefault(shape, []).append(c)
-        self.templates = [CellTemplate(tri, cells[0]) for cells in classes.values()]
+        self.templates = np.array([cells[0] for cells in classes.values()], dtype=np.intp)
         self.template_index = np.empty(nc, dtype=np.intp)
         for i, cells in enumerate(classes.values()):
             self.template_index[cells] = i
         # a cell's vertices are positively oriented, so in its simplex's order
-        first = reduced[[t.cell for t in self.templates]]
-        d, xy = first[:, :1], first[:, 1:].reshape(-1, 3, 2)
+        self.shapes = reduced[self.templates]
+        d, xy = self.shapes[:, :1], self.shapes[:, 1:].reshape(-1, 3, 2)
         self.vertices = np.asarray(xy / d[:, :, None], dtype=float)
         (
             self.volumes,
@@ -219,7 +154,10 @@ class ProductSpace:
             self.whitney,
             self.duals,
             matrix,
-        ) = _closed_forms(first, *_chebyshev_diameter(first))
+        ) = (
+            _evaluate(entries, len(self.templates), _rounded)
+            for entries in _closed_forms(self.shapes, *_chebyshev_diameter(self.shapes))
+        )
         self.minv = np.linalg.inv(matrix)
         self._tables: dict[int, dict[str, np.ndarray]] = {}
         self._derived: dict[tuple, np.ndarray] = {}
@@ -229,9 +167,6 @@ class ProductSpace:
     @property
     def dim(self) -> int:
         return 6 * len(self.tri.cells)
-
-    def template(self, cell: int) -> CellTemplate:
-        return self.templates[self.template_index[cell]]
 
     def tables(self, order: int) -> dict[str, np.ndarray]:
         """The node tables of every template (centered, so shared by congruent
@@ -291,16 +226,21 @@ def _chebyshev_diameter(shapes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return cheb // g, d // g
 
 
-def _closed_forms(shapes: np.ndarray, p: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Every template's area, scalings, gram, whitney, duals and DOF matrix, rounded once.
+# nested (numerator, denominator) entries, each a Python int or a (T,)
+# object array of them over the templates
+_ClosedForms = namedtuple("_ClosedForms", "volumes shape_scale test_scale gram whitney duals matrix")
+
+
+def _closed_forms(shapes: np.ndarray, p: np.ndarray, q: np.ndarray) -> _ClosedForms:
+    """Every template's exact area, scalings, gram, whitney, duals and DOF matrix.
 
     ``shapes`` (T, 7) holds each template's integer centered coordinates
     over their denominator d, as (d, x0, y0, x1, y1, x2, y2) in the
     simplex's (counterclockwise) vertex order, and h = p/q its h
-    (``_chebyshev_diameter``).  Returns the areas (T,), S (T, 6, 6), the
-    diagonals of E (T, 6) and the four (T, 6, 6) float stacks.  Each
-    entry of the closed forms below is formed as a fraction of Python
-    ints, so one division rounds its exact value once, as float(Fraction)
+    (``_chebyshev_diameter``).  Returns the area, S (6 x 6), the diagonal
+    of E (6) and the four 6 x 6 matrices as nested entries, each a
+    fraction of Python ints; ``_evaluate`` stacks them over the templates.
+    So one division rounds an entry's exact value once, as float(Fraction)
     does: an entry is 0.0 exactly where it is 0, whatever makes it vanish
     (the block structure, an axis-parallel edge or a symmetric cell).
 
@@ -424,16 +364,23 @@ def _closed_forms(shapes: np.ndarray, p: np.ndarray, q: np.ndarray) -> tuple[np.
         + [(3 * eta * (xy * x[:, c] + yy * y[:, c]), div) for c in range(3)],
     ]
 
-    def rounded(entries) -> np.ndarray:  # nested (numerator, denominator) entries -> floats
-        if isinstance(entries, tuple):
-            n, m = entries
-            return np.broadcast_to(np.asarray(n / m, dtype=float), d.shape)
-        return np.stack([rounded(e) for e in entries], axis=1)
+    return _ClosedForms((det, 2 * d2), shape, tests, gram, whitney, duals, matrix)
 
-    return (
-        np.asarray(det / (2 * d2), dtype=float),
-        *map(rounded, (shape, tests, gram, whitney, duals, matrix)),
-    )
+
+def _evaluate(entries, count: int, quotient) -> np.ndarray:
+    """``quotient(numerator, denominator)`` of every nested entry of ``_closed_forms``,
+    stacked with the ``count`` templates on axis 0."""
+    if isinstance(entries, tuple):
+        return np.full(count, quotient(*entries))
+    return np.stack([_evaluate(e, count, quotient) for e in entries], axis=1)
+
+
+def _rounded(n, m) -> np.ndarray:
+    # Python int division rounds each exact quotient once, as float(Fraction)
+    return np.asarray(n / m, dtype=float)
+
+
+_fraction = np.frompyfunc(Fraction, 2, 1)
 
 
 class ConstraintSystem:
@@ -609,12 +556,20 @@ class GlobalBasis:
         """Exact BasisFunctions in column order, entries (index, Fraction) in Phi's order.
 
         A fresh generator on every read: one function exists at a time
-        unless the caller keeps them.
+        unless the caller keeps them.  The exact duals of all templates
+        are the closed forms over ``prod.shapes``, evaluated as Fractions
+        once per read.
         """
+        shapes, tix = self.prod.shapes, self.prod.template_index.tolist()
+        duals = _closed_forms(shapes, *_chebyshev_diameter(shapes)).duals
+        # per template and dual column, its nonzero (shape index, Fraction) entries
+        nonzero = [
+            [[(i, v) for i, v in enumerate(column) if v != 0] for column in zip(*rows)]
+            for rows in _evaluate(duals, len(shapes), _fraction).tolist()
+        ]
 
         def entries(cell: int, col: int) -> list[tuple[int, Fraction]]:
-            duals = self.prod.template(cell).duals
-            return [(6 * cell + i, duals[i][col]) for i in range(6) if duals[i][col] != 0]
+            return [(6 * cell + i, v) for i, v in nonzero[tix[cell]][col]]
 
         for cat, a, (c0, c1), (k0, k1) in zip(
             self.category.tolist(), self.anchor.tolist(), self.cells.tolist(), self.columns.tolist()

@@ -170,15 +170,19 @@ def test_basis_reads_mesh_from_file(tmp_path):
             "86a385e0c4d67db11e68d40c942a4f8499ff69240166077fe740848e455ad6ed",
         ),
         (["--mesh-file", "{jitter}"], "9157df78248415a063c6170fc90a0cbcea39808598f808570a85bc713ee35788"),
+        (["--mesh-file", "{jitter8}"], "504cab6fad0c9f7b20cc9e4bc6006f2437098bc77efd963190d6b550758e2f68"),
     ],
 )
 def test_basis_dumps_keep_their_bytes(tmp_path, args, digest):
-    """The exact basis of diagonal m = 4, crisscross m = 3 and a jittered m = 4
-    mesh file (seed 3), pinned by the SHA-256 of the whole dump."""
-    mesh = tmp_path / "jitter.mesh"
-    write_mesh(generate_jittered_mesh(4, 3), mesh)
+    """The exact basis of diagonal m = 4, crisscross m = 3 and the jittered mesh
+    files of m = 4 (seed 3) and m = 8 (seed 11: 128 cells, 127 templates),
+    pinned by the SHA-256 of the whole dump."""
+    meshes = {"jitter": (4, 3), "jitter8": (8, 11)}
+    for name, (m, seed) in meshes.items():
+        write_mesh(generate_jittered_mesh(m, seed), tmp_path / f"{name}.mesh")
+    paths = {name: tmp_path / f"{name}.mesh" for name in meshes}
     out = tmp_path / "basis.jsonl"
-    assert main(["basis", *(a.format(jitter=mesh) for a in args), "--out", str(out)]) == 0
+    assert main(["basis", *(a.format(**paths) for a in args), "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 

@@ -26,9 +26,11 @@ from hodgefem.forms import (
     hodge_star,
     koszul,
 )
-from hodgefem.globalspace import CellTemplate
+from hodgefem.globalspace import build_product_space
 from hodgefem.mesh import Triangulation
 from hodgefem.simplices import Simplex, _gauss_jordan, integrate_poly, l2_gram, solve_rational
+
+from conftest import closed_form_templates
 
 BIG = 10**20
 
@@ -295,9 +297,12 @@ def _planar_element(T: Simplex):
 @given(data=st.data())
 def test_reference_element_equals_the_element_built_form_by_form(kind, orientation, data):
     """gram, DOF matrix, Whitney rows, duals and node tables of the scaled
-    reference element against the forms calculus and ``l2_gram``, exactly."""
+    reference element against the forms calculus and ``l2_gram``, exactly:
+    the closed forms of a one-cell product space, and the ``local_element``
+    and three-group ``pair`` that ``closed_form_templates`` checks them by."""
     triangles = data.draw(st.lists(element_triangles(kind, orientation), min_size=1, max_size=3))
-    templates = [CellTemplate(Triangulation(T.vertices, [(0, 1, 2)]), 0) for T in triangles]
+    meshes = [Triangulation(T.vertices, [(0, 1, 2)]) for T in triangles]
+    templates = [t for tri in meshes for t in closed_form_templates(tri, build_product_space(tri))]
     eye = [[Fraction(int(r == c)) for c in range(6)] for r in range(6)]
     elements = [_planar_element(T) for T in triangles]
     for T, t, (shape, graph, etas, taus, hat_rows) in zip(triangles, templates, elements):

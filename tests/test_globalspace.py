@@ -20,12 +20,14 @@ from hodgefem.forms import PolyForm
 import hodgefem.element
 import hodgefem.globalspace
 import hodgefem.simplices
+from hodgefem.cli import main
 from hodgefem.mesh import (
     CRISSCROSS,
     DIAGONAL,
     Triangulation,
     generate_jittered_mesh,
     generate_square_mesh,
+    write_mesh,
 )
 from hodgefem.globalspace import (
     CATEGORIES,
@@ -40,7 +42,7 @@ from hodgefem.globalspace import (
 )
 from hodgefem.solver import assemble
 
-from conftest import MESHES
+from conftest import MESHES, closed_form_templates
 
 
 def _setup(m, pattern=DIAGONAL):
@@ -58,10 +60,12 @@ def test_product_space_layout():
     cells_by_template = [np.flatnonzero(prod.template_index == i) for i in range(4)]
     sizes = [len(v) for v in cells_by_template]
     assert sum(sizes) == 8 and min(sizes) >= 1
-    for i, (t, cells) in enumerate(zip(prod.templates, cells_by_template)):
+    for i, (first, cells) in enumerate(zip(prod.templates.tolist(), cells_by_template)):
+        # a template is its class's first cell, congruent to every member
+        assert first == cells[0]
         for c in cells:
             assert prod.template_index[c] == i
-            assert prod.template(int(c)) is t
+            assert tri.simplex(int(c)).centered == tri.simplex(first).centered
 
     _, prod4, _ = _setup(4)
     assert len(prod4.templates) == 4
@@ -73,7 +77,8 @@ def test_product_space_keys_and_barycenters_are_exact(mesh):
     prod = build_product_space(mesh)
     for c in range(len(mesh.cells)):
         s = mesh.simplex(c)
-        assert prod.template(c).key == tuple(s.centered)
+        d, *xy = prod.shapes[prod.template_index[c]].tolist()
+        assert [Fraction(v, d) for v in xy] == [x for point in s.centered for x in point]
         assert prod.barycenters[c].tolist() == [float(x) for x in s.barycenter]
 
 
@@ -102,10 +107,14 @@ def test_product_space_builds_no_simplex_and_a_read_template_builds_one(monkeypa
 
     monkeypatch.setattr(hodgefem.simplices.Simplex, "__init__", counting_init)
     prod = build_product_space(tri)
+    basis = build_global_basis(tri, prod)
+    assert sum(len(fn.entries) for fn in basis.functions) == basis.Phi.nnz
     assert len(prod.templates) == 4
     assert built == []
-    for t in prod.templates:
-        assert t.duals and t.key == tuple(t.simplex.centered)
+    # the reference builds one simplex per template, and reads the same key
+    for i, t in enumerate(closed_form_templates(tri, prod)):
+        d, *xy = prod.shapes[i].tolist()
+        assert t.duals and [Fraction(v, d) for v in xy] == [x for p in t.simplex.centered for x in p]
         assert t.simplex is tri.simplex(t.cell)
     assert len(built) == len(prod.templates)
 
@@ -116,7 +125,7 @@ def test_float_stacks_round_each_exact_template_entry_once(mesh):
     for name in ("gram", "whitney", "duals", "minv"):
         assert getattr(prod, name).shape == (n, 6, 6)
     assert prod.vertices.shape == (n, 3, 2)
-    for i, t in enumerate(prod.templates):
+    for i, t in enumerate(closed_form_templates(mesh, prod)):
         for name in ("gram", "whitney", "duals"):
             exact = getattr(t, name)
             assert getattr(prod, name)[i].tolist() == [[float(v) for v in row] for row in exact]
@@ -142,11 +151,12 @@ def test_cell_gram_equals_the_per_pair_l2_inner_sums(monkeypatch):
                 return inner(u, v, simplex)
 
             monkeypatch.setattr(module, "l2_inner", counting)
-    prod = build_product_space(MESHES["jitter4"]())
+    tri = MESHES["jitter4"]()
+    prod = build_product_space(tri)
     assert len(prod.templates) == 32
     assert calls == []
     monkeypatch.undo()
-    for t in prod.templates:
+    for t in closed_form_templates(tri, prod):
         space = t.matrix.space
         for i in range(6):
             for j in range(6):
@@ -158,7 +168,9 @@ def test_cell_gram_equals_the_per_pair_l2_inner_sums(monkeypatch):
 
 def test_product_space_builds_no_exact_object_and_a_read_template_one_moment_call(monkeypatch):
     """The build makes no PolyForm, Fraction or Scaling and no ``integer_moments``
-    call; reading a template's exact data makes one ``integer_moments`` call."""
+    call, and reading the exact duals of the basis makes no PolyForm, Scaling or
+    ``integer_moments`` call; the three-group ``pair`` that is the tests'
+    reference for a template makes one ``integer_moments`` call."""
     build_product_space(MESHES["jitter4"]())  # the reference element is now built
     tri = MESHES["jitter4"]()
     made, moments = [], []
@@ -188,11 +200,20 @@ def test_product_space_builds_no_exact_object_and_a_read_template_one_moment_cal
     assert len(prod.templates) == 32
     assert made == []
     assert moments == []
-    for t in prod.templates:
-        assert t.gram and t.whitney and t.duals and t.matrix.exact
+    basis = build_global_basis(tri, prod)
+    assert all(fn.entries for fn in basis.functions)
+    assert set(made) == {"Fraction"}
+    assert moments == []
+    simplices = [tri.simplex(c) for c in prod.templates.tolist()]
+    ref = hodgefem.element.reference_element(2, 1)
+    groups = (hodgefem.element.GRAM, hodgefem.element.DOFS, hodgefem.element.HATS)
+    for s in simplices:
+        _, out = ref.pair(s, groups)
+        assert all(out[g][0] for g in groups)
     monkeypatch.undo()
     assert len(moments) == len(prod.templates)
-    assert [id(s) for s in moments] == [id(t.simplex) for t in prod.templates]
+    assert [id(s) for s in moments] == [id(s) for s in simplices]
+    closed_form_templates(tri, prod)
 
 
 def _built_with_h(tri):
@@ -209,13 +230,14 @@ def _assert_scalings_are_the_exact_ones_rounded(tri):
     and ``Simplex.h_scale``: byte-equal floats and the same lowest terms."""
     prod, p, q = _built_with_h(tri)
     ref = hodgefem.element.reference_element(2, 1)
-    for i, t in enumerate(prod.templates):
-        S, E = ref.scaling(t.simplex, t.simplex.second_moments).floats()
+    for i, cell in enumerate(prod.templates.tolist()):
+        simplex = tri.simplex(cell)
+        S, E = ref.scaling(simplex, simplex.second_moments).floats()
         assert (prod.shape_scale[i].dtype, prod.shape_scale[i].shape) == (S.dtype, S.shape)
         assert prod.shape_scale[i].tobytes() == S.tobytes()
         assert (prod.test_scale[i].dtype, prod.test_scale[i].shape) == (E.dtype, E.shape)
         assert prod.test_scale[i].tobytes() == E.tobytes()
-        h = t.simplex.h_scale
+        h = simplex.h_scale
         assert (p[i], q[i]) == (h.numerator, h.denominator)
 
 
@@ -239,7 +261,7 @@ def test_jittered_meshes_have_exact_duals_and_the_full_basis(m, seed):
     tri = generate_jittered_mesh(m, seed)
     prod = build_product_space(tri)
     eye = [[Fraction(int(r == c)) for c in range(6)] for r in range(6)]
-    for t in prod.templates:
+    for t in closed_form_templates(tri, prod):
         product = [
             [sum((w * d for w, d in zip(row, col)), Fraction(0)) for col in zip(*t.duals)]
             for row in t.whitney
@@ -250,37 +272,45 @@ def test_jittered_meshes_have_exact_duals_and_the_full_basis(m, seed):
     assert len(build_global_basis(tri, prod)) == 6 * len(tri.cells) - cons.rows
 
 
-def test_the_build_reads_no_exact_template_data_and_a_template_builds_it_once(monkeypatch):
-    """No ``ReferenceElement.pair`` while building; a template's exact data on first read."""
-    pairs = []
-    pair = hodgefem.element.ReferenceElement.pair
+def test_the_basis_dump_pairs_no_template_and_builds_no_simplex(tmp_path, monkeypatch):
+    """``basis --mesh-file`` takes its exact duals from the closed forms: no
+    ``ReferenceElement.pair``, ``solve_rational`` or ``Simplex`` construction."""
+    mesh = tmp_path / "jitter4.mesh"
+    write_mesh(MESHES["jitter4"](), mesh)
+    calls = []
 
-    def counting(self, simplex, groups=(hodgefem.element.DOFS,)):
-        pairs.append(simplex)
-        return pair(self, simplex, groups)
+    def counting(name, method):
+        def wrapped(*args, **kwargs):
+            calls.append(name)
+            return method(*args, **kwargs)
 
-    monkeypatch.setattr(hodgefem.element.ReferenceElement, "pair", counting)
+        return wrapped
+
+    element, simplices = hodgefem.element, hodgefem.simplices
+    pair = element.ReferenceElement.pair
+    monkeypatch.setattr(element.ReferenceElement, "pair", counting("pair", pair))
+    monkeypatch.setattr(simplices.Simplex, "__init__", counting("Simplex", simplices.Simplex.__init__))
+    for module in (simplices, element, hodgefem.globalspace):
+        if hasattr(module, "solve_rational"):
+            monkeypatch.setattr(module, "solve_rational", counting("solve", module.solve_rational))
+    out = tmp_path / "basis.jsonl"
+    assert main(["basis", "--mesh-file", str(mesh), "--out", str(out)]) == 0
+    assert len(out.read_text().splitlines()) > 1
+    assert calls == []
+    # the counters are live: the reference on one template trips each of them
     tri = MESHES["jitter4"]()
-    prod = build_product_space(tri)
-    build_global_basis(tri, prod)
-    build_constraints(tri, prod).rank()
-    assert pairs == []
-    t = prod.template(5)
-    duals = t.duals
-    assert pairs == [t.simplex]
-    assert t.duals is duals and t.gram and t.whitney and t.matrix.exact
-    assert pairs == [t.simplex]
-    prod.template(6).whitney
-    assert pairs == [t.simplex, prod.template(6).simplex]
+    closed_form_templates(tri, build_product_space(tri))
+    assert {"pair", "Simplex", "solve"} <= set(calls)
 
 
 def _exact_nonzeros_of_B(tri, prod) -> int:
     """nnz of B from the exact Whitney rows: div row 3 + s of every cell slot,
     rot row s of the slots of interior vertices."""
     interior = set(tri.interior_vertices)
+    templates = closed_form_templates(tri, prod)
     count = 0
     for c, cell in enumerate(tri.cells):
-        whitney = prod.template(c).whitney
+        whitney = templates[prod.template_index[c]].whitney
         for s, a in enumerate(cell):
             rows = [3 + s, s] if a in interior else [3 + s]
             count += sum(v != 0 for r in rows for v in whitney[r])
@@ -299,7 +329,8 @@ def test_float_view_is_the_exact_template_data_rounded_once(case):
     are those of the exact data, on the fixture meshes and on jittered meshes."""
     tri = MESHES[case]() if isinstance(case, str) else generate_jittered_mesh(*case)
     prod = build_product_space(tri)
-    for i, t in enumerate(prod.templates):
+    templates = closed_form_templates(tri, prod)
+    for i, t in enumerate(templates):
         for name in ("whitney", "duals"):
             exact = getattr(t, name)
             floats = getattr(prod, name)[i]
@@ -308,7 +339,7 @@ def test_float_view_is_the_exact_template_data_rounded_once(case):
             exact = getattr(t, name)
             assert getattr(prod, name)[i].tolist() == [[float(v) for v in row] for row in exact]
         assert prod.volumes[i] == float(t.simplex.volume)
-    matrices = np.array([t.matrix.as_float for t in prod.templates])
+    matrices = np.array([t.matrix.as_float for t in templates])
     assert np.array_equal(prod.minv, np.linalg.inv(matrices))
     basis = build_global_basis(tri, prod)
     assert basis.Phi.nnz == sum(len(fn.entries) for fn in basis.functions)
@@ -330,8 +361,8 @@ def test_whitney_and_duals_of_the_constants_are_rotated_hat_gradients(name):
     duals(eta1, rot_c) = -6 h^2 g_y/|T| and duals(eta2, rot_c) = 6 h^2 g_x/|T|.
     |T| g is half the opposite edge rotated, so an axis-parallel edge makes
     these entries exactly 0."""
-    prod = build_product_space(_IDENTITY_MESHES[name]())
-    for t in prod.templates:
+    tri = _IDENTITY_MESHES[name]()
+    for t in closed_form_templates(tri, build_product_space(tri)):
         area, h = t.simplex.volume, t.simplex.h_scale
         rows, den = t.simplex.hat_coefficients()
         for c, (_, gx, gy) in enumerate(rows):
@@ -475,9 +506,10 @@ def test_cellwise_constants_in_the_kernel_have_dimension_cells_minus_one(name, d
     prod = build_product_space(tri)
     nv, nc = len(tri.vertices), len(tri.cells)
     rot_row = {a: nv + r for r, a in enumerate(tri.interior_vertices)}
+    templates = closed_form_templates(tri, prod)
     Bz = sympy.zeros(nv + len(rot_row), 2 * nc)
     for c, cell in enumerate(tri.cells):
-        whitney = prod.template(c).whitney
+        whitney = templates[prod.template_index[c]].whitney
         for s, a in enumerate(cell):
             for j in (0, 1):
                 Bz[a, 2 * c + j] = sympy.Rational(whitney[3 + s][j])
@@ -554,8 +586,8 @@ def test_dual_local_functions_are_biorthogonal():
     """whitney . duals == I exactly, on every template of the fixture meshes."""
     eye = [[Fraction(int(r == c)) for c in range(6)] for r in range(6)]
     for build in MESHES.values():
-        prod = build_product_space(build())
-        for t in prod.templates:
+        tri = build()
+        for t in closed_form_templates(tri, build_product_space(tri)):
             got = [
                 [sum(t.whitney[r][i] * t.duals[i][c] for i in range(6)) for c in range(6)]
                 for r in range(6)

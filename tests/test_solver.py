@@ -13,7 +13,7 @@ import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hodgefem.element import interpolate_coeffs, node_tables
+from hodgefem.element import interpolate_coeffs, local_element, node_tables
 from hodgefem.fields import SmoothField, as_callback, get_field
 from hodgefem.forms import PolyForm
 from hodgefem.globalspace import (
@@ -436,7 +436,7 @@ def test_load_vector_and_error_norms_match_per_cell_tables(mesh):
     u = np.random.default_rng(7).standard_normal(prod.dim)
     squares = np.zeros(3)
     for c in range(len(mesh.cells)):
-        tab = node_tables(prod.template(c).matrix, 6)
+        tab = node_tables(local_element(mesh.simplex(c), 1), 6)
         w = tab["weights"]
         pts = prod.barycenters[c] + tab["centered"]
         want = np.einsum("q,iqx,qx->i", w, tab["val"], field.f(pts))
@@ -556,13 +556,15 @@ def _p1_interpolant(tri, prod) -> np.ndarray:
     An interior vertex has x and y; a boundary vertex other than a corner
     has the tangent of its side of the unit square; a corner has none, so
     every field has zero normal trace.  Each cell's block is the exact
-    interpolant of hat_s dx^x on its template, by the Fraction path.
+    interpolant of hat_s dx^x on its template's first cell, by the Fraction
+    path on that cell's local element.
     """
     blocks = []
-    for t in prod.templates:
-        hats = t.simplex.barycentric_coordinates()
+    for cell in prod.templates.tolist():
+        matrix = local_element(tri.simplex(cell), 1)
+        hats = matrix.simplex.barycentric_coordinates()
         fields = [PolyForm(2, 1, {(x,): lam}) for lam in hats for x in (1, 2)]
-        blocks.append([[float(c) for c in interpolate_coeffs(f, t.matrix)] for f in fields])
+        blocks.append([[float(c) for c in interpolate_coeffs(f, matrix)] for f in fields])
     local = np.transpose(blocks, (0, 2, 1)).reshape(-1, 6, 3, 2)[prod.template_index]
     columns = []
     for v, (x, y) in enumerate(tri.vertices):

@@ -1,12 +1,14 @@
 """The verification suites' own machinery: the paired norm route and the
 blocked projection check."""
 
+import hashlib
+
 import numpy as np
 
 import hodgefem.verify
 from hodgefem.forms import Polynomial, PolyForm, exterior_derivative, koszul
 from hodgefem.simplices import h1_seminorm_sq, l2_inner
-from hodgefem.verify import NORM_CASES, _norm_draws, norm_suite, unisolvence_suite
+from hodgefem.verify import NORM_CASES, _norm_draws, full_suite, norm_suite, unisolvence_suite
 
 
 def test_paired_norm_sides_equal_the_direct_route():
@@ -75,3 +77,22 @@ def test_a_nan_in_a_later_projection_block_fails_the_check(monkeypatch):
     assert calls == [2, 1]
     check = results["interpolation-projection"]
     assert not check.passed and check.detail == "max coefficient error nan"
+
+
+def test_full_suite_draws_keep_their_exact_vertices(monkeypatch):
+    """The 86 simplices and triangles that ``full_suite(0, 20, 20)`` draws, in
+    draw order, pinned by the SHA-256 of their exact vertices: the report's
+    exact details do not depend on the draws, so this is what sees them."""
+    drawn = []
+    for name in ("_rand_simplex", "_rand_triangle"):
+
+        def recording(*args, draw=getattr(hodgefem.verify, name), **kwargs):
+            drawn.append(draw(*args, **kwargs))
+            return drawn[-1]
+
+        monkeypatch.setattr(hodgefem.verify, name, recording)
+    assert all(r.passed for r in full_suite(0, 20, 20))
+    text = "\n".join(";".join(",".join(map(str, v)) for v in s.vertices) for s in drawn)
+    assert len(drawn) == 86
+    digest = "f7c71ad8c4eacbb0c1d23301bddb52beb900f3f7f941c5a0205b23a8ff6dd315"
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
