@@ -598,7 +598,7 @@ def local_element(simplex: Simplex, k: int) -> DofMatrix:
     return DofMatrix(ref, simplex, scaling, as_fractions(*out[DOFS]))
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class FormCallback:
     """Pointwise k-form data for quadrature-based DOF evaluation.
 
@@ -606,7 +606,8 @@ class FormCallback:
     coordinates to component values (nq, #indices), components in the
     lexicographic multi-index order of the respective degree.  ``d`` and
     ``delta`` supply the exterior derivative and the Green-sign
-    codifferential; interpolation requires all three.
+    codifferential; interpolation requires all three.  Immutable and
+    hashed by identity, so a callback can key a cache of its values.
     """
 
     value: Callable[[np.ndarray], np.ndarray]

@@ -17,6 +17,7 @@ constraint integrands are integrated exactly by a degree-9 quadrature.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -37,18 +38,28 @@ class SmoothField:
     zero_boundary_rot: bool
     notes: str = ""
 
+    @cached_property
+    def _callback(self) -> FormCallback:
+        rot, div = self.rot, self.div
+        return FormCallback(
+            value=self.value,
+            d=lambda p: rot(p)[:, None],
+            delta=lambda p: -div(p)[:, None],
+        )
+
 
 def as_callback(field: SmoothField) -> FormCallback:
     """Adapt a field to the interpolation callback protocol.
 
     d is the rot (as the single component of a 2-form) and delta is the
-    Green-sign codifferential, i.e. minus the divergence.
+    Green-sign codifferential, i.e. minus the divergence.  Memoised per
+    field: every call returns the same callback, so the values that
+    ``ProductSpace.node_values`` caches for it serve both
+    ``global_interpolate(as_callback(field), ...)`` and
+    ``error_norms(..., field)``.  That cache trusts the field's functions
+    to be pure: the same points give the same values on every call.
     """
-    return FormCallback(
-        value=field.value,
-        d=lambda p: field.rot(p)[:, None],
-        delta=lambda p: -field.div(p)[:, None],
-    )
+    return field._callback
 
 
 # -- polyflow: polynomial gradient + curl superposition -------------------

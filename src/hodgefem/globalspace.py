@@ -51,6 +51,12 @@ The node tables of all templates are one ``ReferenceElement.tables`` of
 the stacked vertices and float scalings per quadrature order, and the
 float tables that the load vector, the error norms and the interpolation
 derive from them are cached per order too (``ProductSpace.derived``).
+A field's value, d and Green delta at the nodes of every cell are
+evaluated once per (callback, order) and cached, read-only, for the life
+of the space (``ProductSpace.node_values``): the interpolation and the
+error norms of the same field read the same array.  The nodes themselves
+are not kept; they are rebuilt per evaluation, so they do not stay
+alive through the solve.
 B and Phi read the same stacked 6x6 data: B gathers the float Whitney
 rows, and Phi the float dual coefficients, by template index, cell and
 slot.  The kernel basis is held as per-function arrays (category,
@@ -124,6 +130,11 @@ class ProductSpace:
     ``_closed_forms``, over ``shapes``) rounded once, as float(Fraction)
     rounds it; no Simplex is built.  It also holds its B
     (``build_constraints``) and whether B passed the rank certificate.
+
+    Its caches live as long as the space: ``tables`` and ``derived`` per
+    quadrature order, and ``node_values`` per (callback, order), a
+    read-only (cells * nq, 4) array keyed by the callback's identity
+    (``as_callback`` returns one callback per field).
     """
 
     def __init__(self, tri: Triangulation):
@@ -161,6 +172,7 @@ class ProductSpace:
         self.minv = np.linalg.inv(matrix)
         self._tables: dict[int, dict[str, np.ndarray]] = {}
         self._derived: dict[tuple, np.ndarray] = {}
+        self._node_values: dict[tuple, np.ndarray] = {}
         self._B: sp.csr_matrix | None = None
         self._certified = False
 
@@ -190,6 +202,17 @@ class ProductSpace:
     def nodes(self, order: int) -> np.ndarray:
         """The quadrature nodes of every cell, shape (cells, nq, 2), in global coordinates."""
         return self.barycenters[:, None, :] + self.tables(order)["centered"][self.template_index]
+
+    def node_values(self, mu: FormCallback, order: int) -> np.ndarray:
+        """``node_values(mu, nodes(order))`` as rows (cell, node), columns value x,
+        value y, d and Green delta: evaluated once per (mu, order) and kept,
+        read-only, as long as the space.  So mu's functions must be pure."""
+        values = self._node_values.get((mu, order))
+        if values is None:
+            values = node_values(mu, self.nodes(order)).reshape(-1, 4)
+            values.flags.writeable = False
+            self._node_values[mu, order] = values
+        return values
 
     def block_diagonal(self, per_template: np.ndarray) -> sp.bsr_matrix:
         """The (dim, dim) matrix whose 6x6 block of cell c is per_template[template_index[c]]."""
@@ -648,14 +671,16 @@ def global_interpolate(
 
     The callback must provide value, d and delta (Green sign).  A
     template's table is its ``quadrature_rows`` times the transposed
-    inverse DOF matrix, so a cell's coefficients are its ``node_values``
-    applied to its template's table.
+    inverse DOF matrix, so a cell's coefficients are its node values
+    applied to its template's table.  The node values are
+    ``prod.node_values(mu, quad_order)``: evaluated on the first call for
+    this (mu, quad_order) and shared with ``error_norms`` of the same field.
     """
     if mu.d is None or mu.delta is None:
         raise ValueError("global interpolation needs d and delta callback data")
     _check_same_mesh(tri, prod)
     table = prod.derived(_interpolation_table, quad_order)
-    values = node_values(mu, prod.nodes(quad_order)).reshape(len(tri.cells), -1)
+    values = prod.node_values(mu, quad_order).reshape(len(tri.cells), -1)
     return (prod.by_template(values) @ table).ravel()
 
 

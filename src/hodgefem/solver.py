@@ -395,15 +395,21 @@ def error_norms(
     field: SmoothField,
     quad_order: int = 6,
 ) -> dict[str, float]:
-    """Broken L2, rot, div, and energy errors of a product-space field."""
+    """Broken L2, rot, div, and energy errors of a product-space field.
+
+    The field's value, rot and Green delta (minus the div) at the nodes
+    are ``prod.node_values(as_callback(field), quad_order)``, evaluated on
+    the first call for this (field, quad_order) and shared with
+    ``global_interpolate`` of the same field.  Raises ValueError unless
+    u_cell has 6 * cells entries.
+    """
     tab = prod.tables(quad_order)
-    flat = prod.nodes(quad_order).reshape(-1, 2)
-    coeffs = np.asarray(u_cell, dtype=float).reshape(-1, 6)
+    coeffs = _cell_coefficients(u_cell, prod, "u_cell")
+    # before diff exists, so that a first evaluation's temporaries do not add to it
+    exact = prod.node_values(as_callback(field), quad_order)
     # the discrete field at every node, less the field, in place
     diff = (prod.by_template(coeffs) @ prod.derived(_shape_table, quad_order)).reshape(-1, 4)
-    diff[:, :2] -= field.value(flat)
-    diff[:, 2] -= field.rot(flat)
-    diff[:, 3] += field.div(flat)  # the Green delta is minus the div
+    diff -= exact
     sums = tab["weights"][prod.template_index].ravel() @ np.square(diff, out=diff)
     l2_sq, rot_sq, div_sq = float(sums[0] + sums[1]), float(sums[2]), float(sums[3])
     return {
@@ -422,12 +428,23 @@ def _shape_table(prod: ProductSpace, order: int) -> np.ndarray:
     return shape.reshape(len(shape) * 6, -1)
 
 
+def _cell_coefficients(u_cell: np.ndarray, prod: ProductSpace, name: str) -> np.ndarray:
+    """u_cell as floats, one row of six per cell; ValueError unless it has 6 * cells entries."""
+    coeffs = np.asarray(u_cell, dtype=float)
+    if coeffs.size != prod.dim:
+        raise ValueError(f"{name} has length {coeffs.size}, expected 6 * cells = {prod.dim}")
+    return coeffs.reshape(-1, 6)
+
+
 def broken_energy_product(
     u_cell: np.ndarray, v_cell: np.ndarray, prod: ProductSpace
 ) -> float:
-    """u^T A_cell v from the float template Grams, as one sparse product."""
-    uk = np.asarray(u_cell, dtype=float).reshape(-1, 6)
-    vk = np.asarray(v_cell, dtype=float).reshape(-1, 6)
+    """u^T A_cell v from the float template Grams, as one sparse product.
+
+    Raises ValueError unless u_cell and v_cell each have 6 * cells entries.
+    """
+    uk = _cell_coefficients(u_cell, prod, "u_cell")
+    vk = _cell_coefficients(v_cell, prod, "v_cell")
     return float(np.sum((prod.by_template(uk) @ prod.gram.reshape(-1, 6)) * vk))
 
 

@@ -1,8 +1,10 @@
 """Assembly, preconditioned CG, the saddle-point oracle and the studies."""
 
+import dataclasses
 import math
 import re
 import weakref
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -13,11 +15,12 @@ import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hodgefem.element import interpolate_coeffs, local_element, node_tables
-from hodgefem.fields import SmoothField, as_callback, get_field
+from hodgefem.element import interpolate_coeffs, local_element, node_tables, node_values
+from hodgefem.fields import FIELDS, SmoothField, as_callback, get_field
 from hodgefem.forms import PolyForm
 from hodgefem.globalspace import (
     ConstraintSystem,
+    _interpolation_table,
     build_constraints,
     build_global_basis,
     build_product_space,
@@ -37,6 +40,7 @@ from hodgefem.solver import (
     HybridSystem,
     StudyRow,
     _kernel_coordinates,
+    _shape_table,
     assemble,
     broken_energy_product,
     cell_load_vector,
@@ -495,6 +499,105 @@ def test_interpolating_affine_field_is_exact():
     u_cell = global_interpolate(as_callback(field), tri, prod)
     errs = error_norms(u_cell, prod, field)
     assert errs["energy"] <= 1e-12
+
+
+def _counting_field(base: SmoothField) -> tuple[SmoothField, Counter]:
+    """``base`` with value, rot and div counting their calls."""
+    calls = Counter()
+
+    def counted(name):
+        evaluate = getattr(base, name)
+
+        def wrapped(pts):
+            calls[name] += 1
+            return evaluate(pts)
+
+        return wrapped
+
+    names = ("value", "rot", "div")
+    field = dataclasses.replace(base, name="counting", **{n: counted(n) for n in names})
+    return field, calls
+
+
+def test_a_field_is_evaluated_at_the_nodes_once_per_space_and_order():
+    field, calls = _counting_field(get_field("polyflow"))
+    assert as_callback(field) is as_callback(field)
+    tri = generate_square_mesh(4)
+    prod = build_product_space(tri)
+    u = global_interpolate(as_callback(field), tri, prod)
+    error_norms(u, prod, field)
+    error_norms(np.zeros(prod.dim), prod, field)
+    assert calls == {"value": 1, "rot": 1, "div": 1}
+    error_norms(u, prod, field, quad_order=4)
+    assert calls == {"value": 2, "rot": 2, "div": 2}
+    error_norms(u, build_product_space(tri), field)
+    assert calls == {"value": 3, "rot": 3, "div": 3}
+    cached = prod.node_values(as_callback(field), 6)
+    with pytest.raises(ValueError, match="read-only"):
+        cached[0, 0] = 1.0
+    assert calls == {"value": 3, "rot": 3, "div": 3}
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: generate_square_mesh(8, DIAGONAL),
+        lambda: generate_square_mesh(4, CRISSCROSS),
+        lambda: generate_jittered_mesh(8, 1),
+    ],
+    ids=["diagonal8", "crisscross4", "jitter8"],
+)
+@pytest.mark.parametrize("name", sorted(FIELDS))
+def test_cached_node_values_give_the_in_place_error_norms_and_interpolant_bit_for_bit(make, name):
+    """The cached node values against the field evaluated in place at
+    ``prod.nodes``, compared with ==."""
+    field = FIELDS[name]
+    tri = make()
+    prod = build_product_space(tri)
+    flat = prod.nodes(6).reshape(-1, 2)
+
+    def in_place_errors(u_cell):
+        diff = (prod.by_template(u_cell.reshape(-1, 6)) @ prod.derived(_shape_table, 6)).reshape(-1, 4)
+        diff[:, :2] -= field.value(flat)
+        diff[:, 2] -= field.rot(flat)
+        diff[:, 3] += field.div(flat)
+        sums = prod.tables(6)["weights"][prod.template_index].ravel() @ np.square(diff)
+        l2_sq, rot_sq, div_sq = float(sums[0] + sums[1]), float(sums[2]), float(sums[3])
+        return {
+            "l2": math.sqrt(l2_sq),
+            "rot": math.sqrt(rot_sq),
+            "div": math.sqrt(div_sq),
+            "energy": math.sqrt(l2_sq + rot_sq + div_sq),
+        }
+
+    values = node_values(as_callback(field), prod.nodes(6)).reshape(len(tri.cells), -1)
+    want = (prod.by_template(values) @ prod.derived(_interpolation_table, 6)).ravel()
+    u_int = global_interpolate(as_callback(field), tri, prod)
+    assert np.array_equal(u_int, want)
+    u_rand = np.random.default_rng(11).standard_normal(prod.dim)
+    for u_cell in (u_int, u_rand):
+        assert error_norms(u_cell, prod, field) == in_place_errors(u_cell)
+
+
+def test_error_norms_rejects_a_coefficient_vector_of_the_wrong_length():
+    tri = generate_square_mesh(2)
+    prod = build_product_space(tri)
+    # 45 and 42 entries failed inside numpy's reshape and scipy's CSR constructor
+    for n in (45, 42, 54):
+        with pytest.raises(ValueError, match=rf"^u_cell has length {n}, expected 6 \* cells = 48$"):
+            error_norms(np.zeros(n), prod, get_field("polyflow"))
+
+
+def test_broken_energy_product_rejects_a_coefficient_vector_of_the_wrong_length():
+    tri = generate_square_mesh(2)
+    prod = build_product_space(tri)
+    u = np.ones(prod.dim)
+    with pytest.raises(ValueError, match=r"^v_cell has length 42, expected 6 \* cells = 48$"):
+        broken_energy_product(u, np.ones(42), prod)
+    with pytest.raises(ValueError, match=r"^u_cell has length 45, expected 6 \* cells = 48$"):
+        broken_energy_product(np.ones(45), u, prod)
+    with pytest.raises(ValueError, match=r"^u_cell has length 54, expected 6 \* cells = 48$"):
+        broken_energy_product(np.ones(54), np.ones(54), prod)
 
 
 def test_interpolation_study_rate():
