@@ -29,53 +29,54 @@ functionals (delta below is the Green/adjoint sign, see forms):
 ``_green_rows`` writes a family of eta and tau test forms as members
 (eta, 0, -delta eta) and (0, tau, -d tau) of the direct sum of (k+1)-,
 (k-1)- and k-forms, so that pairing them with the graph (d mu, delta mu,
-mu) in one exact ``simplices.l2_gram`` gives the functionals.
+mu) in one exact ``simplices.Pairing`` gives the functionals.
 
 The element is built once per (n, k), by ``reference_element``.  On
 every simplex the shape basis is S R: R the fixed forms of the four
 blocks in centered coordinates, without scalings, and S the simplex's
 ``Scaling`` (1/h, 1/h^2 and the second moments, exact rationals).  The
-DOF test forms are E T the same way, with E diagonal, and the hat test
-forms of the global vertex constraints H times {1, x1, x2}.  Since d
-and delta are linear, every exact pairing on a simplex is L P S^T with
-P a pairing of the fixed families: ``ReferenceElement.pair`` computes it
-from the cached blocks of the fixed families with one
-``integer_moments`` call and one integer contraction, and applies the
-scalings in Python ints.  No scaled test form is ever built: the exact
-DOF values of a PolyForm mu pair the reference Green rows T with the
-graph of mu, row i times E_ii, by ``Pairing.against`` on the reference
-element's DOF pairing, so the coefficient blocks of T are built once.
+DOF test forms are E T the same way, with E diagonal.  Since d and
+delta are linear, the DOF matrix on a simplex is E D S^T with D the
+pairing of the fixed Green rows T with the fixed graph of R:
+``ReferenceElement.pair`` computes it from the cached blocks of the two
+families with one ``integer_moments`` call and one integer contraction,
+and applies the scalings in Python ints.  No scaled test form is ever
+built: the exact DOF values of a PolyForm mu pair the reference Green
+rows T with the graph of mu, row i times E_ii, by ``Pairing.against`` on
+the reference element's DOF pairing, so the coefficient blocks of T are
+built once.
 
 A DofMatrix is the local element of one simplex, and ``local_element``
 its one constructor, one ``pair``: its scaling and the exact and float
-DOF matrix, built once and passed to dof_values, solve_dofs,
-interpolate_coeffs and interpolate; its shape space as PolyForms S R is
-made only when read, and ``DofMatrix.combine`` makes one member of it as
-R combined with S^T c.  Row order: eta block (constants then
-koszul-type), then tau block (constants then koszul-type); columns
-follow the shape basis.
-The four-step solve is block forward substitution in that matrix,
-written once in ``solve_dofs`` over a block solve that is exact for
-PolyForm input and float for callbacks.  solve_dofs starts from given
-DOF values, so one evaluation serves both methods; interpolate_coeffs
-is solve_dofs of dof_values.  interpolate returns the exact interpolant
-of a PolyForm only; a callback's float coefficients come from
-interpolate_coeffs and are never turned back into Fractions.
+DOF matrix, built once and passed to dof_values and solve_dofs.  No
+scaled shape form is built either: ``DofMatrix.combine`` makes one
+member of the space S R as R combined with S^T c.  Row order: eta block
+(constants then koszul-type), then tau block (constants then
+koszul-type); columns follow the shape basis.
+The local element is exact end to end.  ``dof_values`` takes a
+PolyForm and returns Fractions.  The four-step solve is block forward
+substitution in the exact DOF matrix, written once in ``solve_dofs``
+over Fractions; it starts from given DOF values, so one evaluation
+serves both methods, and it refuses float values, so no float is
+finished in Fractions.  The float DOFs of a pointwise field (a
+``FormCallback``) are the global pipeline's:
+``globalspace.global_interpolate`` applies the functionals below to
+every cell at once.
 
 ``ReferenceElement.tables`` evaluates the fixed forms of the planar
 1-form element at the quadrature nodes of a whole stack of elements at
-once and scales them by the stacked float S and E; node_tables is its
-one-element case.  quadrature_dofs applies the Green functionals in
-floats to fields given by their node values.  This pair is the one float
-quadrature of the functionals: dof_values of a callback, the unisolvence
-suite's projection check and the cellwise global interpolation all use
-it.  quadrature_rows writes it as a matrix against node values, for all
-templates at once, by applying quadrature_dofs at each node to unit
-fields.  The float view of the global product space uses no quadrature:
-its DOF matrices, Whitney rows, duals and cell Grams are the exact values
-rounded once, from closed forms (``globalspace._closed_forms``), which
-also give the exact duals of the ``basis`` dump.  The GRAM and HATS
-groups of ``pair`` are the tests' independent reference for them.
+once and scales them by the stacked float S and E.  quadrature_dofs
+applies the Green functionals in floats to fields given by their node
+values.  This pair is the one float quadrature of the functionals: the
+unisolvence suite's projection check and the cellwise global
+interpolation use it.  quadrature_rows writes it as a matrix against
+node values, for all templates at once, by applying quadrature_dofs at
+each node to unit fields.  The float view of the global product space
+uses no quadrature: its DOF matrices, Whitney rows, duals and cell Grams
+are the exact values rounded once, from closed forms
+(``globalspace._closed_forms``), which also give the exact duals of the
+``basis`` dump.  The tests' independent reference for them pairs the
+element's forms built one by one.
 
 Scaling keeps the DofMatrix condition number independent of the simplex
 diameter: koszul-type shape and test forms carry 1/h, the H2D block
@@ -89,6 +90,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from numbers import Rational
 from operator import mul
 from typing import Callable
 
@@ -124,12 +126,9 @@ __all__ = [
     "build_h2delta_form",
     "local_element",
     "dof_values",
-    "node_tables",
     "node_values",
     "quadrature_dofs",
     "quadrature_rows",
-    "interpolate",
-    "interpolate_coeffs",
     "solve_dofs",
 ]
 
@@ -196,10 +195,6 @@ class ShapeSpace:
     def dim(self) -> int:
         return len(self.basis)
 
-    def block_basis(self, name: str) -> list[PolyForm]:
-        r = self.blocks[name]
-        return self.basis[r.start : r.stop]
-
     def combine(self, coeffs) -> PolyForm:
         """Exact linear combination of the basis with rational coefficients.
 
@@ -224,10 +219,7 @@ class DofBasis:
     koszul of constant k-forms).  The two sub-blocks of each family are
     mutually L2-orthogonal on the simplex because every koszul-type
     component has zero mean.  ``eta_green``/``tau_d`` hold the Green
-    codifferential / exterior derivative of each test form.  Any other
-    family of test forms for the two Green functionals, such as the hat
-    forms of the global vertex constraints, fits the same holder with
-    empty blocks.
+    codifferential / exterior derivative of each test form.
     """
 
     __slots__ = (
@@ -243,20 +235,6 @@ class DofBasis:
         self.tau_blocks = tau_blocks
         self.eta_green = eta_green
         self.tau_d = tau_d
-
-
-def _test_family(n, k, eta, tau, eta_blocks=None, tau_blocks=None) -> DofBasis:
-    """An unscaled test family with its Green delta and d, for the reference element."""
-    return DofBasis(
-        n,
-        k,
-        eta,
-        tau,
-        eta_blocks or {},
-        tau_blocks or {},
-        [codifferential_green(e) for e in eta],
-        [exterior_derivative(t) for t in tau],
-    )
 
 
 def _green_rows(tests: DofBasis) -> list[tuple[PolyForm, PolyForm, PolyForm]]:
@@ -278,18 +256,6 @@ def _sandwich(left, block, right) -> list[list[int]]:
     """L P R^T in Python ints, all three as lists of rows."""
     pr = [[sum(map(mul, row, rrow)) for rrow in right] for row in block]
     return [[sum(map(mul, lrow, col)) for col in zip(*pr)] for lrow in left]
-
-
-def _scaled_forms(rows, den: int, forms: list[PolyForm]) -> list[PolyForm]:
-    """The forms sum_a (rows[i][a] / den) forms[a], one per row."""
-    out = []
-    for row in rows:
-        terms = [Fraction(v, den) * w for v, w in zip(row, forms) if v]
-        total = terms[0]
-        for term in terms[1:]:
-            total = total + term
-        out.append(total)
-    return out
 
 
 class Scaling:
@@ -318,11 +284,6 @@ class Scaling:
         return S, np.array([row[i] / self.tests_den for i, row in enumerate(self.tests)])
 
 
-GRAM = "gram"
-DOFS = "dofs"
-HATS = "hats"
-
-
 class ReferenceElement:
     """The element's fixed families for one (n, k), built once (``reference_element``).
 
@@ -332,19 +293,16 @@ class ReferenceElement:
 
     (b over complement(alpha)) in centered coordinates, and S the
     simplex's ``Scaling``.  The DOF test forms are E times the unscaled
-    ``tests``, and for the planar 1-form element the hat test forms of
-    the global vertex constraints are H times ``hats``, the monomials
-    {1, x1, x2} as 0-forms and times dx^12, with H the 3x3 matrix of
-    ``Simplex.hat_coefficients``.  d and delta are linear, so the graph
-    of S R is S times the graph of R, and every exact pairing on a
-    simplex is L P S^T with P the pairing of two fixed families: ``pair``
-    computes P with one ``integer_moments`` call and one
-    ``Pairing.contract`` (blocks built here once) and applies L and S in
-    Python ints.  ``space``, ``tests`` and ``hats`` are the unscaled
-    families, with ``space.d_basis``/``space.delta_basis`` its graph.
+    ``tests``.  d and delta are linear, so the graph of S R is S times
+    the graph of R, and the DOF matrix on a simplex is E D S^T with D the
+    pairing of the fixed Green rows of ``tests`` with the fixed graph:
+    ``pair`` computes D with one ``integer_moments`` call and one
+    ``Pairing.contract`` (blocks built here once) and applies E and S in
+    Python ints.  ``space`` and ``tests`` are the unscaled families, with
+    ``space.d_basis``/``space.delta_basis`` its graph.
     """
 
-    __slots__ = ("n", "k", "space", "tests", "hats", "rows", "_squares", "_pairings")
+    __slots__ = ("n", "k", "space", "tests", "_squares", "_pairing")
 
     def __init__(self, n: int, k: int):
         if not (1 <= k <= n - 1):
@@ -379,32 +337,19 @@ class ReferenceElement:
         tau = [PolyForm.basis(n, gamma) for gamma in multi_indices(k - 1, n)]
         tau += [koszul(PolyForm.basis(n, alpha)) for alpha in multi_indices(k, n)]
         n_eta0, n_tau0 = len(multi_indices(k + 1, n)), len(multi_indices(k - 1, n))
-        self.tests = _test_family(
+        self.tests = DofBasis(
             n,
             k,
             eta,
             tau,
             {P0: range(n_eta0), STARKAPPA: range(n_eta0, len(eta))},
             {P0: range(n_tau0), KAPPA: range(n_tau0, len(tau))},
+            [codifferential_green(e) for e in eta],
+            [exterior_derivative(t) for t in tau],
         )
-        self.hats = None
-        if (n, k) == (2, 1):
-            monomials = [Polynomial.constant(2, 1), *x]
-            self.hats = _test_family(
-                2,
-                1,
-                [PolyForm(2, 2, {(1, 2): p}) for p in monomials],
-                [PolyForm(2, 0, {(): p}) for p in monomials],
-            )
         graph = list(zip(self.space.d_basis, self.space.delta_basis, basis))
-        self.rows = {GRAM: graph, DOFS: _green_rows(self.tests)}
-        if self.hats is not None:
-            self.rows[HATS] = _green_rows(self.hats)
         self._squares = [tuple(2 * (i == j) for i in range(n)) for j in range(n)]
-        self._pairings = {
-            groups: Pairing([row for g in groups for row in self.rows[g]], graph)
-            for groups in ((DOFS,), tuple(self.rows))
-        }
+        self._pairing = Pairing(_green_rows(self.tests), graph)
 
     def scaling(self, simplex: Simplex, second_moments) -> Scaling:
         """S and E on ``simplex``, from its ``h_scale`` and its ``second_moments``."""
@@ -434,47 +379,21 @@ class ReferenceElement:
         eye = [[v * (i == j) for j in range(len(tests))] for i, v in enumerate(tests)]
         return Scaling(shape, hn * hn * cd, eye, hn)
 
-    def pair(self, simplex: Simplex, groups=(DOFS,)) -> tuple[Scaling, dict]:
-        """Exact pairings of the scaled families with the graph of S R on ``simplex``.
+    def pair(self, simplex: Simplex) -> tuple[Scaling, list[list[int]], int]:
+        """The exact DOF matrix E D S^T on ``simplex``: the Green functionals
+        of the scaled DOF tests paired with the graph of S R.
 
-        ``groups`` names the left families, (DOFS,) or all of ``rows``:
-        GRAM the graph of S R itself (the graph-norm Gram S G S^T), DOFS
-        the Green functionals of the DOF tests (the DOF matrix E D S^T)
-        and HATS those of the hat tests (the Whitney rows H W S^T, rot
-        rows then div rows, one per vertex).  Returns the simplex's
-        ``Scaling`` and, per group, (integer rows, denominator).  One
-        ``integer_moments`` call serves the pairing and the second
-        moments of S.
+        Returns the simplex's ``Scaling``, the matrix's integer rows and
+        their denominator.  One ``integer_moments`` call serves the
+        pairing and the second moments of S.
         """
-        pairing = self._pairings[groups]
+        pairing = self._pairing
         moments, mden = simplex.integer_moments(pairing.exponents + self._squares)
         second = [Fraction(moments[e], mden) / simplex.volume for e in self._squares]
         scaling = self.scaling(simplex, second)
         rows, den = pairing.contract(moments, mden)
-        out = {}
-        for g in groups:
-            block, rows = rows[: len(self.rows[g])], rows[len(self.rows[g]) :]
-            if g == GRAM:
-                left, lden = scaling.shape, scaling.shape_den
-            elif g == DOFS:
-                left, lden = scaling.tests, scaling.tests_den
-            else:  # H = blockdiag(hat coefficients, hat coefficients): rot rows, then div
-                hats, lden = simplex.hat_coefficients()
-                left = [[*row, 0, 0, 0] for row in hats] + [[0, 0, 0, *row] for row in hats]
-            out[g] = (_sandwich(left, block, scaling.shape), den * lden * scaling.shape_den)
-        return scaling, out
-
-    def shape_space(self, scaling: Scaling) -> ShapeSpace:
-        """The shape basis S R of one simplex's ``scaling``, with its graph S dR, S delta R."""
-        rows, den, ref = scaling.shape, scaling.shape_den, self.space
-        return ShapeSpace(
-            self.n,
-            self.k,
-            _scaled_forms(rows, den, ref.basis),
-            ref.blocks,
-            _scaled_forms(rows, den, ref.d_basis),
-            _scaled_forms(rows, den, ref.delta_basis),
-        )
+        matrix = _sandwich(scaling.tests, rows, scaling.shape)
+        return scaling, matrix, den * scaling.tests_den * scaling.shape_den
 
     def tables(self, vertices, volumes, shape_scale, test_scale, order: int) -> dict:
         """Quadrature-node value tables of a stack of planar 1-form elements.
@@ -485,10 +404,16 @@ class ReferenceElement:
         The reference families are evaluated at every element's nodes at
         once and then scaled, S summed term by term with no fused
         multiply-add, so each value rounds as the scaled form's own
-        coefficients would.  Keys as ``node_tables``, each with the
-        leading axis T.
+        coefficients would.
+
+        Keys, each with the leading axis T: centered (T,nq,2) nodes,
+        weights (T,nq), val (T,6,nq,2), dval (T,6,nq), gval (T,6,nq) of
+        the shape basis, its d and its Green delta; eta_v (T,3,nq), eta_g
+        (T,3,nq,2), tau_v (T,3,nq), tau_d (T,3,nq,2) of the DOF test
+        forms, the delta of eta and the d of tau.  The nodes are the
+        ``quadrature_rule`` of the given order on each simplex.
         """
-        if self.hats is None:
+        if (self.n, self.k) != (2, 1):
             raise ValueError(
                 f"node tables need the planar 1-form element, got n={self.n}, k={self.k}"
             )
@@ -535,27 +460,19 @@ class DofMatrix:
 
     Owns the simplex, its ``Scaling`` and the functional-by-shape matrix
     (rows eta then tau, columns shape basis), exact and as floats (each
-    entry rounded once, on first read, and read-only).  The shape space
-    as PolyForms is built from the reference element when first read, so
-    a DofMatrix itself builds no PolyForm; ``combine`` makes one member of
-    it without building the space.
+    entry rounded once, on first read, and read-only).  A DofMatrix
+    builds no PolyForm; ``combine`` makes one member of its shape space
+    S R without building the space.
     """
 
-    __slots__ = ("reference", "simplex", "scaling", "exact", "_space", "_float")
+    __slots__ = ("reference", "simplex", "scaling", "exact", "_float")
 
     def __init__(self, reference, simplex, scaling, exact):
         self.reference = reference
         self.simplex = simplex
         self.scaling = scaling
         self.exact = exact
-        self._space = None
         self._float = None
-
-    @property
-    def space(self) -> ShapeSpace:
-        if self._space is None:
-            self._space = self.reference.shape_space(self.scaling)
-        return self._space
 
     @property
     def as_float(self) -> np.ndarray:
@@ -565,8 +482,8 @@ class DofMatrix:
         return self._float
 
     def combine(self, coeffs) -> PolyForm:
-        """``space.combine(coeffs)``, the member sum_i coeffs[i] (S R)_i, as
-        the reference forms R combined with S^T coeffs: no scaled form is built.
+        """The member sum_i coeffs[i] (S R)_i of the shape space, as the
+        reference forms R combined with S^T coeffs: no scaled form is built.
 
         Floats are refused, as by ``ShapeSpace.combine``.
         """
@@ -594,8 +511,8 @@ def local_element(simplex: Simplex, k: int) -> DofMatrix:
     reference element of (simplex.n, k).
     """
     ref = reference_element(simplex.n, k)
-    scaling, out = ref.pair(simplex)
-    return DofMatrix(ref, simplex, scaling, as_fractions(*out[DOFS]))
+    scaling, rows, den = ref.pair(simplex)
+    return DofMatrix(ref, simplex, scaling, as_fractions(rows, den))
 
 
 @dataclass(frozen=True, eq=False)
@@ -640,23 +557,6 @@ def form_values(w: PolyForm, centered: np.ndarray) -> np.ndarray:
     return out
 
 
-def node_tables(matrix: DofMatrix, order: int) -> dict[str, np.ndarray]:
-    """Quadrature-node value tables of a planar 1-form element, centered coordinates.
-
-    Keys: centered (nq,2), weights (nq,), val (6,nq,2), dval (6,nq),
-    gval (6,nq) of the shape basis, its d and its Green delta; eta_v
-    (3,nq), eta_g (3,nq,2), tau_v (3,nq), tau_d (3,nq,2) of the DOF test
-    forms, the delta of eta and the d of tau.  The nodes are the
-    ``quadrature_rule`` of the given order on the simplex.  This is
-    ``ReferenceElement.tables`` on a stack of one element.
-    """
-    simplex = matrix.simplex
-    verts = np.array([[[float(x) for x in v] for v in simplex.centered]])
-    S, E = matrix.scaling.floats()
-    tab = matrix.reference.tables(verts, np.array([float(simplex.volume)]), S[None], E[None], order)
-    return {key: value[0] for key, value in tab.items()}
-
-
 def node_values(mu: FormCallback, points: np.ndarray) -> np.ndarray:
     """Value (x, y), d and Green delta of a planar 1-form callback at points (..., 2): (..., 4)."""
     flat = points.reshape(-1, 2)
@@ -667,12 +567,13 @@ def node_values(mu: FormCallback, points: np.ndarray) -> np.ndarray:
 def quadrature_dofs(
     tab: dict[str, np.ndarray], val: np.ndarray, dval: np.ndarray, gval: np.ndarray
 ) -> np.ndarray:
-    """Float Green functionals (..., C, 6) of C fields, by quadrature on ``node_tables``.
+    """Float Green functionals (..., C, 6) of C fields, by quadrature on node tables.
 
     ``val`` (C,nq,2), ``dval`` (C,nq) and ``gval`` (C,nq) are each
-    field's value, d and Green delta at the nodes of ``tab``.  Columns
-    follow the DOF rows: F_eta for each eta, then F_tau for each tau.
-    Leading axes of ``tab`` (stacked elements) lead the result too.
+    field's value, d and Green delta at the nodes of ``tab``, keys as
+    ``ReferenceElement.tables``.  Columns follow the DOF rows: F_eta for
+    each eta, then F_tau for each tau.  Leading axes of ``tab`` (stacked
+    elements) lead the result too.
     """
     w = tab["weights"]
     f_eta = np.einsum("...q,...eq,...cq->...ce", w, tab["eta_v"], dval) - np.einsum(
@@ -701,80 +602,57 @@ def quadrature_rows(tab: dict[str, np.ndarray]) -> np.ndarray:
     return quadrature_dofs(one_point, unit[..., :2], unit[..., 2], unit[..., 3])
 
 
-def dof_values(mu, matrix: DofMatrix, quad_order: int = 6):
-    """Evaluate all DOF functionals of the local element on ``mu``.
+def dof_values(mu: PolyForm, matrix: DofMatrix) -> list[Fraction]:
+    """The exact values of all DOF functionals of the local element on ``mu``.
 
-    PolyForm input takes the exact rational path and returns Fractions.
-    A FormCallback, which must carry value, d and delta, is evaluated at
-    the nodes of ``node_tables`` and integrated by ``quadrature_dofs``,
-    returning a float array; this path serves the planar 1-form element
-    only.
+    ``mu`` is a PolyForm; the values are Fractions.  The float DOFs of a
+    FormCallback are ``globalspace.global_interpolate``'s, for all cells
+    at once.
     """
-    if isinstance(mu, PolyForm):
-        # the reference DOF rows T paired with the graph of mu, row i times
-        # E_ii; the coefficient blocks of T are the reference element's own
-        graph = [(exterior_derivative(mu), codifferential_green(mu), mu)]
-        pairing = matrix.reference._pairings[DOFS,].against(graph)
-        rows, rden = pairing.contract(*matrix.simplex.integer_moments(pairing.exponents))
-        E, den = matrix.scaling.tests, matrix.scaling.tests_den
-        return [Fraction(E[i][i] * row[0], den * rden) for i, row in enumerate(rows)]
-    if not isinstance(mu, FormCallback):
-        raise TypeError("mu must be a PolyForm or a FormCallback")
-    if mu.d is None or mu.delta is None:
-        raise ValueError("callback interpolation needs d and delta data alongside values")
-    ref = matrix.reference
-    if (ref.n, ref.k) != (2, 1):
-        raise ValueError(
-            f"callback DOFs need the planar 1-form element, got n={ref.n}, k={ref.k}"
+    if not isinstance(mu, PolyForm):
+        raise TypeError(
+            f"dof_values takes a PolyForm, got {type(mu).__name__}; the float DOFs "
+            "of a FormCallback are global_interpolate's"
         )
-    tab = node_tables(matrix, quad_order)
-    pts = np.array([float(x) for x in matrix.simplex.barycenter]) + tab["centered"]
-    values = node_values(mu, pts[None])  # one field
-    return quadrature_dofs(tab, values[..., :2], values[..., 2], values[..., 3])[0]
+    # the reference DOF rows T paired with the graph of mu, row i times
+    # E_ii; the coefficient blocks of T are the reference element's own
+    graph = [(exterior_derivative(mu), codifferential_green(mu), mu)]
+    pairing = matrix.reference._pairing.against(graph)
+    rows, rden = pairing.contract(*matrix.simplex.integer_moments(pairing.exponents))
+    E, den = matrix.scaling.tests, matrix.scaling.tests_den
+    return [Fraction(E[i][i] * row[0], den * rden) for i, row in enumerate(rows)]
 
 
-def interpolate_coeffs(mu, matrix: DofMatrix, method: str = DIRECT, quad_order: int = 6):
-    """Coefficients (shape-basis order) of the local interpolant of ``mu``:
-    ``solve_dofs`` of its ``dof_values``.
+def solve_dofs(values, matrix: DofMatrix, method: str = DIRECT) -> list[Fraction]:
+    """Exact shape-basis coefficients whose DOF values on ``matrix`` are ``values``.
 
-    PolyForm input solves with exact Fractions, a FormCallback with floats.
-    """
-    return solve_dofs(dof_values(mu, matrix, quad_order=quad_order), matrix, method=method)
-
-
-def solve_dofs(values, matrix: DofMatrix, method: str = DIRECT):
-    """Shape-basis coefficients whose DOF values on ``matrix`` are ``values``.
-
-    DIRECT solves the full DofMatrix system.  FOURSTEP solves the four
-    decoupled blocks in sequence (delta part, constant part, d part,
-    quadratic d part); the two agree to rounding and exactly on the
-    rational path.  A float array (the DOF values of a FormCallback)
-    solves with floats against ``as_float``; any other sequence is exact
-    (Fractions or ints, as ``dof_values`` of a PolyForm returns) and
-    solves with Fractions against ``exact``.  Both run the same steps.
+    ``values`` holds one exact number (Fraction or int) per DOF, as
+    ``dof_values`` returns; a wrong count raises ValueError, and a float
+    entry (a float array included) TypeError, since a float is not
+    finished in Fractions.  DIRECT solves the full DofMatrix system.
+    FOURSTEP solves the four decoupled blocks in sequence (delta part,
+    constant part, d part, quadratic d part); the two agree exactly.
     """
     if method not in (DIRECT, FOURSTEP):
         raise ValueError(f"unknown interpolation method {method!r}")
-    # block layout from the reference element: a callback builds no PolyForm
-    space, dofs = matrix.reference.space, matrix.reference.tests
-    if not isinstance(values, np.ndarray):
-        M = matrix.exact
-        coeffs = [Fraction(0)] * space.dim
+    M, space, dofs = matrix.exact, matrix.reference.space, matrix.reference.tests
+    if len(values) != len(M):
+        raise ValueError(f"expected {len(M)} DOF values, got {len(values)}")
+    inexact = [v for v in values if not isinstance(v, Rational)]
+    if inexact:
+        raise TypeError(
+            f"solve_dofs takes exact (Fraction or int) DOF values, got {type(inexact[0]).__name__}"
+        )
 
-        def solve(rows, cols, rhs):
-            sub = [[M[r][c] for c in cols] for r in rows]
-            return [x[0] for x in solve_rational(sub, [[v] for v in rhs])]
-
-    else:
-        M = matrix.as_float
-        coeffs = np.zeros(space.dim)
-
-        def solve(rows, cols, rhs):
-            return np.linalg.solve(M[np.ix_(rows, cols)], np.asarray(rhs, dtype=float))
+    def solve(rows, cols, rhs):
+        sub = [[M[r][c] for c in cols] for r in rows]
+        return [x[0] for x in solve_rational(sub, [[v] for v in rhs])]
 
     if method == DIRECT:
         every = list(range(space.dim))
         return solve(every, every, values)
+
+    coeffs = [Fraction(0)] * space.dim
 
     def step(rows, block, rhs):
         for c, v in zip(space.blocks[block], solve(rows, list(space.blocks[block]), rhs)):
@@ -796,17 +674,3 @@ def solve_dofs(values, matrix: DofMatrix, method: str = DIRECT):
     p0 = space.blocks[P0]
     step(etak, H2D, [values[r] - sum(M[r][c] * coeffs[c] for c in p0) for r in etak])
     return coeffs
-
-
-def interpolate(mu: PolyForm, matrix: DofMatrix, method: str = DIRECT) -> PolyForm:
-    """The exact local interpolant of a PolyForm, as a PolyForm.
-
-    A FormCallback has float DOF values; ``interpolate_coeffs`` returns
-    its float coefficients.
-    """
-    if not isinstance(mu, PolyForm):
-        raise TypeError(
-            "interpolate takes a PolyForm; use interpolate_coeffs for the float "
-            "coefficients of a FormCallback"
-        )
-    return matrix.combine(interpolate_coeffs(mu, matrix, method=method))

@@ -1,7 +1,7 @@
 """Exact exterior algebra for differential forms with polynomial coefficients.
 
 Everything in this module is exact: polynomial coefficients are
-``fractions.Fraction`` and every operator (wedge, Hodge star, exterior
+``fractions.Fraction`` and every operator (Hodge star, exterior
 derivative, codifferential, Koszul contraction) maps rational input to
 rational output.  Algebraic identities such as d(d(w)) = 0 can therefore be
 asserted with zero tolerance.
@@ -34,7 +34,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
-from typing import Iterable, Mapping
+from typing import Mapping
 
 __all__ = [
     "Polynomial",
@@ -46,7 +46,6 @@ __all__ = [
     "star_sign",
     "wedge_sign",
     "hodge_star",
-    "wedge",
     "exterior_derivative",
     "codifferential",
     "codifferential_green",
@@ -160,12 +159,6 @@ class Polynomial:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def degree(self) -> int:
-        """Total degree; -1 for the zero polynomial."""
-        if not self.terms:
-            return -1
-        return max(sum(e) for e in self.terms)
-
     def __add__(self, other: "Polynomial") -> "Polynomial":
         self._check_compatible(other)
         out = dict(self.terms)
@@ -228,20 +221,6 @@ class Polynomial:
         res = Polynomial.__new__(Polynomial)
         res.n, res.terms = self.n, out
         return res
-
-    def __call__(self, point: Iterable) -> Fraction:
-        """Evaluate at an exact rational point (centered coordinates)."""
-        pt = [as_fraction(x) for x in point]
-        if len(pt) != self.n:
-            raise ValueError(f"point has {len(pt)} coordinates, need {self.n}")
-        total = Fraction(0)
-        for e, c in self.terms.items():
-            v = c
-            for x, p in zip(pt, e):
-                if p:
-                    v *= x**p
-            total += v
-        return total
 
     def _check_compatible(self, other: "Polynomial") -> None:
         if self.n != other.n:
@@ -401,31 +380,6 @@ def hodge_star(w: PolyForm) -> PolyForm:
         s = star_sign(alpha)
         out[beta] = p if s == 1 else -p
     return PolyForm(w.n, w.n - w.k, out)
-
-
-def wedge(u: PolyForm, v: PolyForm) -> PolyForm:
-    """Exterior product of a j-form and a k-form (degrees must fit in n)."""
-    if u.n != v.n:
-        raise ValueError("wedge factors live in different ambient dimensions")
-    deg = u.k + v.k
-    if deg > u.n:
-        raise ValueError(f"wedge degree {deg} exceeds ambient dimension {u.n}")
-    out: dict[MultiIndex, Polynomial] = {}
-    for a, p in u.comps.items():
-        for b, q in v.comps.items():
-            sign, merged = wedge_sign(a, b)
-            if sign == 0:
-                continue
-            term = p * q
-            if sign < 0:
-                term = -term
-            prev = out.get(merged)
-            acc = term if prev is None else prev + term
-            if acc.is_zero():
-                out.pop(merged, None)
-            else:
-                out[merged] = acc
-    return PolyForm(u.n, deg, out)
 
 
 def exterior_derivative(w: PolyForm) -> PolyForm:

@@ -12,7 +12,8 @@ with delta the Green-sign codifferential.  Both test families lie inside
 the span of the element's DOF test forms on each cell, which is what
 makes the cellwise interpolant conforming in this weak sense.  On each
 cell these are the element's own Green functionals with the cell's
-barycentric coordinates (``Simplex.hat_coefficients``) as test forms.
+barycentric coordinates as test forms; their pairings with the shape
+basis have closed forms (``_closed_forms``).
 
 The kernel has an explicit local basis, built from dual local functions:
 on each cell the six Whitney functionals above (three rot, three div,
@@ -410,11 +411,10 @@ class ConstraintSystem:
     """Sparse constraint matrix B: div rows for every vertex, then rot rows.
 
     With nv vertices, row v < nv is the div functional of vertex v and row
-    nv + r the rot functional of ``tri.interior_vertices[r]``.  ``B_div``
-    and ``B_rot`` are these two row slices of B.  ``prod`` is the product
-    space whose template duals certify the rank; the certificate runs on
-    first need and keeps only its outcome (on ``prod`` for its own B), so
-    B must not change after that.
+    nv + r the rot functional of ``tri.interior_vertices[r]``.  ``prod``
+    is the product space whose template duals certify the rank; the
+    certificate runs on first need and keeps only its outcome (on
+    ``prod`` for its own B), so B must not change after that.
     """
 
     def __init__(self, prod: ProductSpace, B: sp.csr_matrix):
@@ -422,14 +422,6 @@ class ConstraintSystem:
         self.tri = prod.tri
         self.B = B
         self._certified = False
-
-    @property
-    def B_div(self) -> sp.csr_matrix:
-        return self.B[: len(self.tri.vertices)]
-
-    @property
-    def B_rot(self) -> sp.csr_matrix:
-        return self.B[len(self.tri.vertices) :]
 
     @property
     def rows(self) -> int:
@@ -534,10 +526,6 @@ class BasisFunction:
     cells: tuple[int, ...]
     entries: list[tuple[int, Fraction]] = field(repr=False)
 
-    @property
-    def support_size(self) -> int:
-        return len(self.cells)
-
 
 CATEGORIES = (DIV_PATCH, ROT_PATCH, ROT_CELL)
 
@@ -606,10 +594,6 @@ class GlobalBasis:
     def counts(self) -> dict[str, int]:
         n = np.bincount(self.category, minlength=len(CATEGORIES))
         return {name: int(k) for name, k in zip(CATEGORIES, n)}
-
-    def count_for_vertex(self, category: str, vertex: int) -> int:
-        code = CATEGORIES.index(category)
-        return int(np.count_nonzero((self.category == code) & (self.anchor == vertex)))
 
 
 def build_global_basis(tri: Triangulation, prod: ProductSpace) -> GlobalBasis:

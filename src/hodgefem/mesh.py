@@ -62,7 +62,6 @@ from itertools import chain
 import numpy as np
 
 from .forms import as_fraction
-from .simplices import Simplex
 
 __all__ = [
     "DIAGONAL",
@@ -184,16 +183,7 @@ class Triangulation:
                 f"Euler characteristic {self.euler_characteristic} != 1 (not a disk)"
             )
 
-        self._simplices: list[Simplex | None] = [None] * nc
-
     # -- derived geometry ------------------------------------------------
-
-    def simplex(self, cell: int) -> Simplex:
-        s = self._simplices[cell]
-        if s is None:
-            s = Simplex([self.vertices[v] for v in self.cells[cell]])
-            self._simplices[cell] = s
-        return s
 
     def scaled_points(self, groups) -> tuple[np.ndarray, np.ndarray]:
         """Exact integer coordinates of groups of vertices.
@@ -211,7 +201,7 @@ class Triangulation:
 
     @cached_property
     def h(self) -> float:
-        """Largest edge length, equal to the largest ``simplex(c).h``."""
+        """Largest edge length, equal to the largest ``Simplex.h`` of the cells."""
         num, den = self.scaled_points(self.edges)
         d = num[:, 1] - num[:, 0]
         # Python int division rounds each exact squared length once, as

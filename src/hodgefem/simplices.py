@@ -9,29 +9,26 @@ after expanding centered monomials in barycentric coordinates.  The
 expansion runs in Python ints over the common denominator of the
 centered vertices (``Simplex.integer_moments``), as coefficient lists
 over the barycentric monomials of each degree (indexed once per
-dimension and degree), and each moment becomes one Fraction only when
-asked for (``monomial_integral``).  This is what
-the element algebra (Gram matrices, DOF functionals on polynomial data)
-runs on, so unisolvence and identity checks are exact.
+dimension and degree), so the moments are integers over one
+denominator.  This is what the element algebra (DOF functionals on
+polynomial data, the verification suite's norms) runs on, so
+unisolvence and identity checks are exact.
 
-``l2_gram`` is the one pairing kernel: the matrix of L2 inner products
+``Pairing`` is the one pairing kernel: the matrix of L2 inner products
 of two families of forms (or of tuples of forms in a direct sum) is the
 exact integer product U M V^T of the families' coefficient matrices
 over (component, monomial) with the integer moment matrix, over one
-common denominator, and each entry is made a Fraction once.  It comes
-in two halves: ``Pairing`` holds the simplex-free coefficient blocks of
-two families, built once, and ``Pairing.contract`` is the per-simplex
-integer product, so fixed families (the element's reference families)
-are paired on many simplices without rebuilding their blocks, and
-``Pairing.against`` pairs a fixed first family with a new second family
-(the element's DOF rows with one form's graph) without rebuilding the
-first family's blocks.  ``l2_inner`` is the 1 x 1 case.  ``_bareiss``
-is the one exact elimination, fraction-free on integer rows:
-``_gauss_jordan`` reduces rows of Fractions or ints to coprime integer
-rows for it, giving the solutions for ``solve_rational``; ``Simplex``
-runs it directly on its integer edge rows for the orientation and the
-volume, and ``Simplex.hat_coefficients`` on the integer centered
-vertices.
+common denominator.  A ``Pairing`` holds the simplex-free coefficient
+blocks of two families, built once, and ``Pairing.contract`` is the
+per-simplex integer product, so fixed families (the element's reference
+families) are paired on many simplices without rebuilding their blocks,
+and ``Pairing.against`` pairs a fixed first family with a new second
+family (the element's DOF rows with one form's graph) without
+rebuilding the first family's blocks.  ``_bareiss`` is the one exact
+elimination, fraction-free on integer rows: ``_gauss_jordan`` reduces
+rows of Fractions or ints to coprime integer rows for it, giving the
+solutions for ``solve_rational``, and ``Simplex`` runs it directly on
+its integer edge rows for the orientation and the volume.
 
 The float path rests on ``quadrature_rule``, a Grundmann-Moller simplex
 rule of odd degree 2s+1, valid in any dimension, with rational
@@ -53,17 +50,13 @@ from operator import add, mul
 
 import numpy as np
 
-from .forms import Polynomial, PolyForm, as_fraction
+from .forms import PolyForm, as_fraction
 
 __all__ = [
     "Simplex",
     "Pairing",
     "as_fractions",
     "gradient",
-    "integrate_poly",
-    "l2_gram",
-    "l2_inner",
-    "h1_seminorm_sq",
     "quadrature_rule",
     "solve_rational",
 ]
@@ -355,52 +348,9 @@ class Simplex:
             num[e] = total * scale[sum(e)]
         return num, det.denominator * d**top * math.factorial(top + n)
 
-    def monomial_integral(self, exponents: tuple[int, ...]) -> Fraction:
-        """Exact integral over the simplex of prod_j (x^j - barycenter^j)^{e_j}.
-
-        One Fraction per moment, from ``integer_moments``.
-        """
-        e = tuple(exponents)
-        num, den = self.integer_moments([e])
-        return Fraction(num[e], den)
-
-    def hat_coefficients(self) -> tuple[list[list[int]], int]:
-        """The n+1 barycentric coordinates (hat functions) as integer coefficient rows.
-
-        Returns (rows, den) with lambda_i(x) = (rows[i][0] + rows[i][1:] . x)
-        / den in centered coordinates.  With the centered vertices written
-        as integers U over d, [U | d] [G^T; g0] = d I: one ``_bareiss``
-        on integer rows, with den its positive determinant.
-        """
-        n = self.n
-        units, d = self._units()
-        aug = [[*u, d, *(d * (r == c) for c in range(n + 1))] for r, u in enumerate(units)]
-        _, den = _bareiss(aug, n + 1)  # a nondegenerate simplex: never singular
-        sol = [row[n + 1 :] if den > 0 else [-v for v in row[n + 1 :]] for row in aug]
-        # column i of sol: den G_i, then den g0_i
-        return [[sol[n][i], *(sol[j][i] for j in range(n))] for i in range(n + 1)], abs(den)
-
-    def barycentric_coordinates(self) -> list[Polynomial]:
-        """The n+1 barycentric coordinates (hat functions), exact and linear,
-        from ``hat_coefficients``."""
-        n = self.n
-        rows, den = self.hat_coefficients()
-        units = [(0,) * n] + [tuple(int(j == l) for l in range(n)) for j in range(n)]
-        return [Polynomial(n, {u: Fraction(c, den) for u, c in zip(units, row)}) for row in rows]
-
     def __repr__(self) -> str:
         pts = ", ".join("(" + ", ".join(str(x) for x in v) + ")" for v in self.vertices)
         return f"Simplex[{pts}]"
-
-
-def integrate_poly(p: Polynomial, simplex: Simplex) -> Fraction:
-    """Exact integral of a centered-coordinate polynomial over the simplex."""
-    if p.n != simplex.n:
-        raise ValueError(f"polynomial in {p.n} variables on a {simplex.n}-simplex")
-    total = Fraction(0)
-    for e, c in p.terms.items():
-        total += c * simplex.monomial_integral(e)
-    return total
 
 
 def _coefficient_blocks(family) -> tuple[int, dict]:
@@ -458,10 +408,12 @@ def _check_direct_sums(members) -> None:
 
 
 class Pairing:
-    """The simplex-free half of ``l2_gram`` for two families, built once.
+    """The L2 products <u_i, v_j> of two families, simplex-free half built once.
 
-    Members are forms or tuples of forms in a direct sum, as for
-    ``l2_gram``.  Holds U, the first family's integer coefficient rows
+    A member of a family is a k-form, or a tuple of forms standing for an
+    element of a direct sum of form spaces, where the product is the sum
+    of the slotwise L2 products: the Green functionals and the graph-norm
+    Gram are such sums.  Holds U, the first family's integer coefficient rows
     stacked over the (slot, component) blocks that both families use;
     for each such block the second family's rows V_b and the exponents
     e + f of the moment matrix M_b[e][f] = integral x^(e+f); ``den``, the
@@ -470,7 +422,7 @@ class Pairing:
     family with another second family, reusing its coefficient blocks.
     """
 
-    __slots__ = ("n", "den", "exponents", "u", "blocks", "columns", "_us", "_ublocks")
+    __slots__ = ("den", "exponents", "u", "blocks", "columns", "_us", "_ublocks")
 
     def __init__(self, us, vs):
         same = us is vs
@@ -492,8 +444,6 @@ class Pairing:
 
     def _join(self, vs, vcoefficients) -> None:
         """U, the shared blocks and their exponents, for the second family ``vs``."""
-        members = self._us + vs
-        self.n = members[0][0].n if members else None
         uden, ublocks = self._ublocks
         vden, vblocks = vcoefficients
         self.den = uden * vden
@@ -531,41 +481,6 @@ class Pairing:
 def as_fractions(rows, den: int) -> list[list[Fraction]]:
     """Integer rows over one denominator, one Fraction per entry."""
     return [[Fraction(v, den) for v in row] for row in rows]
-
-
-def l2_gram(us, vs, simplex: Simplex) -> list[list[Fraction]]:
-    """Exact matrix of the L2 inner products <u_i, v_j> of two families.
-
-    The one pairing kernel.  A member of a family is a k-form, or a
-    tuple of forms standing for an element of a direct sum of form
-    spaces, where the product is the sum of the slotwise L2 products:
-    the Green functionals and the graph-norm Gram are such sums.  Each
-    family is written as integer matrices U, V over (slot, component,
-    monomial) with one common denominator (``Pairing``), and each (slot,
-    component) contributes U M V^T, with M[e][f] the moment of the
-    centered monomial x^(e+f) as an integer over one common denominator
-    (``Pairing.contract``).  The integer products are exact, and each
-    entry becomes one Fraction.
-    """
-    pairing = Pairing(us, vs)
-    if pairing.n not in (None, simplex.n):
-        raise ValueError("forms and simplex have different ambient dimension")
-    return as_fractions(*pairing.contract(*simplex.integer_moments(pairing.exponents)))
-
-
-def l2_inner(u: PolyForm, v: PolyForm, simplex: Simplex) -> Fraction:
-    """Exact L2 inner product of two k-forms (componentwise, orthonormal frame)."""
-    return l2_gram([u], [v], simplex)[0][0]
-
-
-def h1_seminorm_sq(w: PolyForm, simplex: Simplex) -> Fraction:
-    """Exact squared H1 seminorm: sum over components and partials.
-
-    The L2 norm of ``gradient(w)`` as one ``l2_gram`` on the direct sum
-    of its partials.
-    """
-    family = [gradient(w)]
-    return l2_gram(family, family, simplex)[0][0]
 
 
 def gradient(w: PolyForm) -> tuple[PolyForm, ...]:

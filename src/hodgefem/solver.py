@@ -127,10 +127,6 @@ class AssembledSystem:
     # (B, x_cell, multipliers): the saddle point that solve_system solved for b_cell
     saddle_point: tuple | None = None
 
-    @property
-    def dofs(self) -> int:
-        return len(self.basis)
-
 
 def assemble(
     tri: Triangulation,

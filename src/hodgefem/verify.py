@@ -296,9 +296,9 @@ def _projection_error(vertices, volumes, shape_scale, test_scale, M) -> float:
     values V come from float quadrature of the Green functionals,
     independent of the exact pairing that built M, so M^-1 V = I tests
     the DOF matrix against the functionals.  The node tables are stacked
-    ``tables`` calls of ``PROJECTION_BLOCK`` triangles each, as
-    ``node_tables`` would build them one at a time; each triangle's
-    values do not depend on the block, so the max is that of one stack.
+    ``tables`` calls of ``PROJECTION_BLOCK`` triangles each; each
+    triangle's values do not depend on the block, so the max is that of
+    one stack.
     """
     ref = reference_element(2, 1)
     errors = []

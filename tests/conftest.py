@@ -43,43 +43,45 @@ def mesh(request) -> Triangulation:
 
 
 def closed_form_templates(tri: Triangulation, prod) -> list[SimpleNamespace]:
-    """Every template's exact data from the closed forms, checked against ``pair``.
+    """Every template's exact data from the closed forms, checked against the
+    element built form by form.
 
     ``globalspace._closed_forms`` over ``prod.shapes`` gives each
     template's DOF matrix, gram, Whitney rows and duals as Fractions.  Each
     is asserted equal to the independent reference on the template's
     first cell: the DOF matrix of ``local_element``, and the gram and
-    Whitney rows of one three-group ``ReferenceElement.pair``, whose
-    integer Whitney rows give the duals by ``solve_rational``.  Returns one
+    Whitney rows as ``l2_gram`` of the explicitly scaled graph of
+    ``reference.planar_element`` with itself and with its hat Green rows,
+    whose inverse by ``solve_rational`` gives the duals.  Returns one
     namespace per template: its first ``cell``, that cell's ``simplex``,
     ``matrix`` (its local element) and the closed forms' ``gram``,
     ``whitney`` and ``duals``.
     """
-    from hodgefem.element import DOFS, GRAM, HATS, local_element, reference_element
+    from hodgefem.element import local_element
     from hodgefem.globalspace import _chebyshev_diameter, _closed_forms, _evaluate, _fraction
-    from hodgefem.simplices import as_fractions, solve_rational
+    from hodgefem.simplices import solve_rational
+    from reference import l2_gram, planar_element, simplex
 
     exact = _closed_forms(prod.shapes, *_chebyshev_diameter(prod.shapes))
     gram, whitney, duals, matrix = (
         _evaluate(entries, len(prod.templates), _fraction).tolist()
         for entries in (exact.gram, exact.whitney, exact.duals, exact.matrix)
     )
-    ref = reference_element(2, 1)
+    eye = [[Fraction(int(r == c)) for c in range(6)] for r in range(6)]
     out = []
     for i, cell in enumerate(prod.templates.tolist()):
-        simplex = tri.simplex(cell)
-        local = local_element(simplex, 1)
-        _, paired = ref.pair(simplex, (GRAM, DOFS, HATS))
-        rows, den = paired[HATS]
-        eye = [[den * (r == c) for c in range(6)] for r in range(6)]
+        T = simplex(tri, cell)
+        local = local_element(T, 1)
+        _, graph, _, _, hat_rows = planar_element(T)
+        hats = l2_gram(hat_rows, graph, T)
         assert matrix[i] == local.exact
-        assert gram[i] == as_fractions(*paired[GRAM])
-        assert whitney[i] == as_fractions(rows, den)
-        assert duals[i] == solve_rational(rows, eye)
+        assert gram[i] == l2_gram(graph, graph, T)
+        assert whitney[i] == hats
+        assert duals[i] == solve_rational(hats, eye)
         out.append(
             SimpleNamespace(
                 cell=cell,
-                simplex=simplex,
+                simplex=T,
                 matrix=local,
                 gram=gram[i],
                 whitney=whitney[i],

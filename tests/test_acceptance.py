@@ -13,6 +13,7 @@ import numpy as np
 
 from hodgefem.fields import as_callback, get_field
 from hodgefem.globalspace import (
+    CATEGORIES,
     DIV_PATCH,
     ROT_CELL,
     ROT_PATCH,
@@ -173,10 +174,9 @@ def test_criterion_8_basis_locality():
     tri = generate_square_mesh(4)
     prod = build_product_space(tri)
     basis = build_global_basis(tri, prod)
-    supports = {fn.support_size for fn in basis.functions}
-    rot = basis.count_for_vertex(ROT_PATCH, 12)
-    div = basis.count_for_vertex(DIV_PATCH, 12)
-    cell = basis.count_for_vertex(ROT_CELL, 12)
+    supports = {len(fn.cells) for fn in basis.functions}
+    anchored = [CATEGORIES[c] for c in basis.category[basis.anchor == 12]]
+    rot, div, cell = (anchored.count(name) for name in (ROT_PATCH, DIV_PATCH, ROT_CELL))
     ok = supports <= {1, 2} and rot == 5 and div == 5 and cell == 0
     _report(
         "criterion 8 (supports of one or two cells; degree-6 vertex counts)",

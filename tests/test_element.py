@@ -19,10 +19,12 @@ from hodgefem.element import (
     build_h2d_form,
     build_h2delta_form,
     dof_values,
-    interpolate,
-    interpolate_coeffs,
+    form_values,
     local_element,
+    poly_values,
+    quadrature_dofs,
     reference_element,
+    solve_dofs,
 )
 from hodgefem.forms import (
     PolyForm,
@@ -37,8 +39,10 @@ from hodgefem.forms import (
 import hodgefem.element
 import hodgefem.simplices
 import hodgefem.verify
-from hodgefem.simplices import Simplex, l2_gram
+from hodgefem.simplices import Simplex
 from hodgefem.verify import unisolvence_suite
+
+from reference import l2_gram, shape_space
 
 F = Fraction
 
@@ -63,8 +67,9 @@ def test_block_dimensions():
     rng = random.Random(21)
     expect = {(2, 1): (2, 1, 1, 2), (3, 1): (3, 3, 1, 3), (3, 2): (3, 1, 3, 3)}
     for (n, k), sizes in expect.items():
-        space = local_element(rand_simplex(n, rng), k).space
-        got = tuple(len(space.block_basis(b)) for b in (P0, KAPPA, STARKAPPA, H2D))
+        space = shape_space(local_element(rand_simplex(n, rng), k))
+        blocks = [space.blocks[b] for b in (P0, KAPPA, STARKAPPA, H2D)]
+        got = tuple(len(space.basis[r.start : r.stop]) for r in blocks)
         assert got == sizes
         assert space.dim == sum(sizes)
 
@@ -98,9 +103,9 @@ def test_unisolvence_exact_projection():
     rng = random.Random(23)
     T = rand_simplex(2, rng)
     matrix = local_element(T, 1)
-    space = matrix.space
+    space = shape_space(matrix)
     for i, mu in enumerate(space.basis):
-        coeffs = interpolate_coeffs(mu, matrix, method=DIRECT)
+        coeffs = solve_dofs(dof_values(mu, matrix), matrix, method=DIRECT)
         want = [F(1) if j == i else F(0) for j in range(6)]
         assert list(coeffs) == want
 
@@ -110,9 +115,10 @@ def test_fourstep_equals_direct_exactly():
     for _ in range(10):
         T = rand_simplex(2, rng)
         matrix = local_element(T, 1)
-        target = matrix.space.combine([F(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(6)])
-        a = interpolate_coeffs(target, matrix, method=DIRECT)
-        b = interpolate_coeffs(target, matrix, method=FOURSTEP)
+        target = matrix.combine([F(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(6)])
+        dofs = dof_values(target, matrix)
+        a = solve_dofs(dofs, matrix, method=DIRECT)
+        b = solve_dofs(dofs, matrix, method=FOURSTEP)
         assert list(a) == list(b)
 
 
@@ -120,88 +126,81 @@ def test_interpolate_returns_equal_form():
     rng = random.Random(25)
     T = rand_simplex(2, rng)
     matrix = local_element(T, 1)
-    target = matrix.space.combine([F(3), F(-1), F(2), F(1, 2), F(0), F(5)])
-    assert interpolate(target, matrix) == target
+    target = matrix.combine([F(3), F(-1), F(2), F(1, 2), F(0), F(5)])
+    assert matrix.combine(solve_dofs(dof_values(target, matrix), matrix)) == target
 
 
-def test_callback_path_matches_exact_path():
-    """Quadrature DOFs of a polynomial callback agree with the rational DOFs."""
+def test_quadrature_dofs_match_the_exact_dofs():
+    """Float quadrature of the Green functionals (the global interpolation's
+    path, on a stack of one element) agrees with the rational DOFs."""
     rng = random.Random(26)
     T = rand_simplex(2, rng)
     matrix = local_element(T, 1)
-    target = matrix.space.combine([F(1), F(2), F(-1), F(1, 3), F(2), F(-3)])
-    d_t = exterior_derivative(target)
-    g_t = codifferential_green(target)
-    bx = np.array([float(c) for c in T.barycenter])
-
-    def ev_form(w, pts):
-        centered = np.asarray(pts) - bx
-        cols = []
-        for a in multi_indices(w.k, 2):
-            p = w.component(a)
-            col = np.zeros(len(centered))
-            for e, c in p.terms.items():
-                term = np.full(len(centered), float(c))
-                for i, ei in enumerate(e):
-                    if ei:
-                        term = term * centered[:, i] ** ei
-                col += term
-            cols.append(col)
-        return np.stack(cols, axis=1)
-
-    cb = FormCallback(
-        value=lambda x: ev_form(target, x),
-        d=lambda x: ev_form(d_t, x),
-        delta=lambda x: ev_form(g_t, x),
-    )
+    target = matrix.combine([F(1), F(2), F(-1), F(1, 3), F(2), F(-3)])
+    S, E = matrix.scaling.floats()
+    verts = np.array([[[float(x) for x in v] for v in T.centered]])
+    tab = reference_element(2, 1).tables(verts, np.array([float(T.volume)]), S[None], E[None], 6)
+    nodes = tab["centered"]  # the polynomials are in centered coordinates
+    values = form_values(target, nodes)[:, None]
+    dval = poly_values(exterior_derivative(target).component((1, 2)), nodes)[:, None]
+    gval = poly_values(codifferential_green(target).component(()), nodes)[:, None]
+    approx = quadrature_dofs(tab, values, dval, gval)[0, 0]
     exact = np.array([float(v) for v in dof_values(target, matrix)])
-    approx = np.asarray(dof_values(cb, matrix, quad_order=6))
     scale = max(1.0, np.max(np.abs(exact)))
     assert np.max(np.abs(exact - approx)) <= 1e-12 * scale
 
-    coeffs = interpolate_coeffs(cb, matrix, method=FOURSTEP, quad_order=6)
+    coeffs = np.linalg.solve(matrix.as_float, approx)
     want = np.array([1, 2, -1, 1 / 3, 2, -3], dtype=float)
-    assert np.max(np.abs(np.asarray(coeffs, dtype=float) - want)) <= 1e-10
+    assert np.max(np.abs(coeffs - want)) <= 1e-10
 
 
 def test_float_coefficients_are_not_finished_in_fractions():
     T = reference_triangle()
     matrix = local_element(T, 1)
-    space = matrix.space
+    space = shape_space(matrix)
     with pytest.raises(TypeError):
         space.combine([1.0, 0, 0, 0, 0, 0])
     assert space.combine([F(1), 0, 0, 0, 0, 0]) == space.basis[0]
-    cb = FormCallback(
-        value=lambda x: np.ones((len(x), 2)),
-        d=lambda x: np.zeros((len(x), 1)),
-        delta=lambda x: np.zeros((len(x), 1)),
-    )
-    with pytest.raises(TypeError, match="interpolate_coeffs"):
-        interpolate(cb, matrix)
-    # the float path stays float: the callback's coefficients come back as floats
-    assert np.asarray(interpolate_coeffs(cb, matrix)).dtype == float
+    # the exact path takes no float: float DOF values are refused, not solved
+    for values in ([1.0] * 6, np.ones(6), [F(1)] * 5 + [np.float64(1.0)]):
+        for method in (DIRECT, FOURSTEP):
+            with pytest.raises(TypeError, match=r"exact \(Fraction or int\) DOF values, got"):
+                solve_dofs(values, matrix, method=method)
 
 
-def test_callback_missing_derivative_data():
-    T = reference_triangle()
-    cb = FormCallback(value=lambda x: np.zeros((len(x), 2)), d=None, delta=None)
-    with pytest.raises(ValueError):
-        dof_values(cb, local_element(T, 1))
-
-
-def test_callback_dofs_need_the_planar_one_form_element():
-    T = Simplex([(F(0), F(0), F(0)), (F(1), F(0), F(0)), (F(0), F(1), F(0)), (F(0), F(0), F(1))])
-    matrix = local_element(T, 1)
-    cb = FormCallback(
-        value=lambda x: np.zeros((len(x), 3)),
-        d=lambda x: np.zeros((len(x), 3)),
-        delta=lambda x: np.zeros((len(x), 1)),
-    )
-    with pytest.raises(ValueError, match="planar 1-form element"):
-        dof_values(cb, matrix)
+@pytest.mark.parametrize("n", [2, 3])
+def test_dof_values_of_a_callback_raise_naming_global_interpolate(n):
+    """A FormCallback (with or without d and delta, on any element) has no
+    exact DOFs: dof_values names the float path instead."""
+    vertices = [tuple(F(int(i == j)) for j in range(n)) for i in range(-1, n)]
+    matrix = local_element(Simplex(vertices), 1)
+    for cb in (
+        FormCallback(value=lambda x: np.zeros((len(x), n))),
+        FormCallback(
+            value=lambda x: np.zeros((len(x), n)),
+            d=lambda x: np.zeros((len(x), n * (n - 1) // 2)),
+            delta=lambda x: np.zeros((len(x), 1)),
+        ),
+    ):
+        with pytest.raises(TypeError, match="FormCallback are global_interpolate's"):
+            dof_values(cb, matrix)
     # the exact path stays general
-    vals = dof_values(PolyForm.basis(3, (1,)), matrix)
+    vals = dof_values(PolyForm.basis(n, (1,)), matrix)
     assert len(vals) == len(matrix.exact) and all(isinstance(v, F) for v in vals)
+
+
+@pytest.mark.parametrize("method", [DIRECT, FOURSTEP])
+def test_solve_dofs_checks_the_count_of_its_values(method):
+    """Too many or too few DOF values raise a ValueError naming the count."""
+    matrix = local_element(reference_triangle(), 1)
+    exact = dof_values(matrix.combine([F(1), F(2), F(-1), F(1, 3), F(2), F(-3)]), matrix)
+    assert solve_dofs(exact, matrix, method=method) == [F(1), F(2), F(-1), F(1, 3), F(2), F(-3)]
+    for values in (exact + [F(7)], exact[:5], []):
+        with pytest.raises(ValueError, match=f"^expected 6 DOF values, got {len(values)}$"):
+            solve_dofs(values, matrix, method=method)
+    assert solve_dofs([1, 0, 0, 0, 0, 0], matrix, method=method) == solve_dofs(
+        [F(1)] + [F(0)] * 5, matrix, method=method
+    )
 
 
 def test_scaled_conditioning_is_h_uniform():
@@ -347,8 +346,7 @@ def test_combine_is_the_scaled_space_combination_without_the_space():
             dim = matrix.reference.space.dim
             coeffs = [F(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(dim)]
             member = matrix.combine(coeffs)
-            assert matrix._space is None  # no scaled basis form was built
-            assert member == matrix.space.combine(coeffs)
+            assert member == shape_space(matrix).combine(coeffs)
     with pytest.raises(TypeError, match="not floats"):
         matrix.combine([1.0] + [0] * (dim - 1))
     with pytest.raises(ValueError, match=f"expected {dim} coefficients"):
@@ -362,18 +360,3 @@ def test_float_dof_matrix_is_rounded_once_and_read_only():
     assert first.tolist() == [[float(v) for v in row] for row in matrix.exact]
     with pytest.raises(ValueError, match="read-only"):
         first[0, 0] = 1.0
-
-
-def test_unisolvence_suite_draws_its_member_without_the_scaled_space(monkeypatch):
-    """The random member is R (S^T c): no triangle builds its scaled shape space."""
-    spaces = []
-    shape_space = ReferenceElement.shape_space
-
-    def counting(self, scaling):
-        spaces.append(1)
-        return shape_space(self, scaling)
-
-    monkeypatch.setattr(ReferenceElement, "shape_space", counting)
-    results = unisolvence_suite(count=3)
-    assert all(r.passed for r in results)
-    assert spaces == []

@@ -17,20 +17,14 @@ import sympy
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from hodgefem.element import build_h2d_form, form_values, poly_values, reference_element
-from hodgefem.forms import (
-    PolyForm,
-    Polynomial,
-    codifferential_green,
-    exterior_derivative,
-    hodge_star,
-    koszul,
-)
+from hodgefem.element import form_values, poly_values, reference_element
+from hodgefem.forms import PolyForm, Polynomial, codifferential_green, exterior_derivative
 from hodgefem.globalspace import build_product_space
 from hodgefem.mesh import Triangulation
-from hodgefem.simplices import Simplex, _gauss_jordan, integrate_poly, l2_gram, solve_rational
+from hodgefem.simplices import Simplex, _gauss_jordan, solve_rational
 
 from conftest import closed_form_templates
+from reference import green_rows, integrate_poly, l2_gram, monomial_integral, planar_element
 
 BIG = 10**20
 
@@ -114,7 +108,7 @@ def test_monomial_integrals_equal_sympy(big, data):
     T = data.draw(triangles(big))
     for a in range(5):
         for b in range(5 - a):
-            assert T.monomial_integral((a, b)) == _fraction(_sympy_moment(T, (a, b))), (a, b)
+            assert monomial_integral(T, (a, b)) == _fraction(_sympy_moment(T, (a, b))), (a, b)
 
 
 @pytest.mark.parametrize("big", [False, True])
@@ -255,42 +249,6 @@ def element_triangles(draw, kind: str, orientation: int) -> Simplex:
     return Simplex(verts)
 
 
-def _green_rows(etas, taus):
-    up, down = PolyForm.zero(2, 2), PolyForm.zero(2, 0)
-    rows = [(eta, down, -codifferential_green(eta)) for eta in etas]
-    return rows + [(up, tau, -exterior_derivative(tau)) for tau in taus]
-
-
-def _planar_element(T: Simplex):
-    """The planar element on T form by form: shape forms, graph, DOF and hat tests."""
-    inv_h = 1 / T.h_scale
-    dx = [PolyForm.basis(2, (1,)), PolyForm.basis(2, (2,))]
-
-    def star_koszul_star(w):
-        return hodge_star(koszul(hodge_star(w)))
-
-    shape = dx + [
-        inv_h * koszul(PolyForm.basis(2, (1, 2))),
-        inv_h * star_koszul_star(PolyForm.basis(2, ())),
-    ]
-    shape += [inv_h * inv_h * build_h2d_form(alpha, T) for alpha in ((1,), (2,))]
-    graph = [(exterior_derivative(mu), codifferential_green(mu), mu) for mu in shape]
-    etas = [PolyForm.basis(2, (1, 2))] + [inv_h * star_koszul_star(w) for w in dx]
-    taus = [PolyForm.basis(2, ())] + [inv_h * koszul(w) for w in dx]
-    # lambda_i(x) = cross(p_j - x, p_k - x) / cross(p_j - p_i, p_k - p_i), (i, j, k) cyclic
-    p = T.centered
-    hats = []
-    for i in range(3):
-        a, b = p[(i + 1) % 3], p[(i + 2) % 3]
-        area = (a[0] - p[i][0]) * (b[1] - p[i][1]) - (a[1] - p[i][1]) * (b[0] - p[i][0])
-        coeffs = {(0, 0): a[0] * b[1] - a[1] * b[0], (1, 0): a[1] - b[1], (0, 1): b[0] - a[0]}
-        hats.append(Polynomial(2, {e: c / area for e, c in coeffs.items()}))
-    hat_rows = _green_rows(
-        [PolyForm(2, 2, {(1, 2): lam}) for lam in hats], [PolyForm(2, 0, {(): lam}) for lam in hats]
-    )
-    return shape, graph, etas, taus, hat_rows
-
-
 @pytest.mark.parametrize("orientation", [1, -1])
 @pytest.mark.parametrize("kind", ["small", "big", "coprime"])
 @settings(EXACT, max_examples=4)
@@ -299,15 +257,15 @@ def test_reference_element_equals_the_element_built_form_by_form(kind, orientati
     """gram, DOF matrix, Whitney rows, duals and node tables of the scaled
     reference element against the forms calculus and ``l2_gram``, exactly:
     the closed forms of a one-cell product space, and the ``local_element``
-    and three-group ``pair`` that ``closed_form_templates`` checks them by."""
+    that ``closed_form_templates`` checks them by."""
     triangles = data.draw(st.lists(element_triangles(kind, orientation), min_size=1, max_size=3))
     meshes = [Triangulation(T.vertices, [(0, 1, 2)]) for T in triangles]
     templates = [t for tri in meshes for t in closed_form_templates(tri, build_product_space(tri))]
     eye = [[Fraction(int(r == c)) for c in range(6)] for r in range(6)]
-    elements = [_planar_element(T) for T in triangles]
+    elements = [planar_element(T) for T in triangles]
     for T, t, (shape, graph, etas, taus, hat_rows) in zip(triangles, templates, elements):
         assert t.gram == l2_gram(graph, graph, T)
-        assert t.matrix.exact == l2_gram(_green_rows(etas, taus), graph, T)
+        assert t.matrix.exact == l2_gram(green_rows(etas, taus), graph, T)
         whitney = l2_gram(hat_rows, graph, T)
         assert t.whitney == whitney
         assert t.duals == solve_rational(whitney, eye)

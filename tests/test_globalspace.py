@@ -1,5 +1,6 @@
 """Product space, vertex constraints and the explicit kernel basis."""
 
+from collections import Counter
 from fractions import Fraction
 from unittest import mock
 
@@ -10,13 +11,9 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hodgefem.element import (
-    FormCallback,
-    interpolate_coeffs,
-    local_element,
-)
+from hodgefem.element import FormCallback, dof_values, form_values, local_element, solve_dofs
 from hodgefem.fields import as_callback, get_field
-from hodgefem.forms import PolyForm
+from hodgefem.forms import PolyForm, Polynomial, codifferential_green, exterior_derivative
 import hodgefem.element
 import hodgefem.globalspace
 import hodgefem.simplices
@@ -43,6 +40,7 @@ from hodgefem.globalspace import (
 from hodgefem.solver import assemble
 
 from conftest import MESHES, closed_form_templates
+from reference import hat_coefficients, l2_gram, shape_space, simplex
 
 
 def _setup(m, pattern=DIAGONAL):
@@ -65,7 +63,7 @@ def test_product_space_layout():
         assert first == cells[0]
         for c in cells:
             assert prod.template_index[c] == i
-            assert tri.simplex(int(c)).centered == tri.simplex(first).centered
+            assert simplex(tri, int(c)).centered == simplex(tri, first).centered
 
     _, prod4, _ = _setup(4)
     assert len(prod4.templates) == 4
@@ -76,7 +74,7 @@ def test_product_space_layout():
 def test_product_space_keys_and_barycenters_are_exact(mesh):
     prod = build_product_space(mesh)
     for c in range(len(mesh.cells)):
-        s = mesh.simplex(c)
+        s = simplex(mesh, c)
         d, *xy = prod.shapes[prod.template_index[c]].tolist()
         assert [Fraction(v, d) for v in xy] == [x for point in s.centered for x in point]
         assert prod.barycenters[c].tolist() == [float(x) for x in s.barycenter]
@@ -115,7 +113,7 @@ def test_product_space_builds_no_simplex_and_a_read_template_builds_one(monkeypa
     for i, t in enumerate(closed_form_templates(tri, prod)):
         d, *xy = prod.shapes[i].tolist()
         assert t.duals and [Fraction(v, d) for v in xy] == [x for p in t.simplex.centered for x in p]
-        assert t.simplex is tri.simplex(t.cell)
+        assert t.simplex.vertices == tuple(tri.vertices[v] for v in tri.cells[t.cell])
     assert len(built) == len(prod.templates)
 
 
@@ -139,29 +137,18 @@ def test_float_stacks_round_each_exact_template_entry_once(mesh):
     assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
 
 
-def test_cell_gram_equals_the_per_pair_l2_inner_sums(monkeypatch):
-    """Every Gram entry, both triangles, from integer products, no per-entry l2_inner."""
-    calls = []
-    for module in (hodgefem.simplices, hodgefem.element, hodgefem.globalspace):
-        if hasattr(module, "l2_inner"):
-            inner = module.l2_inner
-
-            def counting(u, v, simplex, inner=inner):
-                calls.append(1)
-                return inner(u, v, simplex)
-
-            monkeypatch.setattr(module, "l2_inner", counting)
+def test_cell_gram_equals_the_per_pair_l2_products():
+    """Every Gram entry, both triangles, as the sum of the entrywise L2 products
+    of the scaled shape forms, their d and their Green delta."""
     tri = MESHES["jitter4"]()
     prod = build_product_space(tri)
     assert len(prod.templates) == 32
-    assert calls == []
-    monkeypatch.undo()
     for t in closed_form_templates(tri, prod):
-        space = t.matrix.space
+        space = shape_space(t.matrix)
         for i in range(6):
             for j in range(6):
                 assert t.gram[i][j] == sum(
-                    hodgefem.simplices.l2_inner(f[i], f[j], t.simplex)
+                    l2_gram([f[i]], [f[j]], t.simplex)[0][0]
                     for f in (space.d_basis, space.delta_basis, space.basis)
                 )
 
@@ -169,8 +156,8 @@ def test_cell_gram_equals_the_per_pair_l2_inner_sums(monkeypatch):
 def test_product_space_builds_no_exact_object_and_a_read_template_one_moment_call(monkeypatch):
     """The build makes no PolyForm, Fraction or Scaling and no ``integer_moments``
     call, and reading the exact duals of the basis makes no PolyForm, Scaling or
-    ``integer_moments`` call; the three-group ``pair`` that is the tests'
-    reference for a template makes one ``integer_moments`` call."""
+    ``integer_moments`` call; the ``pair`` of a template's local element makes
+    one ``integer_moments`` call."""
     build_product_space(MESHES["jitter4"]())  # the reference element is now built
     tri = MESHES["jitter4"]()
     made, moments = [], []
@@ -204,12 +191,11 @@ def test_product_space_builds_no_exact_object_and_a_read_template_one_moment_cal
     assert all(fn.entries for fn in basis.functions)
     assert set(made) == {"Fraction"}
     assert moments == []
-    simplices = [tri.simplex(c) for c in prod.templates.tolist()]
+    simplices = [simplex(tri, c) for c in prod.templates.tolist()]
     ref = hodgefem.element.reference_element(2, 1)
-    groups = (hodgefem.element.GRAM, hodgefem.element.DOFS, hodgefem.element.HATS)
     for s in simplices:
-        _, out = ref.pair(s, groups)
-        assert all(out[g][0] for g in groups)
+        _, rows, _ = ref.pair(s)
+        assert len(rows) == 6 and all(rows)
     monkeypatch.undo()
     assert len(moments) == len(prod.templates)
     assert [id(s) for s in moments] == [id(s) for s in simplices]
@@ -231,13 +217,13 @@ def _assert_scalings_are_the_exact_ones_rounded(tri):
     prod, p, q = _built_with_h(tri)
     ref = hodgefem.element.reference_element(2, 1)
     for i, cell in enumerate(prod.templates.tolist()):
-        simplex = tri.simplex(cell)
-        S, E = ref.scaling(simplex, simplex.second_moments).floats()
+        T = simplex(tri, cell)
+        S, E = ref.scaling(T, T.second_moments).floats()
         assert (prod.shape_scale[i].dtype, prod.shape_scale[i].shape) == (S.dtype, S.shape)
         assert prod.shape_scale[i].tobytes() == S.tobytes()
         assert (prod.test_scale[i].dtype, prod.test_scale[i].shape) == (E.dtype, E.shape)
         assert prod.test_scale[i].tobytes() == E.tobytes()
-        h = simplex.h_scale
+        h = T.h_scale
         assert (p[i], q[i]) == (h.numerator, h.denominator)
 
 
@@ -364,7 +350,7 @@ def test_whitney_and_duals_of_the_constants_are_rotated_hat_gradients(name):
     tri = _IDENTITY_MESHES[name]()
     for t in closed_form_templates(tri, build_product_space(tri)):
         area, h = t.simplex.volume, t.simplex.h_scale
-        rows, den = t.simplex.hat_coefficients()
+        rows, den = hat_coefficients(t.simplex)
         for c, (_, gx, gy) in enumerate(rows):
             gx, gy = Fraction(gx, den), Fraction(gy, den)
             assert t.whitney[c][:2] == [-area * gy, area * gx]
@@ -391,8 +377,8 @@ def test_vectorised_phi_matches_exact_functions(mesh):
 
 def test_constraint_shape_and_rank_smallest_mesh():
     tri, prod, cons = _setup(2)
-    assert cons.B_div.shape == (9, 48)
-    assert cons.B_rot.shape == (1, 48)
+    assert cons.B[:9].shape == (9, 48)
+    assert cons.B[9:].shape == (1, 48)
     assert cons.rows == 10
     assert cons.rank() == 10
     assert cons.nullity() == 38
@@ -401,7 +387,7 @@ def test_constraint_shape_and_rank_smallest_mesh():
 def test_rank_does_not_count_duplicated_rows():
     """B with its div rows stacked twice (803 rows on diagonal m = 16) is refused."""
     tri, prod, cons = _setup(16)
-    doubled = ConstraintSystem(prod, sp.vstack([cons.B, cons.B_div]).tocsr())
+    doubled = ConstraintSystem(prod, sp.vstack([cons.B, cons.B[: len(tri.vertices)]]).tocsr())
     assert doubled.rows == 803
     assert cons.rank() == 514
     with pytest.raises(ValueError, match=r"^rank audit: column \d+ of B D has 2 nonzeros"):
@@ -567,19 +553,18 @@ def test_supports_and_anchored_counts():
     basis = build_global_basis(tri, prod)
     interior = set(tri.interior_vertices)
     for fn in basis.functions:
-        assert fn.support_size in (1, 2)
+        assert len(fn.cells) in (1, 2)
         if fn.category == ROT_CELL:
-            assert fn.support_size == 1
+            assert len(fn.cells) == 1
             assert fn.anchor not in interior
         else:
-            assert fn.support_size == 2
+            assert len(fn.cells) == 2
         blocks = {idx // 6 for idx, _ in fn.entries}
         assert blocks <= set(fn.cells)
     # vertex 12 sits mid-mesh with the plain degree-6 star
     assert tri.fan_start[13] - tri.fan_start[12] == 6
-    assert basis.count_for_vertex(ROT_PATCH, 12) == 5
-    assert basis.count_for_vertex(DIV_PATCH, 12) == 5
-    assert basis.count_for_vertex(ROT_CELL, 12) == 0
+    anchored = Counter(CATEGORIES[c] for c in basis.category[basis.anchor == 12])
+    assert anchored == {ROT_PATCH: 5, DIV_PATCH: 5}
 
 
 def test_dual_local_functions_are_biorthogonal():
@@ -608,27 +593,58 @@ def test_affine_interpolation_reproduces_field():
 
     # smooth field: jump functionals vanish at interior vertices, while
     # the boundary div rows see the nonzero normal trace
-    rot_rows = np.abs(cons.B_rot @ u)
+    rot_rows = np.abs(cons.B[len(tri.vertices) :] @ u)
     assert rot_rows.max() <= 1e-10
-    div_rows = np.abs(cons.B_div @ u)
+    div_rows = np.abs(cons.B[: len(tri.vertices)] @ u)
     for v in tri.interior_vertices:
         assert div_rows[v] <= 1e-10
     assert div_rows.max() > 1e-3
 
 
-def test_global_matches_local_interpolation():
-    # templates are shared between congruent cells, so the local element
-    # must be rebuilt on the actual cell simplex for this comparison; every
-    # cell of the m = 2 mesh and of the fixture meshes (jitter4: 32 templates)
-    field = get_field("polyflow")
-    cb = as_callback(field)
-    for tri in [generate_square_mesh(2)] + [build() for build in MESHES.values()]:
-        prod = build_product_space(tri)
-        u = global_interpolate(cb, tri, prod, quad_order=6)
-        for c in range(len(tri.cells)):
-            local = interpolate_coeffs(cb, local_element(tri.simplex(c), 1), quad_order=6)
-            local = np.array([float(x) for x in local])
-            assert np.allclose(u[6 * c : 6 * c + 6], local, rtol=1e-9, atol=1e-12)
+def _shifted(p: Polynomial, b) -> Polynomial:
+    """p(b + x): a polynomial in global coordinates, centered at the point b, exactly."""
+    xs = [Polynomial.variable(2, j + 1) + Polynomial.constant(2, b[j]) for j in range(2)]
+    out = Polynomial(2)
+    for e, c in p.terms.items():
+        term = Polynomial.constant(2, c)
+        for x, power in zip(xs, e):
+            for _ in range(power):
+                term = term * x
+        out = out + term
+    return out
+
+
+@pytest.mark.parametrize("name", ["diagonal4", "jitter4"])
+def test_global_matches_the_exact_local_interpolation(name):
+    """global_interpolate of a quadratic field's callback against its exact
+    interpolant on every cell: the field shifted exactly to the cell's
+    barycenter, its Fraction DOFs solved in Fractions."""
+    F = Fraction
+    u = PolyForm(
+        2,
+        1,
+        {
+            (1,): Polynomial(2, {(2, 0): F(3), (1, 1): F(-2), (0, 2): F(1), (1, 0): F(1), (0, 0): F(-1)}),
+            (2,): Polynomial(2, {(2, 0): F(1), (1, 1): F(4), (0, 2): F(-2), (0, 1): F(3), (0, 0): F(2)}),
+        },
+    )
+    du, gu = exterior_derivative(u), codifferential_green(u)
+    assert not du.is_zero() and not gu.is_zero()  # nonzero rot and div
+    cb = FormCallback(
+        value=lambda x: form_values(u, x),
+        d=lambda x: form_values(du, x),
+        delta=lambda x: form_values(gu, x),
+    )
+    tri = MESHES[name]()
+    got = global_interpolate(cb, tri, build_product_space(tri), quad_order=6)
+    want = []
+    for c in range(len(tri.cells)):
+        T = simplex(tri, c)
+        local = PolyForm(2, 1, {a: _shifted(p, T.barycenter) for a, p in u.comps.items()})
+        matrix = local_element(T, 1)
+        want += solve_dofs(dof_values(local, matrix), matrix)
+    want = np.array([float(x) for x in want])
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
 def test_interpolation_requires_derivative_data():

@@ -15,7 +15,13 @@ import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hodgefem.element import interpolate_coeffs, local_element, node_tables, node_values
+from hodgefem.element import (
+    dof_values,
+    local_element,
+    node_values,
+    reference_element,
+    solve_dofs,
+)
 from hodgefem.fields import FIELDS, SmoothField, as_callback, get_field
 from hodgefem.forms import PolyForm
 from hodgefem.globalspace import (
@@ -54,6 +60,7 @@ from hodgefem.solver import (
 )
 
 from conftest import MESHES
+from reference import barycentric_coordinates, simplex
 
 
 def _zeros_field():
@@ -203,7 +210,7 @@ def test_pcg_stops_at_the_first_non_finite_value_on_a_sliver():
     # iteration cap of 2,525, and a NaN residual never meets the stopping
     # test, so only the non-finite check stops PCG before the cap
     system = assemble(_sliver(Fraction(97, 100)), get_field("polyflow"))
-    assert max(system.dofs, int(100 * math.sqrt(system.dofs))) == 2525
+    assert max(len(system.basis), int(100 * math.sqrt(len(system.basis)))) == 2525
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(RuntimeError, match=r"non-finite (rz|pAp|residual) ") as exc:
             solve_system(system, tol=1e-10)
@@ -288,7 +295,8 @@ def test_oracle_raises_the_rank_certificate_error_on_repeated_rows():
     system = assemble(tri, get_field("polyflow"), prod=prod)
     assert len(solve_oracle(system, cons).multipliers) == cons.rows
     # div rows first, then all of B: each div row comes again, exact or scaled
-    for repeat in (cons.B_div, 2 * cons.B_div):
+    div_rows = cons.B[: len(tri.vertices)]
+    for repeat in (div_rows, 2 * div_rows):
         stacked = ConstraintSystem(prod, sp.vstack([repeat, cons.B]).tocsr())
         for call in (stacked.rank, lambda: solve_oracle(system, stacked)):
             with pytest.raises(ValueError, match=r"^rank audit: column \d+ of B D has 2 nonzeros"):
@@ -439,8 +447,14 @@ def test_load_vector_and_error_norms_match_per_cell_tables(mesh):
     b = cell_load_vector(prod, field).reshape(-1, 6)
     u = np.random.default_rng(7).standard_normal(prod.dim)
     squares = np.zeros(3)
+    ref = reference_element(2, 1)
     for c in range(len(mesh.cells)):
-        tab = node_tables(local_element(mesh.simplex(c), 1), 6)
+        # each cell's own node tables: the stacked tables on a stack of one
+        matrix = local_element(simplex(mesh, c), 1)
+        S, E = matrix.scaling.floats()
+        verts = np.array([[[float(x) for x in v] for v in matrix.simplex.centered]])
+        tab = ref.tables(verts, np.array([float(matrix.simplex.volume)]), S[None], E[None], 6)
+        tab = {key: value[0] for key, value in tab.items()}
         w = tab["weights"]
         pts = prod.barycenters[c] + tab["centered"]
         want = np.einsum("q,iqx,qx->i", w, tab["val"], field.f(pts))
@@ -664,10 +678,11 @@ def _p1_interpolant(tri, prod) -> np.ndarray:
     """
     blocks = []
     for cell in prod.templates.tolist():
-        matrix = local_element(tri.simplex(cell), 1)
-        hats = matrix.simplex.barycentric_coordinates()
+        matrix = local_element(simplex(tri, cell), 1)
+        hats = barycentric_coordinates(matrix.simplex)
         fields = [PolyForm(2, 1, {(x,): lam}) for lam in hats for x in (1, 2)]
-        blocks.append([[float(c) for c in interpolate_coeffs(f, matrix)] for f in fields])
+        coeffs = [solve_dofs(dof_values(f, matrix), matrix) for f in fields]
+        blocks.append([[float(c) for c in f] for f in coeffs])
     local = np.transpose(blocks, (0, 2, 1)).reshape(-1, 6, 3, 2)[prod.template_index]
     columns = []
     for v, (x, y) in enumerate(tri.vertices):
@@ -747,7 +762,7 @@ def test_jittered_m16_converges_within_the_cap():
     system = assemble(tri, get_field("polyflow"))
     result = solve_system(system, tol=1e-10)
     assert result.method == "pcg" and result.true_rel_residual <= 1e-10
-    assert result.iterations <= 100 * math.sqrt(system.dofs)
+    assert result.iterations <= 100 * math.sqrt(len(system.basis))
 
 
 @pytest.mark.parametrize(

@@ -7,19 +7,20 @@ import numpy as np
 
 import hodgefem.verify
 from hodgefem.forms import Polynomial, PolyForm, exterior_derivative, koszul
-from hodgefem.simplices import h1_seminorm_sq, l2_inner
 from hodgefem.verify import NORM_CASES, _norm_draws, full_suite, norm_suite, unisolvence_suite
+
+from reference import h1_seminorm_sq, l2_gram
 
 
 def test_paired_norm_sides_equal_the_direct_route():
     """Both sides of the norm equality, paired once per (n, k), equal
-    ``l2_inner`` and ``(k+1) h1_seminorm_sq`` on each of the suite's draws."""
+    ``l2_gram`` and ``(k+1) h1_seminorm_sq`` on each of the suite's draws."""
     seen = dict.fromkeys(NORM_CASES, 0)
     for n, k, S, eta, lhs, rhs in _norm_draws(12, seed=3):
         form = PolyForm(n, k + 1, {a: Polynomial.constant(n, c) for a, c in eta.items()})
         mu = koszul(form)
         dmu = exterior_derivative(mu)
-        assert lhs == l2_inner(dmu, dmu, S)
+        assert lhs == l2_gram([dmu], [dmu], S)[0][0]
         assert rhs == (k + 1) * h1_seminorm_sq(mu, S)
         seen[n, k] += 1
     assert seen == dict.fromkeys(NORM_CASES, 12)
