@@ -12,8 +12,9 @@ Exit codes: 0 success, 1 a verification or audit check failed, 2 bad
 usage (a missing or unwritable path included), 3 numerical failure
 (solver breakdown or singular system).  A PCG that does not reach
 ``--tol`` within its iteration cap is such a failure: ``solve`` names it
-on stderr and exits 3, keeping the CSV rows of the meshes already
-solved.
+on stderr and exits 3.  ``solve`` and ``interpolate`` write each CSV row
+as soon as its mesh is finished, so a failure keeps the rows of the
+meshes before it.
 
 A JSON config file can preload any long option (keys use either dashes
 or underscores); explicit command line flags win.  A key that is no
@@ -105,13 +106,14 @@ def _output(path: str | None):
             yield f
 
 
-def _csv_row(row: StudyRow, solve: bool) -> str:
+def _csv_row(row: StudyRow) -> str:
+    """The row under CSV_HEADER, or under CSV_HEADER_SOLVE for a solve's row."""
     e = row.errors
     base = (
         f"{row.m},{row.h:.12g},{row.dofs},{e['l2']:.12e},{e['rot']:.12e},"
         f"{e['div']:.12e},{e['energy']:.12e}"
     )
-    if solve:
+    if row.cg_iters is not None:
         base += f",{row.cg_iters},{row.wall_ms:.3f}"
     return base
 
@@ -137,56 +139,43 @@ def cmd_verify(args) -> int:
     return 1 if failed else 0
 
 
-def cmd_interpolate(args) -> int:
-    from .solver import fit_rate, interpolation_study
+def cmd_study(args) -> int:
+    """``interpolate`` and ``solve``: one CSV row per mesh, written as soon
+    as the mesh is finished, then the fitted energy rate on stderr.
+
+    The command name, not the options, decides whether the study solves,
+    since a config file preloads ``--tol`` and ``--oracle`` for every
+    command.  Exit 1 when an oracle gap or residual is over its bound or
+    not a number.
+    """
+    from .solver import check_tol, fit_rate, study
 
     field = get_field(args.field)
     ms = _parse_refinements(args.refinements)
     _check_study_args(ms, args.quad_order)
-    pattern = _PATTERNS[args.pattern]
-    rows = interpolation_study(field, ms, pattern=pattern, quad_order=args.quad_order)
-    with _output(args.out) as out:
-        out.write(CSV_HEADER + "\n")
-        for row in rows:
-            out.write(_csv_row(row, solve=False) + "\n")
-    if len(rows) >= 2:
-        print(f"fitted energy rate: {fit_rate(rows):.4f}", file=sys.stderr)
-    return 0
-
-
-def cmd_solve(args) -> int:
-    from .solver import check_tol, fit_rate, solver_study
-
-    field = get_field(args.field)
-    ms = _parse_refinements(args.refinements)
-    _check_study_args(ms, args.quad_order)
-    check_tol(args.tol, "--tol")
-    oracle_max_m = {"on": max(ms), "auto": 4, "off": None}[args.oracle]
-    study = solver_study(
-        field,
-        ms,
-        pattern=_PATTERNS[args.pattern],
-        quad_order=args.quad_order,
-        tol=args.tol,
-        oracle_max_m=oracle_max_m,
-    )
-    rows: list[StudyRow] = []
+    header, tol, oracle_max_m = CSV_HEADER, None, None
+    if args.command == "solve":
+        check_tol(args.tol, "--tol")
+        header, tol = CSV_HEADER_SOLVE, args.tol
+        oracle_max_m = {"on": max(ms), "auto": 4, "off": None}[args.oracle]
+    rows = study(field, ms, _PATTERNS[args.pattern], args.quad_order, tol, oracle_max_m)
+    done: list[StudyRow] = []
     status = 0
     with _output(args.out) as out:
-        out.write(CSV_HEADER_SOLVE + "\n")
-        for row in study:
-            rows.append(row)
-            out.write(_csv_row(row, solve=True) + "\n")
+        out.write(header + "\n")
+        for row in rows:
+            done.append(row)
+            out.write(_csv_row(row) + "\n")
             if row.oracle_gap is not None:
                 print(
                     f"oracle m={row.m}: energy gap {row.oracle_gap:.3e}, constraint residual "
                     f"{row.oracle_residual:.3e}",
                     file=sys.stderr,
                 )
-                if row.oracle_gap > 1e-8 or row.oracle_residual > 1e-10:
+                if not (row.oracle_gap <= 1e-8 and row.oracle_residual <= 1e-10):
                     status = 1
-    if len(rows) >= 2:
-        print(f"fitted energy rate: {fit_rate(rows):.4f}", file=sys.stderr)
+    if len(done) >= 2:
+        print(f"fitted energy rate: {fit_rate(done):.4f}", file=sys.stderr)
     return status
 
 
@@ -261,7 +250,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--field", choices=sorted(FIELDS), default=DEFAULT_FIELD)
     _add_mesh_flags(p, "2,4,8,16")
     p.add_argument("--out", type=str, help="output path (default stdout)")
-    p.set_defaults(func=cmd_interpolate)
+    p.set_defaults(func=cmd_study)
 
     p = sub.add_parser("solve", help="solve the model problem (CSV)")
     p.add_argument("--field", choices=sorted(FIELDS), default=DEFAULT_FIELD)
@@ -278,7 +267,7 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     p.add_argument("--out", type=str, help="output path (default stdout)")
-    p.set_defaults(func=cmd_solve)
+    p.set_defaults(func=cmd_study)
 
     p = sub.add_parser("basis", help="dump the global basis (JSON lines + audit)")
     p.add_argument("--mesh-m", type=int, default=4)

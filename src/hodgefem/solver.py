@@ -45,6 +45,10 @@ The two paths stay independent checks of each other: PCG stops on the
 true residual of A u = b, so a wrong H makes PCG slow, not wrong, and a
 wrong oracle shows as a gap between the two broken fields, the
 cross-check used by the verification suite.
+
+``study`` is the one convergence-study loop, behind both ``interpolate``
+and ``solve``: per mesh it takes either the interpolant or the PCG
+solution (with the oracle gap up to a chosen m) and its error norms.
 """
 
 from __future__ import annotations
@@ -78,7 +82,6 @@ __all__ = [
     "SolveResult",
     "OracleResult",
     "StudyRow",
-    "cell_gram_matrix",
     "cell_load_vector",
     "assemble",
     "check_tol",
@@ -88,15 +91,9 @@ __all__ = [
     "solve_oracle",
     "error_norms",
     "broken_energy_product",
-    "interpolation_study",
-    "solver_study",
+    "study",
     "fit_rate",
 ]
-
-
-def cell_gram_matrix(prod: ProductSpace) -> sp.csr_matrix:
-    """Block-diagonal broken Gram <d.,d.> + <delta.,delta.> + <.,.>."""
-    return prod.block_diagonal(prod.gram).tocsr()
 
 
 def cell_load_vector(
@@ -123,7 +120,6 @@ class AssembledSystem:
     b: np.ndarray
     A_cell: sp.csr_matrix
     b_cell: np.ndarray
-    quad_order: int
     # (B, x_cell, multipliers): the saddle point that solve_system solved for b_cell
     saddle_point: tuple | None = None
 
@@ -141,13 +137,14 @@ def assemble(
     if basis is None:
         basis = build_global_basis(tri, prod)
     _check_same_mesh(tri, basis.prod, "the basis")
-    A_cell = cell_gram_matrix(prod)
+    # the block-diagonal broken Gram <d.,d.> + <delta.,delta.> + <.,.>
+    A_cell = prod.block_diagonal(prod.gram).tocsr()
     b_cell = cell_load_vector(prod, field, quad_order)
     Phi = basis.Phi
     A = (Phi.T @ (A_cell @ Phi)).tocsr()
     A.sum_duplicates()
     b = Phi.T @ b_cell
-    return AssembledSystem(prod, basis, A, b, A_cell, b_cell, quad_order)
+    return AssembledSystem(prod, basis, A, b, A_cell, b_cell)
 
 
 def check_tol(tol: float, name: str = "tol") -> None:
@@ -168,7 +165,8 @@ def solve_cg(
     callback=None,
     precondition: Callable[[np.ndarray], np.ndarray] | None = None,
 ) -> tuple[np.ndarray, dict]:
-    """Preconditioned conjugate gradients with residual history.
+    """Preconditioned conjugate gradients; returns x and an info dict with
+    ``iterations`` and ``true_rel_residual``.
 
     ``precondition(r)`` returns the preconditioned residual; without it
     CG scales by the diagonal of A (Jacobi).  CG stops on the true
@@ -177,7 +175,8 @@ def solve_cg(
     otherwise CG continues from the recomputed residual under the same
     iteration cap.  ``info["true_rel_residual"]`` is the final
     ||b - A x|| / ||b||.  A CG that does not converge within the cap
-    raises RuntimeError with the final relative residual in the message.
+    raises RuntimeError with the last relative residual in the message,
+    so every x returned has converged.
     A non-finite ``rz``, ``pAp`` or residual norm raises RuntimeError at
     once, naming the quantity and the iteration, since no later step
     can recover from it.
@@ -193,11 +192,8 @@ def solve_cg(
         # both
         maxiter = max(n, int(100.0 * np.sqrt(n)))
     bnorm = float(np.linalg.norm(b))
-    info = {"method": "pcg", "converged": True, "iterations": 0}
     if bnorm == 0.0:
-        info["residuals"] = np.zeros(1)
-        info["true_rel_residual"] = 0.0
-        return np.zeros(n), info
+        return np.zeros(n), {"iterations": 0, "true_rel_residual": 0.0}
     diag = A.diagonal()
     if np.any(diag <= 0):
         raise ValueError("system diagonal has non-positive entries; matrix is not SPD")
@@ -211,8 +207,7 @@ def solve_cg(
     z = precondition(r)
     p = z.copy()
     rz = float(r @ z)
-    residuals = [bnorm]
-    converged = False
+    rnorm = bnorm
     it = 0
 
     def finite(name: str, value: float, iteration: int) -> None:
@@ -242,23 +237,15 @@ def solve_cg(
             rnorm = float(np.linalg.norm(r))
             finite("residual", rnorm, it)
             if rnorm <= tol * bnorm:
-                residuals.append(rnorm)
-                info["true_rel_residual"] = rnorm / bnorm
-                converged = True
-                break
-        residuals.append(rnorm)
+                return x, {"iterations": it, "true_rel_residual": rnorm / bnorm}
         z = precondition(r)
         rz_new = float(r @ z)
         p = z + (rz_new / rz) * p
         rz = rz_new
-    if not converged:
-        raise RuntimeError(
-            f"conjugate gradients did not converge in {it} iterations "
-            f"(relative residual {residuals[-1] / bnorm:.3e}, n={n})"
-        )
-    info["iterations"] = it
-    info["residuals"] = np.array(residuals)
-    return x, info
+    raise RuntimeError(
+        f"conjugate gradients did not converge in {it} iterations "
+        f"(relative residual {rnorm / bnorm:.3e}, n={n})"
+    )
 
 
 def _kernel_coordinates(basis: GlobalBasis, w: sp.spmatrix) -> sp.csr_matrix:
@@ -321,18 +308,20 @@ class HybridSystem:
 
 @dataclass
 class SolveResult:
+    """A converged solve: PCG raises instead of returning an unconverged one.
+
+    ``true_rel_residual`` is the ||b - A u|| / ||b|| that PCG stopped on,
+    and ``method`` names the solver path, which is always PCG.
+    """
+
     u: np.ndarray
     u_cell: np.ndarray
     iterations: int
-    converged: bool
-    method: str
-    residuals: np.ndarray
     true_rel_residual: float
+    method: str = "pcg"
 
 
-def solve_system(
-    system: AssembledSystem, tol: float = 1e-10, maxiter: int | None = None
-) -> SolveResult:
+def solve_system(system: AssembledSystem, tol: float = 1e-10) -> SolveResult:
     """CG on the reduced system, preconditioned by the cell-eliminated saddle point.
 
     With K the kernel coordinates of the broken space (``_kernel_coordinates``
@@ -354,9 +343,8 @@ def solve_system(
     def precondition(r: np.ndarray) -> np.ndarray:
         return K @ hybrid.solve(K.T @ r)[0]
 
-    u, info = solve_cg(system.A, system.b, tol=tol, maxiter=maxiter, precondition=precondition)
-    keys = ("iterations", "converged", "method", "residuals", "true_rel_residual")
-    return SolveResult(u, basis.Phi @ u, *map(info.get, keys))
+    u, info = solve_cg(system.A, system.b, tol=tol, precondition=precondition)
+    return SolveResult(u, basis.Phi @ u, info["iterations"], info["true_rel_residual"])
 
 
 @dataclass
@@ -457,69 +445,50 @@ class StudyRow:
     oracle_residual: float | None = None
 
 
-def interpolation_study(
+def study(
     field: SmoothField,
     ms: list[int],
     pattern: str = DIAGONAL,
     quad_order: int = 6,
-) -> list[StudyRow]:
-    """Interpolate a field on a family of structured meshes."""
-    mu = as_callback(field)
-    rows = []
-    for m in ms:
-        tri = generate_square_mesh(m, pattern)
-        prod = build_product_space(tri)
-        u_cell = global_interpolate(mu, tri, prod, quad_order=quad_order)
-        errs = error_norms(u_cell, prod, field, quad_order=quad_order)
-        rows.append(StudyRow(m, tri.h, prod.dim, errs))
-    return rows
-
-
-def solver_study(
-    field: SmoothField,
-    ms: list[int],
-    pattern: str = DIAGONAL,
-    quad_order: int = 6,
-    tol: float = 1e-10,
+    tol: float | None = None,
     oracle_max_m: int | None = None,
 ) -> Iterator[StudyRow]:
-    """Solve the model problem on a family of structured meshes.
+    """Interpolate a field, or solve for it, on a family of structured meshes.
 
-    Yields one row per mesh as soon as it is finished.  ``wall_ms``
-    times mesh generation through the solve, and ``method`` names the
-    solver path.  When oracle_max_m is set, meshes with m at or below it
-    also run the saddle-point oracle and record the relative energy-norm
-    gap between the two solutions and the oracle's constraint residual.
-    The oracle is the saddle point that ``solve_system`` recorded, so B
-    is built, certified and factored once per mesh, and no factorization
-    outlives ``solve_system``.
+    Yields one row per mesh as soon as it is finished.  With ``tol``
+    None a row holds the interpolant's errors, and ``dofs`` is 6 * cells.
+    With a ``tol`` it holds the errors of the PCG solve to that
+    tolerance, ``dofs`` is the kernel basis size, and ``cg_iters`` and
+    ``method`` are set; meshes with m at most ``oracle_max_m`` also get
+    the relative energy-norm gap to the saddle-point oracle and the
+    oracle's constraint residual.  The oracle is the saddle point that
+    ``solve_system`` recorded, so B is built, certified and factored once
+    per mesh, and no factorization outlives ``solve_system``.
+    ``wall_ms`` times mesh generation through the interpolant, or
+    through the solve and its oracle check; the error norms come after.
     """
     for m in ms:
         t0 = time.perf_counter()
         tri = generate_square_mesh(m, pattern)
         prod = build_product_space(tri)
-        basis = build_global_basis(tri, prod)
-        system = assemble(tri, field, quad_order=quad_order, prod=prod, basis=basis)
-        result = solve_system(system, tol)
-        wall_ms = (time.perf_counter() - t0) * 1000.0
-        errs = error_norms(result.u_cell, prod, field, quad_order=quad_order)
-        row = StudyRow(
-            m,
-            tri.h,
-            len(basis),
-            errs,
-            cg_iters=result.iterations,
-            wall_ms=wall_ms,
-            method=result.method,
-        )
-        if oracle_max_m is not None and m <= oracle_max_m:
-            oracle = solve_oracle(system, build_constraints(tri, prod))
-            diff = oracle.x_cell - result.u_cell
-            row.oracle_gap = math.sqrt(
-                max(broken_energy_product(diff, diff, prod), 0.0)
-                / max(broken_energy_product(oracle.x_cell, oracle.x_cell, prod), 1e-300)
-            )
-            row.oracle_residual = oracle.constraint_residual
+        row = StudyRow(m, tri.h, prod.dim, {})
+        if tol is None:
+            u_cell = global_interpolate(as_callback(field), tri, prod, quad_order=quad_order)
+        else:
+            system = assemble(tri, field, quad_order=quad_order, prod=prod)
+            result = solve_system(system, tol)
+            u_cell = result.u_cell
+            row.dofs, row.cg_iters, row.method = len(system.basis), result.iterations, result.method
+            if oracle_max_m is not None and m <= oracle_max_m:
+                oracle = solve_oracle(system, build_constraints(tri, prod))
+                diff = oracle.x_cell - u_cell
+                row.oracle_gap = math.sqrt(
+                    max(broken_energy_product(diff, diff, prod), 0.0)
+                    / max(broken_energy_product(oracle.x_cell, oracle.x_cell, prod), 1e-300)
+                )
+                row.oracle_residual = oracle.constraint_residual
+        row.wall_ms = (time.perf_counter() - t0) * 1000.0
+        row.errors = error_norms(u_cell, prod, field, quad_order=quad_order)
         yield row
 
 

@@ -1,7 +1,9 @@
 """End-to-end command line checks, including exit codes and determinism."""
 
+import dataclasses
 import hashlib
 import json
+import math
 import subprocess
 import sys
 from fractions import Fraction
@@ -229,6 +231,17 @@ def test_config_refinements_do_not_reach_basis(tmp_path):
     assert audit["cells"] == 128
 
 
+def test_config_solve_options_do_not_make_interpolate_solve(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"tol": 1e-8, "oracle": "on"}))
+    plain, configured = tmp_path / "a.csv", tmp_path / "b.csv"
+    assert main(["interpolate", "--refinements", "2", "--out", str(plain)]) == 0
+    args = ["--config", str(cfg), "interpolate", "--refinements", "2", "--out", str(configured)]
+    assert main(args) == 0
+    assert configured.read_text() == plain.read_text()
+    assert configured.read_text().splitlines()[0] == CSV_HEADER
+
+
 def test_config_rejects_a_misspelt_key(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     out = tmp_path / "a.csv"
@@ -408,23 +421,48 @@ def test_numerical_failure_maps_to_exit_three(tmp_path, monkeypatch, capsys):
     assert "solver blew up" in capsys.readouterr().err
 
 
-def test_solve_streams_rows_finished_before_a_failure(tmp_path, monkeypatch, capsys):
-    real = hodgefem.solver.solve_cg
+@pytest.mark.parametrize(
+    "command, step, header",
+    [("solve", "solve_cg", CSV_HEADER_SOLVE), ("interpolate", "global_interpolate", CSV_HEADER)],
+    ids=["solve", "interpolate"],
+)
+def test_solve_streams_rows_finished_before_a_failure(
+    command, step, header, tmp_path, monkeypatch, capsys
+):
+    real = getattr(hodgefem.solver, step)
     calls = []
 
-    def second_fails(A, b, **options):
-        calls.append(options["tol"])
+    def second_fails(*args, **options):
+        calls.append(None)
         if len(calls) == 2:
             raise RuntimeError("second level blew up")
-        return real(A, b, **options)
+        return real(*args, **options)
 
-    monkeypatch.setattr(hodgefem.solver, "solve_cg", second_fails)
+    monkeypatch.setattr(hodgefem.solver, step, second_fails)
     out = tmp_path / "x.csv"
-    assert main(["solve", "--refinements", "2,4", "--out", str(out)]) == 3
+    assert main([command, "--refinements", "2,4", "--out", str(out)]) == 3
     assert "second level blew up" in capsys.readouterr().err
     lines = out.read_text().strip().splitlines()
-    assert lines[0] == CSV_HEADER_SOLVE
+    assert lines[0] == header
     assert len(lines) == 2 and lines[1].startswith("2,")
+
+
+@pytest.mark.parametrize("nan_in", ["x_cell", "constraint_residual"])
+def test_a_nan_oracle_fails_solve(nan_in, tmp_path, monkeypatch, capsys):
+    # NaN compares False with any bound, so the check must ask for the
+    # gap and the residual to be within their bounds, not over them
+    real = hodgefem.solver.solve_oracle
+
+    def nan_oracle(system, cons):
+        oracle = real(system, cons)
+        value = getattr(oracle, nan_in)
+        return dataclasses.replace(oracle, **{nan_in: value * math.nan})
+
+    monkeypatch.setattr(hodgefem.solver, "solve_oracle", nan_oracle)
+    out = tmp_path / "x.csv"
+    assert main(["solve", "--refinements", "2", "--oracle", "on", "--out", str(out)]) == 1
+    assert "nan" in capsys.readouterr().err
+    assert len(out.read_text().splitlines()) == 2
 
 
 def test_stalled_pcg_exits_three_and_writes_only_the_header(tmp_path, capsys):
