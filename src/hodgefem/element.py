@@ -65,15 +65,17 @@ every cell at once.
 
 ``ReferenceElement.tables`` evaluates the fixed forms of the planar
 1-form element at the quadrature nodes of a whole stack of elements at
-once and scales them by the stacked float S and E.  quadrature_dofs
-applies the Green functionals in floats to fields given by their node
-values.  This pair is the one float quadrature of the functionals: the
-unisolvence suite's projection check and the cellwise global
-interpolation use it.  quadrature_rows writes it as a matrix against
-node values, for all templates at once, by applying quadrature_dofs at
-each node to unit fields.  The float view of the global product space
-uses no quadrature: its DOF matrices, Whitney rows, duals and cell Grams
-are the exact values rounded once, from closed forms
+once and scales them by the stacked float S and E.  It returns two
+tables in the column order of ``node_values`` (value x, value y, d,
+Green delta): ``shape``, the graph of S R at the nodes, and ``rows``, the
+weighted Green functionals at the nodes, so the float DOFs of a field are
+its node values contracted with ``rows``.  This is the one float
+quadrature of the functionals: the cellwise global interpolation reads
+``rows``, and the unisolvence suite's projection check multiplies
+``shape`` by ``rows``; the load vector and the error norms read
+``shape``.  The float view of the global product space uses no
+quadrature: its DOF matrices, Whitney rows, duals and cell Grams are the
+exact values rounded once, from closed forms
 (``globalspace._closed_forms``), which also give the exact duals of the
 ``basis`` dump.  The tests' independent reference for them pairs the
 element's forms built one by one.
@@ -127,8 +129,6 @@ __all__ = [
     "local_element",
     "dof_values",
     "node_values",
-    "quadrature_dofs",
-    "quadrature_rows",
     "solve_dofs",
 ]
 
@@ -396,22 +396,30 @@ class ReferenceElement:
         return scaling, matrix, den * scaling.tests_den * scaling.shape_den
 
     def tables(self, vertices, volumes, shape_scale, test_scale, order: int) -> dict:
-        """Quadrature-node value tables of a stack of planar 1-form elements.
+        """Quadrature-node tables of a stack of planar 1-form elements.
 
         ``vertices`` (T, 3, 2) are the centered vertices, ``volumes`` (T,)
         the areas, and ``shape_scale`` (T, 6, 6) and ``test_scale`` (T, 6)
         the float S and diagonal E of each element (``Scaling.floats``).
-        The reference families are evaluated at every element's nodes at
-        once and then scaled, S summed term by term with no fused
-        multiply-add, so each value rounds as the scaled form's own
-        coefficients would.
+        The nodes are the ``quadrature_rule`` of the given order on each
+        simplex.  Keys, each with the leading axis T: ``centered`` (T,nq,2)
+        nodes and ``weights`` (T,nq), and two tables whose last or
+        second-to-last axis holds value x, value y, d and Green delta, as
+        ``node_values``:
 
-        Keys, each with the leading axis T: centered (T,nq,2) nodes,
-        weights (T,nq), val (T,6,nq,2), dval (T,6,nq), gval (T,6,nq) of
-        the shape basis, its d and its Green delta; eta_v (T,3,nq), eta_g
-        (T,3,nq,2), tau_v (T,3,nq), tau_d (T,3,nq,2) of the DOF test
-        forms, the delta of eta and the d of tau.  The nodes are the
-        ``quadrature_rule`` of the given order on each simplex.
+        * ``shape`` (T,6,nq,4), the graph of the shape basis S R.  The
+          reference graph is evaluated at every element's nodes at once
+          and scaled, S summed term by term with no fused multiply-add
+          (terms zero on every element left out), so each value rounds as
+          the scaled form's own coefficients would.
+        * ``rows`` (T,nq,4,6), the Green functionals: the members
+          (eta, 0, -delta eta) and (0, tau, -d tau) of the DOF tests at
+          the nodes, scaled by E and then weighted.  A field with node
+          values N has DOF j = sum over (q, c) of N[q, c] rows[q, c, j].
+
+        ``rows`` are written from the test forms here, apart from
+        ``_green_rows``, so the projection check compares two writings of
+        the functionals.
         """
         if (self.n, self.k) != (2, 1):
             raise ValueError(
@@ -421,32 +429,28 @@ class ReferenceElement:
         nodes = np.array([[float(b) for b in node] for node in bary]) @ vertices
         weights = np.array([float(x) for x in w]) * 2.0 * volumes[:, None]
         space, tests = self.space, self.tests
+        zero2, zero0 = PolyForm.zero(2, 2), PolyForm.zero(2, 0)
 
-        def stack(forms, evaluate):
-            return np.stack([evaluate(f) for f in forms], axis=1)
+        def at_nodes(members, out):  # out[:, i] = member i, (up, down, value), at the nodes
+            for i, (up, down, value) in enumerate(members):
+                out[:, i, :, :2] = form_values(value, nodes)
+                out[:, i, :, 2:3] = form_values(up, nodes)
+                out[:, i, :, 3:] = form_values(down, nodes)
 
-        def shape(table):  # sum_a S[:, i, a] table[:, a]
-            scale = shape_scale.reshape(shape_scale.shape + (1,) * (table.ndim - 2))
-            return sum(scale[:, :, a] * table[:, None, a] for a in range(table.shape[1]))
-
-        def components(w):
-            return form_values(w, nodes)
-
-        def scalar(w):  # the one component of a 0- or 2-form
-            return poly_values(w.component(w.indices()[0]), nodes)
-
-        eta_e, tau_e = test_scale[:, : len(tests.eta_basis)], test_scale[:, len(tests.eta_basis) :]
-        return {
-            "centered": nodes,
-            "weights": weights,
-            "val": shape(stack(space.basis, components)),
-            "dval": shape(stack(space.d_basis, scalar)),
-            "gval": shape(stack(space.delta_basis, scalar)),
-            "eta_v": eta_e[:, :, None] * stack(tests.eta_basis, scalar),
-            "eta_g": eta_e[:, :, None, None] * stack(tests.eta_green, components),
-            "tau_v": tau_e[:, :, None] * stack(tests.tau_basis, scalar),
-            "tau_d": tau_e[:, :, None, None] * stack(tests.tau_d, components),
-        }
+        stack, nq = nodes.shape[:2]
+        graph = np.empty((stack, space.dim, nq, 4))
+        at_nodes(zip(space.d_basis, space.delta_basis, space.basis), graph)
+        # sum_a S[:, i, a] graph[:, a] in order of a, less the terms zero on every element
+        shape = np.zeros_like(graph)
+        for i, a in zip(*np.nonzero(np.any(shape_scale, axis=0))):
+            shape[:, i] += shape_scale[:, i, a, None, None] * graph[:, a]
+        green = [(eta, zero0, -g) for eta, g in zip(tests.eta_basis, tests.eta_green)]
+        green += [(zero2, tau, -d) for tau, d in zip(tests.tau_basis, tests.tau_d)]
+        rows = np.empty((stack, nq, 4, len(green)))
+        at_nodes(green, np.moveaxis(rows, -1, 1))
+        rows *= test_scale[:, None, None, :]  # scaled by E, then weighted
+        rows *= weights[:, :, None, None]
+        return {"centered": nodes, "weights": weights, "shape": shape, "rows": rows}
 
 
 @lru_cache(maxsize=None)
@@ -523,13 +527,13 @@ class FormCallback:
     coordinates to component values (nq, #indices), components in the
     lexicographic multi-index order of the respective degree.  ``d`` and
     ``delta`` supply the exterior derivative and the Green-sign
-    codifferential; interpolation requires all three.  Immutable and
-    hashed by identity, so a callback can key a cache of its values.
+    codifferential; all three are required.  Immutable and hashed by
+    identity, so a callback can key a cache of its values.
     """
 
     value: Callable[[np.ndarray], np.ndarray]
-    d: Callable[[np.ndarray], np.ndarray] | None = None
-    delta: Callable[[np.ndarray], np.ndarray] | None = None
+    d: Callable[[np.ndarray], np.ndarray]
+    delta: Callable[[np.ndarray], np.ndarray]
 
 
 def poly_values(p: Polynomial, centered: np.ndarray) -> np.ndarray:
@@ -562,44 +566,6 @@ def node_values(mu: FormCallback, points: np.ndarray) -> np.ndarray:
     flat = points.reshape(-1, 2)
     parts = [np.asarray(f(flat), dtype=float) for f in (mu.value, mu.d, mu.delta)]
     return np.column_stack(parts).reshape(*points.shape[:-1], 4)
-
-
-def quadrature_dofs(
-    tab: dict[str, np.ndarray], val: np.ndarray, dval: np.ndarray, gval: np.ndarray
-) -> np.ndarray:
-    """Float Green functionals (..., C, 6) of C fields, by quadrature on node tables.
-
-    ``val`` (C,nq,2), ``dval`` (C,nq) and ``gval`` (C,nq) are each
-    field's value, d and Green delta at the nodes of ``tab``, keys as
-    ``ReferenceElement.tables``.  Columns follow the DOF rows: F_eta for
-    each eta, then F_tau for each tau.  Leading axes of ``tab`` (stacked
-    elements) lead the result too.
-    """
-    w = tab["weights"]
-    f_eta = np.einsum("...q,...eq,...cq->...ce", w, tab["eta_v"], dval) - np.einsum(
-        "...q,...eqx,...cqx->...ce", w, tab["eta_g"], val
-    )
-    f_tau = np.einsum("...q,...tq,...cq->...ct", w, tab["tau_v"], gval) - np.einsum(
-        "...q,...tqx,...cqx->...ct", w, tab["tau_d"], val
-    )
-    return np.concatenate([f_eta, f_tau], axis=-1)
-
-
-def quadrature_rows(tab: dict[str, np.ndarray]) -> np.ndarray:
-    """``quadrature_dofs`` as rows (..., nq, 4, 6) against ``node_values`` N (nq, 4).
-
-    The DOFs of a field are the sum over (q, k) of N[q, k] rows[q, k]: each
-    node is a one-point rule, applied to the four unit fields there.
-    """
-    one_point = {
-        "weights": tab["weights"][..., None],
-        "eta_v": np.moveaxis(tab["eta_v"], -1, -2)[..., None],
-        "eta_g": np.moveaxis(tab["eta_g"], -2, -3)[..., None, :],
-        "tau_v": np.moveaxis(tab["tau_v"], -1, -2)[..., None],
-        "tau_d": np.moveaxis(tab["tau_d"], -2, -3)[..., None, :],
-    }
-    unit = np.eye(4)[:, None]  # (field, node, component)
-    return quadrature_dofs(one_point, unit[..., :2], unit[..., 2], unit[..., 3])
 
 
 def dof_values(mu: PolyForm, matrix: DofMatrix) -> list[Fraction]:

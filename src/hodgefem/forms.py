@@ -294,14 +294,6 @@ class PolyForm:
     def zero(cls, n: int, k: int) -> "PolyForm":
         return cls(n, k)
 
-    def component(self, alpha: MultiIndex) -> Polynomial:
-        validate_multi_index(tuple(alpha), self.n)
-        return self.comps.get(tuple(alpha), Polynomial(self.n))
-
-    def indices(self) -> list[MultiIndex]:
-        """The full lexicographic index set for this (k, n)."""
-        return multi_indices(self.k, self.n)
-
     def is_zero(self) -> bool:
         return not self.comps
 

@@ -49,9 +49,10 @@ each of them once, bit for bit as float(Fraction) of the exact entry
 exact zero stays 0.0, and B, Phi and A keep their exact sparsity.  No
 Simplex, form or pairing is built for a template.
 The node tables of all templates are one ``ReferenceElement.tables`` of
-the stacked vertices and float scalings per quadrature order, and the
-float tables that the load vector, the error norms and the interpolation
-derive from them are cached per order too (``ProductSpace.derived``).
+the stacked vertices and float scalings per quadrature order, cached per
+order: the graph of the shape basis and the Green functionals at the
+nodes, in the column order of a field's node values.  The load vector,
+the error norms and the interpolation each apply them in one product.
 A field's value, d and Green delta at the nodes of every cell are
 evaluated once per (callback, order) and cached, read-only, for the life
 of the space (``ProductSpace.node_values``): the interpolation and the
@@ -83,7 +84,7 @@ from fractions import Fraction
 import numpy as np
 import scipy.sparse as sp
 
-from .element import FormCallback, node_values, quadrature_rows, reference_element
+from .element import FormCallback, node_values, reference_element
 from .mesh import Triangulation
 
 __all__ = [
@@ -132,9 +133,9 @@ class ProductSpace:
     rounds it; no Simplex is built.  It also holds its B
     (``build_constraints``) and whether B passed the rank certificate.
 
-    Its caches live as long as the space: ``tables`` and ``derived`` per
-    quadrature order, and ``node_values`` per (callback, order), a
-    read-only (cells * nq, 4) array keyed by the callback's identity
+    Its caches live as long as the space: ``tables`` per quadrature
+    order, and ``node_values`` per (callback, order), a read-only
+    (cells * nq, 4) array keyed by the callback's identity
     (``as_callback`` returns one callback per field).
     """
 
@@ -172,7 +173,6 @@ class ProductSpace:
         )
         self.minv = np.linalg.inv(matrix)
         self._tables: dict[int, dict[str, np.ndarray]] = {}
-        self._derived: dict[tuple, np.ndarray] = {}
         self._node_values: dict[tuple, np.ndarray] = {}
         self._B: sp.csr_matrix | None = None
         self._certified = False
@@ -191,14 +191,6 @@ class ProductSpace:
                 self.vertices, self.volumes, self.shape_scale, self.test_scale, order
             )
         return tab
-
-    def derived(self, build, order: int) -> np.ndarray:
-        """``build(self, order)``, a float table derived from ``tables(order)``,
-        cached per (build, order)."""
-        table = self._derived.get((build, order))
-        if table is None:
-            table = self._derived[build, order] = build(self, order)
-        return table
 
     def nodes(self, order: int) -> np.ndarray:
         """The quadrature nodes of every cell, shape (cells, nq, 2), in global coordinates."""
@@ -653,23 +645,14 @@ def global_interpolate(
 ) -> np.ndarray:
     """Cellwise interpolation onto the broken space, as one sparse product.
 
-    The callback must provide value, d and delta (Green sign).  A
-    template's table is its ``quadrature_rows`` times the transposed
-    inverse DOF matrix, so a cell's coefficients are its node values
-    applied to its template's table.  The node values are
+    A template's table is its Green rows at the nodes (``tables``) times
+    its transposed inverse DOF matrix, so a cell's coefficients are its
+    node values applied to its template's table.  The node values are
     ``prod.node_values(mu, quad_order)``: evaluated on the first call for
     this (mu, quad_order) and shared with ``error_norms`` of the same field.
     """
-    if mu.d is None or mu.delta is None:
-        raise ValueError("global interpolation needs d and delta callback data")
     _check_same_mesh(tri, prod)
-    table = prod.derived(_interpolation_table, quad_order)
+    rows = prod.tables(quad_order)["rows"].reshape(len(prod.templates), -1, 6)
+    table = (rows @ prod.minv.transpose(0, 2, 1)).reshape(-1, 6)
     values = prod.node_values(mu, quad_order).reshape(len(tri.cells), -1)
     return (prod.by_template(values) @ table).ravel()
-
-
-def _interpolation_table(prod: ProductSpace, order: int) -> np.ndarray:
-    """Each template's ``quadrature_rows`` times its transposed inverse DOF
-    matrix, (templates * nodes * 4, 6)."""
-    rows = quadrature_rows(prod.tables(order)).reshape(len(prod.templates), -1, 6)
-    return (rows @ prod.minv.transpose(0, 2, 1)).reshape(-1, 6)

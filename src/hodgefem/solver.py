@@ -102,14 +102,10 @@ def cell_load_vector(
     """Per-cell load <f, mu_i>_T against the shape basis, as one sparse product."""
     nodes = prod.nodes(quad_order)
     fv = np.asarray(field.f(nodes.reshape(-1, 2))).reshape(len(nodes), -1)  # (cell, node * x)
-    return (prod.by_template(fv) @ prod.derived(_load_table, quad_order)).ravel()
-
-
-def _load_table(prod: ProductSpace, order: int) -> np.ndarray:
-    """The weighted shape values, rows (template, node, x), columns the shape index."""
-    tab = prod.tables(order)
-    table = (tab["weights"][:, None, :, None] * tab["val"]).transpose(0, 2, 3, 1)
-    return table.reshape(-1, 6)
+    tab = prod.tables(quad_order)
+    # the weighted shape values, rows (template, node, x), columns the shape index
+    table = (tab["weights"][:, None, :, None] * tab["shape"][..., :2]).transpose(0, 2, 3, 1)
+    return (prod.by_template(fv) @ table.reshape(-1, 6)).ravel()
 
 
 @dataclass
@@ -392,7 +388,8 @@ def error_norms(
     # before diff exists, so that a first evaluation's temporaries do not add to it
     exact = prod.node_values(as_callback(field), quad_order)
     # the discrete field at every node, less the field, in place
-    diff = (prod.by_template(coeffs) @ prod.derived(_shape_table, quad_order)).reshape(-1, 4)
+    shape = tab["shape"].reshape(len(prod.templates) * 6, -1)  # rows (template, shape index)
+    diff = (prod.by_template(coeffs) @ shape).reshape(-1, 4)
     diff -= exact
     sums = tab["weights"][prod.template_index].ravel() @ np.square(diff, out=diff)
     l2_sq, rot_sq, div_sq = float(sums[0] + sums[1]), float(sums[2]), float(sums[3])
@@ -402,14 +399,6 @@ def error_norms(
         "div": math.sqrt(div_sq),
         "energy": math.sqrt(l2_sq + rot_sq + div_sq),
     }
-
-
-def _shape_table(prod: ProductSpace, order: int) -> np.ndarray:
-    """Rows (template, shape index), columns (node, component): the value x,
-    value y, d and Green delta of each shape function."""
-    tab = prod.tables(order)
-    shape = np.concatenate([tab["val"], tab["dval"][..., None], tab["gval"][..., None]], axis=3)
-    return shape.reshape(len(shape) * 6, -1)
 
 
 def _cell_coefficients(u_cell: np.ndarray, prod: ProductSpace, name: str) -> np.ndarray:
@@ -441,7 +430,6 @@ class StudyRow:
     cg_iters: int | None = None
     oracle_gap: float | None = None
     wall_ms: float | None = None
-    method: str | None = None
     oracle_residual: float | None = None
 
 
@@ -458,10 +446,10 @@ def study(
     Yields one row per mesh as soon as it is finished.  With ``tol``
     None a row holds the interpolant's errors, and ``dofs`` is 6 * cells.
     With a ``tol`` it holds the errors of the PCG solve to that
-    tolerance, ``dofs`` is the kernel basis size, and ``cg_iters`` and
-    ``method`` are set; meshes with m at most ``oracle_max_m`` also get
-    the relative energy-norm gap to the saddle-point oracle and the
-    oracle's constraint residual.  The oracle is the saddle point that
+    tolerance, ``dofs`` is the kernel basis size, and ``cg_iters`` is
+    set; meshes with m at most ``oracle_max_m`` also get the relative
+    energy-norm gap to the saddle-point oracle and the oracle's
+    constraint residual.  The oracle is the saddle point that
     ``solve_system`` recorded, so B is built, certified and factored once
     per mesh, and no factorization outlives ``solve_system``.
     ``wall_ms`` times mesh generation through the interpolant, or
@@ -478,7 +466,7 @@ def study(
             system = assemble(tri, field, quad_order=quad_order, prod=prod)
             result = solve_system(system, tol)
             u_cell = result.u_cell
-            row.dofs, row.cg_iters, row.method = len(system.basis), result.iterations, result.method
+            row.dofs, row.cg_iters = len(system.basis), result.iterations
             if oracle_max_m is not None and m <= oracle_max_m:
                 oracle = solve_oracle(system, build_constraints(tri, prod))
                 diff = oracle.x_cell - u_cell
@@ -492,11 +480,11 @@ def study(
         yield row
 
 
-def fit_rate(rows: list[StudyRow], key: str = "energy") -> float:
-    """Least-squares slope of log(error) against log(h) over a study."""
+def fit_rate(rows: list[StudyRow]) -> float:
+    """Least-squares slope of log(energy error) against log(h) over a study."""
     if len({r.h for r in rows}) < 2:
         raise ValueError("need at least two mesh levels of distinct h to fit a rate")
     hs = np.log([r.h for r in rows])
-    es = np.log([max(r.errors[key], 1e-300) for r in rows])
+    es = np.log([max(r.errors["energy"], 1e-300) for r in rows])
     slope = np.polyfit(hs, es, 1)[0]
     return float(slope)

@@ -36,7 +36,6 @@ from .element import (
     build_h2delta_form,
     dof_values,
     local_element,
-    quadrature_dofs,
     reference_element,
     solve_dofs,
 )
@@ -61,6 +60,7 @@ __all__ = [
 
 NORM_CASES = ((2, 1), (3, 1), (3, 2))  # the (n, k) of the norm suite, in its order
 PROJECTION_BLOCK = 64  # triangles per stacked node-table block of the projection check
+PROJECTION_TOL = 1e-10  # bound on the projection check's max coefficient error
 
 
 @dataclass
@@ -293,27 +293,26 @@ def _projection_error(vertices, volumes, shape_scale, test_scale, M) -> float:
     """max |M^-1 V - I| over the stacked triangles, V the quadrature DOFs.
 
     Interpolating each shape basis form returns its unit vector.  Its DOF
-    values V come from float quadrature of the Green functionals,
-    independent of the exact pairing that built M, so M^-1 V = I tests
-    the DOF matrix against the functionals.  The node tables are stacked
-    ``tables`` calls of ``PROJECTION_BLOCK`` triangles each; each
-    triangle's values do not depend on the block, so the max is that of
-    one stack.
+    values V, the node tables' ``shape`` times their ``rows``, come from
+    float quadrature of the Green functionals, independent of the exact
+    pairing that built M, so M^-1 V = I tests the DOF matrix against the
+    functionals.  The node tables are stacked ``tables`` calls of
+    ``PROJECTION_BLOCK`` triangles each; each triangle's values do not
+    depend on the block, so the max is that of one stack.
     """
     ref = reference_element(2, 1)
     errors = []
     for lo in range(0, len(M), PROJECTION_BLOCK):
         block = slice(lo, lo + PROJECTION_BLOCK)
         tab = ref.tables(vertices[block], volumes[block], shape_scale[block], test_scale[block], 6)
-        values = quadrature_dofs(tab, tab["val"], tab["dval"], tab["gval"])
+        stack = len(tab["shape"])
+        values = tab["shape"].reshape(stack, 6, -1) @ tab["rows"].reshape(stack, -1, 6)
         X = np.linalg.solve(M[block], values.transpose(0, 2, 1))
         errors.append(np.max(np.abs(X - np.eye(6))))
     return float(np.max(errors, initial=0.0))  # a NaN propagates, as in one stack
 
 
-def unisolvence_suite(
-    count: int = 1000, seed: int = 0, tol: float = 1e-10
-) -> list[CheckResult]:
+def unisolvence_suite(count: int = 1000, seed: int = 0) -> list[CheckResult]:
     """DOF matrix conditioning and interpolation checks on random triangles."""
     rng = random.Random(seed + 2)
     max_cond = 0.0
@@ -342,7 +341,9 @@ def unisolvence_suite(
             "dof-matrix-cond-finite", True, f"max cond {max_cond:.3e} over {count} triangles"
         ),
         CheckResult(
-            "interpolation-projection", max_proj <= tol, f"max coefficient error {max_proj:.3e}"
+            "interpolation-projection",
+            max_proj <= PROJECTION_TOL,
+            f"max coefficient error {max_proj:.3e}",
         ),
         CheckResult(
             "fourstep-equals-direct",

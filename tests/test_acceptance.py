@@ -63,7 +63,7 @@ def test_criterion_2_energy_norm_scaling():
 
 
 def test_criterion_3_unisolvence_and_projection():
-    checks = unisolvence_suite(count=1000, seed=0, tol=1e-10)
+    checks = unisolvence_suite(count=1000, seed=0)
     bad = [c.name for c in checks if not c.passed]
     details = "; ".join(c.detail for c in checks)
     _report(

@@ -21,8 +21,6 @@ from hodgefem.element import (
     dof_values,
     form_values,
     local_element,
-    poly_values,
-    quadrature_dofs,
     reference_element,
     solve_dofs,
 )
@@ -140,11 +138,10 @@ def test_quadrature_dofs_match_the_exact_dofs():
     S, E = matrix.scaling.floats()
     verts = np.array([[[float(x) for x in v] for v in T.centered]])
     tab = reference_element(2, 1).tables(verts, np.array([float(T.volume)]), S[None], E[None], 6)
-    nodes = tab["centered"]  # the polynomials are in centered coordinates
-    values = form_values(target, nodes)[:, None]
-    dval = poly_values(exterior_derivative(target).component((1, 2)), nodes)[:, None]
-    gval = poly_values(codifferential_green(target).component(()), nodes)[:, None]
-    approx = quadrature_dofs(tab, values, dval, gval)[0, 0]
+    nodes = tab["centered"][0]  # the polynomials are in centered coordinates
+    graph = (target, exterior_derivative(target), codifferential_green(target))
+    values = np.concatenate([form_values(w, nodes) for w in graph], axis=-1)
+    approx = np.einsum("qc,qcj->j", values, tab["rows"][0])
     exact = np.array([float(v) for v in dof_values(target, matrix)])
     scale = max(1.0, np.max(np.abs(exact)))
     assert np.max(np.abs(exact - approx)) <= 1e-12 * scale
@@ -170,20 +167,17 @@ def test_float_coefficients_are_not_finished_in_fractions():
 
 @pytest.mark.parametrize("n", [2, 3])
 def test_dof_values_of_a_callback_raise_naming_global_interpolate(n):
-    """A FormCallback (with or without d and delta, on any element) has no
-    exact DOFs: dof_values names the float path instead."""
+    """A FormCallback (on any element) has no exact DOFs: dof_values names
+    the float path instead."""
     vertices = [tuple(F(int(i == j)) for j in range(n)) for i in range(-1, n)]
     matrix = local_element(Simplex(vertices), 1)
-    for cb in (
-        FormCallback(value=lambda x: np.zeros((len(x), n))),
-        FormCallback(
-            value=lambda x: np.zeros((len(x), n)),
-            d=lambda x: np.zeros((len(x), n * (n - 1) // 2)),
-            delta=lambda x: np.zeros((len(x), 1)),
-        ),
-    ):
-        with pytest.raises(TypeError, match="FormCallback are global_interpolate's"):
-            dof_values(cb, matrix)
+    cb = FormCallback(
+        value=lambda x: np.zeros((len(x), n)),
+        d=lambda x: np.zeros((len(x), n * (n - 1) // 2)),
+        delta=lambda x: np.zeros((len(x), 1)),
+    )
+    with pytest.raises(TypeError, match="FormCallback are global_interpolate's"):
+        dof_values(cb, matrix)
     # the exact path stays general
     vals = dof_values(PolyForm.basis(n, (1,)), matrix)
     assert len(vals) == len(matrix.exact) and all(isinstance(v, F) for v in vals)

@@ -17,8 +17,8 @@ import sympy
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from hodgefem.element import form_values, poly_values, reference_element
-from hodgefem.forms import PolyForm, Polynomial, codifferential_green, exterior_derivative
+from hodgefem.element import form_values, reference_element
+from hodgefem.forms import PolyForm, Polynomial
 from hodgefem.globalspace import build_product_space
 from hodgefem.mesh import Triangulation
 from hodgefem.simplices import Simplex, _gauss_jordan, solve_rational
@@ -279,20 +279,24 @@ def test_reference_element_equals_the_element_built_form_by_form(kind, orientati
         6,
     )
     for i, (shape, graph, etas, taus, _) in enumerate(elements):
-        nodes = tab["centered"][i]
+        nodes, weights = tab["centered"][i], tab["weights"][i]
 
-        def scalar(w):
-            return poly_values(w.component(w.indices()[0]), nodes)
+        def at_nodes(members):  # (up, down, value) -> (member, node, value x, value y, up, down)
+            return np.array(
+                [
+                    np.concatenate([form_values(f, nodes) for f in (value, up, down)], axis=-1)
+                    for up, down, value in members
+                ]
+            )
 
-        want = {
-            "val": [form_values(mu, nodes) for mu in shape],
-            "dval": [scalar(d) for d, _, _ in graph],
-            "gval": [scalar(g) for _, g, _ in graph],
-            "eta_v": [scalar(eta) for eta in etas],
-            "eta_g": [form_values(codifferential_green(eta), nodes) for eta in etas],
-            "tau_v": [scalar(tau) for tau in taus],
-            "tau_d": [form_values(exterior_derivative(tau), nodes) for tau in taus],
-        }
-        for key, values in want.items():
-            values = np.array(values)
-            assert np.abs(tab[key][i] - values).max() <= 1e-13 * np.abs(values).max(), key
+        want_rows = weights[:, None, None] * at_nodes(green_rows(etas, taus)).transpose(1, 2, 0)
+        # the value, d and delta columns, of the eta and tau members apart,
+        # each against its own scale; the zero slots of the rows exactly
+        pieces = [(tab["shape"][i], at_nodes(graph), (..., c)) for c in (slice(0, 2), 2, 3)]
+        pieces += [
+            (tab["rows"][i], want_rows, (..., c, family))
+            for c in (slice(0, 2), 2, 3)
+            for family in (slice(0, 3), slice(3, 6))
+        ]
+        for got, want, at in pieces:
+            assert np.abs(got[at] - want[at]).max() <= 1e-13 * np.abs(want[at]).max(), at

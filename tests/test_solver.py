@@ -26,7 +26,6 @@ from hodgefem.fields import FIELDS, SmoothField, as_callback, get_field
 from hodgefem.forms import PolyForm
 from hodgefem.globalspace import (
     ConstraintSystem,
-    _interpolation_table,
     build_constraints,
     build_global_basis,
     build_product_space,
@@ -39,6 +38,7 @@ from hodgefem.mesh import (
     generate_jittered_mesh,
     generate_square_mesh,
 )
+from hodgefem.simplices import MAX_QUAD_ORDER, MIN_QUAD_ORDER
 import hodgefem.element
 import hodgefem.globalspace
 import hodgefem.solver
@@ -46,7 +46,6 @@ from hodgefem.solver import (
     HybridSystem,
     StudyRow,
     _kernel_coordinates,
-    _shape_table,
     assemble,
     broken_energy_product,
     cell_load_vector,
@@ -451,13 +450,13 @@ def test_load_vector_and_error_norms_match_per_cell_tables(mesh):
         verts = np.array([[[float(x) for x in v] for v in matrix.simplex.centered]])
         tab = ref.tables(verts, np.array([float(matrix.simplex.volume)]), S[None], E[None], 6)
         tab = {key: value[0] for key, value in tab.items()}
-        w = tab["weights"]
+        w, val = tab["weights"], tab["shape"][..., :2]
         pts = prod.barycenters[c] + tab["centered"]
-        want = np.einsum("q,iqx,qx->i", w, tab["val"], field.f(pts))
+        want = np.einsum("q,iqx,qx->i", w, val, field.f(pts))
         assert np.abs(b[c] - want).max() <= 1e-12 * np.abs(want).max()
         uc = u[6 * c : 6 * c + 6]
-        uh_v = np.einsum("i,iqx->qx", uc, tab["val"])
-        uh_d, uh_g = uc @ tab["dval"], uc @ tab["gval"]
+        uh_v = np.einsum("i,iqx->qx", uc, val)
+        uh_d, uh_g = uc @ tab["shape"][..., 2], uc @ tab["shape"][..., 3]
         squares += [
             w @ ((uh_v - field.value(pts)) ** 2).sum(axis=1),
             w @ (uh_d - field.rot(pts)) ** 2,
@@ -470,8 +469,8 @@ def test_load_vector_and_error_norms_match_per_cell_tables(mesh):
 
 
 def test_stacked_node_tables_run_once_per_order(monkeypatch):
-    """One stacked table build per order for all templates, and each derived
-    float table (load, error norms, interpolation) once per order too."""
+    """One stacked table build per order for all templates, shared by the
+    load vector, the error norms and the interpolation."""
     tri = MESHES["jitter4"]()
     prod = build_product_space(tri)
     calls = []
@@ -485,12 +484,6 @@ def test_stacked_node_tables_run_once_per_order(monkeypatch):
 
     tables = hodgefem.element.ReferenceElement.tables
     monkeypatch.setattr(hodgefem.element.ReferenceElement, "tables", counting("tables", tables))
-    for module, name in (
-        (hodgefem.solver, "_load_table"),
-        (hodgefem.solver, "_shape_table"),
-        (hodgefem.globalspace, "_interpolation_table"),
-    ):
-        monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
     field = get_field("polyflow")
     for order in (6, 4):
         for _ in range(2):
@@ -498,8 +491,26 @@ def test_stacked_node_tables_run_once_per_order(monkeypatch):
             u = global_interpolate(as_callback(field), tri, prod, quad_order=order)
             error_norms(u, prod, field, quad_order=order)
     assert len(prod.templates) == 32
-    names = ("tables", "_load_table", "_interpolation_table", "_shape_table")
-    assert sorted(calls) == sorted((name, order) for name in names for order in (6, 4))
+    assert sorted(calls) == [("tables", 4), ("tables", 6)]
+
+
+@pytest.mark.parametrize("order", range(MIN_QUAD_ORDER, MAX_QUAD_ORDER + 1))
+@pytest.mark.parametrize("name", ["diagonal4", "crisscross2", "jitter4"])
+def test_node_tables_interpolate_exactly_at_every_quadrature_order(name, order):
+    """At every supported order the affine interpolant is exact, and the
+    Green rows applied to the shape graph give each template's float DOF
+    matrix: solving against it returns the identity."""
+    tri = MESHES[name]()
+    prod = build_product_space(tri)
+    field = get_field("affine")
+    u = global_interpolate(as_callback(field), tri, prod, quad_order=order)
+    assert error_norms(u, prod, field, quad_order=order)["energy"] <= 1e-12
+    tab = prod.tables(order)
+    templates = len(prod.templates)
+    dofs = tab["shape"].reshape(templates, 6, -1) @ tab["rows"].reshape(templates, -1, 6)
+    for cell, values in zip(prod.templates, dofs):
+        matrix = local_element(simplex(tri, cell), 1).as_float
+        assert np.abs(np.linalg.solve(matrix, values.T) - np.eye(6)).max() <= 1e-10
 
 
 def test_interpolating_affine_field_is_exact():
@@ -565,13 +576,16 @@ def test_cached_node_values_give_the_in_place_error_norms_and_interpolant_bit_fo
     tri = make()
     prod = build_product_space(tri)
     flat = prod.nodes(6).reshape(-1, 2)
+    tab = prod.tables(6)
+    templates = len(prod.templates)
 
     def in_place_errors(u_cell):
-        diff = (prod.by_template(u_cell.reshape(-1, 6)) @ prod.derived(_shape_table, 6)).reshape(-1, 4)
+        shape = tab["shape"].reshape(templates * 6, -1)
+        diff = (prod.by_template(u_cell.reshape(-1, 6)) @ shape).reshape(-1, 4)
         diff[:, :2] -= field.value(flat)
         diff[:, 2] -= field.rot(flat)
         diff[:, 3] += field.div(flat)
-        sums = prod.tables(6)["weights"][prod.template_index].ravel() @ np.square(diff)
+        sums = tab["weights"][prod.template_index].ravel() @ np.square(diff)
         l2_sq, rot_sq, div_sq = float(sums[0] + sums[1]), float(sums[2]), float(sums[3])
         return {
             "l2": math.sqrt(l2_sq),
@@ -581,7 +595,9 @@ def test_cached_node_values_give_the_in_place_error_norms_and_interpolant_bit_fo
         }
 
     values = node_values(as_callback(field), prod.nodes(6)).reshape(len(tri.cells), -1)
-    want = (prod.by_template(values) @ prod.derived(_interpolation_table, 6)).ravel()
+    rows = tab["rows"].reshape(templates, -1, 6)
+    table = (rows @ prod.minv.transpose(0, 2, 1)).reshape(-1, 6)
+    want = (prod.by_template(values) @ table).ravel()
     u_int = global_interpolate(as_callback(field), tri, prod)
     assert np.array_equal(u_int, want)
     u_rand = np.random.default_rng(11).standard_normal(prod.dim)
@@ -636,7 +652,7 @@ def test_solver_study_tracks_oracle_and_interpolant():
         assert row.cg_iters is not None and row.cg_iters > 0
         assert row.oracle_gap is not None and row.oracle_gap <= 1e-6
         assert row.oracle_residual is not None and row.oracle_residual <= 1e-10
-        assert row.method == "pcg" and row.wall_ms > 0
+        assert row.wall_ms > 0
     interp = study(field, [2, 4])
     for solved, best in zip(rows, interp):
         # quasi-optimality with a modest constant

@@ -5,6 +5,7 @@ import hashlib
 
 import numpy as np
 
+import hodgefem.element
 import hodgefem.verify
 from hodgefem.forms import Polynomial, PolyForm, exterior_derivative, koszul
 from hodgefem.verify import NORM_CASES, _norm_draws, full_suite, norm_suite, unisolvence_suite
@@ -64,15 +65,17 @@ def test_blocked_projection_check_equals_one_stack(monkeypatch):
 
 def test_a_nan_in_a_later_projection_block_fails_the_check(monkeypatch):
     """A NaN in any block reaches the reported error, as in one stack."""
-    quadrature_dofs = hodgefem.verify.quadrature_dofs
+    tables = hodgefem.element.ReferenceElement.tables
     calls = []
 
-    def nan_after_the_first_block(tab, *fields):
+    def nan_after_the_first_block(self, *args):
+        tab = tables(self, *args)
         calls.append(len(tab["weights"]))
-        values = quadrature_dofs(tab, *fields)
-        return values if len(calls) == 1 else np.full_like(values, np.nan)
+        if len(calls) > 1:
+            tab["rows"] = np.full_like(tab["rows"], np.nan)
+        return tab
 
-    monkeypatch.setattr(hodgefem.verify, "quadrature_dofs", nan_after_the_first_block)
+    monkeypatch.setattr(hodgefem.element.ReferenceElement, "tables", nan_after_the_first_block)
     monkeypatch.setattr(hodgefem.verify, "PROJECTION_BLOCK", 2)
     results = {r.name: r for r in unisolvence_suite(count=3, seed=0)}
     assert calls == [2, 1]
