@@ -143,27 +143,27 @@ FOURSTEP = "fourstep"
 
 def build_h2d_form(alpha: tuple[int, ...], simplex: Simplex) -> PolyForm:
     """Quadratic shape form on dx^alpha: d of it is koszul-type, delta is 0."""
-    n = simplex.n
-    beta = complement(tuple(alpha), n)
-    if not beta:
-        raise ValueError("H2D form needs a nonempty complement (k < n)")
-    poly = Polynomial(n)
-    for b in beta:
-        xb = Polynomial.variable(n, b)
-        poly = poly + xb * xb - Polynomial.constant(n, simplex.second_moments[b - 1])
-    return PolyForm(n, len(alpha), {tuple(alpha): poly})
+    alpha = tuple(alpha)
+    beta = complement(alpha, simplex.n)
+    return _centered_squares(alpha, beta, simplex, "H2D form needs a nonempty complement (k < n)")
 
 
 def build_h2delta_form(alpha: tuple[int, ...], simplex: Simplex) -> PolyForm:
     """Companion quadratic with delta = 0 and constant d; not a shape form."""
-    n = simplex.n
     alpha = tuple(alpha)
-    if not alpha:
-        raise ValueError("the delta-companion quadratic needs k >= 1")
+    return _centered_squares(alpha, alpha, simplex, "the delta-companion quadratic needs k >= 1")
+
+
+def _centered_squares(alpha, indices, simplex: Simplex, empty: str) -> PolyForm:
+    """sum_b ((x^b)^2 - c^b) dx^alpha over b in ``indices``, c^b the second
+    moments of ``simplex``; ValueError ``empty`` when ``indices`` is empty."""
+    if not indices:
+        raise ValueError(empty)
+    n = simplex.n
     poly = Polynomial(n)
-    for a in alpha:
-        xa = Polynomial.variable(n, a)
-        poly = poly + xa * xa - Polynomial.constant(n, simplex.second_moments[a - 1])
+    for b in indices:
+        xb = Polynomial.variable(n, b)
+        poly = poly + xb * xb - Polynomial.constant(n, simplex.second_moments[b - 1])
     return PolyForm(n, len(alpha), {alpha: poly})
 
 
@@ -252,12 +252,6 @@ def _green_rows(tests: DofBasis) -> list[tuple[PolyForm, PolyForm, PolyForm]]:
     return rows
 
 
-def _sandwich(left, block, right) -> list[list[int]]:
-    """L P R^T in Python ints, all three as lists of rows."""
-    pr = [[sum(map(mul, row, rrow)) for rrow in right] for row in block]
-    return [[sum(map(mul, lrow, col)) for col in zip(*pr)] for lrow in left]
-
-
 class Scaling:
     """The exact scalings of the reference families on one simplex, in Python ints.
 
@@ -265,8 +259,8 @@ class Scaling:
     reference element's families.  ``shape`` holds the rows of S over
     ``shape_den``: 1 on P0, 1/h on KAPPA and STARKAPPA, 1/h^2 on H2D,
     and -c^alpha/h^2 from each H2D member into the P0 member of the same
-    alpha.  ``tests`` holds the rows of the diagonal E over ``tests_den``:
-    1 on the constant tests and 1/h on the koszul-type ones.
+    alpha.  ``tests`` holds the diagonal of E over ``tests_den``, one int
+    per test: 1 on the constant tests and 1/h on the koszul-type ones.
     """
 
     __slots__ = ("shape", "shape_den", "tests", "tests_den")
@@ -281,7 +275,7 @@ class Scaling:
         """S and the diagonal of E as floats, each entry rounded once
         (int / int rounds the exact quotient, as float(Fraction))."""
         S = np.array([[v / self.shape_den for v in row] for row in self.shape])
-        return S, np.array([row[i] / self.tests_den for i, row in enumerate(self.tests)])
+        return S, np.array([v / self.tests_den for v in self.tests])
 
 
 class ReferenceElement:
@@ -376,8 +370,7 @@ class ReferenceElement:
             for name, r in family.items()
             for _ in r
         ]
-        eye = [[v * (i == j) for j in range(len(tests))] for i, v in enumerate(tests)]
-        return Scaling(shape, hn * hn * cd, eye, hn)
+        return Scaling(shape, hn * hn * cd, tests, hn)
 
     def pair(self, simplex: Simplex) -> tuple[Scaling, list[list[int]], int]:
         """The exact DOF matrix E D S^T on ``simplex``: the Green functionals
@@ -392,7 +385,8 @@ class ReferenceElement:
         second = [Fraction(moments[e], mden) / simplex.volume for e in self._squares]
         scaling = self.scaling(simplex, second)
         rows, den = pairing.contract(moments, mden)
-        matrix = _sandwich(scaling.tests, rows, scaling.shape)
+        E, S = scaling.tests, scaling.shape  # E D S^T: row i of D S^T times E_ii
+        matrix = [[e * sum(map(mul, row, s)) for s in S] for e, row in zip(E, rows)]
         return scaling, matrix, den * scaling.tests_den * scaling.shape_den
 
     def tables(self, vertices, volumes, shape_scale, test_scale, order: int) -> dict:
@@ -586,7 +580,7 @@ def dof_values(mu: PolyForm, matrix: DofMatrix) -> list[Fraction]:
     pairing = matrix.reference._pairing.against(graph)
     rows, rden = pairing.contract(*matrix.simplex.integer_moments(pairing.exponents))
     E, den = matrix.scaling.tests, matrix.scaling.tests_den
-    return [Fraction(E[i][i] * row[0], den * rden) for i, row in enumerate(rows)]
+    return [Fraction(e * row[0], den * rden) for e, row in zip(E, rows)]
 
 
 def solve_dofs(values, matrix: DofMatrix, method: str = DIRECT) -> list[Fraction]:

@@ -30,6 +30,16 @@ All dual coefficients are exact rationals and the constraint identities
 B v = 0 hold exactly, by biorthogonality.  Congruent cells (equal up to
 translation) share one template.
 
+These functions are a basis of null(B) on every mesh that ``Triangulation``
+accepts, a boundary vertex with no edge to an interior vertex included.
+With c cells, nv vertices (n_int interior) and d_v cells around v,
+DIV_PATCH gives sum_v (d_v - 1) = 3c - nv functions, ROT_PATCH the sum
+over interior v of (d_v - 1) and ROT_CELL the sum over boundary v of d_v:
+6c - nv - n_int = 6c - rows(B) in all.  The rank certificate below proves
+rank(B) = rows(B), so that is the dimension of null(B).  B Phi = 0 by
+biorthogonality, and K Phi = I for the fan prefix sums K of the Whitney
+values (``solver._kernel_coordinates``), so the functions are independent.
+
 Set-up costs cells plus templates, and no exact object per template.
 The template key of a cell is its centered vertex tuple; cells are
 sorted into classes by the same tuple in lowest integer terms, computed

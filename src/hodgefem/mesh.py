@@ -7,11 +7,11 @@ vertices or with the vertex set of an earlier cell; degenerate cells (the
 others are oriented positively); a mesh without cells; unreferenced
 vertices; edges of more than two cells; a boundary vertex inside a
 boundary edge; cells that are not edge-connected; a vertex star that is
-not one fan (disk or half-disk); crossing boundary edges; two
-counterclockwise boundary loops; and, when there are interior vertices,
-a boundary vertex with no edge to one (the constraint pipeline relies on
-this).  A mesh without interior vertices (a single triangle, a strip) or
-that is not a disk is accepted and flagged in ``warnings``.
+not one fan (disk or half-disk); crossing boundary edges; and two
+counterclockwise boundary loops.  A mesh without interior vertices (a
+single triangle, a strip) or that is not a disk is accepted and flagged
+in ``warnings``.  A boundary vertex with no edge to an interior vertex
+(a corner of a raw Delaunay mesh) is fine (see ``globalspace``).
 
 These checks certify that no two cells overlap, with no scan over all
 vertices and edges.  With positive cells, the number of cells over a point
@@ -43,9 +43,9 @@ anything else as p/q, so write/read round-trips reproduce coordinates
 bit for bit.
 
 The structured unit-square generators produce the DIAGONAL pattern
-(bottom-left to top-right diagonals, with the two corner squares that a
-parallel-diagonal mesh would leave cut off from the interior flipped the
-other way) and the CRISSCROSS pattern (four triangles per square around
+(bottom-left to top-right diagonals, flipped in the corner squares
+(m - 1, 0) and (0, m - 1): the flip defines the pattern, and is not needed
+for validity) and the CRISSCROSS pattern (four triangles per square around
 a center vertex).  ``generate_jittered_mesh`` perturbs the DIAGONAL mesh
 by seeded exact rationals, so that almost every cell has its own shape.
 """
@@ -167,14 +167,7 @@ class Triangulation:
             raise ValueError(crossing)
         self._check_boundary_loops(*rim)
 
-        if self.interior_vertices:
-            a, b = self.edges.T
-            reach = np.zeros(nv, dtype=bool)
-            reach[a[~boundary[b]]] = reach[b[~boundary[a]]] = True
-            lonely = np.flatnonzero(boundary & ~reach)
-            if len(lonely):
-                raise ValueError(f"boundary vertex {lonely[0]} has no edge to an interior vertex")
-        else:
+        if not self.interior_vertices:
             self.warnings.append("mesh has no interior vertices")
 
         self.euler_characteristic = nv - len(self.edges) + nc
@@ -404,7 +397,11 @@ def check_mesh_parameter(m: int) -> None:
 
 
 def generate_square_mesh(m: int, pattern: str = DIAGONAL) -> Triangulation:
-    """Uniform triangulation of the unit square with m x m subsquares."""
+    """Uniform triangulation of the unit square with m x m subsquares.
+
+    DIAGONAL's flipped corner squares define the pattern, which the pinned
+    tables and ``basis`` dumps follow; a parallel-diagonal mesh is valid too.
+    """
     check_mesh_parameter(m)
     if pattern not in (DIAGONAL, CRISSCROSS):
         raise ValueError(f"unknown mesh pattern {pattern!r}")

@@ -25,6 +25,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 from operator import mul
 
 import numpy as np
@@ -61,6 +62,8 @@ __all__ = [
 NORM_CASES = ((2, 1), (3, 1), (3, 2))  # the (n, k) of the norm suite, in its order
 PROJECTION_BLOCK = 64  # triangles per stacked node-table block of the projection check
 PROJECTION_TOL = 1e-10  # bound on the projection check's max coefficient error
+RAND_DEGREE = 2  # total degree bound of the random polynomial coefficients
+MAX_SHAPE_RATIO = 10.0  # the random triangles' largest shape ratio
 
 
 @dataclass
@@ -78,29 +81,21 @@ def _rand_fraction(rng: random.Random) -> Fraction:
     return Fraction(rng.randint(-9, 9), rng.randint(1, 5))
 
 
-def _rand_poly(n: int, rng: random.Random, degree: int = 2) -> Polynomial:
+def _rand_poly(n: int, rng: random.Random) -> Polynomial:
     terms = {}
-    # all exponent tuples with total degree <= degree
-    def grow(prefix, remaining, budget):
-        if remaining == 0:
-            terms_list.append(tuple(prefix))
-            return
-        for e in range(budget + 1):
-            grow(prefix + [e], remaining - 1, budget - e)
-
-    terms_list: list[tuple[int, ...]] = []
-    grow([], n, degree)
-    for e in terms_list:
-        c = _rand_fraction(rng)
-        if c:
-            terms[e] = c
+    # one draw per exponent tuple of total degree <= RAND_DEGREE, in lexicographic order
+    for e in product(range(RAND_DEGREE + 1), repeat=n):
+        if sum(e) <= RAND_DEGREE:
+            c = _rand_fraction(rng)
+            if c:
+                terms[e] = c
     if not terms:
         terms[(0,) * n] = Fraction(1)
     return Polynomial(n, terms)
 
 
-def _rand_form(n: int, k: int, rng: random.Random, degree: int = 2) -> PolyForm:
-    return PolyForm(n, k, {a: _rand_poly(n, rng, degree) for a in multi_indices(k, n)})
+def _rand_form(n: int, k: int, rng: random.Random) -> PolyForm:
+    return PolyForm(n, k, {a: _rand_poly(n, rng) for a in multi_indices(k, n)})
 
 
 def _rand_constant_coefficients(n: int, k: int, rng: random.Random) -> dict:
@@ -270,7 +265,7 @@ def norm_suite(count: int = 100, seed: int = 0) -> list[CheckResult]:
     ]
 
 
-def _rand_triangle(rng: random.Random, max_ratio: float = 10.0) -> Simplex:
+def _rand_triangle(rng: random.Random) -> Simplex:
     """Random shape-regular triangle, rational vertices, varied size."""
     scale = Fraction(2) ** rng.randint(-4, 2)
     while True:
@@ -285,7 +280,7 @@ def _rand_triangle(rng: random.Random, max_ratio: float = 10.0) -> Simplex:
             s = Simplex(verts)
         except ValueError:
             continue
-        if s.shape_ratio <= max_ratio:
+        if s.shape_ratio <= MAX_SHAPE_RATIO:
             return s
 
 

@@ -3,7 +3,9 @@
 from fractions import Fraction
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
+from scipy.spatial import Delaunay
 
 from hodgefem.mesh import (
     CRISSCROSS,
@@ -26,6 +28,38 @@ def _coprime(m: int) -> Triangulation:
         for i, (x, y) in enumerate(base.vertices)
     ]
     return Triangulation(vertices, base.cells)
+
+
+def parallel_diagonal_mesh(m: int) -> Triangulation:
+    """The m x m unit-square mesh with every diagonal from bottom-left to
+    top-right: DIAGONAL without its flipped corners, so corner vertices m
+    and m (m + 1) have edges only to boundary vertices."""
+    pts = [(Fraction(i, m), Fraction(j, m)) for j in range(m + 1) for i in range(m + 1)]
+    cells = []
+    for bl in (j * (m + 1) + i for j in range(m) for i in range(m)):
+        br, tl, tr = bl + 1, bl + m + 1, bl + m + 2
+        cells += [(bl, br, tr), (bl, tr, tl)]
+    return Triangulation(pts, cells)
+
+
+def delaunay_mesh(k: int, seed: int) -> Triangulation:
+    """Raw Delaunay triangulation of a jittered k x k lattice in the unit square.
+
+    The points are the (k + 1)^2 lattice points i / k: those on the
+    boundary stay where they are, equispaced along each side, and each
+    interior coordinate moves by r / (60 k), r uniform in -20..20 from
+    ``np.random.default_rng(seed)``, in vertex order, x before y.  Qhull
+    only proposes the cells, from the rounded points; ``Triangulation``
+    orients them and rejects a degenerate one, and no cell is dropped, so
+    an unused point fails as an unreferenced vertex.  Corners often have
+    no edge to an interior vertex.
+    """
+    i, j = np.meshgrid(np.arange(k + 1), np.arange(k + 1))
+    num = 60 * np.column_stack([i.ravel(), j.ravel()])
+    inner = ((num > 0) & (num < 60 * k)).all(axis=1)
+    num[inner] += np.random.default_rng(seed).integers(-20, 21, size=(int(inner.sum()), 2))
+    cells = Delaunay(num / (60 * k)).simplices
+    return Triangulation([(Fraction(x, 60 * k), Fraction(y, 60 * k)) for x, y in num.tolist()], cells)
 
 
 MESHES = {

@@ -18,6 +18,8 @@ import hodgefem.solver
 from hodgefem.cli import CSV_HEADER, CSV_HEADER_SOLVE, main
 from hodgefem.mesh import CRISSCROSS, generate_jittered_mesh, generate_square_mesh, write_mesh
 
+from conftest import parallel_diagonal_mesh
+
 
 def _verify_args(out, simplices=5, triangles=5):
     return [
@@ -161,6 +163,18 @@ def test_basis_reads_mesh_from_file(tmp_path):
     audit = json.loads(out.read_text().strip().splitlines()[-1])["audit"]
     assert audit["cells"] == 16
     assert audit["basis_count"] == 78
+
+
+def test_basis_accepts_a_mesh_file_with_a_corner_off_the_interior(tmp_path):
+    """The 2 x 2 parallel-diagonal mesh: corners 2 and 6 have edges only to
+    boundary vertices, and the basis still spans null(B)."""
+    mesh_path = tmp_path / "parallel.mesh"
+    write_mesh(parallel_diagonal_mesh(2), mesh_path)
+    out = tmp_path / "basis.jsonl"
+    assert main(["basis", "--mesh-file", str(mesh_path), "--out", str(out)]) == 0
+    audit = json.loads(out.read_text().strip().splitlines()[-1])["audit"]
+    assert audit["count_matches_nullity"] is True
+    assert audit["basis_count"] == audit["nullity"] == 38
 
 
 @pytest.mark.parametrize(

@@ -7,9 +7,11 @@ from unittest import mock
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hodgefem.fields import get_field
 from hodgefem.forms import PolyForm, codifferential_green, exterior_derivative
 from hodgefem.globalspace import build_constraints, build_global_basis, build_product_space
 from hodgefem.mesh import (
@@ -23,8 +25,9 @@ from hodgefem.mesh import (
     read_mesh,
     write_mesh,
 )
+from hodgefem.solver import _kernel_coordinates, assemble, solve_oracle, solve_system
 
-from conftest import _coprime
+from conftest import _coprime, parallel_diagonal_mesh
 from reference import barycentric_coordinates, simplex
 
 
@@ -181,21 +184,26 @@ def test_h_is_the_largest_simplex_diameter(mesh):
     assert mesh.h == max(simplex(mesh, c).h for c in range(len(mesh.cells)))
 
 
-def test_validation_rejects_isolated_boundary_vertex():
-    # 2x2 grid with all diagonals parallel: corner vertex 2 only sees
-    # other boundary vertices
-    def gid(i, j):
-        return j * 3 + i
-
-    pts = [(Fraction(i, 2), Fraction(j, 2)) for j in range(3) for i in range(3)]
-    cells = []
-    for j in range(2):
-        for i in range(2):
-            bl, br = gid(i, j), gid(i + 1, j)
-            tr, tl = gid(i + 1, j + 1), gid(i, j + 1)
-            cells.extend([(bl, br, tr), (bl, tr, tl)])
-    with pytest.raises(ValueError, match="boundary vertex 2 has no edge to an interior"):
-        Triangulation(pts, cells)
+@pytest.mark.parametrize("m", [2, 4])
+def test_boundary_vertices_without_an_interior_neighbour_are_accepted(m):
+    """The parallel-diagonal mesh: its corners m and m (m + 1) see only
+    boundary vertices.  It is accepted without warnings, its basis count is
+    the dense nullity of B, K Phi = I and PCG agrees with the oracle."""
+    tri = parallel_diagonal_mesh(m)
+    assert tri.warnings == []
+    interior = set(tri.interior_vertices)
+    for corner in (m, m * (m + 1)):
+        assert not interior & {v for edge in tri.edges.tolist() if corner in edge for v in edge}
+    prod = build_product_space(tri)
+    cons = build_constraints(tri, prod)
+    basis = build_global_basis(tri, prod)
+    assert len(basis) == prod.dim - np.linalg.matrix_rank(cons.B.toarray()) == cons.nullity()
+    K = _kernel_coordinates(basis, prod.block_diagonal(prod.whitney))
+    assert abs(K @ basis.Phi - sp.identity(len(basis))).max() <= 1e-13
+    system = assemble(tri, get_field("polyflow"), prod=prod, basis=basis)
+    result = solve_system(system, tol=1e-10)
+    x = solve_oracle(system, cons).x_cell
+    assert np.linalg.norm(x - result.u_cell) <= 1e-8 * np.linalg.norm(x)
 
 
 def test_validation_rejects_disconnected_mesh():

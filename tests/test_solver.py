@@ -25,6 +25,8 @@ from hodgefem.element import (
 from hodgefem.fields import FIELDS, SmoothField, as_callback, get_field
 from hodgefem.forms import PolyForm
 from hodgefem.globalspace import (
+    CATEGORIES,
+    ROT_CELL,
     ConstraintSystem,
     build_constraints,
     build_global_basis,
@@ -57,7 +59,7 @@ from hodgefem.solver import (
     study,
 )
 
-from conftest import MESHES
+from conftest import MESHES, delaunay_mesh
 from reference import barycentric_coordinates, simplex
 
 
@@ -775,6 +777,37 @@ def test_jittered_m16_converges_within_the_cap():
     result = solve_system(system, tol=1e-10)
     assert result.method == "pcg" and result.true_rel_residual <= 1e-10
     assert result.iterations <= 100 * math.sqrt(len(system.basis))
+
+
+@settings(max_examples=50, deadline=None, derandomize=True, database=None)
+@given(k=st.integers(3, 12), seed=st.integers(0, 2**32 - 1))
+def test_raw_delaunay_meshes_get_the_full_basis_and_solve(k, seed):
+    """Raw Delaunay meshes: fans of any degree, corners that often have no
+    edge to an interior vertex.  The basis count is 6c - nv - n_int (the
+    dense nullity for k <= 6), every function lives on one or two cells,
+    K Phi = I, PCG agrees with the oracle in at most 3 iterations, and the
+    interpolant of polyflow meets B."""
+    tri = delaunay_mesh(k, seed)
+    prod = build_product_space(tri)
+    cons = build_constraints(tri, prod)
+    basis = build_global_basis(tri, prod)
+    nv, nc = len(tri.vertices), len(tri.cells)
+    assert len(basis) == 6 * nc - nv - len(tri.interior_vertices) == cons.nullity()
+    if k <= 6:
+        assert len(basis) == prod.dim - np.linalg.matrix_rank(cons.B.toarray())
+    single = basis.category == CATEGORIES.index(ROT_CELL)
+    assert ((basis.cells[:, 1] < 0) == single).all() and (basis.cells[:, 0] >= 0).all()
+    phi = basis.Phi.tocoo()
+    assert ((phi.row // 6)[:, None] == basis.cells[phi.col]).any(axis=1).all()
+    K = _kernel_coordinates(basis, prod.block_diagonal(prod.whitney))
+    assert abs(K @ basis.Phi - sp.identity(len(basis))).max() <= 1e-13
+    field = get_field("polyflow")
+    system = assemble(tri, field, prod=prod, basis=basis)
+    result = solve_system(system, tol=1e-10)
+    assert result.iterations <= 3
+    x = solve_oracle(system, cons).x_cell
+    assert np.linalg.norm(x - result.u_cell) <= 1e-8 * np.linalg.norm(x)
+    assert abs(cons.B @ global_interpolate(as_callback(field), tri, prod)).max() <= 1e-9
 
 
 @pytest.mark.parametrize(
