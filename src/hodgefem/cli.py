@@ -52,6 +52,8 @@ from .simplices import quadrature_rule
 from .verify import full_suite
 
 if TYPE_CHECKING:
+    from collections.abc import Iterator
+
     from .solver import StudyRow
 
 __all__ = ["main"]
@@ -179,6 +181,41 @@ def cmd_study(args) -> int:
     return status
 
 
+def _basis_lines(basis) -> Iterator[str]:
+    """One JSON line per basis function, in column order, as ``json.dumps``
+    writes {"category", "anchor", "cells", "entries"}: entries [index,
+    "exact value"] in Phi's order, each value as str(Fraction) writes it.
+
+    Every value string is one of a template's dual entries or its
+    negation, so they are formatted once per template from
+    ``GlobalBasis.exact_duals`` and each line is one f-string.
+    """
+    from .globalspace import CATEGORIES
+
+    def text(num: int, den: int) -> str:
+        return f'"{num}"' if den == 1 else f'"{num}/{den}"'
+
+    # per template and dual column: (shape index, value, negated value) strings
+    table = [
+        [[(i, text(n, d), text(-n, d)) for i, n, d in column] for column in columns]
+        for columns in basis.exact_duals()
+    ]
+    tix = basis.prod.template_index.tolist()
+    for cat, a, (c0, c1), (k0, k1) in zip(
+        basis.category.tolist(), basis.anchor.tolist(), basis.cells.tolist(), basis.columns.tolist()
+    ):
+        entries = [f"[{6 * c0 + i}, {v}]" for i, v, _ in table[tix[c0]][k0]]
+        if c1 < 0:
+            cells = f"{c0}"
+        else:
+            cells = f"{c0}, {c1}"
+            entries += [f"[{6 * c1 + i}, {v}]" for i, _, v in table[tix[c1]][k1]]
+        yield (
+            f'{{"category": "{CATEGORIES[cat]}", "anchor": {a}, "cells": [{cells}], '
+            f'"entries": [{", ".join(entries)}]}}\n'
+        )
+
+
 def cmd_basis(args) -> int:
     from .globalspace import build_constraints, build_global_basis, build_product_space
 
@@ -193,18 +230,7 @@ def cmd_basis(args) -> int:
         print(f"basis: rank audit failed: {reason}", file=sys.stderr)
         return 1
     with _output(args.out) as out:
-        for fn in basis.functions:
-            out.write(
-                json.dumps(
-                    {
-                        "category": fn.category,
-                        "anchor": fn.anchor,
-                        "cells": list(fn.cells),
-                        "entries": [[idx, str(val)] for idx, val in fn.entries],
-                    }
-                )
-                + "\n"
-            )
+        out.writelines(_basis_lines(basis))
         audit = {
             "cells": len(tri.cells),
             "vertices": len(tri.vertices),

@@ -47,18 +47,24 @@ the reference element's DOF pairing, so the coefficient blocks of T are
 built once.
 
 A DofMatrix is the local element of one simplex, and ``local_element``
-its one constructor, one ``pair``: its scaling and the exact and float
-DOF matrix, built once and passed to dof_values and solve_dofs.  No
-scaled shape form is built either: ``DofMatrix.combine`` makes one
-member of the space S R as R combined with S^T c.  Row order: eta block
-(constants then koszul-type), then tau block (constants then
-koszul-type); columns follow the shape basis.
-The local element is exact end to end.  ``dof_values`` takes a
-PolyForm and returns Fractions.  The four-step solve is block forward
-substitution in the exact DOF matrix, written once in ``solve_dofs``
-over Fractions; it starts from given DOF values, so one evaluation
-serves both methods, and it refuses float values, so no float is
-finished in Fractions.  The float DOFs of a pointwise field (a
+its one constructor, one ``pair``: its scaling and the DOF matrix as
+``pair`` computes it, Python-int rows over one denominator, built once
+and passed to dof_values and solve_dofs; its float view divides each
+entry once.  No scaled shape form is built either:
+``DofMatrix.combine`` makes one member of the space S R as R combined
+with S^T c, the reference forms' terms summed once by
+``ShapeSpace.combine``.  Row order: eta block (constants then
+koszul-type), then tau block (constants then koszul-type); columns
+follow the shape basis.
+The local element is exact end to end, and its matrices are never
+Fractions: a Fraction is built only where a caller reads one.
+``dof_values`` takes a PolyForm and returns Fractions.  ``solve_dofs``
+runs ``simplices._bareiss`` on the integer rows, augmented with the DOF
+values over their common denominator, for both methods: the direct
+solve, and the four-step solve, block forward substitution in the same
+rows.  It starts from given DOF values, so one evaluation serves both
+methods, and it refuses float values, so no float is finished in
+Fractions.  The float DOFs of a pointwise field (a
 ``FormCallback``) are the global pipeline's:
 ``globalspace.global_interpolate`` applies the functionals below to
 every cell at once.
@@ -108,7 +114,7 @@ from .forms import (
     koszul,
     multi_indices,
 )
-from .simplices import Pairing, Simplex, as_fractions, quadrature_rule, solve_rational
+from .simplices import Pairing, Simplex, _bareiss, quadrature_rule
 
 __all__ = [
     "P0",
@@ -198,17 +204,22 @@ class ShapeSpace:
     def combine(self, coeffs) -> PolyForm:
         """Exact linear combination of the basis with rational coefficients.
 
-        Floats are refused: a float result is not finished in Fractions.
+        The basis forms' terms are summed into one dict per component,
+        with no intermediate form.  Floats are refused: a float result is
+        not finished in Fractions.
         """
         if len(coeffs) != len(self.basis):
             raise ValueError(f"expected {len(self.basis)} coefficients, got {len(coeffs)}")
-        out = PolyForm.zero(self.n, self.k)
+        if any(isinstance(c, float) for c in coeffs):
+            raise TypeError("combine takes exact (Fraction or int) coefficients, not floats")
+        comps: dict = {}
         for c, mu in zip(coeffs, self.basis):
-            if isinstance(c, float):
-                raise TypeError("combine takes exact (Fraction or int) coefficients, not floats")
-            if c != 0:
-                out = out + c * mu
-        return out
+            if c:
+                for alpha, p in mu.comps.items():
+                    terms = comps.setdefault(alpha, {})
+                    for e, v in p.terms.items():
+                        terms[e] = terms.get(e, 0) + c * v
+        return PolyForm(self.n, self.k, {a: Polynomial(self.n, t) for a, t in comps.items()})
 
 
 class DofBasis:
@@ -377,8 +388,9 @@ class ReferenceElement:
         of the scaled DOF tests paired with the graph of S R.
 
         Returns the simplex's ``Scaling``, the matrix's integer rows and
-        their denominator.  One ``integer_moments`` call serves the
-        pairing and the second moments of S.
+        their denominator, with no factor common to all of them.  One
+        ``integer_moments`` call serves the pairing and the second moments
+        of S.
         """
         pairing = self._pairing
         moments, mden = simplex.integer_moments(pairing.exponents + self._squares)
@@ -387,7 +399,9 @@ class ReferenceElement:
         rows, den = pairing.contract(moments, mden)
         E, S = scaling.tests, scaling.shape  # E D S^T: row i of D S^T times E_ii
         matrix = [[e * sum(map(mul, row, s)) for s in S] for e, row in zip(E, rows)]
-        return scaling, matrix, den * scaling.tests_den * scaling.shape_den
+        den *= scaling.tests_den * scaling.shape_den
+        g = math.gcd(den, *(v for row in matrix for v in row))  # their common factor
+        return scaling, [[v // g for v in row] for row in matrix], den // g
 
     def tables(self, vertices, volumes, shape_scale, test_scale, order: int) -> dict:
         """Quadrature-node tables of a stack of planar 1-form elements.
@@ -427,12 +441,12 @@ class ReferenceElement:
 
         def at_nodes(members, out):  # out[:, i] = member i, (up, down, value), at the nodes
             for i, (up, down, value) in enumerate(members):
-                out[:, i, :, :2] = form_values(value, nodes)
-                out[:, i, :, 2:3] = form_values(up, nodes)
-                out[:, i, :, 3:] = form_values(down, nodes)
+                for w, cols in ((value, slice(0, 2)), (up, slice(2, 3)), (down, slice(3, 4))):
+                    if not w.is_zero():  # out starts at zero
+                        form_values(w, nodes, out[:, i, :, cols])
 
         stack, nq = nodes.shape[:2]
-        graph = np.empty((stack, space.dim, nq, 4))
+        graph = np.zeros((stack, space.dim, nq, 4))
         at_nodes(zip(space.d_basis, space.delta_basis, space.basis), graph)
         # sum_a S[:, i, a] graph[:, a] in order of a, less the terms zero on every element
         shape = np.zeros_like(graph)
@@ -440,7 +454,7 @@ class ReferenceElement:
             shape[:, i] += shape_scale[:, i, a, None, None] * graph[:, a]
         green = [(eta, zero0, -g) for eta, g in zip(tests.eta_basis, tests.eta_green)]
         green += [(zero2, tau, -d) for tau, d in zip(tests.tau_basis, tests.tau_d)]
-        rows = np.empty((stack, nq, 4, len(green)))
+        rows = np.zeros((stack, nq, 4, len(green)))
         at_nodes(green, np.moveaxis(rows, -1, 1))
         rows *= test_scale[:, None, None, :]  # scaled by E, then weighted
         rows *= weights[:, :, None, None]
@@ -457,25 +471,31 @@ class DofMatrix:
     """The local element on one simplex, built once and reused.
 
     Owns the simplex, its ``Scaling`` and the functional-by-shape matrix
-    (rows eta then tau, columns shape basis), exact and as floats (each
-    entry rounded once, on first read, and read-only).  A DofMatrix
-    builds no PolyForm; ``combine`` makes one member of its shape space
-    S R without building the space.
+    (rows eta then tau, columns shape basis) as ``ReferenceElement.pair``
+    computes it: Python-int ``rows`` over one denominator ``den``.  No
+    Fraction is built for an entry.  ``as_float`` divides each entry once,
+    on first read, and is read-only.  A DofMatrix builds no PolyForm;
+    ``combine`` makes one member of its shape space S R without building
+    the space.
     """
 
-    __slots__ = ("reference", "simplex", "scaling", "exact", "_float")
+    __slots__ = ("reference", "simplex", "scaling", "rows", "den", "_float")
 
-    def __init__(self, reference, simplex, scaling, exact):
+    def __init__(self, reference, simplex, scaling, rows, den):
         self.reference = reference
         self.simplex = simplex
         self.scaling = scaling
-        self.exact = exact
+        self.rows = rows
+        self.den = den
         self._float = None
 
     @property
     def as_float(self) -> np.ndarray:
+        """The matrix as floats: int / int rounds each exact entry once, as
+        float(Fraction) does."""
         if self._float is None:
-            self._float = np.array(self.exact, dtype=float)
+            den = self.den
+            self._float = np.array([[v / den for v in row] for row in self.rows])
             self._float.flags.writeable = False
         return self._float
 
@@ -498,19 +518,15 @@ class DofMatrix:
             [Fraction(sum(map(mul, ints, column)), lcd * den) for column in zip(*shape)]
         )
 
-    def cond(self) -> float:
-        return float(np.linalg.cond(self.as_float))
-
 
 def local_element(simplex: Simplex, k: int) -> DofMatrix:
     """The local element of k-forms on ``simplex``, 1 <= k <= n-1.
 
     Its DOF matrix E D S^T is one ``ReferenceElement.pair`` of the
-    reference element of (simplex.n, k).
+    reference element of (simplex.n, k), kept as its integer rows.
     """
     ref = reference_element(simplex.n, k)
-    scaling, rows, den = ref.pair(simplex)
-    return DofMatrix(ref, simplex, scaling, as_fractions(rows, den))
+    return DofMatrix(ref, simplex, *ref.pair(simplex))
 
 
 @dataclass(frozen=True, eq=False)
@@ -530,28 +546,35 @@ class FormCallback:
     delta: Callable[[np.ndarray], np.ndarray]
 
 
-def poly_values(p: Polynomial, centered: np.ndarray) -> np.ndarray:
-    """Evaluate a centered-coordinate polynomial at float points (..., n)."""
-    out = np.zeros(centered.shape[:-1])
+def poly_values(p: Polynomial, centered: np.ndarray, out: np.ndarray) -> None:
+    """Evaluate a centered-coordinate polynomial at float points (..., n) into ``out``."""
+    out[...] = 0.0
     for e, c in p.terms.items():
-        mono = np.full(centered.shape[:-1], float(c))
+        mono = float(c)  # c times the powers, left to right, broadcast at the first
         for j, power in enumerate(e):
             if power == 1:
                 mono = mono * centered[..., j]
             elif power > 1:
                 mono = mono * centered[..., j] ** power
         out += mono
-    return out
 
 
-def form_values(w: PolyForm, centered: np.ndarray) -> np.ndarray:
-    """Component values (..., #indices) in lexicographic index order."""
+def form_values(w: PolyForm, centered: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Component values (..., #indices) in lexicographic index order.
+
+    Each component is evaluated straight into its slot of ``out`` (any
+    view of that shape, such as a strided slice of a node table), or of
+    a new array; ``out`` is returned.
+    """
     idx = multi_indices(w.k, w.n)
-    out = np.zeros(centered.shape[:-1] + (len(idx),))
+    if out is None:
+        out = np.empty(centered.shape[:-1] + (len(idx),))
     for pos, alpha in enumerate(idx):
         p = w.comps.get(alpha)
-        if p is not None:
-            out[..., pos] = poly_values(p, centered)
+        if p is None:
+            out[..., pos] = 0.0
+        else:
+            poly_values(p, centered, out[..., pos])
     return out
 
 
@@ -592,10 +615,14 @@ def solve_dofs(values, matrix: DofMatrix, method: str = DIRECT) -> list[Fraction
     finished in Fractions.  DIRECT solves the full DofMatrix system.
     FOURSTEP solves the four decoupled blocks in sequence (delta part,
     constant part, d part, quadratic d part); the two agree exactly.
+    Each solve is one ``_bareiss`` on the matrix's integer rows augmented
+    with the right-hand side over its common denominator, so the only
+    Fractions built are the coefficients.  A singular system raises
+    ValueError.
     """
     if method not in (DIRECT, FOURSTEP):
         raise ValueError(f"unknown interpolation method {method!r}")
-    M, space, dofs = matrix.exact, matrix.reference.space, matrix.reference.tests
+    M, space, dofs = matrix.rows, matrix.reference.space, matrix.reference.tests
     if len(values) != len(M):
         raise ValueError(f"expected {len(M)} DOF values, got {len(values)}")
     inexact = [v for v in values if not isinstance(v, Rational)]
@@ -605,8 +632,17 @@ def solve_dofs(values, matrix: DofMatrix, method: str = DIRECT) -> list[Fraction
         )
 
     def solve(rows, cols, rhs):
-        sub = [[M[r][c] for c in cols] for r in rows]
-        return [x[0] for x in solve_rational(sub, [[v] for v in rhs])]
+        # (M / den) x = b / q is M y = b with x = den y / q
+        q = math.lcm(*(v.denominator for v in rhs))
+        aug = [
+            [*(M[r][c] for c in cols), v.numerator * (q // v.denominator)]
+            for r, v in zip(rows, rhs)
+        ]
+        done = _bareiss(aug, len(cols))
+        if done is None:
+            raise ValueError("singular rational system")
+        scale = q * done[1]  # row i of aug ends in det * y_i
+        return [Fraction(matrix.den * row[-1], scale) for row in aug]
 
     if method == DIRECT:
         every = list(range(space.dim))
@@ -632,5 +668,5 @@ def solve_dofs(values, matrix: DofMatrix, method: str = DIRECT) -> list[Fraction
     # step 4: quadratic block from koszul eta rows, less the constant part:
     # d mu0 = 0, so M[etak, P0] c[P0] = -<mu0, delta eta>
     p0 = space.blocks[P0]
-    step(etak, H2D, [values[r] - sum(M[r][c] * coeffs[c] for c in p0) for r in etak])
+    step(etak, H2D, [values[r] - sum(M[r][c] * coeffs[c] for c in p0) / matrix.den for r in etak])
     return coeffs

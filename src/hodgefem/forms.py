@@ -137,9 +137,13 @@ class Polynomial:
                 if len(expo) != n or any(e < 0 or not isinstance(e, int) for e in expo):
                     raise ValueError(f"bad exponent tuple {expo} for n={n}")
                 c = as_fraction(coeff)
-                if c != 0:
-                    clean[expo] = clean.get(expo, Fraction(0)) + c
-                    if clean[expo] == 0:
+                if c:
+                    prev = clean.get(expo)
+                    if prev is not None:
+                        c += prev
+                    if c:
+                        clean[expo] = c
+                    else:
                         del clean[expo]
         self.terms = clean
 
@@ -298,7 +302,10 @@ class PolyForm:
         return not self.comps
 
     def __add__(self, other: "PolyForm") -> "PolyForm":
-        self._check_compatible(other)
+        if self.n != other.n or self.k != other.k:
+            raise ValueError(
+                f"mixing a {self.k}-form in R^{self.n} with a {other.k}-form in R^{other.n}"
+            )
         out = dict(self.comps)
         for a, p in other.comps.items():
             q = out.get(a)
@@ -332,12 +339,6 @@ class PolyForm:
         return res
 
     __rmul__ = __mul__
-
-    def _check_compatible(self, other: "PolyForm") -> None:
-        if self.n != other.n or self.k != other.k:
-            raise ValueError(
-                f"mixing a {self.k}-form in R^{self.n} with a {other.k}-form in R^{other.n}"
-            )
 
     def __eq__(self, other) -> bool:
         return (

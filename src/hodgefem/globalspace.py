@@ -72,9 +72,11 @@ alive through the solve.
 B and Phi read the same stacked 6x6 data: B gathers the float Whitney
 rows, and Phi the float dual coefficients, by template index, cell and
 slot.  The kernel basis is held as per-function arrays (category,
-anchor, support cells, dual columns); the exact BasisFunctions
-(``functions``) are generated one at a time when read, from the closed
-forms' duals as Fractions.  The rank audit is one O(nnz) certificate
+anchor, support cells, dual columns); its exact entries are one table
+per template (``GlobalBasis.exact_duals``), the closed forms' duals in
+lowest terms as (shape index, numerator, denominator) of Python ints,
+from which the ``basis`` dump writes every line.  No Fraction is built
+for it.  The rank audit is one O(nnz) certificate
 from the float duals: with D = blockdiag(duals) over the cells, B D is a 0/1
 selection matrix whose disjoint rows prove that B has full row rank,
 which the saddle-point oracle needs.  The product space owns its B:
@@ -87,9 +89,6 @@ dependent row included, raises; there is no dense fallback.
 from __future__ import annotations
 
 from collections import namedtuple
-from collections.abc import Iterator
-from dataclasses import dataclass, field
-from fractions import Fraction
 
 import numpy as np
 import scipy.sparse as sp
@@ -105,7 +104,6 @@ __all__ = [
     "ProductSpace",
     "ConstraintSystem",
     "GlobalBasis",
-    "BasisFunction",
     "build_product_space",
     "build_constraints",
     "build_global_basis",
@@ -406,9 +404,6 @@ def _rounded(n, m) -> np.ndarray:
     return np.asarray(n / m, dtype=float)
 
 
-_fraction = np.frompyfunc(Fraction, 2, 1)
-
-
 class ConstraintSystem:
     """Sparse constraint matrix B: div rows for every vertex, then rot rows.
 
@@ -519,16 +514,6 @@ def _check_same_mesh(tri: Triangulation, built, what: str = "the product space")
         raise ValueError(f"{what} was built on another triangulation")
 
 
-@dataclass
-class BasisFunction:
-    """One member of the explicit kernel basis (support of one or two cells)."""
-
-    category: str
-    anchor: int
-    cells: tuple[int, ...]
-    entries: list[tuple[int, Fraction]] = field(repr=False)
-
-
 CATEGORIES = (DIV_PATCH, ROT_PATCH, ROT_CELL)
 
 
@@ -540,8 +525,8 @@ class GlobalBasis:
     coefficient column ``columns[j, 0]`` of cell ``cells[j, 0]`` minus
     column ``columns[j, 1]`` of cell ``cells[j, 1]`` (-1 for the
     single-cell ROT_CELL functions).  Dual columns 0..2 are mu^rot at
-    slots 0..2, columns 3..5 mu^div.  ``functions`` streams the exact
-    BasisFunctions, one at a time.
+    slots 0..2, columns 3..5 mu^div.  The exact entries of every function
+    are read from ``exact_duals``, one table per template.
     """
 
     def __init__(
@@ -564,34 +549,28 @@ class GlobalBasis:
     def __len__(self) -> int:
         return len(self.anchor)
 
-    @property
-    def functions(self) -> Iterator[BasisFunction]:
-        """Exact BasisFunctions in column order, entries (index, Fraction) in Phi's order.
+    def exact_duals(self) -> list[list[list[tuple[int, int, int]]]]:
+        """Every template's exact dual columns, as (shape index, numerator,
+        denominator) of each nonzero entry in lowest terms.
 
-        A fresh generator on every read: one function exists at a time
-        unless the caller keeps them.  The exact duals of all templates
-        are the closed forms over ``prod.shapes``, evaluated as Fractions
-        once per read.
+        table[t][k] is dual column k of template t, its entries in shape
+        index order.  One evaluation of the closed forms over
+        ``prod.shapes`` in Python ints, with no Fraction.  Every closed-form
+        denominator is positive (det > 0 on the counterclockwise cells), so
+        each entry is a Fraction's numerator and denominator.  A function's
+        column of Phi is the table column of its first cell, less that of
+        its second, at rows 6 cell + shape index.
         """
-        shapes, tix = self.prod.shapes, self.prod.template_index.tolist()
+        shapes = self.prod.shapes
         duals = _closed_forms(shapes, *_chebyshev_diameter(shapes)).duals
-        # per template and dual column, its nonzero (shape index, Fraction) entries
-        nonzero = [
-            [[(i, v) for i, v in enumerate(column) if v != 0] for column in zip(*rows)]
-            for rows in _evaluate(duals, len(shapes), _fraction).tolist()
+        num = _evaluate(duals, len(shapes), lambda n, m: n)
+        den = _evaluate(duals, len(shapes), lambda n, m: m)
+        g = np.gcd(num, den)  # entrywise over Python ints; a zero's is its denominator
+        num, den = (num // g).tolist(), (den // g).tolist()
+        return [
+            [[(i, n[k], d[k]) for i, (n, d) in enumerate(zip(ns, ds)) if n[k]] for k in range(6)]
+            for ns, ds in zip(num, den)
         ]
-
-        def entries(cell: int, col: int) -> list[tuple[int, Fraction]]:
-            return [(6 * cell + i, v) for i, v in nonzero[tix[cell]][col]]
-
-        for cat, a, (c0, c1), (k0, k1) in zip(
-            self.category.tolist(), self.anchor.tolist(), self.cells.tolist(), self.columns.tolist()
-        ):
-            if c1 < 0:
-                yield BasisFunction(CATEGORIES[cat], a, (c0,), entries(c0, k0))
-            else:
-                minus = [(idx, -v) for idx, v in entries(c1, k1)]
-                yield BasisFunction(CATEGORIES[cat], a, (c0, c1), entries(c0, k0) + minus)
 
     def counts(self) -> dict[str, int]:
         n = np.bincount(self.category, minlength=len(CATEGORIES))

@@ -194,7 +194,7 @@ class Triangulation:
 
     @cached_property
     def h(self) -> float:
-        """Largest edge length, equal to the largest ``Simplex.h`` of the cells."""
+        """Largest edge length over the cells, from the exact squared lengths."""
         num, den = self.scaled_points(self.edges)
         d = num[:, 1] - num[:, 0]
         # Python int division rounds each exact squared length once, as

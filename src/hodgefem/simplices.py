@@ -25,10 +25,11 @@ families) are paired on many simplices without rebuilding their blocks,
 and ``Pairing.against`` pairs a fixed first family with a new second
 family (the element's DOF rows with one form's graph) without
 rebuilding the first family's blocks.  ``_bareiss`` is the one exact
-elimination, fraction-free on integer rows: ``_gauss_jordan`` reduces
-rows of Fractions or ints to coprime integer rows for it, giving the
-solutions for ``solve_rational``, and ``Simplex`` runs it directly on
-its integer edge rows for the orientation and the volume.
+elimination, fraction-free on integer rows.  ``Simplex`` runs it on its
+integer edge rows for the orientation and the volume, and
+``element.solve_dofs`` on a DOF matrix's integer rows, augmented with
+the DOF values over their common denominator; no elimination in the
+package reads a Fraction.
 
 The float path rests on ``quadrature_rule``, a Grundmann-Moller simplex
 rule of odd degree 2s+1, valid in any dimension, with rational
@@ -48,17 +49,13 @@ from functools import lru_cache
 from itertools import combinations
 from operator import add, mul
 
-import numpy as np
-
 from .forms import PolyForm, as_fraction
 
 __all__ = [
     "Simplex",
     "Pairing",
-    "as_fractions",
     "gradient",
     "quadrature_rule",
-    "solve_rational",
 ]
 
 MIN_QUAD_ORDER = 2
@@ -97,50 +94,6 @@ def _bareiss(aug: list[list[int]], size: int) -> tuple[int, int] | None:
     return sign, prev
 
 
-def _gauss_jordan(matrix, rhs) -> tuple[Fraction, list[list[Fraction]] | None]:
-    """Exact fraction-free Gauss-Jordan elimination on [matrix | rhs].
-
-    Each row of [matrix | rhs] is first scaled to Python ints by the
-    least common denominator of its entries and divided by the greatest
-    common divisor of the result, which changes neither the solution
-    nor, up to the product of the scales, the determinant.  ``_bareiss``
-    then eliminates, and each entry of X and the determinant are one
-    Fraction each.  Returns (det(matrix), X) with matrix X = rhs, or
-    (0, None) when the matrix is singular.  ``rhs`` may have zero
-    columns, which leaves only the determinant.  Entries may be
-    Fractions or ints.
-    """
-    size = len(matrix)
-    aug = []
-    num = den = 1  # det(matrix) = det(aug) num / den
-    for r in range(size):
-        row = [*matrix[r], *rhs[r]]
-        lcd = math.lcm(*(v.denominator for v in row))
-        ints = [v.numerator * (lcd // v.denominator) for v in row]
-        g = math.gcd(*ints) or 1
-        aug.append([v // g for v in ints])
-        num *= g
-        den *= lcd
-    done = _bareiss(aug, size)
-    if done is None:
-        return Fraction(0), None
-    sign, prev = done
-    return Fraction(sign * prev * num, den), as_fractions([row[size:] for row in aug], prev)
-
-
-def solve_rational(matrix: list[list[Fraction]], rhs: list[list[Fraction]]) -> list[list[Fraction]]:
-    """Solve A X = B exactly (B given column-stacked as rows of rhs^T layout).
-
-    ``matrix`` is square (list of rows); ``rhs`` is a list of rows of the
-    right-hand side block (same row count as the matrix, any number of
-    columns).  Returns X as a list of rows.  Raises on singular input.
-    """
-    _, sol = _gauss_jordan(matrix, rhs)
-    if sol is None:
-        raise ValueError("singular rational system")
-    return sol
-
-
 def _raise(a: tuple[int, ...], v: int) -> tuple[int, ...]:
     """The exponent tuple a with entry v raised by one."""
     return (*a[:v], a[v] + 1, *a[v + 1 :])
@@ -175,10 +128,9 @@ class Simplex:
     their common denominator, and the orientation and exact ``volume``
     come from one ``_bareiss`` on the integer edge rows.  ``volume`` and
     ``barycenter`` are set at construction.  The centered vertices
-    ``centered``, the float diameter ``h``, ``h_scale`` (a rational
-    Chebyshev-metric diameter, an h-equivalent surrogate used where exact
-    rational scaling is needed), the second moments and the shape ratio
-    h / inradius are computed when first read.
+    ``centered``, ``h_scale`` (a rational Chebyshev-metric diameter, an
+    h-equivalent surrogate used where exact rational scaling is needed)
+    and the second moments are computed when first read.
     """
 
     __slots__ = (
@@ -189,9 +141,7 @@ class Simplex:
         "_points",
         "_den",
         "_centered",
-        "_h",
         "_h_scale",
-        "_shape_ratio",
         "_moments",
         "_centered_int",
         "_second_moments",
@@ -219,10 +169,9 @@ class Simplex:
         self.volume = Fraction(abs(det), den**n * math.factorial(n))
         self.barycenter = tuple(Fraction(sum(col), (n + 1) * den) for col in zip(*pts))
         self._points, self._den = pts, den
-        self._centered = self._h = self._h_scale = self._centered_int = None
+        self._centered = self._h_scale = self._centered_int = None
         self._moments: dict[tuple[int, ...], int] = {}
         self._second_moments: tuple[Fraction, ...] | None = None
-        self._shape_ratio: float | None = None
 
     def _units(self) -> tuple[tuple[tuple[int, ...], ...], int]:
         """The centered vertices as coprime integers U over one denominator d."""
@@ -244,15 +193,6 @@ class Simplex:
         return self._centered
 
     @property
-    def h(self) -> float:
-        """The float diameter (largest edge length), when first read."""
-        if self._h is None:
-            pts = self._points
-            d2 = max(sum((x - y) ** 2 for x, y in zip(a, b)) for a, b in combinations(pts, 2))
-            self._h = math.sqrt(d2 / self._den**2)  # int / int rounds once, as float(Fraction)
-        return self._h
-
-    @property
     def h_scale(self) -> Fraction:
         """The Chebyshev diameter, the largest |x_a^j - x_b^j|, when first read."""
         if self._h_scale is None:
@@ -272,27 +212,6 @@ class Simplex:
             num, den = self.integer_moments(squares)
             self._second_moments = tuple(Fraction(num[e], den) / self.volume for e in squares)
         return self._second_moments
-
-    @property
-    def shape_ratio(self) -> float:
-        """h / inradius, when first read."""
-        if self._shape_ratio is None:
-            self._shape_ratio = self.h / self._inradius()
-        return self._shape_ratio
-
-    def _inradius(self) -> float:
-        """n * volume / total facet measure, all in floats."""
-        verts = [np.array([float(x) for x in v]) for v in self.vertices]
-        total = 0.0
-        for skip in range(self.n + 1):
-            facet = [verts[i] for i in range(self.n + 1) if i != skip]
-            edges = np.array([facet[i + 1] - facet[0] for i in range(self.n - 1)])
-            if self.n == 1:
-                total += 1.0
-                continue
-            gram = edges @ edges.T
-            total += math.sqrt(max(np.linalg.det(gram), 0.0)) / math.factorial(self.n - 1)
-        return self.n * float(self.volume) / total
 
     def integer_moments(self, exponents) -> tuple[dict[tuple[int, ...], int], int]:
         """Exact integrals of centered monomials as Python ints over one denominator.
@@ -476,11 +395,6 @@ class Pairing:
                 col += [sum(map(mul, mrow, vrow)) for mrow in mrows]
         rows = [[sum(map(mul, urow, col)) for col in mv] for urow in self.u]
         return rows, self.den * mden
-
-
-def as_fractions(rows, den: int) -> list[list[Fraction]]:
-    """Integer rows over one denominator, one Fraction per entry."""
-    return [[Fraction(v, den) for v in row] for row in rows]
 
 
 def gradient(w: PolyForm) -> tuple[PolyForm, ...]:

@@ -9,14 +9,18 @@ Three groups of checks:
                      for constant eta, checked exactly on random simplices;
                      the Koszul families are paired once per (n, k) in
                      each call, so each simplex costs one moment set
-  unisolvence_suite  DOF matrix conditioning, the projection property of
-                     the interpolation (the float DOF matrix against
-                     quadrature of the Green functionals), and exact
-                     recovery of drawn coefficients by both
-                     interpolation algorithms on random triangles
+  unisolvence_suite  DOF matrix conditioning (one condition number
+                     call over the stacked float matrices), the
+                     projection property of the interpolation (the float
+                     DOF matrix against quadrature of the Green
+                     functionals), and exact recovery of drawn
+                     coefficients by both interpolation algorithms on
+                     random triangles, each drawn and tested for shape in
+                     integers and Python floats before a Simplex is built
 
 Every check returns a CheckResult; nothing raises on failure, so a
-caller can report the full picture.
+caller can report the full picture.  A singular DOF matrix, exactly or
+in floats, is the failed ``dof-matrix-cond-finite`` check.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 from operator import mul
 
 import numpy as np
@@ -265,23 +269,47 @@ def norm_suite(count: int = 100, seed: int = 0) -> list[CheckResult]:
     ]
 
 
+def _shape_ratio(points, den: int) -> float:
+    """h / inradius of the triangle with integer vertices ``points`` over
+    ``den``, counterclockwise, in Python floats.
+
+    The float vertices are exact here (``_rand_triangle``'s dyadic
+    coordinates), and each step rounds as the numpy evaluation of the same
+    formula (float vertex arrays, ``np.linalg.det`` of each facet's Gram
+    matrix) does, so the ratio is bit for bit that evaluation's: a facet's
+    length is the square root of exp(log(|e|^2)), which is how
+    ``np.linalg.det`` evaluates a 1 x 1 determinant.
+    """
+    d2 = max((a[0] - b[0]) ** 2 + (a[1] - b[1]) ** 2 for a, b in combinations(points, 2))
+    h = math.sqrt(d2 / den**2)  # int / int rounds once, as float(Fraction)
+    verts = [(x / den, y / den) for x, y in points]
+    total = 0.0
+    for skip in range(3):
+        (x0, y0), (x1, y1) = (verts[i] for i in range(3) if i != skip)
+        ex, ey = x1 - x0, y1 - y0
+        total += math.sqrt(math.exp(math.log(ex * ex + ey * ey)))
+    (x0, y0), (x1, y1), (x2, y2) = points
+    area = abs((x1 - x0) * (y2 - y0) - (y1 - y0) * (x2 - x0)) / (2 * den * den)
+    return h / (2 * area / total)
+
+
 def _rand_triangle(rng: random.Random) -> Simplex:
-    """Random shape-regular triangle, rational vertices, varied size."""
-    scale = Fraction(2) ** rng.randint(-4, 2)
+    """Random shape-regular triangle, rational vertices, varied size.
+
+    Each draw is tested on its integer coordinates over 1024 before a
+    Simplex is built, so a degenerate or too flat draw builds nothing.
+    """
+    shift = rng.randint(-4, 2) + 4  # coordinates k/64 times 2^(shift - 4), over 1024
     while True:
-        verts = [
-            (
-                Fraction(rng.randint(-64, 64), 64) * scale,
-                Fraction(rng.randint(-64, 64), 64) * scale,
-            )
-            for _ in range(3)
-        ]
-        try:
-            s = Simplex(verts)
-        except ValueError:
+        points = [(rng.randint(-64, 64) << shift, rng.randint(-64, 64) << shift) for _ in range(3)]
+        (x0, y0), (x1, y1), (x2, y2) = points
+        det = (x1 - x0) * (y2 - y0) - (y1 - y0) * (x2 - x0)
+        if det == 0:
             continue
-        if s.shape_ratio <= MAX_SHAPE_RATIO:
-            return s
+        if det < 0:  # the vertex order of Simplex: counterclockwise
+            points[1], points[2] = points[2], points[1]
+        if _shape_ratio(points, 1024) <= MAX_SHAPE_RATIO:
+            return Simplex([(Fraction(x, 1024), Fraction(y, 1024)) for x, y in points])
 
 
 def _projection_error(vertices, volumes, shape_scale, test_scale, M) -> float:
@@ -308,28 +336,38 @@ def _projection_error(vertices, volumes, shape_scale, test_scale, M) -> float:
 
 
 def unisolvence_suite(count: int = 1000, seed: int = 0) -> list[CheckResult]:
-    """DOF matrix conditioning and interpolation checks on random triangles."""
+    """DOF matrix conditioning and interpolation checks on random triangles.
+
+    The condition numbers are one ``np.linalg.cond`` of the stacked float
+    DOF matrices, after the loop.  A DOF matrix that is singular, exactly
+    (the exact solve finds no pivot) or in floats (an infinite condition
+    number), fails ``dof-matrix-cond-finite`` and ends the suite.
+    """
     rng = random.Random(seed + 2)
-    max_cond = 0.0
     mismatched = 0
+    singular = [CheckResult("dof-matrix-cond-finite", False, "singular matrix hit")]
     # per triangle: centered vertices, area, float S and E, float DOF matrix
     vertices, volumes, test_scale = np.empty((count, 3, 2)), np.empty(count), np.empty((count, 6))
     shape_scale, M = np.empty((count, 6, 6)), np.empty((count, 6, 6))
     for i in range(count):
         S = _rand_triangle(rng)
         matrix = local_element(S, 1)
-        cond = matrix.cond()
-        if not np.isfinite(cond):
-            return [CheckResult("dof-matrix-cond-finite", False, "singular matrix hit")]
-        max_cond = max(max_cond, cond)
         vertices[i], volumes[i], M[i] = S.centered, S.volume, matrix.as_float
         shape_scale[i], test_scale[i] = matrix.scaling.floats()
         # both algorithms return the coefficients of a generic member of
         # the space exactly, solving from one exact DOF evaluation
         drawn = [_rand_fraction(rng) for _ in range(6)]
         dofs = dof_values(matrix.combine(drawn), matrix)
-        if any(solve_dofs(dofs, matrix, method=m) != drawn for m in (DIRECT, FOURSTEP)):
+        try:  # the count and the exactness of dofs hold, so only a singular matrix raises
+            solved = [solve_dofs(dofs, matrix, method=m) for m in (DIRECT, FOURSTEP)]
+        except ValueError:
+            return singular
+        if any(x != drawn for x in solved):
             mismatched += 1
+    conds = np.linalg.cond(M)
+    if not np.all(np.isfinite(conds)):
+        return singular
+    max_cond = float(np.max(conds, initial=0.0))
     max_proj = _projection_error(vertices, volumes, shape_scale, test_scale, M)
     return [
         CheckResult(

@@ -92,14 +92,13 @@ def closed_form_templates(tri: Triangulation, prod) -> list[SimpleNamespace]:
     ``whitney`` and ``duals``.
     """
     from hodgefem.element import local_element
-    from hodgefem.globalspace import _chebyshev_diameter, _closed_forms, _evaluate, _fraction
-    from hodgefem.simplices import solve_rational
-    from reference import l2_gram, planar_element, simplex
+    from hodgefem.globalspace import _chebyshev_diameter, _closed_forms, _evaluate
+    from reference import exact, l2_gram, planar_element, simplex, solve_rational
 
-    exact = _closed_forms(prod.shapes, *_chebyshev_diameter(prod.shapes))
+    closed = _closed_forms(prod.shapes, *_chebyshev_diameter(prod.shapes))
     gram, whitney, duals, matrix = (
-        _evaluate(entries, len(prod.templates), _fraction).tolist()
-        for entries in (exact.gram, exact.whitney, exact.duals, exact.matrix)
+        _evaluate(entries, len(prod.templates), np.frompyfunc(Fraction, 2, 1)).tolist()
+        for entries in (closed.gram, closed.whitney, closed.duals, closed.matrix)
     )
     eye = [[Fraction(int(r == c)) for c in range(6)] for r in range(6)]
     out = []
@@ -108,7 +107,7 @@ def closed_form_templates(tri: Triangulation, prod) -> list[SimpleNamespace]:
         local = local_element(T, 1)
         _, graph, _, _, hat_rows = planar_element(T)
         hats = l2_gram(hat_rows, graph, T)
-        assert matrix[i] == local.exact
+        assert matrix[i] == exact(local)
         assert gram[i] == l2_gram(graph, graph, T)
         assert whitney[i] == hats
         assert duals[i] == solve_rational(hats, eye)

@@ -17,10 +17,24 @@ it with:
 * ``simplex``, the exact ``Simplex`` of one cell of a triangulation;
 * ``planar_element``, the planar element on a triangle built form by
   form with the forms calculus: shape forms, graph, DOF tests and the
-  Green rows of the hat tests, the reference for the closed forms.
+  Green rows of the hat tests, the reference for the closed forms;
+* ``as_fractions`` and ``exact``, integer rows (a ``DofMatrix``'s among
+  them) as one Fraction per entry;
+* ``gauss_jordan`` and ``solve_rational``, exact elimination on rows of
+  Fractions, the reference for ``element.solve_dofs``;
+* ``diameter`` and ``shape_ratio``, a simplex's float h and h /
+  inradius evaluated with numpy, the reference for the verification
+  suite's float shape test;
+* ``basis_functions``, the kernel basis as exact ``BasisFunction``s
+  with Fraction entries, built from ``GlobalBasis.exact_duals``.
 """
 
+import math
+from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import combinations
+
+import numpy as np
 
 from hodgefem.element import DofMatrix, ShapeSpace, build_h2d_form
 from hodgefem.forms import (
@@ -32,8 +46,113 @@ from hodgefem.forms import (
     koszul,
     wedge_sign,
 )
+from hodgefem.globalspace import CATEGORIES, GlobalBasis
 from hodgefem.mesh import Triangulation
-from hodgefem.simplices import Pairing, Simplex, _bareiss, as_fractions, gradient
+from hodgefem.simplices import Pairing, Simplex, _bareiss, gradient
+
+
+def as_fractions(rows, den: int) -> list[list[Fraction]]:
+    """Integer rows over one denominator, one Fraction per entry."""
+    return [[Fraction(v, den) for v in row] for row in rows]
+
+
+def exact(matrix: DofMatrix) -> list[list[Fraction]]:
+    """The DOF matrix of a local element, one Fraction per entry."""
+    return as_fractions(matrix.rows, matrix.den)
+
+
+def gauss_jordan(matrix, rhs) -> tuple[Fraction, list[list[Fraction]] | None]:
+    """Exact fraction-free Gauss-Jordan elimination on [matrix | rhs].
+
+    Each row of [matrix | rhs] is first scaled to Python ints by the
+    least common denominator of its entries and divided by the greatest
+    common divisor of the result, which changes neither the solution
+    nor, up to the product of the scales, the determinant.  ``_bareiss``
+    then eliminates, and each entry of X and the determinant are one
+    Fraction each.  Returns (det(matrix), X) with matrix X = rhs, or
+    (0, None) when the matrix is singular.  ``rhs`` may have zero
+    columns, which leaves only the determinant.  Entries may be
+    Fractions or ints.
+    """
+    size = len(matrix)
+    aug = []
+    num = den = 1  # det(matrix) = det(aug) num / den
+    for r in range(size):
+        row = [*matrix[r], *rhs[r]]
+        lcd = math.lcm(*(v.denominator for v in row))
+        ints = [v.numerator * (lcd // v.denominator) for v in row]
+        g = math.gcd(*ints) or 1
+        aug.append([v // g for v in ints])
+        num *= g
+        den *= lcd
+    done = _bareiss(aug, size)
+    if done is None:
+        return Fraction(0), None
+    sign, prev = done
+    return Fraction(sign * prev * num, den), as_fractions([row[size:] for row in aug], prev)
+
+
+def solve_rational(matrix, rhs) -> list[list[Fraction]]:
+    """Solve A X = B exactly: ``matrix`` square (rows), ``rhs`` the rows of B
+    (any number of columns).  Returns X as rows; raises on singular input."""
+    _, sol = gauss_jordan(matrix, rhs)
+    if sol is None:
+        raise ValueError("singular rational system")
+    return sol
+
+
+def diameter(T: Simplex) -> float:
+    """The float diameter (largest edge length) of T."""
+    d2 = max(sum((x - y) ** 2 for x, y in zip(a, b)) for a, b in combinations(T.vertices, 2))
+    return math.sqrt(d2)  # float(Fraction) rounds the exact square once
+
+
+def shape_ratio(T: Simplex) -> float:
+    """h / inradius of T, the inradius n |T| / (total facet measure) in numpy floats."""
+    verts = [np.array([float(x) for x in v]) for v in T.vertices]
+    total = 0.0
+    for skip in range(T.n + 1):
+        facet = [verts[i] for i in range(T.n + 1) if i != skip]
+        if T.n == 1:
+            total += 1.0
+            continue
+        edges = np.array([facet[i + 1] - facet[0] for i in range(T.n - 1)])
+        gram = edges @ edges.T
+        total += math.sqrt(max(np.linalg.det(gram), 0.0)) / math.factorial(T.n - 1)
+    return diameter(T) / (T.n * float(T.volume) / total)
+
+
+@dataclass
+class BasisFunction:
+    """One member of the explicit kernel basis (support of one or two cells)."""
+
+    category: str
+    anchor: int
+    cells: tuple[int, ...]
+    entries: list[tuple[int, Fraction]] = field(repr=False)
+
+
+def basis_functions(basis: GlobalBasis):
+    """The exact BasisFunctions in column order, entries (index, Fraction) in
+    Phi's order: a generator, one function at a time, over the table of
+    ``exact_duals``."""
+    table = [
+        [[(i, Fraction(n, d)) for i, n, d in column] for column in columns]
+        for columns in basis.exact_duals()
+    ]
+    tix = basis.prod.template_index.tolist()
+
+    def entries(cell: int, col: int, sign: int) -> list[tuple[int, Fraction]]:
+        return [(6 * cell + i, sign * v) for i, v in table[tix[cell]][col]]
+
+    for cat, a, (c0, c1), (k0, k1) in zip(
+        basis.category.tolist(), basis.anchor.tolist(), basis.cells.tolist(), basis.columns.tolist()
+    ):
+        if c1 < 0:
+            yield BasisFunction(CATEGORIES[cat], a, (c0,), entries(c0, k0, 1))
+        else:
+            both = entries(c0, k0, 1) + entries(c1, k1, -1)
+            yield BasisFunction(CATEGORIES[cat], a, (c0, c1), both)
 
 
 def l2_gram(us, vs, simplex: Simplex) -> list[list[Fraction]]:

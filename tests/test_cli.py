@@ -187,16 +187,18 @@ def test_basis_accepts_a_mesh_file_with_a_corner_off_the_interior(tmp_path):
         ),
         (["--mesh-file", "{jitter}"], "9157df78248415a063c6170fc90a0cbcea39808598f808570a85bc713ee35788"),
         (["--mesh-file", "{jitter8}"], "504cab6fad0c9f7b20cc9e4bc6006f2437098bc77efd963190d6b550758e2f68"),
+        (["--mesh-file", "{jitter32}"], "6064d90dd1184c5f1b1b95d5db17047ef4f02402b0e2ff374cf8af88f51e5677"),
     ],
 )
 def test_basis_dumps_keep_their_bytes(tmp_path, args, digest):
     """The exact basis of diagonal m = 4, crisscross m = 3 and the jittered mesh
-    files of m = 4 (seed 3) and m = 8 (seed 11: 128 cells, 127 templates),
-    pinned by the SHA-256 of the whole dump."""
-    meshes = {"jitter": (4, 3), "jitter8": (8, 11)}
-    for name, (m, seed) in meshes.items():
-        write_mesh(generate_jittered_mesh(m, seed), tmp_path / f"{name}.mesh")
+    files of m = 4 (seed 3), m = 8 (seed 11: 128 cells, 127 templates) and
+    m = 32 (seed 1: 2,048 cells), pinned by the SHA-256 of the whole dump."""
+    meshes = {"jitter": (4, 3), "jitter8": (8, 11), "jitter32": (32, 1)}
     paths = {name: tmp_path / f"{name}.mesh" for name in meshes}
+    for name, (m, seed) in meshes.items():
+        if "{" + name + "}" in args:
+            write_mesh(generate_jittered_mesh(m, seed), paths[name])
     out = tmp_path / "basis.jsonl"
     assert main(["basis", *(a.format(**paths) for a in args), "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest

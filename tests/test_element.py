@@ -40,7 +40,7 @@ import hodgefem.verify
 from hodgefem.simplices import Simplex
 from hodgefem.verify import unisolvence_suite
 
-from reference import l2_gram, shape_space
+from reference import exact, l2_gram, shape_space, solve_rational
 
 F = Fraction
 
@@ -180,7 +180,7 @@ def test_dof_values_of_a_callback_raise_naming_global_interpolate(n):
         dof_values(cb, matrix)
     # the exact path stays general
     vals = dof_values(PolyForm.basis(n, (1,)), matrix)
-    assert len(vals) == len(matrix.exact) and all(isinstance(v, F) for v in vals)
+    assert len(vals) == len(matrix.rows) and all(isinstance(v, F) for v in vals)
 
 
 @pytest.mark.parametrize("method", [DIRECT, FOURSTEP])
@@ -203,7 +203,7 @@ def test_scaled_conditioning_is_h_uniform():
     for p in range(0, 7, 2):
         s = F(1, 2**p)
         T = Simplex([(F(0), F(0)), (s, F(0)), (F(0), s)])
-        conds.append(local_element(T, 1).cond())
+        conds.append(np.linalg.cond(local_element(T, 1).as_float))
     assert max(conds) / min(conds) <= 1.0 + 1e-9
 
 
@@ -348,9 +348,38 @@ def test_combine_is_the_scaled_space_combination_without_the_space():
 
 
 def test_float_dof_matrix_is_rounded_once_and_read_only():
+    """``as_float`` divides the integer rows once: bit for bit
+    ``np.array(exact, dtype=float)``, in every dimension and degree."""
     matrix = local_element(rand_simplex(2, random.Random(5)), 1)
     first = matrix.as_float
     assert matrix.as_float is first
-    assert first.tolist() == [[float(v) for v in row] for row in matrix.exact]
+    assert first.tolist() == [[float(v) for v in row] for row in exact(matrix)]
     with pytest.raises(ValueError, match="read-only"):
         first[0, 0] = 1.0
+    rng = random.Random(8)
+    for n, k in ((2, 1), (3, 1), (3, 2)):
+        for _ in range(10):
+            matrix = local_element(rand_simplex(n, rng), k)
+            want = np.array(exact(matrix), dtype=float)
+            assert matrix.as_float.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_integer_row_solve_equals_the_fraction_reference(seed):
+    """``solve_dofs`` on the integer rows, both methods, returns the
+    solution of the Fraction Gauss-Jordan reference on the exact matrix,
+    on random triangles (mixed-size vertices) and random exact right-hand
+    sides, ints, small Fractions and coprime denominators near 10**20."""
+    rng = random.Random(seed)
+    for _ in range(12):
+        matrix = local_element(rand_simplex(2, rng), 1)
+        kinds = [
+            lambda: rng.randint(-9, 9),
+            lambda: F(rng.randint(-99, 99), rng.randint(1, 9)),
+            lambda: F(rng.randint(-(10**20), 10**20), 10**20 + rng.randint(1, 99)),
+        ]
+        values = [rng.choice(kinds)() for _ in range(6)]
+        want = [x[0] for x in solve_rational(exact(matrix), [[v] for v in values])]
+        for method in (DIRECT, FOURSTEP):
+            got = solve_dofs(values, matrix, method=method)
+            assert got == want and all(type(x) is F for x in got)

@@ -21,10 +21,20 @@ from hodgefem.element import form_values, reference_element
 from hodgefem.forms import PolyForm, Polynomial
 from hodgefem.globalspace import build_product_space
 from hodgefem.mesh import Triangulation
-from hodgefem.simplices import Simplex, _gauss_jordan, solve_rational
+from hodgefem.simplices import Simplex
 
 from conftest import closed_form_templates
-from reference import green_rows, integrate_poly, l2_gram, monomial_integral, planar_element
+from reference import (
+    diameter,
+    exact,
+    gauss_jordan,
+    green_rows,
+    integrate_poly,
+    l2_gram,
+    monomial_integral,
+    planar_element,
+    solve_rational,
+)
 
 BIG = 10**20
 
@@ -155,7 +165,7 @@ def _sympy_matrix(rows) -> sympy.Matrix:
 @given(data=st.data())
 def test_gauss_jordan_matches_sympy_after_a_row_swap(big, data):
     A, B = data.draw(swapped_systems(big))
-    det, X = _gauss_jordan(A, B)
+    det, X = gauss_jordan(A, B)
     want = _sympy_matrix(A).det()
     assert det == _fraction(want)
     if want == 0:
@@ -173,7 +183,7 @@ def test_singular_matrix_still_raises(big, data, weights):
     A, B = data.draw(swapped_systems(big))
     # the last row a rational combination of the others
     A[-1] = [sum((w * row[j] for w, row in zip(weights, A[:-1])), Fraction(0)) for j in range(len(A))]
-    assert _gauss_jordan(A, B) == (Fraction(0), None)
+    assert gauss_jordan(A, B) == (Fraction(0), None)
     with pytest.raises(ValueError):
         solve_rational(A, B)
 
@@ -181,9 +191,9 @@ def test_singular_matrix_still_raises(big, data, weights):
 def _reference_simplex(verts):
     """Orientation-normalized vertices, volume, barycenter, centered vertices,
     h, h_scale and second moments by eager Fraction formulas, with the
-    determinant from ``_gauss_jordan``."""
+    determinant from ``gauss_jordan``."""
     n = len(verts[0])
-    det, _ = _gauss_jordan([[p - q for p, q in zip(v, verts[0])] for v in verts[1:]], [[]] * n)
+    det, _ = gauss_jordan([[p - q for p, q in zip(v, verts[0])] for v in verts[1:]], [[]] * n)
     verts = list(verts)
     if det < 0:
         verts[-1], verts[-2] = verts[-2], verts[-1]
@@ -205,7 +215,7 @@ def test_simplex_equals_the_eager_fraction_reference(n, big, data):
     """Integer determinant and lazy attributes against the eager Fraction
     formulas, in both orientations; a degenerate simplex raises as before."""
     verts = [tuple(data.draw(rationals(big)) for _ in range(n)) for _ in range(n + 1)]
-    det, _ = _gauss_jordan([[p - q for p, q in zip(v, verts[0])] for v in verts[1:]], [[]] * n)
+    det, _ = gauss_jordan([[p - q for p, q in zip(v, verts[0])] for v in verts[1:]], [[]] * n)
     if det == 0:
         with pytest.raises(ValueError, match=r"^degenerate simplex \(zero volume\)$"):
             Simplex(verts)
@@ -213,9 +223,10 @@ def test_simplex_equals_the_eager_fraction_reference(n, big, data):
     for given_verts in (verts, [*verts[:-2], verts[-1], verts[-2]]):
         T = Simplex(given_verts)
         want = _reference_simplex(given_verts)
-        got = (T.vertices, T.volume, T.barycenter, T.centered, T.h, T.h_scale, T.second_moments)
+        h = diameter(T)
+        got = (T.vertices, T.volume, T.barycenter, T.centered, h, T.h_scale, T.second_moments)
         assert got == want
-        assert type(T.h) is float and all(type(x) is Fraction for x in (T.volume, T.h_scale))
+        assert type(h) is float and all(type(x) is Fraction for x in (T.volume, T.h_scale))
     # an affine combination of the others as the last vertex: zero volume
     weights = [data.draw(rationals(False)) for _ in range(n)]
     last = tuple(
@@ -265,7 +276,7 @@ def test_reference_element_equals_the_element_built_form_by_form(kind, orientati
     elements = [planar_element(T) for T in triangles]
     for T, t, (shape, graph, etas, taus, hat_rows) in zip(triangles, templates, elements):
         assert t.gram == l2_gram(graph, graph, T)
-        assert t.matrix.exact == l2_gram(green_rows(etas, taus), graph, T)
+        assert exact(t.matrix) == l2_gram(green_rows(etas, taus), graph, T)
         whitney = l2_gram(hat_rows, graph, T)
         assert t.whitney == whitney
         assert t.duals == solve_rational(whitney, eye)

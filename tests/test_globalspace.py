@@ -40,7 +40,8 @@ from hodgefem.globalspace import (
 from hodgefem.solver import assemble
 
 from conftest import MESHES, closed_form_templates
-from reference import hat_coefficients, l2_gram, shape_space, simplex
+import reference
+from reference import basis_functions, exact, hat_coefficients, l2_gram, shape_space, simplex
 
 
 def _setup(m, pattern=DIAGONAL):
@@ -106,7 +107,7 @@ def test_product_space_builds_no_simplex_and_a_read_template_builds_one(monkeypa
     monkeypatch.setattr(hodgefem.simplices.Simplex, "__init__", counting_init)
     prod = build_product_space(tri)
     basis = build_global_basis(tri, prod)
-    assert sum(len(fn.entries) for fn in basis.functions) == basis.Phi.nnz
+    assert sum(len(fn.entries) for fn in basis_functions(basis)) == basis.Phi.nnz
     assert len(prod.templates) == 4
     assert built == []
     # the reference builds one simplex per template, and reads the same key
@@ -125,10 +126,10 @@ def test_float_stacks_round_each_exact_template_entry_once(mesh):
     assert prod.vertices.shape == (n, 3, 2)
     for i, t in enumerate(closed_form_templates(mesh, prod)):
         for name in ("gram", "whitney", "duals"):
-            exact = getattr(t, name)
-            assert getattr(prod, name)[i].tolist() == [[float(v) for v in row] for row in exact]
+            entries = getattr(t, name)
+            assert getattr(prod, name)[i].tolist() == [[float(v) for v in row] for row in entries]
         assert prod.vertices[i].tolist() == [[float(x) for x in p] for p in t.simplex.centered]
-        matrix = np.array([[float(v) for v in row] for row in t.matrix.exact])
+        matrix = np.array([[float(v) for v in row] for row in exact(t.matrix)])
         assert np.abs(prod.minv[i] @ matrix - np.eye(6)).max() <= 1e-12
     # a table of per-cell rows applies each cell's template block
     rows = np.random.default_rng(3).standard_normal((len(mesh.cells), 6))
@@ -188,7 +189,7 @@ def test_product_space_builds_no_exact_object_and_a_read_template_one_moment_cal
     assert made == []
     assert moments == []
     basis = build_global_basis(tri, prod)
-    assert all(fn.entries for fn in basis.functions)
+    assert all(fn.entries for fn in basis_functions(basis))
     assert set(made) == {"Fraction"}
     assert moments == []
     simplices = [simplex(tri, c) for c in prod.templates.tolist()]
@@ -260,7 +261,8 @@ def test_jittered_meshes_have_exact_duals_and_the_full_basis(m, seed):
 
 def test_the_basis_dump_pairs_no_template_and_builds_no_simplex(tmp_path, monkeypatch):
     """``basis --mesh-file`` takes its exact duals from the closed forms: no
-    ``ReferenceElement.pair``, ``solve_rational`` or ``Simplex`` construction."""
+    ``ReferenceElement.pair``, exact elimination (``_bareiss``, wherever it
+    is bound) or ``Simplex`` construction."""
     mesh = tmp_path / "jitter4.mesh"
     write_mesh(MESHES["jitter4"](), mesh)
     calls = []
@@ -276,9 +278,8 @@ def test_the_basis_dump_pairs_no_template_and_builds_no_simplex(tmp_path, monkey
     pair = element.ReferenceElement.pair
     monkeypatch.setattr(element.ReferenceElement, "pair", counting("pair", pair))
     monkeypatch.setattr(simplices.Simplex, "__init__", counting("Simplex", simplices.Simplex.__init__))
-    for module in (simplices, element, hodgefem.globalspace):
-        if hasattr(module, "solve_rational"):
-            monkeypatch.setattr(module, "solve_rational", counting("solve", module.solve_rational))
+    for module in (simplices, element, reference):
+        monkeypatch.setattr(module, "_bareiss", counting("eliminate", module._bareiss))
     out = tmp_path / "basis.jsonl"
     assert main(["basis", "--mesh-file", str(mesh), "--out", str(out)]) == 0
     assert len(out.read_text().splitlines()) > 1
@@ -286,7 +287,7 @@ def test_the_basis_dump_pairs_no_template_and_builds_no_simplex(tmp_path, monkey
     # the counters are live: the reference on one template trips each of them
     tri = MESHES["jitter4"]()
     closed_form_templates(tri, build_product_space(tri))
-    assert {"pair", "Simplex", "solve"} <= set(calls)
+    assert {"pair", "Simplex", "eliminate"} <= set(calls)
 
 
 def _exact_nonzeros_of_B(tri, prod) -> int:
@@ -322,13 +323,13 @@ def test_float_view_is_the_exact_template_data_rounded_once(case):
             floats = getattr(prod, name)[i]
             assert (floats == 0).tolist() == [[v == 0 for v in row] for row in exact]
         for name in ("gram", "whitney", "duals"):
-            exact = getattr(t, name)
-            assert getattr(prod, name)[i].tolist() == [[float(v) for v in row] for row in exact]
+            entries = getattr(t, name)
+            assert getattr(prod, name)[i].tolist() == [[float(v) for v in row] for row in entries]
         assert prod.volumes[i] == float(t.simplex.volume)
     matrices = np.array([t.matrix.as_float for t in templates])
     assert np.array_equal(prod.minv, np.linalg.inv(matrices))
     basis = build_global_basis(tri, prod)
-    assert basis.Phi.nnz == sum(len(fn.entries) for fn in basis.functions)
+    assert basis.Phi.nnz == sum(len(fn.entries) for fn in basis_functions(basis))
     assert build_constraints(tri, prod).B.nnz == _exact_nonzeros_of_B(tri, prod)
 
 
@@ -362,12 +363,12 @@ def test_vectorised_phi_matches_exact_functions(mesh):
     prod = build_product_space(mesh)
     basis = build_global_basis(mesh, prod)
     dense = np.zeros(basis.Phi.shape)
-    for j, fn in enumerate(basis.functions):
+    for j, fn in enumerate(basis_functions(basis)):
         for idx, val in fn.entries:
             dense[idx, j] = float(val)
     assert np.array_equal(basis.Phi.toarray(), dense)
-    assert basis.Phi.nnz == sum(len(fn.entries) for fn in basis.functions)
-    for j, fn in enumerate(basis.functions):
+    assert basis.Phi.nnz == sum(len(fn.entries) for fn in basis_functions(basis))
+    for j, fn in enumerate(basis_functions(basis)):
         assert (fn.category, fn.anchor) == (
             CATEGORIES[basis.category[j]],
             basis.anchor[j],
@@ -552,7 +553,7 @@ def test_supports_and_anchored_counts():
     tri, prod, cons = _setup(4)
     basis = build_global_basis(tri, prod)
     interior = set(tri.interior_vertices)
-    for fn in basis.functions:
+    for fn in basis_functions(basis):
         assert len(fn.cells) in (1, 2)
         if fn.category == ROT_CELL:
             assert len(fn.cells) == 1

@@ -28,7 +28,7 @@ from hodgefem.mesh import (
 from hodgefem.solver import _kernel_coordinates, assemble, solve_oracle, solve_system
 
 from conftest import _coprime, parallel_diagonal_mesh
-from reference import barycentric_coordinates, simplex
+from reference import barycentric_coordinates, diameter, simplex
 
 
 def fans(tri):
@@ -181,7 +181,7 @@ def test_scaled_points_are_exact_over_each_cells_own_denominator(mesh):
 
 
 def test_h_is_the_largest_simplex_diameter(mesh):
-    assert mesh.h == max(simplex(mesh, c).h for c in range(len(mesh.cells)))
+    assert mesh.h == max(diameter(simplex(mesh, c)) for c in range(len(mesh.cells)))
 
 
 @pytest.mark.parametrize("m", [2, 4])

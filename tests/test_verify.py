@@ -1,16 +1,31 @@
-"""The verification suites' own machinery: the paired norm route and the
-blocked projection check."""
+"""The verification suites' own machinery: the paired norm route, the
+blocked projection check, the stacked condition numbers, the float shape
+test of the random triangles and the report of a singular DOF matrix."""
 
 import hashlib
+import json
+import random
+from fractions import Fraction
 
 import numpy as np
 
 import hodgefem.element
 import hodgefem.verify
+from hodgefem.cli import main
+from hodgefem.element import DofMatrix
 from hodgefem.forms import Polynomial, PolyForm, exterior_derivative, koszul
-from hodgefem.verify import NORM_CASES, _norm_draws, full_suite, norm_suite, unisolvence_suite
+from hodgefem.simplices import Simplex
+from hodgefem.verify import (
+    MAX_SHAPE_RATIO,
+    NORM_CASES,
+    _norm_draws,
+    _shape_ratio,
+    full_suite,
+    norm_suite,
+    unisolvence_suite,
+)
 
-from reference import h1_seminorm_sq, l2_gram
+from reference import h1_seminorm_sq, l2_gram, shape_ratio
 
 
 def test_paired_norm_sides_equal_the_direct_route():
@@ -100,3 +115,93 @@ def test_full_suite_draws_keep_their_exact_vertices(monkeypatch):
     assert len(drawn) == 86
     digest = "f7c71ad8c4eacbb0c1d23301bddb52beb900f3f7f941c5a0205b23a8ff6dd315"
     assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def _singular_second_element(monkeypatch):
+    """Patch the suite's ``local_element`` so that the second triangle's DOF
+    matrix has row 1 = 3/7 row 0: exactly singular, with a finite float
+    condition number.  Returns the list of the float condition numbers seen."""
+    local_element = hodgefem.verify.local_element
+    conds = []
+
+    def patched(simplex, k):
+        matrix = local_element(simplex, k)
+        if len(conds) == 1:
+            rows = [[7 * v for v in row] for row in matrix.rows]
+            rows[1] = [3 * v for v in matrix.rows[0]]
+            matrix = DofMatrix(matrix.reference, simplex, matrix.scaling, rows, 7 * matrix.den)
+        conds.append(np.linalg.cond(matrix.as_float))
+        return matrix
+
+    monkeypatch.setattr(hodgefem.verify, "local_element", patched)
+    return conds
+
+
+def test_an_exactly_singular_dof_matrix_fails_the_cond_check(monkeypatch):
+    """The exact solve of a singular DOF matrix raises inside the suite; the
+    suite reports it as the failed ``dof-matrix-cond-finite`` check instead."""
+    conds = _singular_second_element(monkeypatch)
+    results = unisolvence_suite(count=4, seed=0)
+    assert len(conds) == 2 and np.isfinite(conds[1])
+    assert [(r.name, r.passed, r.detail) for r in results] == [
+        ("dof-matrix-cond-finite", False, "singular matrix hit")
+    ]
+
+
+def test_verify_exits_one_on_an_exactly_singular_dof_matrix(monkeypatch, tmp_path, capsys):
+    """``hodgefem verify`` reports the singular matrix as a failed check with
+    exit 1, not as bad usage (exit 2)."""
+    _singular_second_element(monkeypatch)
+    out = tmp_path / "report.json"
+    args = ["verify", "--simplices", "1", "--triangles", "3", "--out", str(out)]
+    assert main(args) == 1
+    report = json.loads(out.read_text())
+    assert report["failed"] == 1
+    assert report["checks"][-1] == {
+        "name": "dof-matrix-cond-finite",
+        "passed": False,
+        "detail": "singular matrix hit",
+    }
+    assert "FAIL dof-matrix-cond-finite: singular matrix hit" in capsys.readouterr().err
+
+
+def test_stacked_condition_numbers_equal_the_per_matrix_ones(monkeypatch):
+    """One ``np.linalg.cond`` of the stacked float DOF matrices equals the
+    per-matrix condition numbers bit for bit, and the reported max is theirs."""
+    local_element = hodgefem.verify.local_element
+    floats = []
+
+    def recording(simplex, k):
+        matrix = local_element(simplex, k)
+        floats.append(matrix.as_float)
+        return matrix
+
+    monkeypatch.setattr(hodgefem.verify, "local_element", recording)
+    results = {r.name: r for r in unisolvence_suite(count=40, seed=3)}
+    stacked = np.linalg.cond(np.array(floats))
+    each = np.array([np.linalg.cond(m) for m in floats])
+    assert len(floats) == 40 and stacked.tobytes() == each.tobytes()
+    want = f"max cond {float(each.max()):.3e} over 40 triangles"
+    assert results["dof-matrix-cond-finite"].detail == want
+
+
+def test_float_shape_ratio_equals_the_numpy_evaluation():
+    """``_shape_ratio`` on integer points over 1024 is bit for bit the numpy
+    evaluation of h / inradius on the exact triangle, on draws as
+    ``_rand_triangle`` makes them, kept or rejected, in both orientations."""
+    rng = random.Random(4)
+    kept_draws = 0
+    for _ in range(400):
+        power = rng.randint(-4, 2)
+        ints = [(rng.randint(-64, 64), rng.randint(-64, 64)) for _ in range(3)]
+        points = [(x << (power + 4), y << (power + 4)) for x, y in ints]
+        verts = [(Fraction(x, 1024), Fraction(y, 1024)) for x, y in points]
+        try:
+            T = Simplex(verts)
+        except ValueError:
+            continue
+        ccw = [tuple(int(x * 1024) for x in v) for v in T.vertices]
+        got = _shape_ratio(ccw, 1024)
+        assert np.float64(got).tobytes() == np.float64(shape_ratio(T)).tobytes()
+        kept_draws += got <= MAX_SHAPE_RATIO
+    assert 0 < kept_draws < 400
