@@ -8,13 +8,15 @@ Subcommands:
   basis         dump the global kernel basis as JSON lines plus a
                 dimension audit
 
-Exit codes: 0 success, 1 a verification or audit check failed, 2 bad
-usage (a missing or unwritable path included), 3 numerical failure
-(solver breakdown or singular system).  A PCG that does not reach
-``--tol`` within its iteration cap is such a failure: ``solve`` names it
-on stderr and exits 3.  ``solve`` and ``interpolate`` write each CSV row
-as soon as its mesh is finished, so a failure keeps the rows of the
-meshes before it.
+Exit codes: 0 success, 1 a verification, audit or oracle check failed,
+2 bad usage (a missing or unwritable path included), 3 numerical failure
+(solver breakdown or singular system).  ``solve`` checks every mesh's
+PCG solution against the saddle point that preconditioned it, and exits
+1 when they disagree.  A PCG that does not reach ``--tol`` within its
+iteration cap is a numerical failure: ``solve`` names it on stderr and
+exits 3.  ``solve`` and ``interpolate`` write each CSV row as soon as
+its mesh is finished, so a failure keeps the rows of the meshes before
+it.
 
 A JSON config file can preload any long option (keys use either dashes
 or underscores); explicit command line flags win.  A key that is no
@@ -146,21 +148,20 @@ def cmd_study(args) -> int:
     as the mesh is finished, then the fitted energy rate on stderr.
 
     The command name, not the options, decides whether the study solves,
-    since a config file preloads ``--tol`` and ``--oracle`` for every
-    command.  Exit 1 when an oracle gap or residual is over its bound or
-    not a number.
+    since a config file preloads ``--tol`` for every command.  ``solve``
+    prints each mesh's oracle gap and residual on stderr, and exits 1
+    when one is over its bound or not a number.
     """
     from .solver import check_tol, fit_rate, study
 
     field = get_field(args.field)
     ms = _parse_refinements(args.refinements)
     _check_study_args(ms, args.quad_order)
-    header, tol, oracle_max_m = CSV_HEADER, None, None
+    header, tol = CSV_HEADER, None
     if args.command == "solve":
         check_tol(args.tol, "--tol")
         header, tol = CSV_HEADER_SOLVE, args.tol
-        oracle_max_m = {"on": max(ms), "auto": 4, "off": None}[args.oracle]
-    rows = study(field, ms, _PATTERNS[args.pattern], args.quad_order, tol, oracle_max_m)
+    rows = study(field, ms, _PATTERNS[args.pattern], args.quad_order, tol)
     done: list[StudyRow] = []
     status = 0
     with _output(args.out) as out:
@@ -282,16 +283,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--field", choices=sorted(FIELDS), default=DEFAULT_FIELD)
     _add_mesh_flags(p, "4,8,16,32")
     p.add_argument("--tol", type=float, default=1e-10)
-    p.add_argument(
-        "--oracle",
-        choices=["auto", "on", "off"],
-        default="auto",
-        help=(
-            "run the saddle-point cross-check, which eliminates the cells and "
-            "factors the multiplier system of B "
-            "(auto: meshes with m <= 4)"
-        ),
-    )
     p.add_argument("--out", type=str, help="output path (default stdout)")
     p.set_defaults(func=cmd_study)
 

@@ -12,6 +12,9 @@ The default field "polyflow" is polynomial (degree 7), satisfies both
 conditions, and is a gradient-plus-curl superposition with nonzero div
 and rot, so every error channel is exercised and all of its DOF and
 constraint integrands are integrated exactly by a degree-9 quadrature.
+"sinshear" and "affine" do not solve the model problem: the rot of
+"sinshear" does not vanish on the boundary, and neither do the rot and
+normal trace of "affine".
 """
 
 from __future__ import annotations
@@ -36,7 +39,6 @@ class SmoothField:
     f: Callable[[np.ndarray], np.ndarray]
     zero_normal_trace: bool
     zero_boundary_rot: bool
-    notes: str = ""
 
     @cached_property
     def _callback(self) -> FormCallback:
@@ -227,7 +229,6 @@ FIELDS: dict[str, SmoothField] = {
         f=_polyflow_f,
         zero_normal_trace=True,
         zero_boundary_rot=True,
-        notes="degree-7 polynomial; valid for membership, interpolation and solver studies",
     ),
     "sinshear": SmoothField(
         name="sinshear",
@@ -237,11 +238,6 @@ FIELDS: dict[str, SmoothField] = {
         f=_sinshear_f,
         zero_normal_trace=True,
         zero_boundary_rot=False,
-        notes=(
-            "sine shear; zero normal trace but rot does not vanish on the boundary, "
-            "so it is an interpolation target only: the model problem with its f has "
-            "a different solution"
-        ),
     ),
     "trigflow": SmoothField(
         name="trigflow",
@@ -251,7 +247,6 @@ FIELDS: dict[str, SmoothField] = {
         f=_trigflow_f,
         zero_normal_trace=True,
         zero_boundary_rot=True,
-        notes="trigonometric analogue of polyflow (non-polynomial convergence target)",
     ),
     "affine": SmoothField(
         name="affine",
@@ -261,7 +256,6 @@ FIELDS: dict[str, SmoothField] = {
         f=_affine_value,  # curl(const) = grad(const) = 0, so f = w
         zero_normal_trace=False,
         zero_boundary_rot=False,
-        notes="affine field inside every local shape space; interpolation error is zero",
     ),
 }
 

@@ -148,6 +148,13 @@ class Polynomial:
         self.terms = clean
 
     @classmethod
+    def _unchecked(cls, n: int, terms: dict[Exponents, Fraction]) -> "Polynomial":
+        """A polynomial of valid nonzero terms, built without ``__init__``'s checks."""
+        res = cls.__new__(cls)
+        res.n, res.terms = n, terms
+        return res
+
+    @classmethod
     def constant(cls, n: int, c) -> "Polynomial":
         return cls(n, {tuple([0] * n): c})
 
@@ -172,15 +179,10 @@ class Polynomial:
                 out.pop(e, None)
             else:
                 out[e] = s
-        res = Polynomial.__new__(Polynomial)
-        res.n, res.terms = self.n, out
-        return res
+        return Polynomial._unchecked(self.n, out)
 
     def __neg__(self) -> "Polynomial":
-        res = Polynomial.__new__(Polynomial)
-        res.n = self.n
-        res.terms = {e: -c for e, c in self.terms.items()}
-        return res
+        return Polynomial._unchecked(self.n, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
         return self + (-other)
@@ -197,16 +199,11 @@ class Polynomial:
                         out.pop(e, None)
                     else:
                         out[e] = s
-            res = Polynomial.__new__(Polynomial)
-            res.n, res.terms = self.n, out
-            return res
+            return Polynomial._unchecked(self.n, out)
         c = as_fraction(other)
         if c == 0:
             return Polynomial(self.n)
-        res = Polynomial.__new__(Polynomial)
-        res.n = self.n
-        res.terms = {e: c * v for e, v in self.terms.items()}
-        return res
+        return Polynomial._unchecked(self.n, {e: c * v for e, v in self.terms.items()})
 
     __rmul__ = __mul__
 
@@ -222,9 +219,7 @@ class Polynomial:
             de = list(e)
             de[j - 1] = p - 1
             out[tuple(de)] = c * p
-        res = Polynomial.__new__(Polynomial)
-        res.n, res.terms = self.n, out
-        return res
+        return Polynomial._unchecked(self.n, out)
 
     def _check_compatible(self, other: "Polynomial") -> None:
         if self.n != other.n:
@@ -287,6 +282,13 @@ class PolyForm:
         self.comps = clean
 
     @classmethod
+    def _unchecked(cls, n: int, k: int, comps: dict[MultiIndex, Polynomial]) -> "PolyForm":
+        """A k-form of valid nonzero components, built without ``__init__``'s checks."""
+        res = cls.__new__(cls)
+        res.n, res.k, res.comps = n, k, comps
+        return res
+
+    @classmethod
     def basis(cls, n: int, alpha: MultiIndex, coeff=1) -> "PolyForm":
         """coeff * dx^alpha, with coeff a scalar or Polynomial."""
         alpha = tuple(alpha)
@@ -314,15 +316,10 @@ class PolyForm:
                 out.pop(a, None)
             else:
                 out[a] = s
-        res = PolyForm.__new__(PolyForm)
-        res.n, res.k, res.comps = self.n, self.k, out
-        return res
+        return PolyForm._unchecked(self.n, self.k, out)
 
     def __neg__(self) -> "PolyForm":
-        res = PolyForm.__new__(PolyForm)
-        res.n, res.k = self.n, self.k
-        res.comps = {a: -p for a, p in self.comps.items()}
-        return res
+        return PolyForm._unchecked(self.n, self.k, {a: -p for a, p in self.comps.items()})
 
     def __sub__(self, other: "PolyForm") -> "PolyForm":
         return self + (-other)
@@ -334,9 +331,7 @@ class PolyForm:
             q = p * other
             if not q.is_zero():
                 out[a] = q
-        res = PolyForm.__new__(PolyForm)
-        res.n, res.k, res.comps = self.n, self.k, out
-        return res
+        return PolyForm._unchecked(self.n, self.k, out)
 
     __rmul__ = __mul__
 
@@ -369,10 +364,10 @@ def hodge_star(w: PolyForm) -> PolyForm:
     """
     out: dict[MultiIndex, Polynomial] = {}
     for alpha, p in w.comps.items():
-        beta = complement(alpha, w.n)
-        s = star_sign(alpha)
-        out[beta] = p if s == 1 else -p
-    return PolyForm(w.n, w.n - w.k, out)
+        # complement(alpha, n) without its check: alpha is a key of a valid form
+        beta = tuple(i for i in range(1, w.n + 1) if i not in alpha)
+        out[beta] = p if star_sign(alpha) == 1 else -p
+    return PolyForm._unchecked(w.n, w.n - w.k, out)
 
 
 def exterior_derivative(w: PolyForm) -> PolyForm:
@@ -395,7 +390,7 @@ def exterior_derivative(w: PolyForm) -> PolyForm:
                 out.pop(merged, None)
             else:
                 out[merged] = acc
-    return PolyForm(w.n, w.k + 1, out)
+    return PolyForm._unchecked(w.n, w.k + 1, out)
 
 
 def codifferential(w: PolyForm) -> PolyForm:
@@ -446,5 +441,5 @@ def koszul(w: PolyForm) -> PolyForm:
                 out.pop(reduced, None)
             else:
                 out[reduced] = acc
-    return PolyForm(w.n, w.k - 1, out)
+    return PolyForm._unchecked(w.n, w.k - 1, out)
 

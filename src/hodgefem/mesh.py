@@ -39,22 +39,20 @@ The mesh file format is line based and exact:
     i j k          (M lines; 0-based vertex ids)
 
 Coordinates with terminating decimal expansions are written as decimals,
-anything else as p/q, so write/read round-trips reproduce coordinates
+anything else as p/q, so format/parse round-trips reproduce coordinates
 bit for bit.
 
 The structured unit-square generators produce the DIAGONAL pattern
 (bottom-left to top-right diagonals, flipped in the corner squares
 (m - 1, 0) and (0, m - 1): the flip defines the pattern, and is not needed
 for validity) and the CRISSCROSS pattern (four triangles per square around
-a center vertex).  ``generate_jittered_mesh`` perturbs the DIAGONAL mesh
-by seeded exact rationals, so that almost every cell has its own shape.
+a center vertex).
 """
 
 from __future__ import annotations
 
 import math
 import operator
-import random
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain
@@ -69,9 +67,7 @@ __all__ = [
     "Triangulation",
     "check_mesh_parameter",
     "generate_square_mesh",
-    "generate_jittered_mesh",
     "read_mesh",
-    "write_mesh",
     "parse_mesh",
     "format_mesh",
 ]
@@ -424,24 +420,6 @@ def generate_square_mesh(m: int, pattern: str = DIAGONAL) -> Triangulation:
     return Triangulation(vertices, cells.reshape(-1, 3))
 
 
-def generate_jittered_mesh(m: int, seed: int) -> Triangulation:
-    """The DIAGONAL m x m mesh with each interior vertex moved by seeded exact rationals.
-
-    Each coordinate of an interior vertex moves by i / (16 m) with i a
-    uniform integer in -3..3 from ``random.Random(seed)``, in vertex
-    order, x before y: at most about a fifth of the mesh size, so the
-    mesh stays valid while almost every cell gets its own shape.
-    """
-    base = generate_square_mesh(m, DIAGONAL)
-    rng = random.Random(seed)
-    vertices = list(base.vertices)
-    for i in base.interior_vertices:  # ascending
-        x, y = vertices[i]
-        dx, dy = (Fraction(rng.randint(-3, 3), 16 * m) for _ in range(2))
-        vertices[i] = (x + dx, y + dy)
-    return Triangulation(vertices, base.cells)
-
-
 def _format_fraction(x: Fraction) -> str:
     """Exact decimal when the denominator is 2^a 5^b, else p/q."""
     q = x.denominator
@@ -533,8 +511,3 @@ def parse_mesh(text: str) -> Triangulation:
 def read_mesh(path) -> Triangulation:
     with open(path, "r", encoding="utf-8") as fh:
         return parse_mesh(fh.read())
-
-
-def write_mesh(tri: Triangulation, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(format_mesh(tri))

@@ -44,11 +44,11 @@ preconditions with M = K H K^T, so PCG stops in one or two iterations.
 The two paths stay independent checks of each other: PCG stops on the
 true residual of A u = b, so a wrong H makes PCG slow, not wrong, and a
 wrong oracle shows as a gap between the two broken fields, the
-cross-check used by the verification suite.
+cross-check that ``study`` makes on every solved mesh.
 
 ``study`` is the one convergence-study loop, behind both ``interpolate``
 and ``solve``: per mesh it takes either the interpolant or the PCG
-solution (with the oracle gap up to a chosen m) and its error norms.
+solution (with its oracle gap) and its error norms.
 """
 
 from __future__ import annotations
@@ -325,10 +325,10 @@ def solve_system(system: AssembledSystem, tol: float = 1e-10) -> SolveResult:
     the broken right-hand side K^T r (``HybridSystem``); M = A^-1 up to
     rounding.  The constraints, K and the factorization are built here, so
     their cost is part of the solve.  The factorization also solves the
-    saddle point for ``system.b_cell`` into ``system.saddle_point`` (for
-    ``solve_oracle``): one multiplier solve, 4-5% of an m = 128 solve
-    even when no oracle is asked for.  Raises the rank certificate's
-    ValueError when B cannot be certified.
+    saddle point for ``system.b_cell`` into ``system.saddle_point``, which
+    ``solve_oracle`` returns and ``study`` checks on every mesh: one
+    multiplier solve, 4-5% of an m = 128 solve.  Raises the rank
+    certificate's ValueError when B cannot be certified.
     """
     prod, basis = system.prod, system.basis
     cons = build_constraints(prod.tri, prod)
@@ -439,19 +439,17 @@ def study(
     pattern: str = DIAGONAL,
     quad_order: int = 6,
     tol: float | None = None,
-    oracle_max_m: int | None = None,
 ) -> Iterator[StudyRow]:
     """Interpolate a field, or solve for it, on a family of structured meshes.
 
     Yields one row per mesh as soon as it is finished.  With ``tol``
     None a row holds the interpolant's errors, and ``dofs`` is 6 * cells.
     With a ``tol`` it holds the errors of the PCG solve to that
-    tolerance, ``dofs`` is the kernel basis size, and ``cg_iters`` is
-    set; meshes with m at most ``oracle_max_m`` also get the relative
-    energy-norm gap to the saddle-point oracle and the oracle's
-    constraint residual.  The oracle is the saddle point that
-    ``solve_system`` recorded, so B is built, certified and factored once
-    per mesh, and no factorization outlives ``solve_system``.
+    tolerance, ``dofs`` is the kernel basis size, ``cg_iters`` is set,
+    and so are the relative energy-norm gap to the saddle-point oracle
+    and the oracle's constraint residual.  The oracle is the saddle point
+    that ``solve_system`` recorded, so B is built, certified and factored
+    once per mesh, and no factorization outlives ``solve_system``.
     ``wall_ms`` times mesh generation through the interpolant, or
     through the solve and its oracle check; the error norms come after.
     """
@@ -467,14 +465,13 @@ def study(
             result = solve_system(system, tol)
             u_cell = result.u_cell
             row.dofs, row.cg_iters = len(system.basis), result.iterations
-            if oracle_max_m is not None and m <= oracle_max_m:
-                oracle = solve_oracle(system, build_constraints(tri, prod))
-                diff = oracle.x_cell - u_cell
-                row.oracle_gap = math.sqrt(
-                    max(broken_energy_product(diff, diff, prod), 0.0)
-                    / max(broken_energy_product(oracle.x_cell, oracle.x_cell, prod), 1e-300)
-                )
-                row.oracle_residual = oracle.constraint_residual
+            oracle = solve_oracle(system, build_constraints(tri, prod))
+            diff = oracle.x_cell - u_cell
+            row.oracle_gap = math.sqrt(
+                max(broken_energy_product(diff, diff, prod), 0.0)
+                / max(broken_energy_product(oracle.x_cell, oracle.x_cell, prod), 1e-300)
+            )
+            row.oracle_residual = oracle.constraint_residual
         row.wall_ms = (time.perf_counter() - t0) * 1000.0
         row.errors = error_norms(u_cell, prod, field, quad_order=quad_order)
         yield row

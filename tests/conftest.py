@@ -1,5 +1,6 @@
 """Shared test meshes and the closed forms' exact template data."""
 
+import random
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -11,9 +12,32 @@ from hodgefem.mesh import (
     CRISSCROSS,
     DIAGONAL,
     Triangulation,
-    generate_jittered_mesh,
+    format_mesh,
     generate_square_mesh,
 )
+
+
+def generate_jittered_mesh(m: int, seed: int) -> Triangulation:
+    """The DIAGONAL m x m mesh with each interior vertex moved by seeded exact rationals.
+
+    Each coordinate of an interior vertex moves by i / (16 m) with i a
+    uniform integer in -3..3 from ``random.Random(seed)``, in vertex
+    order, x before y: at most about a fifth of the mesh size, so the
+    mesh stays valid while almost every cell gets its own shape.
+    """
+    base = generate_square_mesh(m, DIAGONAL)
+    rng = random.Random(seed)
+    vertices = list(base.vertices)
+    for i in base.interior_vertices:  # ascending
+        x, y = vertices[i]
+        dx, dy = (Fraction(rng.randint(-3, 3), 16 * m) for _ in range(2))
+        vertices[i] = (x + dx, y + dy)
+    return Triangulation(vertices, base.cells)
+
+
+def write_mesh(tri: Triangulation, path) -> None:
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(format_mesh(tri))
 
 
 def _coprime(m: int) -> Triangulation:

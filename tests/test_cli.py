@@ -16,9 +16,9 @@ import hodgefem.forms
 import hodgefem.globalspace
 import hodgefem.solver
 from hodgefem.cli import CSV_HEADER, CSV_HEADER_SOLVE, main
-from hodgefem.mesh import CRISSCROSS, generate_jittered_mesh, generate_square_mesh, write_mesh
+from hodgefem.mesh import CRISSCROSS, generate_square_mesh
 
-from conftest import parallel_diagonal_mesh
+from conftest import generate_jittered_mesh, parallel_diagonal_mesh, write_mesh
 
 
 def _verify_args(out, simplices=5, triangles=5):
@@ -121,7 +121,7 @@ def test_interpolate_csv_is_deterministic(tmp_path, capsys):
 
 
 def test_solve_runs_oracle_and_is_stable_modulo_timing(tmp_path, capsys):
-    args = ["solve", "--refinements", "2", "--oracle", "on"]
+    args = ["solve", "--refinements", "2"]
     f1, f2 = tmp_path / "a.csv", tmp_path / "b.csv"
     assert main(args + ["--out", str(f1)]) == 0
     err = capsys.readouterr().err
@@ -249,7 +249,7 @@ def test_config_refinements_do_not_reach_basis(tmp_path):
 
 def test_config_solve_options_do_not_make_interpolate_solve(tmp_path):
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"tol": 1e-8, "oracle": "on"}))
+    cfg.write_text(json.dumps({"tol": 1e-8}))
     plain, configured = tmp_path / "a.csv", tmp_path / "b.csv"
     assert main(["interpolate", "--refinements", "2", "--out", str(plain)]) == 0
     args = ["--config", str(cfg), "interpolate", "--refinements", "2", "--out", str(configured)]
@@ -268,6 +268,16 @@ def test_config_rejects_a_misspelt_key(tmp_path, capsys):
         assert main(args) == 2
         assert capsys.readouterr().err == "error reading config: unknown key 'refinments'\n"
         assert not out.exists()
+
+
+def test_config_key_oracle_is_unknown(tmp_path, capsys):
+    # solve checks the oracle on every mesh, so no option turns it on or off
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"oracle": "on"}))
+    out = tmp_path / "a.csv"
+    assert main(["--config", str(cfg), "solve", "--refinements", "2", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error reading config: unknown key 'oracle'\n"
+    assert not out.exists()
 
 
 def test_bad_usage_exits_with_code_two(tmp_path):
@@ -476,16 +486,36 @@ def test_a_nan_oracle_fails_solve(nan_in, tmp_path, monkeypatch, capsys):
 
     monkeypatch.setattr(hodgefem.solver, "solve_oracle", nan_oracle)
     out = tmp_path / "x.csv"
-    assert main(["solve", "--refinements", "2", "--oracle", "on", "--out", str(out)]) == 1
+    assert main(["solve", "--refinements", "2", "--out", str(out)]) == 1
     assert "nan" in capsys.readouterr().err
     assert len(out.read_text().splitlines()) == 2
+
+
+def test_a_gap_on_a_fine_mesh_fails_solve(tmp_path, monkeypatch, capsys):
+    # every mesh is checked, not only the coarse ones
+    real = hodgefem.solver.solve_oracle
+
+    def perturbed_at_m8(system, cons):
+        oracle = real(system, cons)
+        if len(system.prod.tri.cells) == 2 * 8 * 8:
+            return dataclasses.replace(oracle, x_cell=oracle.x_cell * (1 + 1e-6))
+        return oracle
+
+    monkeypatch.setattr(hodgefem.solver, "solve_oracle", perturbed_at_m8)
+    out = tmp_path / "x.csv"
+    assert main(["solve", "--refinements", "2,8", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "oracle m=2: energy gap" in err
+    gap = float(err.split("oracle m=8: energy gap ")[1].split(",")[0])
+    assert gap > 1e-8
+    assert len(out.read_text().splitlines()) == 3
 
 
 def test_stalled_pcg_exits_three_and_writes_only_the_header(tmp_path, capsys):
     # a tolerance below the rounding floor of b - A u cannot be met, so PCG
     # runs to its cap of max(38, 100 sqrt(38)) = 616 iterations at m = 2
     out = tmp_path / "x.csv"
-    args = ["solve", "--refinements", "2", "--oracle", "off", "--tol", "1e-300", "--out", str(out)]
+    args = ["solve", "--refinements", "2", "--tol", "1e-300", "--out", str(out)]
     assert main(args) == 3
     err = capsys.readouterr().err
     assert "error: conjugate gradients did not converge in 616 iterations (relative residual" in err

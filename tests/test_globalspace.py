@@ -22,9 +22,7 @@ from hodgefem.mesh import (
     CRISSCROSS,
     DIAGONAL,
     Triangulation,
-    generate_jittered_mesh,
     generate_square_mesh,
-    write_mesh,
 )
 from hodgefem.globalspace import (
     CATEGORIES,
@@ -39,7 +37,7 @@ from hodgefem.globalspace import (
 )
 from hodgefem.solver import assemble
 
-from conftest import MESHES, closed_form_templates
+from conftest import MESHES, closed_form_templates, generate_jittered_mesh, write_mesh
 import reference
 from reference import basis_functions, exact, hat_coefficients, l2_gram, shape_space, simplex
 

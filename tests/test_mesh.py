@@ -19,15 +19,13 @@ from hodgefem.mesh import (
     DIAGONAL,
     Triangulation,
     format_mesh,
-    generate_jittered_mesh,
     generate_square_mesh,
     parse_mesh,
     read_mesh,
-    write_mesh,
 )
 from hodgefem.solver import _kernel_coordinates, assemble, solve_oracle, solve_system
 
-from conftest import _coprime, parallel_diagonal_mesh
+from conftest import _coprime, generate_jittered_mesh, parallel_diagonal_mesh, write_mesh
 from reference import barycentric_coordinates, diameter, simplex
 
 

@@ -86,7 +86,6 @@ from hodgefem.mesh import CRISSCROSS, format_mesh, generate_square_mesh
 (out / "config.json").write_text(json.dumps({"field": "trigflow", "pattern": "crisscross"}))
 runs = [["verify", "--simplices", "1", "--triangles", "2"]]
 runs += [["solve", "--refinements", "2", "--field", name] for name in sorted(FIELDS)]
-runs[1] += ["--oracle", "on"]
 runs += [
     ["--config", str(out / "config.json"), "solve", "--refinements", "2"],
     ["interpolate", "--refinements", "2,3"],
@@ -125,17 +124,15 @@ print(json.dumps({"codes": codes, "never": sorted(never)}))
 
 # the package's functions that no command enters, each with its reason
 NOT_RUN_BY_A_COMMAND = {
-    "mesh.write_mesh": "mesh-file API: the commands only read mesh files",
-    "mesh.generate_jittered_mesh": "mesh API for callers: no command builds a jittered mesh",
     "verify.CheckResult.line": "runs only when a verification check fails",
 }
 
 
 def test_every_package_function_is_run_by_a_command(tmp_path):
-    """verify, solve for every field (with the oracle, and through a config
-    file), interpolate and basis on a mesh file, traced in one interpreter:
-    every module-level function and method of the package (dunders aside)
-    is entered, apart from the named ones."""
+    """verify, solve for every field (each checked against its oracle, and
+    one through a config file), interpolate and basis on a mesh file,
+    traced in one interpreter: every module-level function and method of
+    the package (dunders aside) is entered, apart from the named ones."""
     src = Path(hodgefem.__file__).resolve().parents[1]
     paths = [str(src), *filter(None, [os.environ.get("PYTHONPATH")])]
     run = subprocess.run(

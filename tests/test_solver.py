@@ -37,7 +37,6 @@ from hodgefem.mesh import (
     CRISSCROSS,
     DIAGONAL,
     Triangulation,
-    generate_jittered_mesh,
     generate_square_mesh,
 )
 from hodgefem.simplices import MAX_QUAD_ORDER, MIN_QUAD_ORDER
@@ -59,7 +58,7 @@ from hodgefem.solver import (
     study,
 )
 
-from conftest import MESHES, delaunay_mesh
+from conftest import MESHES, delaunay_mesh, generate_jittered_mesh
 from reference import barycentric_coordinates, simplex
 
 
@@ -328,7 +327,7 @@ def _count_certificates_and_factors(monkeypatch) -> tuple[dict, list]:
 
 def test_the_certificate_runs_once_and_the_study_factors_once_per_mesh(monkeypatch):
     runs, hybrids = _count_certificates_and_factors(monkeypatch)
-    rows = study(get_field("polyflow"), [2, 4], tol=1e-10, oracle_max_m=4)
+    rows = study(get_field("polyflow"), [2, 4], tol=1e-10)
     for row in rows:
         assert row.oracle_gap is not None
         # no factorization outlives the row that used it
@@ -649,7 +648,7 @@ def test_fit_rate_needs_two_distinct_mesh_sizes():
 
 def test_solver_study_tracks_oracle_and_interpolant():
     field = get_field("polyflow")
-    rows = list(study(field, [2, 4], tol=1e-10, oracle_max_m=4))
+    rows = list(study(field, [2, 4], tol=1e-10))
     for row in rows:
         assert row.cg_iters is not None and row.cg_iters > 0
         assert row.oracle_gap is not None and row.oracle_gap <= 1e-6
