@@ -60,8 +60,6 @@ if TYPE_CHECKING:
 
 __all__ = ["main"]
 
-_PATTERNS = {"diagonal": DIAGONAL, "crisscross": CRISSCROSS}
-
 CSV_HEADER = "mesh_m,h,dofs,l2_err,rot_err,div_err,energy_err"
 CSV_HEADER_SOLVE = CSV_HEADER + ",cg_iters,wall_ms"
 
@@ -69,7 +67,7 @@ CSV_HEADER_SOLVE = CSV_HEADER + ",cg_iters,wall_ms"
 def _load_mesh(args) -> Triangulation:
     if args.mesh_file:
         return read_mesh(args.mesh_file)
-    return generate_square_mesh(args.mesh_m, _PATTERNS[args.pattern])
+    return generate_square_mesh(args.mesh_m, args.pattern)
 
 
 def _parse_refinements(value) -> list[int]:
@@ -161,7 +159,7 @@ def cmd_study(args) -> int:
     if args.command == "solve":
         check_tol(args.tol, "--tol")
         header, tol = CSV_HEADER_SOLVE, args.tol
-    rows = study(field, ms, _PATTERNS[args.pattern], args.quad_order, tol)
+    rows = study(field, ms, args.pattern, args.quad_order, tol)
     done: list[StudyRow] = []
     status = 0
     with _output(args.out) as out:
@@ -249,7 +247,7 @@ def cmd_basis(args) -> int:
 
 
 def _add_mesh_flags(p, refinements_default):
-    p.add_argument("--pattern", choices=sorted(_PATTERNS), default="diagonal")
+    p.add_argument("--pattern", choices=(CRISSCROSS, DIAGONAL), default=DIAGONAL)
     p.add_argument(
         "--refinements",
         default=refinements_default,
@@ -289,7 +287,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("basis", help="dump the global basis (JSON lines + audit)")
     p.add_argument("--mesh-m", type=int, default=4)
     p.add_argument("--mesh-file", type=str, help="read the mesh from a file instead")
-    p.add_argument("--pattern", choices=sorted(_PATTERNS), default="diagonal")
+    p.add_argument("--pattern", choices=(CRISSCROSS, DIAGONAL), default=DIAGONAL)
     p.add_argument("--out", type=str, help="output path (default stdout)")
     p.set_defaults(func=cmd_basis)
     return parser
@@ -298,16 +296,15 @@ def build_parser() -> argparse.ArgumentParser:
 def _check_config_value(key, value, action: argparse.Action) -> None:
     """Raise ValueError naming ``key`` when a JSON value does not fit its option.
 
-    A string passes: argparse converts a string default with the option's
-    ``type=`` and reports a bad one itself.  Other values are kept as
-    they are, so an ``int`` option takes a JSON integer, a ``float``
-    option a JSON number, a ``str`` option (a path) nothing else, and an
-    option with choices one of them.
+    A string passes the type check: argparse converts a string default
+    with the option's ``type=`` and reports a bad one itself.  Other
+    values are kept as they are, so an ``int`` option takes a JSON
+    integer, a ``float`` option a JSON number and a ``str`` option (a
+    path) nothing else.  Argparse does not check a default against the
+    choices, so an option with choices takes one of them, a string too.
     """
-    if isinstance(value, str):
-        return
     kinds = {int: (int, "an integer"), float: ((int, float), "a number"), str: (str, "a string")}
-    if action.type in kinds:
+    if action.type in kinds and not isinstance(value, str):
         allowed, what = kinds[action.type]
         if isinstance(value, bool) or not isinstance(value, allowed):
             raise ValueError(f"key {key!r} takes {what}, got {value!r}")

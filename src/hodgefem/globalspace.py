@@ -38,7 +38,7 @@ over interior v of (d_v - 1) and ROT_CELL the sum over boundary v of d_v:
 6c - nv - n_int = 6c - rows(B) in all.  The rank certificate below proves
 rank(B) = rows(B), so that is the dimension of null(B).  B Phi = 0 by
 biorthogonality, and K Phi = I for the fan prefix sums K of the Whitney
-values (``solver._kernel_coordinates``), so the functions are independent.
+values (``GlobalBasis.kernel_coordinates``), so they are independent.
 
 Set-up costs cells plus templates, and no exact object per template.
 The template key of a cell is its centered vertex tuple; cells are
@@ -150,19 +150,16 @@ class ProductSpace:
     def __init__(self, tri: Triangulation):
         self.tri = tri
         nc = len(tri.cells)
-        num, den = tri.scaled_points(tri.corners)
+        num, den = tri.scaled_points(tri.cells)
         sums = num.sum(axis=1)  # 3 * den * barycenter
         # Python int division rounds each exact quotient once, as float(Fraction)
         self.barycenters = np.asarray(sums / (3 * den[:, None]), dtype=float).reshape(nc, 2)
         shapes = np.column_stack([3 * den, (3 * num - sums[:, None, :]).reshape(nc, 6)])
         reduced = shapes // np.gcd.reduce(shapes, axis=1)[:, None]
-        classes: dict[tuple, list[int]] = {}
-        for c, shape in enumerate(map(tuple, reduced.tolist())):
-            classes.setdefault(shape, []).append(c)
-        self.templates = np.array([cells[0] for cells in classes.values()], dtype=np.intp)
-        self.template_index = np.empty(nc, dtype=np.intp)
-        for i, cells in enumerate(classes.values()):
-            self.template_index[cells] = i
+        classes: dict[tuple, int] = {}  # numbered in order of their first cell
+        number = (classes.setdefault(key, len(classes)) for key in map(tuple, reduced.tolist()))
+        self.template_index = np.fromiter(number, np.intp, nc)
+        self.templates = np.unique(self.template_index, return_index=True)[1]
         # a cell's vertices are positively oriented, so in its simplex's order
         self.shapes = reduced[self.templates]
         d, xy = self.shapes[:, :1], self.shapes[:, 1:].reshape(-1, 3, 2)
@@ -489,7 +486,7 @@ def build_constraints(tri: Triangulation, prod: ProductSpace) -> ConstraintSyste
     _check_same_mesh(tri, prod)
     if prod._B is not None:
         return ConstraintSystem(prod, prod._B)
-    nv, nc, cells = len(tri.vertices), len(tri.cells), tri.corners
+    nv, nc, cells = len(tri.vertices), len(tri.cells), tri.cells
     rot_row = np.full(nv, -1, dtype=np.intp)
     rot_row[tri.interior_vertices] = nv + np.arange(len(tri.interior_vertices))
     # axes (cell, rot/div, slot, shape index): Whitney rows 0..2 are rot, 3..5 div
@@ -539,7 +536,6 @@ class GlobalBasis:
         Phi: sp.csr_matrix,
     ):
         self.prod = prod
-        self.dim = prod.dim
         self.category = category
         self.anchor = anchor
         self.cells = cells
@@ -572,6 +568,30 @@ class GlobalBasis:
             for ns, ds in zip(num, den)
         ]
 
+    def kernel_coordinates(self) -> sp.csr_matrix:
+        """K, the left inverse of Phi (K Phi = I), from the Whitney values.
+
+        A field of null(B) has, on a fan-difference function, the sum of its
+        Whitney values (``block_diagonal(whitney)``) over its fan up to the
+        function's first cell, and on a ROT_CELL function its own.  So K is
+        a segmented cumulative sum of the gathered Whitney values over each
+        run of functions with equal category and anchor (a ROT_CELL function
+        is a run of its own), taken as one sparse product.
+        """
+        n, cat, anchor = len(self), self.category, self.anchor
+        first = cat == CATEGORIES.index(ROT_CELL)
+        first[0] = True
+        first[1:] |= (cat[1:] != cat[:-1]) | (anchor[1:] != anchor[:-1])
+        start = np.flatnonzero(first)[np.cumsum(first) - 1]
+        # row j of the prefix picks the first (cell, dual column) of functions start[j]..j
+        length = np.arange(n) - start + 1
+        offset = np.cumsum(length) - length
+        members = np.arange(offset[-1] + length[-1]) - np.repeat(offset - start, length)
+        picks = 6 * self.cells[members, 0] + self.columns[members, 0]
+        indptr = np.append(offset, len(members))
+        prefix = sp.csr_matrix((np.ones(len(members)), picks, indptr), shape=(n, self.prod.dim))
+        return prefix @ self.prod.block_diagonal(self.prod.whitney)
+
     def counts(self) -> dict[str, int]:
         n = np.bincount(self.category, minlength=len(CATEGORIES))
         return {name: int(k) for name, k in zip(CATEGORIES, n)}
@@ -592,7 +612,7 @@ def build_global_basis(tri: Triangulation, prod: ProductSpace) -> GlobalBasis:
     slot).
     """
     _check_same_mesh(tri, prod)
-    nv, cells = len(tri.vertices), tri.corners
+    nv, cells = len(tri.vertices), tri.cells
     owner = np.repeat(np.arange(nv), np.diff(tri.fan_start))
     # fan positions j with j + 1 in the same fan, DIV_PATCH then ROT_PATCH
     div = np.flatnonzero(owner[1:] == owner[:-1])

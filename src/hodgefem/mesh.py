@@ -23,10 +23,12 @@ every point (Floater, Math. Comp. 72, 2003; Lipman, SIAM J. Imaging Sci.
 holes, winding 0 or -1 times, so the count stays 0 or 1.  (Two
 counterclockwise loops can bound a branched cover that folds the mesh.)
 
-The topology is one table of the 3 * cells half-edges, half-edge 3c + i
-running from ``cells[c][i]`` to ``cells[c][(i + 1) % 3]``, sorted once by
-undirected edge: that gives the sorted ``edges``, each half-edge's twin
-(-1 on the boundary), ``interior_vertices`` and the cell connectivity.
+The mesh is integer index tables: ``cells`` is the one read-only
+(cells, 3) intp array, with no per-cell tuple.  The topology is one table
+of the 3 * cells half-edges, half-edge 3c + i running from ``cells[c, i]``
+to ``cells[c, (i + 1) % 3]``, sorted once by undirected edge: that gives
+the sorted ``edges``, each half-edge's twin (-1 on the boundary), the
+intp array ``interior_vertices`` and the cell connectivity.
 The cells around vertex v, in fan order, are stored once as a CSR:
 ``fan_cells[fan_start[v]:fan_start[v + 1]]`` (see ``_fans``).
 
@@ -77,7 +79,10 @@ CRISSCROSS = "crisscross"
 
 
 class Triangulation:
-    """A validated conforming triangulation of a planar domain."""
+    """A validated conforming triangulation of a planar domain: exact Fraction
+    ``vertices``, the read-only (cells, 3) intp array ``cells``, each row
+    counterclockwise (clockwise input (a, b, c) is stored as (a, c, b)), and
+    the ascending intp array ``interior_vertices``."""
 
     def __init__(self, vertices, cells):
         self.vertices: list[tuple[Fraction, Fraction]] = [
@@ -111,19 +116,18 @@ class Triangulation:
             raise ValueError(invalid)
         if not len(checked):
             raise ValueError("mesh has no cells")
-        corners = np.where((area2 < 0)[:, None], checked[:, [0, 2, 1]], checked)
-        corners.flags.writeable = False
-        self.corners: np.ndarray = corners  # ``cells`` as one read-only (cells, 3) intp array
-        self.cells: list[tuple[int, int, int]] = list(zip(*corners.T.tolist()))
+        cells = np.where((area2 < 0)[:, None], checked[:, [0, 2, 1]], checked)
+        cells.flags.writeable = False
+        self.cells: np.ndarray = cells
 
-        nc = len(corners)
-        degree = np.bincount(corners.ravel(), minlength=nv)
+        nc = len(cells)
+        degree = np.bincount(cells.ravel(), minlength=nv)
         if (degree == 0).any():
             raise ValueError(f"vertex {int(np.argmax(degree == 0))} is not referenced by any cell")
 
         # the half-edge table, sorted once by undirected edge; stable, so
         # the half-edges of an edge keep cell order
-        origin, target = corners.ravel(), corners[:, [1, 2, 0]].ravel()
+        origin, target = cells.ravel(), cells[:, [1, 2, 0]].ravel()
         lo, hi = np.minimum(origin, target), np.maximum(origin, target)
         key = lo * nv + hi
         order = np.argsort(key, kind="stable")
@@ -157,13 +161,13 @@ class Triangulation:
 
         boundary = np.zeros(nv, dtype=bool)
         boundary[rim[0]] = boundary[rim[1]] = True
-        self.interior_vertices: list[int] = np.flatnonzero(~boundary).tolist()
+        self.interior_vertices: np.ndarray = np.flatnonzero(~boundary)
         self.fan_start, self.fan_cells = _fans(origin, twin, degree)
         if crossing is not None:
             raise ValueError(crossing)
         self._check_boundary_loops(*rim)
 
-        if not self.interior_vertices:
+        if not len(self.interior_vertices):
             self.warnings.append("mesh has no interior vertices")
 
         self.euler_characteristic = nv - len(self.edges) + nc
@@ -447,8 +451,7 @@ def format_mesh(tri: Triangulation) -> str:
     for (x, y) in tri.vertices:
         lines.append(f"{_format_fraction(x)} {_format_fraction(y)}")
     lines.append(f"cells {len(tri.cells)}")
-    for (a, b, c) in tri.cells:
-        lines.append(f"{a} {b} {c}")
+    lines.extend(f"{a} {b} {c}" for a, b, c in tri.cells.tolist())
     return "\n".join(lines) + "\n"
 
 

@@ -39,8 +39,9 @@ The primary path reduces to the kernel basis (A = Phi^T A_cell Phi) and
 runs preconditioned conjugate gradients.  The map b_cell -> x above is
 H = W (I - C^T S^-1 C) W^T = Phi A^-1 Phi^T, so with K any left inverse
 of Phi, K H K^T = A^-1 (the null-space identity).  ``solve_system`` takes
-K from the fan sums of the Whitney values (``_kernel_coordinates``) and
-preconditions with M = K H K^T, so PCG stops in one or two iterations.
+K from the fan sums of the Whitney values
+(``GlobalBasis.kernel_coordinates``) and preconditions with M = K H K^T,
+so PCG stops in one or two iterations.
 The two paths stay independent checks of each other: PCG stops on the
 true residual of A u = b, so a wrong H makes PCG slow, not wrong, and a
 wrong oracle shows as a gap between the two broken fields, the
@@ -64,8 +65,6 @@ import scipy.sparse.linalg as spla
 
 from .fields import SmoothField, as_callback
 from .globalspace import (
-    CATEGORIES,
-    ROT_CELL,
     ConstraintSystem,
     GlobalBasis,
     ProductSpace,
@@ -244,33 +243,6 @@ def solve_cg(
     )
 
 
-def _kernel_coordinates(basis: GlobalBasis, w: sp.spmatrix) -> sp.csr_matrix:
-    """Kernel coordinates of fields of null(B) from their Whitney values.
-
-    Column k of w holds the Whitney values of one field, row 6c + r for
-    Whitney row r of cell c.  Such a field has, on a fan-difference
-    function, the sum of w over its fan up to the function's first cell,
-    and on a ROT_CELL function its own w.  So the coordinates are a
-    segmented cumulative sum of the gathered Whitney values over each run
-    of functions with equal category and anchor (a ROT_CELL function is a
-    run of its own), taken as one sparse product.
-    """
-    n = len(basis)
-    cat, anchor = basis.category, basis.anchor
-    first = cat == CATEGORIES.index(ROT_CELL)
-    first[0] = True
-    first[1:] |= (cat[1:] != cat[:-1]) | (anchor[1:] != anchor[:-1])
-    start = np.flatnonzero(first)[np.cumsum(first) - 1]
-    # row j of the prefix picks the first (cell, dual column) of functions start[j]..j
-    length = np.arange(n) - start + 1
-    offset = np.cumsum(length) - length
-    members = np.arange(offset[-1] + length[-1]) - np.repeat(offset - start, length)
-    picks = 6 * basis.cells[members, 0] + basis.columns[members, 0]
-    indptr = np.append(offset, len(members))
-    prefix = sp.csr_matrix((np.ones(len(members)), picks, indptr), shape=(n, basis.dim))
-    return prefix @ w
-
-
 def _factor_spd(M: sp.spmatrix) -> spla.SuperLU:
     """``splu`` of a sparse SPD matrix: minimum degree on its symmetric
     pattern, diagonal pivots preferred."""
@@ -320,21 +292,21 @@ class SolveResult:
 def solve_system(system: AssembledSystem, tol: float = 1e-10) -> SolveResult:
     """CG on the reduced system, preconditioned by the cell-eliminated saddle point.
 
-    With K the kernel coordinates of the broken space (``_kernel_coordinates``
-    of the Whitney values), M r = K x, where x solves the saddle point for
-    the broken right-hand side K^T r (``HybridSystem``); M = A^-1 up to
-    rounding.  The constraints, K and the factorization are built here, so
-    their cost is part of the solve.  The factorization also solves the
-    saddle point for ``system.b_cell`` into ``system.saddle_point``, which
-    ``solve_oracle`` returns and ``study`` checks on every mesh: one
-    multiplier solve, 4-5% of an m = 128 solve.  Raises the rank
-    certificate's ValueError when B cannot be certified.
+    With K the left inverse of Phi from the Whitney values
+    (``GlobalBasis.kernel_coordinates``), M r = K x, where x solves the
+    saddle point for the broken right-hand side K^T r (``HybridSystem``);
+    M = A^-1 up to rounding.  The constraints, K and the factorization are
+    built here, so their cost is part of the solve.  The factorization
+    also solves the saddle point for ``system.b_cell`` into
+    ``system.saddle_point``, which ``solve_oracle`` returns and ``study``
+    checks on every mesh: one multiplier solve, 4-5% of an m = 128 solve.
+    Raises the rank certificate's ValueError when B cannot be certified.
     """
     prod, basis = system.prod, system.basis
     cons = build_constraints(prod.tri, prod)
     hybrid = HybridSystem(prod, cons)
     system.saddle_point = (cons.B, *hybrid.solve(system.b_cell))
-    K = _kernel_coordinates(basis, prod.block_diagonal(prod.whitney))
+    K = basis.kernel_coordinates()
 
     def precondition(r: np.ndarray) -> np.ndarray:
         return K @ hybrid.solve(K.T @ r)[0]

@@ -364,8 +364,18 @@ def test_config_holding_a_list_exits_two_and_names_the_cause(tmp_path, capsys):
         ({"quad-order": 2.5}, "key 'quad-order' takes an integer, got 2.5"),
         ({"quad_order": True}, "key 'quad_order' takes an integer, got True"),
         ({"field": [1]}, "key 'field' takes one of affine, polyflow, sinshear, trigflow, got [1]"),
+        ({"pattern": 3}, "key 'pattern' takes one of crisscross, diagonal, got 3"),
+        # argparse does not check a string default against the choices
+        ({"pattern": "union"}, "key 'pattern' takes one of crisscross, diagonal, got 'union'"),
     ],
-    ids=["tol-list", "quad-order-float", "quad-order-bool", "field-list"],
+    ids=[
+        "tol-list",
+        "quad-order-float",
+        "quad-order-bool",
+        "field-list",
+        "pattern-int",
+        "pattern-str",
+    ],
 )
 def test_config_value_of_the_wrong_type_exits_two_and_names_the_key(
     cfg, message, tmp_path, capsys

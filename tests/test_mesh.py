@@ -1,5 +1,6 @@
 """Triangulation validation, square-mesh generators, mesh IO, hat functions."""
 
+import hashlib
 import math
 import random
 from fractions import Fraction
@@ -23,9 +24,15 @@ from hodgefem.mesh import (
     parse_mesh,
     read_mesh,
 )
-from hodgefem.solver import _kernel_coordinates, assemble, solve_oracle, solve_system
+from hodgefem.solver import assemble, solve_oracle, solve_system
 
-from conftest import _coprime, generate_jittered_mesh, parallel_diagonal_mesh, write_mesh
+from conftest import (
+    _coprime,
+    delaunay_mesh,
+    generate_jittered_mesh,
+    parallel_diagonal_mesh,
+    write_mesh,
+)
 from reference import barycentric_coordinates, diameter, simplex
 
 
@@ -40,7 +47,7 @@ def test_generator_counts():
     assert len(tri.vertices) == 9
     assert len(tri.cells) == 8
     assert len(tri.edges) == 16
-    assert tri.interior_vertices == [4]
+    assert tri.interior_vertices.tolist() == [4]
     assert tri.euler_characteristic == 1
     assert tri.warnings == []
 
@@ -55,17 +62,57 @@ def test_generator_counts():
     assert cc.euler_characteristic == 1
 
 
-def test_corners_are_the_cells_as_one_read_only_intp_array():
+def test_cells_are_one_read_only_intp_array():
     base = generate_jittered_mesh(4, 1)
-    # cells given clockwise and as an array: corners hold them reoriented, in a copy
+    # cells given clockwise and as an array: cells hold them reoriented, in a copy
     ids = np.array([c[::-1] for c in base.cells])
     for tri in (base, Triangulation(base.vertices, ids)):
-        assert tri.corners.dtype == np.intp and tri.corners.shape == (len(tri.cells), 3)
-        assert tri.corners.tolist() == [list(c) for c in tri.cells]
-        assert not np.shares_memory(tri.corners, ids)
+        assert tri.cells.dtype == np.intp and tri.cells.shape == (32, 3)
+        assert not np.shares_memory(tri.cells, ids)
         with pytest.raises(ValueError, match="read-only"):
-            tri.corners[0, 0] = tri.corners[0, 1]
-    assert all(c in (b, b[1:] + b[:1], b[2:] + b[:2]) for c, b in zip(tri.cells, base.cells))
+            tri.cells[0, 0] = tri.cells[0, 1]
+    rotations = zip(tri.cells.tolist(), base.cells.tolist())
+    assert all(c in (b, b[1:] + b[:1], b[2:] + b[:2]) for c, b in rotations)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: generate_square_mesh(4, CRISSCROSS),
+        lambda: parse_mesh(format_mesh(generate_jittered_mesh(4, 1))),
+        lambda: delaunay_mesh(6, 2),
+    ],
+    ids=["structured", "parsed", "delaunay"],
+)
+def test_cells_and_interior_vertices_are_intp_arrays(build):
+    tri = build()
+    assert isinstance(tri.cells, np.ndarray) and tri.cells.dtype == np.intp
+    assert tri.cells.ndim == 2 and tri.cells.shape[1] == 3
+    assert not tri.cells.flags.writeable
+    interior = tri.interior_vertices
+    assert isinstance(interior, np.ndarray) and interior.dtype == np.intp
+    assert len(interior) and (np.diff(interior) > 0).all()
+
+
+# SHA-256 of format_mesh output: the bytes of a written mesh file do not change
+FORMAT_DIGESTS = {
+    "diagonal8": "77ac90e6b77dee570731dcb403555ddc8a03da6ac1e79c548b3571c972be2497",
+    "crisscross4": "e49304b45d64e2433339a6530b748578005821bf9cd0caf578dcdaedaf8e24a9",
+    "jitter8": "c7885f30a7986043c5a7a4ca1b051b436cd3137f7194eb28e4ebb7abb5d3083f",
+    "coprime4": "1461a2140dcf52c4c2dc66f319c8ec2c52bca2159ced1fd48b72aaa426e46a07",
+}
+FORMAT_MESHES = {
+    "diagonal8": lambda: generate_square_mesh(8, DIAGONAL),
+    "crisscross4": lambda: generate_square_mesh(4, CRISSCROSS),
+    "jitter8": lambda: generate_jittered_mesh(8, 1),
+    "coprime4": lambda: _coprime(4),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FORMAT_DIGESTS))
+def test_format_mesh_bytes_are_pinned(name):
+    text = format_mesh(FORMAT_MESHES[name]())
+    assert hashlib.sha256(text.encode()).hexdigest() == FORMAT_DIGESTS[name]
 
 
 def test_generator_rejects_bad_arguments():
@@ -161,17 +208,17 @@ def test_vertex_float_near_an_edge_but_exactly_off_it_is_accepted():
     # the sliver cells from degenerate ones, the exact test clears them
     pts = [(0, 0), (2, 0), (1, Fraction(1, 10**15)), (1, 1)]
     tri = Triangulation(pts, [(0, 1, 2), (0, 2, 3), (2, 1, 3)])
-    assert tri.interior_vertices == [2]
+    assert tri.interior_vertices.tolist() == [2]
     assert tri.warnings == []
     # on the boundary, vertex 2 is a candidate for edge (0, 1) and is cleared
     tri = Triangulation(pts[:3], [(0, 1, 2)])
-    assert tri.cells == [(0, 1, 2)]
+    assert tri.cells.tolist() == [[0, 1, 2]]
 
 
 def test_scaled_points_are_exact_over_each_cells_own_denominator(mesh):
     # a denominator per cell, not one for the whole mesh: on the coprime
     # mesh the mesh-wide one would be the product of 18 primes
-    num, den = mesh.scaled_points(np.array(mesh.cells))
+    num, den = mesh.scaled_points(mesh.cells)
     for c, cell in enumerate(mesh.cells):
         coords = [x for v in cell for x in mesh.vertices[v]]
         assert den[c] == math.lcm(*(x.denominator for x in coords))
@@ -196,7 +243,7 @@ def test_boundary_vertices_without_an_interior_neighbour_are_accepted(m):
     cons = build_constraints(tri, prod)
     basis = build_global_basis(tri, prod)
     assert len(basis) == prod.dim - np.linalg.matrix_rank(cons.B.toarray()) == cons.nullity()
-    K = _kernel_coordinates(basis, prod.block_diagonal(prod.whitney))
+    K = basis.kernel_coordinates()
     assert abs(K @ basis.Phi - sp.identity(len(basis))).max() <= 1e-13
     system = assemble(tri, get_field("polyflow"), prod=prod, basis=basis)
     result = solve_system(system, tol=1e-10)
@@ -224,7 +271,7 @@ def test_format_round_trip_is_exact():
     assert "1/3" in text  # thirds have no finite decimal form
     back = parse_mesh(text)
     assert back.vertices == tri.vertices
-    assert back.cells == tri.cells
+    assert np.array_equal(back.cells, tri.cells)
     assert format_mesh(back) == text
 
     tri2 = generate_square_mesh(2, DIAGONAL)
@@ -235,13 +282,13 @@ def test_format_round_trip_is_exact():
 def _assert_round_trip(tri):
     back = parse_mesh(format_mesh(tri))
     assert back.vertices == tri.vertices
-    assert back.cells == tri.cells
+    assert np.array_equal(back.cells, tri.cells)
 
 
 def test_jittered_mesh_moves_interior_vertices_by_seeded_sixteenths():
     base = generate_square_mesh(4, DIAGONAL)
     tri = generate_jittered_mesh(4, 7)
-    assert tri.cells == base.cells
+    assert np.array_equal(tri.cells, base.cells)
     assert generate_jittered_mesh(4, 7).vertices == tri.vertices
     assert generate_jittered_mesh(4, 8).vertices != tri.vertices
     interior = set(base.interior_vertices)
@@ -269,7 +316,7 @@ def test_file_round_trip(tmp_path):
     write_mesh(tri, path)
     back = read_mesh(path)
     assert back.vertices == tri.vertices
-    assert back.cells == tri.cells
+    assert np.array_equal(back.cells, tri.cells)
 
 
 def test_parse_accepts_comments_and_blank_lines():
@@ -364,7 +411,7 @@ def reference_fans(cells, nv):
 
 
 def test_fans_match_the_reference_walk(mesh):
-    assert fans(mesh) == reference_fans(mesh.cells, len(mesh.vertices))
+    assert fans(mesh) == reference_fans(mesh.cells.tolist(), len(mesh.vertices))
 
 
 @settings(max_examples=30, deadline=None, derandomize=True, database=None)
@@ -387,14 +434,14 @@ def test_fans_match_the_reference_walk_under_relabelling(kind, m, seed):
     for old, new in enumerate(label):
         vertices[new] = base.vertices[old]
     cells = []
-    for cell in base.cells:
+    for cell in map(tuple, base.cells.tolist()):
         turn = rng.randrange(3)
         cell = tuple(label[v] for v in cell[turn:] + cell[:turn])
         cells.append(cell[::-1] if rng.random() < 0.5 else cell)
     rng.shuffle(cells)
     tri = Triangulation(vertices, cells)
     got = fans(tri)
-    assert got == reference_fans(tri.cells, nv)
+    assert got == reference_fans(tri.cells.tolist(), nv)
     incident = [set() for _ in range(nv)]
     for c, cell in enumerate(tri.cells):
         for v in cell:
@@ -408,9 +455,9 @@ def test_validation_rejects_non_integer_vertex_ids():
         Triangulation([(0, 0), (1, 0), (0, 1)], [(0, 1.7, 2)])
     with pytest.raises(ValueError, match=r"cell 1 has a non-integer vertex id '2'"):
         Triangulation([(0, 0), (1, 0), (0, 1), (1, 1)], [(0, 1, 2), (1, 3, "2")])
-    # integer types other than int are ids
-    tri = Triangulation([(0, 0), (1, 0), (0, 1)], [tuple(np.arange(3))])
-    assert tri.cells == [(0, 1, 2)] and all(type(v) is int for v in tri.cells[0])
+    # integer types other than int are ids, normalised to intp
+    tri = Triangulation([(0, 0), (1, 0), (0, 1)], [tuple(np.arange(3, dtype=np.int32))])
+    assert tri.cells.tolist() == [[0, 1, 2]] and tri.cells.dtype == np.intp
 
 
 def test_validation_rejects_pinched_star_on_edge_connected_mesh():

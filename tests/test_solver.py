@@ -46,7 +46,6 @@ import hodgefem.solver
 from hodgefem.solver import (
     HybridSystem,
     StudyRow,
-    _kernel_coordinates,
     assemble,
     broken_energy_product,
     cell_load_vector,
@@ -723,7 +722,7 @@ def test_coarse_prolongation_gives_the_p1_interpolant_in_the_kernel(name):
     boundary = len(tri.vertices) - len(tri.interior_vertices)
     assert Pi.shape == (prod.dim, 2 * len(tri.interior_vertices) + boundary - 4)
     assert abs(build_constraints(tri, prod).B @ Pi).max() <= 1e-12
-    K = _kernel_coordinates(basis, prod.block_diagonal(prod.whitney))
+    K = basis.kernel_coordinates()
     assert abs(basis.Phi @ (K @ Pi) - Pi).max() <= 1e-12
 
 
@@ -742,7 +741,7 @@ def test_cellwise_constants_prolong_exactly_and_correct_symmetrically(name):
     assert Z.shape[1] == nc - 1
     Ey = E @ (Z @ np.random.default_rng(5).standard_normal(nc - 1))
     assert abs(cons.B @ Ey).max() <= 1e-12 * abs(Ey).max()
-    K = _kernel_coordinates(basis, prod.block_diagonal(prod.whitney))
+    K = basis.kernel_coordinates()
     assert np.linalg.norm(basis.Phi @ (K @ Ey) - Ey) <= 1e-10 * np.linalg.norm(Ey)
 
     # H = W (I - C^T S^-1 C) W^T, the cell-eliminated solve, is symmetric
@@ -765,7 +764,7 @@ def test_kernel_coordinates_left_invert_phi(name):
     tri = LEFT_INVERSE_MESHES[name]()
     prod = build_product_space(tri)
     basis = build_global_basis(tri, prod)
-    K = _kernel_coordinates(basis, prod.block_diagonal(prod.whitney))
+    K = basis.kernel_coordinates()
     assert abs(K @ basis.Phi - sp.identity(len(basis))).max() <= 1e-14
 
 
@@ -798,7 +797,7 @@ def test_raw_delaunay_meshes_get_the_full_basis_and_solve(k, seed):
     assert ((basis.cells[:, 1] < 0) == single).all() and (basis.cells[:, 0] >= 0).all()
     phi = basis.Phi.tocoo()
     assert ((phi.row // 6)[:, None] == basis.cells[phi.col]).any(axis=1).all()
-    K = _kernel_coordinates(basis, prod.block_diagonal(prod.whitney))
+    K = basis.kernel_coordinates()
     assert abs(K @ basis.Phi - sp.identity(len(basis))).max() <= 1e-13
     field = get_field("polyflow")
     system = assemble(tri, field, prod=prod, basis=basis)
