@@ -8,15 +8,16 @@ Subcommands:
   basis         dump the global kernel basis as JSON lines plus a
                 dimension audit
 
-Exit codes: 0 success, 1 a verification, audit or oracle check failed,
-2 bad usage (a missing or unwritable path included), 3 numerical failure
-(solver breakdown or singular system).  ``solve`` checks every mesh's
-PCG solution against the saddle point that preconditioned it, and exits
-1 when they disagree.  A PCG that does not reach ``--tol`` within its
-iteration cap is a numerical failure: ``solve`` names it on stderr and
-exits 3.  ``solve`` and ``interpolate`` write each CSV row as soon as
-its mesh is finished, so a failure keeps the rows of the meshes before
-it.
+Exit codes: 0 success, 1 a verification, rank audit or oracle check
+failed, 2 bad usage (a missing or unwritable path included), 3 numerical
+failure (a solver breakdown or a singular system).  A failed rank audit
+prints ``<command>: rank audit failed: ...``.  ``solve`` exits 2 before
+any output for a field that does not solve the model problem, 1 when a
+mesh's PCG solution and the saddle point that preconditioned it
+disagree, and 3, naming the cause, when PCG breaks down or misses
+``--tol`` within its iteration cap.  ``solve`` and ``interpolate`` write
+each CSV row as soon as its mesh is finished, so a failure keeps the
+rows of the meshes before it.
 
 A JSON config file can preload any long option (keys use either dashes
 or underscores); explicit command line flags win.  A key that is no
@@ -147,8 +148,10 @@ def cmd_study(args) -> int:
 
     The command name, not the options, decides whether the study solves,
     since a config file preloads ``--tol`` for every command.  ``solve``
-    prints each mesh's oracle gap and residual on stderr, and exits 1
-    when one is over its bound or not a number.
+    refuses a field with a false ``zero_normal_trace`` or
+    ``zero_boundary_rot``, whose error would not be measured against the
+    solution.  It prints each mesh's oracle gap and residual on stderr,
+    and exits 1 when one is over its bound or not a number.
     """
     from .solver import check_tol, fit_rate, study
 
@@ -158,6 +161,10 @@ def cmd_study(args) -> int:
     header, tol = CSV_HEADER, None
     if args.command == "solve":
         check_tol(args.tol, "--tol")
+        false = [f for f in ("zero_normal_trace", "zero_boundary_rot") if not getattr(field, f)]
+        if false:
+            flags = ", ".join(f + "=False" for f in false)
+            raise ValueError(f"field {field.name!r} does not solve the model problem ({flags})")
         header, tol = CSV_HEADER_SOLVE, args.tol
     rows = study(field, ms, args.pattern, args.quad_order, tol)
     done: list[StudyRow] = []
@@ -222,12 +229,7 @@ def cmd_basis(args) -> int:
     prod = build_product_space(tri)
     cons = build_constraints(tri, prod)
     basis = build_global_basis(tri, prod)
-    try:
-        rank, nullity = cons.rank(), cons.nullity()
-    except ValueError as exc:
-        reason = str(exc).removeprefix("rank audit: ")
-        print(f"basis: rank audit failed: {reason}", file=sys.stderr)
-        return 1
+    rank, nullity = cons.rank(), cons.nullity()
     with _output(args.out) as out:
         out.writelines(_basis_lines(basis))
         audit = {
@@ -358,6 +360,12 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except (OSError, ValueError) as exc:  # a missing or unwritable path is bad usage
+        # only globalspace raises RankAuditError, so it is loaded when one is raised
+        space = sys.modules.get("hodgefem.globalspace")
+        if space is not None and isinstance(exc, space.RankAuditError):
+            reason = str(exc).removeprefix("rank audit: ")
+            print(f"{args.command}: rank audit failed: {reason}", file=sys.stderr)
+            return 1
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

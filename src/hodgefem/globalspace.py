@@ -79,11 +79,12 @@ from which the ``basis`` dump writes every line.  No Fraction is built
 for it.  The rank audit is one O(nnz) certificate
 from the float duals: with D = blockdiag(duals) over the cells, B D is a 0/1
 selection matrix whose disjoint rows prove that B has full row rank,
-which the saddle-point oracle needs.  The product space owns its B:
-``build_constraints`` gathers it on the first call, read-only, and every
-``ConstraintSystem`` it returns shares it, so the certificate runs once
-per product space.  Input without that structure, a repeated or
-dependent row included, raises; there is no dense fallback.
+which the saddle-point oracle needs.  Every ``ConstraintSystem`` holds a
+B that has passed it: ``build_constraints`` certifies the product
+space's own B once, when it gathers it, and any other B is certified
+when its system is built.  Input without that structure, a repeated or
+dependent row included, raises ``RankAuditError``; there is no dense
+fallback.
 """
 
 from __future__ import annotations
@@ -103,6 +104,7 @@ __all__ = [
     "CATEGORIES",
     "ProductSpace",
     "ConstraintSystem",
+    "RankAuditError",
     "GlobalBasis",
     "build_product_space",
     "build_constraints",
@@ -138,8 +140,8 @@ class ProductSpace:
     ``test_scale`` (the diagonal of E) and ``tables(order)``.  Each entry
     is the exact entry of the closed forms (``_chebyshev_diameter`` and
     ``_closed_forms``, over ``shapes``) rounded once, as float(Fraction)
-    rounds it; no Simplex is built.  It also holds its B
-    (``build_constraints``) and whether B passed the rank certificate.
+    rounds it; no Simplex is built.  It also caches its own B, certified
+    (``build_constraints``).
 
     Its caches live as long as the space: ``tables`` per quadrature
     order, and ``node_values`` per (callback, order), a read-only
@@ -180,7 +182,6 @@ class ProductSpace:
         self._tables: dict[int, dict[str, np.ndarray]] = {}
         self._node_values: dict[tuple, np.ndarray] = {}
         self._B: sp.csr_matrix | None = None
-        self._certified = False
 
     @property
     def dim(self) -> int:
@@ -402,40 +403,40 @@ def _rounded(n, m) -> np.ndarray:
 
 
 class ConstraintSystem:
-    """Sparse constraint matrix B: div rows for every vertex, then rot rows.
+    """Sparse constraint matrix B of full row rank: div rows for every
+    vertex, then rot rows.
 
     With nv vertices, row v < nv is the div functional of vertex v and row
-    nv + r the rot functional of ``tri.interior_vertices[r]``.  ``prod``
-    is the product space whose template duals certify the rank; the
-    certificate runs on first need and keeps only its outcome (on
-    ``prod`` for its own B), so B must not change after that.
+    nv + r the rot functional of ``prod.tri.interior_vertices[r]``.  A B
+    other than ``prod``'s own (certified by ``build_constraints``) is
+    certified here, so building a system raises ``RankAuditError`` unless
+    B has full row rank.
     """
 
     def __init__(self, prod: ProductSpace, B: sp.csr_matrix):
+        if B is not prod._B:
+            _rank_certificate(B, prod)
         self.prod = prod
-        self.tri = prod.tri
         self.B = B
-        self._certified = False
 
     @property
     def rows(self) -> int:
         return self.B.shape[0]
 
     def rank(self) -> int:
-        """Rank of B, which is ``rows``: certified in O(nnz) on the first call."""
-        own = self.B is self.prod._B
-        if not (self._certified or own and self.prod._certified):
-            _rank_certificate(self.B, self.prod)
-            self._certified = True
-            self.prod._certified |= own
+        """Rank of B, which is ``rows``: the certificate proved it when B was built."""
         return self.rows
 
     def nullity(self) -> int:
         return self.B.shape[1] - self.rank()
 
 
+class RankAuditError(ValueError):
+    """The rank certificate could not prove that B has full row rank."""
+
+
 def _rank_certificate(B: sp.spmatrix, prod: ProductSpace) -> None:
-    """Prove that B has full row rank, or raise ValueError naming the fault.
+    """Prove that B has full row rank, or raise RankAuditError naming the fault.
 
     Let D = blockdiag(prod.duals) over the cells.  Since whitney . duals
     = I on every template, S = B D selects shape coefficients: each entry
@@ -452,7 +453,7 @@ def _rank_certificate(B: sp.spmatrix, prod: ProductSpace) -> None:
     if off.any():
         k = int(np.argmax(off))
         r = np.searchsorted(S.indptr, k, side="right") - 1
-        raise ValueError(
+        raise RankAuditError(
             f"rank audit: entry ({r}, {S.indices[k]}) of B D is {float(S.data[k])!r}, "
             "not within 1e-9 of an integer"
         )
@@ -460,11 +461,11 @@ def _rank_certificate(B: sp.spmatrix, prod: ProductSpace) -> None:
     S.eliminate_zeros()
     empty = np.diff(S.indptr) == 0
     if empty.any():
-        raise ValueError(f"rank audit: row {np.argmax(empty)} of B D is zero")
+        raise RankAuditError(f"rank audit: row {np.argmax(empty)} of B D is zero")
     per_column = np.bincount(S.indices, minlength=S.shape[1])
     if (per_column > 1).any():
         c = int(np.argmax(per_column > 1))
-        raise ValueError(
+        raise RankAuditError(
             f"rank audit: column {c} of B D has {per_column[c]} nonzeros, "
             "so its rows are not disjoint"
         )
@@ -475,8 +476,9 @@ def build_product_space(tri: Triangulation) -> ProductSpace:
 
 
 def build_constraints(tri: Triangulation, prod: ProductSpace) -> ConstraintSystem:
-    """The constraints over ``prod``'s B, gathered from its float Whitney rows by
-    cell and slot on the first call, read-only, and shared by every later call.
+    """The constraints over ``prod``'s own B: gathered from the float Whitney
+    rows by cell and slot on the first call, certified and cached, read-only,
+    on ``prod`` (the matrix alone, so no reference cycle), then shared.
 
     The vertex a at slot s of cell c gives div row a its Whitney row
     3 + s and, when a is the r-th interior vertex, rot row nv + r its
@@ -499,6 +501,7 @@ def build_constraints(tri: Triangulation, prod: ProductSpace) -> ConstraintSyste
         (values[keep], (rows[keep], cols[keep])),
         shape=(nv + len(tri.interior_vertices), prod.dim),
     ).tocsr()
+    _rank_certificate(B, prod)
     for part in (B.data, B.indices, B.indptr):
         part.flags.writeable = False
     prod._B = B

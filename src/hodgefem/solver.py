@@ -24,16 +24,17 @@ batched call) and C = B W, the multipliers solve the SPD system
 
 and then x = W (W^T b_cell - C^T y).  S has the pattern of the vertex
 graph and is factored by ``splu`` with minimum degree on its symmetric
-pattern.  S is SPD only when B has full row rank, which every B of
-``build_constraints`` has; the rank certificate proves it before S is
-factored, and a B that it rejects raises its ValueError.  The factor
-lives only in the call that builds it: ``solve_system`` also solves the
-saddle point with it, records (B, x, y) on the system and drops it, and
-``solve_oracle`` returns that record for the product space's own B (the
-same object) and factors afresh for any other B.  Factors kept across
-calls were measured and rejected: on the ``ladder`` benchmark, peak RSS
-rose 4.6% with one kept on the audit's constraints, and about 60 MB
-through a product space <-> constraints reference cycle.
+pattern.  S is SPD: every ``ConstraintSystem`` holds a B of full row
+rank, certified when it was built.  The factor lives only in the call
+that builds it: ``solve_system`` also solves the saddle point with it,
+records (B, x, y) on the system and drops it, and ``solve_oracle``
+returns that record for the product space's own B (the same object)
+and factors afresh for any other B.  Kept objects were measured and
+rejected on the benchmark (``perfbench/run.py``, one BLAS thread, 2
+cores): a factor kept on the audit's constraints raised ``ladder``
+peak RSS 4.6%, and a ``ConstraintSystem`` cached on its product space
+makes a reference cycle that raised it from 82.4-82.6 to 109.3-113.1 MB
+(``jitter``: 76.6-77.5 to 88.6-88.9 MB).  The space caches only B.
 
 The primary path reduces to the kernel basis (A = Phi^T A_cell Phi) and
 runs preconditioned conjugate gradients.  The map b_cell -> x above is
@@ -155,48 +156,33 @@ def check_tol(tol: float, name: str = "tol") -> None:
 def solve_cg(
     A: sp.csr_matrix,
     b: np.ndarray,
+    precondition: Callable[[np.ndarray], np.ndarray],
     tol: float = 1e-10,
-    maxiter: int | None = None,
     callback=None,
-    precondition: Callable[[np.ndarray], np.ndarray] | None = None,
 ) -> tuple[np.ndarray, dict]:
     """Preconditioned conjugate gradients; returns x and an info dict with
     ``iterations`` and ``true_rel_residual``.
 
-    ``precondition(r)`` returns the preconditioned residual; without it
-    CG scales by the diagonal of A (Jacobi).  CG stops on the true
-    residual: when the recursively updated residual reaches ``tol``,
-    b - A x is recomputed and accepted only if it is within ``tol`` too;
-    otherwise CG continues from the recomputed residual under the same
-    iteration cap.  ``info["true_rel_residual"]`` is the final
-    ||b - A x|| / ||b||.  A CG that does not converge within the cap
-    raises RuntimeError with the last relative residual in the message,
-    so every x returned has converged.
-    A non-finite ``rz``, ``pAp`` or residual norm raises RuntimeError at
-    once, naming the quantity and the iteration, since no later step
-    can recover from it.
-    ``callback(x)`` is invoked with the current iterate after every step.
-    A ``tol`` that is not positive and finite raises ValueError.
+    ``precondition(r)`` returns the preconditioned residual.  CG stops on
+    the true residual: when the recursively updated residual reaches
+    ``tol``, b - A x is recomputed and accepted only if it is within
+    ``tol`` too; otherwise CG goes on from it.  ``info["true_rel_residual"]``
+    is the final ||b - A x|| / ||b||.  CG raises RuntimeError when it
+    misses ``tol`` in max(n, 100 sqrt(n)) iterations (with the last
+    relative residual) and when it breaks down: a non-positive diagonal
+    entry or curvature, or a non-finite ``rz``, ``pAp`` or residual norm
+    (named with the iteration).  So every x returned has converged.
+    ``callback(x)`` is invoked with the current iterate after every
+    step.  A ``tol`` that is not positive and finite raises ValueError.
     """
     check_tol(tol)
     n = b.shape[0]
-    if maxiter is None:
-        # Jacobi alone grows like h^-1 (about 64*sqrt(n) on the square
-        # meshes at tol 1e-10), and the cell-eliminated preconditioner of
-        # solve_system takes one or two.  100*sqrt(n) leaves headroom for
-        # both
-        maxiter = max(n, int(100.0 * np.sqrt(n)))
+    maxiter = max(n, int(100.0 * np.sqrt(n)))
     bnorm = float(np.linalg.norm(b))
     if bnorm == 0.0:
         return np.zeros(n), {"iterations": 0, "true_rel_residual": 0.0}
-    diag = A.diagonal()
-    if np.any(diag <= 0):
-        raise ValueError("system diagonal has non-positive entries; matrix is not SPD")
-    if precondition is None:
-
-        def precondition(r):
-            return r / diag
-
+    if np.any(A.diagonal() <= 0):
+        raise RuntimeError("system diagonal has non-positive entries; matrix is not SPD")
     x = np.zeros(n)
     r = b.copy()
     z = precondition(r)
@@ -218,7 +204,7 @@ def solve_cg(
         pAp = float(p @ Ap)
         finite("pAp", pAp, it + 1)
         if pAp <= 0:
-            raise ValueError("conjugate gradients hit a non-positive curvature direction")
+            raise RuntimeError("conjugate gradients hit a non-positive curvature direction")
         alpha = rz / pAp
         x += alpha * p
         r -= alpha * Ap
@@ -252,18 +238,15 @@ def _factor_spd(M: sp.spmatrix) -> spla.SuperLU:
 class HybridSystem:
     """The cell-eliminated saddle-point system of ``cons``, factored once.
 
-    ``W`` is blockdiag(L^-T) over the cells, L the Cholesky factor of each
-    template Gram (one batched call), so A_cell^-1 = W W^T; ``C`` = B W;
-    and S = C C^T is factored once.  Raises the rank certificate's
-    ValueError when B cannot be certified, and ValueError when ``cons``
-    was built on another triangulation.
+    ``W`` is blockdiag(L^-T) over the cells of ``cons.prod``, L the
+    Cholesky factor of each template Gram (one batched call), so
+    A_cell^-1 = W W^T; ``C`` = B W; and S = C C^T, SPD since B has full
+    row rank, is factored once.
     """
 
-    def __init__(self, prod: ProductSpace, cons: ConstraintSystem):
-        _check_same_mesh(prod.tri, cons, "the constraints")
-        cons.rank()  # the rank certificate, run once per product space for its own B
-        chol = np.linalg.cholesky(prod.gram)
-        self.W = prod.block_diagonal(np.linalg.inv(chol).transpose(0, 2, 1))
+    def __init__(self, cons: ConstraintSystem):
+        chol = np.linalg.cholesky(cons.prod.gram)
+        self.W = cons.prod.block_diagonal(np.linalg.inv(chol).transpose(0, 2, 1))
         self.C = (cons.B.tocsr() @ self.W).tocsr()
         self.lu = _factor_spd(self.C @ self.C.T)
 
@@ -300,18 +283,19 @@ def solve_system(system: AssembledSystem, tol: float = 1e-10) -> SolveResult:
     also solves the saddle point for ``system.b_cell`` into
     ``system.saddle_point``, which ``solve_oracle`` returns and ``study``
     checks on every mesh: one multiplier solve, 4-5% of an m = 128 solve.
-    Raises the rank certificate's ValueError when B cannot be certified.
+    Raises the rank certificate's ``RankAuditError`` when the product
+    space's B cannot be certified.
     """
     prod, basis = system.prod, system.basis
     cons = build_constraints(prod.tri, prod)
-    hybrid = HybridSystem(prod, cons)
+    hybrid = HybridSystem(cons)
     system.saddle_point = (cons.B, *hybrid.solve(system.b_cell))
     K = basis.kernel_coordinates()
 
     def precondition(r: np.ndarray) -> np.ndarray:
         return K @ hybrid.solve(K.T @ r)[0]
 
-    u, info = solve_cg(system.A, system.b, tol=tol, precondition=precondition)
+    u, info = solve_cg(system.A, system.b, precondition=precondition, tol=tol)
     return SolveResult(u, basis.Phi @ u, info["iterations"], info["true_rel_residual"])
 
 
@@ -327,16 +311,15 @@ def solve_oracle(system: AssembledSystem, cons: ConstraintSystem) -> OracleResul
 
     One ``HybridSystem`` solve for ``system.b_cell``, with one multiplier
     per row of B: the one ``solve_system`` recorded when ``cons.B is`` its
-    B (bit for bit a fresh solve), else one here.  Raises the rank
-    certificate's ValueError when B cannot be certified, and ValueError
-    when ``cons`` was built on another triangulation.
+    B (bit for bit a fresh solve), else one here.  Raises ValueError when
+    ``cons`` was built on another triangulation.
     """
-    _check_same_mesh(system.prod.tri, cons, "the constraints")
+    _check_same_mesh(system.prod.tri, cons.prod, "the constraints")
     record = system.saddle_point
     if record is not None and record[0] is cons.B:
         x, y = record[1:]
     else:
-        x, y = HybridSystem(system.prod, cons).solve(system.b_cell)
+        x, y = HybridSystem(cons).solve(system.b_cell)
     resid = float(np.linalg.norm(cons.B @ x)) / max(1.0, float(np.linalg.norm(x)))
     return OracleResult(x, y, resid)
 

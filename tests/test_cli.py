@@ -9,7 +9,9 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
+import scipy.sparse as sp
 
 import hodgefem.cli
 import hodgefem.forms
@@ -204,8 +206,9 @@ def test_basis_dumps_keep_their_bytes(tmp_path, args, digest):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
-def test_basis_audit_failure_exits_one_and_names_the_cause(tmp_path, monkeypatch, capsys):
-    build = hodgefem.globalspace.build_constraints
+def _perturbed(build):
+    """``build`` with one entry of B off by one part in a million, so that
+    the rank audit rejects the system."""
 
     def perturbed(tri, prod):
         # the product space's B is read-only, so the perturbation goes on a copy
@@ -213,7 +216,12 @@ def test_basis_audit_failure_exits_one_and_names_the_cause(tmp_path, monkeypatch
         B.data[7] *= 1 + 1e-6
         return hodgefem.globalspace.ConstraintSystem(prod, B)
 
-    monkeypatch.setattr(hodgefem.globalspace, "build_constraints", perturbed)
+    return perturbed
+
+
+def test_basis_audit_failure_exits_one_and_names_the_cause(tmp_path, monkeypatch, capsys):
+    build = hodgefem.globalspace.build_constraints
+    monkeypatch.setattr(hodgefem.globalspace, "build_constraints", _perturbed(build))
     out = tmp_path / "basis.jsonl"
     assert main(["basis", "--mesh-m", "2", "--out", str(out)]) == 1
     err = capsys.readouterr().err
@@ -455,6 +463,59 @@ def test_numerical_failure_maps_to_exit_three(tmp_path, monkeypatch, capsys):
     out = tmp_path / "x.csv"
     assert main(["solve", "--refinements", "2", "--out", str(out)]) == 3
     assert "solver blew up" in capsys.readouterr().err
+
+
+def test_solve_audit_failure_exits_one_like_basis(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(
+        hodgefem.solver, "build_constraints", _perturbed(hodgefem.solver.build_constraints)
+    )
+    out = tmp_path / "x.csv"
+    assert main(["solve", "--refinements", "2", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("solve: rank audit failed: entry (")
+    assert "not within 1e-9 of an integer" in err
+    assert out.read_text() == CSV_HEADER_SOLVE + "\n"
+
+
+@pytest.mark.parametrize(
+    "breakdown", ["diagonal has non-positive", "non-positive curvature"]
+)
+def test_an_indefinite_reduced_system_exits_three(breakdown, tmp_path, monkeypatch, capsys):
+    # a PCG breakdown is a numerical failure, not bad usage
+    real = hodgefem.solver.solve_cg
+
+    def indefinite(A, b, precondition, **options):
+        if breakdown.startswith("diagonal"):
+            A = -A
+        else:
+            # A - 2 w w^T with w = A p / sqrt(p^T A p): negative along the first
+            # direction p, with a positive diagonal still
+            p = precondition(b)
+            w = A @ p / math.sqrt(p @ (A @ p))
+            A = sp.csr_matrix(A.toarray() - 2 * np.outer(w, w))
+            assert (A.diagonal() > 0).all()
+        return real(A, b, precondition=precondition, **options)
+
+    monkeypatch.setattr(hodgefem.solver, "solve_cg", indefinite)
+    out = tmp_path / "x.csv"
+    assert main(["solve", "--refinements", "2", "--out", str(out)]) == 3
+    assert breakdown in capsys.readouterr().err
+    assert out.read_text() == CSV_HEADER_SOLVE + "\n"
+
+
+@pytest.mark.parametrize(
+    "field, flags",
+    [("sinshear", "zero_boundary_rot=False"), ("affine", "zero_normal_trace=False, zero_boundary_rot=False")],
+)
+def test_solve_refuses_a_field_that_does_not_solve_the_model_problem(
+    field, flags, tmp_path, capsys
+):
+    out = tmp_path / "x.csv"
+    assert main(["solve", "--refinements", "2", "--field", field, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: field '{field}' does not solve the model problem ({flags})\n"
+    assert not out.exists()
+    assert main(["interpolate", "--refinements", "2", "--field", field, "--out", str(out)]) == 0
 
 
 @pytest.mark.parametrize(

@@ -30,6 +30,7 @@ from hodgefem.globalspace import (
     ROT_CELL,
     ROT_PATCH,
     ConstraintSystem,
+    RankAuditError,
     build_constraints,
     build_global_basis,
     build_product_space,
@@ -386,11 +387,11 @@ def test_constraint_shape_and_rank_smallest_mesh():
 def test_rank_does_not_count_duplicated_rows():
     """B with its div rows stacked twice (803 rows on diagonal m = 16) is refused."""
     tri, prod, cons = _setup(16)
-    doubled = ConstraintSystem(prod, sp.vstack([cons.B, cons.B[: len(tri.vertices)]]).tocsr())
-    assert doubled.rows == 803
+    doubled = sp.vstack([cons.B, cons.B[: len(tri.vertices)]]).tocsr()
+    assert doubled.shape[0] == 803
     assert cons.rank() == 514
-    with pytest.raises(ValueError, match=r"^rank audit: column \d+ of B D has 2 nonzeros"):
-        doubled.rank()
+    with pytest.raises(RankAuditError, match=r"^rank audit: column \d+ of B D has 2 nonzeros"):
+        ConstraintSystem(prod, doubled)
 
 
 @pytest.mark.parametrize(
@@ -437,26 +438,26 @@ def test_rank_audit_raises_on_a_dependent_row_that_is_no_duplicate():
     tri, prod, cons = _setup(4)
     B = cons.B.tolil()
     B[5] = cons.B[3] + cons.B[4]
-    dependent = ConstraintSystem(prod, B.tocsr())
-    assert _dense_rank(dependent.B) == cons.rows - 1
-    with pytest.raises(ValueError, match=r"^rank audit: column \d+ of B D has 2 nonzeros"):
-        dependent.rank()
+    dependent = B.tocsr()
+    assert _dense_rank(dependent) == cons.rows - 1
+    with pytest.raises(RankAuditError, match=r"^rank audit: column \d+ of B D has 2 nonzeros"):
+        ConstraintSystem(prod, dependent)
 
 
 def test_the_product_space_owns_one_read_only_b_certified_once(monkeypatch):
     tri = MESHES["jitter4"]()
     prod = build_product_space(tri)
-    first, second = build_constraints(tri, prod), build_constraints(tri, prod)
-    assert first is not second and first.B is second.B
     seen = []
     certificate = hodgefem.globalspace._rank_certificate
     monkeypatch.setattr(
         hodgefem.globalspace, "_rank_certificate", lambda B, p: seen.append(B) or certificate(B, p)
     )
+    first, second = build_constraints(tri, prod), build_constraints(tri, prod)
+    assert first is not second and first.B is second.B
     assert first.rank() == second.rank() == first.rows
     assert second.nullity() == prod.dim - first.rows
-    assert len(seen) == 1
-    # the certificate's outcome is keyed on B's identity, so B takes no in-place edit
+    assert len(seen) == 1 and seen[0] is first.B
+    # the product space's B counts as certified by its identity, so it takes no in-place edit
     for part in (first.B.data, first.B.indices, first.B.indptr):
         with pytest.raises(ValueError, match="read-only"):
             part[0] = part[1]
@@ -473,8 +474,8 @@ def test_rank_audit_raises_on_an_entry_off_by_one_part_in_a_million():
     tri, prod, cons = _setup(4)
     B = cons.B.copy()
     B.data[7] *= 1 + 1e-6
-    with pytest.raises(ValueError, match=r"^rank audit: entry \(1, \d+\) of B D .* integer"):
-        ConstraintSystem(prod, B).rank()
+    with pytest.raises(RankAuditError, match=r"^rank audit: entry \(1, \d+\) of B D .* integer"):
+        ConstraintSystem(prod, B)
 
 
 @pytest.mark.parametrize(

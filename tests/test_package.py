@@ -89,6 +89,9 @@ runs += [["solve", "--refinements", "2", "--field", name] for name in sorted(FIE
 runs += [
     ["--config", str(out / "config.json"), "solve", "--refinements", "2"],
     ["interpolate", "--refinements", "2,3"],
+    # solve refuses these two, so interpolate enters their value, rot and div
+    ["interpolate", "--refinements", "2", "--field", "sinshear"],
+    ["interpolate", "--refinements", "2", "--field", "affine"],
     ["basis", "--mesh-file", str(out / "mesh.txt")],
 ]
 codes = [main([*run, "--out", str(out / "out")]) for run in runs]
@@ -125,14 +128,17 @@ print(json.dumps({"codes": codes, "never": sorted(never)}))
 # the package's functions that no command enters, each with its reason
 NOT_RUN_BY_A_COMMAND = {
     "verify.CheckResult.line": "runs only when a verification check fails",
+    "fields._sinshear_f": "only solve evaluates a forcing, and assemble still takes the field",
 }
 
 
 def test_every_package_function_is_run_by_a_command(tmp_path):
-    """verify, solve for every field (each checked against its oracle, and
-    one through a config file), interpolate and basis on a mesh file,
-    traced in one interpreter: every module-level function and method of
-    the package (dunders aside) is entered, apart from the named ones."""
+    """verify, solve for every field (refused for the two that do not solve
+    the model problem, each other one checked against its oracle, and one
+    through a config file), interpolate (of those two fields too) and
+    basis on a mesh file, traced in one interpreter: every module-level
+    function and method of the package (dunders aside) is entered, apart
+    from the named ones."""
     src = Path(hodgefem.__file__).resolve().parents[1]
     paths = [str(src), *filter(None, [os.environ.get("PYTHONPATH")])]
     run = subprocess.run(
@@ -144,5 +150,8 @@ def test_every_package_function_is_run_by_a_command(tmp_path):
     )
     assert run.returncode == 0, run.stderr
     report = json.loads(run.stdout.splitlines()[-1])
-    assert report["codes"] == [0] * 8
+    # verify; solve for affine, polyflow, sinshear and trigflow, of which
+    # the two that do not solve the model problem exit 2; the config
+    # solve; three interpolate runs; basis
+    assert report["codes"] == [0, 2, 0, 2, 0, 0, 0, 0, 0, 0]
     assert set(report["never"]) == set(NOT_RUN_BY_A_COMMAND)

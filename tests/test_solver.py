@@ -1,6 +1,7 @@
 """Assembly, preconditioned CG, the saddle-point oracle and the studies."""
 
 import dataclasses
+import gc
 import math
 import re
 import weakref
@@ -115,9 +116,16 @@ def test_zero_load_gives_zero_solution():
     assert result.iterations == 0
 
 
+def _jacobi(A):
+    """The diagonal preconditioner of A."""
+    diag = A.diagonal()
+    return lambda r: r / diag
+
+
 def test_cg_identity_converges_in_one_step():
     b = np.arange(1.0, 11.0)
-    x, info = solve_cg(sp.identity(10, format="csr"), b)
+    identity = sp.identity(10, format="csr")
+    x, info = solve_cg(identity, b, _jacobi(identity))
     assert info["iterations"] == 1
     assert np.allclose(x, b, rtol=0, atol=1e-15)
 
@@ -137,33 +145,38 @@ def test_cg_reports_the_true_residual_it_stopped_on():
 def test_cg_does_not_accept_a_drifted_recursive_residual(cond):
     # on these ill-conditioned systems the recursive residual reaches
     # 1e-12 while b - A x never gets below it; CG must go on to its cap
-    # of max(n, 100 sqrt(n)) = 547 iterations and raise
+    # of max(n, 100 sqrt(n)) = 547 iterations and raise, naming the last
+    # relative residual
     rng = np.random.default_rng(0)
     q, _ = np.linalg.qr(rng.standard_normal((30, 30)))
     A = sp.csr_matrix((q * np.logspace(0, np.log10(cond), 30)) @ q.T)
     A = (A + A.T) / 2
     b = rng.standard_normal(30)
     iterates = []
-    with pytest.raises(RuntimeError, match="did not converge in 547 iterations"):
-        solve_cg(A, b, tol=1e-12, callback=iterates.append)
+    with pytest.raises(
+        RuntimeError, match=r"did not converge in 547 iterations \(relative residual"
+    ):
+        solve_cg(A, b, _jacobi(A), tol=1e-12, callback=iterates.append)
     true = [float(np.linalg.norm(b - A @ x)) / float(np.linalg.norm(b)) for x in iterates]
     assert len(true) == 547 and min(true) > 1e-12
 
 
 def test_cg_rejects_non_spd_input():
+    # a breakdown is a numerical failure, so it raises RuntimeError
     A = sp.diags([1.0, -2.0, 3.0]).tocsr()
-    with pytest.raises(ValueError, match="diagonal has non-positive"):
-        solve_cg(A, np.ones(3))
+    with pytest.raises(RuntimeError, match="diagonal has non-positive"):
+        solve_cg(A, np.ones(3), _jacobi(A))
     # indefinite with positive diagonal trips the curvature guard
     B = sp.csr_matrix(np.array([[1.0, 4.0], [4.0, 1.0]]))
-    with pytest.raises(ValueError, match="non-positive curvature"):
-        solve_cg(B, np.array([1.0, 0.0]))
+    with pytest.raises(RuntimeError, match="non-positive curvature"):
+        solve_cg(B, np.array([1.0, 0.0]), _jacobi(B))
 
 
 @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
 def test_cg_rejects_a_tolerance_that_is_not_positive_and_finite(tol):
+    identity = sp.identity(3, format="csr")
     with pytest.raises(ValueError, match=r"^tol must be positive and finite, got "):
-        solve_cg(sp.identity(3, format="csr"), np.ones(3), tol=tol)
+        solve_cg(identity, np.ones(3), _jacobi(identity), tol=tol)
 
 
 def test_cg_stops_at_a_non_finite_preconditioned_residual():
@@ -171,7 +184,7 @@ def test_cg_stops_at_a_non_finite_preconditioned_residual():
         return np.full_like(r, np.inf)
 
     with pytest.raises(RuntimeError, match=r"non-finite rz \(inf\) at iteration 1 \(n=4\)"):
-        solve_cg(sp.identity(4, format="csr"), np.ones(4), precondition=infinite)
+        solve_cg(sp.identity(4, format="csr"), np.ones(4), infinite)
 
 
 def _sliver(t: Fraction) -> Triangulation:
@@ -216,17 +229,9 @@ def test_pcg_stops_at_the_first_non_finite_value_on_a_sliver():
 
 def test_cg_matches_direct_solve():
     _, system = _assembled(2)
-    x, info = solve_cg(system.A, system.b, tol=1e-12)
+    x, info = solve_cg(system.A, system.b, _jacobi(system.A), tol=1e-12)
     direct = np.linalg.solve(system.A.toarray(), system.b)
     assert np.abs(x - direct).max() <= 1e-10 * np.abs(direct).max()
-
-
-def test_cg_raises_when_fallback_is_disabled():
-    # there is no dense fallback: a stalled CG raises, whatever the size
-    # of the system
-    _, system = _assembled(2)
-    with pytest.raises(RuntimeError, match=r"did not converge in 3 iterations \(relative residual"):
-        solve_cg(system.A, system.b, maxiter=3)
 
 
 def test_cg_error_decreases_monotonically_in_energy_norm():
@@ -234,7 +239,7 @@ def test_cg_error_decreases_monotonically_in_energy_norm():
     A = system.A.toarray()
     exact = np.linalg.solve(A, system.b)
     history = []
-    solve_cg(system.A, system.b, callback=history.append)
+    solve_cg(system.A, system.b, _jacobi(system.A), callback=history.append)
     energies = [float((x - exact) @ A @ (x - exact)) for x in history]
     for a, b in zip(energies, energies[1:]):
         assert b <= a * (1 + 1e-9)
@@ -291,11 +296,11 @@ def test_oracle_raises_the_rank_certificate_error_on_repeated_rows():
     assert len(solve_oracle(system, cons).multipliers) == cons.rows
     # div rows first, then all of B: each div row comes again, exact or scaled
     div_rows = cons.B[: len(tri.vertices)]
+    # the certificate runs when the constraint system is built, so no
+    # oracle is reached with such a B
     for repeat in (div_rows, 2 * div_rows):
-        stacked = ConstraintSystem(prod, sp.vstack([repeat, cons.B]).tocsr())
-        for call in (stacked.rank, lambda: solve_oracle(system, stacked)):
-            with pytest.raises(ValueError, match=r"^rank audit: column \d+ of B D has 2 nonzeros"):
-                call()
+        with pytest.raises(ValueError, match=r"^rank audit: column \d+ of B D has 2 nonzeros"):
+            ConstraintSystem(prod, sp.vstack([repeat, cons.B]).tocsr())
 
 
 def _count_certificates_and_factors(monkeypatch) -> tuple[dict, list]:
@@ -316,8 +321,8 @@ def _count_certificates_and_factors(monkeypatch) -> tuple[dict, list]:
     monkeypatch.setattr(hodgefem.solver, "_factor_spd", factor)
     init = HybridSystem.__init__
 
-    def tracked(self, prod, cons):
-        init(self, prod, cons)
+    def tracked(self, cons):
+        init(self, cons)
         hybrids.append(weakref.ref(self))
 
     monkeypatch.setattr(HybridSystem, "__init__", tracked)
@@ -334,11 +339,11 @@ def test_the_certificate_runs_once_and_the_study_factors_once_per_mesh(monkeypat
     assert runs == {"certificate": 2, "factor": 2}
     assert len(hybrids) == 2
 
+    runs.update(certificate=0, factor=0)
     tri = generate_square_mesh(4)
     prod = build_product_space(tri)
     cons = build_constraints(tri, prod)
     system = assemble(tri, get_field("polyflow"), prod=prod)
-    runs.update(certificate=0, factor=0)
     assert cons.rank() == cons.rows
     solve_oracle(system, cons)
     assert cons.nullity() == prod.dim - cons.rows
@@ -359,6 +364,39 @@ def test_the_solve_the_audit_and_the_oracle_certify_and_factor_once(monkeypatch)
     assert oracle.constraint_residual <= 1e-13
 
 
+def test_the_product_space_is_freed_without_the_cyclic_collector(monkeypatch):
+    # the space caches its B, never a ConstraintSystem, which holds the
+    # space: a cycle there kept every mesh's space alive until a collection
+    field = get_field("polyflow")
+    spaces = []
+
+    def tracked(tri):
+        prod = build_product_space(tri)
+        spaces.append(weakref.ref(prod))
+        return prod
+
+    monkeypatch.setattr(hodgefem.solver, "build_product_space", tracked)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        tri = generate_jittered_mesh(4, 1)
+        prod = build_product_space(tri)
+        space = weakref.ref(prod)
+        system = assemble(tri, field, prod=prod)
+        solve_system(system)
+        cons = build_constraints(tri, prod)
+        assert cons.rank() == cons.rows and prod._B is cons.B
+        solve_oracle(system, build_constraints(tri, prod))
+        del prod, system, cons
+        assert space() is None
+        row = next(study(field, [4], tol=1e-10))
+        assert row.oracle_gap is not None and len(spaces) == 1
+        assert spaces[0]() is None
+    finally:
+        if enabled:
+            gc.enable()
+
+
 @pytest.mark.parametrize(
     "make",
     [lambda: generate_square_mesh(16), lambda: generate_jittered_mesh(16, 1), MESHES["coprime4"]],
@@ -374,7 +412,7 @@ def test_the_recorded_oracle_is_bitwise_a_fresh_factorization(make, monkeypatch)
     recorded = solve_oracle(system, cons)
     assert runs == {"certificate": 0, "factor": 0}
     # a fresh factorization of the same B gives the same bits
-    x, y = HybridSystem(prod, cons).solve(system.b_cell)
+    x, y = HybridSystem(cons).solve(system.b_cell)
     assert runs == {"certificate": 0, "factor": 1}
     resid = float(np.linalg.norm(cons.B @ x)) / max(1.0, float(np.linalg.norm(x)))
     # an equal copy of B is another object: certified and factored once more, same bits
@@ -386,7 +424,7 @@ def test_the_recorded_oracle_is_bitwise_a_fresh_factorization(make, monkeypatch)
         assert oracle.constraint_residual == resid
 
 
-@pytest.mark.parametrize("entry", ["HybridSystem", "solve_oracle", "assemble"])
+@pytest.mark.parametrize("entry", ["solve_oracle", "assemble"])
 def test_inputs_from_another_mesh_of_the_same_size_are_rejected(entry):
     # jittered m = 4 meshes of two seeds: equal sizes, so only the mesh check
     # stops B of one from being applied to a field of the other
@@ -397,7 +435,6 @@ def test_inputs_from_another_mesh_of_the_same_size_are_rejected(entry):
     cons = build_constraints(other, other_prod)
     assert cons.B.shape[1] == prod.dim
     calls = {
-        "HybridSystem": (lambda: HybridSystem(prod, cons), "the constraints"),
         "solve_oracle": (lambda: solve_oracle(system, cons), "the constraints"),
         "assemble": (
             lambda: assemble(tri, field, prod=prod, basis=build_global_basis(other, other_prod)),
@@ -413,10 +450,9 @@ def test_oracle_raises_the_rank_certificate_error_on_a_dependent_row():
     tri = generate_square_mesh(4)
     prod = build_product_space(tri)
     cons = build_constraints(tri, prod)
-    system = assemble(tri, get_field("polyflow"), prod=prod)
-    dependent = ConstraintSystem(prod, sp.vstack([cons.B, cons.B[3] + cons.B[4]]).tocsr())
+    # the certificate runs when the constraint system is built, before any oracle
     with pytest.raises(ValueError, match=r"^rank audit: column \d+ of B D has 2 nonzeros"):
-        solve_oracle(system, dependent)
+        ConstraintSystem(prod, sp.vstack([cons.B, cons.B[3] + cons.B[4]]).tocsr())
 
 
 def test_error_norms_of_zero_candidate_recover_field_energy():
@@ -747,7 +783,7 @@ def test_cellwise_constants_prolong_exactly_and_correct_symmetrically(name):
     # H = W (I - C^T S^-1 C) W^T, the cell-eliminated solve, is symmetric
     # positive semidefinite with the kernel as its range, and H A_cell is
     # the identity on it, so every kernel constant is corrected exactly
-    hybrid = HybridSystem(prod, cons)
+    hybrid = HybridSystem(cons)
     H = _dense(lambda b: hybrid.solve(b)[0], prod.dim)
     assert abs(H - H.T).max() <= 1e-12 * abs(H).max()
     w = np.linalg.eigvalsh((H + H.T) / 2)
